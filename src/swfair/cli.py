@@ -35,7 +35,7 @@ from .setfn import (
     load_source,
 )
 from .sfm import ConvergenceError, SolverConfig
-from .split import RateVector, decompose, split
+from .split import InternalConsistencyError, RateVector, decompose, split
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -52,7 +52,7 @@ def main(argv=None) -> int:
             ValueError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_INPUT
-    except ConvergenceError as e:
+    except (ConvergenceError, InternalConsistencyError) as e:
         print("solver error: %s" % e, file=sys.stderr)
         return EXIT_SOLVER
 
@@ -73,7 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parallel", dest="mode", action="store_const",
                    const="parallel", help="shorthand for --mode parallel")
     p.add_argument("--trace", metavar="PATH",
-                   help="write the split tree and adaptation path as JSON")
+                   help="write the split tree and, up to 64 users, the "
+                        "adaptation path as JSON")
     add_solver_args(p)
     add_output_args(p)
     p.set_defaults(func=cmd_egalitarian)
@@ -163,17 +164,17 @@ def parse_weights(source: SetFunction, spec: str | None) -> WeightVector:
     if spec is None:
         return WeightVector.ones(ground)
     try:
-        if any(ch not in "0123456789.,eE+-" for ch in spec):
+        values = [float(v) for v in spec.split(",")]
+    except ValueError:
+        try:
             with open(spec) as fh:
                 doc = json.load(fh)
             if isinstance(doc, dict):
                 values = [float(doc[u]) for u in ground.users]
             else:
                 values = [float(v) for v in doc]
-        else:
-            values = [float(v) for v in spec.split(",")]
-    except (OSError, json.JSONDecodeError, KeyError) as e:
-        raise ValueError("cannot read weights from %r: %s" % (spec, e))
+        except (OSError, json.JSONDecodeError, KeyError) as e:
+            raise ValueError("cannot read weights from %r: %s" % (spec, e))
     if len(values) != ground.n:
         raise ValueError("expected %d weights, got %d" % (ground.n, len(values)))
     return WeightVector(ground, values)
@@ -198,8 +199,9 @@ def cmd_egalitarian(args) -> int:
     w = parse_weights(source, args.weights)
     rates, tree = split(source, w, config=solver_config(args), mode=args.mode)
     if args.trace:
+        trace = json.dumps(tree.to_dict(include_path=True), indent=2)
         with open(args.trace, "w") as fh:
-            json.dump(tree.to_dict(include_path=True), fh, indent=2)
+            fh.write(trace)
     doc = {"rates": rates.as_dict(), "sum_rate": rates.total(),
            "weights": {u: w[u] for u in source.ground.users}, "mode": args.mode}
     emit(args, doc, rates_text(rates))

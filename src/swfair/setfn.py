@@ -10,6 +10,9 @@ Two concrete source models are provided:
 * :class:`BitPoolSource` - each user observes a subset of independent random
   bits; the joint entropy of a user subset is the total entropy of the bits
   covered by it (a weighted coverage function, hence submodular and monotone).
+  It evaluates over its (user, bit) incidence, so with nnz observations
+  ``value`` and ``prefix_values`` cost O(nnz + n) and ``all_values`` over c
+  elements costs O(nnz + c * 2^c).
 * :class:`TableSource` - an explicit, complete table of values for every
   nonempty subset, used for arbitrary test fixtures.
 
@@ -21,6 +24,7 @@ per evaluation and keep the fast vectorized paths of the underlying source.
 from __future__ import annotations
 
 import json
+import math
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -53,6 +57,8 @@ BRUTE_FORCE_LIMIT = 20
 
 def bit_indices(mask: int) -> list[int]:
     """Positions of the set bits of ``mask``, ascending."""
+    if mask < 0:
+        raise ValueError("negative mask %d has no finite set of bits" % mask)
     out = []
     while mask:
         low = mask & -mask
@@ -66,6 +72,28 @@ def mask_from_indices(indices: Iterable[int]) -> int:
     for i in indices:
         mask |= 1 << i
     return mask
+
+
+def mask_array(mask: int, n: int) -> np.ndarray:
+    """Boolean array of length ``n``, True at the set bits of ``mask``.
+
+    ``mask`` must lie inside the first n bits; a negative mask raises
+    OverflowError.  The array is a fresh buffer, O(n / 8) to build.
+    """
+    raw = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=n, bitorder="little").view(bool)
+
+
+def subset_sums(table: np.ndarray, c: int) -> np.ndarray:
+    """In place, replace table[X] by the sum of table[Y] over all Y inside X.
+
+    ``table`` is indexed by local submask and has length 2**c; this is the
+    zeta transform over the subset lattice, c passes of 2**(c-1) additions.
+    """
+    for k in range(c):
+        pairs = table.reshape(-1, 2, 1 << k)
+        pairs[:, 1, :] += pairs[:, 0, :]
+    return table
 
 
 class GroundSet:
@@ -210,9 +238,17 @@ class CountingFunction(SetFunction):
 class BitPoolSource(SetFunction):
     """Entropy oracle for users observing pools of independent random bits.
 
-    ``bits`` maps bit id -> entropy in bits (> 0); ``observes`` maps user id
-    -> iterable of bit ids.  H(X) is the summed entropy of all bits observed
-    by at least one user in X.
+    ``bits`` maps bit id -> entropy in bits (finite, > 0); ``observes`` maps
+    user id -> iterable of bit ids.  H(X) is the summed entropy of all bits
+    observed by at least one user in X.
+
+    Besides the dense ``observes`` matrix (users x bits), the oracle keeps
+    the (user, bit) incidence sorted by bit: ``_inc_user`` lists the
+    observers of each observed bit in one run, ``_run_start`` holds the
+    offset of each run and ``_run_entropy`` its bit's entropy.  Bits no user
+    observes are dropped, as they never count.  Every evaluation reduces
+    over these runs, so its cost follows the number of observations rather
+    than users x bits.
     """
 
     def __init__(self, ground: GroundSet, bits: Mapping[str, float],
@@ -221,54 +257,81 @@ class BitPoolSource(SetFunction):
         self.ground_mask = ground.full_mask
         self.bit_ids = tuple(bits.keys())
         h = np.array([float(bits[b]) for b in self.bit_ids])
-        if len(h) and h.min() <= 0.0:
-            raise ValueError("bit entropies must be strictly positive")
+        # NaN fails both comparisons.
+        if len(h) and not (h.min() > 0.0 and h.max() < np.inf):
+            raise ValueError("bit entropies must be finite and strictly positive")
         self.bit_entropy = h
+        n = ground.n
         bit_pos = {b: j for j, b in enumerate(self.bit_ids)}
-        obs = np.zeros((ground.n, len(self.bit_ids)), dtype=bool)
+        # Observation (user i, bit j) is coded j * n + i, so that one sort
+        # groups the incidence by bit.
+        codes = []
         for user, seen in observes.items():
             if user not in ground.index:
                 raise InvalidSubsetError("observes entry for unknown user %r" % user)
+            i = ground.index[user]
             for b in seen:
                 if b not in bit_pos:
                     raise ValueError("user %r observes unknown bit %r" % (user, b))
-                obs[ground.index[user], bit_pos[b]] = True
+                codes.append(bit_pos[b] * n + i)
+        codes = np.sort(np.fromiter(codes, dtype=np.intp, count=len(codes)))
+        inc_bit, inc_user = np.divmod(codes, n)
+        obs = np.zeros((n, len(self.bit_ids)), dtype=bool)
+        obs[inc_user, inc_bit] = True
         self.observes = obs
+
+        new_run = np.ones(len(codes), dtype=bool)
+        new_run[1:] = inc_bit[1:] != inc_bit[:-1]
+        self._inc_user = inc_user
+        self._run_start = np.flatnonzero(new_run)
+        self._run_entropy = h[inc_bit[self._run_start]]
+        for arr in (self._inc_user, self._run_start, self._run_entropy):
+            arr.setflags(write=False)
+
+    def _covered(self, mask: int) -> np.ndarray:
+        """Per observed bit: is it observed by some user in ``mask``?"""
+        in_mask = mask_array(mask, self.ground.n)[self._inc_user]
+        return np.logical_or.reduceat(in_mask, self._run_start)
 
     def value(self, mask: int) -> float:
         if mask == 0:
             return 0.0
-        covered = self.observes[bit_indices(mask)].any(axis=0)
-        return float(self.bit_entropy @ covered)
+        return float(self._run_entropy @ self._covered(mask))
 
     def prefix_values(self, order, base: int = 0) -> np.ndarray:
+        # Each bit's entropy is gained at the first prefix that covers it:
+        # rank users 0 in base, j+1 at position j of order, k+1 otherwise,
+        # and a bit lands at the least rank among its observers.
         order = np.asarray(order, dtype=np.intp)
+        k = len(order)
+        rank = np.full(self.ground.n, k + 1, dtype=np.intp)
+        rank[order] = np.arange(1, k + 1)
         if base:
-            start = self.observes[bit_indices(base)].any(axis=0)
-        else:
-            start = np.zeros(self.observes.shape[1], dtype=bool)
-        stack = np.vstack([start[None, :], self.observes[order]])
-        covered = np.logical_or.accumulate(stack, axis=0)
-        return covered @ self.bit_entropy
+            rank[mask_array(base, self.ground.n)] = 0
+        first = np.minimum.reduceat(rank[self._inc_user], self._run_start)
+        gains = np.bincount(first, weights=self._run_entropy, minlength=k + 2)
+        return np.cumsum(gains, dtype=float)[:k + 1]
 
     def all_values(self, elements, base: int = 0) -> np.ndarray:
+        # Group the bits not covered by base by their observer pattern among
+        # the elements; a subset X then misses exactly the bits whose pattern
+        # lies inside its complement, which a subset-sum transform gives for
+        # every X at once.
         c = len(elements)
-        submasks = np.arange(1 << c, dtype=np.uint32)
-        vals = np.zeros(1 << c)
-        base_cov = (self.observes[bit_indices(base)].any(axis=0)
-                    if base else np.zeros(self.observes.shape[1], dtype=bool))
-        local_obs = self.observes[np.asarray(elements, dtype=np.intp)]
-        for j in range(self.observes.shape[1]):
-            if base_cov[j]:
-                vals += self.bit_entropy[j]
-                continue
-            obs_local = 0
-            for k in range(c):
-                if local_obs[k, j]:
-                    obs_local |= 1 << k
-            if obs_local:
-                vals[(submasks & np.uint32(obs_local)) != 0] += self.bit_entropy[j]
-        return vals
+        local_bit = np.zeros(self.ground.n, dtype=np.int64)
+        local_bit[np.asarray(elements, dtype=np.intp)] = 1 << np.arange(c, dtype=np.int64)
+        pattern = np.bitwise_or.reduceat(local_bit[self._inc_user], self._run_start)
+        const = 0.0
+        if base:
+            in_base = self._covered(base)
+            const = float(self._run_entropy[in_base].sum())
+            pattern[in_base] = 0
+        missed = np.bincount(pattern, weights=self._run_entropy, minlength=1 << c)
+        # Bits outside every pattern would cancel below; dropping them keeps
+        # their sum out of the differences' rounding.
+        missed[0] = 0.0
+        subset_sums(missed, c)
+        return const + (missed[-1] - missed[::-1])
 
     def total_entropy(self) -> float:
         return self.value(self.ground_mask)
@@ -277,8 +340,8 @@ class BitPoolSource(SetFunction):
 class TableSource(SetFunction):
     """Explicit set function given by a complete table over nonempty subsets.
 
-    Missing entries are an error at construction time rather than defaulted;
-    H(empty) = 0 is implicit.
+    Missing or non-finite entries are an error at construction time rather
+    than defaulted; H(empty) = 0 is implicit.
     """
 
     def __init__(self, ground: GroundSet, values: Mapping):
@@ -302,6 +365,13 @@ class TableSource(SetFunction):
                 "table missing %d of %d nonempty subsets, first: %s"
                 % (len(missing), ground.full_mask, ground.users_of(missing[0]))
             )
+        # One sum finds any NaN or infinity; only then is the table scanned
+        # (a finite sum past the float range is an overflow, not an error).
+        if not math.isfinite(sum(table.values())):
+            for mask, v in table.items():
+                if not math.isfinite(v):
+                    raise ValueError("table value for %s is not finite: %r"
+                                     % (ground.users_of(mask), v))
         self._table = table
 
     def value(self, mask: int) -> float:
@@ -333,7 +403,7 @@ class ShiftedFunction(SetFunction):
             return 0.0
         v = self.inner.value(mask | self.pivot) - self.constant
         if self.coeffs is not None:
-            v -= float(self.coeffs[bit_indices(mask)].sum())
+            v -= float(self.coeffs[mask_array(mask, self.ground.n)].sum())
         return v
 
     def prefix_values(self, order, base: int = 0) -> np.ndarray:
@@ -342,7 +412,7 @@ class ShiftedFunction(SetFunction):
         if self.coeffs is not None:
             shift = np.concatenate(([0.0], np.cumsum(self.coeffs[order])))
             if base:
-                shift += self.coeffs[bit_indices(base)].sum()
+                shift += self.coeffs[mask_array(base, self.ground.n)].sum()
             vals = vals - shift
         if base == 0:
             vals[0] = 0.0
@@ -357,7 +427,7 @@ class ShiftedFunction(SetFunction):
                 if ce != 0.0:
                     vals[(submasks & np.uint32(1 << k)) != 0] -= ce
             if base:
-                vals -= self.coeffs[bit_indices(base)].sum()
+                vals -= self.coeffs[mask_array(base, self.ground.n)].sum()
         if base == 0:
             vals[0] = 0.0
         return vals
@@ -387,7 +457,7 @@ def add_modular(f: SetFunction, coeffs: np.ndarray) -> SetFunction:
 
 
 class WeightVector:
-    """Strictly positive per-user weights with subset sums."""
+    """Finite, strictly positive per-user weights with subset sums."""
 
     __slots__ = ("ground", "values")
 
@@ -395,14 +465,14 @@ class WeightVector:
         arr = np.asarray(values, dtype=float)
         if arr.shape != (ground.n,):
             raise ValueError("expected %d weights, got shape %s" % (ground.n, arr.shape))
-        if arr.min() <= 0.0:
-            raise ValueError("weights must be strictly positive")
+        if not (np.isfinite(arr).all() and arr.min() > 0.0):
+            raise ValueError("weights must be finite and strictly positive")
         self.ground = ground
         self.values = arr
         self.values.setflags(write=False)
 
     def of_mask(self, mask: int) -> float:
-        return float(self.values[bit_indices(mask)].sum())
+        return float(self.values[mask_array(mask, self.ground.n)].sum())
 
     def __getitem__(self, user: str) -> float:
         return float(self.values[self.ground.index[user]])

@@ -34,6 +34,11 @@ from .setfn import (
 from .sfm import DEFAULT_CONFIG, ConvergenceError, SfmResult, SolverConfig, solve_sfm
 
 
+# adaptation_path materializes one rate vector per base assignment, so it
+# refuses larger grounds unless forced, and the JSON tree leaves it out.
+PATH_USER_LIMIT = 64
+
+
 class InternalConsistencyError(RuntimeError):
     """A structural self-check failed (usually a solver-tolerance issue)."""
 
@@ -113,6 +118,12 @@ class SplitTree:
     mode: str
 
     def to_dict(self, include_path: bool = True) -> dict:
+        """JSON form of the tree.
+
+        The adaptation path is included when requested and recorded, and
+        left out above ``PATH_USER_LIMIT`` users, where
+        :func:`adaptation_path` refuses to materialize it by default.
+        """
         doc = {
             "mode": self.mode,
             "subset": sorted(self.ground.users_of(self.subset_mask)),
@@ -120,7 +131,7 @@ class SplitTree:
             "metrics": recursion_metrics(self),
             "root": self.root.to_dict(self.ground),
         }
-        if include_path and self.events is not None:
+        if include_path and self.events is not None and self.ground.n <= PATH_USER_LIMIT:
             doc["adaptation_path"] = [v.as_dict() for v in adaptation_path(self)]
         return doc
 
@@ -228,14 +239,15 @@ def adaptation_path(tree: SplitTree, force: bool = False) -> list[RateVector]:
 
     Starts at zero and ends at the final egalitarian rates; every vector in
     between stays inside the polyhedron of the oracle (each is dominated by
-    the final rates coordinatewise).  Refuses grounds above 64 users unless
-    ``force`` is set, to bound materialized memory.
+    the final rates coordinatewise).  Refuses grounds above
+    ``PATH_USER_LIMIT`` users unless ``force`` is set, to bound materialized
+    memory.
     """
     if tree.events is None:
         raise ValueError("split was run with trace=False; no events recorded")
-    if tree.ground.n > 64 and not force:
-        raise ValueError("ground set above 64 users; pass force=True to "
-                         "materialize the path anyway")
+    if tree.ground.n > PATH_USER_LIMIT and not force:
+        raise ValueError("ground set above %d users; pass force=True to "
+                         "materialize the path anyway" % PATH_USER_LIMIT)
     w = tree.weights
     path = [RateVector.zeros(tree.ground, tree.subset_mask)]
     acc = np.zeros(tree.ground.n)

@@ -206,3 +206,44 @@ def test_check_supermodular_table(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["submodular"] is False
     assert "submodular_witness" in doc
+
+
+def test_non_finite_weights_exit_2(capsys, model_file, tmp_path):
+    code, _, err = run(capsys, "egalitarian", model_file, "--weights", "1,nan,1")
+    assert code == 2
+    assert "finite" in err
+    wfile = tmp_path / "weights.json"
+    wfile.write_text('{"1": 1, "2": Infinity, "3": 1}')
+    code, _, err = run(capsys, "egalitarian", model_file, "--weights", str(wfile))
+    assert code == 2
+    assert "finite" in err
+
+
+def test_trace_above_64_users(capsys, tmp_path):
+    from swfair.experiment import ExperimentConfig, generate_instance
+    from swfair.setfn import source_to_dict
+
+    model = tmp_path / "m80.json"
+    model.write_text(json.dumps(source_to_dict(
+        generate_instance(80, ExperimentConfig(), 0))))
+    trace = tmp_path / "t.json"
+    code, out, _ = run(capsys, "egalitarian", str(model), "--json",
+                       "--trace", str(trace))
+    assert code == 0
+    tree = json.loads(trace.read_text())
+    assert len(tree["subset"]) == 80
+    assert tree["rates"] == pytest.approx(json.loads(out)["rates"])
+    assert "adaptation_path" not in tree
+
+
+def test_internal_consistency_error_exits_3(capsys, model_file, monkeypatch):
+    from swfair import cli
+    from swfair.split import InternalConsistencyError
+
+    def broken(*args, **kwargs):
+        raise InternalConsistencyError("chain does not cover the user subset")
+
+    monkeypatch.setattr(cli, "split", broken)
+    code, _, err = run(capsys, "egalitarian", model_file)
+    assert code == 3
+    assert "chain does not cover" in err

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from swfair.setfn import (
     BitPoolSource,
@@ -13,6 +14,7 @@ from swfair.setfn import (
     ModelLoadError,
     TableSource,
     WeightVector,
+    add_modular,
     bit_indices,
     check_monotone,
     check_submodular,
@@ -20,6 +22,7 @@ from swfair.setfn import (
     entropy,
     greedy_vertex,
     load_source,
+    mask_array,
     reduce,
     restrict,
     source_from_dict,
@@ -66,6 +69,13 @@ def test_bit_pool_validation():
         BitPoolSource(g, {"a": 1.0}, {"1": ["zz"]})
     with pytest.raises(InvalidSubsetError):
         BitPoolSource(g, {"a": 1.0}, {"9": ["a"]})
+
+
+def test_bit_pool_without_observations():
+    src = BitPoolSource(GroundSet(["1", "2"]), {"a": 1.0}, {"1": []})
+    assert src.value(0b11) == 0.0
+    for vals in (src.prefix_values([1, 0]), src.all_values([0, 1], 0)):
+        assert vals.dtype == float and not vals.any()
 
 
 def test_bit_pool_monotone_and_submodular_small():
@@ -272,3 +282,155 @@ def test_weight_vector(three_users):
         WeightVector(g, [1.0, 0.0, 1.0])
     with pytest.raises(ValueError):
         WeightVector(g, [1.0, 1.0])
+
+
+def test_weight_vector_refuses_non_finite(three_users):
+    g = three_users.ground
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            WeightVector(g, [1.0, bad, 1.0])
+
+
+def test_sources_refuse_non_finite_values():
+    g = GroundSet(["1", "2"])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            BitPoolSource(g, {"a": 1.0, "b": bad}, {"1": ["a"], "2": ["b"]})
+        with pytest.raises(ValueError, match="finite"):
+            TableSource(g, {"1": 1.0, "2": bad, "1,2": 1.5})
+    # finite values whose sum overflows are still accepted
+    huge = TableSource(g, {"1": 1e308, "2": 1e308, "1,2": 1e308})
+    assert huge.value(0b11) == 1e308
+
+
+def test_bit_indices_refuses_negative_mask():
+    with pytest.raises(ValueError):
+        bit_indices(-1)
+
+
+def test_mask_array_crosses_word_boundaries():
+    for n in (1, 7, 8, 9, 64, 65, 130):
+        for idx in ([], [0], [n - 1], sorted({0, n // 2, n - 1})):
+            mask = sum(1 << i for i in idx)
+            arr = mask_array(mask, n)
+            assert arr.dtype == bool and arr.shape == (n,)
+            assert np.flatnonzero(arr).tolist() == idx
+
+
+# -- Oracle properties against a dense reference ---------------------------
+#
+# The reference keeps its own users x bits incidence matrix, built from the
+# model document, and evaluates H(X) as the entropy of the bits covered by
+# the rows of X.  Models cross the 64-bit word boundary, carry a bit no user
+# observes and a user who lists one bit twice.
+
+
+class DenseReference:
+    def __init__(self, n, entropy, observes):
+        self.h = np.asarray(entropy)
+        self.obs = np.zeros((n, len(entropy)), dtype=bool)
+        for i, seen in enumerate(observes):
+            self.obs[i, seen] = True
+
+    def value(self, mask):
+        rows = [i for i in range(self.obs.shape[0]) if mask >> i & 1]
+        return float(self.h @ self.obs[rows].any(axis=0)) if rows else 0.0
+
+
+@st.composite
+def bit_pool_models(draw):
+    n = draw(st.integers(1, 150))
+    n_bits = draw(st.integers(1, 3 * n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = min(1.0, draw(st.floats(0.5, 3.0)) / n)
+    entropy = rng.uniform(0.01, 1.0, n_bits + 1)    # last bit: nobody sees it
+    observes = [np.flatnonzero(rng.random(n_bits) < p).tolist()
+                for _ in range(n)]
+    observes[0] = observes[0] + [int(rng.integers(n_bits))] * 2
+    users = ["u%d" % i for i in range(n)]
+    src = BitPoolSource(
+        GroundSet(users),
+        {"b%d" % j: float(h) for j, h in enumerate(entropy)},
+        {u: ["b%d" % j for j in seen] for u, seen in zip(users, observes)})
+    return src, DenseReference(n, entropy, observes), rng
+
+
+def random_mask(rng, within):
+    idx = [i for i in bit_indices(within) if rng.random() < 0.5]
+    return sum(1 << i for i in idx)
+
+
+def check_oracle(f, ref, rng, tol):
+    """Compare value, prefix_values and all_values of f with ref(mask)."""
+    elems = bit_indices(f.ground_mask)
+    for _ in range(3):
+        mask = random_mask(rng, f.ground_mask)
+        assert f.value(mask) == pytest.approx(ref(mask), abs=tol)
+
+    order = rng.permutation(elems)
+    base = random_mask(rng, f.ground_mask)
+    for b in (0, base):
+        rest = [int(i) for i in order if not b >> int(i) & 1]
+        pv = f.prefix_values(np.asarray(rest, dtype=np.intp), b)
+        assert len(pv) == len(rest) + 1
+        mask = b
+        want = [ref(mask)]
+        for i in rest:
+            mask |= 1 << i
+            want.append(ref(mask))
+        assert pv == pytest.approx(want, abs=tol)
+
+    for b in (0, base):
+        free = [i for i in elems if not b >> i & 1]
+        local = sorted(rng.permutation(free)[:min(10, len(free))].tolist())
+        av = f.all_values(local, b)
+        assert len(av) == 1 << len(local)
+        want = []
+        for lm in range(1 << len(local)):
+            want.append(ref(b | sum(1 << e for k, e in enumerate(local)
+                                    if lm >> k & 1)))
+        assert av == pytest.approx(want, abs=tol)
+
+
+@settings(max_examples=25, deadline=None)
+@given(bit_pool_models())
+def test_bit_pool_oracle_matches_dense_reference(model):
+    src, ref, rng = model
+    tol = 1e-9 * max(1.0, ref.value(src.ground_mask))
+    check_oracle(src, ref.value, rng, tol)
+    assert src.total_entropy() == pytest.approx(ref.value(src.ground_mask),
+                                                abs=tol)
+
+
+@settings(max_examples=15, deadline=None)
+@given(bit_pool_models())
+def test_bit_pool_views_match_dense_reference(model):
+    src, ref, rng = model
+    n = src.ground.n
+    tol = 1e-9 * max(1.0, ref.value(src.ground_mask))
+    w = WeightVector(src.ground, rng.uniform(0.5, 4.0, n))
+    coeffs = rng.uniform(-1.0, 1.0, n)
+    sub = random_mask(rng, src.ground_mask) or src.ground_mask
+
+    f = restrict(src, sub)
+    check_oracle(f, ref.value, rng, tol)
+    g = add_modular(f, coeffs)
+    check_oracle(g, lambda m: ref.value(m) - coeffs[bit_indices(m)].sum(),
+                 rng, tol)
+
+    pivot = random_mask(rng, sub)
+    if pivot in (0, sub):
+        return
+    h_p, w_p = ref.value(pivot), w.values[bit_indices(pivot)].sum()
+
+    def reduced(m):
+        if m == 0:
+            return 0.0
+        w_m = w.values[bit_indices(m)].sum()
+        return ref.value(m | pivot) - h_p * (w_m / w_p + 1.0)
+
+    r = reduce(f, pivot, w)
+    check_oracle(r, reduced, rng, tol)
+    check_oracle(add_modular(r, coeffs),
+                 lambda m: reduced(m) - coeffs[bit_indices(m)].sum(),
+                 rng, tol)

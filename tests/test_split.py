@@ -51,6 +51,16 @@ def test_split_rejects_bad_input(three_users, unit_weights):
         split(three_users, unit_weights, mode="sideways")
 
 
+def test_split_refuses_nan_weight():
+    from swfair.experiment import ExperimentConfig, generate_instance
+
+    src = generate_instance(6, ExperimentConfig(), 0)
+    w = np.ones(6)
+    w[2] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        split(src, WeightVector(src.ground, w))
+
+
 def test_split_annotates_convergence_failures():
     rng = np.random.default_rng(67)
     src = random_bit_pool(rng, 8)
