@@ -8,8 +8,10 @@ of that region and the machinery around them:
   models and explicit tables), reductions, greedy vertices, validity checks;
 * :mod:`swfair.sfm` - submodular function minimization (exhaustive and
   Fujishige-Wolfe minimum-norm-point) with lattice-extreme minimizers;
-* :mod:`swfair.split` - the recursive egalitarian splitter with trace
-  recording, principal-chain decomposition, and fork-join parallel mode;
+* :mod:`swfair.split` - the egalitarian engine (one weighted min-norm
+  solve confirmed by the splitter's leaf test), the paper's recursive
+  splitter with trace recording and fork-join parallel mode, and the
+  principal-chain decomposition;
 * :mod:`swfair.fairness` - Shapley values, region membership verification,
   an independent conditional-gradient oracle, and comparison reports;
 * :mod:`swfair.experiment` - randomized sweeps of the split-size metrics;
@@ -48,6 +50,7 @@ from .sfm import (
     solve_sfm,
 )
 from .split import (
+    CertificationError,
     Decomposition,
     InternalConsistencyError,
     RateVector,
@@ -55,6 +58,7 @@ from .split import (
     SplitTree,
     adaptation_path,
     decompose,
+    egalitarian,
     recursion_metrics,
     split,
 )
@@ -82,6 +86,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BRUTE_FORCE_LIMIT",
     "BitPoolSource",
+    "CertificationError",
     "ConvergenceError",
     "Decomposition",
     "ExperimentConfig",
@@ -110,6 +115,7 @@ __all__ = [
     "check_submodular",
     "conditional_entropy",
     "decompose",
+    "egalitarian",
     "egalitarian_oracle_fw",
     "entropy",
     "exchange_capacity",

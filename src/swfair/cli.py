@@ -7,7 +7,9 @@ chain, ``experiment`` runs the randomized size sweep to CSV, and ``check``
 reports submodularity/monotonicity of a model.
 
 Exit codes are a stable contract: 0 success (and member for ``verify``),
-2 input error, 3 solver error, 4 verification failure.
+2 input error, 3 solver error, 4 verification failure (``verify`` of a
+non-member, or an ``egalitarian`` / ``decompose`` result refused by its
+certificate).
 """
 
 from __future__ import annotations
@@ -35,7 +37,15 @@ from .setfn import (
     load_source,
 )
 from .sfm import ConvergenceError, SolverConfig
-from .split import InternalConsistencyError, RateVector, decompose, split
+from .split import (
+    CertificationError,
+    InternalConsistencyError,
+    RateVector,
+    certify,
+    decompose,
+    egalitarian,
+    split,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -55,6 +65,9 @@ def main(argv=None) -> int:
     except (ConvergenceError, InternalConsistencyError) as e:
         print("solver error: %s" % e, file=sys.stderr)
         return EXIT_SOLVER
+    except CertificationError as e:
+        print("refused: %s" % e, file=sys.stderr)
+        return EXIT_VERIFY
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,16 +78,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(required=True, metavar="command")
 
     p = sub.add_parser("egalitarian",
-                       help="weighted egalitarian rates via recursive splitting")
+                       help="weighted egalitarian rates (one weighted "
+                            "min-norm solve confirmed by the splitter's leaf "
+                            "test; --trace runs the recursive splitter)")
     p.add_argument("source", help="source model JSON file")
     add_weight_args(p)
     p.add_argument("--mode", choices=["sequential", "parallel"],
-                   default="sequential")
+                   default="sequential",
+                   help="how the splitter behind --trace runs its branches; "
+                        "without --trace it has no effect")
     p.add_argument("--parallel", dest="mode", action="store_const",
                    const="parallel", help="shorthand for --mode parallel")
     p.add_argument("--trace", metavar="PATH",
-                   help="write the split tree and, up to 64 users, the "
-                        "adaptation path as JSON")
+                   help="run the recursive splitter and write its tree and, "
+                        "up to 64 users, the adaptation path as JSON")
     add_solver_args(p)
     add_output_args(p)
     p.set_defaults(func=cmd_egalitarian)
@@ -197,11 +214,15 @@ def rates_text(rates: RateVector) -> str:
 def cmd_egalitarian(args) -> int:
     source = load_source(args.source)
     w = parse_weights(source, args.weights)
-    rates, tree = split(source, w, config=solver_config(args), mode=args.mode)
+    config = solver_config(args)
     if args.trace:
+        rates, tree = split(source, w, config=config, mode=args.mode)
+        certify(source, rates)
         trace = json.dumps(tree.to_dict(include_path=True), indent=2)
         with open(args.trace, "w") as fh:
             fh.write(trace)
+    else:
+        rates = egalitarian(source, w, config=config)
     doc = {"rates": rates.as_dict(), "sum_rate": rates.total(),
            "weights": {u: w[u] for u in source.ground.users}, "mode": args.mode}
     emit(args, doc, rates_text(rates))

@@ -25,6 +25,7 @@ from .setfn import (
     SetFunction,
     WeightVector,
     bit_indices,
+    modular_sums,
 )
 from .sfm import ConvergenceError
 from .split import RateVector
@@ -141,12 +142,10 @@ def verify_membership(f: SetFunction, r, tolerance: float = 1e-8,
     rates = r.rates if isinstance(r, RateVector) else np.asarray(r, dtype=float)
     vals = f.all_values(elems)
     full = (1 << c) - 1
-    r_sub = np.zeros(1 << c)
-    submasks = np.arange(1 << c, dtype=np.uint32)
-    for k, e in enumerate(elems):
-        r_sub[(submasks & np.uint32(1 << k)) != 0] += rates[e]
+    r_sub = modular_sums(rates[elems])
     sum_gap = float(r_sub[full] - vals[full])
-    lower_slack = r_sub - (vals[full] - vals[full ^ submasks])
+    # vals[::-1][X] is the value of the complement full ^ X
+    lower_slack = r_sub - (vals[full] - vals[::-1])
     lower_slack[0] = np.inf  # the empty set is vacuous
     upper_slack = vals - r_sub
     worst_local = int(np.argmin(lower_slack))
@@ -181,9 +180,7 @@ def exchange_capacity(f: SetFunction, r, donor: str, receiver: str,
     bit_d = np.uint32(1 << pos[f.ground.index[donor]])
     vals = f.all_values(elems)
     submasks = np.arange(1 << c, dtype=np.uint32)
-    r_sub = np.zeros(1 << c)
-    for k, e in enumerate(elems):
-        r_sub[(submasks & np.uint32(1 << k)) != 0] += rates[e]
+    r_sub = modular_sums(rates[elems])
     sel = ((submasks & bit_r) != 0) & ((submasks & bit_d) == 0)
     return float((vals[sel] - r_sub[sel]).min())
 

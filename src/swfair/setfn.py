@@ -96,6 +96,18 @@ def subset_sums(table: np.ndarray, c: int) -> np.ndarray:
     return table
 
 
+def modular_sums(coeffs: np.ndarray) -> np.ndarray:
+    """Sum of coeffs[k] over the k in X, for every local submask X.
+
+    The coefficients sit at the singleton entries of a 2**c table, and one
+    :func:`subset_sums` pass fills in the rest.
+    """
+    c = len(coeffs)
+    table = np.zeros(1 << c)
+    table[1 << np.arange(c)] = coeffs
+    return subset_sums(table, c)
+
+
 class GroundSet:
     """Ordered set of distinct user identifiers with bitmask encoding."""
 
@@ -242,13 +254,13 @@ class BitPoolSource(SetFunction):
     user id -> iterable of bit ids.  H(X) is the summed entropy of all bits
     observed by at least one user in X.
 
-    Besides the dense ``observes`` matrix (users x bits), the oracle keeps
-    the (user, bit) incidence sorted by bit: ``_inc_user`` lists the
-    observers of each observed bit in one run, ``_run_start`` holds the
+    The oracle keeps only the (user, bit) incidence sorted by bit:
+    ``_inc_user`` lists the observers of each observed bit in one run,
+    ``_inc_bit`` the bit of each observation, ``_run_start`` holds the
     offset of each run and ``_run_entropy`` its bit's entropy.  Bits no user
     observes are dropped, as they never count.  Every evaluation reduces
     over these runs, so its cost follows the number of observations rather
-    than users x bits.
+    than users x bits; the dense ``observes`` matrix is built on request.
     """
 
     def __init__(self, ground: GroundSet, bits: Mapping[str, float],
@@ -276,17 +288,26 @@ class BitPoolSource(SetFunction):
                 codes.append(bit_pos[b] * n + i)
         codes = np.sort(np.fromiter(codes, dtype=np.intp, count=len(codes)))
         inc_bit, inc_user = np.divmod(codes, n)
-        obs = np.zeros((n, len(self.bit_ids)), dtype=bool)
-        obs[inc_user, inc_bit] = True
-        self.observes = obs
-
         new_run = np.ones(len(codes), dtype=bool)
         new_run[1:] = inc_bit[1:] != inc_bit[:-1]
         self._inc_user = inc_user
+        self._inc_bit = inc_bit
         self._run_start = np.flatnonzero(new_run)
         self._run_entropy = h[inc_bit[self._run_start]]
-        for arr in (self._inc_user, self._run_start, self._run_entropy):
+        for arr in (self._inc_user, self._inc_bit, self._run_start,
+                    self._run_entropy):
             arr.setflags(write=False)
+
+    @property
+    def observes(self) -> np.ndarray:
+        """Dense (users x bits) matrix: does user i observe bit j?
+
+        Built from the incidence on each access (a 256-user, 768-bit model
+        would otherwise hold 192 KiB that no evaluation reads).
+        """
+        obs = np.zeros((self.ground.n, len(self.bit_ids)), dtype=bool)
+        obs[self._inc_user, self._inc_bit] = True
+        return obs
 
     def _covered(self, mask: int) -> np.ndarray:
         """Per observed bit: is it observed by some user in ``mask``?"""
@@ -421,11 +442,8 @@ class ShiftedFunction(SetFunction):
     def all_values(self, elements, base: int = 0) -> np.ndarray:
         vals = self.inner.all_values(elements, base | self.pivot) - self.constant
         if self.coeffs is not None:
-            submasks = np.arange(1 << len(elements), dtype=np.uint32)
-            for k, e in enumerate(elements):
-                ce = self.coeffs[int(e)]
-                if ce != 0.0:
-                    vals[(submasks & np.uint32(1 << k)) != 0] -= ce
+            local = np.asarray(elements, dtype=np.intp)
+            vals -= modular_sums(self.coeffs[local])
             if base:
                 vals -= self.coeffs[mask_array(base, self.ground.n)].sum()
         if base == 0:
@@ -646,9 +664,10 @@ def load_source(path) -> SetFunction:
 def source_to_dict(source: SetFunction) -> dict:
     """Document form of a source model (inverse of :func:`source_from_dict`)."""
     if isinstance(source, BitPoolSource):
+        obs = source.observes
         observes = {}
         for i, user in enumerate(source.ground.users):
-            seen = [source.bit_ids[j] for j in np.nonzero(source.observes[i])[0]]
+            seen = [source.bit_ids[j] for j in np.nonzero(obs[i])[0]]
             observes[user] = seen
         return {
             "type": "bit_pool",

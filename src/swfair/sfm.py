@@ -140,7 +140,7 @@ def _solve_exhaustive(f, elems, config) -> SfmResult:
 
 def _solve_min_norm(f, elems, config) -> SfmResult:
     counting = CountingFunction(f)
-    x, converged = _wolfe(counting, elems, config)
+    x, stop = _wolfe(counting, elems, config)
     scale = max(1.0, counting.max_abs)
     tol = config.tie_epsilon * scale
 
@@ -170,10 +170,10 @@ def _solve_min_norm(f, elems, config) -> SfmResult:
         minimal_mask=minimal_mask,
         maximal_mask=maximal_mask,
     )
-    if not converged:
+    if stop != CONVERGED:
         raise ConvergenceError(
-            "min-norm-point solver hit the iteration cap (%d) on a ground of "
-            "size %d" % (config.max_iterations, len(elems)),
+            "min-norm-point solver %s on a ground of size %d"
+            % (_stop_reason(stop, config), len(elems)),
             best=result,
         )
     return result
@@ -205,11 +205,10 @@ def min_norm_point(f: SetFunction, config: SolverConfig | None = None) -> np.nda
     if not elems:
         return np.zeros(0)
     counting = CountingFunction(f)
-    x, converged = _wolfe(counting, elems, config)
-    if not converged:
+    x, stop = _wolfe(counting, elems, config)
+    if stop != CONVERGED:
         raise ConvergenceError(
-            "min-norm-point solver hit the iteration cap (%d)"
-            % config.max_iterations, best=x)
+            "min-norm-point solver %s" % _stop_reason(stop, config), best=x)
     return x
 
 
@@ -222,28 +221,52 @@ def _greedy_local(counting, elems_arr, direction) -> np.ndarray:
     return vertex
 
 
-def _wolfe(counting, elems, config):
+# How a Wolfe run ended: only CONVERGED has passed the gap test.
+CONVERGED, STALLED, CAPPED = "converged", "stalled", "capped"
+
+
+def _stop_reason(stop: str, config: SolverConfig) -> str:
+    """Words for a Wolfe run that did not converge, for error messages."""
+    if stop == STALLED:
+        return ("stalled before its gap test passed (the new vertex was "
+                "already active)")
+    return "hit the iteration cap (%d)" % config.max_iterations
+
+
+def _wolfe(counting, elems, config, scale=None):
     """Wolfe's minimum-norm-point algorithm over the base polyhedron.
 
     Maintains x as a convex combination of greedy vertices (rows of S with
     coefficients lam).  Major cycles add the vertex minimizing <x, .>;
     minor cycles project onto the affine hull of the active vertices and
     prune until the projection is a proper convex combination.
+
+    With ``scale`` s (positive, one entry per element) the iteration runs
+    in the coordinates y = x / s, so it minimizes sum(x_i^2 / s_i^2): with
+    s = sqrt(w) that is the weighted egalitarian objective (Fujishige 1980).
+    Returns x in f's own coordinates and how the run ended: CONVERGED once
+    the gap test passes, STALLED when the best vertex is already active
+    before it does, CAPPED at ``config.max_iterations`` major cycles.
     """
     elems_arr = np.asarray(elems, dtype=np.intp)
     c = len(elems)
-    x = _greedy_local(counting, elems_arr, np.zeros(c))
+    s = np.ones(c) if scale is None else scale
+
+    def vertex(direction):
+        return _greedy_local(counting, elems_arr, direction / s) / s
+
+    x = vertex(np.zeros(c))
     S = x.reshape(1, c)
     lam = np.ones(1)
 
     for _ in range(config.max_iterations):
-        q = _greedy_local(counting, elems_arr, x)
+        q = vertex(x)
         xx = float(x @ x)
         gap = xx - float(x @ q)
         if gap <= config.mnp_gap_tolerance * max(1.0, xx):
-            return x, True
+            return x * s, CONVERGED
         if np.any(np.all(np.abs(S - q) <= 1e-12, axis=1)):
-            return x, True  # vertex already active: numerically converged
+            return x * s, STALLED
         S = np.vstack([S, q])
         lam = np.append(lam, 0.0)
 
@@ -271,7 +294,7 @@ def _wolfe(counting, elems, config):
             lam = lam[keep]
             lam = lam / lam.sum()
             x = S.T @ lam
-    return x, False
+    return x * s, CAPPED
 
 
 def _affine_minimizer(S):

@@ -1,46 +1,95 @@
-"""Recursive egalitarian rate splitting over a submodular rate region.
+"""Weighted egalitarian rates over a submodular rate region.
 
-The solver computes the weighted egalitarian allocation, the minimizer of
-sum(r_i^2 / w_i) over the base polyhedron of the entropy oracle, by the
-divide-and-conquer scheme: score the whole block at the uniform ratio
-lam = f(C)/w(C), find the maximal minimizer of f - lam*w, and either stop
-(the block is uniform, r = lam*w) or split into that minimizer and its
-complement, the complement continuing on the contracted oracle after an
-early base assignment of f(block)/w(block) * w.
+The weighted egalitarian allocation is the minimizer of sum(r_i^2 / w_i)
+over the base polyhedron of the entropy oracle.  Two routes compute it.
 
+:func:`split` is the paper's divide-and-conquer scheme: score the whole
+block at the uniform ratio lam = f(C)/w(C), find the maximal minimizer of
+f - lam*w, and either stop (the block is uniform, r = lam*w) or split into
+that minimizer and its complement, the complement continuing on the
+contracted oracle after an early base assignment of f(block)/w(block) * w.
 Every recursion is recorded in a :class:`SplitTree`: per-node subsets,
 ratios, SFM results, and the ordered base-assignment events that trace the
 rate vector's walk through the polyhedron.  The two subcalls of a split are
 independent, so ``mode="parallel"`` runs them fork-join style; both modes
 produce bit-identical trees and rates.
+
+:func:`egalitarian` is the engine behind ``swfair egalitarian`` and
+:func:`decompose`.  The egalitarian point is also the minimum-norm base in
+coordinates scaled by sqrt(w) (Fujishige 1980), so one Wolfe solve proposes
+an ordered partition of the users: sort its point by r/w and cut wherever a
+prefix is tight.  That solve stops at the loose gap ``PROPOSAL_GAP``, so
+the point is only approximate, and each proposed block is then confirmed
+by split's own test on its minor (the block, after the blocks before it
+are contracted): a uniform block is one leaf, and any other block is split
+further by the recursion.  If the leaf ratios do not increase along the
+blocks, the engine runs :func:`split` instead, so every answer meets the
+leaf criterion that split meets.  Up to
+``BRUTE_FORCE_LIMIT`` (20) users :func:`certify` also checks the result
+for membership in the region, and :class:`CertificationError` refuses it
+otherwise (a non-submodular source).  The split tree, the adaptation path,
+the parallel mode and the size sweep still run :func:`split`.
+
+Both routes turn their ordered levels into rates the same way: lam_j =
+(f(S_j) - f(S_{j-1})) / w(D_j) from one prefix walk over the chain, and
+r_i = lam_j * w_i on level D_j.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .setfn import (
+    BRUTE_FORCE_LIMIT,
     GroundSet,
     SetFunction,
     WeightVector,
     add_modular,
     bit_indices,
+    mask_from_indices,
     reduce,
     restrict,
 )
-from .sfm import DEFAULT_CONFIG, ConvergenceError, SfmResult, SolverConfig, solve_sfm
+from .sfm import (
+    CAPPED,
+    DEFAULT_CONFIG,
+    ConvergenceError,
+    SfmResult,
+    SolverConfig,
+    _stop_reason,
+    _wolfe,
+    solve_sfm,
+)
 
 
 # adaptation_path materializes one rate vector per base assignment, so it
 # refuses larger grounds unless forced, and the JSON tree leaves it out.
 PATH_USER_LIMIT = 64
 
+# Relative Wolfe gap at which the engine's proposal stops (a looser
+# mnp_gap_tolerance wins).  The proposal only places the level cuts, and
+# every block is confirmed exactly afterwards, so it need not be accurate.
+# Wolfe's last digits are its dearest and vary the most between sources:
+# on 256-user bit pools the proposal took 160 to 2000 major cycles to reach
+# a gap of 1e-10 but 90 to 180 to reach 1e-5, and the few blocks a 1e-5
+# point leaves unresolved cost far less to confirm than the cycles saved.
+PROPOSAL_GAP = 1e-5
+
 
 class InternalConsistencyError(RuntimeError):
     """A structural self-check failed (usually a solver-tolerance issue)."""
+
+
+class CertificationError(RuntimeError):
+    """A computed allocation failed its certificate and is refused.
+
+    Raised when the rates are outside the rate region of the source, which
+    for a submodular source cannot happen; the source is then most likely
+    not submodular.
+    """
 
 
 @dataclass
@@ -150,22 +199,22 @@ def split(f: SetFunction, w: WeightVector, subset=None,
     if mode not in ("sequential", "parallel"):
         raise ValueError("mode must be 'sequential' or 'parallel'")
     config = config or DEFAULT_CONFIG
+    cmask = _subset_mask(f, subset)
+    root_f = restrict(f, cmask)
+    node, events, leaves = _split_block(root_f, w, cmask, 0.0, config, mode, ())
+    rv = _chain(root_f, w, [mask for mask, _ in leaves]).reconstruct()
+    tree = SplitTree(f.ground, node, cmask, w, events if trace else None,
+                     leaves, rv, mode)
+    return rv, tree
+
+
+def _subset_mask(f: SetFunction, subset) -> int:
     cmask = f.ground.as_mask(subset) if subset is not None else f.ground_mask
     if cmask == 0:
         raise ValueError("cannot split an empty user subset")
     if cmask & ~f.ground_mask:
         raise ValueError("subset is not contained in the oracle's ground")
-    root_f = restrict(f, cmask)
-    node, events, leaves = _split_block(root_f, w, cmask, 0.0, config, mode, ())
-
-    rates = np.zeros(f.ground.n)
-    for mask, lam_abs in leaves:
-        idx = bit_indices(mask)
-        rates[idx] = lam_abs * w.values[idx]
-    rv = RateVector(f.ground, rates, cmask)
-    tree = SplitTree(f.ground, node, cmask, w, events if trace else None,
-                     leaves, rv, mode)
-    return rv, tree
+    return cmask
 
 
 def _split_block(f, w, cmask, carry, config, mode, path):
@@ -228,6 +277,146 @@ def _split_block(f, w, cmask, carry, config, mode, path):
     events = block_events + [(rest, base_coeff)] + rest_events
     leaves = block_leaves + rest_leaves
     return node, events, leaves
+
+
+def egalitarian(f: SetFunction, w: WeightVector, subset=None,
+                config: SolverConfig | None = None) -> RateVector:
+    """Weighted egalitarian allocation from one weighted min-norm solve.
+
+    Returns the same rates as :func:`split`, without its recursion tree:
+    one Wolfe solve proposes the levels, split's leaf test confirms each
+    of them, and split itself runs if they do not confirm (see the module
+    docstring).  Up to ``BRUTE_FORCE_LIMIT`` users a result outside the
+    rate region raises :class:`CertificationError` (see :func:`certify`).
+    """
+    return _egalitarian_chain(f, w, subset, config).reconstruct()
+
+
+def _egalitarian_chain(f, w, subset, config) -> Decomposition:
+    config = config or DEFAULT_CONFIG
+    cmask = _subset_mask(f, subset)
+    f_c = restrict(f, cmask)
+    dec = _confirm(f_c, w, _propose(f_c, w, config), config)
+    certify(f_c, dec.reconstruct())
+    return dec
+
+
+def _propose(f, w, config) -> list[int]:
+    """Ordered partition of f's ground from one weighted min-norm solve.
+
+    The Wolfe point in coordinates scaled by sqrt(w), run to the relative
+    gap ``PROPOSAL_GAP``, is sorted by x/w and cut after every prefix that
+    is tight to within tie_epsilon * max(1, f(C)).  A point that stalled
+    before its gap test is still a proposal; the iteration cap raises
+    :class:`ConvergenceError`.
+    """
+    elems = np.asarray(bit_indices(f.ground_mask), dtype=np.intp)
+    w_loc = w.values[elems]
+    loose = replace(config, mnp_gap_tolerance=max(PROPOSAL_GAP,
+                                                  config.mnp_gap_tolerance))
+    x, stop = _wolfe(f, elems, loose, scale=np.sqrt(w_loc))
+    if stop == CAPPED:
+        best = np.zeros(f.ground.n)
+        best[elems] = x
+        raise ConvergenceError(
+            "egalitarian proposal %s on %d users"
+            % (_stop_reason(stop, config), len(elems)),
+            best=RateVector(f.ground, best, f.ground_mask))
+    rank = np.argsort(x / w_loc, kind="stable")
+    order = elems[rank]
+    pv = f.prefix_values(order)
+    slack = pv[1:] - np.cumsum(x[rank])
+    tol = config.tie_epsilon * max(1.0, abs(float(pv[-1])))
+    cuts = [0, *(np.flatnonzero(slack[:-1] <= tol) + 1).tolist(), len(order)]
+    order = order.tolist()
+    return [mask_from_indices(order[a:b]) for a, b in zip(cuts, cuts[1:])]
+
+
+def _confirm(f, w, blocks, config) -> Decomposition:
+    """Chain of f's egalitarian levels, given a proposed ordered partition.
+
+    Block D_j is run through split's recursion on its minor: f restricted
+    to D_1 for the first block, and f with S_{j-1} = D_1 | ... | D_{j-1}
+    contracted, restricted to D_j, after it, at carry f(S_{j-1})/w(S_{j-1}).
+    Adjacent leaves whose ratios agree to within the tie tolerance are one
+    level.  If the leaf ratios then do not increase, the proposal was not
+    the egalitarian chain, and :func:`split` on all of f decides instead.
+    """
+    leaves = []
+    done = 0
+    for block in blocks:
+        if done:
+            minor = restrict(reduce(f, done, w), block)
+            carry = f.value(done) / w.of_mask(done)
+        else:
+            minor, carry = restrict(f, block), 0.0
+        leaves += _split_block(minor, w, block, carry, config, "sequential",
+                               ())[2]
+        done |= block
+    levels = _levels(leaves, config)
+    if levels is None:
+        _, tree = split(f, w, config=config, trace=False)
+        levels = [mask for mask, _ in tree.leaves]
+    return _chain(f, w, levels)
+
+
+def _levels(leaves, config) -> list[int] | None:
+    """Leaf masks merged into levels, or None if their ratios decrease."""
+    tol = config.tie_epsilon * max(1.0, max(abs(lam) for _, lam in leaves))
+    levels = [leaves[0][0]]
+    last = leaves[0][1]
+    for mask, lam in leaves[1:]:
+        if lam < last - tol:
+            return None
+        if lam <= last + tol:
+            levels[-1] |= mask
+        else:
+            levels.append(mask)
+        last = lam
+    return levels
+
+
+def _chain(f, w, levels) -> Decomposition:
+    """Critical ratios of ordered levels D_1, ..., D_k of f's ground.
+
+    lam_j = (f(S_j) - f(S_{j-1})) / w(D_j) with S_j = D_1 | ... | D_j, all
+    values from one prefix walk that visits the levels in turn, each in
+    ascending position.  Every egalitarian result is built here, so equal
+    chains give bit-identical rates.
+    """
+    order = [i for level in levels for i in bit_indices(level)]
+    pv = f.prefix_values(np.asarray(order, dtype=np.intp))
+    crit, masks = [], []
+    start, acc = 0, 0
+    for level in levels:
+        end = start + level.bit_count()
+        crit.append(float(pv[end] - pv[start]) / w.of_mask(level))
+        acc |= level
+        masks.append(acc)
+        start = end
+    return Decomposition(f.ground, tuple(crit), tuple(masks), w)
+
+
+def certify(f: SetFunction, rates: RateVector) -> None:
+    """Refuse egalitarian rates outside the region of f on their subset.
+
+    The check is exhaustive, so it runs only up to ``BRUTE_FORCE_LIMIT``
+    users, whatever solver settings produced the rates; above that it does
+    nothing.  A failure raises :class:`CertificationError`.
+    """
+    from .fairness import verify_membership  # fairness imports this module
+
+    if rates.subset_mask.bit_count() > BRUTE_FORCE_LIMIT:
+        return
+    f = restrict(f, rates.subset_mask)
+    report = verify_membership(f, rates,
+                               tolerance=1e-8 * max(1.0, abs(rates.total())))
+    if not report.in_region:
+        raise CertificationError(
+            "rates for %s are outside the rate region (min slack %.3g at "
+            "{%s}, sum gap %.3g); is the source submodular?"
+            % (subset_label(f.ground, f.ground_mask), report.slack,
+               ",".join(sorted(report.worst_constraint)), report.sum_gap))
 
 
 def subset_label(ground: GroundSet, mask: int) -> str:
@@ -327,38 +516,27 @@ def decompose(f: SetFunction, w: WeightVector, subset=None,
               verify: bool | None = None) -> Decomposition:
     """Principal chain of critical ratios behind the egalitarian solution.
 
-    Runs the split recursion and reads off the distinct leaf ratios in
-    increasing order together with their cumulative user sets.  When the
-    ground is small enough (or ``verify=True``), each chain set is re-checked
-    by exhaustive SFM to be the maximal minimizer at its critical value;
-    failures raise :class:`InternalConsistencyError`, as does a chain whose
-    critical values are not strictly increasing.
+    Reads the levels off the :func:`egalitarian` engine, in increasing
+    ratio order, together with their cumulative user sets.  When the
+    ground is small enough (or ``verify=True``), each chain set is
+    re-checked by exhaustive SFM to be the maximal minimizer at its
+    critical value; failures raise :class:`InternalConsistencyError`, as
+    does a chain whose critical values are not strictly increasing.
     """
     config = config or DEFAULT_CONFIG
-    rv, tree = split(f, w, subset, config, "sequential", trace=True)
-    leaves = sorted(tree.leaves, key=lambda t: t[1])
-    lam_scale = max(1.0, max(abs(l[1]) for l in leaves))
-    tol = config.tie_epsilon * lam_scale
-    for (_, a), (_, b) in zip(leaves, leaves[1:]):
+    dec = _egalitarian_chain(f, w, subset, config)
+    crit, masks = dec.critical_values, dec.chain_masks
+    tol = config.tie_epsilon * max(1.0, max(abs(lam) for lam in crit))
+    for a, b in zip(crit, crit[1:]):
         if b - a <= tol:
             raise InternalConsistencyError(
                 "critical values not strictly increasing: %r vs %r" % (a, b))
 
-    crit = []
-    masks = []
-    acc = 0
-    for mask, lam_abs in leaves:
-        acc |= mask
-        crit.append(lam_abs)
-        masks.append(acc)
-    if masks[-1] != tree.subset_mask:
-        raise InternalConsistencyError("chain does not cover the user subset")
-
-    n = tree.subset_mask.bit_count()
+    cmask = masks[-1]
     if verify is None:
-        verify = n <= config.exhaustive_threshold
+        verify = cmask.bit_count() <= config.exhaustive_threshold
     if verify:
-        f_sub = restrict(f, tree.subset_mask)
+        f_sub = restrict(f, cmask)
         for lam_j, s_j in zip(crit, masks):
             objective = add_modular(f_sub, lam_j * w.values)
             res = solve_sfm(objective, config, method="exhaustive")
@@ -368,4 +546,4 @@ def decompose(f: SetFunction, w: WeightVector, subset=None,
                     "(solver found %s)"
                     % (subset_label(f.ground, s_j), lam_j,
                        subset_label(f.ground, res.maximal_mask)))
-    return Decomposition(f.ground, tuple(crit), tuple(masks), w)
+    return dec

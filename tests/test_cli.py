@@ -236,7 +236,8 @@ def test_trace_above_64_users(capsys, tmp_path):
     assert "adaptation_path" not in tree
 
 
-def test_internal_consistency_error_exits_3(capsys, model_file, monkeypatch):
+def test_internal_consistency_error_exits_3(capsys, model_file, monkeypatch,
+                                            tmp_path):
     from swfair import cli
     from swfair.split import InternalConsistencyError
 
@@ -244,6 +245,49 @@ def test_internal_consistency_error_exits_3(capsys, model_file, monkeypatch):
         raise InternalConsistencyError("chain does not cover the user subset")
 
     monkeypatch.setattr(cli, "split", broken)
+    monkeypatch.setattr(cli, "egalitarian", broken)
     code, _, err = run(capsys, "egalitarian", model_file)
     assert code == 3
     assert "chain does not cover" in err
+    code, _, err = run(capsys, "egalitarian", model_file, "--trace",
+                       str(tmp_path / "t.json"))
+    assert code == 3
+
+
+def test_only_trace_runs_the_splitter(capsys, model_file, monkeypatch,
+                                      tmp_path):
+    from swfair import cli
+
+    calls = []
+    real_split = cli.split
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("mode"))
+        return real_split(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "split", spy)
+    for flags in ((), ("--parallel",), ("--mode", "parallel")):
+        code, _, _ = run(capsys, "egalitarian", model_file, *flags)
+        assert code == 0
+    assert calls == []
+    code, _, _ = run(capsys, "egalitarian", model_file, "--parallel",
+                     "--trace", str(tmp_path / "t.json"))
+    assert code == 0
+    assert calls == ["parallel"]
+
+
+def test_non_submodular_table_is_refused(capsys, tmp_path):
+    p = tmp_path / "table.json"
+    p.write_text(json.dumps({"type": "table", "users": ["1", "2", "3"],
+                             "values": {"1": 1.0, "2": 1.0, "3": 1.0,
+                                        "1,2": 3.0, "1,3": 1.0, "2,3": 1.0,
+                                        "1,2,3": 3.0}}))
+    trace = tmp_path / "t.json"
+    for args in (("egalitarian",), ("decompose",),
+                 ("egalitarian", "--trace", str(trace)),
+                 ("egalitarian", "--exhaustive-threshold", "0")):
+        code, out, err = run(capsys, args[0], str(p), "--json", *args[1:])
+        assert code == 4
+        assert out == ""
+        assert "submodular" in err
+    assert not trace.exists()

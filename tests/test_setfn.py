@@ -23,6 +23,7 @@ from swfair.setfn import (
     greedy_vertex,
     load_source,
     mask_array,
+    modular_sums,
     reduce,
     restrict,
     source_from_dict,
@@ -76,6 +77,18 @@ def test_bit_pool_without_observations():
     assert src.value(0b11) == 0.0
     for vals in (src.prefix_values([1, 0]), src.all_values([0, 1], 0)):
         assert vals.dtype == float and not vals.any()
+
+
+def test_bit_pool_builds_observes_on_request():
+    src = BitPoolSource(GroundSet(["1", "2", "3"]),
+                        {"a": 1.0, "b": 0.5, "c": 0.25},
+                        {"1": ["c", "a"], "3": ["b", "c"]})
+    assert "observes" not in vars(src)
+    assert src.observes.tolist() == [[True, False, True],
+                                     [False, False, False],
+                                     [False, True, True]]
+    assert source_to_dict(src)["observes"] == {"1": ["a", "c"], "2": [],
+                                               "3": ["b", "c"]}
 
 
 def test_bit_pool_monotone_and_submodular_small():
@@ -434,3 +447,15 @@ def test_bit_pool_views_match_dense_reference(model):
     check_oracle(add_modular(r, coeffs),
                  lambda m: reduced(m) - coeffs[bit_indices(m)].sum(),
                  rng, tol)
+
+
+def test_modular_sums_matches_mask_loop():
+    rng = np.random.default_rng(59)
+    for c in range(11):
+        coeffs = rng.uniform(-1.0, 1.0, c)
+        want = np.zeros(1 << c)
+        submasks = np.arange(1 << c)
+        for k in range(c):
+            want[(submasks >> k & 1) == 1] += coeffs[k]
+        assert np.allclose(modular_sums(coeffs), want, rtol=0.0,
+                           atol=1e-15 * max(1, c))

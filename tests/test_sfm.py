@@ -10,9 +10,12 @@ from swfair.setfn import (
     restrict,
 )
 from swfair.sfm import (
+    CONVERGED,
     ConvergenceError,
     SfmResult,
     SolverConfig,
+    _greedy_local,
+    _wolfe,
     min_norm_point,
     solve_sfm,
 )
@@ -155,6 +158,43 @@ def test_convergence_error_carries_best():
     with pytest.raises(ConvergenceError) as err:
         solve_sfm(f, config, method="min_norm_point")
     assert isinstance(err.value.best, SfmResult)
+
+
+def test_wolfe_stall_is_not_convergence():
+    # No float gap meets this tolerance, and on this instance Wolfe's next
+    # vertex is already active before the iteration cap: a stall, which
+    # must not be reported as convergence.
+    rng = np.random.default_rng(48)
+    n = int(rng.integers(2, 12))
+    src = random_bit_pool(rng, n)
+    f = shifted(src, rng.uniform(0.2, 0.6, n))
+    config = SolverConfig(mnp_gap_tolerance=1e-300)
+    with pytest.raises(ConvergenceError, match="stalled") as err:
+        solve_sfm(f, config, method="min_norm_point")
+    assert isinstance(err.value.best, SfmResult)
+    with pytest.raises(ConvergenceError, match="stalled"):
+        min_norm_point(f, config)
+
+
+def test_wolfe_converged_means_gap_test_passed():
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 12))
+        src = random_bit_pool(rng, n)
+        f = shifted(src, rng.uniform(0.2, 0.6, n))
+        elems = np.asarray(bit_indices(f.ground_mask), dtype=np.intp)
+        s = np.sqrt(rng.uniform(0.5, 4.0, n))
+        # unscaled, the gap is recomputed bit for bit; scaled, x / s
+        # rounds, so only a tolerance far above rounding is checked
+        for scale, tol in ((None, 1e-10), (None, 1e-300), (s, 1e-10)):
+            config = SolverConfig(mnp_gap_tolerance=tol, max_iterations=300)
+            x, stop = _wolfe(f, elems, config, scale)
+            if stop != CONVERGED:
+                continue
+            div = np.ones(n) if scale is None else scale
+            y = x / div
+            q = _greedy_local(f, elems, y / div) / div
+            assert float(y @ y - y @ q) <= tol * max(1.0, float(y @ y))
 
 
 def test_solver_config_validation():

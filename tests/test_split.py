@@ -1,24 +1,37 @@
+import importlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from swfair.fairness import egalitarian_oracle_fw
 from swfair.setfn import (
     BitPoolSource,
     GroundSet,
     TableSource,
     WeightVector,
     bit_indices,
+    restrict,
 )
-from swfair.sfm import ConvergenceError, SolverConfig
+from swfair.sfm import DEFAULT_CONFIG, ConvergenceError, SolverConfig
 from swfair.split import (
+    PROPOSAL_GAP,
+    CertificationError,
     Decomposition,
     InternalConsistencyError,
     RateVector,
+    _confirm,
     adaptation_path,
+    certify,
     decompose,
+    egalitarian,
     recursion_metrics,
     split,
 )
 from conftest import random_bit_pool
+
+# the package re-exports the function split under the module's name
+split_module = importlib.import_module("swfair.split")
 
 
 def test_split_skew_weights_matches_worked_example(three_users, skew_weights):
@@ -244,3 +257,208 @@ def test_split_tree_serialization(three_users, skew_weights):
     assert rest["subset"] == ["1", "2"] and rest["is_leaf"]
     assert doc["metrics"]["sum_size"] == 3
     assert len(doc["adaptation_path"]) == 3
+
+
+# ---------------------------------------------------------------------------
+# The egalitarian engine against split and the conditional-gradient oracle
+# ---------------------------------------------------------------------------
+
+def split_chain(tree):
+    """Cumulative leaf sets of a split tree, in recursion order."""
+    masks, acc = [], 0
+    for mask, _ in tree.leaves:
+        acc |= mask
+        masks.append(acc)
+    return tuple(masks)
+
+
+def levels_of(chain):
+    return [b & ~a for a, b in zip((0,) + chain[:-1], chain)]
+
+
+def check_engine(src, w):
+    rates, tree = split(src, w)
+    got = egalitarian(src, w)
+    scale = max(1.0, src.value(src.ground_mask))
+    assert np.abs(got.rates - rates.rates).max() <= 1e-9 * scale
+    assert got.subset_mask == rates.subset_mask
+    assert decompose(src, w).chain_masks == split_chain(tree)
+    if src.ground.n <= 12:   # the oracle's run time grows fast beyond
+        # its gap bounds |r - fw|^2 by gap * max(w) <= 4e-9
+        fw = egalitarian_oracle_fw(src, w, gap_tolerance=1e-9)
+        assert np.abs(got.rates - fw.rates).max() <= 1e-4
+
+
+@st.composite
+def weighted_bit_pools(draw):
+    n = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = min(1.0, draw(st.floats(0.5, 3.0)) / n)
+    src = random_bit_pool(rng, n, observe_prob=p)
+    return src, WeightVector(src.ground, rng.uniform(0.5, 4.0, n))
+
+
+@st.composite
+def weighted_tables(draw):
+    """Sums of truncated modular functions and a concave function of |X|:
+    submodular tables that are not coverage functions."""
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ground = GroundSet(["t%d" % i for i in range(n)])
+    masks = np.arange(1, 1 << n)
+    member = (masks[:, None] >> np.arange(n)) & 1
+    a = rng.uniform(0.0, 1.0, (3, n))
+    caps = rng.uniform(0.2, 1.0, 3) * a.sum(axis=1)
+    vals = np.minimum(member @ a.T, caps).sum(axis=1)
+    vals += rng.uniform(0.0, 1.0) * np.sqrt(member.sum(axis=1))
+    table = {",".join(ground.users_of(int(m))): float(v)
+             for m, v in zip(masks, vals)}
+    src = TableSource(ground, table)
+    return src, WeightVector(ground, rng.uniform(0.5, 4.0, n))
+
+
+@settings(max_examples=30, deadline=None)
+@given(weighted_bit_pools())
+def test_egalitarian_matches_split_on_bit_pools(model):
+    check_engine(*model)
+
+
+@settings(max_examples=30, deadline=None)
+@given(weighted_tables())
+def test_egalitarian_matches_split_on_tables(model):
+    check_engine(*model)
+
+
+def test_egalitarian_worked_examples(three_users, unit_weights, skew_weights):
+    for w, want in ((unit_weights, [1.0, 0.55, 0.55]),
+                    (skew_weights, [1.125, 0.375, 0.6])):
+        rates = egalitarian(three_users, w)
+        assert np.allclose(rates.rates, want, atol=1e-12)
+    sub = egalitarian(three_users, unit_weights, subset=["2", "3"])
+    assert sub.as_dict() == {"2": pytest.approx(0.55), "3": pytest.approx(0.55)}
+    with pytest.raises(ValueError):
+        egalitarian(three_users, unit_weights, subset=[])
+
+
+def twin_bit_pool(rng, n):
+    """A random instance next to a copy of itself on bits of its own.
+
+    Every level of the union holds both copies of a level at one ratio,
+    and the chain cut between the two copies is tight as well.
+    """
+    one = random_bit_pool(rng, n)
+    users, bits, observes = [], {}, {}
+    for copy in "xy":
+        for i, u in enumerate(one.ground.users):
+            users.append(copy + u)
+            observes[copy + u] = [copy + one.bit_ids[j]
+                                  for j in np.flatnonzero(one.observes[i])]
+        for b, h in zip(one.bit_ids, one.bit_entropy):
+            bits[copy + b] = float(h)
+    src = BitPoolSource(GroundSet(users), bits, observes)
+    w_one = rng.uniform(0.5, 4.0, n)
+    return src, WeightVector(src.ground, np.concatenate([w_one, w_one]))
+
+
+def test_confirm_adversarial_proposals(monkeypatch):
+    """Proposals that are right, too coarse, too fine or out of order
+    all come back as split's chain and rates."""
+    fallbacks = []
+    real_split = split_module.split
+
+    def spy(*args, **kwargs):
+        fallbacks.append(args)
+        return real_split(*args, **kwargs)
+
+    rng = np.random.default_rng(53)
+    reversed_with_levels = 0
+    for k in range(16):
+        n = 3 + k % 5
+        src, w = twin_bit_pool(rng, n)
+        rates, tree = split(src, w)
+        chain = split_chain(tree)
+        levels = levels_of(chain)
+        half = src.ground.full_mask >> n        # the first copy's users
+        f_c = restrict(src, src.ground_mask)
+
+        proposals = [levels, levels[::-1]]
+        if len(levels) > 1:
+            proposals.append([levels[0] | levels[1]] + levels[2:])
+        cut = [j for j, d in enumerate(levels) if d & half and d & ~half]
+        assert cut, "every level of a twin holds both copies"
+        j = cut[0]
+        proposals.append(levels[:j] + [levels[j] & half, levels[j] & ~half]
+                         + levels[j + 1:])
+
+        for blocks in proposals:
+            before = len(fallbacks)
+            monkeypatch.setattr(split_module, "split", spy)
+            dec = _confirm(f_c, w, blocks, DEFAULT_CONFIG)
+            monkeypatch.setattr(split_module, "split", real_split)
+            assert dec.chain_masks == chain
+            assert np.array_equal(dec.reconstruct().rates, rates.rates)
+            if blocks is not proposals[1]:
+                assert len(fallbacks) == before
+        reversed_with_levels += len(levels) > 1
+    assert reversed_with_levels > 0
+    assert len(fallbacks) > 0
+
+
+def test_egalitarian_refuses_non_submodular_table():
+    g = GroundSet(["1", "2", "3"])
+    table = {"1": 1.0, "2": 1.0, "3": 1.0, "1,2": 3.0, "1,3": 1.0,
+             "2,3": 1.0, "1,2,3": 3.0}
+    src = TableSource(g, table)
+    w = WeightVector.ones(g)
+    with pytest.raises(CertificationError, match="submodular"):
+        egalitarian(src, w)
+    with pytest.raises(CertificationError):
+        decompose(src, w)
+    # the certificate's size limit is its own, not the SFM solver's
+    with pytest.raises(CertificationError):
+        egalitarian(src, w, config=SolverConfig(exhaustive_threshold=0))
+    rates, _ = split(src, w)
+    with pytest.raises(CertificationError):
+        certify(src, rates)
+
+
+def test_egalitarian_iteration_cap_is_a_convergence_error():
+    rng = np.random.default_rng(67)
+    src = random_bit_pool(rng, 8)
+    with pytest.raises(ConvergenceError, match="iteration cap") as err:
+        egalitarian(src, WeightVector.ones(src.ground),
+                    config=SolverConfig(max_iterations=1))
+    assert isinstance(err.value.best, RateVector)
+
+
+def test_proposal_stops_at_its_own_gap(monkeypatch):
+    """The proposal's Wolfe run stops at PROPOSAL_GAP, or at a looser
+    mnp_gap_tolerance; a block it leaves above the exhaustive threshold is
+    settled by the confirm step's min-norm SFM, and the rates are split's."""
+    rng = np.random.default_rng(1)
+    n = 96
+    src = random_bit_pool(rng, n, observe_prob=1.5 / n)
+    w = WeightVector(src.ground, rng.uniform(0.5, 4.0, n))
+    gaps, blocks = [], []
+    real_wolfe, real_confirm = split_module._wolfe, split_module._confirm
+
+    def wolfe(f, elems, config, scale=None):
+        gaps.append(config.mnp_gap_tolerance)
+        return real_wolfe(f, elems, config, scale=scale)
+
+    def confirm(f, w, proposal, config):
+        blocks.extend(proposal)
+        return real_confirm(f, w, proposal, config)
+
+    monkeypatch.setattr(split_module, "_wolfe", wolfe)
+    monkeypatch.setattr(split_module, "_confirm", confirm)
+    got = egalitarian(src, w)
+    assert gaps == [PROPOSAL_GAP]
+    assert (max(b.bit_count() for b in blocks)
+            > DEFAULT_CONFIG.exhaustive_threshold)
+    rates, _ = split(src, w)
+    assert np.array_equal(got.rates, rates.rates)
+
+    gaps.clear()
+    egalitarian(src, w, config=SolverConfig(mnp_gap_tolerance=1e-3))
+    assert gaps == [1e-3]
