@@ -54,14 +54,9 @@ print("\nrate vector walk (one point per early base assignment):")
 for vec in adaptation_path(tree):
     print("  ", [round(float(v), 4) for v in vec.rates])
 
+# The two branches of a split are independent: max_size is the workload on
+# the critical path if each pair ran at once, sum_size the serial workload.
 print("\nmetrics:", recursion_metrics(tree))
-
-# The two branches of a split are independent: the parallel mode forks them
-# and joins, reproducing the sequential result bit for bit.
-par_rates, par_tree = split(source, w, mode="parallel")
-print("parallel == sequential:",
-      (par_rates.rates == rates.rates).all()
-      and par_tree.events == tree.events)
 
 print("\nsplit tree as JSON:")
 print(json.dumps(tree.to_dict(), indent=2)[:600], "...")

@@ -10,7 +10,7 @@ of that region and the machinery around them:
   Fujishige-Wolfe minimum-norm-point) with lattice-extreme minimizers;
 * :mod:`swfair.split` - the egalitarian engine (one weighted min-norm
   solve confirmed by the splitter's leaf test), the paper's recursive
-  splitter with trace recording and fork-join parallel mode, and the
+  splitter with its recursion tree and adaptation path, and the
   principal-chain decomposition;
 * :mod:`swfair.fairness` - Shapley values, region membership verification,
   an independent conditional-gradient oracle, and comparison reports;

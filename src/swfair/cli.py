@@ -83,12 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "test; --trace runs the recursive splitter)")
     p.add_argument("source", help="source model JSON file")
     add_weight_args(p)
-    p.add_argument("--mode", choices=["sequential", "parallel"],
-                   default="sequential",
-                   help="how the splitter behind --trace runs its branches; "
-                        "without --trace it has no effect")
-    p.add_argument("--parallel", dest="mode", action="store_const",
-                   const="parallel", help="shorthand for --mode parallel")
     p.add_argument("--trace", metavar="PATH",
                    help="run the recursive splitter and write its tree and, "
                         "up to 64 users, the adaptation path as JSON")
@@ -134,9 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--observers-per-bit", type=float, default=1.5,
                    help="scale observation probability as q/n; pass 0 to use "
                         "the fixed --observe-prob instead")
-    p.add_argument("--no-parallel", dest="parallel", action="store_false")
     p.add_argument("--no-timing", dest="timing", action="store_false",
-                   help="zero the wall-time columns (byte-reproducible CSV)")
+                   help="zero the wall-time column (byte-reproducible CSV)")
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("check", help="submodularity / monotonicity report")
@@ -216,15 +209,15 @@ def cmd_egalitarian(args) -> int:
     w = parse_weights(source, args.weights)
     config = solver_config(args)
     if args.trace:
-        rates, tree = split(source, w, config=config, mode=args.mode)
+        rates, tree = split(source, w, config=config)
         certify(source, rates)
-        trace = json.dumps(tree.to_dict(include_path=True), indent=2)
+        trace = json.dumps(tree.to_dict(), indent=2)
         with open(args.trace, "w") as fh:
             fh.write(trace)
     else:
         rates = egalitarian(source, w, config=config)
     doc = {"rates": rates.as_dict(), "sum_rate": rates.total(),
-           "weights": {u: w[u] for u in source.ground.users}, "mode": args.mode}
+           "weights": {u: w[u] for u in source.ground.users}}
     emit(args, doc, rates_text(rates))
     return EXIT_OK
 
@@ -291,7 +284,7 @@ def cmd_experiment(args) -> int:
         seed=args.seed, pool_factor=args.pool_factor,
         observe_prob=args.observe_prob,
         observers_per_bit=args.observers_per_bit or None,
-        parallel=args.parallel, measure_time=args.timing)
+        measure_time=args.timing)
     rows, csv_text = exp.run_experiment(cfg)
     with open(args.out, "w") as fh:
         fh.write(csv_text)

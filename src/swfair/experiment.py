@@ -4,9 +4,9 @@ Replicates the serial-versus-parallel workload comparison: for each ground
 size, random coverage-entropy instances are solved by the recursive splitter
 and the per-split SFM sizes are averaged.  The sum of the two block sizes
 tracks a serial implementation's workload; the larger of the two tracks the
-critical path when both branches run concurrently.  Wall-clock times for
-both execution modes are measured as a side report (hardware dependent, so
-they can be disabled to make the CSV byte-reproducible).
+critical path if both branches ran concurrently.  The splitter's wall-clock
+time is measured as a side report (hardware dependent, so it can be
+disabled to make the CSV byte-reproducible).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .split import recursion_metrics, split
 
 logger = logging.getLogger(__name__)
 
-CSV_HEADER = "n,mean_sum_size,mean_max_size,mean_node_count,excluded,wall_seq_s,wall_par_s"
+CSV_HEADER = "n,mean_sum_size,mean_max_size,mean_node_count,excluded,wall_seq_s"
 
 
 @dataclass
@@ -38,7 +38,6 @@ class ExperimentConfig:
     observe_prob: float = 0.3
     observers_per_bit: float | None = 1.5
     entropy_range: tuple = (0.0, 1.0)
-    parallel: bool = True
     measure_time: bool = True
     solver: SolverConfig = field(default_factory=lambda: SolverConfig(
         exhaustive_threshold=12))
@@ -56,7 +55,7 @@ class ExperimentConfig:
             raise ValueError("observers_per_bit must be positive when set")
         lo, hi = self.entropy_range
         if not 0.0 <= lo < hi:
-            raise ValueError("entropy_range must be a nonempty range in (0, 1]")
+            raise ValueError("entropy_range must satisfy 0 <= lo < hi")
 
     def observe_prob_for(self, n: int) -> float:
         """Per-pair observation probability used at ground size n.
@@ -81,13 +80,11 @@ class ExperimentRow:
     mean_node_count: float
     excluded: int
     mean_wall_seq: float
-    mean_wall_par: float
 
     def to_csv(self) -> str:
-        return "%d,%.6f,%.6f,%.6f,%d,%.6f,%.6f" % (
+        return "%d,%.6f,%.6f,%.6f,%d,%.6f" % (
             self.n, self.mean_sum_size, self.mean_max_size,
-            self.mean_node_count, self.excluded,
-            self.mean_wall_seq, self.mean_wall_par)
+            self.mean_node_count, self.excluded, self.mean_wall_seq)
 
 
 def generate_instance(n: int, config: ExperimentConfig,
@@ -125,9 +122,8 @@ def run_experiment(config: ExperimentConfig):
 
     Unit weights throughout.  Solver failures on individual instances are
     logged and excluded, with the exclusion count reported per row.  With
-    ``measure_time=False`` (or ``parallel=False`` for the parallel column)
-    the wall columns are written as zeros, making the CSV a pure function
-    of the configuration.
+    ``measure_time=False`` the wall column is written as zeros, making the
+    CSV a pure function of the configuration.
     """
     rows = []
     for n in range(config.n_min, config.n_max + 1):
@@ -135,22 +131,14 @@ def run_experiment(config: ExperimentConfig):
         maxes = []
         nodes = []
         wall_seq = []
-        wall_par = []
         excluded = 0
         for rep in range(config.repetitions):
             src = generate_instance(n, config, rep)
             w = WeightVector.ones(src.ground)
             try:
                 t0 = time.perf_counter()
-                _, tree = split(src, w, config=config.solver,
-                                mode="sequential", trace=False)
+                _, tree = split(src, w, config=config.solver)
                 t1 = time.perf_counter()
-                if config.parallel and config.measure_time:
-                    split(src, w, config=config.solver, mode="parallel",
-                          trace=False)
-                    t2 = time.perf_counter()
-                else:
-                    t2 = t1
             except ConvergenceError as e:
                 excluded += 1
                 logger.warning("excluded instance (n=%d, rep=%d): %s", n, rep, e)
@@ -160,23 +148,20 @@ def run_experiment(config: ExperimentConfig):
             maxes.append(m["max_size"])
             nodes.append(m["node_count"])
             wall_seq.append(t1 - t0)
-            wall_par.append(t2 - t1)
         if not sums:
             logger.warning("all %d instances excluded at n=%d",
                            config.repetitions, n)
             rows.append(ExperimentRow(n, math.nan, math.nan, math.nan,
-                                      excluded, 0.0, 0.0))
+                                      excluded, 0.0))
             continue
-        use_time = config.measure_time
         rows.append(ExperimentRow(
             n=n,
             mean_sum_size=float(np.mean(sums)),
             mean_max_size=float(np.mean(maxes)),
             mean_node_count=float(np.mean(nodes)),
             excluded=excluded,
-            mean_wall_seq=float(np.mean(wall_seq)) if use_time else 0.0,
-            mean_wall_par=(float(np.mean(wall_par))
-                           if use_time and config.parallel else 0.0),
+            mean_wall_seq=(float(np.mean(wall_seq))
+                           if config.measure_time else 0.0),
         ))
     buf = io.StringIO()
     buf.write(CSV_HEADER + "\n")

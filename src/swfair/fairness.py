@@ -25,6 +25,8 @@ from .setfn import (
     SetFunction,
     WeightVector,
     bit_indices,
+    global_mask,
+    greedy_vertex_local,
     modular_sums,
 )
 from .sfm import ConvergenceError
@@ -66,14 +68,14 @@ def shapley_permutation_average(f: SetFunction, limit: int = 10) -> RateVector:
     Mathematically identical to :func:`shapley_exact`; kept as an
     independent cross-check route (and for the CLI's enumerate-all mode).
     """
-    elems = bit_indices(f.ground_mask)
+    elems = np.asarray(bit_indices(f.ground_mask), dtype=np.intp)
     if len(elems) > limit:
         raise GroundSetTooLargeError(
             "full permutation enumeration refused above %d elements" % limit)
     acc = np.zeros(f.ground.n)
     count = 0
-    for perm in itertools.permutations(elems):
-        acc += _greedy_global(f, np.asarray(perm, dtype=np.intp))
+    for perm in itertools.permutations(range(len(elems))):
+        acc[elems] += greedy_vertex_local(f, elems, np.asarray(perm))
         count += 1
     return RateVector(f.ground, acc / count, f.ground_mask)
 
@@ -89,23 +91,16 @@ def shapley_sampled(f: SetFunction, samples: int, seed=None):
         raise ValueError("samples must be >= 1")
     elems = np.asarray(bit_indices(f.ground_mask), dtype=np.intp)
     rng = np.random.default_rng(seed)
-    draws = np.empty((samples, f.ground.n))
+    draws = np.zeros((samples, f.ground.n))
     for s in range(samples):
-        order = elems[rng.permutation(len(elems))]
-        draws[s] = _greedy_global(f, order)
+        draws[s, elems] = greedy_vertex_local(f, elems,
+                                              rng.permutation(len(elems)))
     mean = draws.mean(axis=0)
     if samples > 1:
         se = draws.std(axis=0, ddof=1) / math.sqrt(samples)
     else:
         se = np.full(f.ground.n, np.nan)
     return RateVector(f.ground, mean, f.ground_mask), se
-
-
-def _greedy_global(f, order):
-    vals = f.prefix_values(order)
-    out = np.zeros(f.ground.n)
-    out[order] = np.diff(vals)
-    return out
 
 
 @dataclass
@@ -153,9 +148,7 @@ def verify_membership(f: SetFunction, r, tolerance: float = 1e-8,
     in_region = (min_slack >= -tolerance
                  and float(upper_slack[1:].min(initial=np.inf)) >= -tolerance
                  and abs(sum_gap) <= tolerance)
-    worst_mask = 0
-    for k in bit_indices(worst_local):
-        worst_mask |= 1 << elems[k]
+    worst_mask = global_mask(worst_local, elems)
     return MembershipReport(in_region, frozenset(f.ground.users_of(worst_mask)),
                             min_slack, sum_gap)
 
@@ -200,12 +193,13 @@ def egalitarian_oracle_fw(f: SetFunction, w: WeightVector,
     counting = CountingFunction(f)
     w_loc = w.values[elems]
 
-    x = _greedy_local(counting, elems)
+    x = greedy_vertex_local(counting, elems, np.arange(len(elems)))
     atoms = {x.tobytes(): [x.copy(), 1.0]}
 
     for _ in range(max_iterations):
         grad = 2.0 * x / w_loc
-        s = _greedy_local(counting, elems, grad)
+        s = greedy_vertex_local(counting, elems,
+                                np.argsort(grad, kind="stable"))
         gap = float(grad @ (x - s))
         if gap <= gap_tolerance:
             return _to_rate_vector(f, elems, x)
@@ -253,17 +247,6 @@ def egalitarian_oracle_fw(f: SetFunction, w: WeightVector,
         % max_iterations, best=_to_rate_vector(f, elems, x))
 
 
-def _greedy_local(counting, elems, direction=None):
-    if direction is None:
-        order = np.arange(len(elems))
-    else:
-        order = np.argsort(direction, kind="stable")
-    pv = counting.prefix_values(elems[order])
-    out = np.empty(len(elems))
-    out[order] = np.diff(pv)
-    return out
-
-
 def _to_rate_vector(f, elems, x) -> RateVector:
     rates = np.zeros(f.ground.n)
     rates[elems] = x
@@ -286,7 +269,7 @@ def minmax_check(f: SetFunction, w: WeightVector, r, trials: int = 200,
     k = len(elems) + 1
     for _ in range(trials):
         verts = np.stack([
-            _greedy_global(f, elems[rng.permutation(len(elems))])[elems]
+            greedy_vertex_local(f, elems, rng.permutation(len(elems)))
             for _ in range(k)
         ])
         q = rng.dirichlet(np.ones(k)) @ verts

@@ -74,6 +74,15 @@ def mask_from_indices(indices: Iterable[int]) -> int:
     return mask
 
 
+def global_mask(local_mask: int, elements: Sequence[int]) -> int:
+    """Mask of the positions elements[k] for the set bits k of ``local_mask``.
+
+    Exact at any position: numpy integers in ``elements`` are converted
+    first, since their shifts wrap at 64 bits.
+    """
+    return mask_from_indices(int(elements[k]) for k in bit_indices(local_mask))
+
+
 def mask_array(mask: int, n: int) -> np.ndarray:
     """Boolean array of length ``n``, True at the set bits of ``mask``.
 
@@ -211,8 +220,8 @@ class SetFunction:
 class CountingFunction(SetFunction):
     """Per-solve wrapper that tallies oracle evaluations.
 
-    Counters live on the wrapper, never on the wrapped oracle, so concurrent
-    solves on a shared source do not contend; callers merge tallies at join.
+    Counters live on the wrapper, never on the wrapped oracle, so each solve
+    counts only its own evaluations of a shared source.
     """
 
     def __init__(self, inner: SetFunction):
@@ -545,9 +554,24 @@ def greedy_vertex(f: SetFunction, order) -> np.ndarray:
     the result is a vertex of the base polyhedron.
     """
     idx = _order_indices(f, order)
-    vals = f.prefix_values(idx)
     out = np.zeros(f.ground.n)
-    out[idx] = np.diff(vals)
+    out[idx] = greedy_vertex_local(f, idx, np.arange(len(idx)))
+    return out
+
+
+def greedy_vertex_local(f: SetFunction, elems: np.ndarray,
+                        order: np.ndarray) -> np.ndarray:
+    """Greedy vertex of f along elems[order], in local coordinates.
+
+    ``elems`` is an integer array of global positions and ``order`` a
+    permutation of its indices; entry k of the result is the marginal value
+    of elems[k] at its place in the order.  The vertex minimizing <d, x>
+    over the base polyhedron is the one along ``np.argsort(d,
+    kind="stable")``.  Nothing is validated, as Wolfe's loop calls this once
+    per major cycle; :func:`greedy_vertex` is the checked entry point.
+    """
+    out = np.empty(len(order))
+    out[order] = np.diff(f.prefix_values(elems[order]))
     return out
 
 
@@ -587,7 +611,7 @@ def check_submodular(f: SetFunction, limit: int = BRUTE_FORCE_LIMIT):
                 if b == a or lm >> b & 1:
                     continue
                 if vals[lm | 1 << a | 1 << b] - vals[lm | 1 << b] > m_a + 1e-12:
-                    X = _local_to_global(lm, elems)
+                    X = global_mask(lm, elems)
                     Y = X | 1 << elems[b]
                     return False, (f.ground.users_of(X), f.ground.users_of(Y),
                                    f.ground.users[elems[a]])
@@ -608,16 +632,9 @@ def check_monotone(f: SetFunction, limit: int = BRUTE_FORCE_LIMIT):
             if lm >> a & 1:
                 continue
             if vals[lm | 1 << a] < vals[lm] - 1e-12:
-                X = _local_to_global(lm, elems)
+                X = global_mask(lm, elems)
                 return False, (f.ground.users_of(X), f.ground.users[elems[a]])
     return True, None
-
-
-def _local_to_global(local_mask: int, elements: Sequence[int]) -> int:
-    mask = 0
-    for k in bit_indices(local_mask):
-        mask |= 1 << elements[k]
-    return mask
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .setfn import CountingFunction, SetFunction, bit_indices
+from .setfn import (
+    CountingFunction,
+    SetFunction,
+    bit_indices,
+    global_mask,
+    greedy_vertex_local,
+    mask_from_indices,
+)
 
 
 class ConvergenceError(RuntimeError):
@@ -124,8 +131,8 @@ def _solve_exhaustive(f, elems, config) -> SfmResult:
         by_card = sorted((int(t) for t in tied),
                          key=lambda m: (m.bit_count(), m))
         inter, union = by_card[0], by_card[-1]
-    minimal_mask = _local_to_global(inter, elems)
-    maximal_mask = _local_to_global(union, elems)
+    minimal_mask = global_mask(inter, elems)
+    maximal_mask = global_mask(union, elems)
     return SfmResult(
         min_value=vmin,
         minimal_minimizer=frozenset(f.ground.users_of(minimal_mask)),
@@ -147,8 +154,8 @@ def _solve_min_norm(f, elems, config) -> SfmResult:
     # Round the fractional point to sets.  Sorting x ascending makes both
     # lattice-extreme minimizers prefix sets of the order; evaluating every
     # prefix is cheap and guards against threshold misclassification.
-    order = np.argsort(x, kind="stable")
-    pv = counting.prefix_values(np.asarray(elems, dtype=np.intp)[order])
+    ordered = np.asarray(elems, dtype=np.intp)[np.argsort(x, kind="stable")]
+    pv = counting.prefix_values(ordered)
     pmin = float(pv.min())
     tied_ks = np.nonzero(pv <= pmin + tol)[0]
     k_small, k_large = int(tied_ks[0]), int(tied_ks[-1])
@@ -158,8 +165,9 @@ def _solve_min_norm(f, elems, config) -> SfmResult:
         k_small = k_neg
     if pv[k_zero] <= pmin + tol:
         k_large = k_zero
-    minimal_mask = _prefix_mask(order, k_small, elems)
-    maximal_mask = _prefix_mask(order, k_large, elems)
+    ordered = ordered.tolist()
+    minimal_mask = mask_from_indices(ordered[:k_small])
+    maximal_mask = mask_from_indices(ordered[:k_large])
     result = SfmResult(
         min_value=pmin,
         minimal_minimizer=frozenset(f.ground.users_of(minimal_mask)),
@@ -179,20 +187,6 @@ def _solve_min_norm(f, elems, config) -> SfmResult:
     return result
 
 
-def _prefix_mask(order, k, elems) -> int:
-    mask = 0
-    for j in order[:k]:
-        mask |= 1 << elems[int(j)]
-    return mask
-
-
-def _local_to_global(local_mask: int, elems) -> int:
-    mask = 0
-    for k in bit_indices(local_mask):
-        mask |= 1 << elems[k]
-    return mask
-
-
 def min_norm_point(f: SetFunction, config: SolverConfig | None = None) -> np.ndarray:
     """Minimum-norm point of the base polyhedron of f.
 
@@ -210,15 +204,6 @@ def min_norm_point(f: SetFunction, config: SolverConfig | None = None) -> np.nda
         raise ConvergenceError(
             "min-norm-point solver %s" % _stop_reason(stop, config), best=x)
     return x
-
-
-def _greedy_local(counting, elems_arr, direction) -> np.ndarray:
-    """Base-polyhedron vertex minimizing <direction, x>, in local coordinates."""
-    order = np.argsort(direction, kind="stable")
-    pv = counting.prefix_values(elems_arr[order])
-    vertex = np.empty(len(order))
-    vertex[order] = np.diff(pv)
-    return vertex
 
 
 # How a Wolfe run ended: only CONVERGED has passed the gap test.
@@ -253,7 +238,8 @@ def _wolfe(counting, elems, config, scale=None):
     s = np.ones(c) if scale is None else scale
 
     def vertex(direction):
-        return _greedy_local(counting, elems_arr, direction / s) / s
+        order = np.argsort(direction / s, kind="stable")
+        return greedy_vertex_local(counting, elems_arr, order) / s
 
     x = vertex(np.zeros(c))
     S = x.reshape(1, c)

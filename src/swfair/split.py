@@ -11,8 +11,8 @@ contracted oracle after an early base assignment of f(block)/w(block) * w.
 Every recursion is recorded in a :class:`SplitTree`: per-node subsets,
 ratios, SFM results, and the ordered base-assignment events that trace the
 rate vector's walk through the polyhedron.  The two subcalls of a split are
-independent, so ``mode="parallel"`` runs them fork-join style; both modes
-produce bit-identical trees and rates.
+independent, so with both run at once the critical path is the larger of
+each pair; :func:`recursion_metrics` reports that workload as ``max_size``.
 
 :func:`egalitarian` is the engine behind ``swfair egalitarian`` and
 :func:`decompose`.  The egalitarian point is also the minimum-norm base in
@@ -27,8 +27,8 @@ blocks, the engine runs :func:`split` instead, so every answer meets the
 leaf criterion that split meets.  Up to
 ``BRUTE_FORCE_LIMIT`` (20) users :func:`certify` also checks the result
 for membership in the region, and :class:`CertificationError` refuses it
-otherwise (a non-submodular source).  The split tree, the adaptation path,
-the parallel mode and the size sweep still run :func:`split`.
+otherwise (a non-submodular source).  The split tree, the adaptation path
+and the size sweep still run :func:`split`.
 
 Both routes turn their ordered levels into rates the same way: lam_j =
 (f(S_j) - f(S_{j-1})) / w(D_j) from one prefix walk over the chain, and
@@ -37,7 +37,6 @@ r_i = lam_j * w_i on level D_j.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -161,51 +160,40 @@ class SplitTree:
     root: SplitNode
     subset_mask: int
     weights: WeightVector
-    events: list | None                 # ordered (mask, coeff) base assignments
+    events: list                        # ordered (mask, coeff) base assignments
     leaves: list                        # (mask, absolute ratio) per leaf
     rates: RateVector
-    mode: str
 
-    def to_dict(self, include_path: bool = True) -> dict:
+    def to_dict(self) -> dict:
         """JSON form of the tree.
 
-        The adaptation path is included when requested and recorded, and
-        left out above ``PATH_USER_LIMIT`` users, where
-        :func:`adaptation_path` refuses to materialize it by default.
+        The adaptation path is left out above ``PATH_USER_LIMIT`` users,
+        where :func:`adaptation_path` refuses to materialize it by default.
         """
         doc = {
-            "mode": self.mode,
             "subset": sorted(self.ground.users_of(self.subset_mask)),
             "rates": self.rates.as_dict(),
             "metrics": recursion_metrics(self),
             "root": self.root.to_dict(self.ground),
         }
-        if include_path and self.events is not None and self.ground.n <= PATH_USER_LIMIT:
+        if self.ground.n <= PATH_USER_LIMIT:
             doc["adaptation_path"] = [v.as_dict() for v in adaptation_path(self)]
         return doc
 
 
 def split(f: SetFunction, w: WeightVector, subset=None,
-          config: SolverConfig | None = None, mode: str = "sequential",
-          trace: bool = True) -> tuple[RateVector, SplitTree]:
+          config: SolverConfig | None = None) -> tuple[RateVector, SplitTree]:
     """Weighted egalitarian allocation over the rate region of f.
 
-    Returns the optimal rates together with the full recursion tree.  With
-    ``mode="parallel"`` the two branches of every split run as independent
-    tasks; results are assembled at join in block-first order, so the output
-    is identical to the sequential mode.  ``trace=False`` skips recording
-    the base-assignment events (rates and metrics are unaffected).
+    Returns the optimal rates together with the full recursion tree,
+    including the base-assignment events behind :func:`adaptation_path`.
     """
-    if mode not in ("sequential", "parallel"):
-        raise ValueError("mode must be 'sequential' or 'parallel'")
     config = config or DEFAULT_CONFIG
     cmask = _subset_mask(f, subset)
     root_f = restrict(f, cmask)
-    node, events, leaves = _split_block(root_f, w, cmask, 0.0, config, mode, ())
+    node, events, leaves = _split_block(root_f, w, cmask, 0.0, config, ())
     rv = _chain(root_f, w, [mask for mask, _ in leaves]).reconstruct()
-    tree = SplitTree(f.ground, node, cmask, w, events if trace else None,
-                     leaves, rv, mode)
-    return rv, tree
+    return rv, SplitTree(f.ground, node, cmask, w, events, leaves, rv)
 
 
 def _subset_mask(f: SetFunction, subset) -> int:
@@ -217,7 +205,7 @@ def _subset_mask(f: SetFunction, subset) -> int:
     return cmask
 
 
-def _split_block(f, w, cmask, carry, config, mode, path):
+def _split_block(f, w, cmask, carry, config, path):
     """Recursive worker; f's ground is exactly cmask.
 
     ``carry`` is the accumulated ratio offset of the contractions above this
@@ -245,34 +233,10 @@ def _split_block(f, w, cmask, carry, config, mode, path):
     f_block = restrict(f, block)
     f_rest = reduce(f, block, w)
     here = path + (subset_label(f.ground, cmask),)
-
-    if mode == "parallel":
-        slot = {}
-
-        def run_block():
-            try:
-                slot["ok"] = _split_block(f_block, w, block, carry, config,
-                                          mode, here)
-            except BaseException as exc:
-                slot["err"] = exc
-
-        t = threading.Thread(target=run_block)
-        t.start()
-        try:
-            rest_out = _split_block(f_rest, w, rest, carry + base_coeff,
-                                    config, mode, here)
-        finally:
-            t.join()
-        if "err" in slot:
-            raise slot["err"]
-        block_out = slot["ok"]
-    else:
-        block_out = _split_block(f_block, w, block, carry, config, mode, here)
-        rest_out = _split_block(f_rest, w, rest, carry + base_coeff, config,
-                                mode, here)
-
-    block_node, block_events, block_leaves = block_out
-    rest_node, rest_events, rest_leaves = rest_out
+    block_node, block_events, block_leaves = _split_block(
+        f_block, w, block, carry, config, here)
+    rest_node, rest_events, rest_leaves = _split_block(
+        f_rest, w, rest, carry + base_coeff, config, here)
     node = SplitNode(cmask, lam, res, base_coeff, (block_node, rest_node))
     events = block_events + [(rest, base_coeff)] + rest_events
     leaves = block_leaves + rest_leaves
@@ -350,12 +314,11 @@ def _confirm(f, w, blocks, config) -> Decomposition:
             carry = f.value(done) / w.of_mask(done)
         else:
             minor, carry = restrict(f, block), 0.0
-        leaves += _split_block(minor, w, block, carry, config, "sequential",
-                               ())[2]
+        leaves += _split_block(minor, w, block, carry, config, ())[2]
         done |= block
     levels = _levels(leaves, config)
     if levels is None:
-        _, tree = split(f, w, config=config, trace=False)
+        _, tree = split(f, w, config=config)
         levels = [mask for mask, _ in tree.leaves]
     return _chain(f, w, levels)
 
@@ -432,8 +395,6 @@ def adaptation_path(tree: SplitTree, force: bool = False) -> list[RateVector]:
     ``PATH_USER_LIMIT`` users unless ``force`` is set, to bound materialized
     memory.
     """
-    if tree.events is None:
-        raise ValueError("split was run with trace=False; no events recorded")
     if tree.ground.n > PATH_USER_LIMIT and not force:
         raise ValueError("ground set above %d users; pass force=True to "
                          "materialize the path anyway" % PATH_USER_LIMIT)
@@ -454,7 +415,7 @@ def recursion_metrics(tree: SplitTree) -> dict:
 
     sum_size adds |block| + |complement| over every internal node (the
     serial SFM workload); max_size adds max(|block|, |complement|) (the
-    critical-path workload when branches run in parallel).
+    critical-path workload if the two branches of each split ran at once).
     """
     sum_size = 0
     max_size = 0

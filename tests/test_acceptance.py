@@ -1,8 +1,10 @@
 """Acceptance suite: one test per release criterion, each printing a
 PASS/FAIL line (run with ``pytest tests/test_acceptance.py -v -s``).
 
-Criteria 4, 7 and 8 share one batch of 200 seeded random instances
+Criteria 4 and 8 share one batch of 200 seeded random instances
 (|V| in 3..8, weights uniform in [0.5, 4]) built once per session.
+Criterion 7 checked the threaded split mode, which no longer exists; the
+numbers of the others are kept.
 """
 
 import functools
@@ -41,14 +43,14 @@ def criterion(num, desc):
 
 @pytest.fixture(scope="module")
 def suite4():
-    """200 seeded instances with their sequential split results."""
+    """200 seeded instances with their split results."""
     rng = np.random.default_rng(20240)
     out = []
     for k in range(200):
         n = 3 + k % 6
         src = random_bit_pool(rng, n)
         w = WeightVector(src.ground, rng.uniform(0.5, 4.0, n))
-        rates, tree = split(src, w, mode="sequential")
+        rates, tree = split(src, w)
         out.append((src, w, rates, tree))
     return out
 
@@ -132,7 +134,7 @@ def test_criterion_5():
 def test_criterion_6():
     t0 = time.perf_counter()
     cfg = dict(n_min=3, n_max=40, repetitions=30, seed=0,
-               parallel=False, measure_time=False)
+               measure_time=False)
     rows, csv_a = run_experiment(ExperimentConfig(**cfg))
     _, csv_b = run_experiment(ExperimentConfig(**cfg))
     assert csv_a == csv_b  # byte-identical under a fixed seed
@@ -149,19 +151,6 @@ def test_criterion_6():
     assert spearman(ns, sums) > 0.95
     assert spearman(ns, maxes) > 0.95
     assert time.perf_counter() - t0 < 600.0
-
-
-@criterion(7, "parallel mode reproduces the sequential trees bit for bit")
-def test_criterion_7(suite4):
-    for src, w, rates, tree in suite4:
-        par_rates, par_tree = split(src, w, mode="parallel")
-        assert np.array_equal(rates.rates, par_rates.rates)
-        assert tree.events == par_tree.events
-        assert tree.leaves == par_tree.leaves
-        a = tree.to_dict(include_path=False)
-        b = par_tree.to_dict(include_path=False)
-        a["mode"] = b["mode"] = None
-        assert a == b
 
 
 @criterion(8, "decomposition chain verified by exhaustive SFM, rebuilt exactly")

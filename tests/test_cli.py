@@ -3,6 +3,7 @@ import json
 import pytest
 
 from swfair.cli import main
+from swfair.experiment import CSV_HEADER
 
 MODEL = {
     "type": "bit_pool",
@@ -61,13 +62,6 @@ def test_egalitarian_weights_file(capsys, model_file, tmp_path):
                        "--weights", str(wfile), "--json")
     assert code == 0
     assert json.loads(out)["rates"]["1"] == pytest.approx(1.125, abs=1e-9)
-
-
-def test_egalitarian_parallel_mode(capsys, model_file):
-    code, out, _ = run(capsys, "egalitarian", model_file, "--parallel",
-                       "--json")
-    assert code == 0
-    assert json.loads(out)["mode"] == "parallel"
 
 
 def test_single_user_model(capsys, tmp_path):
@@ -177,16 +171,15 @@ def test_experiment_cli(capsys, tmp_path):
     out_csv = tmp_path / "sweep.csv"
     code, out, _ = run(capsys, "experiment", "--out", str(out_csv),
                        "--n-min", "3", "--n-max", "5", "--reps", "3",
-                       "--seed", "4", "--no-parallel", "--no-timing")
+                       "--seed", "4", "--no-timing")
     assert code == 0
     lines = out_csv.read_text().strip().split("\n")
-    assert lines[0].startswith("n,mean_sum_size")
+    assert lines[0] == CSV_HEADER
     assert len(lines) == 4
 
     again = tmp_path / "sweep2.csv"
     run(capsys, "experiment", "--out", str(again), "--n-min", "3",
-        "--n-max", "5", "--reps", "3", "--seed", "4", "--no-parallel",
-        "--no-timing")
+        "--n-max", "5", "--reps", "3", "--seed", "4", "--no-timing")
     assert again.read_text() == out_csv.read_text()
 
 
@@ -262,18 +255,18 @@ def test_only_trace_runs_the_splitter(capsys, model_file, monkeypatch,
     real_split = cli.split
 
     def spy(*args, **kwargs):
-        calls.append(kwargs.get("mode"))
+        calls.append(args)
         return real_split(*args, **kwargs)
 
     monkeypatch.setattr(cli, "split", spy)
-    for flags in ((), ("--parallel",), ("--mode", "parallel")):
+    for flags in ((), ("--json",), ("--weights", "3,1,3")):
         code, _, _ = run(capsys, "egalitarian", model_file, *flags)
         assert code == 0
-    assert calls == []
-    code, _, _ = run(capsys, "egalitarian", model_file, "--parallel",
+    assert len(calls) == 0
+    code, _, _ = run(capsys, "egalitarian", model_file,
                      "--trace", str(tmp_path / "t.json"))
     assert code == 0
-    assert calls == ["parallel"]
+    assert len(calls) == 1
 
 
 def test_non_submodular_table_is_refused(capsys, tmp_path):

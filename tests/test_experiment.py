@@ -14,7 +14,7 @@ from swfair.split import split
 
 def small_config(**kw):
     defaults = dict(n_min=3, n_max=6, repetitions=4, seed=11,
-                    parallel=False, measure_time=False)
+                    measure_time=False)
     defaults.update(kw)
     return ExperimentConfig(**defaults)
 
@@ -28,7 +28,7 @@ def test_config_validation():
         ExperimentConfig(repetitions=0)
     with pytest.raises(ValueError):
         ExperimentConfig(observe_prob=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"0 <= lo < hi"):
         ExperimentConfig(entropy_range=(1.0, 1.0))
 
 
@@ -89,7 +89,7 @@ def test_run_experiment_rows_and_csv():
             assert 0.5 < ratio <= 1.0
         assert row.mean_node_count <= 2 * row.n - 1
         assert row.mean_sum_size <= row.n * (2 * row.n - 1)  # crude ceiling
-        assert row.mean_wall_seq == 0.0 and row.mean_wall_par == 0.0
+        assert row.mean_wall_seq == 0.0
 
 
 def test_run_experiment_deterministic_bytes():
@@ -103,7 +103,7 @@ def test_run_experiment_deterministic_bytes():
 
 def test_run_experiment_metrics_independent_of_timing():
     plain = small_config()
-    timed = small_config(parallel=True, measure_time=True)
+    timed = small_config(measure_time=True)
     rows_a, _ = run_experiment(plain)
     rows_b, _ = run_experiment(timed)
     for a, b in zip(rows_a, rows_b):
@@ -113,5 +113,5 @@ def test_run_experiment_metrics_independent_of_timing():
 
 
 def test_row_csv_format():
-    row = ExperimentRow(7, 12.5, 9.25, 11.0, 1, 0.00125, 0.0)
-    assert row.to_csv() == "7,12.500000,9.250000,11.000000,1,0.001250,0.000000"
+    row = ExperimentRow(7, 12.5, 9.25, 11.0, 1, 0.00125)
+    assert row.to_csv() == "7,12.500000,9.250000,11.000000,1,0.001250"

@@ -20,7 +20,9 @@ from swfair.setfn import (
     check_submodular,
     conditional_entropy,
     entropy,
+    global_mask,
     greedy_vertex,
+    greedy_vertex_local,
     load_source,
     mask_array,
     modular_sums,
@@ -240,30 +242,43 @@ def test_greedy_vertex_telescopes_and_stays_in_polyhedron():
     for _ in range(10):
         src = random_bit_pool(rng, 5)
         n = src.ground.n
+        # a zero direction ties every element, and the stable sort then
+        # takes them in ascending position
+        zero = greedy_vertex_local(src, np.arange(n),
+                                   np.argsort(np.zeros(n), kind="stable"))
+        assert np.array_equal(zero, greedy_vertex(src, list(range(n))))
+        vertices = [zero]
         for _ in range(6):
             order = list(rng.permutation(n))
-            x = greedy_vertex(src, [int(i) for i in order])
+            vertices.append(greedy_vertex(src, [int(i) for i in order]))
+        for x in vertices:
             assert x.sum() == pytest.approx(src.value(src.ground_mask), abs=1e-9)
             for mask in range(1 << n):
                 assert x[bit_indices(mask)].sum() <= src.value(mask) + 1e-9
 
 
 def test_prefix_and_all_values_match_value(three_users, skew_weights):
-    g = reduce(three_users, ["3"], skew_weights)
-    elems = bit_indices(g.ground_mask)
-    vals = g.all_values(elems)
-    for lm in range(1 << len(elems)):
+    # the wide view's elements sit at positions up to 255, where a shift of
+    # a 64-bit integer would wrap
+    wide = random_bit_pool(np.random.default_rng(3), 256, observe_prob=0.02)
+    high = [wide.ground.users[i] for i in (5, 64, 130, 255)]
+    for g in (reduce(three_users, ["3"], skew_weights), restrict(wide, high)):
+        elems = bit_indices(g.ground_mask)
+        vals = g.all_values(elems)
+        for lm in range(1 << len(elems)):
+            mask = 0
+            for k in bit_indices(lm):
+                mask |= 1 << elems[k]
+            assert global_mask(lm, elems) == mask
+            assert global_mask(lm, np.asarray(elems)) == mask
+            assert vals[lm] == pytest.approx(g.value(mask), abs=1e-12)
+        order = np.array(elems[::-1])
+        pv = g.prefix_values(order)
         mask = 0
-        for k in bit_indices(lm):
-            mask |= 1 << elems[k]
-        assert vals[lm] == pytest.approx(g.value(mask), abs=1e-12)
-    order = np.array(elems[::-1])
-    pv = g.prefix_values(order)
-    mask = 0
-    assert pv[0] == 0.0
-    for k, idx in enumerate(order):
-        mask |= 1 << int(idx)
-        assert pv[k + 1] == pytest.approx(g.value(mask), abs=1e-12)
+        assert pv[0] == 0.0
+        for k, idx in enumerate(order):
+            mask |= 1 << int(idx)
+            assert pv[k + 1] == pytest.approx(g.value(mask), abs=1e-12)
 
 
 def test_check_submodular(three_users):

@@ -7,6 +7,7 @@ from swfair.setfn import (
     WeightVector,
     add_modular,
     bit_indices,
+    greedy_vertex_local,
     restrict,
 )
 from swfair.sfm import (
@@ -14,7 +15,6 @@ from swfair.sfm import (
     ConvergenceError,
     SfmResult,
     SolverConfig,
-    _greedy_local,
     _wolfe,
     min_norm_point,
     solve_sfm,
@@ -193,7 +193,8 @@ def test_wolfe_converged_means_gap_test_passed():
                 continue
             div = np.ones(n) if scale is None else scale
             y = x / div
-            q = _greedy_local(f, elems, y / div) / div
+            order = np.argsort(y / div, kind="stable")
+            q = greedy_vertex_local(f, elems, order) / div
             assert float(y @ y - y @ q) <= tol * max(1.0, float(y @ y))
 
 

@@ -60,8 +60,6 @@ def test_split_singleton(three_users, unit_weights):
 def test_split_rejects_bad_input(three_users, unit_weights):
     with pytest.raises(ValueError):
         split(three_users, unit_weights, subset=[])
-    with pytest.raises(ValueError):
-        split(three_users, unit_weights, mode="sideways")
 
 
 def test_split_refuses_nan_weight():
@@ -129,14 +127,6 @@ def test_adaptation_path_stays_in_polyhedron(three_users, unit_weights,
                     <= three_users.value(mask) + 1e-12
 
 
-def test_trace_disabled(three_users, unit_weights):
-    rates, tree = split(three_users, unit_weights, trace=False)
-    assert np.allclose(rates.rates, [1.0, 0.55, 0.55], atol=1e-12)
-    with pytest.raises(ValueError):
-        adaptation_path(tree)
-    assert recursion_metrics(tree)["node_count"] == 3
-
-
 def test_recursion_metrics_examples(three_users, unit_weights, skew_weights):
     for w in (skew_weights, unit_weights):
         _, tree = split(three_users, w)
@@ -149,30 +139,6 @@ def test_recursion_metrics_examples(three_users, unit_weights, skew_weights):
     _, tree = split(three_users, unit_weights, subset=["2"])
     m = recursion_metrics(tree)
     assert m == {"sum_size": 0, "max_size": 0, "node_count": 1, "depth": 1}
-
-
-def test_parallel_mode_is_bit_identical(three_users, skew_weights):
-    seq_rates, seq_tree = split(three_users, skew_weights, mode="sequential")
-    par_rates, par_tree = split(three_users, skew_weights, mode="parallel")
-    assert np.array_equal(seq_rates.rates, par_rates.rates)
-    assert seq_tree.events == par_tree.events
-    assert seq_tree.leaves == par_tree.leaves
-    seq_doc = seq_tree.to_dict()
-    par_doc = par_tree.to_dict()
-    seq_doc["mode"] = par_doc["mode"] = None
-    assert seq_doc == par_doc
-
-
-def test_parallel_mode_random_instances():
-    rng = np.random.default_rng(41)
-    for _ in range(25):
-        n = int(rng.integers(3, 9))
-        src = random_bit_pool(rng, n)
-        w = WeightVector(src.ground, rng.uniform(0.5, 4.0, n))
-        seq = split(src, w, mode="sequential")
-        par = split(src, w, mode="parallel")
-        assert np.array_equal(seq[0].rates, par[0].rates)
-        assert seq[1].events == par[1].events
 
 
 def test_split_region_membership_and_recursion_bound():
