@@ -1,7 +1,9 @@
-"""The SFM engine behind every split: exhaustive sweep vs min-norm point.
+"""The SFM engine behind every split: exhaustive sweep, min cut, min-norm point.
 
 Minimizing f(X) - lam*w(X) over subsets is the workhorse subproblem.  Small
-blocks are swept exhaustively; large ones go through the Fujishige-Wolfe
+blocks are swept exhaustively.  Large blocks of a bit-pool source are one
+project-selection min cut, read off a max-flow's residual graph; large
+blocks of any other oracle go through the Fujishige-Wolfe
 minimum-norm-point algorithm, whose fractional output rounds to the same
 lattice-extreme minimizers.
 """
@@ -29,13 +31,17 @@ print("instance: %d users, %d bits, H(V) = %.3f, lam = %.4f"
       % (n, len(source.bit_ids), source.value(source.ground_mask), lam))
 
 exhaustive = solve_sfm(objective, method="exhaustive")
+# with no exhaustive sweep, a bit-pool objective goes to the min cut
+min_cut = solve_sfm(objective, SolverConfig(exhaustive_threshold=0))
 min_norm = solve_sfm(objective, method="min_norm_point")
-for res in (exhaustive, min_norm):
+for res in (exhaustive, min_cut, min_norm):
     print("%-15s min=%.6f  minimal={%s}  maximal={%s}  (%d oracle evals)" % (
         res.solver_used, res.min_value,
         ",".join(sorted(res.minimal_minimizer)),
         ",".join(sorted(res.maximal_minimizer)), res.oracle_evals))
-assert min_norm.maximal_minimizer == exhaustive.maximal_minimizer
+    assert abs(res.min_value - exhaustive.min_value) <= 1e-9
+    assert res.minimal_minimizer == exhaustive.minimal_minimizer
+    assert res.maximal_minimizer == exhaustive.maximal_minimizer
 
 # The fractional min-norm point itself: negative coordinates mark the
 # minimal minimizer, nonpositive ones the maximal minimizer.

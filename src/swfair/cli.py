@@ -147,7 +147,10 @@ def add_weight_args(p):
 
 
 def add_solver_args(p):
-    p.add_argument("--exhaustive-threshold", type=int, default=16)
+    p.add_argument("--exhaustive-threshold", type=int, default=16,
+                   help="largest SFM ground swept exhaustively (at most 20); "
+                        "above it bit pools use a min cut and other sources "
+                        "min-norm point (default 16)")
     p.add_argument("--tie-epsilon", type=float, default=1e-9)
     p.add_argument("--mnp-gap-tolerance", type=float, default=1e-10)
     p.add_argument("--max-iterations", type=int, default=20000)

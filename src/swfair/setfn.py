@@ -363,6 +363,32 @@ class BitPoolSource(SetFunction):
         subset_sums(missed, c)
         return const + (missed[-1] - missed[::-1])
 
+    def incidence(self, elements, base: int = 0):
+        """Observations by ``elements`` of the bits ``base`` does not cover.
+
+        Returns (user, bit, entropy, base_value): for each such
+        observation, the index of its user in ``elements`` and the index of
+        its bit in ``entropy``, which lists the entropy of every bit that
+        some element observes and no user of ``base`` does, in bit order;
+        base_value is H(base), summed as :meth:`value` sums it.  O(nnz + n).
+        """
+        local = np.full(self.ground.n, -1, dtype=np.intp)
+        local[np.asarray(elements, dtype=np.intp)] = np.arange(len(elements))
+        user = local[self._inc_user]
+        keep = user >= 0
+        base_value = 0.0
+        if base:
+            covered = self._covered(base)
+            base_value = float(self._run_entropy @ covered)
+            run_length = np.diff(self._run_start, append=len(user))
+            keep &= ~np.repeat(covered, run_length)
+        user, bit = user[keep], self._inc_bit[keep]
+        # bit is sorted, so each kept bit is one stretch of equal entries
+        first = np.ones(len(bit), dtype=bool)
+        first[1:] = bit[1:] != bit[:-1]
+        return (user, np.cumsum(first) - 1, self.bit_entropy[bit[first]],
+                base_value)
+
     def total_entropy(self) -> float:
         return self.value(self.ground_mask)
 
@@ -465,6 +491,27 @@ def _parts(f: SetFunction):
     if isinstance(f, ShiftedFunction):
         return f.inner, f.pivot, f.constant, f.coeffs
     return f, 0, 0.0, None
+
+
+def coverage_cut(f: SetFunction, elements):
+    """The min-cut data of f over ``elements`` if f is a bit-pool view.
+
+    A view of a :class:`BitPoolSource` H with pivot P, constant k and
+    coefficients c is f(X) = offset + h(N(X) - N(P)) - c(X), where N(X) is
+    the set of bits X observes, h(B) the entropy of the bits B and offset
+    H(P) - k.  The form holds at the empty set too, as f(empty) = 0,
+    because the views that restrict, reduce and add_modular build all have
+    k = H(P) and so offset 0.  Returns (user, bit, entropy, coeffs, offset), the first three
+    as :meth:`BitPoolSource.incidence` gives them for ``elements`` and P and
+    coeffs the c of ``elements`` in order, or None if f views another
+    oracle.  Makes no oracle call.
+    """
+    source, pivot, constant, coeffs = _parts(f)
+    if not isinstance(source, BitPoolSource):
+        return None
+    user, bit, entropy, pivot_value = source.incidence(elements, pivot)
+    c = np.zeros(len(elements)) if coeffs is None else coeffs[elements]
+    return user, bit, entropy, c, pivot_value - constant
 
 
 def restrict(f: SetFunction, subset) -> SetFunction:

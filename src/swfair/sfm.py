@@ -1,13 +1,21 @@
 """Submodular function minimization with lattice-extreme minimizers.
 
-Two solver paths share one result type:
+Three solver paths share one result type:
 
 * exhaustive enumeration for small grounds, which recovers the exact minimum
   and the minimal/maximal minimizers as the intersection/union of all tied
   minimizing subsets (the minimizer family of a submodular function is a
   lattice, so those are its bottom and top);
-* the Fujishige-Wolfe minimum-norm-point algorithm for larger grounds,
-  driven by the greedy linear-minimization oracle over the base polyhedron.
+* an exact minimum cut for larger grounds over a bit-pool source: the
+  objective is a weighted coverage function minus a modular one, so its
+  minimization is a project-selection problem (Rhys, "A selection problem
+  of shared fixed costs and network flows", Mgmt. Sci. 1970; Picard,
+  "Maximal closure of a graph and applications to combinatorial problems",
+  Mgmt. Sci. 1976), solved by one max-flow in :mod:`swfair.flow`, in
+  strongly polynomial time;
+* the Fujishige-Wolfe minimum-norm-point algorithm for larger grounds over
+  any other oracle, driven by the greedy linear-minimization oracle over
+  the base polyhedron.
 
 References for the min-norm route: Wolfe, "Finding the nearest point in a
 polytope" (Math. Prog. 1976); Fujishige, Hayashi, Isotani, "The minimum-norm-
@@ -21,10 +29,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .flow import max_flow
 from .setfn import (
     CountingFunction,
     SetFunction,
     bit_indices,
+    coverage_cut,
     global_mask,
     greedy_vertex_local,
     mask_from_indices,
@@ -44,8 +54,12 @@ class ConvergenceError(RuntimeError):
 class SolverConfig:
     """Tolerances and dispatch thresholds shared by all solvers.
 
-    tie_epsilon is relative to the largest |f| magnitude observed in a solve;
-    exhaustive_threshold is capped at 20 to bound the 2^n sweep.
+    Grounds of at most exhaustive_threshold elements are swept
+    exhaustively; above it, bit-pool oracles are minimized by a min cut and
+    every other oracle by min-norm point.  The threshold is capped at 20 to
+    bound the 2^n sweep.  tie_epsilon is relative to the largest |f|
+    magnitude observed in a solve (for the min cut, to the larger of the
+    entropy it can cover and the sum of |coefficient|).
     """
 
     exhaustive_threshold: int = 16
@@ -94,17 +108,24 @@ def solve_sfm(f: SetFunction, config: SolverConfig | None = None,
     """Minimize f over all subsets of its ground (empty set included).
 
     Dispatches to the exhaustive sweep when the ground is at most
-    ``config.exhaustive_threshold`` elements, otherwise to the min-norm-point
-    path; ``method`` ("exhaustive" or "min_norm_point") overrides dispatch.
-    The min-norm path assumes f is submodular; the exhaustive path does not.
+    ``config.exhaustive_threshold`` elements, otherwise to the min-cut path
+    if f is a view of a :class:`BitPoolSource` and to the min-norm-point
+    path if not; ``method`` ("exhaustive" or "min_norm_point") overrides
+    dispatch.  The min-norm path assumes f is submodular; the other two do
+    not need to.
     """
     config = config or DEFAULT_CONFIG
     elems = bit_indices(f.ground_mask)
     if not elems:
         return SfmResult(0.0, frozenset(), frozenset(), "exhaustive", 0, 0)
     if method is None:
-        method = ("exhaustive" if len(elems) <= config.exhaustive_threshold
-                  else "min_norm_point")
+        if len(elems) <= config.exhaustive_threshold:
+            method = "exhaustive"
+        else:
+            cut = coverage_cut(f, elems)
+            if cut is not None:
+                return _solve_min_cut(f, elems, cut, config)
+            method = "min_norm_point"
     if method == "exhaustive":
         return _solve_exhaustive(f, elems, config)
     if method == "min_norm_point":
@@ -139,6 +160,55 @@ def _solve_exhaustive(f, elems, config) -> SfmResult:
         maximal_minimizer=frozenset(f.ground.users_of(maximal_mask)),
         solver_used="exhaustive",
         oracle_evals=counting.evals,
+        ground_size=c,
+        minimal_mask=minimal_mask,
+        maximal_mask=maximal_mask,
+    )
+
+
+def _solve_min_cut(f, elems, cut, config) -> SfmResult:
+    """Exact SFM of a bit-pool view by one maximum flow.
+
+    ``cut`` is :func:`swfair.setfn.coverage_cut`'s data for f, which reads
+    f(X) = offset + h(N(X) - N(P)) - c(X) with P the pivot, c the
+    coefficients, N(X) the bits X observes and h(B) the entropy of the bits
+    B.  The network runs source -> user i with capacity c_i where c_i > 0,
+    user i -> sink with capacity -c_i where c_i < 0, user -> each bit it
+    observes outside N(P) uncapped, and bit b -> sink with capacity h_b.  A
+    cut with users X on the source side costs c+(V) - c(X) + h(N(X) - N(P)),
+    so the maximum flow is c+(V) + min f - offset.  Users the source reaches
+    in the residual graph form the minimal minimizer, and users that do not
+    reach the sink the maximal one; residual capacities at or below
+    tie_epsilon times the larger of 1, h(N(V) - N(P)) and sum |c_i| count
+    as zero.  The source's incidence is read directly and no oracle is
+    called, so ``oracle_evals`` is 0.
+    """
+    user, bit, h, coef, offset = cut
+    c = len(elems)
+    gain, loss = coef > 0.0, coef < 0.0
+    # nodes: 0 the source, 1 the sink, 2..c+1 the users, then the bits
+    user_node = np.arange(2, c + 2)
+    bit_node = np.arange(c + 2, c + 2 + len(h))
+    tails = np.concatenate([np.zeros(gain.sum(), dtype=np.intp),
+                            user_node[loss], user + 2, bit_node])
+    heads = np.concatenate([user_node[gain], np.ones(loss.sum(), dtype=np.intp),
+                            bit + c + 2, np.ones(len(h), dtype=np.intp)])
+    caps = np.concatenate([coef[gain], -coef[loss],
+                           np.full(len(user), np.inf), h])
+    scale = max(1.0, float(h.sum()), float(np.abs(coef).sum()))
+    flow, from_source, to_sink = max_flow(
+        c + 2 + len(h), tails.tolist(), heads.tolist(), caps.tolist(),
+        0, 1, config.tie_epsilon * scale)
+    minimal_mask = mask_from_indices(
+        e for e, s in zip(elems, from_source[2:c + 2]) if s)
+    maximal_mask = mask_from_indices(
+        e for e, t in zip(elems, to_sink[2:c + 2]) if not t)
+    return SfmResult(
+        min_value=offset + flow - float(coef[gain].sum()),
+        minimal_minimizer=frozenset(f.ground.users_of(minimal_mask)),
+        maximal_minimizer=frozenset(f.ground.users_of(maximal_mask)),
+        solver_used="min_cut",
+        oracle_evals=0,
         ground_size=c,
         minimal_mask=minimal_mask,
         maximal_mask=maximal_mask,

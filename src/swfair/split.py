@@ -211,8 +211,15 @@ def _split_block(f, w, cmask, carry, config, path):
     ``carry`` is the accumulated ratio offset of the contractions above this
     block, so a leaf's absolute ratio is carry + f(C)/w(C).  Returns the node
     plus the ordered base-assignment events and leaf assignments beneath it.
+    A one-user block is a leaf without a solve: at lam both of its subsets
+    are worth 0, so its result is the one an exhaustive sweep would return.
     """
     lam = f.value(cmask) / w.of_mask(cmask)
+    if cmask.bit_count() == 1:
+        res = SfmResult(0.0, frozenset(), frozenset(f.ground.users_of(cmask)),
+                        "exhaustive", oracle_evals=0, ground_size=1,
+                        minimal_mask=0, maximal_mask=cmask)
+        return SplitNode(cmask, lam, res, None, None), [], [(cmask, carry + lam)]
     objective = add_modular(f, lam * w.values)
     try:
         res = solve_sfm(objective, config)

@@ -41,3 +41,23 @@ def random_bit_pool(rng, n, pool_factor=3, observe_prob=0.3):
         observes["u%d" % i] = ["b%d" % j for j in np.nonzero(row)[0]]
     ground = GroundSet(["u%d" % i for i in range(n)])
     return BitPoolSource(ground, bits, observes)
+
+
+def twin_bit_pool(rng, n):
+    """A random instance next to a copy of itself on bits of its own.
+
+    Every level of the union holds both copies of a level at one ratio,
+    and the chain cut between the two copies is tight as well.
+    """
+    one = random_bit_pool(rng, n)
+    users, bits, observes = [], {}, {}
+    for copy in "xy":
+        for i, u in enumerate(one.ground.users):
+            users.append(copy + u)
+            observes[copy + u] = [copy + one.bit_ids[j]
+                                  for j in np.flatnonzero(one.observes[i])]
+        for b, h in zip(one.bit_ids, one.bit_entropy):
+            bits[copy + b] = float(h)
+    src = BitPoolSource(GroundSet(users), bits, observes)
+    w_one = rng.uniform(0.5, 4.0, n)
+    return src, WeightVector(src.ground, np.concatenate([w_one, w_one]))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from swfair.setfn import (
     GroundSet,
@@ -8,6 +9,7 @@ from swfair.setfn import (
     add_modular,
     bit_indices,
     greedy_vertex_local,
+    reduce,
     restrict,
 )
 from swfair.sfm import (
@@ -19,7 +21,7 @@ from swfair.sfm import (
     min_norm_point,
     solve_sfm,
 )
-from conftest import random_bit_pool
+from conftest import random_bit_pool, twin_bit_pool
 
 
 def shifted(src, coeffs):
@@ -128,6 +130,72 @@ def test_exhaustive_and_min_norm_agree():
         assert mn.min_value == pytest.approx(ex.min_value, abs=1e-7)
         assert mn.minimal_minimizer == ex.minimal_minimizer
         assert mn.maximal_minimizer == ex.maximal_minimizer
+
+
+# threshold 0 sends every nonempty ground of a bit-pool view to the min cut
+MIN_CUT = SolverConfig(exhaustive_threshold=0)
+
+
+def assert_min_cut_matches(f, ref_method, tol):
+    ref = solve_sfm(f, method=ref_method)
+    cut = solve_sfm(f, MIN_CUT)
+    assert cut.solver_used == "min_cut"
+    assert abs(cut.min_value - ref.min_value) <= tol
+    assert cut.minimal_mask == ref.minimal_mask
+    assert cut.maximal_mask == ref.maximal_mask
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 16), st.integers(0, 2**32 - 1), st.booleans())
+def test_min_cut_matches_exhaustive(n, seed, twin):
+    rng = np.random.default_rng(seed)
+    if twin and n > 1:
+        src, w = twin_bit_pool(rng, n // 2)
+    else:
+        src = random_bit_pool(rng, n, observe_prob=rng.uniform(0.1, 0.6))
+        w = WeightVector(src.ground, rng.uniform(0.5, 4.0, n))
+    n = src.ground.n
+    tol = 1e-9 * max(1.0, src.value(src.ground_mask))
+    # split's ratio, at which the empty and the full set tie, and another
+    lam = src.value(src.ground_mask) / w.values.sum()
+    for scale in (1.0, rng.uniform(-0.5, 1.5)):
+        assert_min_cut_matches(add_modular(src, scale * lam * w.values),
+                               "exhaustive", tol)
+    if n < 3:
+        return
+    # the views split builds: a contracted pivot, a restriction, a shift
+    g = reduce(src, int(rng.integers(1, src.ground_mask)), w)
+    sub = g.ground_mask & int(rng.integers(1, 1 << n)) or g.ground_mask
+    g = restrict(g, sub)
+    lam = g.value(sub) / w.of_mask(sub)
+    assert_min_cut_matches(add_modular(g, lam * w.values), "exhaustive", tol)
+
+
+def test_min_cut_matches_min_norm_up_to_100_users():
+    rng = np.random.default_rng(37)
+    for n in (20, 40, 70, 100):
+        src = random_bit_pool(rng, n, observe_prob=1.5 / n)
+        w = WeightVector(src.ground, rng.uniform(0.5, 4.0, n))
+        lam = src.value(src.ground_mask) / w.values.sum()
+        for scale in (1.0, 0.8):
+            assert_min_cut_matches(add_modular(src, scale * lam * w.values),
+                                   "min_norm_point", 1e-7)
+
+
+def test_min_cut_dispatch():
+    rng = np.random.default_rng(41)
+    src = random_bit_pool(rng, 6)
+    f = shifted(src, 0.5 * np.ones(6))
+    above = SolverConfig(exhaustive_threshold=5)
+    assert solve_sfm(f, above).solver_used == "min_cut"
+    assert solve_sfm(f).solver_used == "exhaustive"
+    # the min cut reads the incidence, pivot included, and calls no oracle
+    assert solve_sfm(f, above).oracle_evals == 0
+    g = reduce(src, 1, WeightVector.ones(src.ground))
+    assert solve_sfm(g, MIN_CUT).oracle_evals == 0
+    table = TableSource(src.ground, {m: src.value(m) for m in range(1, 64)})
+    assert solve_sfm(shifted(table, 0.5 * np.ones(6)), above).solver_used \
+        == "min_norm_point"
 
 
 def test_min_norm_extraction_on_example(three_users):

@@ -28,10 +28,11 @@ from swfair.split import (
     recursion_metrics,
     split,
 )
-from conftest import random_bit_pool
+from conftest import random_bit_pool, twin_bit_pool
 
 # the package re-exports the function split under the module's name
 split_module = importlib.import_module("swfair.split")
+sfm_module = importlib.import_module("swfair.sfm")
 
 
 def test_split_skew_weights_matches_worked_example(three_users, skew_weights):
@@ -73,14 +74,83 @@ def test_split_refuses_nan_weight():
 
 
 def test_split_annotates_convergence_failures():
+    # Bit pools above the threshold take the exact min cut, which has no
+    # iteration cap, so Wolfe is starved on a table of the same values.
     rng = np.random.default_rng(67)
     src = random_bit_pool(rng, 8)
     w = WeightVector.ones(src.ground)
+    table = TableSource(src.ground, {m: src.value(m) for m in range(1, 256)})
     starved = SolverConfig(exhaustive_threshold=2, max_iterations=1)
     with pytest.raises(ConvergenceError) as err:
-        split(src, w, config=starved)
+        split(table, w, config=starved)
     assert err.value.recursion_path is not None
     assert err.value.recursion_path[0].startswith("{u0,")
+    rates, _ = split(src, w, config=starved)
+    assert np.array_equal(rates.rates, split(src, w)[0].rates)
+
+
+def test_split_min_norm_steps_match_exhaustive():
+    """On a table, split's steps above the threshold run Wolfe; they must
+    give the tree of the exhaustive steps."""
+    rng = np.random.default_rng(71)
+    for n in (8, 9, 10, 8, 9, 10):
+        src = random_bit_pool(rng, n)
+        w = WeightVector(src.ground, rng.uniform(0.5, 4.0, n))
+        table = TableSource(src.ground,
+                            {m: src.value(m) for m in range(1, 1 << n)})
+        rates, tree = split(table, w, config=SolverConfig(exhaustive_threshold=3))
+        assert "min_norm_point" in {node.sfm.solver_used
+                                    for node in tree_nodes(tree)}
+        ref_rates, ref_tree = split(table, w)
+        assert tree.leaves == ref_tree.leaves
+        assert np.array_equal(rates.rates, ref_rates.rates)
+
+
+def tree_nodes(tree):
+    nodes, stack = [], [tree.root]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        stack.extend(node.children or ())
+    return nodes
+
+
+def test_split_runs_min_cut_not_wolfe_on_bit_pools(monkeypatch):
+    rng = np.random.default_rng(5)
+    n = 64
+    src = random_bit_pool(rng, n, observe_prob=1.5 / n)
+    w = WeightVector(src.ground, rng.uniform(0.5, 4.0, n))
+
+    def no_wolfe(*args, **kwargs):
+        raise AssertionError("split ran Wolfe on a bit pool")
+
+    monkeypatch.setattr(sfm_module, "_wolfe", no_wolfe)
+    _, tree = split(src, w)
+    assert tree.root.sfm.solver_used == "min_cut"
+    assert {node.sfm.solver_used for node in tree_nodes(tree)} \
+        <= {"min_cut", "exhaustive"}
+
+
+def test_one_user_blocks_are_leaves_without_a_solve(monkeypatch):
+    rng = np.random.default_rng(9)
+    src = random_bit_pool(rng, 10)
+    w = WeightVector(src.ground, rng.uniform(0.5, 4.0, 10))
+    sizes = []
+    real = split_module.solve_sfm
+
+    def spy(f, config=None, method=None):
+        sizes.append(f.ground_mask.bit_count())
+        return real(f, config, method)
+
+    monkeypatch.setattr(split_module, "solve_sfm", spy)
+    _, tree = split(src, w)
+    singles = [node for node in tree_nodes(tree)
+               if node.subset_mask.bit_count() == 1]
+    assert singles and min(sizes) > 1
+    for node in singles:
+        assert node.is_leaf
+        assert (node.sfm.min_value, node.sfm.minimal_mask,
+                node.sfm.maximal_mask) == (0.0, 0, node.subset_mask)
 
 
 def test_adaptation_path_guard_above_64_users():
@@ -306,26 +376,6 @@ def test_egalitarian_worked_examples(three_users, unit_weights, skew_weights):
         egalitarian(three_users, unit_weights, subset=[])
 
 
-def twin_bit_pool(rng, n):
-    """A random instance next to a copy of itself on bits of its own.
-
-    Every level of the union holds both copies of a level at one ratio,
-    and the chain cut between the two copies is tight as well.
-    """
-    one = random_bit_pool(rng, n)
-    users, bits, observes = [], {}, {}
-    for copy in "xy":
-        for i, u in enumerate(one.ground.users):
-            users.append(copy + u)
-            observes[copy + u] = [copy + one.bit_ids[j]
-                                  for j in np.flatnonzero(one.observes[i])]
-        for b, h in zip(one.bit_ids, one.bit_entropy):
-            bits[copy + b] = float(h)
-    src = BitPoolSource(GroundSet(users), bits, observes)
-    w_one = rng.uniform(0.5, 4.0, n)
-    return src, WeightVector(src.ground, np.concatenate([w_one, w_one]))
-
-
 def test_confirm_adversarial_proposals(monkeypatch):
     """Proposals that are right, too coarse, too fine or out of order
     all come back as split's chain and rates."""
@@ -400,7 +450,7 @@ def test_egalitarian_iteration_cap_is_a_convergence_error():
 def test_proposal_stops_at_its_own_gap(monkeypatch):
     """The proposal's Wolfe run stops at PROPOSAL_GAP, or at a looser
     mnp_gap_tolerance; a block it leaves above the exhaustive threshold is
-    settled by the confirm step's min-norm SFM, and the rates are split's."""
+    settled by the confirm step's min-cut SFM, and the rates are split's."""
     rng = np.random.default_rng(1)
     n = 96
     src = random_bit_pool(rng, n, observe_prob=1.5 / n)
