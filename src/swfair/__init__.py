@@ -6,12 +6,15 @@ of that region and the machinery around them:
 
 * :mod:`swfair.setfn` - ground sets, entropy oracles (bit-pool coverage
   models and explicit tables), reductions, greedy vertices, validity checks;
-* :mod:`swfair.sfm` - submodular function minimization (exhaustive and
-  Fujishige-Wolfe minimum-norm-point) with lattice-extreme minimizers;
+* :mod:`swfair.sfm` - submodular function minimization (exhaustive sweep,
+  min cut for bit-pool oracles, Fujishige-Wolfe minimum-norm-point) with
+  lattice-extreme minimizers;
+* :mod:`swfair.flow` - the float-capacity Dinic max-flow behind the min
+  cut, with both residual reachability sets;
 * :mod:`swfair.split` - the egalitarian engine (one weighted min-norm
-  solve confirmed by the splitter's leaf test), the paper's recursive
-  splitter with its recursion tree and adaptation path, and the
-  principal-chain decomposition;
+  solve confirmed by the splitter's leaf test, returned as a certified
+  principal chain) and the paper's recursive splitter with its recursion
+  tree and adaptation path;
 * :mod:`swfair.fairness` - Shapley values, region membership verification,
   an independent conditional-gradient oracle, and comparison reports;
 * :mod:`swfair.experiment` - randomized sweeps of the split-size metrics;

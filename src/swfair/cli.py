@@ -90,10 +90,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_output_args(p)
     p.set_defaults(func=cmd_egalitarian)
 
-    p = sub.add_parser("shapley", help="Shapley-value rates")
+    p = sub.add_parser("shapley", help="Shapley-value rates (exact "
+                       "subset sweep unless --samples or --enumerate-all)")
     p.add_argument("source")
     g = p.add_mutually_exclusive_group()
-    g.add_argument("--exact", action="store_true", default=True)
     g.add_argument("--samples", type=int, metavar="N",
                    help="Monte-Carlo estimate from N sampled orders")
     g.add_argument("--enumerate-all", action="store_true",

@@ -4,8 +4,8 @@ Implements the Shapley value (an exact subset sweep, a permutation-sampling
 estimator, and the full permutation average used for cross-checks),
 region-membership verification against both constraint forms, and an
 independent quadratic solver for the weighted egalitarian point based on
-away-step conditional gradients (Guelat & Marcotte 1986; Lacoste-Julien &
-Jaggi 2015 for the linear-rate analysis).  The conditional-gradient route
+fully corrective conditional gradients (Holloway 1974; Lacoste-Julien &
+Jaggi 2015 for the analysis).  The conditional-gradient route
 shares no code with the recursive splitting solver on purpose: it is the
 correctness oracle the splitter is tested against.
 """
@@ -181,12 +181,19 @@ def exchange_capacity(f: SetFunction, r, donor: str, receiver: str,
 def egalitarian_oracle_fw(f: SetFunction, w: WeightVector,
                           gap_tolerance: float = 1e-9,
                           max_iterations: int = 200000) -> RateVector:
-    """Weighted egalitarian point by away-step conditional gradients.
+    """Weighted egalitarian point by fully corrective conditional gradients.
 
-    Minimizes sum(r_i^2 / w_i) over the base polyhedron of f, using the
-    greedy vertex as the linear-minimization oracle and exact line search
-    (the objective is quadratic).  Terminates when the duality gap drops
-    below ``gap_tolerance``; hitting the iteration cap raises
+    Minimizes sum(r_i^2 / w_i) over the base polyhedron of f.  Each step
+    adds the greedy vertex along the gradient (the linear-minimization
+    oracle) to the active vertices, then re-weights them to their best
+    convex combination: step toward the weighted least-norm point of their
+    affine hull, dropping the first vertex whose weight reaches zero, until
+    that point has all weights positive.  Plain and away-step conditional
+    gradients converge at a rate set by the narrowest face of the
+    polyhedron, which on nearly modular sources stalls them for more than
+    200000 steps; the corrective step does not depend on it.  Terminates when
+    the duality gap drops below ``gap_tolerance``; hitting the iteration
+    cap, or a gap above it with no new vertex to add, raises
     :class:`ConvergenceError` carrying the best iterate.
     """
     elems = np.asarray(bit_indices(f.ground_mask), dtype=np.intp)
@@ -194,7 +201,9 @@ def egalitarian_oracle_fw(f: SetFunction, w: WeightVector,
     w_loc = w.values[elems]
 
     x = greedy_vertex_local(counting, elems, np.arange(len(elems)))
-    atoms = {x.tobytes(): [x.copy(), 1.0]}
+    atoms = x.reshape(1, -1)
+    lam = np.ones(1)
+    gap = math.inf
 
     for _ in range(max_iterations):
         grad = 2.0 * x / w_loc
@@ -203,48 +212,41 @@ def egalitarian_oracle_fw(f: SetFunction, w: WeightVector,
         gap = float(grad @ (x - s))
         if gap <= gap_tolerance:
             return _to_rate_vector(f, elems, x)
-
-        away_key = max(atoms, key=lambda k: float(grad @ atoms[k][0]))
-        a, alpha_a = atoms[away_key]
-        if gap >= float(grad @ (a - x)) or len(atoms) == 1:
-            d = s - x
-            gamma_max = 1.0
-            target = s
-            away = False
-        else:
-            d = x - a
-            gamma_max = alpha_a / (1.0 - alpha_a) if alpha_a < 1.0 else np.inf
-            target = a
-            away = True
-
-        quad = float(d * d @ (1.0 / w_loc))
-        if quad <= 0.0:
-            return _to_rate_vector(f, elems, x)
-        gamma = min(max(-float(grad @ d) / (2.0 * quad), 0.0), gamma_max)
-        if gamma <= 0.0:
-            return _to_rate_vector(f, elems, x)
-
-        x = x + gamma * d
-        if away:
-            for entry in atoms.values():
-                entry[1] *= 1.0 + gamma
-            atoms[away_key][1] -= gamma
-            if atoms[away_key][1] <= 1e-14:
-                del atoms[away_key]
-        else:
-            if gamma >= 1.0:
-                atoms = {}
-            else:
-                for entry in atoms.values():
-                    entry[1] *= 1.0 - gamma
-            key = target.tobytes()
-            if key in atoms:
-                atoms[key][1] += gamma
-            else:
-                atoms[key] = [target.copy(), gamma]
+        if np.any(np.all(atoms == s, axis=1)):
+            break
+        atoms = np.vstack([atoms, s])
+        lam = np.append(lam, 0.0)
+        while True:
+            coeff = _least_norm_weights(atoms, w_loc)
+            if np.all(coeff > 0.0):
+                lam = coeff
+                break
+            # move toward the affine minimizer until a weight reaches zero
+            reach = np.divide(lam, lam - coeff, out=np.ones_like(lam),
+                              where=coeff < lam)
+            theta = min(1.0, float(reach.min()))
+            lam = (1.0 - theta) * lam + theta * coeff
+            keep = lam > 1e-14
+            if keep.all():
+                keep[int(np.argmin(lam))] = False
+            atoms, lam = atoms[keep], lam[keep] / lam[keep].sum()
+        x = lam @ atoms
     raise ConvergenceError(
-        "conditional-gradient solver hit the iteration cap (%d)"
-        % max_iterations, best=_to_rate_vector(f, elems, x))
+        "conditional-gradient solver stopped at duality gap %.3g above %.3g"
+        % (gap, gap_tolerance), best=_to_rate_vector(f, elems, x))
+
+
+def _least_norm_weights(atoms, w_loc):
+    """Affine weights (summing to 1) of the point of the rows' affine hull
+    with least sum(x_i^2 / w_i), from the bordered normal equations."""
+    m = atoms.shape[0]
+    scaled = atoms / np.sqrt(w_loc)
+    system = np.ones((m + 1, m + 1))
+    system[0, 0] = 0.0
+    system[1:, 1:] = scaled @ scaled.T
+    rhs = np.zeros(m + 1)
+    rhs[0] = 1.0
+    return np.linalg.lstsq(system, rhs, rcond=None)[0][1:]
 
 
 def _to_rate_vector(f, elems, x) -> RateVector:

@@ -14,8 +14,8 @@ rate vector's walk through the polyhedron.  The two subcalls of a split are
 independent, so with both run at once the critical path is the larger of
 each pair; :func:`recursion_metrics` reports that workload as ``max_size``.
 
-:func:`egalitarian` is the engine behind ``swfair egalitarian`` and
-:func:`decompose`.  The egalitarian point is also the minimum-norm base in
+:func:`decompose` is the engine, and :func:`egalitarian` returns the rates
+of its chain.  The egalitarian point is also the minimum-norm base in
 coordinates scaled by sqrt(w) (Fujishige 1980), so one Wolfe solve proposes
 an ordered partition of the users: sort its point by r/w and cut wherever a
 prefix is tight.  That solve stops at the loose gap ``PROPOSAL_GAP``, so
@@ -23,12 +23,17 @@ the point is only approximate, and each proposed block is then confirmed
 by split's own test on its minor (the block, after the blocks before it
 are contracted): a uniform block is one leaf, and any other block is split
 further by the recursion.  If the leaf ratios do not increase along the
-blocks, the engine runs :func:`split` instead, so every answer meets the
-leaf criterion that split meets.  Up to
-``BRUTE_FORCE_LIMIT`` (20) users :func:`certify` also checks the result
-for membership in the region, and :class:`CertificationError` refuses it
-otherwise (a non-submodular source).  The split tree, the adaptation path
-and the size sweep still run :func:`split`.
+blocks, the engine runs :func:`split` instead and merges its leaves by the
+same rule, so every answer meets the leaf criterion that split meets.
+
+One certificate guards every answer: every chain set is tight by
+construction, the critical values must increase strictly
+(:class:`InternalConsistencyError` otherwise), and up to
+``BRUTE_FORCE_LIMIT`` (20) users :func:`certify` checks membership in the
+region by one exhaustive SFM (:class:`CertificationError` otherwise, a
+non-submodular source).  Together these make each chain set the maximal
+minimizer at its critical value, so no chain set is solved again.  The
+split tree, the adaptation path and the size sweep still run :func:`split`.
 
 Both routes turn their ordered levels into rates the same way: lam_j =
 (f(S_j) - f(S_{j-1})) / w(D_j) from one prefix walk over the chain, and
@@ -255,21 +260,10 @@ def egalitarian(f: SetFunction, w: WeightVector, subset=None,
     """Weighted egalitarian allocation from one weighted min-norm solve.
 
     Returns the same rates as :func:`split`, without its recursion tree:
-    one Wolfe solve proposes the levels, split's leaf test confirms each
-    of them, and split itself runs if they do not confirm (see the module
-    docstring).  Up to ``BRUTE_FORCE_LIMIT`` users a result outside the
-    rate region raises :class:`CertificationError` (see :func:`certify`).
+    the rates of the certified chain that :func:`decompose` returns, which
+    raises the same errors.
     """
-    return _egalitarian_chain(f, w, subset, config).reconstruct()
-
-
-def _egalitarian_chain(f, w, subset, config) -> Decomposition:
-    config = config or DEFAULT_CONFIG
-    cmask = _subset_mask(f, subset)
-    f_c = restrict(f, cmask)
-    dec = _confirm(f_c, w, _propose(f_c, w, config), config)
-    certify(f_c, dec.reconstruct())
-    return dec
+    return decompose(f, w, subset, config).reconstruct()
 
 
 def _propose(f, w, config) -> list[int]:
@@ -311,7 +305,8 @@ def _confirm(f, w, blocks, config) -> Decomposition:
     contracted, restricted to D_j, after it, at carry f(S_{j-1})/w(S_{j-1}).
     Adjacent leaves whose ratios agree to within the tie tolerance are one
     level.  If the leaf ratios then do not increase, the proposal was not
-    the egalitarian chain, and :func:`split` on all of f decides instead.
+    the egalitarian chain, and :func:`split` on all of f decides instead,
+    its leaves merged into levels by the same rule.
     """
     leaves = []
     done = 0
@@ -326,7 +321,11 @@ def _confirm(f, w, blocks, config) -> Decomposition:
     levels = _levels(leaves, config)
     if levels is None:
         _, tree = split(f, w, config=config)
-        levels = [mask for mask, _ in tree.leaves]
+        levels = _levels(tree.leaves, config)
+        if levels is None:
+            raise InternalConsistencyError(
+                "split's leaf ratios decrease on %s"
+                % subset_label(f.ground, f.ground_mask))
     return _chain(f, w, levels)
 
 
@@ -368,25 +367,28 @@ def _chain(f, w, levels) -> Decomposition:
 
 
 def certify(f: SetFunction, rates: RateVector) -> None:
-    """Refuse egalitarian rates outside the region of f on their subset.
+    """Refuse egalitarian rates outside the region of f on their subset C.
 
-    The check is exhaustive, so it runs only up to ``BRUTE_FORCE_LIMIT``
+    r is in the region iff r(C) = f(C) and f(X) - r(X) >= 0 for every X,
+    both to within 1e-8 * max(1, |r(C)|).  The minimum of f - r is one
+    exhaustive SFM, so the check runs only up to ``BRUTE_FORCE_LIMIT``
     users, whatever solver settings produced the rates; above that it does
     nothing.  A failure raises :class:`CertificationError`.
     """
-    from .fairness import verify_membership  # fairness imports this module
-
-    if rates.subset_mask.bit_count() > BRUTE_FORCE_LIMIT:
+    cmask = rates.subset_mask
+    if cmask.bit_count() > BRUTE_FORCE_LIMIT:
         return
-    f = restrict(f, rates.subset_mask)
-    report = verify_membership(f, rates,
-                               tolerance=1e-8 * max(1.0, abs(rates.total())))
-    if not report.in_region:
+    f = restrict(f, cmask)
+    total = rates.total()
+    tol = 1e-8 * max(1.0, abs(total))
+    res = solve_sfm(add_modular(f, rates.rates), method="exhaustive")
+    sum_gap = total - f.value(cmask)
+    if res.min_value < -tol or abs(sum_gap) > tol:
         raise CertificationError(
             "rates for %s are outside the rate region (min slack %.3g at "
-            "{%s}, sum gap %.3g); is the source submodular?"
-            % (subset_label(f.ground, f.ground_mask), report.slack,
-               ",".join(sorted(report.worst_constraint)), report.sum_gap))
+            "%s, sum gap %.3g); is the source submodular?"
+            % (subset_label(f.ground, cmask), res.min_value,
+               subset_label(f.ground, res.minimal_mask), sum_gap))
 
 
 def subset_label(ground: GroundSet, mask: int) -> str:
@@ -480,38 +482,23 @@ class Decomposition:
 
 
 def decompose(f: SetFunction, w: WeightVector, subset=None,
-              config: SolverConfig | None = None,
-              verify: bool | None = None) -> Decomposition:
+              config: SolverConfig | None = None) -> Decomposition:
     """Principal chain of critical ratios behind the egalitarian solution.
 
-    Reads the levels off the :func:`egalitarian` engine, in increasing
-    ratio order, together with their cumulative user sets.  When the
-    ground is small enough (or ``verify=True``), each chain set is
-    re-checked by exhaustive SFM to be the maximal minimizer at its
-    critical value; failures raise :class:`InternalConsistencyError`, as
-    does a chain whose critical values are not strictly increasing.
+    The egalitarian engine's levels (see the module docstring), certified
+    once: critical values that do not increase strictly raise
+    :class:`InternalConsistencyError`, and rates outside the region raise
+    :class:`CertificationError` (see :func:`certify`).
     """
     config = config or DEFAULT_CONFIG
-    dec = _egalitarian_chain(f, w, subset, config)
-    crit, masks = dec.critical_values, dec.chain_masks
+    cmask = _subset_mask(f, subset)
+    f_c = restrict(f, cmask)
+    dec = _confirm(f_c, w, _propose(f_c, w, config), config)
+    crit = dec.critical_values
     tol = config.tie_epsilon * max(1.0, max(abs(lam) for lam in crit))
     for a, b in zip(crit, crit[1:]):
         if b - a <= tol:
             raise InternalConsistencyError(
                 "critical values not strictly increasing: %r vs %r" % (a, b))
-
-    cmask = masks[-1]
-    if verify is None:
-        verify = cmask.bit_count() <= config.exhaustive_threshold
-    if verify:
-        f_sub = restrict(f, cmask)
-        for lam_j, s_j in zip(crit, masks):
-            objective = add_modular(f_sub, lam_j * w.values)
-            res = solve_sfm(objective, config, method="exhaustive")
-            if res.maximal_mask != s_j:
-                raise InternalConsistencyError(
-                    "chain set %s is not the maximal minimizer at ratio %r "
-                    "(solver found %s)"
-                    % (subset_label(f.ground, s_j), lam_j,
-                       subset_label(f.ground, res.maximal_mask)))
+    certify(f_c, dec.reconstruct())
     return dec

@@ -1,25 +1,36 @@
 import importlib
+import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from swfair.cli import main
 from swfair.fairness import egalitarian_oracle_fw
 from swfair.setfn import (
     BitPoolSource,
     GroundSet,
     TableSource,
     WeightVector,
+    add_modular,
     bit_indices,
     restrict,
+    source_to_dict,
 )
-from swfair.sfm import DEFAULT_CONFIG, ConvergenceError, SolverConfig
+from swfair.sfm import (
+    DEFAULT_CONFIG,
+    ConvergenceError,
+    SolverConfig,
+    solve_sfm,
+)
 from swfair.split import (
     PROPOSAL_GAP,
     CertificationError,
     Decomposition,
     InternalConsistencyError,
     RateVector,
+    _chain,
     _confirm,
     adaptation_path,
     certify,
@@ -420,6 +431,22 @@ def test_confirm_adversarial_proposals(monkeypatch):
     assert len(fallbacks) > 0
 
 
+def test_confirm_refuses_decreasing_fallback_leaves(monkeypatch):
+    """split's leaves go through the same level rule as the proposal's, so
+    a fallback whose leaf ratios decrease is inconsistent."""
+    rng = np.random.default_rng(53)
+    src, w = twin_bit_pool(rng, 5)
+    rates, tree = split(src, w)
+    levels = levels_of(split_chain(tree))
+    assert len(levels) > 1
+    backwards = SimpleNamespace(leaves=tree.leaves[::-1])
+    monkeypatch.setattr(split_module, "split",
+                        lambda *args, **kwargs: (rates, backwards))
+    with pytest.raises(InternalConsistencyError, match="decrease"):
+        _confirm(restrict(src, src.ground_mask), w, levels[::-1],
+                 DEFAULT_CONFIG)
+
+
 def test_egalitarian_refuses_non_submodular_table():
     g = GroundSet(["1", "2", "3"])
     table = {"1": 1.0, "2": 1.0, "3": 1.0, "1,2": 3.0, "1,3": 1.0,
@@ -436,6 +463,99 @@ def test_egalitarian_refuses_non_submodular_table():
     rates, _ = split(src, w)
     with pytest.raises(CertificationError):
         certify(src, rates)
+
+
+def test_corrupted_chains_are_refused(monkeypatch, capsys, tmp_path):
+    """A chain the confirm step gets wrong is refused, whichever of
+    decompose and egalitarian (library or CLI) returns it: two adjacent
+    levels merged lie outside the region (CertificationError, exit 4); a
+    level cut into two equal-ratio halves, or levels in reverse order, do
+    not increase strictly (InternalConsistencyError, exit 3)."""
+    rng = np.random.default_rng(59)
+    checked = 0
+    for k in range(8):
+        n = 3 + k % 8                           # twins of 6 to 20 users
+        src, w = twin_bit_pool(rng, n)
+        levels = levels_of(decompose(src, w).chain_masks)
+        if len(levels) < 2:
+            continue
+        half = src.ground.full_mask >> n        # the first copy's users
+        corrupted = [
+            ([levels[0] | levels[1]] + levels[2:], CertificationError, 4),
+            ([levels[0] & half, levels[0] & ~half] + levels[1:],
+             InternalConsistencyError, 3),
+            (levels[::-1], InternalConsistencyError, 3),
+        ]
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(source_to_dict(src)))
+        weights = tmp_path / "weights.json"
+        weights.write_text(json.dumps({u: w[u] for u in src.ground.users}))
+        for bad, error, code in corrupted:
+            monkeypatch.setattr(split_module, "_confirm",
+                                lambda f, w, blocks, config, bad=bad:
+                                _chain(f, w, bad))
+            with pytest.raises(error):
+                decompose(src, w)
+            with pytest.raises(error):
+                egalitarian(src, w)
+            for command in ("egalitarian", "decompose"):
+                assert main([command, str(model), "--weights",
+                             str(weights)]) == code
+            monkeypatch.undo()
+        capsys.readouterr()
+        checked += 1
+    assert checked >= 4
+
+
+def min_cut_slack(src, rates):
+    """min over X of H(X) - r(X), by one min cut at any ground size."""
+    objective = add_modular(src, rates.rates)
+    return solve_sfm(objective, SolverConfig(exhaustive_threshold=0)).min_value
+
+
+@st.composite
+def large_weighted_bit_pools(draw):
+    n = draw(st.integers(13, 256))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = min(1.0, draw(st.floats(0.5, 3.0)) / n)
+    src = random_bit_pool(rng, n, observe_prob=p)
+    return src, WeightVector(src.ground, rng.uniform(0.5, 4.0, n))
+
+
+@settings(max_examples=8, deadline=None)
+@given(large_weighted_bit_pools())
+def test_engine_is_certified_by_min_cut_beyond_the_oracle(model):
+    """Where the conditional-gradient oracle is too slow, the engine's rates
+    are checked by Fujishige's certificate: r(V) = H(V), min H - r = 0 by
+    one min cut, and every lower level set of r/w tight.  Merging two
+    adjacent levels of the same chain breaks membership."""
+    src, w = model
+    dec = decompose(src, w)
+    rates = dec.reconstruct()
+    h = src.value(src.ground_mask)
+    tol = 1e-9 * max(1.0, h)
+    assert abs(rates.total() - h) <= tol
+    assert min_cut_slack(src, rates) >= -tol
+
+    ratio = rates.rates / w.values
+    order = np.argsort(ratio, kind="stable")
+    prefix = src.prefix_values(order)
+    sums = np.cumsum(rates.rates[order])
+    gaps = np.diff(ratio[order]) > 1e-12 * max(1.0, ratio.max())
+    ends = [*np.flatnonzero(gaps), len(order) - 1]  # last user of each level
+    assert np.abs(prefix[np.add(ends, 1)] - sums[ends]).max() <= tol
+
+    levels = levels_of(dec.chain_masks)
+    if len(levels) > 1:
+        # merge the pair whose merged rates overshoot H(S_j) the most:
+        # by w(D_j) w(D_j+1) (lam_j+1 - lam_j) / w(D_j | D_j+1)
+        wd = np.array([w.of_mask(d) for d in levels])
+        over = (wd[:-1] * wd[1:] * np.diff(dec.critical_values)
+                / (wd[:-1] + wd[1:]))
+        j = int(np.argmax(over))
+        merged = levels[:j] + [levels[j] | levels[j + 1]] + levels[j + 2:]
+        bad = _chain(restrict(src, src.ground_mask), w, merged).reconstruct()
+        assert min_cut_slack(src, bad) < -tol
 
 
 def test_egalitarian_iteration_cap_is_a_convergence_error():
