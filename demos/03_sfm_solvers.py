@@ -1,11 +1,13 @@
 """The SFM engine behind every split: exhaustive sweep, min cut, min-norm point.
 
-Minimizing f(X) - lam*w(X) over subsets is the workhorse subproblem.  Small
-blocks are swept exhaustively.  Large blocks of a bit-pool source are one
-project-selection min cut, read off a max-flow's residual graph; large
-blocks of any other oracle go through the Fujishige-Wolfe
-minimum-norm-point algorithm, whose fractional output rounds to the same
-lattice-extreme minimizers.
+Minimizing f(X) - lam*w(X) over subsets is the workhorse subproblem.
+solve_sfm picks the solver from the oracle: a bit-pool block above 12 users
+is one project-selection min cut, read off a max-flow's residual graph;
+any other block of at most 16 users is swept exhaustively, and larger ones
+go through the Fujishige-Wolfe minimum-norm-point algorithm, whose
+fractional output rounds to the same lattice-extreme minimizers.  On this
+14-user model the default choice is the min cut, and ``method=`` asks for
+the other two.
 """
 
 import numpy as np
@@ -21,7 +23,7 @@ from swfair import (
 from swfair.experiment import ExperimentConfig, generate_instance
 
 cfg = ExperimentConfig(seed=42)
-source = generate_instance(10, cfg, rep_index=1)
+source = generate_instance(14, cfg, rep_index=1)
 n = source.ground.n
 w = WeightVector.ones(source.ground)
 
@@ -31,8 +33,9 @@ print("instance: %d users, %d bits, H(V) = %.3f, lam = %.4f"
       % (n, len(source.bit_ids), source.value(source.ground_mask), lam))
 
 exhaustive = solve_sfm(objective, method="exhaustive")
-# with no exhaustive sweep, a bit-pool objective goes to the min cut
-min_cut = solve_sfm(objective, SolverConfig(exhaustive_threshold=0))
+# a bit-pool objective above 12 users goes to the min cut by default
+min_cut = solve_sfm(objective)
+assert min_cut.solver_used == "min_cut"
 min_norm = solve_sfm(objective, method="min_norm_point")
 for res in (exhaustive, min_cut, min_norm):
     print("%-15s min=%.6f  minimal={%s}  maximal={%s}  (%d oracle evals)" % (

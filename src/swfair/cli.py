@@ -36,7 +36,7 @@ from .setfn import (
     check_submodular,
     load_source,
 )
-from .sfm import ConvergenceError, SolverConfig
+from .sfm import ConvergenceError
 from .split import (
     CertificationError,
     InternalConsistencyError,
@@ -86,7 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", metavar="PATH",
                    help="run the recursive splitter and write its tree and, "
                         "up to 64 users, the adaptation path as JSON")
-    add_solver_args(p)
     add_output_args(p)
     p.set_defaults(func=cmd_egalitarian)
 
@@ -113,7 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="critical ratios and tight-set chain")
     p.add_argument("source")
     add_weight_args(p)
-    add_solver_args(p)
     add_output_args(p)
     p.set_defaults(func=cmd_decompose)
 
@@ -146,30 +144,11 @@ def add_weight_args(p):
                         "default all 1")
 
 
-def add_solver_args(p):
-    p.add_argument("--exhaustive-threshold", type=int, default=16,
-                   help="largest SFM ground swept exhaustively (at most 20); "
-                        "above it bit pools use a min cut and other sources "
-                        "min-norm point (default 16)")
-    p.add_argument("--tie-epsilon", type=float, default=1e-9)
-    p.add_argument("--mnp-gap-tolerance", type=float, default=1e-10)
-    p.add_argument("--max-iterations", type=int, default=20000)
-
-
 def add_output_args(p):
     p.add_argument("--json", action="store_true",
                    help="machine-parseable JSON on stdout")
     p.add_argument("--out", metavar="PATH", default=None,
                    help="also write the primary output to a file")
-
-
-def solver_config(args) -> SolverConfig:
-    return SolverConfig(
-        exhaustive_threshold=args.exhaustive_threshold,
-        tie_epsilon=args.tie_epsilon,
-        mnp_gap_tolerance=args.mnp_gap_tolerance,
-        max_iterations=args.max_iterations,
-    )
 
 
 def parse_weights(source: SetFunction, spec: str | None) -> WeightVector:
@@ -210,15 +189,14 @@ def rates_text(rates: RateVector) -> str:
 def cmd_egalitarian(args) -> int:
     source = load_source(args.source)
     w = parse_weights(source, args.weights)
-    config = solver_config(args)
     if args.trace:
-        rates, tree = split(source, w, config=config)
+        rates, tree = split(source, w)
         certify(source, rates)
         trace = json.dumps(tree.to_dict(), indent=2)
         with open(args.trace, "w") as fh:
             fh.write(trace)
     else:
-        rates = egalitarian(source, w, config=config)
+        rates = egalitarian(source, w)
     doc = {"rates": rates.as_dict(), "sum_rate": rates.total(),
            "weights": {u: w[u] for u in source.ground.users}}
     emit(args, doc, rates_text(rates))
@@ -258,6 +236,8 @@ def cmd_verify(args) -> int:
         if user not in source.ground.index:
             raise ValueError("rates file names unknown user %r" % user)
         rates[source.ground.index[user]] = float(value)
+    if not np.isfinite(rates).all():
+        raise ValueError("rates must be finite")
     report = verify_membership(source, rates, args.tolerance)
     out = report.to_dict()
     text = ("member" if report.in_region else "NOT a member") + \
@@ -271,7 +251,7 @@ def cmd_verify(args) -> int:
 def cmd_decompose(args) -> int:
     source = load_source(args.source)
     w = parse_weights(source, args.weights)
-    dec = decompose(source, w, config=solver_config(args))
+    dec = decompose(source, w)
     doc = dec.to_dict()
     lines = ["lambda_%d = %-12.10g  S_%d = {%s}" % (
         j + 1, lam, j + 1, ",".join(sorted(chain)))

@@ -15,12 +15,12 @@ import io
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .setfn import BitPoolSource, GroundSet, WeightVector
-from .sfm import ConvergenceError, SolverConfig
+from .sfm import ConvergenceError
 from .split import recursion_metrics, split
 
 logger = logging.getLogger(__name__)
@@ -39,8 +39,6 @@ class ExperimentConfig:
     observers_per_bit: float | None = 1.5
     entropy_range: tuple = (0.0, 1.0)
     measure_time: bool = True
-    solver: SolverConfig = field(default_factory=lambda: SolverConfig(
-        exhaustive_threshold=12))
 
     def __post_init__(self):
         if self.n_min < 2:
@@ -137,7 +135,7 @@ def run_experiment(config: ExperimentConfig):
             w = WeightVector.ones(src.ground)
             try:
                 t0 = time.perf_counter()
-                _, tree = split(src, w, config=config.solver)
+                _, tree = split(src, w)
                 t1 = time.perf_counter()
             except ConvergenceError as e:
                 excluded += 1

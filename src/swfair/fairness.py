@@ -21,10 +21,10 @@ import numpy as np
 from .setfn import (
     BRUTE_FORCE_LIMIT,
     CountingFunction,
-    GroundSetTooLargeError,
     SetFunction,
     WeightVector,
     bit_indices,
+    exhaustive_ground,
     global_mask,
     greedy_vertex_local,
     modular_sums,
@@ -41,12 +41,9 @@ def shapley_exact(f: SetFunction, limit: int = BRUTE_FORCE_LIMIT) -> RateVector:
     computed by one sweep over all 2^n subsets.  Refused above ``limit``
     elements; use :func:`shapley_sampled` there instead.
     """
-    elems = bit_indices(f.ground_mask)
+    elems = exhaustive_ground(f, limit,
+                              "exact Shapley (shapley_sampled is not)")
     c = len(elems)
-    if c > limit:
-        raise GroundSetTooLargeError(
-            "exact Shapley needs a 2^n sweep; %d elements exceeds limit %d "
-            "(use shapley_sampled)" % (c, limit))
     vals = f.all_values(elems)
     submasks = np.arange(1 << c, dtype=np.uint32)
     sizes = np.bitwise_count(submasks).astype(np.intp)
@@ -68,10 +65,8 @@ def shapley_permutation_average(f: SetFunction, limit: int = 10) -> RateVector:
     Mathematically identical to :func:`shapley_exact`; kept as an
     independent cross-check route (and for the CLI's enumerate-all mode).
     """
-    elems = np.asarray(bit_indices(f.ground_mask), dtype=np.intp)
-    if len(elems) > limit:
-        raise GroundSetTooLargeError(
-            "full permutation enumeration refused above %d elements" % limit)
+    elems = np.asarray(exhaustive_ground(f, limit, "permutation enumeration"),
+                       dtype=np.intp)
     acc = np.zeros(f.ground.n)
     count = 0
     for perm in itertools.permutations(range(len(elems))):
@@ -126,14 +121,14 @@ def verify_membership(f: SetFunction, r, tolerance: float = 1e-8,
     Tests every lower constraint r(X) >= f(C) - f(C without X), the sum
     constraint |r(C) - f(C)| <= tolerance, and cross-checks the equivalent
     upper form r(X) <= f(X).  Reports the tightest (or most violated)
-    constraint subset and its slack.
+    constraint subset and its slack.  A tolerance that is not finite and
+    nonnegative raises ValueError.
     """
-    elems = bit_indices(f.ground_mask)
+    if not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise ValueError("tolerance must be finite and >= 0, got %r"
+                         % tolerance)
+    elems = exhaustive_ground(f, limit, "membership verification")
     c = len(elems)
-    if c > limit:
-        raise GroundSetTooLargeError(
-            "membership verification is exhaustive; %d elements exceeds "
-            "limit %d" % (c, limit))
     rates = r.rates if isinstance(r, RateVector) else np.asarray(r, dtype=float)
     vals = f.all_values(elems)
     full = (1 << c) - 1
@@ -161,12 +156,8 @@ def exchange_capacity(f: SetFunction, r, donor: str, receiver: str,
     donor; zero means the receiver's rate cannot be raised at the donor's
     expense.
     """
-    elems = bit_indices(f.ground_mask)
+    elems = exhaustive_ground(f, limit, "exchange capacity")
     c = len(elems)
-    if c > limit:
-        raise GroundSetTooLargeError(
-            "exchange capacity is exhaustive; %d elements exceeds limit %d"
-            % (c, limit))
     rates = r.rates if isinstance(r, RateVector) else np.asarray(r, dtype=float)
     pos = {e: k for k, e in enumerate(elems)}
     bit_r = np.uint32(1 << pos[f.ground.index[receiver]])

@@ -23,6 +23,7 @@ per evaluation and keep the fast vectorized paths of the underlying source.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from typing import Iterable, Mapping, Sequence
@@ -635,53 +636,66 @@ def _order_indices(f: SetFunction, order) -> np.ndarray:
     return np.asarray(idx, dtype=np.intp)
 
 
+def exhaustive_ground(f: SetFunction, limit: int, what: str) -> list[int]:
+    """Positions of f's ground for a 2^n sweep, refused above ``limit``.
+
+    ``what`` names the operation in the :class:`GroundSetTooLargeError`.
+    """
+    elems = bit_indices(f.ground_mask)
+    if len(elems) > limit:
+        raise GroundSetTooLargeError(
+            "%s is exhaustive; %d elements exceeds limit %d"
+            % (what, len(elems), limit))
+    return elems
+
+
 def check_submodular(f: SetFunction, limit: int = BRUTE_FORCE_LIMIT):
     """Exhaustively test diminishing returns; O(2^n * n^2), gated by size.
 
-    Returns (True, None) or (False, (X, Y, i)) with a witness triple where
-    the marginal of i onto X is strictly below its marginal onto Y despite
-    X being a subset of Y.
+    Returns (True, None) or (False, (X, Y, i)): the marginal of i onto X is
+    strictly below its marginal onto Y = X + j, for the first such (X, i, j)
+    in that order.  Each pair of elements is one pass over every X.
     """
-    elems = bit_indices(f.ground_mask)
-    c = len(elems)
-    if c > limit:
-        raise GroundSetTooLargeError(
-            "submodularity check is exhaustive; %d elements exceeds limit %d"
-            % (c, limit))
+    elems = exhaustive_ground(f, limit, "submodularity check")
     vals = f.all_values(elems)
-    for lm in range(1 << c):
-        for a in range(c):
-            if lm >> a & 1:
-                continue
-            m_a = vals[lm | 1 << a] - vals[lm]
-            for b in range(c):
-                if b == a or lm >> b & 1:
-                    continue
-                if vals[lm | 1 << a | 1 << b] - vals[lm | 1 << b] > m_a + 1e-12:
-                    X = global_mask(lm, elems)
-                    Y = X | 1 << elems[b]
-                    return False, (f.ground.users_of(X), f.ground.users_of(Y),
-                                   f.ground.users[elems[a]])
-    return True, None
+    masks = np.arange(1 << len(elems))
+    hits = []
+    for a, b in itertools.combinations(range(len(elems)), 2):
+        ma, mb = 1 << a, 1 << b
+        X = masks[(masks & (ma | mb)) == 0]
+        v, va, vb, vab = vals[X], vals[X | ma], vals[X | mb], vals[X | ma | mb]
+        for i, j, hit in ((a, b, vab - vb > (va - v) + 1e-12),
+                          (b, a, vab - va > (vb - v) + 1e-12)):
+            if hit.any():
+                hits.append((int(X[hit.argmax()]), i, j))
+    if not hits:
+        return True, None
+    lm, i, j = min(hits)
+    X = global_mask(lm, elems)
+    return False, (f.ground.users_of(X), f.ground.users_of(X | 1 << elems[j]),
+                   f.ground.users[elems[i]])
 
 
 def check_monotone(f: SetFunction, limit: int = BRUTE_FORCE_LIMIT):
-    """Exhaustively test that single-element marginals are nonnegative."""
-    elems = bit_indices(f.ground_mask)
-    c = len(elems)
-    if c > limit:
-        raise GroundSetTooLargeError(
-            "monotonicity check is exhaustive; %d elements exceeds limit %d"
-            % (c, limit))
+    """Exhaustively test that single-element marginals are nonnegative.
+
+    Returns (True, None) or (False, (X, i)) for the first violation in the
+    order of (X, i), each element tested in one vectorized pass.
+    """
+    elems = exhaustive_ground(f, limit, "monotonicity check")
     vals = f.all_values(elems)
-    for lm in range(1 << c):
-        for a in range(c):
-            if lm >> a & 1:
-                continue
-            if vals[lm | 1 << a] < vals[lm] - 1e-12:
-                X = global_mask(lm, elems)
-                return False, (f.ground.users_of(X), f.ground.users[elems[a]])
-    return True, None
+    masks = np.arange(1 << len(elems))
+    hits = []
+    for a in range(len(elems)):
+        X = masks[(masks & 1 << a) == 0]
+        hit = vals[X | 1 << a] < vals[X] - 1e-12
+        if hit.any():
+            hits.append((int(X[hit.argmax()]), a))
+    if not hits:
+        return True, None
+    lm, a = min(hits)
+    return False, (f.ground.users_of(global_mask(lm, elems)),
+                   f.ground.users[elems[a]])
 
 
 # ---------------------------------------------------------------------------

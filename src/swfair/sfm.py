@@ -1,18 +1,20 @@
 """Submodular function minimization with lattice-extreme minimizers.
 
-Three solver paths share one result type:
+Three solver paths share one result type; :func:`solve_sfm` picks one by
+the oracle and its ground size:
 
-* exhaustive enumeration for small grounds, which recovers the exact minimum
-  and the minimal/maximal minimizers as the intersection/union of all tied
-  minimizing subsets (the minimizer family of a submodular function is a
-  lattice, so those are its bottom and top);
-* an exact minimum cut for larger grounds over a bit-pool source: the
-  objective is a weighted coverage function minus a modular one, so its
-  minimization is a project-selection problem (Rhys, "A selection problem
-  of shared fixed costs and network flows", Mgmt. Sci. 1970; Picard,
-  "Maximal closure of a graph and applications to combinatorial problems",
-  Mgmt. Sci. 1976), solved by one max-flow in :mod:`swfair.flow`, in
-  strongly polynomial time;
+* an exact minimum cut for a view of a bit-pool source above
+  ``MIN_CUT_ABOVE`` (12) users: the objective is a weighted coverage
+  function minus a modular one, so its minimization is a project-selection
+  problem (Rhys, "A selection problem of shared fixed costs and network
+  flows", Mgmt. Sci. 1970; Picard, "Maximal closure of a graph and
+  applications to combinatorial problems", Mgmt. Sci. 1976), solved by one
+  max-flow in :mod:`swfair.flow`, in strongly polynomial time;
+* otherwise, exhaustive enumeration up to ``EXHAUSTIVE_UP_TO`` (16) users,
+  which recovers the exact minimum and the minimal/maximal minimizers as
+  the intersection/union of all tied minimizing subsets (the minimizer
+  family of a submodular function is a lattice, so those are its bottom
+  and top);
 * the Fujishige-Wolfe minimum-norm-point algorithm for larger grounds over
   any other oracle, driven by the greedy linear-minimization oracle over
   the base polyhedron.
@@ -50,26 +52,36 @@ class ConvergenceError(RuntimeError):
         self.recursion_path = None
 
 
+# Bit-pool views above this many users take the min cut.  On seed-0
+# ``sweep`` sub-blocks the median solve took 0.38 / 0.62 / 4.00 ms by the
+# sweep against 0.40 / 0.44 / 0.53 ms by the min cut at 12 / 13 / 16 users,
+# and the median ``split`` of the 128 ``sweep`` models 0.0141 s with the
+# cut above 16 users, 0.0122 s above 12 and 0.0149 s at every size.
+MIN_CUT_ABOVE = 12
+
+# Any other ground up to this many users is swept, which is exact where
+# Wolfe stops at a gap: on bit-pool values behind an opaque oracle the
+# median sweep took 0.78 / 3.7 / 16 ms at 14 / 16 / 18 users and Wolfe
+# 1.7 / 2.3 / 2.4 ms (8 random models per size).  All times: perf_counter,
+# 2 vCPUs.
+EXHAUSTIVE_UP_TO = 16
+
+
 @dataclass
 class SolverConfig:
-    """Tolerances and dispatch thresholds shared by all solvers.
+    """Tolerances shared by all solvers.
 
-    Grounds of at most exhaustive_threshold elements are swept
-    exhaustively; above it, bit-pool oracles are minimized by a min cut and
-    every other oracle by min-norm point.  The threshold is capped at 20 to
-    bound the 2^n sweep.  tie_epsilon is relative to the largest |f|
-    magnitude observed in a solve (for the min cut, to the larger of the
-    entropy it can cover and the sum of |coefficient|).
+    tie_epsilon is relative to the largest |f| magnitude observed in a
+    solve (for the min cut, to the larger of the entropy it can cover and
+    the sum of |coefficient|); mnp_gap_tolerance is Wolfe's relative gap
+    and max_iterations its cap on major cycles.
     """
 
-    exhaustive_threshold: int = 16
     tie_epsilon: float = 1e-9
     mnp_gap_tolerance: float = 1e-10
     max_iterations: int = 20000
 
     def __post_init__(self):
-        if self.exhaustive_threshold > 20:
-            raise ValueError("exhaustive_threshold must be <= 20")
         if min(self.tie_epsilon, self.mnp_gap_tolerance) <= 0.0:
             raise ValueError("tolerances must be positive")
         if self.max_iterations < 1:
@@ -107,25 +119,23 @@ def solve_sfm(f: SetFunction, config: SolverConfig | None = None,
               method: str | None = None) -> SfmResult:
     """Minimize f over all subsets of its ground (empty set included).
 
-    Dispatches to the exhaustive sweep when the ground is at most
-    ``config.exhaustive_threshold`` elements, otherwise to the min-cut path
-    if f is a view of a :class:`BitPoolSource` and to the min-norm-point
-    path if not; ``method`` ("exhaustive" or "min_norm_point") overrides
-    dispatch.  The min-norm path assumes f is submodular; the other two do
-    not need to.
+    A view of a :class:`BitPoolSource` above ``MIN_CUT_ABOVE`` users goes
+    to the min cut, any other ground of at most ``EXHAUSTIVE_UP_TO`` users
+    to the exhaustive sweep, and anything larger to min-norm point;
+    ``method`` ("exhaustive" or "min_norm_point") overrides that choice.
+    The min-norm path assumes f is submodular; the other two do not need
+    to.
     """
     config = config or DEFAULT_CONFIG
     elems = bit_indices(f.ground_mask)
     if not elems:
         return SfmResult(0.0, frozenset(), frozenset(), "exhaustive", 0, 0)
     if method is None:
-        if len(elems) <= config.exhaustive_threshold:
-            method = "exhaustive"
-        else:
-            cut = coverage_cut(f, elems)
-            if cut is not None:
-                return _solve_min_cut(f, elems, cut, config)
-            method = "min_norm_point"
+        cut = coverage_cut(f, elems) if len(elems) > MIN_CUT_ABOVE else None
+        if cut is not None:
+            return _solve_min_cut(f, elems, cut, config)
+        method = ("exhaustive" if len(elems) <= EXHAUSTIVE_UP_TO
+                  else "min_norm_point")
     if method == "exhaustive":
         return _solve_exhaustive(f, elems, config)
     if method == "min_norm_point":

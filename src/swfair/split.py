@@ -23,8 +23,9 @@ the point is only approximate, and each proposed block is then confirmed
 by split's own test on its minor (the block, after the blocks before it
 are contracted): a uniform block is one leaf, and any other block is split
 further by the recursion.  If the leaf ratios do not increase along the
-blocks, the engine runs :func:`split` instead and merges its leaves by the
-same rule, so every answer meets the leaf criterion that split meets.
+blocks, the engine logs it on ``swfair.split`` and runs :func:`split`
+instead, merging its leaves by the same rule, so every answer meets the
+leaf criterion that split meets.
 
 One certificate guards every answer: every chain set is tight by
 construction, the critical values must increase strictly
@@ -42,6 +43,7 @@ r_i = lam_j * w_i on level D_j.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -68,6 +70,7 @@ from .sfm import (
     solve_sfm,
 )
 
+logger = logging.getLogger(__name__)
 
 # adaptation_path materializes one rate vector per base assignment, so it
 # refuses larger grounds unless forced, and the JSON tree leaves it out.
@@ -320,6 +323,8 @@ def _confirm(f, w, blocks, config) -> Decomposition:
         done |= block
     levels = _levels(leaves, config)
     if levels is None:
+        logger.info("proposed leaf ratios decrease on %s; running split",
+                    subset_label(f.ground, f.ground_mask))
         _, tree = split(f, w, config=config)
         levels = _levels(tree.leaves, config)
         if levels is None:
@@ -372,7 +377,7 @@ def certify(f: SetFunction, rates: RateVector) -> None:
     r is in the region iff r(C) = f(C) and f(X) - r(X) >= 0 for every X,
     both to within 1e-8 * max(1, |r(C)|).  The minimum of f - r is one
     exhaustive SFM, so the check runs only up to ``BRUTE_FORCE_LIMIT``
-    users, whatever solver settings produced the rates; above that it does
+    users, whichever solver produced the rates; above that it does
     nothing.  A failure raises :class:`CertificationError`.
     """
     cmask = rates.subset_mask

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from swfair.setfn import BitPoolSource, GroundSet, WeightVector
+from swfair.setfn import BitPoolSource, GroundSet, SetFunction, WeightVector
 
 
 @pytest.fixture
@@ -61,3 +61,22 @@ def twin_bit_pool(rng, n):
     src = BitPoolSource(GroundSet(users), bits, observes)
     w_one = rng.uniform(0.5, 4.0, n)
     return src, WeightVector(src.ground, np.concatenate([w_one, w_one]))
+
+
+class OpaquePool(SetFunction):
+    """A bit pool's values behind an oracle that coverage_cut does not
+    recognise, so solve_sfm sends its grounds above 16 users to Wolfe."""
+
+    def __init__(self, pool):
+        self.pool = pool
+        self.ground = pool.ground
+        self.ground_mask = pool.ground_mask
+
+    def value(self, mask):
+        return self.pool.value(mask)
+
+    def prefix_values(self, order, base=0):
+        return self.pool.prefix_values(order, base)
+
+    def all_values(self, elements, base=0):
+        return self.pool.all_values(elements, base)

@@ -1,9 +1,14 @@
+import importlib
 import json
 
 import pytest
 
 from swfair.cli import main
+from swfair.sfm import SolverConfig
 from swfair.experiment import CSV_HEADER
+
+# the package re-exports the function split under the module's name
+split_module = importlib.import_module("swfair.split")
 
 MODEL = {
     "type": "bit_pool",
@@ -87,9 +92,10 @@ def test_bad_weights_exit_2(capsys, model_file):
     assert "weights" in err
 
 
-def test_solver_failure_exits_3(capsys, model_file):
-    code, _, err = run(capsys, "egalitarian", model_file,
-                       "--exhaustive-threshold", "2", "--max-iterations", "1")
+def test_solver_failure_exits_3(capsys, model_file, monkeypatch):
+    monkeypatch.setattr(split_module, "DEFAULT_CONFIG",
+                        SolverConfig(max_iterations=1))
+    code, _, err = run(capsys, "egalitarian", model_file)
     assert code == 3
     assert "solver" in err
 
@@ -155,6 +161,27 @@ def test_verify_rejects_zero_rates(capsys, model_file, tmp_path):
     code, out, _ = run(capsys, "verify", model_file, str(rates_path))
     assert code == 4
     assert "NOT" in out
+
+
+@pytest.mark.parametrize("tolerance, rates", [
+    ("nan", None), ("-1", None), ("inf", {"1": 100, "2": 100, "3": 100}),
+    ("1e-8", {"1": float("nan"), "2": 0.3, "3": 0.3}),
+], ids=["nan-tolerance", "negative-tolerance", "inf-tolerance", "nan-rate"])
+def test_verify_refuses_non_finite_input(capsys, model_file, tmp_path,
+                                         tolerance, rates):
+    """A tolerance that is not finite and nonnegative, or a non-finite
+    rate, is an input error, not a verdict."""
+    rates_path = tmp_path / "rates.json"
+    if rates is None:
+        run(capsys, "egalitarian", model_file, "--json",
+            "--out", str(rates_path))
+    else:
+        rates_path.write_text(json.dumps(rates))
+    code, out, err = run(capsys, "verify", model_file, str(rates_path),
+                         "--tolerance", tolerance)
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
 
 
 def test_decompose(capsys, model_file):
@@ -277,8 +304,7 @@ def test_non_submodular_table_is_refused(capsys, tmp_path):
                                         "1,2,3": 3.0}}))
     trace = tmp_path / "t.json"
     for args in (("egalitarian",), ("decompose",),
-                 ("egalitarian", "--trace", str(trace)),
-                 ("egalitarian", "--exhaustive-threshold", "0")):
+                 ("egalitarian", "--trace", str(trace))):
         code, out, err = run(capsys, args[0], str(p), "--json", *args[1:])
         assert code == 4
         assert out == ""

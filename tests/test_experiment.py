@@ -62,7 +62,7 @@ def test_tree_nodes_partition_their_parent():
     cfg = small_config()
     for rep in range(4):
         src = generate_instance(6, cfg, rep)
-        _, tree = split(src, WeightVector.ones(src.ground), config=cfg.solver)
+        _, tree = split(src, WeightVector.ones(src.ground))
         stack = [tree.root]
         while stack:
             node = stack.pop()

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -299,6 +300,53 @@ def test_check_submodular(three_users):
     big_src = BitPoolSource(big, {"a": 1.0}, {u: ["a"] for u in big})
     with pytest.raises(GroundSetTooLargeError):
         check_submodular(big_src)
+
+
+def loop_witnesses(f):
+    """check_submodular's and check_monotone's witnesses by a plain loop
+    over (X, a, b) and (X, a), with the same float expressions."""
+    elems = bit_indices(f.ground_mask)
+    c = len(elems)
+    vals = f.all_values(elems)
+    sub = mono = None
+    for lm in range(1 << c):
+        for a in range(c):
+            if lm >> a & 1:
+                continue
+            if mono is None and vals[lm | 1 << a] < vals[lm] - 1e-12:
+                mono = (f.ground.users_of(global_mask(lm, elems)),
+                        f.ground.users[elems[a]])
+            m_a = vals[lm | 1 << a] - vals[lm]
+            for b in range(c):
+                if sub is not None or b == a or lm >> b & 1:
+                    continue
+                if vals[lm | 1 << a | 1 << b] - vals[lm | 1 << b] > m_a + 1e-12:
+                    X = global_mask(lm, elems)
+                    sub = (f.ground.users_of(X),
+                           f.ground.users_of(X | 1 << elems[b]),
+                           f.ground.users[elems[a]])
+    return sub, mono
+
+
+def test_check_witnesses_match_a_plain_loop():
+    rng = np.random.default_rng(83)
+    seen = Counter()
+    for k in range(12):
+        n = 4 + k % 5
+        pool = random_bit_pool(rng, n)
+        values = {m: pool.value(m) for m in range(1, 1 << n)}
+        # a few bumps up and down on larger subsets break both properties
+        # somewhere past the first masks of the loop order
+        for m in rng.integers(1 << (n - 2), 1 << n, size=3):
+            values[int(m)] += rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+        table = TableSource(pool.ground, values)
+        keep = pool.ground_mask & ~(1 << int(rng.integers(n)))
+        for f in (table, restrict(table, keep)):
+            sub, mono = loop_witnesses(f)
+            assert check_submodular(f) == (sub is None, sub)
+            assert check_monotone(f) == (mono is None, mono)
+            seen.update(sub=sub is not None, mono=mono is not None)
+    assert seen["sub"] >= 12 and seen["mono"] >= 6
 
 
 def test_weight_vector(three_users):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from swfair.cli import build_parser
 from swfair.setfn import (
     GroundSet,
     TableSource,
@@ -9,11 +10,14 @@ from swfair.setfn import (
     add_modular,
     bit_indices,
     greedy_vertex_local,
+    mask_from_indices,
     reduce,
     restrict,
 )
 from swfair.sfm import (
     CONVERGED,
+    EXHAUSTIVE_UP_TO,
+    MIN_CUT_ABOVE,
     ConvergenceError,
     SfmResult,
     SolverConfig,
@@ -21,7 +25,7 @@ from swfair.sfm import (
     min_norm_point,
     solve_sfm,
 )
-from conftest import random_bit_pool, twin_bit_pool
+from conftest import OpaquePool, random_bit_pool, twin_bit_pool
 
 
 def shifted(src, coeffs):
@@ -132,41 +136,43 @@ def test_exhaustive_and_min_norm_agree():
         assert mn.maximal_minimizer == ex.maximal_minimizer
 
 
-# threshold 0 sends every nonempty ground of a bit-pool view to the min cut
-MIN_CUT = SolverConfig(exhaustive_threshold=0)
-
-
 def assert_min_cut_matches(f, ref_method, tol):
     ref = solve_sfm(f, method=ref_method)
-    cut = solve_sfm(f, MIN_CUT)
+    cut = solve_sfm(f)
     assert cut.solver_used == "min_cut"
     assert abs(cut.min_value - ref.min_value) <= tol
     assert cut.minimal_mask == ref.minimal_mask
     assert cut.maximal_mask == ref.maximal_mask
 
 
+def weighted_pool(rng, n, twin):
+    """A random bit pool of n users, or a twin of at least n, with weights."""
+    if twin:
+        return twin_bit_pool(rng, (n + 1) // 2)
+    src = random_bit_pool(rng, n, observe_prob=rng.uniform(0.1, 0.6))
+    return src, WeightVector(src.ground, rng.uniform(0.5, 4.0, n))
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 16), st.integers(0, 2**32 - 1), st.booleans())
+@given(st.integers(MIN_CUT_ABOVE + 1, EXHAUSTIVE_UP_TO),
+       st.integers(0, 2**32 - 1), st.booleans())
 def test_min_cut_matches_exhaustive(n, seed, twin):
     rng = np.random.default_rng(seed)
-    if twin and n > 1:
-        src, w = twin_bit_pool(rng, n // 2)
-    else:
-        src = random_bit_pool(rng, n, observe_prob=rng.uniform(0.1, 0.6))
-        w = WeightVector(src.ground, rng.uniform(0.5, 4.0, n))
-    n = src.ground.n
+    src, w = weighted_pool(rng, n, twin)
     tol = 1e-9 * max(1.0, src.value(src.ground_mask))
     # split's ratio, at which the empty and the full set tie, and another
     lam = src.value(src.ground_mask) / w.values.sum()
     for scale in (1.0, rng.uniform(-0.5, 1.5)):
         assert_min_cut_matches(add_modular(src, scale * lam * w.values),
                                "exhaustive", tol)
-    if n < 3:
-        return
-    # the views split builds: a contracted pivot, a restriction, a shift
-    g = reduce(src, int(rng.integers(1, src.ground_mask)), w)
-    sub = g.ground_mask & int(rng.integers(1, 1 << n)) or g.ground_mask
-    g = restrict(g, sub)
+    # the views split builds: a contracted pivot, a restriction, a shift,
+    # on a larger pool whose spare users are the pivot or restricted away
+    src, w = weighted_pool(rng, n + int(rng.integers(1, 4)), twin)
+    spare = rng.permutation(src.ground.n)[:src.ground.n - n].tolist()
+    pivot = mask_from_indices(spare[:int(rng.integers(1, len(spare) + 1))])
+    g = restrict(reduce(src, pivot, w),
+                 src.ground_mask & ~mask_from_indices(spare))
+    sub = g.ground_mask
     lam = g.value(sub) / w.of_mask(sub)
     assert_min_cut_matches(add_modular(g, lam * w.values), "exhaustive", tol)
 
@@ -182,20 +188,37 @@ def test_min_cut_matches_min_norm_up_to_100_users():
                                    "min_norm_point", 1e-7)
 
 
-def test_min_cut_dispatch():
+def test_dispatch_rule_at_its_edges():
+    """Bit-pool views above 12 users take the min cut, which calls no
+    oracle; other grounds up to 16 users are swept, and larger ones go to
+    Wolfe.  The CLI offers no solver flags."""
     rng = np.random.default_rng(41)
-    src = random_bit_pool(rng, 6)
-    f = shifted(src, 0.5 * np.ones(6))
-    above = SolverConfig(exhaustive_threshold=5)
-    assert solve_sfm(f, above).solver_used == "min_cut"
-    assert solve_sfm(f).solver_used == "exhaustive"
-    # the min cut reads the incidence, pivot included, and calls no oracle
-    assert solve_sfm(f, above).oracle_evals == 0
-    g = reduce(src, 1, WeightVector.ones(src.ground))
-    assert solve_sfm(g, MIN_CUT).oracle_evals == 0
-    table = TableSource(src.ground, {m: src.value(m) for m in range(1, 64)})
-    assert solve_sfm(shifted(table, 0.5 * np.ones(6)), above).solver_used \
-        == "min_norm_point"
+    src = random_bit_pool(rng, 14)
+    w = WeightVector.ones(src.ground)
+    for keep, solver in ((12, "exhaustive"), (13, "min_cut")):
+        direct = restrict(src, (1 << keep) - 1)
+        # the pivot's incidence is read by the min cut as well
+        view = restrict(reduce(src, 1 << 13, w), (1 << keep) - 1)
+        for f in (direct, view):
+            res = solve_sfm(shifted(f, 0.5 * np.ones(14)))
+            assert res.solver_used == solver
+            assert solver == "exhaustive" or res.oracle_evals == 0
+    pool = random_bit_pool(rng, 13)
+    table = TableSource(pool.ground,
+                        {m: pool.value(m) for m in range(1, 1 << 13)})
+    assert solve_sfm(shifted(table, 0.5 * np.ones(13))).solver_used \
+        == "exhaustive"
+    big = random_bit_pool(rng, 17, observe_prob=0.1)
+    for keep, solver in ((16, "exhaustive"), (17, "min_norm_point")):
+        opaque = restrict(OpaquePool(big), (1 << keep) - 1)
+        assert solve_sfm(shifted(opaque, 0.1 * np.ones(17))).solver_used \
+            == solver
+    parser = build_parser()
+    for command in ("egalitarian", "decompose"):
+        for flag in ("--exhaustive-threshold", "--tie-epsilon",
+                     "--mnp-gap-tolerance", "--max-iterations"):
+            with pytest.raises(SystemExit):
+                parser.parse_args([command, "model.json", flag, "1"])
 
 
 def test_min_norm_extraction_on_example(three_users):
@@ -267,8 +290,6 @@ def test_wolfe_converged_means_gap_test_passed():
 
 
 def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(exhaustive_threshold=25)
     with pytest.raises(ValueError):
         SolverConfig(tie_epsilon=0.0)
     with pytest.raises(ValueError):

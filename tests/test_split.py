@@ -1,5 +1,6 @@
 import importlib
 import json
+import logging
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,6 +21,7 @@ from swfair.setfn import (
 )
 from swfair.sfm import (
     DEFAULT_CONFIG,
+    MIN_CUT_ABOVE,
     ConvergenceError,
     SolverConfig,
     solve_sfm,
@@ -38,8 +40,9 @@ from swfair.split import (
     egalitarian,
     recursion_metrics,
     split,
+    subset_label,
 )
-from conftest import random_bit_pool, twin_bit_pool
+from conftest import OpaquePool, random_bit_pool, twin_bit_pool
 
 # the package re-exports the function split under the module's name
 split_module = importlib.import_module("swfair.split")
@@ -85,15 +88,14 @@ def test_split_refuses_nan_weight():
 
 
 def test_split_annotates_convergence_failures():
-    # Bit pools above the threshold take the exact min cut, which has no
-    # iteration cap, so Wolfe is starved on a table of the same values.
+    # Bit pools take the exact min cut, which has no iteration cap, so
+    # Wolfe is starved on an opaque oracle of the same values.
     rng = np.random.default_rng(67)
-    src = random_bit_pool(rng, 8)
+    src = random_bit_pool(rng, 20, observe_prob=1.5 / 20)
     w = WeightVector.ones(src.ground)
-    table = TableSource(src.ground, {m: src.value(m) for m in range(1, 256)})
-    starved = SolverConfig(exhaustive_threshold=2, max_iterations=1)
+    starved = SolverConfig(max_iterations=1)
     with pytest.raises(ConvergenceError) as err:
-        split(table, w, config=starved)
+        split(OpaquePool(src), w, config=starved)
     assert err.value.recursion_path is not None
     assert err.value.recursion_path[0].startswith("{u0,")
     rates, _ = split(src, w, config=starved)
@@ -101,18 +103,17 @@ def test_split_annotates_convergence_failures():
 
 
 def test_split_min_norm_steps_match_exhaustive():
-    """On a table, split's steps above the threshold run Wolfe; they must
-    give the tree of the exhaustive steps."""
+    """On an oracle the min cut does not recognise, split's steps above 16
+    users run Wolfe; they must give the tree of the bit pool itself, whose
+    steps take the min cut and the exhaustive sweep."""
     rng = np.random.default_rng(71)
-    for n in (8, 9, 10, 8, 9, 10):
-        src = random_bit_pool(rng, n)
+    for n in (17, 20, 24, 17, 20, 24):
+        src = random_bit_pool(rng, n, observe_prob=1.5 / n)
         w = WeightVector(src.ground, rng.uniform(0.5, 4.0, n))
-        table = TableSource(src.ground,
-                            {m: src.value(m) for m in range(1, 1 << n)})
-        rates, tree = split(table, w, config=SolverConfig(exhaustive_threshold=3))
+        rates, tree = split(OpaquePool(src), w)
         assert "min_norm_point" in {node.sfm.solver_used
                                     for node in tree_nodes(tree)}
-        ref_rates, ref_tree = split(table, w)
+        ref_rates, ref_tree = split(src, w)
         assert tree.leaves == ref_tree.leaves
         assert np.array_equal(rates.rates, ref_rates.rates)
 
@@ -172,8 +173,7 @@ def test_adaptation_path_guard_above_64_users():
     observes = {u: ["b%d" % i, "b%d" % ((i + 1) % 70)]
                 for i, u in enumerate(users)}
     src = BitPoolSource(ground, bits, observes)
-    _, tree = split(src, WeightVector.ones(ground),
-                    config=SolverConfig(exhaustive_threshold=12))
+    _, tree = split(src, WeightVector.ones(ground))
     with pytest.raises(ValueError, match="force=True"):
         adaptation_path(tree)
     path = adaptation_path(tree, force=True)
@@ -387,9 +387,11 @@ def test_egalitarian_worked_examples(three_users, unit_weights, skew_weights):
         egalitarian(three_users, unit_weights, subset=[])
 
 
-def test_confirm_adversarial_proposals(monkeypatch):
+def test_confirm_adversarial_proposals(monkeypatch, caplog):
     """Proposals that are right, too coarse, too fine or out of order
-    all come back as split's chain and rates."""
+    all come back as split's chain and rates.  Each fallback to split
+    logs one record naming the subset."""
+    caplog.set_level(logging.INFO, logger="swfair.split")
     fallbacks = []
     real_split = split_module.split
 
@@ -419,6 +421,7 @@ def test_confirm_adversarial_proposals(monkeypatch):
 
         for blocks in proposals:
             before = len(fallbacks)
+            caplog.clear()
             monkeypatch.setattr(split_module, "split", spy)
             dec = _confirm(f_c, w, blocks, DEFAULT_CONFIG)
             monkeypatch.setattr(split_module, "split", real_split)
@@ -426,6 +429,10 @@ def test_confirm_adversarial_proposals(monkeypatch):
             assert np.array_equal(dec.reconstruct().rates, rates.rates)
             if blocks is not proposals[1]:
                 assert len(fallbacks) == before
+            label = subset_label(src.ground, src.ground_mask)
+            assert [(r.name, r.getMessage()) for r in caplog.records] == \
+                [("swfair.split", "proposed leaf ratios decrease on %s; "
+                  "running split" % label)] * (len(fallbacks) - before)
         reversed_with_levels += len(levels) > 1
     assert reversed_with_levels > 0
     assert len(fallbacks) > 0
@@ -457,9 +464,6 @@ def test_egalitarian_refuses_non_submodular_table():
         egalitarian(src, w)
     with pytest.raises(CertificationError):
         decompose(src, w)
-    # the certificate's size limit is its own, not the SFM solver's
-    with pytest.raises(CertificationError):
-        egalitarian(src, w, config=SolverConfig(exhaustive_threshold=0))
     rates, _ = split(src, w)
     with pytest.raises(CertificationError):
         certify(src, rates)
@@ -510,7 +514,9 @@ def test_corrupted_chains_are_refused(monkeypatch, capsys, tmp_path):
 def min_cut_slack(src, rates):
     """min over X of H(X) - r(X), by one min cut at any ground size."""
     objective = add_modular(src, rates.rates)
-    return solve_sfm(objective, SolverConfig(exhaustive_threshold=0)).min_value
+    res = solve_sfm(objective)
+    assert res.solver_used == "min_cut"
+    return res.min_value
 
 
 @st.composite
@@ -569,7 +575,7 @@ def test_egalitarian_iteration_cap_is_a_convergence_error():
 
 def test_proposal_stops_at_its_own_gap(monkeypatch):
     """The proposal's Wolfe run stops at PROPOSAL_GAP, or at a looser
-    mnp_gap_tolerance; a block it leaves above the exhaustive threshold is
+    mnp_gap_tolerance; a block it leaves above MIN_CUT_ABOVE users is
     settled by the confirm step's min-cut SFM, and the rates are split's."""
     rng = np.random.default_rng(1)
     n = 96
@@ -591,7 +597,7 @@ def test_proposal_stops_at_its_own_gap(monkeypatch):
     got = egalitarian(src, w)
     assert gaps == [PROPOSAL_GAP]
     assert (max(b.bit_count() for b in blocks)
-            > DEFAULT_CONFIG.exhaustive_threshold)
+            > MIN_CUT_ABOVE)
     rates, _ = split(src, w)
     assert np.array_equal(got.rates, rates.rates)
 
