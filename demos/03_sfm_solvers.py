@@ -13,7 +13,6 @@ the other two.
 import numpy as np
 
 from swfair import (
-    SolverConfig,
     WeightVector,
     add_modular,
     greedy_vertex,
@@ -48,7 +47,7 @@ for res in (exhaustive, min_cut, min_norm):
 
 # The fractional min-norm point itself: negative coordinates mark the
 # minimal minimizer, nonpositive ones the maximal minimizer.
-x = min_norm_point(objective, SolverConfig())
+x = min_norm_point(objective)
 print("\nmin-norm point:", np.round(x, 4))
 print("sum(x) = f(V) check: %.6f vs %.6f" % (x.sum(),
                                              objective.value(source.ground_mask)))

@@ -48,7 +48,6 @@ from .setfn import (
 from .sfm import (
     ConvergenceError,
     SfmResult,
-    SolverConfig,
     min_norm_point,
     solve_sfm,
 )
@@ -106,7 +105,6 @@ __all__ = [
     "RateVector",
     "SetFunction",
     "SfmResult",
-    "SolverConfig",
     "SplitNode",
     "SplitTree",
     "TableSource",

@@ -23,7 +23,6 @@ import numpy as np
 from . import experiment as exp
 from .fairness import (
     shapley_exact,
-    shapley_permutation_average,
     shapley_sampled,
     verify_membership,
 )
@@ -90,13 +89,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_egalitarian)
 
     p = sub.add_parser("shapley", help="Shapley-value rates (exact "
-                       "subset sweep unless --samples or --enumerate-all)")
+                       "subset sweep unless --samples)")
     p.add_argument("source")
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--samples", type=int, metavar="N",
+    p.add_argument("--samples", type=int, metavar="N",
                    help="Monte-Carlo estimate from N sampled orders")
-    g.add_argument("--enumerate-all", action="store_true",
-                   help="average over every permutation (small models)")
     p.add_argument("--seed", type=int, default=0)
     add_output_args(p)
     p.set_defaults(func=cmd_shapley)
@@ -205,11 +201,7 @@ def cmd_egalitarian(args) -> int:
 
 def cmd_shapley(args) -> int:
     source = load_source(args.source)
-    if args.enumerate_all:
-        rates = shapley_permutation_average(source)
-        doc = {"rates": rates.as_dict(), "sum_rate": rates.total(),
-               "method": "enumerate_all"}
-    elif args.samples is not None:
+    if args.samples is not None:
         rates, se = shapley_sampled(source, args.samples, args.seed)
         doc = {"rates": rates.as_dict(), "sum_rate": rates.total(),
                "method": "sampled", "samples": args.samples, "seed": args.seed,

@@ -37,7 +37,6 @@ class ExperimentConfig:
     pool_factor: float = 3.0
     observe_prob: float = 0.3
     observers_per_bit: float | None = 1.5
-    entropy_range: tuple = (0.0, 1.0)
     measure_time: bool = True
 
     def __post_init__(self):
@@ -51,9 +50,6 @@ class ExperimentConfig:
             raise ValueError("observe_prob must lie in (0, 1]")
         if self.observers_per_bit is not None and self.observers_per_bit <= 0:
             raise ValueError("observers_per_bit must be positive when set")
-        lo, hi = self.entropy_range
-        if not 0.0 <= lo < hi:
-            raise ValueError("entropy_range must satisfy 0 <= lo < hi")
 
     def observe_prob_for(self, n: int) -> float:
         """Per-pair observation probability used at ground size n.
@@ -89,8 +85,8 @@ def generate_instance(n: int, config: ExperimentConfig,
                       rep_index: int = 0) -> BitPoolSource:
     """Random coverage-entropy source, deterministic under (seed, n, rep).
 
-    ceil(pool_factor * n) independent bits with entropies uniform on the
-    configured range; each user observes each bit with probability
+    ceil(pool_factor * n) independent bits with entropies uniform on
+    (0, 1); each user observes each bit with probability
     ``config.observe_prob_for(n)``, and users that come out empty are
     redrawn.
     """
@@ -98,11 +94,10 @@ def generate_instance(n: int, config: ExperimentConfig,
         raise ValueError("instances need at least 2 users")
     rng = np.random.default_rng([config.seed, n, rep_index])
     n_bits = math.ceil(config.pool_factor * n)
-    lo, hi = config.entropy_range
-    h = rng.uniform(lo, hi, n_bits)
+    h = rng.uniform(0.0, 1.0, n_bits)
     while (h <= 0.0).any():
         bad = h <= 0.0
-        h[bad] = rng.uniform(lo, hi, int(bad.sum()))
+        h[bad] = rng.uniform(0.0, 1.0, int(bad.sum()))
     prob = config.observe_prob_for(n)
     obs = rng.random((n, n_bits)) < prob
     for i in range(n):

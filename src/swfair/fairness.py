@@ -20,7 +20,6 @@ import numpy as np
 
 from .setfn import (
     BRUTE_FORCE_LIMIT,
-    CountingFunction,
     SetFunction,
     WeightVector,
     bit_indices,
@@ -32,16 +31,23 @@ from .setfn import (
 from .sfm import ConvergenceError
 from .split import RateVector
 
+# egalitarian_oracle_fw stops once its duality gap is at most this, and
+# gives up after this many steps; the production solver's tolerances in
+# swfair.sfm are separate, so the oracle does not move with them.
+ORACLE_GAP = 1e-9
+ORACLE_MAX_ITERATIONS = 200000
 
-def shapley_exact(f: SetFunction, limit: int = BRUTE_FORCE_LIMIT) -> RateVector:
+
+def shapley_exact(f: SetFunction) -> RateVector:
     """Expected marginal value of each user over random arrival orders.
 
     r_i = sum over subsets C not containing i of
           |C|! (n-|C|-1)! / n! * (f(C + i) - f(C)),
-    computed by one sweep over all 2^n subsets.  Refused above ``limit``
-    elements; use :func:`shapley_sampled` there instead.
+    computed by one sweep over all 2^n subsets.  Refused above
+    ``BRUTE_FORCE_LIMIT`` elements; use :func:`shapley_sampled` there
+    instead.
     """
-    elems = exhaustive_ground(f, limit,
+    elems = exhaustive_ground(f, BRUTE_FORCE_LIMIT,
                               "exact Shapley (shapley_sampled is not)")
     c = len(elems)
     vals = f.all_values(elems)
@@ -59,13 +65,13 @@ def shapley_exact(f: SetFunction, limit: int = BRUTE_FORCE_LIMIT) -> RateVector:
     return RateVector(f.ground, rates, f.ground_mask)
 
 
-def shapley_permutation_average(f: SetFunction, limit: int = 10) -> RateVector:
+def shapley_permutation_average(f: SetFunction) -> RateVector:
     """Average of the greedy vertices over all n! permutations.
 
     Mathematically identical to :func:`shapley_exact`; kept as an
-    independent cross-check route (and for the CLI's enumerate-all mode).
+    independent cross-check route.  Refused above 10 elements.
     """
-    elems = np.asarray(exhaustive_ground(f, limit, "permutation enumeration"),
+    elems = np.asarray(exhaustive_ground(f, 10, "permutation enumeration"),
                        dtype=np.intp)
     acc = np.zeros(f.ground.n)
     count = 0
@@ -80,22 +86,29 @@ def shapley_sampled(f: SetFunction, samples: int, seed=None):
 
     Returns (rates, standard_error) where standard_error has one entry per
     ground position.  The estimator is the sample mean of greedy vertices,
-    unbiased for the exact value and reproducible under a fixed seed.
+    unbiased for the exact value and reproducible under a fixed seed.  The
+    mean and the sample variance are kept as running sums (Welford 1962),
+    so memory does not grow with ``samples``.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     elems = np.asarray(bit_indices(f.ground_mask), dtype=np.intp)
     rng = np.random.default_rng(seed)
-    draws = np.zeros((samples, f.ground.n))
-    for s in range(samples):
-        draws[s, elems] = greedy_vertex_local(f, elems,
-                                              rng.permutation(len(elems)))
-    mean = draws.mean(axis=0)
-    if samples > 1:
-        se = draws.std(axis=0, ddof=1) / math.sqrt(samples)
-    else:
+    mean = np.zeros(len(elems))
+    m2 = np.zeros(len(elems))
+    for k in range(1, samples + 1):
+        draw = greedy_vertex_local(f, elems, rng.permutation(len(elems)))
+        delta = draw - mean
+        mean += delta / k
+        m2 += delta * (draw - mean)
+    rates = np.zeros(f.ground.n)
+    rates[elems] = mean
+    if samples == 1:
         se = np.full(f.ground.n, np.nan)
-    return RateVector(f.ground, mean, f.ground_mask), se
+    else:
+        se = np.zeros(f.ground.n)
+        se[elems] = np.sqrt(m2 / (samples - 1)) / math.sqrt(samples)
+    return RateVector(f.ground, rates, f.ground_mask), se
 
 
 @dataclass
@@ -114,8 +127,8 @@ class MembershipReport:
         }
 
 
-def verify_membership(f: SetFunction, r, tolerance: float = 1e-8,
-                      limit: int = BRUTE_FORCE_LIMIT) -> MembershipReport:
+def verify_membership(f: SetFunction, r,
+                      tolerance: float = 1e-8) -> MembershipReport:
     """Exhaustively check that r is an achievable allocation for f.
 
     Tests every lower constraint r(X) >= f(C) - f(C without X), the sum
@@ -127,7 +140,7 @@ def verify_membership(f: SetFunction, r, tolerance: float = 1e-8,
     if not (math.isfinite(tolerance) and tolerance >= 0.0):
         raise ValueError("tolerance must be finite and >= 0, got %r"
                          % tolerance)
-    elems = exhaustive_ground(f, limit, "membership verification")
+    elems = exhaustive_ground(f, BRUTE_FORCE_LIMIT, "membership verification")
     c = len(elems)
     rates = r.rates if isinstance(r, RateVector) else np.asarray(r, dtype=float)
     vals = f.all_values(elems)
@@ -148,15 +161,14 @@ def verify_membership(f: SetFunction, r, tolerance: float = 1e-8,
                             min_slack, sum_gap)
 
 
-def exchange_capacity(f: SetFunction, r, donor: str, receiver: str,
-                      limit: int = BRUTE_FORCE_LIMIT) -> float:
+def exchange_capacity(f: SetFunction, r, donor: str, receiver: str) -> float:
     """Largest rate transferable from donor to receiver while staying feasible.
 
     min of f(X) - r(X) over subsets X containing the receiver but not the
     donor; zero means the receiver's rate cannot be raised at the donor's
     expense.
     """
-    elems = exhaustive_ground(f, limit, "exchange capacity")
+    elems = exhaustive_ground(f, BRUTE_FORCE_LIMIT, "exchange capacity")
     c = len(elems)
     rates = r.rates if isinstance(r, RateVector) else np.asarray(r, dtype=float)
     pos = {e: k for k, e in enumerate(elems)}
@@ -169,9 +181,7 @@ def exchange_capacity(f: SetFunction, r, donor: str, receiver: str,
     return float((vals[sel] - r_sub[sel]).min())
 
 
-def egalitarian_oracle_fw(f: SetFunction, w: WeightVector,
-                          gap_tolerance: float = 1e-9,
-                          max_iterations: int = 200000) -> RateVector:
+def egalitarian_oracle_fw(f: SetFunction, w: WeightVector) -> RateVector:
     """Weighted egalitarian point by fully corrective conditional gradients.
 
     Minimizes sum(r_i^2 / w_i) over the base polyhedron of f.  Each step
@@ -183,25 +193,23 @@ def egalitarian_oracle_fw(f: SetFunction, w: WeightVector,
     gradients converge at a rate set by the narrowest face of the
     polyhedron, which on nearly modular sources stalls them for more than
     200000 steps; the corrective step does not depend on it.  Terminates when
-    the duality gap drops below ``gap_tolerance``; hitting the iteration
-    cap, or a gap above it with no new vertex to add, raises
-    :class:`ConvergenceError` carrying the best iterate.
+    the duality gap drops below ``ORACLE_GAP``; hitting the cap of
+    ``ORACLE_MAX_ITERATIONS`` steps, or a gap above it with no new vertex
+    to add, raises :class:`ConvergenceError` carrying the best iterate.
     """
     elems = np.asarray(bit_indices(f.ground_mask), dtype=np.intp)
-    counting = CountingFunction(f)
     w_loc = w.values[elems]
 
-    x = greedy_vertex_local(counting, elems, np.arange(len(elems)))
+    x = greedy_vertex_local(f, elems, np.arange(len(elems)))
     atoms = x.reshape(1, -1)
     lam = np.ones(1)
     gap = math.inf
 
-    for _ in range(max_iterations):
+    for _ in range(ORACLE_MAX_ITERATIONS):
         grad = 2.0 * x / w_loc
-        s = greedy_vertex_local(counting, elems,
-                                np.argsort(grad, kind="stable"))
+        s = greedy_vertex_local(f, elems, np.argsort(grad, kind="stable"))
         gap = float(grad @ (x - s))
-        if gap <= gap_tolerance:
+        if gap <= ORACLE_GAP:
             return _to_rate_vector(f, elems, x)
         if np.any(np.all(atoms == s, axis=1)):
             break
@@ -224,7 +232,7 @@ def egalitarian_oracle_fw(f: SetFunction, w: WeightVector,
         x = lam @ atoms
     raise ConvergenceError(
         "conditional-gradient solver stopped at duality gap %.3g above %.3g"
-        % (gap, gap_tolerance), best=_to_rate_vector(f, elems, x))
+        % (gap, ORACLE_GAP), best=_to_rate_vector(f, elems, x))
 
 
 def _least_norm_weights(atoms, w_loc):
@@ -309,8 +317,8 @@ class FairnessReport:
         return "\n".join(lines)
 
 
-def build_report(f: SetFunction, w: WeightVector, methods: dict,
-                 tolerance: float = 1e-8) -> FairnessReport:
+def build_report(f: SetFunction, w: WeightVector,
+                 methods: dict) -> FairnessReport:
     """Assemble a :class:`FairnessReport` for named rate vectors."""
     max_ratio, lifetime, sum_rate, member, slack = {}, {}, {}, {}, {}
     for name, rv in methods.items():
@@ -320,7 +328,7 @@ def build_report(f: SetFunction, w: WeightVector, methods: dict,
         peak = float(rates.max())
         lifetime[name] = 1.0 / peak if peak > 0 else np.inf
         sum_rate[name] = rv.total()
-        rep = verify_membership(f, rv, tolerance)
+        rep = verify_membership(f, rv)
         member[name] = rep.in_region
         slack[name] = rep.slack
     return FairnessReport(dict(methods), max_ratio, lifetime, sum_rate,

@@ -52,7 +52,7 @@ class GroundSetTooLargeError(ValueError):
 
 
 # Exhaustive sweeps (membership checks, submodularity checks, exact Shapley)
-# are refused above this many elements unless the caller raises the limit.
+# are refused above this many elements.
 BRUTE_FORCE_LIMIT = 20
 
 
@@ -649,14 +649,14 @@ def exhaustive_ground(f: SetFunction, limit: int, what: str) -> list[int]:
     return elems
 
 
-def check_submodular(f: SetFunction, limit: int = BRUTE_FORCE_LIMIT):
+def check_submodular(f: SetFunction):
     """Exhaustively test diminishing returns; O(2^n * n^2), gated by size.
 
     Returns (True, None) or (False, (X, Y, i)): the marginal of i onto X is
     strictly below its marginal onto Y = X + j, for the first such (X, i, j)
     in that order.  Each pair of elements is one pass over every X.
     """
-    elems = exhaustive_ground(f, limit, "submodularity check")
+    elems = exhaustive_ground(f, BRUTE_FORCE_LIMIT, "submodularity check")
     vals = f.all_values(elems)
     masks = np.arange(1 << len(elems))
     hits = []
@@ -676,13 +676,13 @@ def check_submodular(f: SetFunction, limit: int = BRUTE_FORCE_LIMIT):
                    f.ground.users[elems[i]])
 
 
-def check_monotone(f: SetFunction, limit: int = BRUTE_FORCE_LIMIT):
+def check_monotone(f: SetFunction):
     """Exhaustively test that single-element marginals are nonnegative.
 
     Returns (True, None) or (False, (X, i)) for the first violation in the
     order of (X, i), each element tested in one vectorized pass.
     """
-    elems = exhaustive_ground(f, limit, "monotonicity check")
+    elems = exhaustive_ground(f, BRUTE_FORCE_LIMIT, "monotonicity check")
     vals = f.all_values(elems)
     masks = np.arange(1 << len(elems))
     hits = []

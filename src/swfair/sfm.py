@@ -66,29 +66,17 @@ MIN_CUT_ABOVE = 12
 # 2 vCPUs.
 EXHAUSTIVE_UP_TO = 16
 
+# Values within this share of a solve's scale count as ties: the scale is
+# the largest |f| the solve observed, or for the min cut the larger of the
+# entropy it can cover and the sum of |coefficient| (at least 1 for both).
+TIE_EPSILON = 1e-9
 
-@dataclass
-class SolverConfig:
-    """Tolerances shared by all solvers.
+# Wolfe's relative gap: it has converged once |x|^2 - <x, q> is at most
+# MNP_GAP * max(1, |x|^2), q the greedy vertex along x.
+MNP_GAP = 1e-10
 
-    tie_epsilon is relative to the largest |f| magnitude observed in a
-    solve (for the min cut, to the larger of the entropy it can cover and
-    the sum of |coefficient|); mnp_gap_tolerance is Wolfe's relative gap
-    and max_iterations its cap on major cycles.
-    """
-
-    tie_epsilon: float = 1e-9
-    mnp_gap_tolerance: float = 1e-10
-    max_iterations: int = 20000
-
-    def __post_init__(self):
-        if min(self.tie_epsilon, self.mnp_gap_tolerance) <= 0.0:
-            raise ValueError("tolerances must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-
-
-DEFAULT_CONFIG = SolverConfig()
+# Wolfe's cap on major cycles; read at each call.
+MAX_ITERATIONS = 20000
 
 
 @dataclass
@@ -115,8 +103,7 @@ class SfmResult:
         }
 
 
-def solve_sfm(f: SetFunction, config: SolverConfig | None = None,
-              method: str | None = None) -> SfmResult:
+def solve_sfm(f: SetFunction, method: str | None = None) -> SfmResult:
     """Minimize f over all subsets of its ground (empty set included).
 
     A view of a :class:`BitPoolSource` above ``MIN_CUT_ABOVE`` users goes
@@ -126,31 +113,30 @@ def solve_sfm(f: SetFunction, config: SolverConfig | None = None,
     The min-norm path assumes f is submodular; the other two do not need
     to.
     """
-    config = config or DEFAULT_CONFIG
     elems = bit_indices(f.ground_mask)
     if not elems:
         return SfmResult(0.0, frozenset(), frozenset(), "exhaustive", 0, 0)
     if method is None:
         cut = coverage_cut(f, elems) if len(elems) > MIN_CUT_ABOVE else None
         if cut is not None:
-            return _solve_min_cut(f, elems, cut, config)
+            return _solve_min_cut(f, elems, cut)
         method = ("exhaustive" if len(elems) <= EXHAUSTIVE_UP_TO
                   else "min_norm_point")
     if method == "exhaustive":
-        return _solve_exhaustive(f, elems, config)
+        return _solve_exhaustive(f, elems)
     if method == "min_norm_point":
-        return _solve_min_norm(f, elems, config)
+        return _solve_min_norm(f, elems)
     raise ValueError("unknown SFM method %r" % method)
 
 
-def _solve_exhaustive(f, elems, config) -> SfmResult:
+def _solve_exhaustive(f, elems) -> SfmResult:
     c = len(elems)
     if c > 20:
         raise ValueError("exhaustive SFM refused above 20 elements (got %d)" % c)
     counting = CountingFunction(f)
     vals = counting.all_values(elems)
     scale = max(1.0, counting.max_abs)
-    tol = config.tie_epsilon * scale
+    tol = TIE_EPSILON * scale
     vmin = float(vals.min())
     tied = np.nonzero(vals <= vmin + tol)[0]
     union = int(np.bitwise_or.reduce(tied.astype(np.int64)))
@@ -176,7 +162,7 @@ def _solve_exhaustive(f, elems, config) -> SfmResult:
     )
 
 
-def _solve_min_cut(f, elems, cut, config) -> SfmResult:
+def _solve_min_cut(f, elems, cut) -> SfmResult:
     """Exact SFM of a bit-pool view by one maximum flow.
 
     ``cut`` is :func:`swfair.setfn.coverage_cut`'s data for f, which reads
@@ -189,7 +175,7 @@ def _solve_min_cut(f, elems, cut, config) -> SfmResult:
     so the maximum flow is c+(V) + min f - offset.  Users the source reaches
     in the residual graph form the minimal minimizer, and users that do not
     reach the sink the maximal one; residual capacities at or below
-    tie_epsilon times the larger of 1, h(N(V) - N(P)) and sum |c_i| count
+    TIE_EPSILON times the larger of 1, h(N(V) - N(P)) and sum |c_i| count
     as zero.  The source's incidence is read directly and no oracle is
     called, so ``oracle_evals`` is 0.
     """
@@ -208,7 +194,7 @@ def _solve_min_cut(f, elems, cut, config) -> SfmResult:
     scale = max(1.0, float(h.sum()), float(np.abs(coef).sum()))
     flow, from_source, to_sink = max_flow(
         c + 2 + len(h), tails.tolist(), heads.tolist(), caps.tolist(),
-        0, 1, config.tie_epsilon * scale)
+        0, 1, TIE_EPSILON * scale)
     minimal_mask = mask_from_indices(
         e for e, s in zip(elems, from_source[2:c + 2]) if s)
     maximal_mask = mask_from_indices(
@@ -225,11 +211,11 @@ def _solve_min_cut(f, elems, cut, config) -> SfmResult:
     )
 
 
-def _solve_min_norm(f, elems, config) -> SfmResult:
+def _solve_min_norm(f, elems) -> SfmResult:
     counting = CountingFunction(f)
-    x, stop = _wolfe(counting, elems, config)
+    x, stop = _wolfe(counting, elems, MNP_GAP)
     scale = max(1.0, counting.max_abs)
-    tol = config.tie_epsilon * scale
+    tol = TIE_EPSILON * scale
 
     # Round the fractional point to sets.  Sorting x ascending makes both
     # lattice-extreme minimizers prefix sets of the order; evaluating every
@@ -261,28 +247,26 @@ def _solve_min_norm(f, elems, config) -> SfmResult:
     if stop != CONVERGED:
         raise ConvergenceError(
             "min-norm-point solver %s on a ground of size %d"
-            % (_stop_reason(stop, config), len(elems)),
+            % (_stop_reason(stop), len(elems)),
             best=result,
         )
     return result
 
 
-def min_norm_point(f: SetFunction, config: SolverConfig | None = None) -> np.ndarray:
+def min_norm_point(f: SetFunction) -> np.ndarray:
     """Minimum-norm point of the base polyhedron of f.
 
     Returns the point as an array over the elements of f's ground in
-    ascending position order, with Wolfe gap certified below
-    ``config.mnp_gap_tolerance`` (relative to max(1, |x|^2)).
+    ascending position order, with Wolfe gap certified below ``MNP_GAP``
+    (relative to max(1, |x|^2)).
     """
-    config = config or DEFAULT_CONFIG
     elems = bit_indices(f.ground_mask)
     if not elems:
         return np.zeros(0)
-    counting = CountingFunction(f)
-    x, stop = _wolfe(counting, elems, config)
+    x, stop = _wolfe(f, elems, MNP_GAP)
     if stop != CONVERGED:
         raise ConvergenceError(
-            "min-norm-point solver %s" % _stop_reason(stop, config), best=x)
+            "min-norm-point solver %s" % _stop_reason(stop), best=x)
     return x
 
 
@@ -290,15 +274,15 @@ def min_norm_point(f: SetFunction, config: SolverConfig | None = None) -> np.nda
 CONVERGED, STALLED, CAPPED = "converged", "stalled", "capped"
 
 
-def _stop_reason(stop: str, config: SolverConfig) -> str:
+def _stop_reason(stop: str) -> str:
     """Words for a Wolfe run that did not converge, for error messages."""
     if stop == STALLED:
         return ("stalled before its gap test passed (the new vertex was "
                 "already active)")
-    return "hit the iteration cap (%d)" % config.max_iterations
+    return "hit the iteration cap (%d)" % MAX_ITERATIONS
 
 
-def _wolfe(counting, elems, config, scale=None):
+def _wolfe(f, elems, gap, scale=None):
     """Wolfe's minimum-norm-point algorithm over the base polyhedron.
 
     Maintains x as a convex combination of greedy vertices (rows of S with
@@ -310,8 +294,9 @@ def _wolfe(counting, elems, config, scale=None):
     in the coordinates y = x / s, so it minimizes sum(x_i^2 / s_i^2): with
     s = sqrt(w) that is the weighted egalitarian objective (Fujishige 1980).
     Returns x in f's own coordinates and how the run ended: CONVERGED once
-    the gap test passes, STALLED when the best vertex is already active
-    before it does, CAPPED at ``config.max_iterations`` major cycles.
+    |y|^2 - <y, q>, q the greedy vertex along y, is at most ``gap`` *
+    max(1, |y|^2), STALLED when the best vertex is already active before
+    it does, CAPPED at ``MAX_ITERATIONS`` major cycles.
     """
     elems_arr = np.asarray(elems, dtype=np.intp)
     c = len(elems)
@@ -319,17 +304,16 @@ def _wolfe(counting, elems, config, scale=None):
 
     def vertex(direction):
         order = np.argsort(direction / s, kind="stable")
-        return greedy_vertex_local(counting, elems_arr, order) / s
+        return greedy_vertex_local(f, elems_arr, order) / s
 
     x = vertex(np.zeros(c))
     S = x.reshape(1, c)
     lam = np.ones(1)
 
-    for _ in range(config.max_iterations):
+    for _ in range(MAX_ITERATIONS):
         q = vertex(x)
         xx = float(x @ x)
-        gap = xx - float(x @ q)
-        if gap <= config.mnp_gap_tolerance * max(1.0, xx):
+        if xx - float(x @ q) <= gap * max(1.0, xx):
             return x * s, CONVERGED
         if np.any(np.all(np.abs(S - q) <= 1e-12, axis=1)):
             return x * s, STALLED

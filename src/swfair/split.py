@@ -44,7 +44,7 @@ r_i = lam_j * w_i on level D_j.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,10 +61,9 @@ from .setfn import (
 )
 from .sfm import (
     CAPPED,
-    DEFAULT_CONFIG,
+    TIE_EPSILON,
     ConvergenceError,
     SfmResult,
-    SolverConfig,
     _stop_reason,
     _wolfe,
     solve_sfm,
@@ -76,9 +75,9 @@ logger = logging.getLogger(__name__)
 # refuses larger grounds unless forced, and the JSON tree leaves it out.
 PATH_USER_LIMIT = 64
 
-# Relative Wolfe gap at which the engine's proposal stops (a looser
-# mnp_gap_tolerance wins).  The proposal only places the level cuts, and
-# every block is confirmed exactly afterwards, so it need not be accurate.
+# Relative Wolfe gap at which the engine's proposal stops.  The proposal
+# only places the level cuts, and every block is confirmed exactly
+# afterwards, so it need not be accurate.
 # Wolfe's last digits are its dearest and vary the most between sources:
 # on 256-user bit pools the proposal took 160 to 2000 major cycles to reach
 # a gap of 1e-10 but 90 to 180 to reach 1e-5, and the few blocks a 1e-5
@@ -121,12 +120,6 @@ class RateVector:
 
     def ratios(self, w: WeightVector) -> np.ndarray:
         return self.rates / w.values
-
-    def to_csv(self) -> str:
-        idx = bit_indices(self.subset_mask)
-        header = ",".join(self.ground.users[i] for i in idx)
-        row = ",".join(repr(float(self.rates[i])) for i in idx)
-        return header + "\n" + row + "\n"
 
     @classmethod
     def zeros(cls, ground: GroundSet, subset_mask: int = -1) -> "RateVector":
@@ -189,17 +182,16 @@ class SplitTree:
         return doc
 
 
-def split(f: SetFunction, w: WeightVector, subset=None,
-          config: SolverConfig | None = None) -> tuple[RateVector, SplitTree]:
+def split(f: SetFunction, w: WeightVector,
+          subset=None) -> tuple[RateVector, SplitTree]:
     """Weighted egalitarian allocation over the rate region of f.
 
     Returns the optimal rates together with the full recursion tree,
     including the base-assignment events behind :func:`adaptation_path`.
     """
-    config = config or DEFAULT_CONFIG
     cmask = _subset_mask(f, subset)
     root_f = restrict(f, cmask)
-    node, events, leaves = _split_block(root_f, w, cmask, 0.0, config, ())
+    node, events, leaves = _split_block(root_f, w, cmask, 0.0, ())
     rv = _chain(root_f, w, [mask for mask, _ in leaves]).reconstruct()
     return rv, SplitTree(f.ground, node, cmask, w, events, leaves, rv)
 
@@ -213,7 +205,7 @@ def _subset_mask(f: SetFunction, subset) -> int:
     return cmask
 
 
-def _split_block(f, w, cmask, carry, config, path):
+def _split_block(f, w, cmask, carry, path):
     """Recursive worker; f's ground is exactly cmask.
 
     ``carry`` is the accumulated ratio offset of the contractions above this
@@ -230,7 +222,7 @@ def _split_block(f, w, cmask, carry, config, path):
         return SplitNode(cmask, lam, res, None, None), [], [(cmask, carry + lam)]
     objective = add_modular(f, lam * w.values)
     try:
-        res = solve_sfm(objective, config)
+        res = solve_sfm(objective)
     except ConvergenceError as e:
         e.recursion_path = path + (subset_label(f.ground, cmask),)
         raise
@@ -249,58 +241,55 @@ def _split_block(f, w, cmask, carry, config, path):
     f_rest = reduce(f, block, w)
     here = path + (subset_label(f.ground, cmask),)
     block_node, block_events, block_leaves = _split_block(
-        f_block, w, block, carry, config, here)
+        f_block, w, block, carry, here)
     rest_node, rest_events, rest_leaves = _split_block(
-        f_rest, w, rest, carry + base_coeff, config, here)
+        f_rest, w, rest, carry + base_coeff, here)
     node = SplitNode(cmask, lam, res, base_coeff, (block_node, rest_node))
     events = block_events + [(rest, base_coeff)] + rest_events
     leaves = block_leaves + rest_leaves
     return node, events, leaves
 
 
-def egalitarian(f: SetFunction, w: WeightVector, subset=None,
-                config: SolverConfig | None = None) -> RateVector:
+def egalitarian(f: SetFunction, w: WeightVector, subset=None) -> RateVector:
     """Weighted egalitarian allocation from one weighted min-norm solve.
 
     Returns the same rates as :func:`split`, without its recursion tree:
     the rates of the certified chain that :func:`decompose` returns, which
     raises the same errors.
     """
-    return decompose(f, w, subset, config).reconstruct()
+    return decompose(f, w, subset).reconstruct()
 
 
-def _propose(f, w, config) -> list[int]:
+def _propose(f, w) -> list[int]:
     """Ordered partition of f's ground from one weighted min-norm solve.
 
     The Wolfe point in coordinates scaled by sqrt(w), run to the relative
     gap ``PROPOSAL_GAP``, is sorted by x/w and cut after every prefix that
-    is tight to within tie_epsilon * max(1, f(C)).  A point that stalled
+    is tight to within TIE_EPSILON * max(1, f(C)).  A point that stalled
     before its gap test is still a proposal; the iteration cap raises
     :class:`ConvergenceError`.
     """
     elems = np.asarray(bit_indices(f.ground_mask), dtype=np.intp)
     w_loc = w.values[elems]
-    loose = replace(config, mnp_gap_tolerance=max(PROPOSAL_GAP,
-                                                  config.mnp_gap_tolerance))
-    x, stop = _wolfe(f, elems, loose, scale=np.sqrt(w_loc))
+    x, stop = _wolfe(f, elems, PROPOSAL_GAP, scale=np.sqrt(w_loc))
     if stop == CAPPED:
         best = np.zeros(f.ground.n)
         best[elems] = x
         raise ConvergenceError(
             "egalitarian proposal %s on %d users"
-            % (_stop_reason(stop, config), len(elems)),
+            % (_stop_reason(stop), len(elems)),
             best=RateVector(f.ground, best, f.ground_mask))
     rank = np.argsort(x / w_loc, kind="stable")
     order = elems[rank]
     pv = f.prefix_values(order)
     slack = pv[1:] - np.cumsum(x[rank])
-    tol = config.tie_epsilon * max(1.0, abs(float(pv[-1])))
+    tol = TIE_EPSILON * max(1.0, abs(float(pv[-1])))
     cuts = [0, *(np.flatnonzero(slack[:-1] <= tol) + 1).tolist(), len(order)]
     order = order.tolist()
     return [mask_from_indices(order[a:b]) for a, b in zip(cuts, cuts[1:])]
 
 
-def _confirm(f, w, blocks, config) -> Decomposition:
+def _confirm(f, w, blocks) -> Decomposition:
     """Chain of f's egalitarian levels, given a proposed ordered partition.
 
     Block D_j is run through split's recursion on its minor: f restricted
@@ -319,14 +308,14 @@ def _confirm(f, w, blocks, config) -> Decomposition:
             carry = f.value(done) / w.of_mask(done)
         else:
             minor, carry = restrict(f, block), 0.0
-        leaves += _split_block(minor, w, block, carry, config, ())[2]
+        leaves += _split_block(minor, w, block, carry, ())[2]
         done |= block
-    levels = _levels(leaves, config)
+    levels = _levels(leaves)
     if levels is None:
         logger.info("proposed leaf ratios decrease on %s; running split",
                     subset_label(f.ground, f.ground_mask))
-        _, tree = split(f, w, config=config)
-        levels = _levels(tree.leaves, config)
+        _, tree = split(f, w)
+        levels = _levels(tree.leaves)
         if levels is None:
             raise InternalConsistencyError(
                 "split's leaf ratios decrease on %s"
@@ -334,9 +323,9 @@ def _confirm(f, w, blocks, config) -> Decomposition:
     return _chain(f, w, levels)
 
 
-def _levels(leaves, config) -> list[int] | None:
+def _levels(leaves) -> list[int] | None:
     """Leaf masks merged into levels, or None if their ratios decrease."""
-    tol = config.tie_epsilon * max(1.0, max(abs(lam) for _, lam in leaves))
+    tol = TIE_EPSILON * max(1.0, max(abs(lam) for _, lam in leaves))
     levels = [leaves[0][0]]
     last = leaves[0][1]
     for mask, lam in leaves[1:]:
@@ -486,8 +475,7 @@ class Decomposition:
         }
 
 
-def decompose(f: SetFunction, w: WeightVector, subset=None,
-              config: SolverConfig | None = None) -> Decomposition:
+def decompose(f: SetFunction, w: WeightVector, subset=None) -> Decomposition:
     """Principal chain of critical ratios behind the egalitarian solution.
 
     The egalitarian engine's levels (see the module docstring), certified
@@ -495,12 +483,11 @@ def decompose(f: SetFunction, w: WeightVector, subset=None,
     :class:`InternalConsistencyError`, and rates outside the region raise
     :class:`CertificationError` (see :func:`certify`).
     """
-    config = config or DEFAULT_CONFIG
     cmask = _subset_mask(f, subset)
     f_c = restrict(f, cmask)
-    dec = _confirm(f_c, w, _propose(f_c, w, config), config)
+    dec = _confirm(f_c, w, _propose(f_c, w))
     crit = dec.critical_values
-    tol = config.tie_epsilon * max(1.0, max(abs(lam) for lam in crit))
+    tol = TIE_EPSILON * max(1.0, max(abs(lam) for lam in crit))
     for a, b in zip(crit, crit[1:]):
         if b - a <= tol:
             raise InternalConsistencyError(

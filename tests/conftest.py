@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from swfair import sfm
 from swfair.setfn import BitPoolSource, GroundSet, SetFunction, WeightVector
 
 
@@ -17,6 +18,12 @@ def three_users():
         bits={"a": 1.0, "b": 0.5, "c": 0.5, "d": 0.1},
         observes={"1": ["a", "b", "c"], "2": ["c", "d"], "3": ["b", "d"]},
     )
+
+
+@pytest.fixture
+def wolfe_capped(monkeypatch):
+    """Wolfe stops after one major cycle: its iteration cap is set to 1."""
+    monkeypatch.setattr(sfm, "MAX_ITERATIONS", 1)
 
 
 @pytest.fixture

@@ -22,7 +22,7 @@ from swfair.fairness import (
     verify_membership,
 )
 from swfair.setfn import WeightVector, add_modular, bit_indices
-from swfair.sfm import SolverConfig, solve_sfm
+from swfair.sfm import solve_sfm
 from swfair.split import adaptation_path, decompose, recursion_metrics, split
 from conftest import random_bit_pool
 
@@ -101,7 +101,7 @@ def test_criterion_4(suite4):
         report = verify_membership(src, rates, tolerance=1e-8)
         assert report.in_region and report.slack >= -1e-8            # (a)
         assert abs(rates.total() - src.value(src.ground_mask)) <= 1e-8  # (b)
-        fw = egalitarian_oracle_fw(src, w, gap_tolerance=1e-9)
+        fw = egalitarian_oracle_fw(src, w)
         assert np.all(np.abs(rates.rates - fw.rates) <= 1e-4)        # (c)
         ratios = rates.ratios(w)
         for i, ui in enumerate(src.ground.users):                    # (d)
@@ -116,15 +116,14 @@ def test_criterion_4(suite4):
 @criterion(5, "exhaustive and min-norm SFM agree on 200 random instances")
 def test_criterion_5():
     rng = np.random.default_rng(20241)
-    config = SolverConfig()
     for k in range(200):
         n = 3 + k % 10  # sizes 3..12
         src = random_bit_pool(rng, n)
         w = rng.uniform(0.5, 4.0, n)
         lam = rng.uniform(0.1, 1.0) * src.value(src.ground_mask) / w.sum()
         f = add_modular(src, lam * w)
-        ex = solve_sfm(f, config, method="exhaustive")
-        mn = solve_sfm(f, config, method="min_norm_point")
+        ex = solve_sfm(f, method="exhaustive")
+        mn = solve_sfm(f, method="min_norm_point")
         assert abs(mn.min_value - ex.min_value) <= 1e-7
         assert mn.minimal_minimizer == ex.minimal_minimizer
         assert mn.maximal_minimizer == ex.maximal_minimizer

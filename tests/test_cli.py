@@ -1,14 +1,9 @@
-import importlib
 import json
 
 import pytest
 
 from swfair.cli import main
-from swfair.sfm import SolverConfig
 from swfair.experiment import CSV_HEADER
-
-# the package re-exports the function split under the module's name
-split_module = importlib.import_module("swfair.split")
 
 MODEL = {
     "type": "bit_pool",
@@ -92,12 +87,10 @@ def test_bad_weights_exit_2(capsys, model_file):
     assert "weights" in err
 
 
-def test_solver_failure_exits_3(capsys, model_file, monkeypatch):
-    monkeypatch.setattr(split_module, "DEFAULT_CONFIG",
-                        SolverConfig(max_iterations=1))
+def test_solver_failure_exits_3(capsys, model_file, wolfe_capped):
     code, _, err = run(capsys, "egalitarian", model_file)
     assert code == 3
-    assert "solver" in err
+    assert "solver" in err and "iteration cap" in err
 
 
 def test_shapley_exact(capsys, model_file):
@@ -106,14 +99,6 @@ def test_shapley_exact(capsys, model_file):
     doc = json.loads(out)
     assert doc["rates"] == {"1": pytest.approx(1.5), "2": pytest.approx(0.3),
                             "3": pytest.approx(0.3)}
-
-
-def test_shapley_enumerate_all_matches_exact(capsys, model_file):
-    code, out, _ = run(capsys, "shapley", model_file, "--enumerate-all",
-                       "--json")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["rates"]["1"] == pytest.approx(1.5, abs=1e-12)
 
 
 def test_shapley_sampled_seeded(capsys, model_file):

@@ -1,12 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from swfair.experiment import ExperimentConfig, generate_instance
 from swfair.setfn import (
     GroundSet,
     GroundSetTooLargeError,
     BitPoolSource,
     TableSource,
     WeightVector,
+    bit_indices,
+    greedy_vertex_local,
+    restrict,
 )
 from swfair.fairness import (
     build_report,
@@ -80,6 +86,37 @@ def test_shapley_sampled_reproducible(three_users):
     assert np.array_equal(se_a, se_b)
     with pytest.raises(ValueError):
         shapley_sampled(three_users, samples=0)
+
+
+def test_shapley_sampled_running_moments_match_two_pass():
+    # the running mean and variance against both moments of the same
+    # seeded draws, kept in full; positions outside the view stay 0
+    rng = np.random.default_rng(17)
+    src = random_bit_pool(rng, 12)
+    f = restrict(src, src.ground_mask & ~0b100101)
+    elems = np.asarray(bit_indices(f.ground_mask), dtype=np.intp)
+    samples = 300
+    draws = np.zeros((samples, f.ground.n))
+    orders = np.random.default_rng(5)
+    for s in range(samples):
+        draws[s, elems] = greedy_vertex_local(
+            f, elems, orders.permutation(len(elems)))
+    rates, se = shapley_sampled(f, samples, seed=5)
+    np.testing.assert_allclose(rates.rates, draws.mean(axis=0),
+                               rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(
+        se, draws.std(axis=0, ddof=1) / np.sqrt(samples), rtol=0.0, atol=1e-12)
+
+
+def test_shapley_sampled_memory_does_not_grow_with_samples():
+    src = generate_instance(256, ExperimentConfig(), 0)
+    tracemalloc.start()
+    try:
+        shapley_sampled(src, 2000, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_shapley_sampled_error_shrinks(three_users):

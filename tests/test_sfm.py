@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import swfair.sfm as sfm_module
 from swfair.cli import build_parser
 from swfair.setfn import (
     GroundSet,
@@ -20,7 +21,6 @@ from swfair.sfm import (
     MIN_CUT_ABOVE,
     ConvergenceError,
     SfmResult,
-    SolverConfig,
     _wolfe,
     min_norm_point,
     solve_sfm,
@@ -122,15 +122,14 @@ def test_min_norm_point_feasibility():
 
 def test_exhaustive_and_min_norm_agree():
     rng = np.random.default_rng(29)
-    config = SolverConfig()
     for _ in range(60):
         n = int(rng.integers(3, 13))
         src = random_bit_pool(rng, n)
         w = rng.uniform(0.5, 4.0, n)
         lam = rng.uniform(0.1, 0.9) * src.value(src.ground_mask) / w.sum()
         f = shifted(src, lam * w)
-        ex = solve_sfm(f, config, method="exhaustive")
-        mn = solve_sfm(f, config, method="min_norm_point")
+        ex = solve_sfm(f, method="exhaustive")
+        mn = solve_sfm(f, method="min_norm_point")
         assert mn.min_value == pytest.approx(ex.min_value, abs=1e-7)
         assert mn.minimal_minimizer == ex.minimal_minimizer
         assert mn.maximal_minimizer == ex.maximal_minimizer
@@ -241,17 +240,16 @@ def test_result_invariants_and_serialization(three_users, skew_weights):
     assert doc["oracle_evals"] == 8 and doc["ground_size"] == 3
 
 
-def test_convergence_error_carries_best():
+def test_convergence_error_carries_best(wolfe_capped):
     rng = np.random.default_rng(31)
     src = random_bit_pool(rng, 10)
     f = shifted(src, rng.uniform(0.2, 0.6, 10))
-    config = SolverConfig(max_iterations=1)
-    with pytest.raises(ConvergenceError) as err:
-        solve_sfm(f, config, method="min_norm_point")
+    with pytest.raises(ConvergenceError, match="iteration cap") as err:
+        solve_sfm(f, method="min_norm_point")
     assert isinstance(err.value.best, SfmResult)
 
 
-def test_wolfe_stall_is_not_convergence():
+def test_wolfe_stall_is_not_convergence(monkeypatch):
     # No float gap meets this tolerance, and on this instance Wolfe's next
     # vertex is already active before the iteration cap: a stall, which
     # must not be reported as convergence.
@@ -259,15 +257,16 @@ def test_wolfe_stall_is_not_convergence():
     n = int(rng.integers(2, 12))
     src = random_bit_pool(rng, n)
     f = shifted(src, rng.uniform(0.2, 0.6, n))
-    config = SolverConfig(mnp_gap_tolerance=1e-300)
+    monkeypatch.setattr(sfm_module, "MNP_GAP", 1e-300)
     with pytest.raises(ConvergenceError, match="stalled") as err:
-        solve_sfm(f, config, method="min_norm_point")
+        solve_sfm(f, method="min_norm_point")
     assert isinstance(err.value.best, SfmResult)
     with pytest.raises(ConvergenceError, match="stalled"):
-        min_norm_point(f, config)
+        min_norm_point(f)
 
 
-def test_wolfe_converged_means_gap_test_passed():
+def test_wolfe_converged_means_gap_test_passed(monkeypatch):
+    monkeypatch.setattr(sfm_module, "MAX_ITERATIONS", 300)
     for seed in range(40):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 12))
@@ -278,8 +277,7 @@ def test_wolfe_converged_means_gap_test_passed():
         # unscaled, the gap is recomputed bit for bit; scaled, x / s
         # rounds, so only a tolerance far above rounding is checked
         for scale, tol in ((None, 1e-10), (None, 1e-300), (s, 1e-10)):
-            config = SolverConfig(mnp_gap_tolerance=tol, max_iterations=300)
-            x, stop = _wolfe(f, elems, config, scale)
+            x, stop = _wolfe(f, elems, tol, scale)
             if stop != CONVERGED:
                 continue
             div = np.ones(n) if scale is None else scale
@@ -290,9 +288,5 @@ def test_wolfe_converged_means_gap_test_passed():
 
 
 def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(tie_epsilon=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(max_iterations=0)
     with pytest.raises(ValueError):
         solve_sfm(random_bit_pool(np.random.default_rng(0), 3), method="magic")

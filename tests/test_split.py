@@ -19,13 +19,7 @@ from swfair.setfn import (
     restrict,
     source_to_dict,
 )
-from swfair.sfm import (
-    DEFAULT_CONFIG,
-    MIN_CUT_ABOVE,
-    ConvergenceError,
-    SolverConfig,
-    solve_sfm,
-)
+from swfair.sfm import MIN_CUT_ABOVE, ConvergenceError, solve_sfm
 from swfair.split import (
     PROPOSAL_GAP,
     CertificationError,
@@ -87,19 +81,20 @@ def test_split_refuses_nan_weight():
         split(src, WeightVector(src.ground, w))
 
 
-def test_split_annotates_convergence_failures():
+def test_split_annotates_convergence_failures(request):
     # Bit pools take the exact min cut, which has no iteration cap, so
     # Wolfe is starved on an opaque oracle of the same values.
     rng = np.random.default_rng(67)
     src = random_bit_pool(rng, 20, observe_prob=1.5 / 20)
     w = WeightVector.ones(src.ground)
-    starved = SolverConfig(max_iterations=1)
+    expected = split(src, w)[0].rates
+    request.getfixturevalue("wolfe_capped")
     with pytest.raises(ConvergenceError) as err:
-        split(OpaquePool(src), w, config=starved)
+        split(OpaquePool(src), w)
     assert err.value.recursion_path is not None
     assert err.value.recursion_path[0].startswith("{u0,")
-    rates, _ = split(src, w, config=starved)
-    assert np.array_equal(rates.rates, split(src, w)[0].rates)
+    rates, _ = split(src, w)
+    assert np.array_equal(rates.rates, expected)
 
 
 def test_split_min_norm_steps_match_exhaustive():
@@ -150,9 +145,9 @@ def test_one_user_blocks_are_leaves_without_a_solve(monkeypatch):
     sizes = []
     real = split_module.solve_sfm
 
-    def spy(f, config=None, method=None):
+    def spy(f, method=None):
         sizes.append(f.ground_mask.bit_count())
-        return real(f, config, method)
+        return real(f, method)
 
     monkeypatch.setattr(split_module, "solve_sfm", spy)
     _, tree = split(src, w)
@@ -332,7 +327,7 @@ def check_engine(src, w):
     assert decompose(src, w).chain_masks == split_chain(tree)
     if src.ground.n <= 12:   # the oracle's run time grows fast beyond
         # its gap bounds |r - fw|^2 by gap * max(w) <= 4e-9
-        fw = egalitarian_oracle_fw(src, w, gap_tolerance=1e-9)
+        fw = egalitarian_oracle_fw(src, w)
         assert np.abs(got.rates - fw.rates).max() <= 1e-4
 
 
@@ -423,7 +418,7 @@ def test_confirm_adversarial_proposals(monkeypatch, caplog):
             before = len(fallbacks)
             caplog.clear()
             monkeypatch.setattr(split_module, "split", spy)
-            dec = _confirm(f_c, w, blocks, DEFAULT_CONFIG)
+            dec = _confirm(f_c, w, blocks)
             monkeypatch.setattr(split_module, "split", real_split)
             assert dec.chain_masks == chain
             assert np.array_equal(dec.reconstruct().rates, rates.rates)
@@ -450,8 +445,7 @@ def test_confirm_refuses_decreasing_fallback_leaves(monkeypatch):
     monkeypatch.setattr(split_module, "split",
                         lambda *args, **kwargs: (rates, backwards))
     with pytest.raises(InternalConsistencyError, match="decrease"):
-        _confirm(restrict(src, src.ground_mask), w, levels[::-1],
-                 DEFAULT_CONFIG)
+        _confirm(restrict(src, src.ground_mask), w, levels[::-1])
 
 
 def test_egalitarian_refuses_non_submodular_table():
@@ -496,7 +490,7 @@ def test_corrupted_chains_are_refused(monkeypatch, capsys, tmp_path):
         weights.write_text(json.dumps({u: w[u] for u in src.ground.users}))
         for bad, error, code in corrupted:
             monkeypatch.setattr(split_module, "_confirm",
-                                lambda f, w, blocks, config, bad=bad:
+                                lambda f, w, blocks, bad=bad:
                                 _chain(f, w, bad))
             with pytest.raises(error):
                 decompose(src, w)
@@ -564,19 +558,18 @@ def test_engine_is_certified_by_min_cut_beyond_the_oracle(model):
         assert min_cut_slack(src, bad) < -tol
 
 
-def test_egalitarian_iteration_cap_is_a_convergence_error():
+def test_egalitarian_iteration_cap_is_a_convergence_error(wolfe_capped):
     rng = np.random.default_rng(67)
     src = random_bit_pool(rng, 8)
     with pytest.raises(ConvergenceError, match="iteration cap") as err:
-        egalitarian(src, WeightVector.ones(src.ground),
-                    config=SolverConfig(max_iterations=1))
+        egalitarian(src, WeightVector.ones(src.ground))
     assert isinstance(err.value.best, RateVector)
 
 
 def test_proposal_stops_at_its_own_gap(monkeypatch):
-    """The proposal's Wolfe run stops at PROPOSAL_GAP, or at a looser
-    mnp_gap_tolerance; a block it leaves above MIN_CUT_ABOVE users is
-    settled by the confirm step's min-cut SFM, and the rates are split's."""
+    """The proposal's Wolfe run stops at PROPOSAL_GAP; a block it leaves
+    above MIN_CUT_ABOVE users is settled by the confirm step's min-cut SFM,
+    and the rates are split's."""
     rng = np.random.default_rng(1)
     n = 96
     src = random_bit_pool(rng, n, observe_prob=1.5 / n)
@@ -584,13 +577,13 @@ def test_proposal_stops_at_its_own_gap(monkeypatch):
     gaps, blocks = [], []
     real_wolfe, real_confirm = split_module._wolfe, split_module._confirm
 
-    def wolfe(f, elems, config, scale=None):
-        gaps.append(config.mnp_gap_tolerance)
-        return real_wolfe(f, elems, config, scale=scale)
+    def wolfe(f, elems, gap, scale=None):
+        gaps.append(gap)
+        return real_wolfe(f, elems, gap, scale=scale)
 
-    def confirm(f, w, proposal, config):
+    def confirm(f, w, proposal):
         blocks.extend(proposal)
-        return real_confirm(f, w, proposal, config)
+        return real_confirm(f, w, proposal)
 
     monkeypatch.setattr(split_module, "_wolfe", wolfe)
     monkeypatch.setattr(split_module, "_confirm", confirm)
@@ -600,7 +593,3 @@ def test_proposal_stops_at_its_own_gap(monkeypatch):
             > MIN_CUT_ABOVE)
     rates, _ = split(src, w)
     assert np.array_equal(got.rates, rates.rates)
-
-    gaps.clear()
-    egalitarian(src, w, config=SolverConfig(mnp_gap_tolerance=1e-3))
-    assert gaps == [1e-3]
