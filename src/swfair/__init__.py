@@ -70,7 +70,6 @@ from .fairness import (
     build_report,
     egalitarian_oracle_fw,
     exchange_capacity,
-    minmax_check,
     shapley_exact,
     shapley_permutation_average,
     shapley_sampled,
@@ -124,7 +123,6 @@ __all__ = [
     "greedy_vertex",
     "load_source",
     "min_norm_point",
-    "minmax_check",
     "recursion_metrics",
     "reduce",
     "restrict",

@@ -254,34 +254,6 @@ def _to_rate_vector(f, elems, x) -> RateVector:
     return RateVector(f.ground, rates, f.ground_mask)
 
 
-def minmax_check(f: SetFunction, w: WeightVector, r, trials: int = 200,
-                 seed=None, tolerance: float = 1e-9) -> bool:
-    """Spot-check that r is min-max and max-min optimal in weighted ratio.
-
-    Samples random points of the rate region (Dirichlet combinations of
-    greedy vertices from random permutations) and confirms none beats r's
-    largest ratio from below or r's smallest ratio from above.
-    """
-    elems = np.asarray(bit_indices(f.ground_mask), dtype=np.intp)
-    rates = r.rates if isinstance(r, RateVector) else np.asarray(r, dtype=float)
-    ratios = rates[elems] / w.values[elems]
-    hi, lo = float(ratios.max()), float(ratios.min())
-    rng = np.random.default_rng(seed)
-    k = len(elems) + 1
-    for _ in range(trials):
-        verts = np.stack([
-            greedy_vertex_local(f, elems, rng.permutation(len(elems)))
-            for _ in range(k)
-        ])
-        q = rng.dirichlet(np.ones(k)) @ verts
-        q_ratios = q / w.values[elems]
-        if hi > float(q_ratios.max()) + tolerance:
-            return False
-        if lo < float(q_ratios.min()) - tolerance:
-            return False
-    return True
-
-
 @dataclass
 class FairnessReport:
     """Side-by-side comparison of allocation methods on one source."""

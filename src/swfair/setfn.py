@@ -16,9 +16,9 @@ Two concrete source models are provided:
 * :class:`TableSource` - an explicit, complete table of values for every
   nonempty subset, used for arbitrary test fixtures.
 
-Derived oracles (:func:`restrict`, :func:`reduce`, modular shifts) are
-represented by a single affine wrapper so chains of reductions stay O(1)
-per evaluation and keep the fast vectorized paths of the underlying source.
+Derived oracles (:func:`restrict`, :func:`reduce`, :func:`minor`, modular
+shifts) are one affine wrapper, so chains of them stay O(1) per evaluation
+and keep the fast vectorized paths of the underlying source.
 """
 
 from __future__ import annotations
@@ -501,9 +501,10 @@ def coverage_cut(f: SetFunction, elements):
     coefficients c is f(X) = offset + h(N(X) - N(P)) - c(X), where N(X) is
     the set of bits X observes, h(B) the entropy of the bits B and offset
     H(P) - k.  The form holds at the empty set too, as f(empty) = 0,
-    because the views that restrict, reduce and add_modular build all have
-    k = H(P) and so offset 0.  Returns (user, bit, entropy, coeffs, offset), the first three
-    as :meth:`BitPoolSource.incidence` gives them for ``elements`` and P and
+    because the views that restrict, reduce and add_modular build have k =
+    H(P) and so offset 0 (a :func:`minor`'s k is H(P) up to rounding).
+    Returns (user, bit, entropy, coeffs, offset), the first three as
+    :meth:`BitPoolSource.incidence` gives them for ``elements`` and P and
     coeffs the c of ``elements`` in order, or None if f views another
     oracle.  Makes no oracle call.
     """
@@ -592,6 +593,22 @@ def reduce(f: SetFunction, pivot, w: WeightVector) -> SetFunction:
     merged = extra if old_coeffs is None else old_coeffs + extra
     return ShiftedFunction(inner, f.ground_mask & ~pmask, new_pivot,
                            new_const, merged)
+
+
+def minor(f: SetFunction, pivot: int, block: int, f_pivot: float,
+          w_pivot: float, w: WeightVector) -> SetFunction:
+    """restrict(reduce(f, pivot, w), block), given f(pivot) and w(pivot).
+
+    Makes no oracle call: the constant is f's own at the pivot plus
+    f_pivot, which is H(pivot) up to rounding.
+    """
+    inner, old_pivot, const, coeffs = _parts(f)
+    extra = (f_pivot / w_pivot) * w.values
+    if coeffs is not None:
+        const += float(coeffs[mask_array(pivot, f.ground.n)].sum())
+        extra = coeffs + extra
+    return ShiftedFunction(inner, block, old_pivot | pivot, const + f_pivot,
+                           extra)
 
 
 def greedy_vertex(f: SetFunction, order) -> np.ndarray:

@@ -19,13 +19,14 @@ of its chain.  The egalitarian point is also the minimum-norm base in
 coordinates scaled by sqrt(w) (Fujishige 1980), so one Wolfe solve proposes
 an ordered partition of the users: sort its point by r/w and cut wherever a
 prefix is tight.  That solve stops at the loose gap ``PROPOSAL_GAP``, so
-the point is only approximate, and each proposed block is then confirmed
-by split's own test on its minor (the block, after the blocks before it
-are contracted): a uniform block is one leaf, and any other block is split
-further by the recursion.  If the leaf ratios do not increase along the
-blocks, the engine logs it on ``swfair.split`` and runs :func:`split`
-instead, merging its leaves by the same rule, so every answer meets the
-leaf criterion that split meets.
+the point is only approximate.  One prefix walk over the proposed blocks
+gives every block's ratio, and a one-user block is a leaf at it with no
+solve.  A larger block is confirmed by split's own test on its minor (the
+block after the blocks before it are contracted): a uniform block is one
+leaf, and any other block is split further.  If the leaf ratios do not
+increase along the blocks, the engine logs it on ``swfair.split`` and runs
+:func:`split` instead, merging its leaves by the same rule, so every answer
+meets the leaf criterion that split meets.
 
 One certificate guards every answer: every chain set is tight by
 construction, the critical values must increase strictly
@@ -56,6 +57,7 @@ from .setfn import (
     add_modular,
     bit_indices,
     mask_from_indices,
+    minor,
     reduce,
     restrict,
 )
@@ -72,7 +74,7 @@ from .sfm import (
 logger = logging.getLogger(__name__)
 
 # adaptation_path materializes one rate vector per base assignment, so it
-# refuses larger grounds unless forced, and the JSON tree leaves it out.
+# refuses larger grounds, and the JSON tree leaves it out.
 PATH_USER_LIMIT = 64
 
 # Relative Wolfe gap at which the engine's proposal stops.  The proposal
@@ -169,7 +171,7 @@ class SplitTree:
         """JSON form of the tree.
 
         The adaptation path is left out above ``PATH_USER_LIMIT`` users,
-        where :func:`adaptation_path` refuses to materialize it by default.
+        where :func:`adaptation_path` refuses to materialize it.
         """
         doc = {
             "subset": sorted(self.ground.users_of(self.subset_mask)),
@@ -292,24 +294,35 @@ def _propose(f, w) -> list[int]:
 def _confirm(f, w, blocks) -> Decomposition:
     """Chain of f's egalitarian levels, given a proposed ordered partition.
 
-    Block D_j is run through split's recursion on its minor: f restricted
-    to D_1 for the first block, and f with S_{j-1} = D_1 | ... | D_{j-1}
-    contracted, restricted to D_j, after it, at carry f(S_{j-1})/w(S_{j-1}).
+    One prefix walk over the blocks gives f(S_j), S_j = D_1 | ... | D_j,
+    and so each block's ratio (f(S_j) - f(S_{j-1})) / w(D_j).  A one-user
+    block is a leaf at that ratio, with no solve.  A larger block runs
+    split's leaf test on its minor: D_j after S_{j-1} is contracted at carry
+    f(S_{j-1})/w(S_{j-1}), built from the walk (:func:`swfair.setfn.minor`).
     Adjacent leaves whose ratios agree to within the tie tolerance are one
     level.  If the leaf ratios then do not increase, the proposal was not
     the egalitarian chain, and :func:`split` on all of f decides instead,
     its leaves merged into levels by the same rule.
     """
+    order = np.asarray([i for b in blocks for i in bit_indices(b)],
+                       dtype=np.intp)
+    pv = f.prefix_values(order).tolist()
+    w_order = w.values[order].tolist()
+    w_prefix = [0.0, *np.cumsum(w_order).tolist()]
     leaves = []
-    done = 0
+    done = start = 0
     for block in blocks:
-        if done:
-            minor = restrict(reduce(f, done, w), block)
-            carry = f.value(done) / w.of_mask(done)
+        end = start + block.bit_count()
+        if end == start + 1:
+            leaves.append((block, (pv[end] - pv[start]) / w_order[start]))
+        elif done:
+            sub = minor(f, done, block, pv[start], w_prefix[start], w)
+            carry = pv[start] / w_prefix[start]
+            leaves += _split_block(sub, w, block, carry, ())[2]
         else:
-            minor, carry = restrict(f, block), 0.0
-        leaves += _split_block(minor, w, block, carry, ())[2]
+            leaves += _split_block(restrict(f, block), w, block, 0.0, ())[2]
         done |= block
+        start = end
     levels = _levels(leaves)
     if levels is None:
         logger.info("proposed leaf ratios decrease on %s; running split",
@@ -389,18 +402,17 @@ def subset_label(ground: GroundSet, mask: int) -> str:
     return "{" + ",".join(ground.users_of(mask)) + "}"
 
 
-def adaptation_path(tree: SplitTree, force: bool = False) -> list[RateVector]:
+def adaptation_path(tree: SplitTree) -> list[RateVector]:
     """Cumulative rate vectors after each early base assignment.
 
     Starts at zero and ends at the final egalitarian rates; every vector in
     between stays inside the polyhedron of the oracle (each is dominated by
     the final rates coordinatewise).  Refuses grounds above
-    ``PATH_USER_LIMIT`` users unless ``force`` is set, to bound materialized
-    memory.
+    ``PATH_USER_LIMIT`` users, to bound materialized memory.
     """
-    if tree.ground.n > PATH_USER_LIMIT and not force:
-        raise ValueError("ground set above %d users; pass force=True to "
-                         "materialize the path anyway" % PATH_USER_LIMIT)
+    if tree.ground.n > PATH_USER_LIMIT:
+        raise ValueError("ground set above %d users; the adaptation path is "
+                         "not materialized" % PATH_USER_LIMIT)
     w = tree.weights
     path = [RateVector.zeros(tree.ground, tree.subset_mask)]
     acc = np.zeros(tree.ground.n)

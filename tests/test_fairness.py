@@ -18,7 +18,6 @@ from swfair.fairness import (
     build_report,
     egalitarian_oracle_fw,
     exchange_capacity,
-    minmax_check,
     shapley_exact,
     shapley_permutation_average,
     shapley_sampled,
@@ -190,21 +189,6 @@ def test_fw_matches_split_on_random_instances():
         rates, _ = split(src, w)
         fw = egalitarian_oracle_fw(src, w)
         assert np.allclose(rates.rates, fw.rates, atol=1e-4)
-
-
-def test_minmax_check(three_users, unit_weights):
-    egal, _ = split(three_users, unit_weights)
-    assert minmax_check(three_users, unit_weights, egal, trials=60, seed=3)
-    shap = shapley_exact(three_users)
-    assert shap.rates.max() > egal.rates.max()
-    assert not minmax_check(three_users, unit_weights, shap, trials=200, seed=3)
-
-
-def test_minmax_check_singleton():
-    g = GroundSet(["1"])
-    src = TableSource(g, {"1": 0.4})
-    w = WeightVector.ones(g)
-    assert minmax_check(src, w, np.array([0.4]), trials=5, seed=0)
 
 
 def test_exchange_capacity_local_optimality():

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from swfair.cli import main
 from swfair.fairness import egalitarian_oracle_fw
@@ -16,6 +16,7 @@ from swfair.setfn import (
     WeightVector,
     add_modular,
     bit_indices,
+    mask_from_indices,
     restrict,
     source_to_dict,
 )
@@ -160,19 +161,24 @@ def test_one_user_blocks_are_leaves_without_a_solve(monkeypatch):
                 node.sfm.maximal_mask) == (0.0, 0, node.subset_mask)
 
 
-def test_adaptation_path_guard_above_64_users():
+def ring_tree(n):
     rng = np.random.default_rng(71)
-    users = ["u%d" % i for i in range(70)]
+    users = ["u%d" % i for i in range(n)]
     ground = GroundSet(users)
-    bits = {"b%d" % i: float(rng.uniform(0.1, 1.0)) for i in range(70)}
-    observes = {u: ["b%d" % i, "b%d" % ((i + 1) % 70)]
+    bits = {"b%d" % i: float(rng.uniform(0.1, 1.0)) for i in range(n)}
+    observes = {u: ["b%d" % i, "b%d" % ((i + 1) % n)]
                 for i, u in enumerate(users)}
     src = BitPoolSource(ground, bits, observes)
-    _, tree = split(src, WeightVector.ones(ground))
-    with pytest.raises(ValueError, match="force=True"):
-        adaptation_path(tree)
-    path = adaptation_path(tree, force=True)
+    return split(src, WeightVector.ones(ground))[1]
+
+
+def test_adaptation_path_guard_above_64_users():
+    with pytest.raises(ValueError, match="above 64 users"):
+        adaptation_path(ring_tree(70))
+    tree = ring_tree(64)
+    path = adaptation_path(tree)
     assert np.array_equal(path[-1].rates, tree.rates.rates)
+    assert "adaptation_path" in tree.to_dict()
 
 
 def test_adaptation_path_unit_weights(three_users, unit_weights):
@@ -341,10 +347,10 @@ def weighted_bit_pools(draw):
 
 
 @st.composite
-def weighted_tables(draw):
+def weighted_tables(draw, min_n=1, max_n=8):
     """Sums of truncated modular functions and a concave function of |X|:
     submodular tables that are not coverage functions."""
-    n = draw(st.integers(1, 8))
+    n = draw(st.integers(min_n, max_n))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     ground = GroundSet(["t%d" % i for i in range(n)])
     masks = np.arange(1, 1 << n)
@@ -446,6 +452,149 @@ def test_confirm_refuses_decreasing_fallback_leaves(monkeypatch):
                         lambda *args, **kwargs: (rates, backwards))
     with pytest.raises(InternalConsistencyError, match="decrease"):
         _confirm(restrict(src, src.ground_mask), w, levels[::-1])
+
+
+def test_confirm_cost_guard(monkeypatch):
+    """The confirm step makes no oracle or weight call for a one-user
+    level: its ratio comes from the one prefix walk.  Each multi-user level
+    costs the value and weight of its own leaf test, and a level that is
+    split further costs what split's recursion costs on it.  _chain, which
+    builds the rates of the final levels, is not counted."""
+    rng = np.random.default_rng(3)
+    n = 96
+    src = random_bit_pool(rng, n, observe_prob=1.5 / n)
+    w = WeightVector(src.ground, rng.uniform(0.5, 4.0, n))
+    f_c = restrict(src, src.ground_mask)
+    values, weights, nodes = [], [], []
+    real_value, real_of_mask = BitPoolSource.value, WeightVector.of_mask
+    real_split_block, real_chain = split_module._split_block, _chain
+    live = [True]
+
+    def value(self, mask):
+        if live[0]:
+            values.append(mask)
+        return real_value(self, mask)
+
+    def of_mask(self, mask):
+        if live[0]:
+            weights.append(mask)
+        return real_of_mask(self, mask)
+
+    def uncounted_chain(*args):
+        live[0] = False
+        try:
+            return real_chain(*args)
+        finally:
+            live[0] = True
+
+    def split_block(*args):
+        out = real_split_block(*args)
+        nodes.append(out[0])
+        return out
+
+    def run(blocks):
+        values.clear(), weights.clear(), nodes.clear()
+        monkeypatch.setattr(BitPoolSource, "value", value)
+        monkeypatch.setattr(WeightVector, "of_mask", of_mask)
+        monkeypatch.setattr(split_module, "_split_block", split_block)
+        monkeypatch.setattr(split_module, "_chain", uncounted_chain)
+        dec = _confirm(f_c, w, blocks)
+        monkeypatch.undo()
+        before = [0]                    # S_{j-1} of each block D_j
+        for block in blocks[:-1]:
+            before.append(before[-1] | block)
+        multi = [j for j, b in enumerate(blocks) if b.bit_count() > 1]
+        for mask in values:             # S_{j-1} plus users of D_j
+            j = max(k for k, b in enumerate(blocks) if mask & b)
+            assert j in multi and mask & before[j] == before[j]
+            assert mask & ~(before[j] | blocks[j]) == 0
+        for mask in weights:            # users of D_j only
+            assert any(mask & ~blocks[j] == 0 for j in multi)
+        internal = sum(not node.is_leaf for node in nodes)
+        # per node one value and one weight; per split three more values
+        # (block, its contraction's value and constant), two more weights
+        assert len(nodes) == len(multi) + 2 * internal
+        assert len(values) <= len(nodes) + 3 * internal
+        assert len(weights) <= len(nodes) + 2 * internal
+        return dec, len(multi), internal
+
+    rates, tree = split(src, w)
+    chain = split_chain(tree)
+    levels = levels_of(chain)
+    dec, multi, internal = run(levels)
+    assert (len(values), len(weights), internal) == (multi, multi, 0)
+    proposal = split_module._propose(f_c, w)
+    dec, multi, internal = run(proposal)
+    assert internal > 0 and 0 < multi < len(proposal)
+    assert dec.chain_masks == chain
+    assert np.array_equal(dec.reconstruct().rates, rates.rates)
+
+
+@st.composite
+def confirm_cases(draw):
+    """A bit pool of 3 to 14 users or a table of 2 to 7, split's levels of
+    it, and proposals drawn from them: the levels shuffled, a merged pair,
+    a level cut in halves, a multi-user and a one-user first block, and the
+    levels reversed, which must take the fallback to split."""
+    if draw(st.booleans()):
+        n = draw(st.integers(3, 14))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        p = min(1.0, draw(st.floats(0.5, 3.0)) / n)
+        src = random_bit_pool(rng, n, observe_prob=p)
+        w = WeightVector(src.ground, rng.uniform(0.5, 4.0, n))
+    else:
+        src, w = draw(weighted_tables(min_n=2, max_n=7))
+    rates, tree = split(src, w)
+    chain = split_chain(tree)
+    levels = levels_of(chain)
+    assume(len(levels) > 1)
+    j = draw(st.integers(0, len(levels) - 2))
+    k = draw(st.integers(0, len(levels) - 1))
+    users = bit_indices(levels[k])
+    halves = (mask_from_indices(users[:len(users) // 2]),
+              mask_from_indices(users[len(users) // 2:]))
+    lead = levels[0] & -levels[0]       # lowest user of the first level
+    proposals = {
+        "levels": levels,
+        "shuffled": draw(st.permutations(levels)),
+        "merged": levels[:j] + [levels[j] | levels[j + 1]] + levels[j + 2:],
+        "halves": levels[:k] + [h for h in halves if h] + levels[k + 1:],
+        "multi-user first": [levels[0] | levels[1]] + levels[2:],
+        "one-user first": [d for d in (lead, levels[0] ^ lead) if d]
+                          + levels[1:],
+        "reversed": levels[::-1],
+    }
+    return src, w, rates, chain, proposals
+
+
+@settings(max_examples=40, deadline=None)
+@given(confirm_cases())
+def test_confirm_returns_splits_chain_for_any_proposal(case):
+    """Whatever ordered partition is proposed, the confirm step returns
+    split's chain and bit-identical rates; a proposal out of order takes
+    the fallback to split."""
+    src, w, rates, chain, proposals = case
+    fallbacks = []
+    real_split = split_module.split
+
+    def spy(*args, **kwargs):
+        fallbacks.append(args)
+        return real_split(*args, **kwargs)
+
+    f_c = restrict(src, src.ground_mask)
+    for name, blocks in proposals.items():
+        fallbacks.clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(split_module, "split", spy)
+            dec = _confirm(f_c, w, blocks)
+        assert dec.chain_masks == chain, name
+        assert np.array_equal(dec.reconstruct().rates, rates.rates), name
+        if name == "levels":
+            assert not fallbacks
+        if name == "reversed":
+            assert fallbacks
+    assert proposals["multi-user first"][0].bit_count() > 1
+    assert proposals["one-user first"][0].bit_count() == 1
 
 
 def test_egalitarian_refuses_non_submodular_table():
