@@ -117,11 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=40)
     p.add_argument("--reps", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pool-factor", type=float, default=3.0)
-    p.add_argument("--observe-prob", type=float, default=0.3)
-    p.add_argument("--observers-per-bit", type=float, default=1.5,
-                   help="scale observation probability as q/n; pass 0 to use "
-                        "the fixed --observe-prob instead")
     p.add_argument("--no-timing", dest="timing", action="store_false",
                    help="zero the wall-time column (byte-reproducible CSV)")
     p.set_defaults(func=cmd_experiment)
@@ -256,10 +251,7 @@ def cmd_decompose(args) -> int:
 def cmd_experiment(args) -> int:
     cfg = exp.ExperimentConfig(
         n_min=args.n_min, n_max=args.n_max, repetitions=args.reps,
-        seed=args.seed, pool_factor=args.pool_factor,
-        observe_prob=args.observe_prob,
-        observers_per_bit=args.observers_per_bit or None,
-        measure_time=args.timing)
+        seed=args.seed, measure_time=args.timing)
     rows, csv_text = exp.run_experiment(cfg)
     with open(args.out, "w") as fh:
         fh.write(csv_text)

@@ -28,15 +28,21 @@ logger = logging.getLogger(__name__)
 CSV_HEADER = "n,mean_sum_size,mean_max_size,mean_node_count,excluded,wall_seq_s"
 
 
+# Each instance has BITS_PER_USER bits per user, and each user observes
+# each bit with probability OBSERVERS_PER_BIT / n.  A fixed probability
+# makes bit sharing saturate as n grows, which collapses every instance to
+# a single uniform block; scaling it as 1/n keeps the expected number of
+# observers per bit constant, so the recursion depth keeps growing with n.
+BITS_PER_USER = 3
+OBSERVERS_PER_BIT = 1.5
+
+
 @dataclass
 class ExperimentConfig:
     n_min: int = 3
     n_max: int = 40
     repetitions: int = 100
     seed: int = 0
-    pool_factor: float = 3.0
-    observe_prob: float = 0.3
-    observers_per_bit: float | None = 1.5
     measure_time: bool = True
 
     def __post_init__(self):
@@ -46,24 +52,6 @@ class ExperimentConfig:
             raise ValueError("n_max must be >= n_min")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
-        if not 0.0 < self.observe_prob <= 1.0:
-            raise ValueError("observe_prob must lie in (0, 1]")
-        if self.observers_per_bit is not None and self.observers_per_bit <= 0:
-            raise ValueError("observers_per_bit must be positive when set")
-
-    def observe_prob_for(self, n: int) -> float:
-        """Per-pair observation probability used at ground size n.
-
-        A fixed probability makes bit sharing saturate as n grows, which
-        collapses every instance to a single uniform block; the default
-        scales the probability as observers_per_bit / n so the expected
-        number of observers per bit stays constant and the recursion depth
-        keeps growing with n.  Set ``observers_per_bit=None`` to use the
-        fixed ``observe_prob`` instead.
-        """
-        if self.observers_per_bit is None:
-            return self.observe_prob
-        return min(1.0, self.observers_per_bit / n)
 
 
 @dataclass
@@ -85,20 +73,19 @@ def generate_instance(n: int, config: ExperimentConfig,
                       rep_index: int = 0) -> BitPoolSource:
     """Random coverage-entropy source, deterministic under (seed, n, rep).
 
-    ceil(pool_factor * n) independent bits with entropies uniform on
-    (0, 1); each user observes each bit with probability
-    ``config.observe_prob_for(n)``, and users that come out empty are
-    redrawn.
+    BITS_PER_USER * n independent bits with entropies uniform on (0, 1);
+    each user observes each bit with probability min(1, OBSERVERS_PER_BIT
+    / n), and users that come out empty are redrawn.
     """
     if n < 2:
         raise ValueError("instances need at least 2 users")
     rng = np.random.default_rng([config.seed, n, rep_index])
-    n_bits = math.ceil(config.pool_factor * n)
+    n_bits = BITS_PER_USER * n
     h = rng.uniform(0.0, 1.0, n_bits)
     while (h <= 0.0).any():
         bad = h <= 0.0
         h[bad] = rng.uniform(0.0, 1.0, int(bad.sum()))
-    prob = config.observe_prob_for(n)
+    prob = min(1.0, OBSERVERS_PER_BIT / n)
     obs = rng.random((n, n_bits)) < prob
     for i in range(n):
         while not obs[i].any():

@@ -16,9 +16,11 @@ Two concrete source models are provided:
 * :class:`TableSource` - an explicit, complete table of values for every
   nonempty subset, used for arbitrary test fixtures.
 
-Derived oracles (:func:`restrict`, :func:`reduce`, :func:`minor`, modular
-shifts) are one affine wrapper, so chains of them stay O(1) per evaluation
-and keep the fast vectorized paths of the underlying source.
+Derived oracles (:func:`restrict`, :func:`minor`, modular shifts) are one
+affine wrapper, so chains of them stay O(1) per evaluation and keep the
+fast vectorized paths of the underlying source.  :func:`minor` is the one
+contraction; :func:`reduce` is a checked call of it that evaluates the
+pivot first.
 """
 
 from __future__ import annotations
@@ -501,8 +503,9 @@ def coverage_cut(f: SetFunction, elements):
     coefficients c is f(X) = offset + h(N(X) - N(P)) - c(X), where N(X) is
     the set of bits X observes, h(B) the entropy of the bits B and offset
     H(P) - k.  The form holds at the empty set too, as f(empty) = 0,
-    because the views that restrict, reduce and add_modular build have k =
-    H(P) and so offset 0 (a :func:`minor`'s k is H(P) up to rounding).
+    because every view has k = H(P) and so offset 0: exactly for views that
+    restrict and add_modular build on the source, up to rounding for the
+    contractions that :func:`minor` and :func:`reduce` build.
     Returns (user, bit, entropy, coeffs, offset), the first three as
     :meth:`BitPoolSource.incidence` gives them for ``elements`` and P and
     coeffs the c of ``elements`` in order, or None if f views another
@@ -574,7 +577,8 @@ def reduce(f: SetFunction, pivot, w: WeightVector) -> SetFunction:
     """Contract the pivot block out of f, rescaled for the complement solve.
 
     g(X) = f(X | pivot) - f(pivot) * (w(X)/w(pivot) + 1) over the complement
-    of the pivot inside f's ground.  g(empty) = 0 exactly, and g inherits
+    of the pivot inside f's ground: :func:`minor` on that complement, after
+    checking the pivot and evaluating f(pivot) and w(pivot).  g inherits
     submodularity from f (it differs from a restriction of f by a modular
     function).
     """
@@ -582,25 +586,20 @@ def reduce(f: SetFunction, pivot, w: WeightVector) -> SetFunction:
     if pmask == 0 or pmask == f.ground_mask or pmask & ~f.ground_mask:
         raise InvalidReductionError(
             "pivot must be a nonempty strict subset of the oracle's ground")
-    f_pivot = f.value(pmask)
-    w_pivot = w.of_mask(pmask)
-    inner, old_pivot, _old_const, old_coeffs = _parts(f)
-    new_pivot = old_pivot | pmask
-    # inner(new_pivot) equals old_const + old_modular(pmask) + f(pmask)
-    # exactly, so using it as the constant pins g(empty) to 0 bit-for-bit.
-    new_const = inner.value(new_pivot)
-    extra = (f_pivot / w_pivot) * w.values
-    merged = extra if old_coeffs is None else old_coeffs + extra
-    return ShiftedFunction(inner, f.ground_mask & ~pmask, new_pivot,
-                           new_const, merged)
+    return minor(f, pmask, f.ground_mask & ~pmask, f.value(pmask),
+                 w.of_mask(pmask), w)
 
 
 def minor(f: SetFunction, pivot: int, block: int, f_pivot: float,
           w_pivot: float, w: WeightVector) -> SetFunction:
-    """restrict(reduce(f, pivot, w), block), given f(pivot) and w(pivot).
+    """The contraction of f by ``pivot``, viewed over ``block``.
 
-    Makes no oracle call: the constant is f's own at the pivot plus
-    f_pivot, which is H(pivot) up to rounding.
+    g(X) = f(X | pivot) - f_pivot * (w(X)/w_pivot + 1) for X inside block,
+    which must be disjoint from the pivot, given f_pivot = f(pivot) and
+    w_pivot = w(pivot).  Makes no oracle call: the new constant, f's
+    constant plus f's coefficients over the pivot plus f_pivot, is the
+    source's value at the joint pivot up to rounding, and g(empty) is 0
+    because every view returns 0 at the empty set.
     """
     inner, old_pivot, const, coeffs = _parts(f)
     extra = (f_pivot / w_pivot) * w.values

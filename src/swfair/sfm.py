@@ -34,6 +34,7 @@ import numpy as np
 from .flow import max_flow
 from .setfn import (
     CountingFunction,
+    GroundSet,
     SetFunction,
     bit_indices,
     coverage_cut,
@@ -81,16 +82,27 @@ MAX_ITERATIONS = 20000
 
 @dataclass
 class SfmResult:
-    """Minimum value plus both lattice-extreme minimizers of one SFM solve."""
+    """Minimum value plus both lattice-extreme minimizers of one SFM solve.
 
+    The minimizers are masks over ``ground``; ``minimal_minimizer`` and
+    ``maximal_minimizer`` name their users.
+    """
+
+    ground: GroundSet = field(repr=False)
     min_value: float
-    minimal_minimizer: frozenset
-    maximal_minimizer: frozenset
+    minimal_mask: int
+    maximal_mask: int
     solver_used: str
     oracle_evals: int
     ground_size: int
-    minimal_mask: int = field(default=0, repr=False)
-    maximal_mask: int = field(default=0, repr=False)
+
+    @property
+    def minimal_minimizer(self) -> frozenset:
+        return frozenset(self.ground.users_of(self.minimal_mask))
+
+    @property
+    def maximal_minimizer(self) -> frozenset:
+        return frozenset(self.ground.users_of(self.maximal_mask))
 
     def to_dict(self) -> dict:
         return {
@@ -115,7 +127,7 @@ def solve_sfm(f: SetFunction, method: str | None = None) -> SfmResult:
     """
     elems = bit_indices(f.ground_mask)
     if not elems:
-        return SfmResult(0.0, frozenset(), frozenset(), "exhaustive", 0, 0)
+        return SfmResult(f.ground, 0.0, 0, 0, "exhaustive", 0, 0)
     if method is None:
         cut = coverage_cut(f, elems) if len(elems) > MIN_CUT_ABOVE else None
         if cut is not None:
@@ -151,9 +163,8 @@ def _solve_exhaustive(f, elems) -> SfmResult:
     minimal_mask = global_mask(inter, elems)
     maximal_mask = global_mask(union, elems)
     return SfmResult(
+        ground=f.ground,
         min_value=vmin,
-        minimal_minimizer=frozenset(f.ground.users_of(minimal_mask)),
-        maximal_minimizer=frozenset(f.ground.users_of(maximal_mask)),
         solver_used="exhaustive",
         oracle_evals=counting.evals,
         ground_size=c,
@@ -200,9 +211,8 @@ def _solve_min_cut(f, elems, cut) -> SfmResult:
     maximal_mask = mask_from_indices(
         e for e, t in zip(elems, to_sink[2:c + 2]) if not t)
     return SfmResult(
+        ground=f.ground,
         min_value=offset + flow - float(coef[gain].sum()),
-        minimal_minimizer=frozenset(f.ground.users_of(minimal_mask)),
-        maximal_minimizer=frozenset(f.ground.users_of(maximal_mask)),
         solver_used="min_cut",
         oracle_evals=0,
         ground_size=c,
@@ -235,9 +245,8 @@ def _solve_min_norm(f, elems) -> SfmResult:
     minimal_mask = mask_from_indices(ordered[:k_small])
     maximal_mask = mask_from_indices(ordered[:k_large])
     result = SfmResult(
+        ground=f.ground,
         min_value=pmin,
-        minimal_minimizer=frozenset(f.ground.users_of(minimal_mask)),
-        maximal_minimizer=frozenset(f.ground.users_of(maximal_mask)),
         solver_used="min_norm_point",
         oracle_evals=counting.evals,
         ground_size=len(elems),

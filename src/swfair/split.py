@@ -58,7 +58,6 @@ from .setfn import (
     bit_indices,
     mask_from_indices,
     minor,
-    reduce,
     restrict,
 )
 from .sfm import (
@@ -218,9 +217,8 @@ def _split_block(f, w, cmask, carry, path):
     """
     lam = f.value(cmask) / w.of_mask(cmask)
     if cmask.bit_count() == 1:
-        res = SfmResult(0.0, frozenset(), frozenset(f.ground.users_of(cmask)),
-                        "exhaustive", oracle_evals=0, ground_size=1,
-                        minimal_mask=0, maximal_mask=cmask)
+        res = SfmResult(f.ground, 0.0, 0, cmask, "exhaustive",
+                        oracle_evals=0, ground_size=1)
         return SplitNode(cmask, lam, res, None, None), [], [(cmask, carry + lam)]
     objective = add_modular(f, lam * w.values)
     try:
@@ -238,14 +236,14 @@ def _split_block(f, w, cmask, carry, path):
             % (subset_label(f.ground, cmask),))
 
     rest = cmask & ~block
-    base_coeff = f.value(block) / w.of_mask(block)
-    f_block = restrict(f, block)
-    f_rest = reduce(f, block, w)
+    h_block, w_block = f.value(block), w.of_mask(block)
+    base_coeff = h_block / w_block
     here = path + (subset_label(f.ground, cmask),)
     block_node, block_events, block_leaves = _split_block(
-        f_block, w, block, carry, here)
+        restrict(f, block), w, block, carry, here)
     rest_node, rest_events, rest_leaves = _split_block(
-        f_rest, w, rest, carry + base_coeff, here)
+        minor(f, block, rest, h_block, w_block, w), w, rest,
+        carry + base_coeff, here)
     node = SplitNode(cmask, lam, res, base_coeff, (block_node, rest_node))
     events = block_events + [(rest, base_coeff)] + rest_events
     leaves = block_leaves + rest_leaves
@@ -357,16 +355,20 @@ def _chain(f, w, levels) -> Decomposition:
 
     lam_j = (f(S_j) - f(S_{j-1})) / w(D_j) with S_j = D_1 | ... | D_j, all
     values from one prefix walk that visits the levels in turn, each in
-    ascending position.  Every egalitarian result is built here, so equal
-    chains give bit-identical rates.
+    ascending position, and w(D_j) summed over the same positions of that
+    walk.  Every egalitarian result is built here, so equal chains give
+    bit-identical rates.
     """
-    order = [i for level in levels for i in bit_indices(level)]
-    pv = f.prefix_values(np.asarray(order, dtype=np.intp))
+    order = np.asarray([i for level in levels for i in bit_indices(level)],
+                       dtype=np.intp)
+    pv = f.prefix_values(order)
+    w_order = w.values[order]
     crit, masks = [], []
     start, acc = 0, 0
     for level in levels:
         end = start + level.bit_count()
-        crit.append(float(pv[end] - pv[start]) / w.of_mask(level))
+        crit.append(float(pv[end] - pv[start])
+                    / float(w_order[start:end].sum()))
         acc |= level
         masks.append(acc)
         start = end

@@ -26,8 +26,6 @@ def test_config_validation():
         ExperimentConfig(n_min=5, n_max=4)
     with pytest.raises(ValueError):
         ExperimentConfig(repetitions=0)
-    with pytest.raises(ValueError):
-        ExperimentConfig(observe_prob=0.0)
 
 
 def test_generate_instance_deterministic():

@@ -511,11 +511,11 @@ def test_confirm_cost_guard(monkeypatch):
         for mask in weights:            # users of D_j only
             assert any(mask & ~blocks[j] == 0 for j in multi)
         internal = sum(not node.is_leaf for node in nodes)
-        # per node one value and one weight; per split three more values
-        # (block, its contraction's value and constant), two more weights
+        # per node one value and one weight; per split one more of each,
+        # f(block) and w(block), which also build the contraction
         assert len(nodes) == len(multi) + 2 * internal
-        assert len(values) <= len(nodes) + 3 * internal
-        assert len(weights) <= len(nodes) + 2 * internal
+        assert len(values) == len(nodes) + internal
+        assert len(weights) == len(nodes) + internal
         return dec, len(multi), internal
 
     rates, tree = split(src, w)
