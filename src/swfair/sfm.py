@@ -17,7 +17,16 @@ the oracle and its ground size:
   and top);
 * the Fujishige-Wolfe minimum-norm-point algorithm for larger grounds over
   any other oracle, driven by the greedy linear-minimization oracle over
-  the base polyhedron.
+  the base polyhedron.  Like Wolfe's own method it keeps a factor of its
+  active set across cycles: the inverse of the bordered Gram matrix
+  [[0, 1^T], [1, S S^T]] of the active vertices S, bordered by a Schur
+  complement when a vertex is added and downdated by rank one when one is
+  dropped, so a minor cycle costs O(m^2) for m active vertices.  The
+  inverse is rebuilt from scratch, with a least-squares fallback, whenever
+  a Schur complement is not clearly positive next to the vertex's squared
+  norm or a step of iterative refinement moves the affine coefficients by
+  more than ``REFINE_SLACK`` of their size, so nearly collinear vertices
+  are as safe as with a new solve per cycle.
 
 References for the min-norm route: Wolfe, "Finding the nearest point in a
 polytope" (Math. Prog. 1976); Fujishige, Hayashi, Isotani, "The minimum-norm-
@@ -45,12 +54,22 @@ from .setfn import (
 
 
 class ConvergenceError(RuntimeError):
-    """Iteration cap hit; carries the best result found so far."""
+    """Iteration cap hit; carries the best result found so far.
+
+    ``recursion_path`` holds the labels of the blocks ``split`` was solving
+    when the solve failed, outermost first; ``str`` names them.
+    """
 
     def __init__(self, message, best=None):
         super().__init__(message)
         self.best = best
         self.recursion_path = None
+
+    def __str__(self) -> str:
+        text = super().__str__()
+        if self.recursion_path:
+            text += " at " + " > ".join(self.recursion_path)
+        return text
 
 
 # Bit-pool views above this many users take the min cut.  On seed-0
@@ -282,13 +301,43 @@ def min_norm_point(f: SetFunction) -> np.ndarray:
 # How a Wolfe run ended: only CONVERGED has passed the gap test.
 CONVERGED, STALLED, CAPPED = "converged", "stalled", "capped"
 
+# The bordered inverse of Wolfe's active set is rebuilt from scratch when a
+# vertex it adds or drops has a Schur complement (its squared distance to
+# the affine hull of the other active vertices) of at most SCHUR_FLOOR
+# times its squared norm, or when one step of iterative refinement moves
+# the affine coefficients by more than REFINE_SLACK * max(1, |coeff|).
+SCHUR_FLOOR = 1e-10
+REFINE_SLACK = 1e-6
 
-def _stop_reason(stop: str) -> str:
+# Active sets of up to this many vertices are solved afresh in each minor
+# cycle and keep no inverse.  An update saves nothing there: over 256
+# coordinates a fresh solve took 15 / 23 / 30 us at 3 / 13 / 17 vertices
+# and an update with its refinement 19-24 / 26-31 / 25-29 us, and the
+# proposal on 20 seed-0 ``large`` models took the same time to within 2%
+# with this set to 1, 4, 8 or 16 (perf_counter, 2 vCPUs).  Wolfe on a
+# ground of at most this many users thus rounds exactly like one bordered
+# solve per minor cycle.
+SOLVE_UP_TO = 12
+
+
+class _Stop(str):
+    """How a Wolfe run ended, equal to CONVERGED, STALLED or CAPPED; ``gap``
+    is the relative gap its last major cycle reached."""
+
+    def __new__(cls, reason, gap):
+        stop = super().__new__(cls, reason)
+        stop.gap = gap
+        return stop
+
+
+def _stop_reason(stop: _Stop) -> str:
     """Words for a Wolfe run that did not converge, for error messages."""
     if stop == STALLED:
-        return ("stalled before its gap test passed (the new vertex was "
-                "already active)")
-    return "hit the iteration cap (%d)" % MAX_ITERATIONS
+        words = ("stalled before its gap test passed (the new vertex was "
+                 "already active)")
+    else:
+        words = "hit the iteration cap (%d)" % MAX_ITERATIONS
+    return "%s at relative gap %.3g" % (words, stop.gap)
 
 
 def _wolfe(f, elems, gap, scale=None):
@@ -297,15 +346,25 @@ def _wolfe(f, elems, gap, scale=None):
     Maintains x as a convex combination of greedy vertices (rows of S with
     coefficients lam).  Major cycles add the vertex minimizing <x, .>;
     minor cycles project onto the affine hull of the active vertices and
-    prune until the projection is a proper convex combination.
+    prune until the projection is a proper convex combination.  As in
+    Wolfe (1976) the active set keeps a factor of its normal equations
+    across cycles, here the inverse of the bordered Gram matrix
+    (:class:`_ActiveSet`), so above ``SOLVE_UP_TO`` active vertices a minor
+    cycle (:func:`_affine_minimizer`) costs an O(m^2) update for m active
+    vertices, not a new solve.  The inverse is rebuilt from scratch when
+    the update is not safe: a vertex added or dropped lies all but in the
+    affine hull of the others (``SCHUR_FLOOR``), or a step of iterative
+    refinement moves the coefficients by more than ``REFINE_SLACK``.
 
     With ``scale`` s (positive, one entry per element) the iteration runs
     in the coordinates y = x / s, so it minimizes sum(x_i^2 / s_i^2): with
     s = sqrt(w) that is the weighted egalitarian objective (Fujishige 1980).
-    Returns x in f's own coordinates and how the run ended: CONVERGED once
-    |y|^2 - <y, q>, q the greedy vertex along y, is at most ``gap`` *
-    max(1, |y|^2), STALLED when the best vertex is already active before
-    it does, CAPPED at ``MAX_ITERATIONS`` major cycles.
+    Returns x in f's own coordinates and how the run ended, a
+    :class:`_Stop` that also carries the relative gap
+    (|y|^2 - <y, q>) / max(1, |y|^2) of its last major cycle, q the greedy
+    vertex along y: CONVERGED once that gap is at most ``gap``, STALLED
+    when the best vertex is already active before it is, CAPPED at
+    ``MAX_ITERATIONS`` major cycles.
     """
     elems_arr = np.asarray(elems, dtype=np.intp)
     c = len(elems)
@@ -315,49 +374,80 @@ def _wolfe(f, elems, gap, scale=None):
         order = np.argsort(direction / s, kind="stable")
         return greedy_vertex_local(f, elems_arr, order) / s
 
-    x = vertex(np.zeros(c))
-    S = x.reshape(1, c)
+    active = _ActiveSet(vertex(np.zeros(c)))
+    x = active.S[0].copy()
     lam = np.ones(1)
+    reached = np.inf
 
     for _ in range(MAX_ITERATIONS):
         q = vertex(x)
         xx = float(x @ x)
-        if xx - float(x @ q) <= gap * max(1.0, xx):
-            return x * s, CONVERGED
-        if np.any(np.all(np.abs(S - q) <= 1e-12, axis=1)):
-            return x * s, STALLED
-        S = np.vstack([S, q])
+        xq = float(x @ q)
+        reached = (xx - xq) / max(1.0, xx)
+        if xx - xq <= gap * max(1.0, xx):
+            return x * s, _Stop(CONVERGED, reached)
+        Sq, qq = active.S @ q, float(q @ q)
+        if active.holds(q, Sq, qq):
+            return x * s, _Stop(STALLED, reached)
         lam = np.append(lam, 0.0)
+        coeff, y = _affine_minimizer(active, added=(q, Sq, qq))
 
         while True:
-            coeff, y = _affine_minimizer(S)
-            if np.all(coeff > 1e-12):
+            if coeff.min() > 1e-12:
                 x, lam = y, coeff
                 break
             # step toward y until the first coefficient hits zero, drop it
             shrink = lam - coeff
-            active = shrink > 1e-14
-            if not active.any():
+            moving = shrink > 1e-14
+            if not moving.any():
                 # projection matches the current coefficients to precision
                 lam = np.maximum(coeff, 0.0)
                 lam = lam / lam.sum()
-                x = S.T @ lam
+                x = active.S.T @ lam
                 break
-            theta = float(np.min(lam[active] / shrink[active]))
+            theta = float(np.min(lam[moving] / shrink[moving]))
             theta = min(max(theta, 0.0), 1.0)
             lam = (1.0 - theta) * lam + theta * coeff
             keep = lam > 1e-12
             if keep.all():
                 keep[int(np.argmin(lam))] = False
-            S = S[keep]
             lam = lam[keep]
             lam = lam / lam.sum()
-            x = S.T @ lam
-    return x * s, CAPPED
+            coeff, y = _affine_minimizer(active, keep=keep)
+    return x * s, _Stop(CAPPED, reached)
 
 
-def _affine_minimizer(S):
-    """Least-norm point of the affine hull of the rows of S.
+def _affine_minimizer(active, added=None, keep=None):
+    """One minor cycle: edit the active set, then return the affine
+    coefficients of the least-norm point of its affine hull, and the point.
+
+    ``added`` is (q, S q, q.q) for the vertex a major cycle appends, and
+    ``keep`` the mask of the rows a minor cycle keeps.  Up to
+    ``SOLVE_UP_TO`` active vertices the bordered system is solved afresh.
+    Above, the coefficients are column 0 of the updated bordered inverse P
+    below the border, after one step of iterative refinement on the
+    bordered matrix M, so the cycle costs O(m^2) plus one S^T coeff
+    product; a refinement step that moves them by more than
+    ``REFINE_SLACK`` rebuilds the inverse instead.
+    """
+    if added is not None:
+        active.add(*added)
+    else:
+        active.drop(keep)
+    if active.inv is None:
+        return _bordered_solve(active.S)
+    P = active.inv
+    sol = P[:, 0]
+    step = sol[1:] - P[1:] @ (active.M @ sol)
+    coeff = sol[1:] + step
+    if not step @ step <= REFINE_SLACK ** 2 * max(1.0, coeff @ coeff):
+        active.rebuild()
+        coeff = active.inv[1:, 0].copy()
+    return coeff, active.S.T @ coeff
+
+
+def _bordered_solve(S):
+    """Least-norm point of the affine hull of the rows of S, from scratch.
 
     Solves the bordered normal equations; falls back to least squares when
     the Gram matrix is numerically singular.
@@ -378,3 +468,123 @@ def _affine_minimizer(S):
         sol = np.linalg.lstsq(M, rhs, rcond=None)[0]
     coeff = sol[1:]
     return coeff, S.T @ coeff
+
+
+class _ActiveSet:
+    """Wolfe's active vertices and the inverse of their bordered Gram matrix.
+
+    The m vertices ``S`` and the bordered matrix ``M`` = [[0, 1^T],
+    [1, S S^T]] are leading blocks of buffers that double when full.  Above
+    ``SOLVE_UP_TO`` vertices ``inv`` is the inverse of M, so the affine
+    minimizer's coefficients are ``inv[1:, 0]``; below it is None.  Adding
+    vertex q borders ``inv`` by the Schur complement q.q - b^T inv b,
+    b = [1; S q], and dropping vertex j downdates it to
+    P_rr - P_rj P_jr / P_jj before deleting row and column j: both O(m^2).
+    Either falls back to :meth:`rebuild` when its Schur complement
+    (1 / P_jj for a drop) is at most ``SCHUR_FLOOR`` times the vertex's
+    squared norm, that is when the vertex is all but an affine combination
+    of the others.
+    """
+
+    def __init__(self, v):
+        self._rows = np.empty((32, len(v)))
+        self._M = np.ones((33, 33))
+        self._M[0, 0] = 0.0
+        self._rows[0] = v
+        self._M[1, 1] = self.scale = float(v @ v)
+        self.m = 1
+        self.inv = None
+
+    @property
+    def S(self) -> np.ndarray:
+        return self._rows[:self.m]
+
+    @property
+    def M(self) -> np.ndarray:
+        return self._M[:self.m + 1, :self.m + 1]
+
+    def holds(self, q, Sq, qq) -> bool:
+        """Whether an active row equals q to within 1e-12 per coordinate.
+
+        Only rows whose |s_k - q|^2 = |s_k|^2 - 2 (S q)_k + q.q is within
+        rounding of zero are compared coordinate by coordinate.
+        """
+        room = len(q) * (1e-24 + 1e-15 * (self.scale + qq)) - qq
+        near = self.M.diagonal()[1:] - 2.0 * Sq <= room
+        if not near.any():
+            return False
+        return bool(np.any(np.all(np.abs(self.S[near] - q) <= 1e-12, axis=1)))
+
+    def add(self, q, Sq, qq):
+        m = self.m
+        if m == len(self._rows):
+            self._rows = np.pad(self._rows, ((0, m), (0, 0)))
+            self._M = np.pad(self._M, ((0, m), (0, m)), constant_values=1.0)
+        self._rows[m] = q
+        M = self._M
+        M[m + 1, 1:m + 1] = M[1:m + 1, m + 1] = Sq
+        M[m + 1, m + 1] = qq
+        self.m = m + 1
+        self.scale = max(self.scale, qq)
+        if self.m <= SOLVE_UP_TO:
+            return
+        if self.inv is not None:
+            b = M[m + 1, :m + 1]
+            u = self.inv @ b
+            schur = qq - float(b @ u)
+            if schur > SCHUR_FLOOR * qq:
+                w = u / schur
+                self.inv = _border(self.inv + u[:, None] * w, -w, 1.0 / schur)
+                return
+        self.rebuild()
+
+    def drop(self, keep):
+        M, P = self._M, self.inv
+        for j in np.flatnonzero(~keep)[::-1] + 1:
+            m = self.m
+            if P is not None:
+                pjj = P[j, j]
+                if 0.0 < pjj and pjj * SCHUR_FLOOR * M[j, j] < 1.0:
+                    P = _delete(P - P[:, j, None] * (P[j] / pjj), j)
+                else:
+                    P = None
+            M[j:m, :m + 1] = M[j + 1:m + 1, :m + 1]
+            M[:m, j:m] = M[:m, j + 1:m + 1]
+            self._rows[j - 1:m - 1] = self._rows[j:m]
+            self.m = m - 1
+        if self.m <= SOLVE_UP_TO:
+            self.inv = None
+        elif P is None:
+            self.rebuild()
+        else:
+            self.inv = P
+
+    def rebuild(self):
+        """Invert the bordered matrix from scratch, by least squares when
+        it is singular."""
+        try:
+            self.inv = np.linalg.inv(self.M)
+        except np.linalg.LinAlgError:
+            self.inv = np.linalg.lstsq(self.M, np.eye(self.m + 1),
+                                       rcond=None)[0]
+
+
+def _border(A, b, d):
+    """The symmetric matrix [[A, b], [b^T, d]]."""
+    n = len(A)
+    out = np.empty((n + 1, n + 1))
+    out[:n, :n] = A
+    out[n, :n] = out[:n, n] = b
+    out[n, n] = d
+    return out
+
+
+def _delete(A, j):
+    """A without its row and column j."""
+    n = len(A) - 1
+    out = np.empty((n, n))
+    out[:j, :j] = A[:j, :j]
+    out[:j, j:] = A[:j, j + 1:]
+    out[j:, :j] = A[j + 1:, :j]
+    out[j:, j:] = A[j + 1:, j + 1:]
+    return out

@@ -6,6 +6,7 @@ import swfair.sfm as sfm_module
 from swfair.cli import build_parser
 from swfair.setfn import (
     GroundSet,
+    SetFunction,
     TableSource,
     WeightVector,
     add_modular,
@@ -25,6 +26,7 @@ from swfair.sfm import (
     min_norm_point,
     solve_sfm,
 )
+from swfair.split import PROPOSAL_GAP
 from conftest import OpaquePool, random_bit_pool, twin_bit_pool
 
 
@@ -290,3 +292,175 @@ def test_wolfe_converged_means_gap_test_passed(monkeypatch):
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         solve_sfm(random_bit_pool(np.random.default_rng(0), 3), method="magic")
+
+
+def test_convergence_errors_quote_the_gap_reached(wolfe_capped):
+    rng = np.random.default_rng(31)
+    f = shifted(random_bit_pool(rng, 10), rng.uniform(0.2, 0.6, 10))
+    for solve in (lambda: solve_sfm(f, method="min_norm_point"),
+                  lambda: min_norm_point(f)):
+        with pytest.raises(ConvergenceError,
+                           match=r"iteration cap \(1\) at relative gap \d"):
+            solve()
+
+
+class NearlyModular(SetFunction):
+    """a(X) + eps * sqrt(|X|): submodular, and close to modular for small
+    eps, so its greedy vertices crowd around the point a."""
+
+    def __init__(self, a, eps):
+        self.ground = GroundSet(["m%d" % i for i in range(len(a))])
+        self.ground_mask = self.ground.full_mask
+        self.a, self.eps = np.asarray(a, dtype=float), eps
+
+    def value(self, mask):
+        idx = bit_indices(mask)
+        return float(self.a[idx].sum() + self.eps * np.sqrt(len(idx)))
+
+    def prefix_values(self, order, base=0):
+        first = bit_indices(base)
+        steps = np.concatenate(([self.a[first].sum()], self.a[order]))
+        sizes = len(first) + np.arange(len(order) + 1)
+        return np.cumsum(steps) + self.eps * np.sqrt(sizes)
+
+
+def vertex_source(kind, rng, n):
+    """A random bit pool, a twin pool (two copies of one pool, so vertices
+    repeat blocks of coordinates) or a nearly modular function."""
+    if kind == "bits":
+        return random_bit_pool(rng, n, observe_prob=rng.uniform(0.02, 0.3))
+    if kind == "twins":
+        return twin_bit_pool(rng, (n + 1) // 2)[0]
+    return NearlyModular(rng.uniform(0.5, 1.0, n), 10 ** rng.uniform(-1.3, -0.3))
+
+
+def fresh_coeff_gap(active, coeff):
+    """Distance of coeff from a from-scratch bordered solve, relative to
+    max(1, |coeff|) of that solve."""
+    ref = sfm_module._bordered_solve(active.S)[0]
+    return np.max(np.abs(coeff - ref)) / max(1.0, np.linalg.norm(ref))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["bits", "twins", "nearly_modular"]),
+       st.integers(2, 80), st.integers(0, 2**32 - 1))
+def test_active_set_matches_a_fresh_solve(kind, cap, seed):
+    """Random adds and drops of greedy vertices, up to ``cap`` active ones
+    on a ground at least 20 larger: after every step the coefficients
+    Wolfe's active set gives match a from-scratch bordered solve.  As in
+    Wolfe's loop, a vertex already active is not added again."""
+    rng = np.random.default_rng(seed)
+    f = vertex_source(kind, rng, cap + int(rng.integers(20, 41)))
+    elems = np.asarray(bit_indices(f.ground_mask), dtype=np.intp)
+    orders = [rng.permutation(len(elems))]
+    active = sfm_module._ActiveSet(greedy_vertex_local(f, elems, orders[0]))
+    for _ in range(3 * cap + 10):
+        m = active.m
+        if m >= 2 and (m >= cap or rng.random() < 0.3):
+            keep = np.ones(m, dtype=bool)
+            keep[rng.choice(m, size=min(m - 1, int(rng.integers(1, 3))),
+                            replace=False)] = False
+            coeff, y = sfm_module._affine_minimizer(active, keep=keep)
+        else:
+            again = rng.random() < 0.1
+            order = (orders[int(rng.integers(len(orders)))] if again
+                     else rng.permutation(len(elems)))
+            q = greedy_vertex_local(f, elems, order)
+            Sq, qq = active.S @ q, float(q @ q)
+            if active.holds(q, Sq, qq):
+                continue
+            orders.append(order)
+            coeff, y = sfm_module._affine_minimizer(active, added=(q, Sq, qq))
+        assert fresh_coeff_gap(active, coeff) <= 1e-9
+        assert np.allclose(y, active.S.T @ coeff, rtol=0, atol=1e-12)
+
+
+def test_active_set_rebuilds_next_to_the_affine_hull(monkeypatch):
+    """A vertex all but an affine combination of the active ones, or the
+    drop of such a vertex, rebuilds the inverse instead of updating it."""
+    rebuilds = []
+    real_rebuild = sfm_module._ActiveSet.rebuild
+
+    def rebuild(self):
+        rebuilds.append(self.m)
+        real_rebuild(self)
+
+    monkeypatch.setattr(sfm_module._ActiveSet, "rebuild", rebuild)
+    rng = np.random.default_rng(5)
+    f = random_bit_pool(rng, 60, observe_prob=0.05)
+    elems = np.asarray(bit_indices(f.ground_mask), dtype=np.intp)
+    active = sfm_module._ActiveSet(greedy_vertex_local(f, elems, np.arange(60)))
+    while active.m < 30:
+        q = greedy_vertex_local(f, elems, rng.permutation(60))
+        sfm_module._affine_minimizer(active, added=(q, active.S @ q, q @ q))
+    S = active.S.copy()
+    base = 0.6 * S[3] + 0.7 * S[10] - 0.3 * S[20]
+    basis = np.linalg.qr((S[1:] - S[0]).T)[0]
+    normal = rng.standard_normal(60)
+    normal -= basis @ (basis.T @ normal)
+    normal /= np.linalg.norm(normal)
+
+    def near(rel):
+        """base moved off the affine hull by a squared distance of
+        rel * |base|^2."""
+        return base + np.sqrt(rel * (base @ base)) * normal
+
+    def add(q):
+        rebuilds.clear()
+        return sfm_module._affine_minimizer(active, added=(q, active.S @ q, q @ q))
+
+    keep = np.ones(31, dtype=bool)
+    keep[-1] = False
+    # clear of the floor: added and dropped by updates, equal to a fresh
+    # solve after each
+    coeff, _ = add(near(1e-4))
+    assert rebuilds == [] and fresh_coeff_gap(active, coeff) <= 1e-9
+    coeff, _ = sfm_module._affine_minimizer(active, keep=keep)
+    assert rebuilds == [] and fresh_coeff_gap(active, coeff) <= 1e-9
+    # under the floor: rebuilt (its coefficients are ill-determined there)
+    add(near(1e-3 * sfm_module.SCHUR_FLOOR))
+    assert rebuilds and rebuilds[0] == 31
+    sfm_module._affine_minimizer(active, keep=keep)
+    # with the floor raised over it, both the add and the drop of the same
+    # well-conditioned vertex rebuild, and still match a fresh solve
+    monkeypatch.setattr(sfm_module, "SCHUR_FLOOR", 1e-3)
+    coeff, _ = add(near(1e-4))
+    assert rebuilds == [31] and fresh_coeff_gap(active, coeff) <= 1e-9
+    rebuilds.clear()
+    coeff, _ = sfm_module._affine_minimizer(active, keep=keep)
+    assert rebuilds == [30] and fresh_coeff_gap(active, coeff) <= 1e-9
+
+
+def test_wolfe_work_matches_a_from_scratch_solve(monkeypatch):
+    """The maintained inverse changes constants, not the algorithm: on
+    weighted bit pools of 64-256 users, at the proposal's and the SFM's
+    gap, Wolfe ends the same way at the same point after as many major and
+    minor cycles as when every minor cycle solves afresh."""
+    real = sfm_module._affine_minimizer
+
+    def run(f, elems, gap, s, minimizer):
+        cycles = []
+
+        def counted(active, added=None, keep=None):
+            cycles.append(added is not None)
+            return minimizer(active, added, keep)
+
+        monkeypatch.setattr(sfm_module, "_affine_minimizer", counted)
+        x, stop = _wolfe(f, elems, gap, scale=s)
+        return x, str(stop), sum(cycles), len(cycles)
+
+    def from_scratch(active, added, keep):
+        real(active, added, keep)
+        return sfm_module._bordered_solve(active.S)
+
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(64, 257))
+        src = random_bit_pool(rng, n, observe_prob=1.5 / n)
+        elems = np.asarray(bit_indices(src.ground_mask), dtype=np.intp)
+        s = np.sqrt(rng.uniform(0.5, 4.0, n))
+        for gap in (PROPOSAL_GAP, sfm_module.MNP_GAP):
+            x, *work = run(src, elems, gap, s, real)
+            x0, *work0 = run(src, elems, gap, s, from_scratch)
+            assert work == work0
+            assert np.max(np.abs(x - x0)) <= 1e-9 * max(1.0, np.linalg.norm(x0))

@@ -94,6 +94,8 @@ def test_split_annotates_convergence_failures(request):
         split(OpaquePool(src), w)
     assert err.value.recursion_path is not None
     assert err.value.recursion_path[0].startswith("{u0,")
+    assert str(err.value).endswith(
+        " at " + " > ".join(err.value.recursion_path))
     rates, _ = split(src, w)
     assert np.array_equal(rates.rates, expected)
 
@@ -710,7 +712,8 @@ def test_engine_is_certified_by_min_cut_beyond_the_oracle(model):
 def test_egalitarian_iteration_cap_is_a_convergence_error(wolfe_capped):
     rng = np.random.default_rng(67)
     src = random_bit_pool(rng, 8)
-    with pytest.raises(ConvergenceError, match="iteration cap") as err:
+    with pytest.raises(ConvergenceError,
+                       match=r"iteration cap \(1\) at relative gap") as err:
         egalitarian(src, WeightVector.ones(src.ground))
     assert isinstance(err.value.best, RateVector)
 
