@@ -14,7 +14,9 @@ Two concrete source models are provided:
   ``value`` and ``prefix_values`` cost O(nnz + n) and ``all_values`` over c
   elements costs O(nnz + c * 2^c).
 * :class:`TableSource` - an explicit, complete table of values for every
-  nonempty subset, used for arbitrary test fixtures.
+  nonempty subset, used for arbitrary test fixtures.  It is one read-only
+  float array indexed by mask, 8 * 2^n bytes, so ``value`` is O(1) and
+  ``all_values`` over c elements one O(2^c) gather.
 
 Derived oracles (:func:`restrict`, :func:`minor`, modular shifts) are one
 affine wrapper, so chains of them stay O(1) per evaluation and keep the
@@ -401,42 +403,119 @@ class TableSource(SetFunction):
 
     Missing or non-finite entries are an error at construction time rather
     than defaulted; H(empty) = 0 is implicit.
+
+    The table is one read-only float array indexed by mask, 8 * 2^n bytes:
+    ``value`` is one index, ``prefix_values`` one gather along the order's
+    cumulative masks and ``all_values`` over c elements one gather of 2^c
+    entries, so every view and exhaustive sweep of a table reads it in bulk.
+    Keys are comma-joined user ids, bitmasks or iterables of ids; a table
+    whose keys are all nonempty strings of distinct known users is parsed
+    in bulk, and any other goes key by key.
     """
 
     def __init__(self, ground: GroundSet, values: Mapping):
         self.ground = ground
         self.ground_mask = ground.full_mask
-        table = {}
-        for key, v in values.items():
-            mask = ground.as_mask(key) if not isinstance(key, str) else (
-                ground.mask_of(key.split(",")) if key else 0)
-            if mask == 0:
-                if float(v) != 0.0:
-                    raise ValueError("H(empty) must be 0, got %r" % v)
-                continue
-            if mask in table:
-                raise ValueError("duplicate table entry for %s"
-                                 % (ground.users_of(mask),))
-            table[mask] = float(v)
-        missing = [m for m in range(1, ground.full_mask + 1) if m not in table]
-        if missing:
-            raise IncompleteTableError(
-                "table missing %d of %d nonempty subsets, first: %s"
-                % (len(missing), ground.full_mask, ground.users_of(missing[0]))
-            )
-        # One sum finds any NaN or infinity; only then is the table scanned
-        # (a finite sum past the float range is an overflow, not an error).
-        if not math.isfinite(sum(table.values())):
-            for mask, v in table.items():
-                if not math.isfinite(v):
-                    raise ValueError("table value for %s is not finite: %r"
-                                     % (ground.users_of(mask), v))
+        table = _bulk_table(ground, values)
+        if table is None:
+            table = _checked_table(ground, values)
+        table.setflags(write=False)
         self._table = table
 
     def value(self, mask: int) -> float:
+        return float(self._table[mask])
+
+    def prefix_values(self, order, base: int = 0) -> np.ndarray:
+        masks = np.zeros(len(order) + 1, dtype=np.intp)
+        np.bitwise_or.accumulate(1 << np.asarray(order, dtype=np.intp),
+                                 out=masks[1:])
+        return self._table[masks | base]
+
+    def all_values(self, elements, base: int = 0) -> np.ndarray:
+        c = len(elements)
+        masks = np.zeros(1 << c, dtype=np.intp)
+        masks[1 << np.arange(c)] = 1 << np.asarray(elements, dtype=np.intp)
+        return self._table[subset_sums(masks, c) | base]
+
+
+def _bulk_table(ground: GroundSet, values: Mapping) -> np.ndarray | None:
+    """The dense table of a complete, valid table parsed in bulk, or None.
+
+    Every key must be a nonempty string of distinct known users, and the
+    table must have exactly one entry per nonempty subset, each finite.
+    Any other table gets None, and :func:`_checked_table` then accepts it
+    or raises its first error in key order.
+    """
+    keys = list(values)
+    if len(keys) != ground.full_mask or "" in values or not all(
+            type(k) is str for k in keys):
+        return None
+    # The tokens of the joined keys are those of each key's split in turn.
+    tokens = ",".join(keys).split(",")
+    counts = np.fromiter(map(str.count, keys, itertools.repeat(",")),
+                         dtype=np.intp, count=len(keys)) + 1
+    bit = {u: 1 << i for i, u in enumerate(ground.users)}
+    # The checked path raises an unknown user or a value float() refuses
+    # again, after any error of an earlier key.
+    try:
+        bits = np.fromiter(map(bit.__getitem__, tokens), dtype=np.intp,
+                           count=len(tokens))
+    except KeyError:
+        return None
+    try:
+        vals = np.fromiter(map(float, values.values()), dtype=float,
+                           count=len(keys))
+    except (TypeError, ValueError, OverflowError):
+        return None
+    masks = np.add.reduceat(bits, np.cumsum(counts) - counts)
+    # A sum of distinct bits has one bit per term; a repeated user carries.
+    if (np.bitwise_count(masks) != counts).any():
+        return None
+    seen = np.zeros(len(keys) + 1, dtype=bool)
+    seen[masks] = True
+    if not seen[1:].all():
+        return None
+    table = np.zeros(len(keys) + 1)
+    table[masks] = vals
+    if not np.isfinite(table).all():
+        return None
+    return table
+
+
+def _checked_table(ground: GroundSet, values: Mapping) -> np.ndarray:
+    """The dense table of ``values``, checked key by key in key order."""
+    table = {}
+    for key, v in values.items():
+        mask = ground.as_mask(key) if not isinstance(key, str) else (
+            ground.mask_of(key.split(",")) if key else 0)
         if mask == 0:
-            return 0.0
-        return self._table[mask]
+            if float(v) != 0.0:
+                raise ValueError("H(empty) must be 0, got %r" % v)
+            continue
+        if mask in table:
+            raise ValueError("duplicate table entry for %s"
+                             % (ground.users_of(mask),))
+        table[mask] = float(v)
+    # Every mask is a distinct nonempty subset, so a short count is the
+    # whole completeness test, and one of masks 1 ... len(table) + 1 is
+    # missing: nothing here walks the 2^n subsets of a table that lacks any.
+    if len(table) < ground.full_mask:
+        first = next(m for m in itertools.count(1) if m not in table)
+        raise IncompleteTableError(
+            "table missing %d of %d nonempty subsets, first: %s"
+            % (ground.full_mask - len(table), ground.full_mask,
+               ground.users_of(first)))
+    # One sum finds any NaN or infinity; only then is the table scanned
+    # (a finite sum past the float range is an overflow, not an error).
+    if not math.isfinite(sum(table.values())):
+        for mask, v in table.items():
+            if not math.isfinite(v):
+                raise ValueError("table value for %s is not finite: %r"
+                                 % (ground.users_of(mask), v))
+    dense = np.zeros(len(table) + 1)
+    dense[np.fromiter(table, dtype=np.intp, count=len(table))] = list(
+        table.values())
+    return dense
 
 
 class ShiftedFunction(SetFunction):

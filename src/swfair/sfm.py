@@ -82,8 +82,11 @@ MIN_CUT_ABOVE = 12
 # Any other ground up to this many users is swept, which is exact where
 # Wolfe stops at a gap: on bit-pool values behind an opaque oracle the
 # median sweep took 0.78 / 3.7 / 16 ms at 14 / 16 / 18 users and Wolfe
-# 1.7 / 2.3 / 2.4 ms (8 random models per size).  All times: perf_counter,
-# 2 vCPUs.
+# 1.7 / 2.3 / 2.4 ms (8 random models per size).  On a TableSource, whose
+# sweep is one gather, it took 0.41-0.46 / 1.1-1.2 / 2.9-4.3 / 16-17 ms at
+# 12 / 14 / 16 / 18 users and Wolfe 1.4-1.8 / 1.8-2.1 / 1.4-2.5 /
+# 2.3-2.5 ms (8 random tables per size, three runs).  All times:
+# perf_counter, 2 vCPUs.
 EXHAUSTIVE_UP_TO = 16
 
 # Values within this share of a solve's scale count as ties: the scale is

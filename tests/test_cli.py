@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -211,6 +212,19 @@ def test_check_supermodular_table(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["submodular"] is False
     assert "submodular_witness" in doc
+
+
+@pytest.mark.parametrize("n", [40, 64])
+def test_check_refuses_a_sparse_wide_table_at_once(capsys, tmp_path, n):
+    p = tmp_path / "wide.json"
+    p.write_text(json.dumps({"type": "table",
+                             "users": ["u%d" % i for i in range(n)],
+                             "values": {"u0": 1.0}}))
+    start = time.perf_counter()
+    code, _, err = run(capsys, "check", str(p))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert "missing %d of %d nonempty subsets" % (2**n - 2, 2**n - 1) in err
 
 
 def test_non_finite_weights_exit_2(capsys, model_file, tmp_path):

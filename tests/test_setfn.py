@@ -1,4 +1,5 @@
 import json
+import time
 from collections import Counter
 
 import numpy as np
@@ -7,12 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from swfair.setfn import (
     BitPoolSource,
+    CountingFunction,
     GroundSet,
     IncompleteTableError,
     InvalidReductionError,
     InvalidSubsetError,
     GroundSetTooLargeError,
     ModelLoadError,
+    SetFunction,
     TableSource,
     WeightVector,
     add_modular,
@@ -26,11 +29,13 @@ from swfair.setfn import (
     greedy_vertex_local,
     load_source,
     mask_array,
+    minor,
     modular_sums,
     reduce,
     restrict,
     source_from_dict,
     source_to_dict,
+    _bulk_table,
 )
 from conftest import random_bit_pool
 
@@ -522,3 +527,153 @@ def test_modular_sums_matches_mask_loop():
             want[(submasks >> k & 1) == 1] += coeffs[k]
         assert np.allclose(modular_sums(coeffs), want, rtol=0.0,
                            atol=1e-15 * max(1, c))
+
+
+# -- Dense tables against the generic per-subset loops ---------------------
+#
+# A TableSource answers every bulk call with one gather from its array.  A
+# plain oracle over the same values defines only ``value``, so each of its
+# bulk calls, and each view over it, takes the loops that SetFunction
+# defines; both must give the same floats, bit for bit.
+
+
+class PlainTable(SetFunction):
+    def __init__(self, ground, values):
+        self.ground = ground
+        self.ground_mask = ground.full_mask
+        self.values = values
+
+    def value(self, mask):
+        return self.values[mask] if mask else 0.0
+
+
+@st.composite
+def table_models(draw):
+    """(values, plain, rng): a bumped bit-pool table keyed in shuffled order
+    by comma strings in any user order, or mixed with masks and tuples of
+    ids, sometimes with an empty key worth 0."""
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = random_bit_pool(rng, n)
+    values = {m: pool.value(m) for m in range(1, 1 << n)}
+    for m in rng.integers(1, 1 << n, size=draw(st.integers(0, 3))):
+        values[int(m)] += rng.uniform(-2.0, 2.0)
+    strings = draw(st.booleans())
+    doc = {}
+    for m in rng.permutation(np.arange(1, 1 << n)).tolist():
+        users = list(pool.ground.users_of(m))
+        rng.shuffle(users)
+        style = "string" if strings else rng.choice(["string", "mask", "ids"])
+        key = {"string": ",".join(users), "mask": m, "ids": tuple(users)}
+        doc[key[style]] = values[m]
+    if draw(st.booleans()):
+        doc[""] = 0.0
+    return doc, PlainTable(pool.ground, values), rng
+
+
+def assert_same_oracle(f, ref, rng):
+    """value, prefix_values and all_values of f and ref agree bit for bit,
+    with and without a base."""
+    elems = bit_indices(f.ground_mask)
+    for mask in (0, f.ground_mask, random_mask(rng, f.ground_mask)):
+        v = f.value(mask)
+        assert type(v) is float and v == ref.value(mask)
+    base = random_mask(rng, f.ground_mask)
+    for b in (0, base):
+        free = [i for i in elems if not b >> i & 1]
+        order = rng.permutation(np.asarray(free, dtype=np.intp))
+        for got, want in ((f.prefix_values(order, b),
+                           ref.prefix_values(order, b)),
+                          (f.all_values(free, b), ref.all_values(free, b))):
+            assert got.dtype == want.dtype == float
+            assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(table_models())
+def test_dense_table_matches_the_generic_loops(model):
+    doc, plain, rng = model
+    g = plain.ground
+    table = TableSource(g, doc)
+    # the bulk parse takes exactly the tables keyed by nonempty strings
+    strings = all(type(k) is str and k for k in doc)
+    assert (_bulk_table(g, doc) is not None) == strings
+    assert_same_oracle(table, plain, rng)
+
+    sub = random_mask(rng, g.full_mask) or g.full_mask
+    coeffs = rng.uniform(-1.0, 1.0, g.n)
+    w = WeightVector(g, rng.uniform(0.5, 4.0, g.n))
+    pivot = random_mask(rng, sub)
+    for view in (lambda f: restrict(f, sub),
+                 lambda f: add_modular(restrict(f, sub), coeffs)):
+        assert_same_oracle(view(table), view(plain), rng)
+    if pivot not in (0, sub):
+        def contract(f):
+            g = add_modular(f, coeffs)
+            return minor(g, pivot, sub & ~pivot, g.value(pivot),
+                         w.of_mask(pivot), w)
+        assert_same_oracle(contract(table), contract(plain), rng)
+        assert_same_oracle(reduce(table, pivot, w), reduce(plain, pivot, w),
+                           rng)
+
+    counted, counted_plain = CountingFunction(table), CountingFunction(plain)
+    assert_same_oracle(counted, counted_plain, rng)
+    assert counted.evals == counted_plain.evals > 0
+    assert counted.max_abs == counted_plain.max_abs
+
+
+def test_table_source_errors_keep_their_messages():
+    g = GroundSet(["1", "2"])
+    cases = [
+        ({"1": 1.0, "2": 1.0, "1,9": 1.5}, InvalidSubsetError,
+         "unknown user '9'"),
+        # the first bad key in key order names the error
+        ({"1": "x", "2": 1.0, "1,9": 1.5}, ValueError,
+         "could not convert string to float: 'x'"),
+        ({"1,9": 1.5, "1": "x", "2": 1.0}, InvalidSubsetError,
+         "unknown user '9'"),
+        ({"1": 1.0, "1,2": 1.5, "2,1": 1.5}, ValueError,
+         r"duplicate table entry for \('1', '2'\)"),
+        ({"1": 1.0, "2": 1.0, "1,2": 1.5, "2,1": 1.5}, ValueError,
+         r"duplicate table entry for \('1', '2'\)"),
+        ({"1": 1.0, "1,1": 1.0, "1,2": 1.5}, ValueError,
+         r"duplicate table entry for \('1',\)"),
+        ({"1": 1.0, "2": 1.0, "1,2": 1.5, "": 0.5}, ValueError,
+         r"H\(empty\) must be 0, got 0.5"),
+        ({"1": 1.0, "2": 1.0}, IncompleteTableError,
+         r"missing 1 of 3 nonempty subsets, first: \('1', '2'\)"),
+    ]
+    for bad in (np.nan, np.inf, -np.inf):
+        cases.append(({"1": 1.0, "2": bad, "1,2": 1.5}, ValueError,
+                      r"table value for \('2',\) is not finite: %s" % bad))
+    for values, error, message in cases:
+        with pytest.raises(error, match=message):
+            TableSource(g, values)
+    # the empty key names no user, not even a user called ""
+    with pytest.raises(IncompleteTableError, match=r"first: \('',\)"):
+        TableSource(GroundSet(["", "a"]), {"": 0.0, "a": 1.0, "a,": 1.5})
+    three = GroundSet(["1", "2", "3"])
+    values = {",".join(three.users_of(m)): 1.0 for m in (1, 2, 5, 6, 7)}
+    with pytest.raises(IncompleteTableError,
+                       match=r"missing 2 of 7 nonempty subsets, first: "
+                             r"\('1', '2'\)"):
+        TableSource(three, values)
+
+
+def test_table_key_naming_a_user_twice_names_it_once():
+    g = GroundSet(["1", "2"])
+    values = {"1,1": 1.0, "2": 2.0, "2,1,2": 2.5}
+    assert _bulk_table(g, values) is None
+    table = TableSource(g, values)
+    assert [table.value(m) for m in range(4)] == [0.0, 1.0, 2.0, 2.5]
+
+
+@pytest.mark.parametrize("n", [40, 64])
+def test_sparse_wide_table_is_refused_at_once(n):
+    g = GroundSet(["u%d" % i for i in range(n)])
+    start = time.perf_counter()
+    with pytest.raises(IncompleteTableError,
+                       match=r"missing %d of %d nonempty subsets, first: "
+                             r"\('u1',\)" % (2**n - 2, 2**n - 1)):
+        TableSource(g, {"u0": 1.0})
+    assert time.perf_counter() - start < 1.0

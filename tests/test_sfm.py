@@ -267,6 +267,28 @@ def test_wolfe_stall_is_not_convergence(monkeypatch):
         min_norm_point(f)
 
 
+def test_wolfe_active_vertex_is_a_stall_whatever_the_rounding(monkeypatch):
+    # The vertex oracle keeps returning its first vertex, which is active
+    # from the start, and a negative gap tolerance fails even a gap of
+    # exactly 0: the run can only stall, and must say so.
+    rng = np.random.default_rng(48)
+    f = shifted(random_bit_pool(rng, 6), rng.uniform(0.2, 0.6, 6))
+    monkeypatch.setattr(sfm_module, "MNP_GAP", -1.0)
+    for solve in (lambda: solve_sfm(f, method="min_norm_point"),
+                  lambda: min_norm_point(f)):
+        first = []
+
+        def stuck(oracle, elems, order):
+            if not first:
+                first.append(greedy_vertex_local(oracle, elems, order))
+            return first[0].copy()
+
+        monkeypatch.setattr(sfm_module, "greedy_vertex_local", stuck)
+        with pytest.raises(ConvergenceError, match="stalled"):
+            solve()
+        assert first
+
+
 def test_wolfe_converged_means_gap_test_passed(monkeypatch):
     monkeypatch.setattr(sfm_module, "MAX_ITERATIONS", 300)
     for seed in range(40):
