@@ -57,8 +57,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ModelLoadError, GroundSetTooLargeError, FileNotFoundError,
-            ValueError) as e:
+    except (ModelLoadError, GroundSetTooLargeError, OSError, ValueError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_INPUT
     except (ConvergenceError, InternalConsistencyError) as e:
@@ -156,7 +155,7 @@ def parse_weights(source: SetFunction, spec: str | None) -> WeightVector:
                 values = [float(doc[u]) for u in ground.users]
             else:
                 values = [float(v) for v in doc]
-        except (OSError, json.JSONDecodeError, KeyError) as e:
+        except (OSError, json.JSONDecodeError, KeyError, TypeError) as e:
             raise ValueError("cannot read weights from %r: %s" % (spec, e))
     if len(values) != ground.n:
         raise ValueError("expected %d weights, got %d" % (ground.n, len(values)))
@@ -222,7 +221,11 @@ def cmd_verify(args) -> int:
     for user, value in doc.items():
         if user not in source.ground.index:
             raise ValueError("rates file names unknown user %r" % user)
-        rates[source.ground.index[user]] = float(value)
+        try:
+            rates[source.ground.index[user]] = float(value)
+        except TypeError:
+            raise ValueError("rates must be finite numbers, got %r for user %r"
+                             % (value, user)) from None
     if not np.isfinite(rates).all():
         raise ValueError("rates must be finite")
     report = verify_membership(source, rates, args.tolerance)

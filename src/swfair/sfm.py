@@ -42,11 +42,13 @@ import numpy as np
 
 from .flow import max_flow
 from .setfn import (
+    BRUTE_FORCE_LIMIT,
     CountingFunction,
     GroundSet,
     SetFunction,
     bit_indices,
     coverage_cut,
+    exhaustive_ground,
     global_mask,
     greedy_vertex_local,
     mask_from_indices,
@@ -164,9 +166,8 @@ def solve_sfm(f: SetFunction, method: str | None = None) -> SfmResult:
 
 
 def _solve_exhaustive(f, elems) -> SfmResult:
+    exhaustive_ground(f, BRUTE_FORCE_LIMIT, "subset-sweep SFM")
     c = len(elems)
-    if c > 20:
-        raise ValueError("exhaustive SFM refused above 20 elements (got %d)" % c)
     counting = CountingFunction(f)
     vals = counting.all_values(elems)
     scale = max(1.0, counting.max_abs)
@@ -312,16 +313,6 @@ CONVERGED, STALLED, CAPPED = "converged", "stalled", "capped"
 SCHUR_FLOOR = 1e-10
 REFINE_SLACK = 1e-6
 
-# Active sets of up to this many vertices are solved afresh in each minor
-# cycle and keep no inverse.  An update saves nothing there: over 256
-# coordinates a fresh solve took 15 / 23 / 30 us at 3 / 13 / 17 vertices
-# and an update with its refinement 19-24 / 26-31 / 25-29 us, and the
-# proposal on 20 seed-0 ``large`` models took the same time to within 2%
-# with this set to 1, 4, 8 or 16 (perf_counter, 2 vCPUs).  Wolfe on a
-# ground of at most this many users thus rounds exactly like one bordered
-# solve per minor cycle.
-SOLVE_UP_TO = 12
-
 
 class _Stop(str):
     """How a Wolfe run ended, equal to CONVERGED, STALLED or CAPPED; ``gap``
@@ -352,12 +343,12 @@ def _wolfe(f, elems, gap, scale=None):
     prune until the projection is a proper convex combination.  As in
     Wolfe (1976) the active set keeps a factor of its normal equations
     across cycles, here the inverse of the bordered Gram matrix
-    (:class:`_ActiveSet`), so above ``SOLVE_UP_TO`` active vertices a minor
-    cycle (:func:`_affine_minimizer`) costs an O(m^2) update for m active
-    vertices, not a new solve.  The inverse is rebuilt from scratch when
-    the update is not safe: a vertex added or dropped lies all but in the
-    affine hull of the others (``SCHUR_FLOOR``), or a step of iterative
-    refinement moves the coefficients by more than ``REFINE_SLACK``.
+    (:class:`_ActiveSet`), so a minor cycle (:func:`_affine_minimizer`)
+    costs an O(m^2) update for m active vertices, not a new solve.  The
+    inverse is rebuilt from scratch when the update is not safe: a vertex
+    added or dropped lies all but in the affine hull of the others
+    (``SCHUR_FLOOR``), or a step of iterative refinement moves the
+    coefficients by more than ``REFINE_SLACK``.
 
     With ``scale`` s (positive, one entry per element) the iteration runs
     in the coordinates y = x / s, so it minimizes sum(x_i^2 / s_i^2): with
@@ -425,20 +416,16 @@ def _affine_minimizer(active, added=None, keep=None):
     coefficients of the least-norm point of its affine hull, and the point.
 
     ``added`` is (q, S q, q.q) for the vertex a major cycle appends, and
-    ``keep`` the mask of the rows a minor cycle keeps.  Up to
-    ``SOLVE_UP_TO`` active vertices the bordered system is solved afresh.
-    Above, the coefficients are column 0 of the updated bordered inverse P
-    below the border, after one step of iterative refinement on the
-    bordered matrix M, so the cycle costs O(m^2) plus one S^T coeff
-    product; a refinement step that moves them by more than
-    ``REFINE_SLACK`` rebuilds the inverse instead.
+    ``keep`` the mask of the rows a minor cycle keeps.  The coefficients
+    are column 0 of the updated bordered inverse P below the border, after
+    one step of iterative refinement on the bordered matrix M, so the cycle
+    costs O(m^2) plus one S^T coeff product; a refinement step that moves
+    them by more than ``REFINE_SLACK`` rebuilds the inverse instead.
     """
     if added is not None:
         active.add(*added)
     else:
         active.drop(keep)
-    if active.inv is None:
-        return _bordered_solve(active.S)
     P = active.inv
     sol = P[:, 0]
     step = sol[1:] - P[1:] @ (active.M @ sol)
@@ -449,39 +436,15 @@ def _affine_minimizer(active, added=None, keep=None):
     return coeff, active.S.T @ coeff
 
 
-def _bordered_solve(S):
-    """Least-norm point of the affine hull of the rows of S, from scratch.
-
-    Solves the bordered normal equations; falls back to least squares when
-    the Gram matrix is numerically singular.
-    """
-    m = S.shape[0]
-    if m == 1:
-        return np.ones(1), S[0].copy()
-    M = np.empty((m + 1, m + 1))
-    M[0, 0] = 0.0
-    M[0, 1:] = 1.0
-    M[1:, 0] = 1.0
-    M[1:, 1:] = S @ S.T
-    rhs = np.zeros(m + 1)
-    rhs[0] = 1.0
-    try:
-        sol = np.linalg.solve(M, rhs)
-    except np.linalg.LinAlgError:
-        sol = np.linalg.lstsq(M, rhs, rcond=None)[0]
-    coeff = sol[1:]
-    return coeff, S.T @ coeff
-
-
 class _ActiveSet:
     """Wolfe's active vertices and the inverse of their bordered Gram matrix.
 
     The m vertices ``S`` and the bordered matrix ``M`` = [[0, 1^T],
-    [1, S S^T]] are leading blocks of buffers that double when full.  Above
-    ``SOLVE_UP_TO`` vertices ``inv`` is the inverse of M, so the affine
-    minimizer's coefficients are ``inv[1:, 0]``; below it is None.  Adding
-    vertex q borders ``inv`` by the Schur complement q.q - b^T inv b,
-    b = [1; S q], and dropping vertex j downdates it to
+    [1, S S^T]] are leading blocks of buffers that double when full, and
+    ``inv`` is the inverse of M from the first vertex v on ([[-a, 1],
+    [1, 0]] for a = v.v), so the affine minimizer's coefficients are
+    ``inv[1:, 0]``.  Adding vertex q borders ``inv`` by the Schur complement
+    q.q - b^T inv b, b = [1; S q], and dropping vertex j downdates it to
     P_rr - P_rj P_jr / P_jj before deleting row and column j: both O(m^2).
     Either falls back to :meth:`rebuild` when its Schur complement
     (1 / P_jj for a drop) is at most ``SCHUR_FLOOR`` times the vertex's
@@ -496,7 +459,7 @@ class _ActiveSet:
         self._rows[0] = v
         self._M[1, 1] = self.scale = float(v @ v)
         self.m = 1
-        self.inv = None
+        self.inv = np.array([[-self.scale, 1.0], [1.0, 0.0]])
 
     @property
     def S(self) -> np.ndarray:
@@ -529,17 +492,14 @@ class _ActiveSet:
         M[m + 1, m + 1] = qq
         self.m = m + 1
         self.scale = max(self.scale, qq)
-        if self.m <= SOLVE_UP_TO:
-            return
-        if self.inv is not None:
-            b = M[m + 1, :m + 1]
-            u = self.inv @ b
-            schur = qq - float(b @ u)
-            if schur > SCHUR_FLOOR * qq:
-                w = u / schur
-                self.inv = _border(self.inv + u[:, None] * w, -w, 1.0 / schur)
-                return
-        self.rebuild()
+        b = M[m + 1, :m + 1]
+        u = self.inv @ b
+        schur = qq - float(b @ u)
+        if schur > SCHUR_FLOOR * qq:
+            w = u / schur
+            self.inv = _border(self.inv + u[:, None] * w, -w, 1.0 / schur)
+        else:
+            self.rebuild()
 
     def drop(self, keep):
         M, P = self._M, self.inv
@@ -555,9 +515,7 @@ class _ActiveSet:
             M[:m, j:m] = M[:m, j + 1:m + 1]
             self._rows[j - 1:m - 1] = self._rows[j:m]
             self.m = m - 1
-        if self.m <= SOLVE_UP_TO:
-            self.inv = None
-        elif P is None:
+        if P is None:
             self.rebuild()
         else:
             self.inv = P

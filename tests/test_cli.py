@@ -74,16 +74,37 @@ def test_single_user_model(capsys, tmp_path):
     assert json.loads(out)["rates"] == {"1": pytest.approx(0.8)}
 
 
-def test_malformed_source_exits_2(capsys, tmp_path):
+@pytest.mark.parametrize("command, bad, message", [
+    ("egalitarian", json.dumps({"type": "mystery"}), "mystery"),
+    ("egalitarian", None, "directory"),
+    ("verify", None, "directory"),
+], ids=["unknown-type", "model-is-a-directory", "rates-is-a-directory"])
+def test_malformed_source_exits_2(capsys, model_file, tmp_path, command, bad,
+                                  message):
+    """A model of unknown type, or a directory (``bad`` None) where a model
+    or rates file belongs, is an input error."""
     p = tmp_path / "bad.json"
-    p.write_text(json.dumps({"type": "mystery"}))
-    code, _, err = run(capsys, "egalitarian", str(p))
+    if bad is None:
+        p.mkdir()
+    else:
+        p.write_text(bad)
+    paths = [str(p)] if command == "egalitarian" else [model_file, str(p)]
+    code, _, err = run(capsys, command, *paths)
     assert code == 2
-    assert "mystery" in err
+    assert message in err
 
 
-def test_bad_weights_exit_2(capsys, model_file):
-    code, _, err = run(capsys, "egalitarian", model_file, "--weights", "1,2")
+@pytest.mark.parametrize("spec, text", [
+    ("1,2", None), ("file", "[null, 1, 1]"),
+    ("file", '{"1": null, "2": 1, "3": 1}'), ("file", "5"),
+], ids=["too-few", "null-in-list", "null-in-object", "bare-number"])
+def test_bad_weights_exit_2(capsys, model_file, tmp_path, spec, text):
+    """Weights of the wrong count, or a weights file (``spec`` "file")
+    holding ``text``, are an input error."""
+    if text is not None:
+        spec = tmp_path / "weights.json"
+        spec.write_text(text)
+    code, _, err = run(capsys, "egalitarian", model_file, "--weights", str(spec))
     assert code == 2
     assert "weights" in err
 
@@ -152,11 +173,14 @@ def test_verify_rejects_zero_rates(capsys, model_file, tmp_path):
 @pytest.mark.parametrize("tolerance, rates", [
     ("nan", None), ("-1", None), ("inf", {"1": 100, "2": 100, "3": 100}),
     ("1e-8", {"1": float("nan"), "2": 0.3, "3": 0.3}),
-], ids=["nan-tolerance", "negative-tolerance", "inf-tolerance", "nan-rate"])
+    ("1e-8", {"1": None, "2": 0.3, "3": 0.3}),
+    ("1e-8", {"1": [1.5], "2": 0.3, "3": 0.3}),
+], ids=["nan-tolerance", "negative-tolerance", "inf-tolerance", "nan-rate",
+        "null-rate", "list-rate"])
 def test_verify_refuses_non_finite_input(capsys, model_file, tmp_path,
                                          tolerance, rates):
-    """A tolerance that is not finite and nonnegative, or a non-finite
-    rate, is an input error, not a verdict."""
+    """A tolerance that is not finite and nonnegative, or a rate that is
+    not a finite number, is an input error, not a verdict."""
     rates_path = tmp_path / "rates.json"
     if rates is None:
         run(capsys, "egalitarian", model_file, "--json",
