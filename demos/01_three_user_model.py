@@ -14,7 +14,6 @@ from swfair import (
     WeightVector,
     build_report,
     conditional_entropy,
-    entropy,
     shapley_exact,
     split,
     verify_membership,
@@ -29,7 +28,8 @@ source = BitPoolSource(
 
 print("Joint entropies (bits/symbol):")
 for subset in (["1"], ["2"], ["3"], ["2", "3"], ["1", "2", "3"]):
-    print("  H({%s}) = %.3f" % (",".join(subset), entropy(source, subset)))
+    print("  H({%s}) = %.3f" % (",".join(subset),
+                                source.value(ground.mask_of(subset))))
 print("Each user's private information, H(i | rest):")
 for u in ground:
     print("  user %s: %.3f" % (u, conditional_entropy(source, [u])))

@@ -15,10 +15,10 @@ import numpy as np
 from swfair import (
     WeightVector,
     add_modular,
-    greedy_vertex,
     min_norm_point,
     solve_sfm,
 )
+from swfair.setfn import greedy_vertex_local
 from swfair.experiment import ExperimentConfig, generate_instance
 
 cfg = ExperimentConfig(seed=42)
@@ -54,6 +54,6 @@ print("sum(x) = f(V) check: %.6f vs %.6f" % (x.sum(),
 
 # Greedy vertices are the extreme points the solvers move along.
 print("\ntwo greedy vertices of the base polyhedron of H:")
-for order in ([int(i) for i in range(n)], [int(i) for i in range(n - 1, -1, -1)]):
-    v = greedy_vertex(source, order)
-    print("  order %s...: %s" % (order[:4], np.round(v, 3)))
+for order in (np.arange(n), np.arange(n)[::-1]):
+    v = greedy_vertex_local(source, np.arange(n), order)
+    print("  order %s...: %s" % (order[:4].tolist(), np.round(v, 3)))

@@ -37,8 +37,6 @@ from .setfn import (
     check_monotone,
     check_submodular,
     conditional_entropy,
-    entropy,
-    greedy_vertex,
     load_source,
     reduce,
     restrict,
@@ -117,10 +115,8 @@ __all__ = [
     "decompose",
     "egalitarian",
     "egalitarian_oracle_fw",
-    "entropy",
     "exchange_capacity",
     "generate_instance",
-    "greedy_vertex",
     "load_source",
     "min_norm_point",
     "recursion_metrics",

@@ -32,6 +32,7 @@ from .setfn import (
     SetFunction,
     WeightVector,
     check_monotone,
+    check_json_numbers,
     check_submodular,
     load_source,
 )
@@ -152,11 +153,13 @@ def parse_weights(source: SetFunction, spec: str | None) -> WeightVector:
             with open(spec) as fh:
                 doc = json.load(fh)
             if isinstance(doc, dict):
-                values = [float(doc[u]) for u in ground.users]
+                doc = {u: doc[u] for u in ground.users}
             else:
-                values = [float(v) for v in doc]
+                doc = dict(enumerate(doc))
         except (OSError, json.JSONDecodeError, KeyError, TypeError) as e:
             raise ValueError("cannot read weights from %r: %s" % (spec, e))
+        check_json_numbers(doc, "weights")
+        values = [float(v) for v in doc.values()]
     if len(values) != ground.n:
         raise ValueError("expected %d weights, got %d" % (ground.n, len(values)))
     return WeightVector(ground, values)
@@ -217,15 +220,12 @@ def cmd_verify(args) -> int:
         doc = doc["rates"]
     if not isinstance(doc, dict):
         raise ValueError("rates file must be a JSON object of {user: rate}")
+    check_json_numbers(doc, "rates")
     rates = np.zeros(source.ground.n)
     for user, value in doc.items():
         if user not in source.ground.index:
             raise ValueError("rates file names unknown user %r" % user)
-        try:
-            rates[source.ground.index[user]] = float(value)
-        except TypeError:
-            raise ValueError("rates must be finite numbers, got %r for user %r"
-                             % (value, user)) from None
+        rates[source.ground.index[user]] = float(value)
     if not np.isfinite(rates).all():
         raise ValueError("rates must be finite")
     report = verify_membership(source, rates, args.tolerance)

@@ -274,7 +274,7 @@ class BitPoolSource(SetFunction):
     offset of each run and ``_run_entropy`` its bit's entropy.  Bits no user
     observes are dropped, as they never count.  Every evaluation reduces
     over these runs, so its cost follows the number of observations rather
-    than users x bits; the dense ``observes`` matrix is built on request.
+    than users x bits.  A bit listed twice for one user is one observation.
     """
 
     def __init__(self, ground: GroundSet, bits: Mapping[str, float],
@@ -301,6 +301,7 @@ class BitPoolSource(SetFunction):
                     raise ValueError("user %r observes unknown bit %r" % (user, b))
                 codes.append(bit_pos[b] * n + i)
         codes = np.sort(np.fromiter(codes, dtype=np.intp, count=len(codes)))
+        codes = codes[np.diff(codes, prepend=-1) != 0]
         inc_bit, inc_user = np.divmod(codes, n)
         new_run = np.ones(len(codes), dtype=bool)
         new_run[1:] = inc_bit[1:] != inc_bit[:-1]
@@ -311,17 +312,6 @@ class BitPoolSource(SetFunction):
         for arr in (self._inc_user, self._inc_bit, self._run_start,
                     self._run_entropy):
             arr.setflags(write=False)
-
-    @property
-    def observes(self) -> np.ndarray:
-        """Dense (users x bits) matrix: does user i observe bit j?
-
-        Built from the incidence on each access (a 256-user, 768-bit model
-        would otherwise hold 192 KiB that no evaluation reads).
-        """
-        obs = np.zeros((self.ground.n, len(self.bit_ids)), dtype=bool)
-        obs[self._inc_user, self._inc_bit] = True
-        return obs
 
     def _covered(self, mask: int) -> np.ndarray:
         """Per observed bit: is it observed by some user in ``mask``?"""
@@ -394,9 +384,6 @@ class BitPoolSource(SetFunction):
         return (user, np.cumsum(first) - 1, self.bit_entropy[bit[first]],
                 base_value)
 
-    def total_entropy(self) -> float:
-        return self.value(self.ground_mask)
-
 
 class TableSource(SetFunction):
     """Explicit set function given by a complete table over nonempty subsets.
@@ -462,9 +449,10 @@ def _bulk_table(ground: GroundSet, values: Mapping) -> np.ndarray | None:
                            count=len(tokens))
     except KeyError:
         return None
+    # numpy converts each value as float() does, without a Python call per
+    # value; it reads None as NaN, which the finiteness test below refuses.
     try:
-        vals = np.fromiter(map(float, values.values()), dtype=float,
-                           count=len(keys))
+        vals = np.fromiter(values.values(), dtype=float, count=len(keys))
     except (TypeError, ValueError, OverflowError):
         return None
     masks = np.add.reduceat(bits, np.cumsum(counts) - counts)
@@ -640,11 +628,6 @@ class WeightVector:
         return cls(ground, np.ones(ground.n))
 
 
-def entropy(source: SetFunction, subset) -> float:
-    """H(X) of a subset of the source's ground set."""
-    return source.value(source.ground.as_mask(subset))
-
-
 def conditional_entropy(source: SetFunction, subset) -> float:
     """H(X | V without X) = H(V) - H(V without X)."""
     mask = source.ground.as_mask(subset)
@@ -689,19 +672,6 @@ def minor(f: SetFunction, pivot: int, block: int, f_pivot: float,
                            extra)
 
 
-def greedy_vertex(f: SetFunction, order) -> np.ndarray:
-    """Marginal-value vector of f along a permutation of its ground.
-
-    Returns a full-length array over the ground set; positions outside f's
-    ground are 0.  The coordinates telescope to f(C), and for submodular f
-    the result is a vertex of the base polyhedron.
-    """
-    idx = _order_indices(f, order)
-    out = np.zeros(f.ground.n)
-    out[idx] = greedy_vertex_local(f, idx, np.arange(len(idx)))
-    return out
-
-
 def greedy_vertex_local(f: SetFunction, elems: np.ndarray,
                         order: np.ndarray) -> np.ndarray:
     """Greedy vertex of f along elems[order], in local coordinates.
@@ -711,24 +681,11 @@ def greedy_vertex_local(f: SetFunction, elems: np.ndarray,
     of elems[k] at its place in the order.  The vertex minimizing <d, x>
     over the base polyhedron is the one along ``np.argsort(d,
     kind="stable")``.  Nothing is validated, as Wolfe's loop calls this once
-    per major cycle; :func:`greedy_vertex` is the checked entry point.
+    per major cycle.
     """
     out = np.empty(len(order))
     out[order] = np.diff(f.prefix_values(elems[order]))
     return out
-
-
-def _order_indices(f: SetFunction, order) -> np.ndarray:
-    elems = bit_indices(f.ground_mask)
-    if len(order) and not isinstance(order[0], (int, np.integer)):
-        idx = [f.ground.index.get(u, -1) for u in order]
-        if -1 in idx:
-            raise InvalidSubsetError("unknown user in order: %r" % (order,))
-    else:
-        idx = [int(i) for i in order]
-    if sorted(idx) != elems:
-        raise ValueError("order is not a permutation of the oracle's ground")
-    return np.asarray(idx, dtype=np.intp)
 
 
 def exhaustive_ground(f: SetFunction, limit: int, what: str) -> list[int]:
@@ -797,31 +754,66 @@ def check_monotone(f: SetFunction):
 # Source-model JSON files
 # ---------------------------------------------------------------------------
 
+def check_json_numbers(values: Mapping, what: str) -> None:
+    """Refuse any value of ``values`` that is not a JSON number as a float.
+
+    ``json.load`` returns numbers as int or float, and a bool is neither
+    type, so one pass over the value types accepts a document of floats;
+    any other document is checked value by value, to name in the
+    ValueError the first value that is no number or an int past the float
+    range.
+    """
+    if set(map(type, values.values())) <= {float}:
+        return
+    for key, v in values.items():
+        if type(v) in (int, float):
+            try:
+                float(v)
+                continue
+            except OverflowError:
+                pass
+        raise ValueError("%s must be finite JSON numbers, got %.40r for %r"
+                         % (what, v, key))
+
+
 def source_from_dict(doc: Mapping) -> SetFunction:
-    """Build a source model from its JSON document form."""
+    """Build a source model from its JSON document form.
+
+    ``users`` must be a list, ``bits``, ``observes`` and ``values``
+    objects, each user's observations a list, and every bit entropy or
+    table value a JSON number; anything else is a :class:`ModelLoadError`.
+    """
     try:
         kind = doc["type"]
     except (KeyError, TypeError):
         raise ModelLoadError("source model document lacks a 'type' field")
-    if kind == "bit_pool":
-        try:
-            ground = GroundSet(doc["users"])
-            return BitPoolSource(ground, doc["bits"], doc["observes"])
-        except KeyError as e:
-            raise ModelLoadError("bit_pool model missing field %s" % e) from None
-        except (ValueError, TypeError) as e:
-            raise ModelLoadError("bad bit_pool model: %s" % e) from None
-    if kind == "table":
-        try:
-            ground = GroundSet(doc["users"])
-            return TableSource(ground, doc["values"])
-        except KeyError as e:
-            raise ModelLoadError("table model missing field %s" % e) from None
-        except IncompleteTableError:
-            raise
-        except (ValueError, TypeError) as e:
-            raise ModelLoadError("bad table model: %s" % e) from None
-    raise ModelLoadError("unknown source model type: %r" % (kind,))
+    if kind not in ("bit_pool", "table"):
+        raise ModelLoadError("unknown source model type: %r" % (kind,))
+    names = ("bits", "observes") if kind == "bit_pool" else ("values",)
+    try:
+        users = doc["users"]
+        objects = [doc[k] for k in names]
+    except KeyError as e:
+        raise ModelLoadError("%s model missing field %s" % (kind, e)) from None
+    try:
+        if type(users) is not list:
+            raise ValueError("'users' must be a list")
+        for name, obj in zip(names, objects):
+            if type(obj) is not dict:
+                raise ValueError("%r must be an object" % name)
+        ground = GroundSet(users)
+        if kind == "table":
+            check_json_numbers(objects[0], "table values")
+            return TableSource(ground, objects[0])
+        bits, observes = objects
+        check_json_numbers(bits, "bit entropies")
+        if not set(map(type, observes.values())) <= {list}:
+            raise ValueError("each user's 'observes' entry must be a list")
+        return BitPoolSource(ground, bits, observes)
+    except IncompleteTableError:
+        raise
+    except (ValueError, TypeError) as e:
+        raise ModelLoadError("bad %s model: %s" % (kind, e)) from None
 
 
 def load_source(path) -> SetFunction:
@@ -837,11 +829,11 @@ def load_source(path) -> SetFunction:
 def source_to_dict(source: SetFunction) -> dict:
     """Document form of a source model (inverse of :func:`source_from_dict`)."""
     if isinstance(source, BitPoolSource):
-        obs = source.observes
-        observes = {}
-        for i, user in enumerate(source.ground.users):
-            seen = [source.bit_ids[j] for j in np.nonzero(obs[i])[0]]
-            observes[user] = seen
+        # The incidence is sorted by bit, so each user's bits come in order.
+        users = source.ground.users
+        observes = {user: [] for user in users}
+        for i, j in zip(source._inc_user.tolist(), source._inc_bit.tolist()):
+            observes[users[i]].append(source.bit_ids[j])
         return {
             "type": "bit_pool",
             "users": list(source.ground.users),

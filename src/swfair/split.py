@@ -183,27 +183,23 @@ class SplitTree:
         return doc
 
 
-def split(f: SetFunction, w: WeightVector,
-          subset=None) -> tuple[RateVector, SplitTree]:
+def split(f: SetFunction, w: WeightVector) -> tuple[RateVector, SplitTree]:
     """Weighted egalitarian allocation over the rate region of f.
 
     Returns the optimal rates together with the full recursion tree,
     including the base-assignment events behind :func:`adaptation_path`.
+    The users are f's ground; view a sub-ground with :func:`restrict`.
     """
-    cmask = _subset_mask(f, subset)
-    root_f = restrict(f, cmask)
-    node, events, leaves = _split_block(root_f, w, cmask, 0.0, ())
-    rv = _chain(root_f, w, [mask for mask, _ in leaves]).reconstruct()
+    cmask = _nonempty_ground(f)
+    node, events, leaves = _split_block(f, w, cmask, 0.0, ())
+    rv = _chain(f, w, [mask for mask, _ in leaves]).reconstruct()
     return rv, SplitTree(f.ground, node, cmask, w, events, leaves, rv)
 
 
-def _subset_mask(f: SetFunction, subset) -> int:
-    cmask = f.ground.as_mask(subset) if subset is not None else f.ground_mask
-    if cmask == 0:
-        raise ValueError("cannot split an empty user subset")
-    if cmask & ~f.ground_mask:
-        raise ValueError("subset is not contained in the oracle's ground")
-    return cmask
+def _nonempty_ground(f: SetFunction) -> int:
+    if f.ground_mask == 0:
+        raise ValueError("cannot split an empty ground")
+    return f.ground_mask
 
 
 def _split_block(f, w, cmask, carry, path):
@@ -250,14 +246,14 @@ def _split_block(f, w, cmask, carry, path):
     return node, events, leaves
 
 
-def egalitarian(f: SetFunction, w: WeightVector, subset=None) -> RateVector:
+def egalitarian(f: SetFunction, w: WeightVector) -> RateVector:
     """Weighted egalitarian allocation from one weighted min-norm solve.
 
     Returns the same rates as :func:`split`, without its recursion tree:
     the rates of the certified chain that :func:`decompose` returns, which
     raises the same errors.
     """
-    return decompose(f, w, subset).reconstruct()
+    return decompose(f, w).reconstruct()
 
 
 def _propose(f, w) -> list[int]:
@@ -489,7 +485,7 @@ class Decomposition:
         }
 
 
-def decompose(f: SetFunction, w: WeightVector, subset=None) -> Decomposition:
+def decompose(f: SetFunction, w: WeightVector) -> Decomposition:
     """Principal chain of critical ratios behind the egalitarian solution.
 
     The egalitarian engine's levels (see the module docstring), certified
@@ -497,14 +493,13 @@ def decompose(f: SetFunction, w: WeightVector, subset=None) -> Decomposition:
     :class:`InternalConsistencyError`, and rates outside the region raise
     :class:`CertificationError` (see :func:`certify`).
     """
-    cmask = _subset_mask(f, subset)
-    f_c = restrict(f, cmask)
-    dec = _confirm(f_c, w, _propose(f_c, w))
+    _nonempty_ground(f)
+    dec = _confirm(f, w, _propose(f, w))
     crit = dec.critical_values
     tol = TIE_EPSILON * max(1.0, max(abs(lam) for lam in crit))
     for a, b in zip(crit, crit[1:]):
         if b - a <= tol:
             raise InternalConsistencyError(
                 "critical values not strictly increasing: %r vs %r" % (a, b))
-    certify(f_c, dec.reconstruct())
+    certify(f, dec.reconstruct())
     return dec

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from swfair import sfm
-from swfair.setfn import BitPoolSource, GroundSet, SetFunction, WeightVector
+from swfair.setfn import (BitPoolSource, GroundSet, SetFunction, WeightVector,
+                          source_to_dict)
 
 
 @pytest.fixture
@@ -57,12 +58,12 @@ def twin_bit_pool(rng, n):
     and the chain cut between the two copies is tight as well.
     """
     one = random_bit_pool(rng, n)
+    seen_by = source_to_dict(one)["observes"]
     users, bits, observes = [], {}, {}
     for copy in "xy":
-        for i, u in enumerate(one.ground.users):
+        for u in one.ground.users:
             users.append(copy + u)
-            observes[copy + u] = [copy + one.bit_ids[j]
-                                  for j in np.flatnonzero(one.observes[i])]
+            observes[copy + u] = [copy + b for b in seen_by[u]]
         for b, h in zip(one.bit_ids, one.bit_entropy):
             bits[copy + b] = float(h)
     src = BitPoolSource(GroundSet(users), bits, observes)

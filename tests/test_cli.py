@@ -74,15 +74,45 @@ def test_single_user_model(capsys, tmp_path):
     assert json.loads(out)["rates"] == {"1": pytest.approx(0.8)}
 
 
+TABLE = {"type": "table", "users": ["1", "2"],
+         "values": {"1": 0.5, "2": 0.75, "1,2": 1.0}}
+
+
+def changed(doc, **fields):
+    """JSON text of ``doc`` with some fields replaced."""
+    return json.dumps({**doc, **fields})
+
+
 @pytest.mark.parametrize("command, bad, message", [
     ("egalitarian", json.dumps({"type": "mystery"}), "mystery"),
     ("egalitarian", None, "directory"),
     ("verify", None, "directory"),
-], ids=["unknown-type", "model-is-a-directory", "rates-is-a-directory"])
+    ("egalitarian", changed(MODEL, bits={**MODEL["bits"], "a": "1.0"}),
+     "bit entropies"),
+    ("egalitarian", changed(MODEL, bits={**MODEL["bits"], "a": True}),
+     "bit entropies"),
+    ("egalitarian", changed(TABLE, values={**TABLE["values"], "1": "0.5"}),
+     "table values"),
+    ("egalitarian", changed(TABLE, values={**TABLE["values"], "1": True}),
+     "table values"),
+    ("egalitarian", changed(MODEL, bits=list(MODEL["bits"])), "'bits'"),
+    ("egalitarian", changed(MODEL, observes=list(MODEL["observes"])),
+     "'observes'"),
+    ("egalitarian", changed(TABLE, values=list(TABLE["values"])), "'values'"),
+    ("egalitarian", changed(TABLE, users="12"), "'users'"),
+    ("egalitarian", changed(MODEL, observes={**MODEL["observes"], "2": "cd"}),
+     "'observes'"),
+    ("egalitarian", changed(MODEL, bits={**MODEL["bits"], "a": 10 ** 400}),
+     "bit entropies"),
+], ids=["unknown-type", "model-is-a-directory", "rates-is-a-directory",
+        "string-entropy", "bool-entropy", "string-table-value",
+        "bool-table-value", "bits-list", "observes-list", "values-list",
+        "users-string", "observes-string", "huge-int-entropy"])
 def test_malformed_source_exits_2(capsys, model_file, tmp_path, command, bad,
                                   message):
-    """A model of unknown type, or a directory (``bad`` None) where a model
-    or rates file belongs, is an input error."""
+    """A model of unknown type or of the wrong JSON types, or a directory
+    (``bad`` None) where a model or rates file belongs, is an input
+    error."""
     p = tmp_path / "bad.json"
     if bad is None:
         p.mkdir()
@@ -91,13 +121,18 @@ def test_malformed_source_exits_2(capsys, model_file, tmp_path, command, bad,
     paths = [str(p)] if command == "egalitarian" else [model_file, str(p)]
     code, _, err = run(capsys, command, *paths)
     assert code == 2
-    assert message in err
+    assert err.startswith("error:") and message in err
 
 
 @pytest.mark.parametrize("spec, text", [
     ("1,2", None), ("file", "[null, 1, 1]"),
     ("file", '{"1": null, "2": 1, "3": 1}'), ("file", "5"),
-], ids=["too-few", "null-in-list", "null-in-object", "bare-number"])
+    ("file", '{"1": "2", "2": "1", "3": "2"}'), ("file", '["2", "1", "2"]'),
+    ("file", "[true, true, true]"), ("file", '"213"'),
+    ("file", "[1%s, 1, 1]" % ("0" * 400)),
+], ids=["too-few", "null-in-list", "null-in-object", "bare-number",
+        "strings-in-object", "strings-in-list", "bools-in-list",
+        "bare-string", "huge-int"])
 def test_bad_weights_exit_2(capsys, model_file, tmp_path, spec, text):
     """Weights of the wrong count, or a weights file (``spec`` "file")
     holding ``text``, are an input error."""
@@ -106,7 +141,7 @@ def test_bad_weights_exit_2(capsys, model_file, tmp_path, spec, text):
         spec.write_text(text)
     code, _, err = run(capsys, "egalitarian", model_file, "--weights", str(spec))
     assert code == 2
-    assert "weights" in err
+    assert err.startswith("error:") and "weights" in err
 
 
 def test_solver_failure_exits_3(capsys, model_file, wolfe_capped):
@@ -175,8 +210,11 @@ def test_verify_rejects_zero_rates(capsys, model_file, tmp_path):
     ("1e-8", {"1": float("nan"), "2": 0.3, "3": 0.3}),
     ("1e-8", {"1": None, "2": 0.3, "3": 0.3}),
     ("1e-8", {"1": [1.5], "2": 0.3, "3": 0.3}),
+    ("1e-8", {"1": "1.0", "2": "0.55", "3": "0.55"}),
+    ("1e-8", {"1": True, "2": True, "3": True}),
+    ("1e-8", {"1": 10 ** 400, "2": 0.3, "3": 0.3}),
 ], ids=["nan-tolerance", "negative-tolerance", "inf-tolerance", "nan-rate",
-        "null-rate", "list-rate"])
+        "null-rate", "list-rate", "string-rate", "bool-rate", "huge-int-rate"])
 def test_verify_refuses_non_finite_input(capsys, model_file, tmp_path,
                                          tolerance, rates):
     """A tolerance that is not finite and nonnegative, or a rate that is
@@ -191,7 +229,7 @@ def test_verify_refuses_non_finite_input(capsys, model_file, tmp_path,
                          "--tolerance", tolerance)
     assert code == 2
     assert out == ""
-    assert "finite" in err
+    assert err.startswith("error:") and "finite" in err
 
 
 def test_decompose(capsys, model_file):

@@ -58,7 +58,7 @@ def test_split_unit_weights_matches_worked_example(three_users, unit_weights):
 
 
 def test_split_singleton(three_users, unit_weights):
-    rates, tree = split(three_users, unit_weights, subset=["1"])
+    rates, tree = split(restrict(three_users, ["1"]), unit_weights)
     assert rates.as_dict() == {"1": pytest.approx(2.0)}
     assert tree.root.is_leaf
     path = adaptation_path(tree)
@@ -69,7 +69,7 @@ def test_split_singleton(three_users, unit_weights):
 
 def test_split_rejects_bad_input(three_users, unit_weights):
     with pytest.raises(ValueError):
-        split(three_users, unit_weights, subset=[])
+        split(restrict(three_users, []), unit_weights)
 
 
 def test_split_refuses_nan_weight():
@@ -220,7 +220,7 @@ def test_recursion_metrics_examples(three_users, unit_weights, skew_weights):
         assert m["node_count"] == 3
         assert m["depth"] == 2
 
-    _, tree = split(three_users, unit_weights, subset=["2"])
+    _, tree = split(restrict(three_users, ["2"]), unit_weights)
     m = recursion_metrics(tree)
     assert m == {"sum_size": 0, "max_size": 0, "node_count": 1, "depth": 1}
 
@@ -246,7 +246,7 @@ def test_split_region_membership_and_recursion_bound():
 
 
 def test_split_on_proper_subset(three_users, unit_weights):
-    rates, tree = split(three_users, unit_weights, subset=["2", "3"])
+    rates, tree = split(restrict(three_users, ["2", "3"]), unit_weights)
     # over {2,3} alone the entropy is symmetric: each gets H({2,3})/2
     assert rates.as_dict() == {"2": pytest.approx(0.55), "3": pytest.approx(0.55)}
     assert tree.root.is_leaf
@@ -384,10 +384,10 @@ def test_egalitarian_worked_examples(three_users, unit_weights, skew_weights):
                     (skew_weights, [1.125, 0.375, 0.6])):
         rates = egalitarian(three_users, w)
         assert np.allclose(rates.rates, want, atol=1e-12)
-    sub = egalitarian(three_users, unit_weights, subset=["2", "3"])
+    sub = egalitarian(restrict(three_users, ["2", "3"]), unit_weights)
     assert sub.as_dict() == {"2": pytest.approx(0.55), "3": pytest.approx(0.55)}
     with pytest.raises(ValueError):
-        egalitarian(three_users, unit_weights, subset=[])
+        egalitarian(restrict(three_users, []), unit_weights)
 
 
 def test_confirm_adversarial_proposals(monkeypatch, caplog):
