@@ -41,7 +41,6 @@ from .split import (
     CertificationError,
     InternalConsistencyError,
     RateVector,
-    certify,
     decompose,
     egalitarian,
     split,
@@ -79,12 +78,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("egalitarian",
                        help="weighted egalitarian rates (one weighted "
                             "min-norm solve confirmed by the splitter's leaf "
-                            "test; --trace runs the recursive splitter)")
+                            "test)")
     p.add_argument("source", help="source model JSON file")
     add_weight_args(p)
     p.add_argument("--trace", metavar="PATH",
-                   help="run the recursive splitter and write its tree and, "
-                        "up to 64 users, the adaptation path as JSON")
+                   help="also run the recursive splitter and write its tree "
+                        "and, up to 64 users, the adaptation path as JSON")
     add_output_args(p)
     p.set_defaults(func=cmd_egalitarian)
 
@@ -152,11 +151,9 @@ def parse_weights(source: SetFunction, spec: str | None) -> WeightVector:
         try:
             with open(spec) as fh:
                 doc = json.load(fh)
-            if isinstance(doc, dict):
-                doc = {u: doc[u] for u in ground.users}
-            else:
-                doc = dict(enumerate(doc))
-        except (OSError, json.JSONDecodeError, KeyError, TypeError) as e:
+            doc = (by_user(ground, doc, "weights") if isinstance(doc, dict)
+                   else dict(enumerate(doc)))
+        except (OSError, json.JSONDecodeError, TypeError) as e:
             raise ValueError("cannot read weights from %r: %s" % (spec, e))
         check_json_numbers(doc, "weights")
         values = [float(v) for v in doc.values()]
@@ -165,8 +162,20 @@ def parse_weights(source: SetFunction, spec: str | None) -> WeightVector:
     return WeightVector(ground, values)
 
 
+def by_user(ground, doc: dict, what: str) -> dict:
+    """``doc`` in ground-set order; it must name every user exactly once."""
+    unknown = [u for u in doc if u not in ground.index]
+    if unknown:
+        raise ValueError("%s file names unknown user %r" % (what, unknown[0]))
+    missing = [u for u in ground.users if u not in doc]
+    if missing:
+        raise ValueError("%s file lacks users %s"
+                         % (what, ", ".join(map(repr, missing))))
+    return {u: doc[u] for u in ground.users}
+
+
 def emit(args, doc: dict, text: str) -> None:
-    payload = json.dumps(doc, indent=2, sort_keys=True)
+    payload = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     print(payload if args.json else text)
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
@@ -182,14 +191,11 @@ def rates_text(rates: RateVector) -> str:
 def cmd_egalitarian(args) -> int:
     source = load_source(args.source)
     w = parse_weights(source, args.weights)
+    rates = egalitarian(source, w)
     if args.trace:
-        rates, tree = split(source, w)
-        certify(source, rates)
-        trace = json.dumps(tree.to_dict(), indent=2)
+        _, tree = split(source, w)
         with open(args.trace, "w") as fh:
-            fh.write(trace)
-    else:
-        rates = egalitarian(source, w)
+            fh.write(json.dumps(tree.to_dict(), indent=2))
     doc = {"rates": rates.as_dict(), "sum_rate": rates.total(),
            "weights": {u: w[u] for u in source.ground.users}}
     emit(args, doc, rates_text(rates))
@@ -202,8 +208,9 @@ def cmd_shapley(args) -> int:
         rates, se = shapley_sampled(source, args.samples, args.seed)
         doc = {"rates": rates.as_dict(), "sum_rate": rates.total(),
                "method": "sampled", "samples": args.samples, "seed": args.seed,
-               "standard_error": {u: float(se[source.ground.index[u]])
-                                  for u in source.ground.users}}
+               # one sampled order leaves the standard error undefined
+               "standard_error": {u: None if np.isnan(e) else float(e)
+                                  for u, e in zip(source.ground.users, se)}}
     else:
         rates = shapley_exact(source)
         doc = {"rates": rates.as_dict(), "sum_rate": rates.total(),
@@ -221,11 +228,8 @@ def cmd_verify(args) -> int:
     if not isinstance(doc, dict):
         raise ValueError("rates file must be a JSON object of {user: rate}")
     check_json_numbers(doc, "rates")
-    rates = np.zeros(source.ground.n)
-    for user, value in doc.items():
-        if user not in source.ground.index:
-            raise ValueError("rates file names unknown user %r" % user)
-        rates[source.ground.index[user]] = float(value)
+    rates = np.array([float(v) for v in
+                      by_user(source.ground, doc, "rates").values()])
     if not np.isfinite(rates).all():
         raise ValueError("rates must be finite")
     report = verify_membership(source, rates, args.tolerance)

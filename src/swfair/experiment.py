@@ -12,20 +12,15 @@ disabled to make the CSV byte-reproducible).
 from __future__ import annotations
 
 import io
-import logging
-import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .setfn import BitPoolSource, GroundSet, WeightVector
-from .sfm import ConvergenceError
 from .split import recursion_metrics, split
 
-logger = logging.getLogger(__name__)
-
-CSV_HEADER = "n,mean_sum_size,mean_max_size,mean_node_count,excluded,wall_seq_s"
+CSV_HEADER = "n,mean_sum_size,mean_max_size,mean_node_count,wall_seq_s"
 
 
 # Each instance has BITS_PER_USER bits per user, and each user observes
@@ -60,13 +55,12 @@ class ExperimentRow:
     mean_sum_size: float
     mean_max_size: float
     mean_node_count: float
-    excluded: int
     mean_wall_seq: float
 
     def to_csv(self) -> str:
-        return "%d,%.6f,%.6f,%.6f,%d,%.6f" % (
+        return "%d,%.6f,%.6f,%.6f,%.6f" % (
             self.n, self.mean_sum_size, self.mean_max_size,
-            self.mean_node_count, self.excluded, self.mean_wall_seq)
+            self.mean_node_count, self.mean_wall_seq)
 
 
 def generate_instance(n: int, config: ExperimentConfig,
@@ -100,9 +94,8 @@ def generate_instance(n: int, config: ExperimentConfig,
 def run_experiment(config: ExperimentConfig):
     """Average split-size metrics per ground size; returns (rows, csv_text).
 
-    Unit weights throughout.  Solver failures on individual instances are
-    logged and excluded, with the exclusion count reported per row.  With
-    ``measure_time=False`` the wall column is written as zeros, making the
+    Unit weights throughout; a solver error on any instance propagates.
+    With ``measure_time=False`` the wall column is written as zeros, making the
     CSV a pure function of the configuration.
     """
     rows = []
@@ -111,35 +104,22 @@ def run_experiment(config: ExperimentConfig):
         maxes = []
         nodes = []
         wall_seq = []
-        excluded = 0
         for rep in range(config.repetitions):
             src = generate_instance(n, config, rep)
             w = WeightVector.ones(src.ground)
-            try:
-                t0 = time.perf_counter()
-                _, tree = split(src, w)
-                t1 = time.perf_counter()
-            except ConvergenceError as e:
-                excluded += 1
-                logger.warning("excluded instance (n=%d, rep=%d): %s", n, rep, e)
-                continue
+            t0 = time.perf_counter()
+            _, tree = split(src, w)
+            t1 = time.perf_counter()
             m = recursion_metrics(tree)
             sums.append(m["sum_size"])
             maxes.append(m["max_size"])
             nodes.append(m["node_count"])
             wall_seq.append(t1 - t0)
-        if not sums:
-            logger.warning("all %d instances excluded at n=%d",
-                           config.repetitions, n)
-            rows.append(ExperimentRow(n, math.nan, math.nan, math.nan,
-                                      excluded, 0.0))
-            continue
         rows.append(ExperimentRow(
             n=n,
             mean_sum_size=float(np.mean(sums)),
             mean_max_size=float(np.mean(maxes)),
             mean_node_count=float(np.mean(nodes)),
-            excluded=excluded,
             mean_wall_seq=(float(np.mean(wall_seq))
                            if config.measure_time else 0.0),
         ))

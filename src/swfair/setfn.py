@@ -395,12 +395,16 @@ class TableSource(SetFunction):
     ``value`` is one index, ``prefix_values`` one gather along the order's
     cumulative masks and ``all_values`` over c elements one gather of 2^c
     entries, so every view and exhaustive sweep of a table reads it in bulk.
-    Keys are comma-joined user ids, bitmasks or iterables of ids; a table
-    whose keys are all nonempty strings of distinct known users is parsed
-    in bulk, and any other goes key by key.
+    Keys are comma-joined user ids, bitmasks or iterables of ids, so no
+    user id may contain a comma; a table whose keys are all nonempty
+    strings of distinct known users is parsed in bulk, and any other goes
+    key by key.
     """
 
     def __init__(self, ground: GroundSet, values: Mapping):
+        for u in ground.users:
+            if "," in u:
+                raise ValueError("table user id %r contains a comma" % u)
         self.ground = ground
         self.ground_mask = ground.full_mask
         table = _bulk_table(ground, values)

@@ -104,10 +104,17 @@ def changed(doc, **fields):
      "'observes'"),
     ("egalitarian", changed(MODEL, bits={**MODEL["bits"], "a": 10 ** 400}),
      "bit entropies"),
+    ("egalitarian", changed(TABLE, users=["a,b", "c"],
+                            values={"a,b": 1.0, "c": 1.0, "a,b,c": 1.5}),
+     "table user id 'a,b' contains a comma"),
+    ("egalitarian", changed(TABLE, users=["a,b", "a", "b"],
+                            values={"a": 1.0, "b": 1.0, "a,b": 1.5}),
+     "table user id 'a,b' contains a comma"),
 ], ids=["unknown-type", "model-is-a-directory", "rates-is-a-directory",
         "string-entropy", "bool-entropy", "string-table-value",
         "bool-table-value", "bits-list", "observes-list", "values-list",
-        "users-string", "observes-string", "huge-int-entropy"])
+        "users-string", "observes-string", "huge-int-entropy",
+        "comma-in-user-id", "comma-user-id-joining-two-users"])
 def test_malformed_source_exits_2(capsys, model_file, tmp_path, command, bad,
                                   message):
     """A model of unknown type or of the wrong JSON types, or a directory
@@ -130,9 +137,10 @@ def test_malformed_source_exits_2(capsys, model_file, tmp_path, command, bad,
     ("file", '{"1": "2", "2": "1", "3": "2"}'), ("file", '["2", "1", "2"]'),
     ("file", "[true, true, true]"), ("file", '"213"'),
     ("file", "[1%s, 1, 1]" % ("0" * 400)),
+    ("file", '{"1": 3, "2": 1, "3": 3, "4": 1}'),
 ], ids=["too-few", "null-in-list", "null-in-object", "bare-number",
         "strings-in-object", "strings-in-list", "bools-in-list",
-        "bare-string", "huge-int"])
+        "bare-string", "huge-int", "unknown-user"])
 def test_bad_weights_exit_2(capsys, model_file, tmp_path, spec, text):
     """Weights of the wrong count, or a weights file (``spec`` "file")
     holding ``text``, are an input error."""
@@ -166,6 +174,17 @@ def test_shapley_sampled_seeded(capsys, model_file):
                          "--seed", "9", "--json")
     assert out_a == out_b
     assert "standard_error" in json.loads(out_a)
+
+
+def test_shapley_one_sample_has_no_standard_error(capsys, model_file):
+    def refuse(constant):
+        raise ValueError("%s is not JSON" % constant)
+
+    code, out, _ = run(capsys, "shapley", model_file, "--samples", "1",
+                       "--json")
+    assert code == 0
+    doc = json.loads(out, parse_constant=refuse)
+    assert doc["standard_error"] == {"1": None, "2": None, "3": None}
 
 
 def test_shapley_exact_refused_large(capsys, tmp_path):
@@ -232,6 +251,32 @@ def test_verify_refuses_non_finite_input(capsys, model_file, tmp_path,
     assert err.startswith("error:") and "finite" in err
 
 
+@pytest.mark.parametrize("command, doc, message", [
+    ("verify", {"1": 1.5, "2": 0.6}, "rates file lacks users '3'"),
+    ("verify", {"1": 1.5}, "rates file lacks users '2', '3'"),
+    ("verify", {"1": 1.5, "2": 0.3, "3": 0.3, "4": 0.0},
+     "rates file names unknown user '4'"),
+    ("verify", [1.5, 0.3, 0.3], "rates file must be a JSON object of {user: rate}"),
+    ("egalitarian", {"1": 3, "2": 1, "3": 3, "4": 1},
+     "weights file names unknown user '4'"),
+    ("egalitarian", {"1": 3, "2": 1}, "weights file lacks users '3'"),
+], ids=["rates-missing-user", "rates-missing-users", "rates-unknown-user",
+        "rates-list", "weights-unknown-user", "weights-missing-user"])
+def test_user_files_name_every_user_once(capsys, model_file, tmp_path,
+                                         command, doc, message):
+    """A rates or weights object must name every user of the model and
+    no other; any other is an input error naming the users, not a
+    verdict."""
+    path = tmp_path / "users.json"
+    path.write_text(json.dumps(doc))
+    args = ([model_file, str(path)] if command == "verify"
+            else [model_file, "--weights", str(path)])
+    code, out, err = run(capsys, command, *args)
+    assert code == 2
+    assert out == ""
+    assert err == "error: %s\n" % message
+
+
 def test_decompose(capsys, model_file):
     code, out, _ = run(capsys, "decompose", model_file, "--weights", "3,1,3",
                        "--json")
@@ -263,6 +308,20 @@ def test_check_submodular_model(capsys, model_file):
     assert code == 0
     doc = json.loads(out)
     assert doc == {"submodular": True, "monotone": True}
+
+
+def test_check_non_monotone_table(capsys, tmp_path):
+    p = tmp_path / "table.json"
+    p.write_text(json.dumps({"type": "table", "users": ["1", "2"],
+                             "values": {"1": 1.0, "2": 1.0, "1,2": 0.5}}))
+    code, out, _ = run(capsys, "check", str(p))
+    assert code == 0
+    assert out == ("submodular: yes\nmonotone:   NO\n"
+                   "  adding 2 to {1} decreases the value\n")
+    code, out, _ = run(capsys, "check", str(p), "--json")
+    assert code == 0
+    assert json.loads(out) == {"submodular": True, "monotone": False,
+                               "monotone_witness": {"X": ["1"], "i": "2"}}
 
 
 def test_check_supermodular_table(capsys, tmp_path):
@@ -335,26 +394,51 @@ def test_internal_consistency_error_exits_3(capsys, model_file, monkeypatch,
     assert code == 3
 
 
+def table_of(source):
+    """The table model of every nonempty subset's value under ``source``."""
+    ground = source.ground
+    return {"type": "table", "users": list(ground.users),
+            "values": {",".join(ground.users_of(m)): source.value(m)
+                       for m in range(1, ground.full_mask + 1)}}
+
+
 def test_only_trace_runs_the_splitter(capsys, model_file, monkeypatch,
                                       tmp_path):
+    """With --trace the answer still comes from the engine: stdout is the
+    plain command's, byte for byte, and the splitter only writes its
+    tree."""
     from swfair import cli
+    from swfair.experiment import ExperimentConfig, generate_instance
 
+    table = tmp_path / "t12.json"
+    table.write_text(json.dumps(table_of(
+        generate_instance(12, ExperimentConfig(), 0))))
     calls = []
-    real_split = cli.split
 
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return real_split(*args, **kwargs)
+    def spy(name):
+        real = getattr(cli, name)
 
-    monkeypatch.setattr(cli, "split", spy)
-    for flags in ((), ("--json",), ("--weights", "3,1,3")):
-        code, _, _ = run(capsys, "egalitarian", model_file, *flags)
-        assert code == 0
-    assert len(calls) == 0
-    code, _, _ = run(capsys, "egalitarian", model_file,
-                     "--trace", str(tmp_path / "t.json"))
-    assert code == 0
-    assert len(calls) == 1
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(cli, "egalitarian", spy("egalitarian"))
+    monkeypatch.setattr(cli, "split", spy("split"))
+    trace = tmp_path / "trace.json"
+    for model, weights in ((model_file, "3,1,3"),
+                           (str(table), "3," * 11 + "1")):
+        for flags in ((), ("--json",), ("--weights", weights)):
+            calls.clear()
+            code, plain, _ = run(capsys, "egalitarian", model, *flags)
+            assert (code, calls) == (0, ["egalitarian"])
+            calls.clear()
+            code, traced, _ = run(capsys, "egalitarian", model, *flags,
+                                  "--trace", str(trace))
+            assert (code, calls) == (0, ["egalitarian", "split"])
+            assert traced == plain
+            assert json.loads(trace.read_text())["subset"]
+            trace.unlink()
 
 
 def test_non_submodular_table_is_refused(capsys, tmp_path):
@@ -371,3 +455,19 @@ def test_non_submodular_table_is_refused(capsys, tmp_path):
         assert out == ""
         assert "submodular" in err
     assert not trace.exists()
+
+
+def test_sweep_solver_error_exits_3(capsys, tmp_path, monkeypatch):
+    from swfair import experiment
+    from swfair.sfm import ConvergenceError
+
+    def stalled(*args, **kwargs):
+        raise ConvergenceError("min-norm point stalled")
+
+    monkeypatch.setattr(experiment, "split", stalled)
+    out_csv = tmp_path / "sweep.csv"
+    code, out, err = run(capsys, "experiment", "--out", str(out_csv),
+                         "--n-min", "3", "--n-max", "4", "--reps", "2")
+    assert code == 3
+    assert out == "" and "stalled" in err
+    assert not out_csv.exists()

@@ -1,5 +1,8 @@
+import hashlib
+
 import pytest
 
+from swfair import sfm
 from swfair.experiment import (
     CSV_HEADER,
     ExperimentConfig,
@@ -8,6 +11,7 @@ from swfair.experiment import (
     run_experiment,
 )
 from swfair.setfn import WeightVector, check_monotone, source_to_dict
+from swfair.sfm import ConvergenceError
 from swfair.split import split
 
 
@@ -75,7 +79,6 @@ def test_run_experiment_rows_and_csv():
     assert len(rows) == 4 and len(lines) == 5
     assert csv_text.endswith("\n")
     for row in rows:
-        assert row.excluded == 0
         assert row.mean_max_size <= row.mean_sum_size
         if row.mean_sum_size > 0:
             ratio = row.mean_max_size / row.mean_sum_size
@@ -106,5 +109,20 @@ def test_run_experiment_metrics_independent_of_timing():
 
 
 def test_row_csv_format():
-    row = ExperimentRow(7, 12.5, 9.25, 11.0, 1, 0.00125)
-    assert row.to_csv() == "7,12.500000,9.250000,11.000000,1,0.001250"
+    row = ExperimentRow(7, 12.5, 9.25, 11.0, 0.00125)
+    assert row.to_csv() == "7,12.500000,9.250000,11.000000,0.001250"
+
+
+def test_size_sweep_never_runs_wolfe(monkeypatch):
+    """Every block of a bit-pool instance goes to the min cut or the
+    exhaustive sweep, so the sweep has no instance a stalled or capped
+    Wolfe solve could fail: with Wolfe raising, the paper's configuration
+    still gives its CSV."""
+    def no_wolfe(*args, **kwargs):
+        raise ConvergenceError("Wolfe ran in the size sweep")
+
+    monkeypatch.setattr(sfm, "_wolfe", no_wolfe)
+    _, csv_text = run_experiment(ExperimentConfig(
+        n_min=3, n_max=40, repetitions=30, seed=0, measure_time=False))
+    assert hashlib.sha256(csv_text.encode()).hexdigest() == (
+        "719f15ba5a6095182ed72cb16fce995b5bf50a6f5ba262654e71ff1afd71758a")

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import swfair.fairness as fairness_module
 from swfair.experiment import ExperimentConfig, generate_instance
 from swfair.setfn import (
     GroundSet,
@@ -23,6 +24,7 @@ from swfair.fairness import (
     shapley_sampled,
     verify_membership,
 )
+from swfair.sfm import ConvergenceError
 from swfair.split import split
 from conftest import random_bit_pool
 
@@ -178,6 +180,27 @@ def test_fw_oracle_singleton():
     src = TableSource(g, {"1": 1.7})
     r = egalitarian_oracle_fw(src, WeightVector.ones(g))
     assert r.rates[0] == pytest.approx(1.7, abs=1e-12)
+
+
+def test_fw_oracle_active_vertex_is_a_stall(monkeypatch, three_users,
+                                            skew_weights):
+    # The vertex oracle keeps returning its first vertex, active from the
+    # start, and a negative gap tolerance fails even a gap of exactly 0:
+    # the solver can only stop with no new vertex, carrying its iterate.
+    first = []
+
+    def stuck(oracle, elems, order):
+        if not first:
+            first.append(greedy_vertex_local(oracle, elems, order))
+        return first[0].copy()
+
+    monkeypatch.setattr(fairness_module, "ORACLE_GAP", -1.0)
+    monkeypatch.setattr(fairness_module, "greedy_vertex_local", stuck)
+    with pytest.raises(ConvergenceError,
+                       match="stopped at duality gap 0 above -1") as err:
+        egalitarian_oracle_fw(three_users, skew_weights)
+    assert np.array_equal(err.value.best.rates, first[0])
+    assert err.value.best.subset_mask == three_users.ground_mask
 
 
 def test_fw_matches_split_on_random_instances():

@@ -624,6 +624,10 @@ def test_table_source_errors_keep_their_messages():
          "could not convert string to float: 'x'"),
         ({"1,9": 1.5, "1": "x", "2": 1.0}, InvalidSubsetError,
          "unknown user '9'"),
+        # every key parses, so only the value numpy cannot convert sends
+        # the table key by key
+        ({"1": 1.0, "2": "x", "1,2": 1.5}, ValueError,
+         "could not convert string to float: 'x'"),
         ({"1": 1.0, "1,2": 1.5, "2,1": 1.5}, ValueError,
          r"duplicate table entry for \('1', '2'\)"),
         ({"1": 1.0, "2": 1.0, "1,2": 1.5, "2,1": 1.5}, ValueError,
@@ -641,6 +645,7 @@ def test_table_source_errors_keep_their_messages():
     for values, error, message in cases:
         with pytest.raises(error, match=message):
             TableSource(g, values)
+    assert _bulk_table(g, {"1": 1.0, "2": "x", "1,2": 1.5}) is None
     # the empty key names no user, not even a user called ""
     with pytest.raises(IncompleteTableError, match=r"first: \('',\)"):
         TableSource(GroundSet(["", "a"]), {"": 0.0, "a": 1.0, "a,": 1.5})

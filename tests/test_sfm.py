@@ -22,6 +22,7 @@ from swfair.sfm import (
     CONVERGED,
     EXHAUSTIVE_UP_TO,
     MIN_CUT_ABOVE,
+    STALLED,
     ConvergenceError,
     SfmResult,
     _wolfe,
@@ -290,6 +291,35 @@ def test_wolfe_active_vertex_is_a_stall_whatever_the_rounding(monkeypatch):
         with pytest.raises(ConvergenceError, match="stalled"):
             solve()
         assert first
+
+
+def test_wolfe_minor_cycle_with_no_coefficient_moving(monkeypatch):
+    # The first major cycle's affine minimizer is made to return the
+    # current weights, the new vertex at weight 0: no coefficient moves
+    # toward it, so the minor cycle keeps its weights as they are, and the
+    # iterate stays the convex combination x = S^T lam of the active set.
+    real = sfm_module._affine_minimizer
+    seen = []
+
+    def unmoved(active, added=None, keep=None):
+        coeff, y = real(active, added, keep)
+        if seen:
+            return coeff, y
+        seen.append(active)
+        coeff = np.zeros(active.m)
+        coeff[0] = 1.0
+        return coeff, active.S.T @ coeff
+
+    monkeypatch.setattr(sfm_module, "_affine_minimizer", unmoved)
+    rng = np.random.default_rng(31)
+    f = shifted(random_bit_pool(rng, 10), rng.uniform(0.2, 0.6, 10))
+    elems = np.asarray(bit_indices(f.ground_mask), dtype=np.intp)
+    s = np.sqrt(rng.uniform(0.5, 4.0, 10))
+    x, stop = _wolfe(f, elems, 1e-10, scale=s)
+    active = seen[0]
+    assert active.m == 2 and stop == STALLED
+    # lam = (1, 0): the first vertex, unscaled
+    assert np.array_equal(x, active.S[0] * s)
 
 
 def test_wolfe_converged_means_gap_test_passed(monkeypatch):
