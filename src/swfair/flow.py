@@ -8,11 +8,20 @@ minimum cut and the complement of the second the source side of the
 maximal one, which is what :func:`swfair.sfm.solve_sfm` reads its two
 lattice-extreme minimizers from.
 
+The search may start from any feasible flow the caller already has, such
+as a greedy one: each edge then begins with residual capacity cap - flow
+forward and flow backward, and the value counts the start's own.  A
+maximum flow's value does not depend on where the search started, and
+neither do both residual reach sets, because the minimal and the maximal
+minimum cut are unique; so a warm start only saves phases.
+
 Capacities are floats, so a residual capacity at or below ``tol`` counts
 as zero: after rounding, a saturated edge may keep a residue of a few ulps
 that must not carry flow or connect the two sides.  Uncapped edges take
-``math.inf``.  Reference: Dinic, "Algorithm for solution of a problem of
-maximum flow in a network with power estimation" (Soviet Math. Dokl. 1970).
+``math.inf``.  References: Dinic, "Algorithm for solution of a problem of
+maximum flow in a network with power estimation" (Soviet Math. Dokl.
+1970); Picard and Queyranne, "On the structure of all minimum cuts in a
+network and applications" (Math. Prog. Study 1980), for the extreme cuts.
 """
 
 from __future__ import annotations
@@ -22,37 +31,49 @@ from typing import Sequence
 
 def max_flow(n_nodes: int, tails: Sequence[int], heads: Sequence[int],
              caps: Sequence[float], source: int, sink: int,
-             tol: float = 0.0) -> tuple[float, list[bool], list[bool]]:
+             tol: float = 0.0, start: Sequence[float] | None = None,
+             ) -> tuple[float, list[bool], list[bool]]:
     """Maximum source-sink flow; edge k runs tails[k] -> heads[k].
 
     Returns (flow, from_source, to_sink): the flow value and, per node,
     whether the source reaches it and whether it reaches the sink through
     edges of residual capacity above ``tol`` once the flow is maximum.
-    Every source-sink path must hold a finite capacity.
+    Every source-sink path must hold a finite capacity.  ``start`` is a
+    feasible flow per edge to begin from (zero if None): within each
+    edge's capacity and conserved at every node but the source and sink.
     """
     # Edge 2k is the k-th input edge and 2k+1 its reverse, so e ^ 1 pairs
-    # them; cap holds residual capacities.
+    # them; cap holds residual capacities, so cap[2k+1] is edge k's flow.
     to = [0] * (2 * len(caps))
     to[0::2] = heads
     to[1::2] = tails
     cap = [0.0] * (2 * len(caps))
-    cap[0::2] = caps
+    if start is None:
+        cap[0::2] = caps
+    else:
+        cap[0::2] = [c - x for c, x in zip(caps, start)]
+        cap[1::2] = start
     adj = [[] for _ in range(n_nodes)]
     for e in range(len(to)):
         adj[to[e ^ 1]].append(e)
 
-    flow = 0.0
     while True:
-        level = _levels(adj, to, cap, source, n_nodes, tol)
+        level = _levels(adj, to, cap, source, sink, n_nodes, tol)
         if level[sink] < 0:
             break
-        flow += _blocking_flow(adj, to, cap, level, source, sink, tol)
+        _blocking_flow(adj, to, cap, level, source, sink, tol)
+    # the source's out-flow less its in-flow
+    flow = sum(-cap[e] if e & 1 else cap[e ^ 1] for e in adj[source])
     return flow, [d >= 0 for d in level], _reaches(adj, to, cap, sink,
                                                    n_nodes, tol)
 
 
-def _levels(adj, to, cap, source, n_nodes, tol) -> list[int]:
-    """Breadth-first distance from the source in the residual graph, or -1."""
+def _levels(adj, to, cap, source, sink, n_nodes, tol) -> list[int]:
+    """Breadth-first distance from the source in the residual graph, or -1.
+
+    The search stops once it labels the sink: every node nearer the source
+    is labeled by then, and no shortest path uses another node as far.
+    """
     level = [-1] * n_nodes
     level[source] = 0
     queue = [source]
@@ -62,6 +83,8 @@ def _levels(adj, to, cap, source, n_nodes, tol) -> list[int]:
             v = to[e]
             if level[v] < 0 and cap[e] > tol:
                 level[v] = d
+                if v == sink:
+                    return level
                 queue.append(v)
     return level
 
@@ -81,7 +104,7 @@ def _reaches(adj, to, cap, sink, n_nodes, tol) -> list[bool]:
     return seen
 
 
-def _blocking_flow(adj, to, cap, level, source, sink, tol) -> float:
+def _blocking_flow(adj, to, cap, level, source, sink, tol) -> None:
     """Saturate every shortest augmenting path of the level graph.
 
     One depth-first walk with a current-arc pointer per node: it advances
@@ -91,7 +114,6 @@ def _blocking_flow(adj, to, cap, level, source, sink, tol) -> float:
     """
     pos = [0] * len(adj)
     path = []
-    total = 0.0
     u = source
     while True:
         if u == sink:
@@ -99,7 +121,6 @@ def _blocking_flow(adj, to, cap, level, source, sink, tol) -> float:
             for e in path:
                 cap[e] -= push
                 cap[e ^ 1] += push
-            total += push
             for k, e in enumerate(path):
                 if cap[e] <= tol:
                     break
@@ -120,7 +141,7 @@ def _blocking_flow(adj, to, cap, level, source, sink, tol) -> float:
             path.append(e)
             u = to[e]
         elif u == source:
-            return total
+            return
         else:
             level[u] = -1
             u = to[path.pop() ^ 1]

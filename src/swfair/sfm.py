@@ -75,10 +75,14 @@ class ConvergenceError(RuntimeError):
 
 
 # Bit-pool views above this many users take the min cut.  On seed-0
-# ``sweep`` sub-blocks the median solve took 0.38 / 0.62 / 4.00 ms by the
-# sweep against 0.40 / 0.44 / 0.53 ms by the min cut at 12 / 13 / 16 users,
-# and the median ``split`` of the 128 ``sweep`` models 0.0141 s with the
-# cut above 16 users, 0.0122 s above 12 and 0.0149 s at every size.
+# ``sweep`` sub-blocks the median solve took 0.11 / 0.14 / 0.21 / 0.33 /
+# 2.5 ms by the sweep against 0.13 / 0.13 / 0.14 / 0.15 / 0.17 ms by the
+# min cut (contracted, warm-started) at 10 / 11 / 12 / 13 / 16 users.  The
+# cut wins from 11 users on, but the ``sweep`` benchmark did not move with
+# the constant at 10: op_s.p50 0.0120-0.0121 s against 0.0120-0.0122 s at
+# 12 (seed 7, three runs each).  With the uncontracted cold-start flow the
+# median ``split`` of the 128 ``sweep`` models took 0.0141 s with the cut
+# above 16 users, 0.0122 s above 12 and 0.0149 s at every size.
 MIN_CUT_ABOVE = 12
 
 # Any other ground up to this many users is swept, which is exact where
@@ -202,40 +206,84 @@ def _solve_min_cut(f, elems, cut) -> SfmResult:
     ``cut`` is :func:`swfair.setfn.coverage_cut`'s data for f, which reads
     f(X) = offset + h(N(X) - N(P)) - c(X) with P the pivot, c the
     coefficients, N(X) the bits X observes and h(B) the entropy of the bits
-    B.  The network runs source -> user i with capacity c_i where c_i > 0,
-    user i -> sink with capacity -c_i where c_i < 0, user -> each bit it
-    observes outside N(P) uncapped, and bit b -> sink with capacity h_b.  A
-    cut with users X on the source side costs c+(V) - c(X) + h(N(X) - N(P)),
-    so the maximum flow is c+(V) + min f - offset.  Users the source reaches
-    in the residual graph form the minimal minimizer, and users that do not
-    reach the sink the maximal one; residual capacities at or below
-    TIE_EPSILON times the larger of 1, h(N(V) - N(P)) and sum |c_i| count
-    as zero.  The source's incidence is read directly and no oracle is
-    called, so ``oracle_evals`` is 0.
+    B.  A cut with users X on the source side of the project-selection
+    network (source -> user i with capacity c_i where c_i > 0, user i ->
+    sink with capacity -c_i where c_i < 0, user -> each bit it observes
+    outside N(P) uncapped, bit b -> sink with capacity h_b) costs c+(V) -
+    c(X) + h(N(X) - N(P)).  The flow runs on that network contracted:
+
+    * a bit only user i observes joins i's sink capacity s_i, since the
+      uncapped edge to it puts it on i's side of every finite cut;
+    * a user with source capacity a_i and sink capacity s_i keeps a_i - m_i
+      and s_i - m_i, m_i = min(a_i, s_i), since every cut pays m_i for i
+      on either side;
+
+    so only the bits two or more users observe remain nodes.  The flow
+    starts from one greedy pass over their observations, each pushing as
+    much of its user's remaining source capacity as its bit has room for.
+    The maximum flow F of the contracted network is c+(V) + min f - offset
+    - sum m_i, so ``min_value`` is offset + F + sum m_i - c+(V).  Users the
+    source reaches in the residual graph form the minimal minimizer, and
+    users that do not reach the sink the maximal one; residual capacities
+    at or below TIE_EPSILON times the larger of 1, h(N(V) - N(P)) and
+    sum |c_i| count as zero.  The source's incidence is read directly and
+    no oracle is called, so ``oracle_evals`` is 0.
     """
     user, bit, h, coef, offset = cut
     c = len(elems)
-    gain, loss = coef > 0.0, coef < 0.0
-    # nodes: 0 the source, 1 the sink, 2..c+1 the users, then the bits
-    user_node = np.arange(2, c + 2)
-    bit_node = np.arange(c + 2, c + 2 + len(h))
-    tails = np.concatenate([np.zeros(gain.sum(), dtype=np.intp),
-                            user_node[loss], user + 2, bit_node])
-    heads = np.concatenate([user_node[gain], np.ones(loss.sum(), dtype=np.intp),
-                            bit + c + 2, np.ones(len(h), dtype=np.intp)])
-    caps = np.concatenate([coef[gain], -coef[loss],
-                           np.full(len(user), np.inf), h])
+    observers = np.bincount(bit, minlength=len(h))
+    private = observers[bit] == 1
+    source_cap = np.maximum(coef, 0.0)
+    sink_cap = np.bincount(user[private], weights=h[bit[private]],
+                           minlength=c) - np.minimum(coef, 0.0)
+    both = np.minimum(source_cap, sink_cap)
+    source_cap -= both
+    sink_cap -= both
+    shared = observers > 1
+    shared_user = user[~private]
+    shared_bit = (np.cumsum(shared) - 1)[bit[~private]]
+    bit_cap = h[shared]
+    # nodes: 0 the source, 1 the sink, 2..c+1 the users, then shared bits
+    gain = np.flatnonzero(source_cap > 0.0)
+    loss = np.flatnonzero(sink_cap > 0.0)
+    bit_node = np.arange(c + 2, c + 2 + len(bit_cap))
+    tails = np.concatenate([np.zeros(len(gain), dtype=np.intp), loss + 2,
+                            shared_user + 2, bit_node])
+    heads = np.concatenate([gain + 2, np.ones(len(loss), dtype=np.intp),
+                            shared_bit + c + 2,
+                            np.ones(len(bit_cap), dtype=np.intp)])
+    caps = np.concatenate([source_cap[gain], sink_cap[loss],
+                           np.full(len(shared_user), np.inf), bit_cap])
+    # the greedy start, edge by edge in the order above; sent[i] and got[b]
+    # add up what user i sent and bit b took
+    supply, sent = source_cap.tolist(), [0.0] * c
+    room, got = bit_cap.tolist(), [0.0] * len(bit_cap)
+    pushed = []
+    for i, b in zip(shared_user.tolist(), shared_bit.tolist()):
+        # plain comparisons: min and max calls triple this loop's cost
+        x = supply[i] - sent[i]
+        free = room[b] - got[b]
+        if free < x:
+            x = free
+        if x > 0.0:
+            sent[i] += x
+            got[b] += x
+        else:
+            x = 0.0
+        pushed.append(x)
+    start = [sent[i] for i in gain.tolist()] + [0.0] * len(loss) + pushed + got
     scale = max(1.0, float(h.sum()), float(np.abs(coef).sum()))
     flow, from_source, to_sink = max_flow(
-        c + 2 + len(h), tails.tolist(), heads.tolist(), caps.tolist(),
-        0, 1, TIE_EPSILON * scale)
+        c + 2 + len(bit_cap), tails.tolist(), heads.tolist(), caps.tolist(),
+        0, 1, TIE_EPSILON * scale, start)
     minimal_mask = mask_from_indices(
         e for e, s in zip(elems, from_source[2:c + 2]) if s)
     maximal_mask = mask_from_indices(
         e for e, t in zip(elems, to_sink[2:c + 2]) if not t)
     return SfmResult(
         ground=f.ground,
-        min_value=offset + flow - float(coef[gain].sum()),
+        min_value=(offset + flow + float(both.sum())
+                   - float(coef[coef > 0.0].sum())),
         solver_used="min_cut",
         oracle_evals=0,
         ground_size=c,

@@ -6,6 +6,7 @@ import swfair.sfm as sfm_module
 from swfair.cli import build_parser
 from swfair.setfn import (
     BRUTE_FORCE_LIMIT,
+    BitPoolSource,
     GroundSet,
     GroundSetTooLargeError,
     SetFunction,
@@ -181,6 +182,118 @@ def test_min_cut_matches_exhaustive(n, seed, twin):
     assert_min_cut_matches(add_modular(g, lam * w.values), "exhaustive", tol)
 
 
+def contraction_pool(rng, n, shared_bits):
+    """n users u<i>, each with a private bit p<i>, and ``shared_bits``
+    bits s<j> of two or three observers each: (entropies, observations)."""
+    bits = {"p%d" % i: float(rng.uniform(0.1, 1.0)) for i in range(n)}
+    observes = {"u%d" % i: ["p%d" % i] for i in range(n)}
+    for j in range(shared_bits):
+        bits["s%d" % j] = float(rng.uniform(0.1, 1.0))
+        for i in rng.choice(n, int(rng.integers(2, 4)), replace=False):
+            observes["u%d" % i].append("s%d" % j)
+    return bits, observes
+
+
+def pool_source(bits, observes):
+    return BitPoolSource(GroundSet(list(observes)), bits, observes)
+
+
+def split_ratio(src):
+    return src.value(src.ground_mask) / src.ground.n
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_min_cut_contracts_private_bits_either_way(seed):
+    """One user's private bits outweigh its coefficient, another's
+    coefficient outweighs its private bits, and every other user falls on
+    either side of the split ratio."""
+    rng = np.random.default_rng(seed)
+    bits, observes = contraction_pool(rng, 14, 20)
+    bits["p0"], bits["p1"] = 0.9, 0.05
+    src = pool_source(bits, observes)
+    coef = np.full(14, split_ratio(src))
+    coef[0], coef[1] = 0.3, 0.8
+    tol = 1e-9 * max(1.0, src.value(src.ground_mask))
+    assert_min_cut_matches(shifted(src, coef), "exhaustive", tol)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_min_cut_tie_of_a_user_with_no_shared_bit(seed):
+    """A user whose coefficient equals its private entropy exactly adds 0 to
+    any set: the minimal minimizer leaves it out and the maximal one takes
+    it in."""
+    rng = np.random.default_rng(seed)
+    bits, observes = contraction_pool(rng, 14, 20)
+    observes["u2"] = ["p2"]
+    bits["p2"] = 0.375
+    src = pool_source(bits, observes)
+    coef = np.full(14, split_ratio(src))
+    coef[2] = 0.375
+    f = shifted(src, coef)
+    tol = 1e-9 * max(1.0, src.value(src.ground_mask))
+    assert_min_cut_matches(f, "exhaustive", tol)
+    res = solve_sfm(f)
+    assert not res.minimal_mask & 1 << 2
+    assert res.maximal_mask & 1 << 2
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_min_cut_on_a_view_with_no_shared_bit(seed):
+    rng = np.random.default_rng(seed)
+    bits, observes = contraction_pool(rng, 15, 0)
+    src = pool_source(bits, observes)
+    coef = rng.uniform(-0.2, 1.0, 15)
+    coef[3] = bits["p3"]
+    tol = 1e-9 * max(1.0, src.value(src.ground_mask))
+    assert_min_cut_matches(shifted(src, coef), "exhaustive", tol)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_min_cut_with_no_positive_coefficient(seed):
+    """With every c_i <= 0 the network has no source edge: the empty set is
+    the only minimizer."""
+    rng = np.random.default_rng(seed)
+    src = pool_source(*contraction_pool(rng, 13, 16))
+    coef = -rng.uniform(0.0, 0.5, 13)
+    coef[:3] = 0.0
+    tol = 1e-9 * max(1.0, src.value(src.ground_mask))
+    assert_min_cut_matches(shifted(src, coef), "exhaustive", tol)
+    assert solve_sfm(shifted(src, coef)).maximal_mask == 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_min_cut_with_bits_of_identical_observers(seed):
+    rng = np.random.default_rng(seed)
+    bits, observes = contraction_pool(rng, 14, 12)
+    for j, group in enumerate(([3, 4],) * 3 + ([5, 6, 7],) * 2):
+        bits["t%d" % j] = float(rng.uniform(0.1, 1.0))
+        for i in group:
+            observes["u%d" % i].append("t%d" % j)
+    src = pool_source(bits, observes)
+    tol = 1e-9 * max(1.0, src.value(src.ground_mask))
+    for scale in (1.0, 0.7, 1.3):
+        coef = np.full(14, scale * split_ratio(src))
+        assert_min_cut_matches(shifted(src, coef), "exhaustive", tol)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_min_cut_with_a_pivot_covering_shared_bits(seed):
+    """The view split builds for a complement: the pivot user u15 observes
+    four bits the view's users share, so those leave the network."""
+    rng = np.random.default_rng(seed)
+    bits, observes = contraction_pool(rng, 16, 24)
+    observes["u15"] = ["p15", "s0", "s1", "s2", "s3"]
+    src = pool_source(bits, observes)
+    w = WeightVector(src.ground, rng.uniform(0.5, 4.0, 16))
+    rest = src.ground_mask & ~(1 << 15)
+    g = restrict(reduce(src, 1 << 15, w), rest)
+    tol = 1e-9 * max(1.0, src.value(src.ground_mask))
+    for scale in (1.0, rng.uniform(0.5, 1.5)):
+        lam = scale * g.value(rest) / w.of_mask(rest)
+        assert_min_cut_matches(add_modular(g, lam * w.values), "exhaustive",
+                               tol)
+
+
 def test_min_cut_matches_min_norm_up_to_100_users():
     rng = np.random.default_rng(37)
     for n in (20, 40, 70, 100):
@@ -193,24 +306,26 @@ def test_min_cut_matches_min_norm_up_to_100_users():
 
 
 def test_dispatch_rule_at_its_edges():
-    """Bit-pool views above 12 users take the min cut, which calls no
-    oracle; other grounds up to 16 users are swept, and larger ones go to
-    Wolfe.  The CLI offers no solver flags."""
+    """Bit-pool views above MIN_CUT_ABOVE users take the min cut, which
+    calls no oracle; other grounds up to 16 users are swept, and larger
+    ones go to Wolfe.  The CLI offers no solver flags."""
     rng = np.random.default_rng(41)
-    src = random_bit_pool(rng, 14)
+    n = MIN_CUT_ABOVE + 2
+    src = random_bit_pool(rng, n)
     w = WeightVector.ones(src.ground)
-    for keep, solver in ((12, "exhaustive"), (13, "min_cut")):
+    for keep, solver in ((MIN_CUT_ABOVE, "exhaustive"),
+                         (MIN_CUT_ABOVE + 1, "min_cut")):
         direct = restrict(src, (1 << keep) - 1)
         # the pivot's incidence is read by the min cut as well
-        view = restrict(reduce(src, 1 << 13, w), (1 << keep) - 1)
+        view = restrict(reduce(src, 1 << (n - 1), w), (1 << keep) - 1)
         for f in (direct, view):
-            res = solve_sfm(shifted(f, 0.5 * np.ones(14)))
+            res = solve_sfm(shifted(f, 0.5 * np.ones(n)))
             assert res.solver_used == solver
             assert solver == "exhaustive" or res.oracle_evals == 0
-    pool = random_bit_pool(rng, 13)
+    pool = random_bit_pool(rng, n - 1)
     table = TableSource(pool.ground,
-                        {m: pool.value(m) for m in range(1, 1 << 13)})
-    assert solve_sfm(shifted(table, 0.5 * np.ones(13))).solver_used \
+                        {m: pool.value(m) for m in range(1, 1 << (n - 1))})
+    assert solve_sfm(shifted(table, 0.5 * np.ones(n - 1))).solver_used \
         == "exhaustive"
     big = random_bit_pool(rng, 17, observe_prob=0.1)
     for keep, solver in ((16, "exhaustive"), (17, "min_norm_point")):
