@@ -9,8 +9,9 @@ of that region and the machinery around them:
 * :mod:`swfair.sfm` - submodular function minimization (exhaustive sweep,
   min cut for bit-pool oracles, Fujishige-Wolfe minimum-norm-point) with
   lattice-extreme minimizers;
-* :mod:`swfair.flow` - the float-capacity Dinic max-flow behind the min
-  cut, with both residual reachability sets;
+* :mod:`swfair.flow` - the float-capacity max-flow behind the min cut
+  (shortest augmenting paths, Edmonds-Karp), with both residual
+  reachability sets;
 * :mod:`swfair.split` - the egalitarian engine (one weighted min-norm
   solve confirmed by the splitter's leaf test, returned as a certified
   principal chain) and the paper's recursive splitter with its recursion

@@ -1,4 +1,4 @@
-"""Maximum flow with float capacities (Dinic's algorithm).
+"""Maximum flow with float capacities (shortest augmenting paths).
 
 :func:`max_flow` takes a network as parallel edge arrays and returns the
 flow value together with both sides of the residual graph: the nodes the
@@ -8,20 +8,32 @@ minimum cut and the complement of the second the source side of the
 maximal one, which is what :func:`swfair.sfm.solve_sfm` reads its two
 lattice-extreme minimizers from.
 
+The search is Edmonds and Karp's, with the augmenting paths of one round
+taken from one breadth-first tree.  Each round labels every node's distance
+from the source and the residual edge that reached it, stopping at the
+sink.  Then each node u one step short of the sink whose edge u -> sink
+still has room sends its tree path plus that edge's bottleneck.  Every such
+path runs along edges from one level to the next, and augmenting along
+them adds only reverse edges that go one level down, so no distance from
+the source shrinks within the round: a path of the sink's length that
+still has room is a current shortest path.  So every augmentation is along
+a shortest path, and Edmonds and Karp's bound holds: O(VE) augmentations
+and O(VE^2) time, strongly polynomial.
+
 The search may start from any feasible flow the caller already has, such
 as a greedy one: each edge then begins with residual capacity cap - flow
 forward and flow backward, and the value counts the start's own.  A
 maximum flow's value does not depend on where the search started, and
 neither do both residual reach sets, because the minimal and the maximal
-minimum cut are unique; so a warm start only saves phases.
+minimum cut are unique; so a warm start only saves rounds.
 
 Capacities are floats, so a residual capacity at or below ``tol`` counts
 as zero: after rounding, a saturated edge may keep a residue of a few ulps
 that must not carry flow or connect the two sides.  Uncapped edges take
-``math.inf``.  References: Dinic, "Algorithm for solution of a problem of
-maximum flow in a network with power estimation" (Soviet Math. Dokl.
-1970); Picard and Queyranne, "On the structure of all minimum cuts in a
-network and applications" (Math. Prog. Study 1980), for the extreme cuts.
+``math.inf``.  References: Edmonds and Karp, "Theoretical improvements in
+algorithmic efficiency for network flow problems" (J. ACM 1972); Picard
+and Queyranne, "On the structure of all minimum cuts in a network and
+applications" (Math. Prog. Study 1980), for the extreme cuts.
 """
 
 from __future__ import annotations
@@ -58,23 +70,39 @@ def max_flow(n_nodes: int, tails: Sequence[int], heads: Sequence[int],
         adj[to[e ^ 1]].append(e)
 
     while True:
-        level = _levels(adj, to, cap, source, sink, n_nodes, tol)
+        level, via = _tree(adj, to, cap, source, sink, n_nodes, tol)
         if level[sink] < 0:
             break
-        _blocking_flow(adj, to, cap, level, source, sink, tol)
+        for back in adj[sink]:
+            # back runs sink -> u, so back ^ 1 is the edge u -> sink
+            u = to[back]
+            if level[u] != level[sink] - 1 or cap[back ^ 1] <= tol:
+                continue
+            path = [back ^ 1]
+            while u != source:
+                path.append(via[u])
+                u = to[via[u] ^ 1]
+            push = min(cap[e] for e in path)
+            # an earlier path of this round may have saturated this one
+            if push > tol:
+                for e in path:
+                    cap[e] -= push
+                    cap[e ^ 1] += push
     # the source's out-flow less its in-flow
     flow = sum(-cap[e] if e & 1 else cap[e ^ 1] for e in adj[source])
     return flow, [d >= 0 for d in level], _reaches(adj, to, cap, sink,
                                                    n_nodes, tol)
 
 
-def _levels(adj, to, cap, source, sink, n_nodes, tol) -> list[int]:
-    """Breadth-first distance from the source in the residual graph, or -1.
+def _tree(adj, to, cap, source, sink, n_nodes, tol):
+    """Breadth-first tree from the source in the residual graph.
 
-    The search stops once it labels the sink: every node nearer the source
-    is labeled by then, and no shortest path uses another node as far.
+    Returns each node's distance from the source (-1 if unlabeled) and the
+    edge that labeled it.  The search stops once it labels the sink: every
+    node nearer the source is labeled by then.
     """
     level = [-1] * n_nodes
+    via = [0] * n_nodes
     level[source] = 0
     queue = [source]
     for u in queue:
@@ -83,10 +111,11 @@ def _levels(adj, to, cap, source, sink, n_nodes, tol) -> list[int]:
             v = to[e]
             if level[v] < 0 and cap[e] > tol:
                 level[v] = d
+                via[v] = e
                 if v == sink:
-                    return level
+                    return level, via
                 queue.append(v)
-    return level
+    return level, via
 
 
 def _reaches(adj, to, cap, sink, n_nodes, tol) -> list[bool]:
@@ -102,47 +131,3 @@ def _reaches(adj, to, cap, sink, n_nodes, tol) -> list[bool]:
                 seen[u] = True
                 queue.append(u)
     return seen
-
-
-def _blocking_flow(adj, to, cap, level, source, sink, tol) -> None:
-    """Saturate every shortest augmenting path of the level graph.
-
-    One depth-first walk with a current-arc pointer per node: it advances
-    along level edges, augments on reaching the sink, retreats to the tail
-    of the first edge that saturated, and drops a node once its edges run
-    out.
-    """
-    pos = [0] * len(adj)
-    path = []
-    u = source
-    while True:
-        if u == sink:
-            push = min(cap[e] for e in path)
-            for e in path:
-                cap[e] -= push
-                cap[e ^ 1] += push
-            for k, e in enumerate(path):
-                if cap[e] <= tol:
-                    break
-            del path[k:]
-            u = to[path[-1]] if path else source
-            continue
-        edges = adj[u]
-        i = pos[u]
-        end = len(edges)
-        nxt = level[u] + 1
-        while i < end:
-            e = edges[i]
-            if cap[e] > tol and level[to[e]] == nxt:
-                break
-            i += 1
-        pos[u] = i
-        if i < end:
-            path.append(e)
-            u = to[e]
-        elif u == source:
-            return
-        else:
-            level[u] = -1
-            u = to[path.pop() ^ 1]
-            pos[u] += 1

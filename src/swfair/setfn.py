@@ -264,9 +264,9 @@ class CountingFunction(SetFunction):
 class BitPoolSource(SetFunction):
     """Entropy oracle for users observing pools of independent random bits.
 
-    ``bits`` maps bit id -> entropy in bits (finite, > 0); ``observes`` maps
-    user id -> iterable of bit ids.  H(X) is the summed entropy of all bits
-    observed by at least one user in X.
+    ``bits`` maps bit id -> entropy in bits (> 0, with a finite sum);
+    ``observes`` maps user id -> iterable of bit ids.  H(X) is the summed
+    entropy of all bits observed by at least one user in X.
 
     The oracle keeps only the (user, bit) incidence sorted by bit:
     ``_inc_user`` lists the observers of each observed bit in one run,
@@ -283,9 +283,11 @@ class BitPoolSource(SetFunction):
         self.ground_mask = ground.full_mask
         self.bit_ids = tuple(bits.keys())
         h = np.array([float(bits[b]) for b in self.bit_ids])
-        # NaN fails both comparisons.
-        if len(h) and not (h.min() > 0.0 and h.max() < np.inf):
-            raise ValueError("bit entropies must be finite and strictly positive")
+        # NaN fails both comparisons; a finite sum keeps every H finite
+        # (summed as Python floats, which overflow to inf without a warning).
+        if len(h) and not (h.min() > 0.0 and sum(h.tolist()) < np.inf):
+            raise ValueError("bit entropies must be strictly positive, "
+                             "with a finite sum")
         self.bit_entropy = h
         n = ground.n
         bit_pos = {b: j for j, b in enumerate(self.bit_ids)}

@@ -75,14 +75,16 @@ class ConvergenceError(RuntimeError):
 
 
 # Bit-pool views above this many users take the min cut.  On seed-0
-# ``sweep`` sub-blocks the median solve took 0.11 / 0.14 / 0.21 / 0.33 /
-# 2.5 ms by the sweep against 0.13 / 0.13 / 0.14 / 0.15 / 0.17 ms by the
-# min cut (contracted, warm-started) at 10 / 11 / 12 / 13 / 16 users.  The
-# cut wins from 11 users on, but the ``sweep`` benchmark did not move with
-# the constant at 10: op_s.p50 0.0120-0.0121 s against 0.0120-0.0122 s at
-# 12 (seed 7, three runs each).  With the uncontracted cold-start flow the
-# median ``split`` of the 128 ``sweep`` models took 0.0141 s with the cut
-# above 16 users, 0.0122 s above 12 and 0.0149 s at every size.
+# ``sweep`` sub-blocks (20 per size, best of 5 runs each) the median solve
+# took 0.22 / 0.25 / 0.35 / 0.54 / 0.91 / 1.6 / 3.1 ms by the sweep against
+# 0.22 / 0.21 / 0.22 / 0.24 / 0.25 / 0.30 / 0.25 ms by the min cut
+# (contracted, warm-started) at 10 to 16 users (perf_counter, 2 vCPUs).
+# The cut wins from 11 users on, but the ``sweep`` benchmark did not move
+# with the constant at 10: op_s.p50 0.0120-0.0121 s against 0.0120-0.0122
+# s at 12 (seed 7, three runs each, with the earlier blocking-flow kernel).
+# With the uncontracted cold-start flow the median ``split`` of the 128
+# ``sweep`` models took 0.0141 s with the cut above 16 users, 0.0122 s
+# above 12 and 0.0149 s at every size.
 MIN_CUT_ABOVE = 12
 
 # Any other ground up to this many users is swept, which is exact where
@@ -352,6 +354,7 @@ def min_norm_point(f: SetFunction) -> np.ndarray:
 
 # How a Wolfe run ended: only CONVERGED has passed the gap test.
 CONVERGED, STALLED, CAPPED = "converged", "stalled", "capped"
+OVERFLOWED = "overflowed"
 
 # The bordered inverse of Wolfe's active set is rebuilt from scratch when a
 # vertex it adds or drops has a Schur complement (its squared distance to
@@ -363,8 +366,8 @@ REFINE_SLACK = 1e-6
 
 
 class _Stop(str):
-    """How a Wolfe run ended, equal to CONVERGED, STALLED or CAPPED; ``gap``
-    is the relative gap its last major cycle reached."""
+    """How a Wolfe run ended, equal to CONVERGED, STALLED, CAPPED or
+    OVERFLOWED; ``gap`` is the relative gap its last major cycle reached."""
 
     def __new__(cls, reason, gap):
         stop = super().__new__(cls, reason)
@@ -377,11 +380,16 @@ def _stop_reason(stop: _Stop) -> str:
     if stop == STALLED:
         words = ("stalled before its gap test passed (the new vertex was "
                  "already active)")
+    elif stop == OVERFLOWED:
+        words = "overflowed (|x|^2 is not finite)"
     else:
         words = "hit the iteration cap (%d)" % MAX_ITERATIONS
     return "%s at relative gap %.3g" % (words, stop.gap)
 
 
+# |x|^2 may overflow on finite values near the float range; the NaN gap
+# that follows ends the run as OVERFLOWED, so numpy need not warn.
+@np.errstate(over="ignore", invalid="ignore")
 def _wolfe(f, elems, gap, scale=None):
     """Wolfe's minimum-norm-point algorithm over the base polyhedron.
 
@@ -405,7 +413,9 @@ def _wolfe(f, elems, gap, scale=None):
     :class:`_Stop` that also carries the relative gap
     (|y|^2 - <y, q>) / max(1, |y|^2) of its last major cycle, q the greedy
     vertex along y: CONVERGED once that gap is at most ``gap``, STALLED
-    when the best vertex is already active before it is, CAPPED at
+    when the best vertex is already active before it is, OVERFLOWED when
+    the gap is NaN because |y|^2 overflowed (no later cycle could pass the
+    test, and the active set would grow without end), CAPPED at
     ``MAX_ITERATIONS`` major cycles.
     """
     elems_arr = np.asarray(elems, dtype=np.intp)
@@ -428,6 +438,8 @@ def _wolfe(f, elems, gap, scale=None):
         reached = (xx - xq) / max(1.0, xx)
         if xx - xq <= gap * max(1.0, xx):
             return x * s, _Stop(CONVERGED, reached)
+        if reached != reached:
+            return x * s, _Stop(OVERFLOWED, reached)
         Sq, qq = active.S @ q, float(q @ q)
         if active.holds(q, Sq, qq):
             return x * s, _Stop(STALLED, reached)

@@ -262,8 +262,8 @@ def _propose(f, w) -> list[int]:
     The Wolfe point in coordinates scaled by sqrt(w), run to the relative
     gap ``PROPOSAL_GAP``, is sorted by x/w and cut after every prefix that
     is tight to within TIE_EPSILON * max(1, f(C)).  A point that stalled
-    before its gap test is still a proposal; the iteration cap raises
-    :class:`ConvergenceError`.
+    or overflowed before its gap test is still a proposal, which the exact
+    confirm step checks; the iteration cap raises :class:`ConvergenceError`.
     """
     elems = np.asarray(bit_indices(f.ground_mask), dtype=np.intp)
     w_loc = w.values[elems]

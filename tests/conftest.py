@@ -1,3 +1,6 @@
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,27 @@ def three_users():
         bits={"a": 1.0, "b": 0.5, "c": 0.5, "d": 0.1},
         observes={"1": ["a", "b", "c"], "2": ["c", "d"], "3": ["b", "d"]},
     )
+
+
+@pytest.fixture
+def deadline():
+    """``with deadline(seconds):`` fails the test once its body has run
+    that long, so a hang shows as a failure instead of stopping the run."""
+
+    @contextmanager
+    def guard(seconds):
+        def expire(signum, frame):
+            pytest.fail("still running after %g s" % seconds)
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    return guard
 
 
 @pytest.fixture

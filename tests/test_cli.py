@@ -348,6 +348,45 @@ def test_check_refuses_a_sparse_wide_table_at_once(capsys, tmp_path, n):
     assert "missing %d of %d nonempty subsets" % (2**n - 2, 2**n - 1) in err
 
 
+HUGE_POOL = {"type": "bit_pool", "users": ["a", "b"],
+             "bits": {"x": 1e154, "y": 1e154},
+             "observes": {"a": ["x", "y"], "b": ["y"]}}
+
+
+@pytest.mark.parametrize("model, rate", [
+    (HUGE_POOL, 1e154),
+    ({"type": "table", "users": ["a", "b"],
+      "values": {"a": 1e200, "b": 1e200, "a,b": 1.5e200}}, 7.5e199),
+    ({"type": "table", "users": ["a", "b"],
+      "values": {"a": 1e308, "b": 1e308, "a,b": 1e308}}, 5e307),
+], ids=["bit-pool-1e154", "table-1e200", "table-1e308"])
+def test_values_near_the_float_range_solve_at_once(capsys, tmp_path,
+                                                   deadline, model, rate):
+    """|x|^2 overflows in the Wolfe proposal, which must end the run and
+    leave the answer to the exact confirm step, not loop."""
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps(model))
+    with deadline(2.0):
+        code, out, _ = run(capsys, "egalitarian", str(p), "--json")
+        assert code == 0
+        assert json.loads(out)["rates"] == {"a": pytest.approx(rate),
+                                            "b": pytest.approx(rate)}
+        code, out, _ = run(capsys, "decompose", str(p), "--json")
+        assert code == 0
+        assert json.loads(out) == {"chain": [["a", "b"]],
+                                   "critical_values": [pytest.approx(rate)]}
+
+
+def test_entropies_without_a_finite_sum_exit_2(capsys, tmp_path, deadline):
+    p = tmp_path / "overflow.json"
+    p.write_text(changed(HUGE_POOL, bits={"x": 1e308, "y": 1e308}))
+    for command in ("egalitarian", "decompose", "shapley"):
+        with deadline(2.0):
+            code, _, err = run(capsys, command, str(p), "--json")
+        assert code == 2
+        assert err.startswith("error:") and "finite sum" in err
+
+
 def test_non_finite_weights_exit_2(capsys, model_file, tmp_path):
     code, _, err = run(capsys, "egalitarian", model_file, "--weights", "1,nan,1")
     assert code == 2

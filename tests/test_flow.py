@@ -112,6 +112,69 @@ def test_warm_starts_reach_the_cold_answer(n_inner):
             assert warm[1:] == cold[1:]
 
 
+def project_selection(rng, n_users, n_bits):
+    """A min-cut network of the shape swfair.sfm builds: source -> user i
+    (capacity c_i) or user i -> sink, user -> each bit it observes
+    (uncapped), bit -> sink (its entropy).  Node 2 + i is user i and
+    2 + n_users + j bit j."""
+    tails, heads, caps = [], [], []
+    for i in range(n_users):
+        c = float(rng.uniform(-0.5, 1.5))
+        tails.append(SOURCE if c > 0.0 else 2 + i)
+        heads.append(2 + i if c > 0.0 else SINK)
+        caps.append(abs(c))
+        for j in rng.choice(n_bits, int(rng.integers(1, 5)), replace=False):
+            tails.append(2 + i)
+            heads.append(2 + n_users + int(j))
+            caps.append(math.inf)
+    for j in range(n_bits):
+        tails.append(2 + n_users + j)
+        heads.append(SINK)
+        caps.append(float(rng.uniform(0.05, 1.0)))
+    return 2 + n_users + n_bits, tails, heads, caps
+
+
+def cut_capacity(tails, heads, caps, side):
+    return sum(c for t, h, c in zip(tails, heads, caps)
+               if side[t] and not side[h])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_project_selection_beyond_brute_force(seed):
+    """20-60 users and 40-150 bits, cold and warm: the value is the
+    Edmonds-Karp reference's, and both extreme cuts carry exactly it."""
+    rng = np.random.default_rng(200 + seed)
+    n_users = int(rng.integers(20, 61))
+    n_bits = int(rng.integers(2 * n_users, min(150, 3 * n_users) + 1))
+    n, tails, heads, caps = project_selection(rng, n_users, n_bits)
+    tol = 1e-9 * max(1.0, sum(c for c in caps if c < math.inf))
+    reference = path_flow(tails, heads, caps, reverse=True)
+    value = sum(x for t, x in zip(tails, reference) if t == SOURCE)
+    greedy = path_flow(tails, heads, caps, reverse=False)
+    for start in (None, greedy, [0.5 * x for x in reference]):
+        flow, from_source, to_sink = max_flow(n, tails, heads, caps,
+                                              SOURCE, SINK, tol, start)
+        assert flow == pytest.approx(value, abs=tol)
+        for side in (from_source, [not t for t in to_sink]):
+            assert cut_capacity(tails, heads, caps, side) == pytest.approx(
+                flow, abs=tol)
+
+
+def test_a_path_whose_bottleneck_an_earlier_path_took_is_skipped():
+    """The second round's tree reaches the sink through node 3 and node 4,
+    both behind the source edge 0 -> 2 of capacity 1.  The path via 3
+    saturates that edge, so the path via 4 holds nothing and is skipped.
+    Node 5's edges tie, so the two extreme cuts differ."""
+    tails = [0, 0, 2, 2, 3, 4, 5]
+    heads = [2, 5, 3, 4, 1, 1, 1]
+    caps = [1.0, 2.0, 5.0, 5.0, 5.0, 5.0, 2.0]
+    flow, from_source, to_sink = max_flow(6, tails, heads, caps, 0, 1, 1e-12)
+    best, minimal, maximal = brute_force_cuts(6, tails, heads, caps, 1e-12)
+    assert flow == best == 3.0
+    assert node_mask(from_source) == minimal == 0b000001
+    assert node_mask(to_sink, keep=False) == maximal == 0b100001
+
+
 def test_a_residue_at_tol_does_not_connect_the_sides():
     """0.1 + 0.2 in, 0.3 out: node 2 keeps a residue of an ulp on its
     source edge.  Above tol it would join the source side; at tol node 2

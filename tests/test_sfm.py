@@ -18,6 +18,7 @@ from swfair.setfn import (
     mask_from_indices,
     reduce,
     restrict,
+    source_to_dict,
 )
 from swfair.sfm import (
     CONVERGED,
@@ -384,6 +385,21 @@ def test_wolfe_stall_is_not_convergence(monkeypatch):
     assert isinstance(err.value.best, SfmResult)
     with pytest.raises(ConvergenceError, match="stalled"):
         min_norm_point(f)
+
+
+def test_wolfe_overflow_is_not_convergence(deadline):
+    """Entropies near 1e154 overflow |x|^2, so Wolfe's gap is NaN and no
+    cycle can pass its test: the run ends at once and says why."""
+    rng = np.random.default_rng(5)
+    src = random_bit_pool(rng, 8)
+    huge = BitPoolSource(src.ground, {b: 1e154 * h for b, h in
+                                      zip(src.bit_ids, src.bit_entropy)},
+                         source_to_dict(src)["observes"])
+    with deadline(2.0):
+        for solve in (lambda: solve_sfm(huge, method="min_norm_point"),
+                      lambda: min_norm_point(huge)):
+            with pytest.raises(ConvergenceError, match="overflowed"):
+                solve()
 
 
 def test_wolfe_active_vertex_is_a_stall_whatever_the_rounding(monkeypatch):
