@@ -5,7 +5,8 @@ polyhedron of the joint-entropy function.  This package computes fair points
 of that region and the machinery around them:
 
 * :mod:`swfair.setfn` - ground sets, entropy oracles (bit-pool coverage
-  models and explicit tables), reductions, greedy vertices, validity checks;
+  models and explicit tables), weight and rate vectors, reductions, greedy
+  vertices, validity checks;
 * :mod:`swfair.sfm` - submodular function minimization (exhaustive sweep,
   min cut for bit-pool oracles, Fujishige-Wolfe minimum-norm-point) with
   lattice-extreme minimizers;
@@ -31,6 +32,7 @@ from .setfn import (
     InvalidReductionError,
     InvalidSubsetError,
     ModelLoadError,
+    RateVector,
     SetFunction,
     TableSource,
     WeightVector,
@@ -47,14 +49,12 @@ from .setfn import (
 from .sfm import (
     ConvergenceError,
     SfmResult,
-    min_norm_point,
     solve_sfm,
 )
 from .split import (
     CertificationError,
     Decomposition,
     InternalConsistencyError,
-    RateVector,
     SplitNode,
     SplitTree,
     adaptation_path,
@@ -119,7 +119,6 @@ __all__ = [
     "exchange_capacity",
     "generate_instance",
     "load_source",
-    "min_norm_point",
     "recursion_metrics",
     "reduce",
     "restrict",

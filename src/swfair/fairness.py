@@ -20,6 +20,7 @@ import numpy as np
 
 from .setfn import (
     BRUTE_FORCE_LIMIT,
+    RateVector,
     SetFunction,
     WeightVector,
     bit_indices,
@@ -29,7 +30,6 @@ from .setfn import (
     modular_sums,
 )
 from .sfm import ConvergenceError
-from .split import RateVector
 
 # egalitarian_oracle_fw stops once its duality gap is at most this, and
 # gives up after this many steps; the production solver's tolerances in

@@ -30,6 +30,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -609,7 +610,12 @@ def add_modular(f: SetFunction, coeffs: np.ndarray) -> SetFunction:
 
 
 class WeightVector:
-    """Finite, strictly positive per-user weights with subset sums."""
+    """Positive per-user weights with a finite sum, and their subset sums.
+
+    A weight below the smallest normal float is refused, as its ratios to
+    the entropies lose their digits, and so is a vector whose sum w(C)
+    overflows.
+    """
 
     __slots__ = ("ground", "values")
 
@@ -617,8 +623,12 @@ class WeightVector:
         arr = np.asarray(values, dtype=float)
         if arr.shape != (ground.n,):
             raise ValueError("expected %d weights, got shape %s" % (ground.n, arr.shape))
-        if not (np.isfinite(arr).all() and arr.min() > 0.0):
-            raise ValueError("weights must be finite and strictly positive")
+        # NaN fails the comparison; the sum is taken as Python floats, which
+        # overflow to inf without a warning.
+        tiny = float(np.finfo(float).tiny)
+        if not (arr.min() >= tiny and sum(arr.tolist()) < math.inf):
+            raise ValueError("weights must be at least %.4g, with a finite "
+                             "sum" % tiny)
         self.ground = ground
         self.values = arr
         self.values.setflags(write=False)
@@ -632,6 +642,34 @@ class WeightVector:
     @classmethod
     def ones(cls, ground: GroundSet) -> "WeightVector":
         return cls(ground, np.ones(ground.n))
+
+
+@dataclass
+class RateVector:
+    """Per-user rates (bits per symbol) over a ground set or a subset of it."""
+
+    ground: GroundSet
+    rates: np.ndarray
+    subset_mask: int = -1
+
+    def __post_init__(self):
+        if self.subset_mask == -1:
+            self.subset_mask = self.ground.full_mask
+        self.rates = np.asarray(self.rates, dtype=float)
+
+    def as_dict(self) -> dict[str, float]:
+        return {self.ground.users[i]: float(self.rates[i])
+                for i in bit_indices(self.subset_mask)}
+
+    def total(self) -> float:
+        return float(self.rates[bit_indices(self.subset_mask)].sum())
+
+    def ratios(self, w: WeightVector) -> np.ndarray:
+        return self.rates / w.values
+
+    @classmethod
+    def zeros(cls, ground: GroundSet, subset_mask: int = -1) -> "RateVector":
+        return cls(ground, np.zeros(ground.n), subset_mask)
 
 
 def conditional_entropy(source: SetFunction, subset) -> float:

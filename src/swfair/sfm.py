@@ -1,7 +1,7 @@
 """Submodular function minimization with lattice-extreme minimizers.
 
 Three solver paths share one result type; :func:`solve_sfm` picks one by
-the oracle and its ground size:
+a fixed rule on the oracle and its ground size, with no override:
 
 * an exact minimum cut for a view of a bit-pool source above
   ``MIN_CUT_ABOVE`` (12) users: the objective is a weighted coverage
@@ -28,6 +28,9 @@ the oracle and its ground size:
   more than ``REFINE_SLACK`` of their size, so nearly collinear vertices
   are as safe as with a new solve per cycle.
 
+The minimum-norm point of the base polyhedron itself is not exposed here:
+:func:`swfair.split.egalitarian` at unit weights returns it exactly.
+
 References for the min-norm route: Wolfe, "Finding the nearest point in a
 polytope" (Math. Prog. 1976); Fujishige, Hayashi, Isotani, "The minimum-norm-
 point algorithm applied to submodular function minimization" (RIMS 2006);
@@ -42,13 +45,11 @@ import numpy as np
 
 from .flow import max_flow
 from .setfn import (
-    BRUTE_FORCE_LIMIT,
     CountingFunction,
     GroundSet,
     SetFunction,
     bit_indices,
     coverage_cut,
-    exhaustive_ground,
     global_mask,
     greedy_vertex_local,
     mask_from_indices,
@@ -145,34 +146,27 @@ class SfmResult:
         }
 
 
-def solve_sfm(f: SetFunction, method: str | None = None) -> SfmResult:
+def solve_sfm(f: SetFunction) -> SfmResult:
     """Minimize f over all subsets of its ground (empty set included).
 
     A view of a :class:`BitPoolSource` above ``MIN_CUT_ABOVE`` users goes
     to the min cut, any other ground of at most ``EXHAUSTIVE_UP_TO`` users
-    to the exhaustive sweep, and anything larger to min-norm point;
-    ``method`` ("exhaustive" or "min_norm_point") overrides that choice.
-    The min-norm path assumes f is submodular; the other two do not need
-    to.
+    to the exhaustive sweep, and anything larger to min-norm point.  The
+    rule has no override.  The min-norm path assumes f is submodular; the
+    other two do not need to.
     """
     elems = bit_indices(f.ground_mask)
     if not elems:
         return SfmResult(f.ground, 0.0, 0, 0, "exhaustive", 0, 0)
-    if method is None:
-        cut = coverage_cut(f, elems) if len(elems) > MIN_CUT_ABOVE else None
-        if cut is not None:
-            return _solve_min_cut(f, elems, cut)
-        method = ("exhaustive" if len(elems) <= EXHAUSTIVE_UP_TO
-                  else "min_norm_point")
-    if method == "exhaustive":
+    cut = coverage_cut(f, elems) if len(elems) > MIN_CUT_ABOVE else None
+    if cut is not None:
+        return _solve_min_cut(f, elems, cut)
+    if len(elems) <= EXHAUSTIVE_UP_TO:
         return _solve_exhaustive(f, elems)
-    if method == "min_norm_point":
-        return _solve_min_norm(f, elems)
-    raise ValueError("unknown SFM method %r" % method)
+    return _solve_min_norm(f, elems)
 
 
 def _solve_exhaustive(f, elems) -> SfmResult:
-    exhaustive_ground(f, BRUTE_FORCE_LIMIT, "subset-sweep SFM")
     c = len(elems)
     counting = CountingFunction(f)
     vals = counting.all_values(elems)
@@ -333,23 +327,6 @@ def _solve_min_norm(f, elems) -> SfmResult:
             best=result,
         )
     return result
-
-
-def min_norm_point(f: SetFunction) -> np.ndarray:
-    """Minimum-norm point of the base polyhedron of f.
-
-    Returns the point as an array over the elements of f's ground in
-    ascending position order, with Wolfe gap certified below ``MNP_GAP``
-    (relative to max(1, |x|^2)).
-    """
-    elems = bit_indices(f.ground_mask)
-    if not elems:
-        return np.zeros(0)
-    x, stop = _wolfe(f, elems, MNP_GAP)
-    if stop != CONVERGED:
-        raise ConvergenceError(
-            "min-norm-point solver %s" % _stop_reason(stop), best=x)
-    return x
 
 
 # How a Wolfe run ended: only CONVERGED has passed the gap test.

@@ -31,11 +31,13 @@ meets the leaf criterion that split meets.
 One certificate guards every answer: every chain set is tight by
 construction, the critical values must increase strictly
 (:class:`InternalConsistencyError` otherwise), and up to
-``BRUTE_FORCE_LIMIT`` (20) users :func:`certify` checks membership in the
-region by one exhaustive SFM (:class:`CertificationError` otherwise, a
-non-submodular source).  Together these make each chain set the maximal
-minimizer at its critical value, so no chain set is solved again.  The
-split tree, the adaptation path and the size sweep still run :func:`split`.
+``BRUTE_FORCE_LIMIT`` (20) users :func:`certify` runs ``swfair verify``'s
+region check (:class:`CertificationError` otherwise, a non-submodular
+source).  Together these make each chain set the maximal minimizer at its
+critical value, so no chain set is solved again.  The split tree, the
+adaptation path and the size sweep still run :func:`split`.  Ratios tie
+within ``TIE_EPSILON`` times the largest of them, so weights scaled by one
+factor give the same chain and the same rates.
 
 Both routes turn their ordered levels into rates the same way: lam_j =
 (f(S_j) - f(S_{j-1})) / w(D_j) from one prefix walk over the chain, and
@@ -49,9 +51,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fairness import verify_membership
 from .setfn import (
     BRUTE_FORCE_LIMIT,
     GroundSet,
+    RateVector,
     SetFunction,
     WeightVector,
     add_modular,
@@ -97,34 +101,6 @@ class CertificationError(RuntimeError):
     for a submodular source cannot happen; the source is then most likely
     not submodular.
     """
-
-
-@dataclass
-class RateVector:
-    """Per-user rates (bits per symbol) over a ground set or a subset of it."""
-
-    ground: GroundSet
-    rates: np.ndarray
-    subset_mask: int = -1
-
-    def __post_init__(self):
-        if self.subset_mask == -1:
-            self.subset_mask = self.ground.full_mask
-        self.rates = np.asarray(self.rates, dtype=float)
-
-    def as_dict(self) -> dict[str, float]:
-        return {self.ground.users[i]: float(self.rates[i])
-                for i in bit_indices(self.subset_mask)}
-
-    def total(self) -> float:
-        return float(self.rates[bit_indices(self.subset_mask)].sum())
-
-    def ratios(self, w: WeightVector) -> np.ndarray:
-        return self.rates / w.values
-
-    @classmethod
-    def zeros(cls, ground: GroundSet, subset_mask: int = -1) -> "RateVector":
-        return cls(ground, np.zeros(ground.n), subset_mask)
 
 
 @dataclass
@@ -332,7 +308,7 @@ def _confirm(f, w, blocks) -> Decomposition:
 
 def _levels(leaves) -> list[int] | None:
     """Leaf masks merged into levels, or None if their ratios decrease."""
-    tol = TIE_EPSILON * max(1.0, max(abs(lam) for _, lam in leaves))
+    tol = TIE_EPSILON * max(abs(lam) for _, lam in leaves)
     levels = [leaves[0][0]]
     last = leaves[0][1]
     for mask, lam in leaves[1:]:
@@ -374,26 +350,23 @@ def _chain(f, w, levels) -> Decomposition:
 def certify(f: SetFunction, rates: RateVector) -> None:
     """Refuse egalitarian rates outside the region of f on their subset C.
 
-    r is in the region iff r(C) = f(C) and f(X) - r(X) >= 0 for every X,
-    both to within 1e-8 * max(1, |r(C)|).  The minimum of f - r is one
-    exhaustive SFM, so the check runs only up to ``BRUTE_FORCE_LIMIT``
-    users, whichever solver produced the rates; above that it does
-    nothing.  A failure raises :class:`CertificationError`.
+    The check is ``swfair verify``'s (:func:`verify_membership`) at the
+    tolerance 1e-8 * max(1, |r(C)|), so it runs only up to
+    ``BRUTE_FORCE_LIMIT`` users, whichever solver produced the rates;
+    above that it does nothing.  A failure raises
+    :class:`CertificationError`.
     """
     cmask = rates.subset_mask
     if cmask.bit_count() > BRUTE_FORCE_LIMIT:
         return
-    f = restrict(f, cmask)
-    total = rates.total()
-    tol = 1e-8 * max(1.0, abs(total))
-    res = solve_sfm(add_modular(f, rates.rates), method="exhaustive")
-    sum_gap = total - f.value(cmask)
-    if res.min_value < -tol or abs(sum_gap) > tol:
+    report = verify_membership(restrict(f, cmask), rates,
+                               1e-8 * max(1.0, abs(rates.total())))
+    if not report.in_region:
         raise CertificationError(
             "rates for %s are outside the rate region (min slack %.3g at "
-            "%s, sum gap %.3g); is the source submodular?"
-            % (subset_label(f.ground, cmask), res.min_value,
-               subset_label(f.ground, res.minimal_mask), sum_gap))
+            "{%s}, sum gap %.3g); is the source submodular?"
+            % (subset_label(f.ground, cmask), report.slack,
+               ",".join(sorted(report.worst_constraint)), report.sum_gap))
 
 
 def subset_label(ground: GroundSet, mask: int) -> str:
@@ -496,7 +469,7 @@ def decompose(f: SetFunction, w: WeightVector) -> Decomposition:
     _nonempty_ground(f)
     dec = _confirm(f, w, _propose(f, w))
     crit = dec.critical_values
-    tol = TIE_EPSILON * max(1.0, max(abs(lam) for lam in crit))
+    tol = TIE_EPSILON * max(abs(lam) for lam in crit)
     for a, b in zip(crit, crit[1:]):
         if b - a <= tol:
             raise InternalConsistencyError(

@@ -22,7 +22,7 @@ from swfair.fairness import (
     verify_membership,
 )
 from swfair.setfn import WeightVector, add_modular, bit_indices
-from swfair.sfm import solve_sfm
+from swfair.sfm import _solve_exhaustive, _solve_min_norm
 from swfair.split import adaptation_path, decompose, recursion_metrics, split
 from conftest import random_bit_pool
 
@@ -122,8 +122,9 @@ def test_criterion_5():
         w = rng.uniform(0.5, 4.0, n)
         lam = rng.uniform(0.1, 1.0) * src.value(src.ground_mask) / w.sum()
         f = add_modular(src, lam * w)
-        ex = solve_sfm(f, method="exhaustive")
-        mn = solve_sfm(f, method="min_norm_point")
+        elems = bit_indices(f.ground_mask)
+        ex = _solve_exhaustive(f, elems)
+        mn = _solve_min_norm(f, elems)
         assert abs(mn.min_value - ex.min_value) <= 1e-7
         assert mn.minimal_minimizer == ex.minimal_minimizer
         assert mn.maximal_minimizer == ex.maximal_minimizer
@@ -159,8 +160,8 @@ def test_criterion_8(suite4):
         crit = np.asarray(dec.critical_values)
         assert np.all(np.diff(crit) > 0)
         for lam_j, s_j in zip(dec.critical_values, dec.chain_masks):
-            res = solve_sfm(add_modular(src, lam_j * w.values),
-                            method="exhaustive")
+            res = _solve_exhaustive(add_modular(src, lam_j * w.values),
+                                    bit_indices(src.ground_mask))
             assert res.maximal_mask == s_j
         assert np.array_equal(dec.reconstruct().rates, rates.rates)
 

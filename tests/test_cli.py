@@ -1,5 +1,6 @@
 import json
 import time
+import warnings
 
 import pytest
 
@@ -150,6 +151,30 @@ def test_bad_weights_exit_2(capsys, model_file, tmp_path, spec, text):
     code, _, err = run(capsys, "egalitarian", model_file, "--weights", str(spec))
     assert code == 2
     assert err.startswith("error:") and "weights" in err
+
+
+@pytest.mark.parametrize("command, spec", [
+    ("egalitarian", "1e308,1e308,1e308"),
+    ("decompose", "1e-320,1e-320,1e-320"),
+    ("egalitarian", "1e-320,1,1"),
+])
+def test_weights_that_overflow_or_are_subnormal_exit_2(capsys, model_file,
+                                                       command, spec):
+    """A weight sum past the float range, or a weight below the smallest
+    normal float, is refused before any solve, with no numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, command, model_file, "--weights", spec)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: weights must be") and err.count("\n") == 1
+
+
+def test_huge_equal_weights_give_the_unit_weight_rates(capsys, model_file):
+    runs = [run(capsys, "egalitarian", model_file, "--json", *weights)
+            for weights in ((), ("--weights", "1e300,1e300,1e300"))]
+    assert [code for code, _, _ in runs] == [0, 0]
+    unit, huge = (json.loads(out)["rates"] for _, out, _ in runs)
+    assert huge == pytest.approx(unit, rel=1e-12)
 
 
 def test_solver_failure_exits_3(capsys, model_file, wolfe_capped):

@@ -366,6 +366,16 @@ def test_weight_vector_refuses_non_finite(three_users):
             WeightVector(g, [1.0, bad, 1.0])
 
 
+def test_weight_vector_refuses_subnormal_weights_and_overflowing_sums(
+        three_users):
+    g = three_users.ground
+    tiny = np.finfo(float).tiny
+    for bad in ([1e-320, 1.0, 1.0], [tiny / 2] * 3, [1e308] * 3):
+        with pytest.raises(ValueError, match="finite sum"):
+            WeightVector(g, bad)
+    assert WeightVector(g, [tiny, 1e308, 1.0]).values[0] == tiny
+
+
 def test_sources_refuse_non_finite_values():
     g = GroundSet(["1", "2"])
     for bad in (np.nan, np.inf, -np.inf):

@@ -5,10 +5,8 @@ from hypothesis import given, settings, strategies as st
 import swfair.sfm as sfm_module
 from swfair.cli import build_parser
 from swfair.setfn import (
-    BRUTE_FORCE_LIMIT,
     BitPoolSource,
     GroundSet,
-    GroundSetTooLargeError,
     SetFunction,
     TableSource,
     WeightVector,
@@ -28,15 +26,31 @@ from swfair.sfm import (
     ConvergenceError,
     SfmResult,
     _wolfe,
-    min_norm_point,
     solve_sfm,
 )
-from swfair.split import PROPOSAL_GAP
+from swfair.split import PROPOSAL_GAP, egalitarian
 from conftest import OpaquePool, random_bit_pool, twin_bit_pool
 
 
 def shifted(src, coeffs):
     return add_modular(src, np.asarray(coeffs, dtype=float))
+
+
+def exhaustive(f):
+    """The subset sweep on f, whatever solve_sfm would choose."""
+    return sfm_module._solve_exhaustive(f, bit_indices(f.ground_mask))
+
+
+def min_norm(f):
+    """Wolfe's solve on f, whatever solve_sfm would choose."""
+    return sfm_module._solve_min_norm(f, bit_indices(f.ground_mask))
+
+
+def min_norm_point(f):
+    """The minimum-norm base of f over its ground in position order: the
+    egalitarian point at unit weights."""
+    rates = egalitarian(f, WeightVector.ones(f.ground)).rates
+    return rates[bit_indices(f.ground_mask)]
 
 
 def test_example_sfm_scaled_weights(three_users, skew_weights):
@@ -135,15 +149,15 @@ def test_exhaustive_and_min_norm_agree():
         w = rng.uniform(0.5, 4.0, n)
         lam = rng.uniform(0.1, 0.9) * src.value(src.ground_mask) / w.sum()
         f = shifted(src, lam * w)
-        ex = solve_sfm(f, method="exhaustive")
-        mn = solve_sfm(f, method="min_norm_point")
+        ex = exhaustive(f)
+        mn = min_norm(f)
         assert mn.min_value == pytest.approx(ex.min_value, abs=1e-7)
         assert mn.minimal_minimizer == ex.minimal_minimizer
         assert mn.maximal_minimizer == ex.maximal_minimizer
 
 
-def assert_min_cut_matches(f, ref_method, tol):
-    ref = solve_sfm(f, method=ref_method)
+def assert_min_cut_matches(f, reference, tol):
+    ref = reference(f)
     cut = solve_sfm(f)
     assert cut.solver_used == "min_cut"
     assert abs(cut.min_value - ref.min_value) <= tol
@@ -170,7 +184,7 @@ def test_min_cut_matches_exhaustive(n, seed, twin):
     lam = src.value(src.ground_mask) / w.values.sum()
     for scale in (1.0, rng.uniform(-0.5, 1.5)):
         assert_min_cut_matches(add_modular(src, scale * lam * w.values),
-                               "exhaustive", tol)
+                               exhaustive, tol)
     # the views split builds: a contracted pivot, a restriction, a shift,
     # on a larger pool whose spare users are the pivot or restricted away
     src, w = weighted_pool(rng, n + int(rng.integers(1, 4)), twin)
@@ -180,7 +194,7 @@ def test_min_cut_matches_exhaustive(n, seed, twin):
                  src.ground_mask & ~mask_from_indices(spare))
     sub = g.ground_mask
     lam = g.value(sub) / w.of_mask(sub)
-    assert_min_cut_matches(add_modular(g, lam * w.values), "exhaustive", tol)
+    assert_min_cut_matches(add_modular(g, lam * w.values), exhaustive, tol)
 
 
 def contraction_pool(rng, n, shared_bits):
@@ -215,7 +229,7 @@ def test_min_cut_contracts_private_bits_either_way(seed):
     coef = np.full(14, split_ratio(src))
     coef[0], coef[1] = 0.3, 0.8
     tol = 1e-9 * max(1.0, src.value(src.ground_mask))
-    assert_min_cut_matches(shifted(src, coef), "exhaustive", tol)
+    assert_min_cut_matches(shifted(src, coef), exhaustive, tol)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -232,7 +246,7 @@ def test_min_cut_tie_of_a_user_with_no_shared_bit(seed):
     coef[2] = 0.375
     f = shifted(src, coef)
     tol = 1e-9 * max(1.0, src.value(src.ground_mask))
-    assert_min_cut_matches(f, "exhaustive", tol)
+    assert_min_cut_matches(f, exhaustive, tol)
     res = solve_sfm(f)
     assert not res.minimal_mask & 1 << 2
     assert res.maximal_mask & 1 << 2
@@ -246,7 +260,7 @@ def test_min_cut_on_a_view_with_no_shared_bit(seed):
     coef = rng.uniform(-0.2, 1.0, 15)
     coef[3] = bits["p3"]
     tol = 1e-9 * max(1.0, src.value(src.ground_mask))
-    assert_min_cut_matches(shifted(src, coef), "exhaustive", tol)
+    assert_min_cut_matches(shifted(src, coef), exhaustive, tol)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -258,7 +272,7 @@ def test_min_cut_with_no_positive_coefficient(seed):
     coef = -rng.uniform(0.0, 0.5, 13)
     coef[:3] = 0.0
     tol = 1e-9 * max(1.0, src.value(src.ground_mask))
-    assert_min_cut_matches(shifted(src, coef), "exhaustive", tol)
+    assert_min_cut_matches(shifted(src, coef), exhaustive, tol)
     assert solve_sfm(shifted(src, coef)).maximal_mask == 0
 
 
@@ -274,7 +288,7 @@ def test_min_cut_with_bits_of_identical_observers(seed):
     tol = 1e-9 * max(1.0, src.value(src.ground_mask))
     for scale in (1.0, 0.7, 1.3):
         coef = np.full(14, scale * split_ratio(src))
-        assert_min_cut_matches(shifted(src, coef), "exhaustive", tol)
+        assert_min_cut_matches(shifted(src, coef), exhaustive, tol)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -291,7 +305,7 @@ def test_min_cut_with_a_pivot_covering_shared_bits(seed):
     tol = 1e-9 * max(1.0, src.value(src.ground_mask))
     for scale in (1.0, rng.uniform(0.5, 1.5)):
         lam = scale * g.value(rest) / w.of_mask(rest)
-        assert_min_cut_matches(add_modular(g, lam * w.values), "exhaustive",
+        assert_min_cut_matches(add_modular(g, lam * w.values), exhaustive,
                                tol)
 
 
@@ -303,7 +317,7 @@ def test_min_cut_matches_min_norm_up_to_100_users():
         lam = src.value(src.ground_mask) / w.values.sum()
         for scale in (1.0, 0.8):
             assert_min_cut_matches(add_modular(src, scale * lam * w.values),
-                                   "min_norm_point", 1e-7)
+                                   min_norm, 1e-7)
 
 
 def test_dispatch_rule_at_its_edges():
@@ -343,7 +357,7 @@ def test_dispatch_rule_at_its_edges():
 
 def test_min_norm_extraction_on_example(three_users):
     f = shifted(three_users, 0.7 * np.ones(3))
-    res = solve_sfm(f, method="min_norm_point")
+    res = min_norm(f)
     assert res.solver_used == "min_norm_point"
     assert res.maximal_minimizer == {"2", "3"}
     assert res.min_value == pytest.approx(-0.3, abs=1e-9)
@@ -366,7 +380,7 @@ def test_convergence_error_carries_best(wolfe_capped):
     src = random_bit_pool(rng, 10)
     f = shifted(src, rng.uniform(0.2, 0.6, 10))
     with pytest.raises(ConvergenceError, match="iteration cap") as err:
-        solve_sfm(f, method="min_norm_point")
+        min_norm(f)
     assert isinstance(err.value.best, SfmResult)
 
 
@@ -381,10 +395,8 @@ def test_wolfe_stall_is_not_convergence(monkeypatch):
     f = shifted(src, rng.uniform(0.2, 0.6, n))
     monkeypatch.setattr(sfm_module, "MNP_GAP", -1.0)
     with pytest.raises(ConvergenceError, match="stalled") as err:
-        solve_sfm(f, method="min_norm_point")
+        min_norm(f)
     assert isinstance(err.value.best, SfmResult)
-    with pytest.raises(ConvergenceError, match="stalled"):
-        min_norm_point(f)
 
 
 def test_wolfe_overflow_is_not_convergence(deadline):
@@ -396,10 +408,8 @@ def test_wolfe_overflow_is_not_convergence(deadline):
                                       zip(src.bit_ids, src.bit_entropy)},
                          source_to_dict(src)["observes"])
     with deadline(2.0):
-        for solve in (lambda: solve_sfm(huge, method="min_norm_point"),
-                      lambda: min_norm_point(huge)):
-            with pytest.raises(ConvergenceError, match="overflowed"):
-                solve()
+        with pytest.raises(ConvergenceError, match="overflowed"):
+            min_norm(huge)
 
 
 def test_wolfe_active_vertex_is_a_stall_whatever_the_rounding(monkeypatch):
@@ -409,19 +419,17 @@ def test_wolfe_active_vertex_is_a_stall_whatever_the_rounding(monkeypatch):
     rng = np.random.default_rng(48)
     f = shifted(random_bit_pool(rng, 6), rng.uniform(0.2, 0.6, 6))
     monkeypatch.setattr(sfm_module, "MNP_GAP", -1.0)
-    for solve in (lambda: solve_sfm(f, method="min_norm_point"),
-                  lambda: min_norm_point(f)):
-        first = []
+    first = []
 
-        def stuck(oracle, elems, order):
-            if not first:
-                first.append(greedy_vertex_local(oracle, elems, order))
-            return first[0].copy()
+    def stuck(oracle, elems, order):
+        if not first:
+            first.append(greedy_vertex_local(oracle, elems, order))
+        return first[0].copy()
 
-        monkeypatch.setattr(sfm_module, "greedy_vertex_local", stuck)
-        with pytest.raises(ConvergenceError, match="stalled"):
-            solve()
-        assert first
+    monkeypatch.setattr(sfm_module, "greedy_vertex_local", stuck)
+    with pytest.raises(ConvergenceError, match="stalled"):
+        min_norm(f)
+    assert first
 
 
 def test_wolfe_minor_cycle_with_no_coefficient_moving(monkeypatch):
@@ -475,24 +483,11 @@ def test_wolfe_converged_means_gap_test_passed(monkeypatch):
             assert float(y @ y - y @ q) <= tol * max(1.0, float(y @ y))
 
 
-def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        solve_sfm(random_bit_pool(np.random.default_rng(0), 3), method="magic")
-
-
-def test_exhaustive_sfm_refuses_above_the_brute_force_limit():
-    n = BRUTE_FORCE_LIMIT + 2
-    src = random_bit_pool(np.random.default_rng(0), n, observe_prob=2.0 / n)
-    view = restrict(src, src.ground_mask & ~1)
-    with pytest.raises(GroundSetTooLargeError, match="21 elements"):
-        solve_sfm(view, method="exhaustive")
-
-
 def test_convergence_errors_quote_the_gap_reached(wolfe_capped):
     rng = np.random.default_rng(31)
     f = shifted(random_bit_pool(rng, 10), rng.uniform(0.2, 0.6, 10))
-    for solve in (lambda: solve_sfm(f, method="min_norm_point"),
-                  lambda: min_norm_point(f)):
+    for solve in (lambda: min_norm(f),
+                  lambda: egalitarian(f, WeightVector.ones(f.ground))):
         with pytest.raises(ConvergenceError,
                            match=r"iteration cap \(1\) at relative gap \d"):
             solve()

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from swfair.cli import main
+from swfair.experiment import ExperimentConfig, generate_instance
 from swfair.fairness import egalitarian_oracle_fw
 from swfair.setfn import (
     BitPoolSource,
@@ -73,8 +74,6 @@ def test_split_rejects_bad_input(three_users, unit_weights):
 
 
 def test_split_refuses_nan_weight():
-    from swfair.experiment import ExperimentConfig, generate_instance
-
     src = generate_instance(6, ExperimentConfig(), 0)
     w = np.ones(6)
     w[2] = np.nan
@@ -148,9 +147,9 @@ def test_one_user_blocks_are_leaves_without_a_solve(monkeypatch):
     sizes = []
     real = split_module.solve_sfm
 
-    def spy(f, method=None):
+    def spy(f):
         sizes.append(f.ground_mask.bit_count())
-        return real(f, method)
+        return real(f)
 
     monkeypatch.setattr(split_module, "solve_sfm", spy)
     _, tree = split(src, w)
@@ -597,6 +596,25 @@ def test_confirm_returns_splits_chain_for_any_proposal(case):
             assert fallbacks
     assert proposals["multi-user first"][0].bit_count() > 1
     assert proposals["one-user first"][0].bit_count() == 1
+
+
+@pytest.mark.parametrize("n", [8, 30, 64])
+def test_scaled_weights_give_the_same_chain_and_rates(n):
+    """Weights c * w, whether c is tiny or huge, give w's chain and rates:
+    ties among ratios are judged relative to the ratios themselves, so a
+    scale that puts every ratio below the tie tolerance merges nothing."""
+    src = generate_instance(n, ExperimentConfig(seed=0))
+    for w in (np.ones(n), np.random.default_rng(n).uniform(0.5, 4.0, n)):
+        ref = decompose(src, WeightVector(src.ground, w))
+        ref_rates = egalitarian(src, WeightVector(src.ground, w)).rates
+        assert len(ref.chain_masks) > 1
+        for c in (1e-6, 1e9, 1e12, 1e100):
+            scaled = WeightVector(src.ground, c * w)
+            dec = decompose(src, scaled)
+            assert dec.chain_masks == ref.chain_masks
+            for rates in (dec.reconstruct().rates,
+                          egalitarian(src, scaled).rates):
+                assert np.allclose(rates, ref_rates, rtol=1e-12, atol=0.0)
 
 
 def test_egalitarian_refuses_non_submodular_table():
