@@ -100,7 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("source")
     p.add_argument("rates", help="rates JSON file ({user: rate} or egalitarian/"
                                  "shapley --json output)")
-    p.add_argument("--tolerance", type=float, default=1e-8)
+    p.add_argument("--tolerance", type=float,
+                   help="default: 1e-8 times the source's largest value")
     add_output_args(p)
     p.set_defaults(func=cmd_verify)
 

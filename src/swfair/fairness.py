@@ -128,16 +128,18 @@ class MembershipReport:
 
 
 def verify_membership(f: SetFunction, r,
-                      tolerance: float = 1e-8) -> MembershipReport:
+                      tolerance: float | None = None) -> MembershipReport:
     """Exhaustively check that r is an achievable allocation for f.
 
     Tests every lower constraint r(X) >= f(C) - f(C without X), the sum
     constraint |r(C) - f(C)| <= tolerance, and cross-checks the equivalent
     upper form r(X) <= f(X).  Reports the tightest (or most violated)
-    constraint subset and its slack.  A tolerance that is not finite and
-    nonnegative raises ValueError.
+    constraint subset and its slack.  The tolerance defaults to 1e-8
+    times f's scale; one not finite and nonnegative raises ValueError.
     """
-    if not (math.isfinite(tolerance) and tolerance >= 0.0):
+    if tolerance is None:
+        tolerance = 1e-8 * f.scale
+    elif not (math.isfinite(tolerance) and tolerance >= 0.0):
         raise ValueError("tolerance must be finite and >= 0, got %r"
                          % tolerance)
     elems = exhaustive_ground(f, BRUTE_FORCE_LIMIT, "membership verification")

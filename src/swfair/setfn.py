@@ -31,6 +31,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -59,6 +60,11 @@ class GroundSetTooLargeError(ValueError):
 # Exhaustive sweeps (membership checks, submodularity checks, exact Shapley)
 # are refused above this many elements.
 BRUTE_FORCE_LIMIT = 20
+
+# Values within TIE_EPSILON times their source's ``scale`` are equal: every
+# tie, cut, certificate and check uses this one rule, so a source times c
+# gives c times the rates, the same chain and the same verdicts.
+TIE_EPSILON = 1e-9
 
 
 def bit_indices(mask: int) -> list[int]:
@@ -193,6 +199,15 @@ class SetFunction:
     def value(self, mask: int) -> float:
         raise NotImplementedError
 
+    @cached_property
+    def scale(self) -> float:
+        """The unit of every tolerance: here the largest |f| over the ground
+        and its singletons, from n + 1 calls on first use.  Bit pools and
+        tables set their own, and views and counters keep their source's."""
+        singletons = (1 << i for i in bit_indices(self.ground_mask))
+        return max(abs(float(self.value(m)))
+                   for m in (self.ground_mask, *singletons))
+
     def prefix_values(self, order: np.ndarray, base: int = 0) -> np.ndarray:
         """Values f(base), f(base|{o0}), f(base|{o0,o1}), ... along ``order``.
 
@@ -234,31 +249,21 @@ class CountingFunction(SetFunction):
         self.inner = inner
         self.ground = inner.ground
         self.ground_mask = inner.ground_mask
+        self.scale = inner.scale
         self.evals = 0
-        self.max_abs = 0.0
 
     def value(self, mask: int) -> float:
-        v = self.inner.value(mask)
         self.evals += 1
-        a = abs(v)
-        if a > self.max_abs:
-            self.max_abs = a
-        return v
+        return self.inner.value(mask)
 
     def prefix_values(self, order, base: int = 0) -> np.ndarray:
         vals = self.inner.prefix_values(order, base)
         self.evals += len(vals)
-        m = float(np.max(np.abs(vals))) if len(vals) else 0.0
-        if m > self.max_abs:
-            self.max_abs = m
         return vals
 
     def all_values(self, elements, base: int = 0) -> np.ndarray:
         vals = self.inner.all_values(elements, base)
         self.evals += len(vals)
-        m = float(np.max(np.abs(vals))) if len(vals) else 0.0
-        if m > self.max_abs:
-            self.max_abs = m
         return vals
 
 
@@ -276,6 +281,7 @@ class BitPoolSource(SetFunction):
     observes are dropped, as they never count.  Every evaluation reduces
     over these runs, so its cost follows the number of observations rather
     than users x bits.  A bit listed twice for one user is one observation.
+    Its ``scale`` is H(V), the summed entropy of the observed bits.
     """
 
     def __init__(self, ground: GroundSet, bits: Mapping[str, float],
@@ -315,6 +321,7 @@ class BitPoolSource(SetFunction):
         for arr in (self._inc_user, self._inc_bit, self._run_start,
                     self._run_entropy):
             arr.setflags(write=False)
+        self.scale = float(self._run_entropy.sum())
 
     def _covered(self, mask: int) -> np.ndarray:
         """Per observed bit: is it observed by some user in ``mask``?"""
@@ -415,6 +422,7 @@ class TableSource(SetFunction):
             table = _checked_table(ground, values)
         table.setflags(write=False)
         self._table = table
+        self.scale = float(np.abs(table).max())
 
     def value(self, mask: int) -> float:
         return float(self._table[mask])
@@ -519,7 +527,8 @@ class ShiftedFunction(SetFunction):
     value(X) = inner(X | pivot) - constant - sum(coeffs[i] for i in X),
     defined over ``ground_mask`` (disjoint from ``pivot``).  Restriction,
     reduction, and modular shifts are all instances of this one form, and
-    composing any of them flattens back to a single layer over the source.
+    composing any of them flattens back to a single layer over the source,
+    whose ``scale`` the view keeps.
     """
 
     def __init__(self, inner: SetFunction, ground_mask: int, pivot: int,
@@ -530,6 +539,7 @@ class ShiftedFunction(SetFunction):
         self.pivot = pivot
         self.constant = constant
         self.coeffs = coeffs
+        self.scale = inner.scale
 
     def value(self, mask: int) -> float:
         if mask == 0:
@@ -750,18 +760,20 @@ def check_submodular(f: SetFunction):
 
     Returns (True, None) or (False, (X, Y, i)): the marginal of i onto X is
     strictly below its marginal onto Y = X + j, for the first such (X, i, j)
-    in that order.  Each pair of elements is one pass over every X.
+    in that order, by more than TIE_EPSILON times f's scale.  Each pair of
+    elements is one pass over every X.
     """
     elems = exhaustive_ground(f, BRUTE_FORCE_LIMIT, "submodularity check")
     vals = f.all_values(elems)
+    tol = TIE_EPSILON * f.scale
     masks = np.arange(1 << len(elems))
     hits = []
     for a, b in itertools.combinations(range(len(elems)), 2):
         ma, mb = 1 << a, 1 << b
         X = masks[(masks & (ma | mb)) == 0]
         v, va, vb, vab = vals[X], vals[X | ma], vals[X | mb], vals[X | ma | mb]
-        for i, j, hit in ((a, b, vab - vb > (va - v) + 1e-12),
-                          (b, a, vab - va > (vb - v) + 1e-12)):
+        for i, j, hit in ((a, b, vab - vb > (va - v) + tol),
+                          (b, a, vab - va > (vb - v) + tol)):
             if hit.any():
                 hits.append((int(X[hit.argmax()]), i, j))
     if not hits:
@@ -775,16 +787,18 @@ def check_submodular(f: SetFunction):
 def check_monotone(f: SetFunction):
     """Exhaustively test that single-element marginals are nonnegative.
 
-    Returns (True, None) or (False, (X, i)) for the first violation in the
-    order of (X, i), each element tested in one vectorized pass.
+    Returns (True, None) or (False, (X, i)) for the first marginal below
+    -TIE_EPSILON times f's scale in the order of (X, i), each element
+    tested in one vectorized pass.
     """
     elems = exhaustive_ground(f, BRUTE_FORCE_LIMIT, "monotonicity check")
     vals = f.all_values(elems)
+    tol = TIE_EPSILON * f.scale
     masks = np.arange(1 << len(elems))
     hits = []
     for a in range(len(elems)):
         X = masks[(masks & 1 << a) == 0]
-        hit = vals[X | 1 << a] < vals[X] - 1e-12
+        hit = vals[X | 1 << a] < vals[X] - tol
         if hit.any():
             hits.append((int(X[hit.argmax()]), a))
     if not hits:

@@ -39,12 +39,14 @@ Chakrabarty, Jain, Kothari (NeurIPS 2014) for the convergence analysis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .flow import max_flow
 from .setfn import (
+    TIE_EPSILON,
     CountingFunction,
     GroundSet,
     SetFunction,
@@ -98,13 +100,9 @@ MIN_CUT_ABOVE = 12
 # perf_counter, 2 vCPUs.
 EXHAUSTIVE_UP_TO = 16
 
-# Values within this share of a solve's scale count as ties: the scale is
-# the largest |f| the solve observed, or for the min cut the larger of the
-# entropy it can cover and the sum of |coefficient| (at least 1 for both).
-TIE_EPSILON = 1e-9
-
 # Wolfe's relative gap: it has converged once |x|^2 - <x, q> is at most
-# MNP_GAP * max(1, |x|^2), q the greedy vertex along x.
+# MNP_GAP * |x|^2, q the greedy vertex along x: a relative test, which the
+# source's scale does not move.
 MNP_GAP = 1e-10
 
 # Wolfe's cap on major cycles; read at each call.
@@ -168,10 +166,8 @@ def solve_sfm(f: SetFunction) -> SfmResult:
 
 def _solve_exhaustive(f, elems) -> SfmResult:
     c = len(elems)
-    counting = CountingFunction(f)
-    vals = counting.all_values(elems)
-    scale = max(1.0, counting.max_abs)
-    tol = TIE_EPSILON * scale
+    vals = f.all_values(elems)
+    tol = TIE_EPSILON * f.scale
     vmin = float(vals.min())
     tied = np.nonzero(vals <= vmin + tol)[0]
     union = int(np.bitwise_or.reduce(tied.astype(np.int64)))
@@ -183,17 +179,8 @@ def _solve_exhaustive(f, elems) -> SfmResult:
         by_card = sorted((int(t) for t in tied),
                          key=lambda m: (m.bit_count(), m))
         inter, union = by_card[0], by_card[-1]
-    minimal_mask = global_mask(inter, elems)
-    maximal_mask = global_mask(union, elems)
-    return SfmResult(
-        ground=f.ground,
-        min_value=vmin,
-        solver_used="exhaustive",
-        oracle_evals=counting.evals,
-        ground_size=c,
-        minimal_mask=minimal_mask,
-        maximal_mask=maximal_mask,
-    )
+    return SfmResult(f.ground, vmin, global_mask(inter, elems),
+                     global_mask(union, elems), "exhaustive", len(vals), c)
 
 
 def _solve_min_cut(f, elems, cut) -> SfmResult:
@@ -221,9 +208,9 @@ def _solve_min_cut(f, elems, cut) -> SfmResult:
     - sum m_i, so ``min_value`` is offset + F + sum m_i - c+(V).  Users the
     source reaches in the residual graph form the minimal minimizer, and
     users that do not reach the sink the maximal one; residual capacities
-    at or below TIE_EPSILON times the larger of 1, h(N(V) - N(P)) and
-    sum |c_i| count as zero.  The source's incidence is read directly and
-    no oracle is called, so ``oracle_evals`` is 0.
+    at or below TIE_EPSILON times the source's scale count as zero.  The
+    source's incidence is read directly and no oracle is called, so
+    ``oracle_evals`` is 0.
     """
     user, bit, h, coef, offset = cut
     c = len(elems)
@@ -268,31 +255,23 @@ def _solve_min_cut(f, elems, cut) -> SfmResult:
             x = 0.0
         pushed.append(x)
     start = [sent[i] for i in gain.tolist()] + [0.0] * len(loss) + pushed + got
-    scale = max(1.0, float(h.sum()), float(np.abs(coef).sum()))
     flow, from_source, to_sink = max_flow(
         c + 2 + len(bit_cap), tails.tolist(), heads.tolist(), caps.tolist(),
-        0, 1, TIE_EPSILON * scale, start)
+        0, 1, TIE_EPSILON * f.scale, start)
     minimal_mask = mask_from_indices(
         e for e, s in zip(elems, from_source[2:c + 2]) if s)
     maximal_mask = mask_from_indices(
         e for e, t in zip(elems, to_sink[2:c + 2]) if not t)
-    return SfmResult(
-        ground=f.ground,
-        min_value=(offset + flow + float(both.sum())
-                   - float(coef[coef > 0.0].sum())),
-        solver_used="min_cut",
-        oracle_evals=0,
-        ground_size=c,
-        minimal_mask=minimal_mask,
-        maximal_mask=maximal_mask,
-    )
+    min_value = (offset + flow + float(both.sum())
+                 - float(coef[coef > 0.0].sum()))
+    return SfmResult(f.ground, min_value, minimal_mask, maximal_mask,
+                     "min_cut", 0, c)
 
 
 def _solve_min_norm(f, elems) -> SfmResult:
     counting = CountingFunction(f)
     x, stop = _wolfe(counting, elems, MNP_GAP)
-    scale = max(1.0, counting.max_abs)
-    tol = TIE_EPSILON * scale
+    tol = TIE_EPSILON * f.scale
 
     # Round the fractional point to sets.  Sorting x ascending makes both
     # lattice-extreme minimizers prefix sets of the order; evaluating every
@@ -309,17 +288,9 @@ def _solve_min_norm(f, elems) -> SfmResult:
     if pv[k_zero] <= pmin + tol:
         k_large = k_zero
     ordered = ordered.tolist()
-    minimal_mask = mask_from_indices(ordered[:k_small])
-    maximal_mask = mask_from_indices(ordered[:k_large])
-    result = SfmResult(
-        ground=f.ground,
-        min_value=pmin,
-        solver_used="min_norm_point",
-        oracle_evals=counting.evals,
-        ground_size=len(elems),
-        minimal_mask=minimal_mask,
-        maximal_mask=maximal_mask,
-    )
+    result = SfmResult(f.ground, pmin, mask_from_indices(ordered[:k_small]),
+                       mask_from_indices(ordered[:k_large]), "min_norm_point",
+                       counting.evals, len(elems))
     if stop != CONVERGED:
         raise ConvergenceError(
             "min-norm-point solver %s on a ground of size %d"
@@ -358,15 +329,15 @@ def _stop_reason(stop: _Stop) -> str:
         words = ("stalled before its gap test passed (the new vertex was "
                  "already active)")
     elif stop == OVERFLOWED:
-        words = "overflowed (|x|^2 is not finite)"
+        words = "overflowed (|x|^2 or <x, q> is not finite)"
     else:
         words = "hit the iteration cap (%d)" % MAX_ITERATIONS
     return "%s at relative gap %.3g" % (words, stop.gap)
 
 
-# |x|^2 may overflow on finite values near the float range; the NaN gap
-# that follows ends the run as OVERFLOWED, so numpy need not warn.
-@np.errstate(over="ignore", invalid="ignore")
+# |x|^2 may overflow when weights span the float range; the gap is then not
+# finite and ends the run as OVERFLOWED, so numpy need not warn.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _wolfe(f, elems, gap, scale=None):
     """Wolfe's minimum-norm-point algorithm over the base polyhedron.
 
@@ -384,24 +355,28 @@ def _wolfe(f, elems, gap, scale=None):
     coefficients by more than ``REFINE_SLACK``.
 
     With ``scale`` s (positive, one entry per element) the iteration runs
-    in the coordinates y = x / s, so it minimizes sum(x_i^2 / s_i^2): with
-    s = sqrt(w) that is the weighted egalitarian objective (Fujishige 1980).
+    in the coordinates y = x / (s u), so it minimizes sum(x_i^2 / s_i^2):
+    with s = sqrt(w) that is the weighted egalitarian objective (Fujishige
+    1980).  u is the power of two at or below f's scale: the iteration is
+    the same, bit for bit, for a source times any power of two, and no
+    scale of the source alone over- or underflows |y|^2.
     Returns x in f's own coordinates and how the run ended, a
     :class:`_Stop` that also carries the relative gap
-    (|y|^2 - <y, q>) / max(1, |y|^2) of its last major cycle, q the greedy
+    (|y|^2 - <y, q>) / |y|^2 of its last major cycle, q the greedy
     vertex along y: CONVERGED once that gap is at most ``gap``, STALLED
     when the best vertex is already active before it is, OVERFLOWED when
-    the gap is NaN because |y|^2 overflowed (no later cycle could pass the
-    test, and the active set would grow without end), CAPPED at
+    weights near the float range overflow |y|^2 or <y, q> (no later cycle
+    could pass the test, and the active set would grow without end), CAPPED at
     ``MAX_ITERATIONS`` major cycles.
     """
     elems_arr = np.asarray(elems, dtype=np.intp)
     c = len(elems)
     s = np.ones(c) if scale is None else scale
+    unit = math.ldexp(1.0, math.frexp(f.scale)[1] - 1)
 
     def vertex(direction):
         order = np.argsort(direction / s, kind="stable")
-        return greedy_vertex_local(f, elems_arr, order) / s
+        return greedy_vertex_local(f, elems_arr, order) / unit / s
 
     active = _ActiveSet(vertex(np.zeros(c)))
     x = active.S[0].copy()
@@ -410,16 +385,16 @@ def _wolfe(f, elems, gap, scale=None):
 
     for _ in range(MAX_ITERATIONS):
         q = vertex(x)
-        xx = float(x @ x)
-        xq = float(x @ q)
-        reached = (xx - xq) / max(1.0, xx)
-        if xx - xq <= gap * max(1.0, xx):
-            return x * s, _Stop(CONVERGED, reached)
-        if reached != reached:
-            return x * s, _Stop(OVERFLOWED, reached)
+        xx = x @ x
+        slack = xx - x @ q
+        reached = slack / xx
+        if not np.isfinite(slack):
+            return x * s * unit, _Stop(OVERFLOWED, reached)
+        if slack <= gap * xx:
+            return x * s * unit, _Stop(CONVERGED, reached)
         Sq, qq = active.S @ q, float(q @ q)
         if active.holds(q, Sq, qq):
-            return x * s, _Stop(STALLED, reached)
+            return x * s * unit, _Stop(STALLED, reached)
         lam = np.append(lam, 0.0)
         coeff, y = _affine_minimizer(active, added=(q, Sq, qq))
 
@@ -445,7 +420,7 @@ def _wolfe(f, elems, gap, scale=None):
             lam = lam[keep]
             lam = lam / lam.sum()
             coeff, y = _affine_minimizer(active, keep=keep)
-    return x * s, _Stop(CAPPED, reached)
+    return x * s * unit, _Stop(CAPPED, reached)
 
 
 def _affine_minimizer(active, added=None, keep=None):

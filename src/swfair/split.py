@@ -54,6 +54,7 @@ import numpy as np
 from .fairness import verify_membership
 from .setfn import (
     BRUTE_FORCE_LIMIT,
+    TIE_EPSILON,
     GroundSet,
     RateVector,
     SetFunction,
@@ -66,7 +67,6 @@ from .setfn import (
 )
 from .sfm import (
     CAPPED,
-    TIE_EPSILON,
     ConvergenceError,
     SfmResult,
     _stop_reason,
@@ -237,7 +237,7 @@ def _propose(f, w) -> list[int]:
 
     The Wolfe point in coordinates scaled by sqrt(w), run to the relative
     gap ``PROPOSAL_GAP``, is sorted by x/w and cut after every prefix that
-    is tight to within TIE_EPSILON * max(1, f(C)).  A point that stalled
+    is tight to within TIE_EPSILON times f's scale.  A point that stalled
     or overflowed before its gap test is still a proposal, which the exact
     confirm step checks; the iteration cap raises :class:`ConvergenceError`.
     """
@@ -255,7 +255,7 @@ def _propose(f, w) -> list[int]:
     order = elems[rank]
     pv = f.prefix_values(order)
     slack = pv[1:] - np.cumsum(x[rank])
-    tol = TIE_EPSILON * max(1.0, abs(float(pv[-1])))
+    tol = TIE_EPSILON * f.scale
     cuts = [0, *(np.flatnonzero(slack[:-1] <= tol) + 1).tolist(), len(order)]
     order = order.tolist()
     return [mask_from_indices(order[a:b]) for a, b in zip(cuts, cuts[1:])]
@@ -350,8 +350,8 @@ def _chain(f, w, levels) -> Decomposition:
 def certify(f: SetFunction, rates: RateVector) -> None:
     """Refuse egalitarian rates outside the region of f on their subset C.
 
-    The check is ``swfair verify``'s (:func:`verify_membership`) at the
-    tolerance 1e-8 * max(1, |r(C)|), so it runs only up to
+    The check is ``swfair verify``'s (:func:`verify_membership`) at its
+    default tolerance, 1e-8 times f's scale, so it runs only up to
     ``BRUTE_FORCE_LIMIT`` users, whichever solver produced the rates;
     above that it does nothing.  A failure raises
     :class:`CertificationError`.
@@ -359,8 +359,7 @@ def certify(f: SetFunction, rates: RateVector) -> None:
     cmask = rates.subset_mask
     if cmask.bit_count() > BRUTE_FORCE_LIMIT:
         return
-    report = verify_membership(restrict(f, cmask), rates,
-                               1e-8 * max(1.0, abs(rates.total())))
+    report = verify_membership(restrict(f, cmask), rates)
     if not report.in_region:
         raise CertificationError(
             "rates for %s are outside the rate region (min slack %.3g at "

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from swfair import sfm
-from swfair.setfn import (BitPoolSource, GroundSet, SetFunction, WeightVector,
-                          source_to_dict)
+from swfair.setfn import (BitPoolSource, GroundSet, SetFunction, TableSource,
+                          WeightVector, source_from_dict, source_to_dict)
 
 
 @pytest.fixture
@@ -93,6 +93,20 @@ def twin_bit_pool(rng, n):
     src = BitPoolSource(GroundSet(users), bits, observes)
     w_one = rng.uniform(0.5, 4.0, n)
     return src, WeightVector(src.ground, np.concatenate([w_one, w_one]))
+
+
+def scaled_source(src, c):
+    """src with every bit entropy (bit pool) or value (table) times c."""
+    doc = source_to_dict(src)
+    key = "bits" if doc["type"] == "bit_pool" else "values"
+    doc[key] = {k: c * v for k, v in doc[key].items()}
+    return source_from_dict(doc)
+
+
+def coverage_table(pool):
+    """The table of every value of a bit pool."""
+    return TableSource(pool.ground, {m: pool.value(m)
+                                     for m in range(1, pool.ground_mask + 1)})
 
 
 class OpaquePool(SetFunction):

@@ -5,7 +5,8 @@ import warnings
 import pytest
 
 from swfair.cli import main
-from swfair.experiment import CSV_HEADER
+from swfair.experiment import CSV_HEADER, ExperimentConfig, generate_instance
+from swfair.setfn import source_to_dict
 
 MODEL = {
     "type": "bit_pool",
@@ -247,6 +248,30 @@ def test_verify_rejects_zero_rates(capsys, model_file, tmp_path):
     code, out, _ = run(capsys, "verify", model_file, str(rates_path))
     assert code == 4
     assert "NOT" in out
+
+
+@pytest.mark.parametrize("c", [1e9, 1e-12])
+def test_verify_default_tolerance_follows_the_source_scale(capsys, tmp_path,
+                                                           c):
+    """Without --tolerance, verify allows 1e-8 times the source's scale:
+    it accepts egalitarian's own output for entropies times 1e9 and
+    rejects those rates with one raised by half for entropies times
+    1e-12."""
+    src = generate_instance(8, ExperimentConfig(seed=0))
+    doc = source_to_dict(src)
+    doc["bits"] = {b: c * h for b, h in doc["bits"].items()}
+    model, rates = tmp_path / "model.json", tmp_path / "rates.json"
+    model.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "egalitarian", str(model), "--json")
+    assert code == 0
+    rates.write_text(out)
+    code, out, _ = run(capsys, "verify", str(model), str(rates), "--json")
+    assert (code, json.loads(out)["in_region"]) == (0, True)
+    raised = json.loads(rates.read_text())["rates"]
+    raised["u0"] *= 1.5
+    rates.write_text(json.dumps(raised))
+    code, out, _ = run(capsys, "verify", str(model), str(rates), "--json")
+    assert (code, json.loads(out)["in_region"]) == (4, False)
 
 
 @pytest.mark.parametrize("tolerance, rates", [

@@ -25,8 +25,8 @@ from swfair.fairness import (
     verify_membership,
 )
 from swfair.sfm import ConvergenceError
-from swfair.split import split
-from conftest import random_bit_pool
+from swfair.split import egalitarian, split
+from conftest import random_bit_pool, scaled_source
 
 
 def test_shapley_exact_known_value(three_users):
@@ -163,6 +163,32 @@ def test_verify_membership_egalitarian(three_users, unit_weights):
     assert rep.in_region
     doc = rep.to_dict()
     assert doc["in_region"] is True
+
+
+def test_verify_membership_accepts_certified_rates_of_a_large_source():
+    """The default tolerance is 1e-8 times the source's scale, so the
+    engine's certified rates of a source times 1e9, whose rounding is far
+    above an absolute 1e-8, are members, for verify and the report."""
+    src = scaled_source(generate_instance(8, ExperimentConfig(seed=0)), 1e9)
+    w = WeightVector.ones(src.ground)
+    rates = egalitarian(src, w)
+    assert verify_membership(src, rates).in_region
+    assert build_report(src, w, {"egalitarian": rates}).in_region == {
+        "egalitarian": True}
+
+
+def test_verify_membership_rejects_a_raised_rate_of_a_small_source():
+    """At entropies times 1e-12 every value is far below an absolute 1e-8,
+    but the default tolerance follows the source: the egalitarian rates
+    are members, and the same rates with one raised by half are not."""
+    src = scaled_source(generate_instance(8, ExperimentConfig(seed=0)), 1e-12)
+    rates = egalitarian(src, WeightVector.ones(src.ground)).rates
+    assert verify_membership(src, rates).in_region
+    raised = rates.copy()
+    raised[0] *= 1.5
+    report = verify_membership(src, raised)
+    assert not report.in_region
+    assert report.sum_gap == pytest.approx(0.5 * rates[0], rel=1e-9)
 
 
 def test_fw_oracle_unit_weights(three_users, unit_weights):

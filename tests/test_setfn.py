@@ -15,6 +15,7 @@ from swfair.setfn import (
     InvalidSubsetError,
     GroundSetTooLargeError,
     ModelLoadError,
+    TIE_EPSILON,
     SetFunction,
     TableSource,
     WeightVector,
@@ -35,7 +36,8 @@ from swfair.setfn import (
     source_to_dict,
     _bulk_table,
 )
-from conftest import random_bit_pool
+from swfair.experiment import ExperimentConfig, generate_instance
+from conftest import random_bit_pool, scaled_source
 
 
 def test_ground_set_basics():
@@ -301,25 +303,52 @@ def test_check_submodular(three_users):
         check_submodular(big_src)
 
 
+def test_checks_judge_by_the_source_scale():
+    """Both checks tolerate TIE_EPSILON times the source's scale: a pool
+    times 1e6 to 1e12 keeps its rounding within it, and violations of a
+    millionth of the scale, planted at scale 1e-12, are still found."""
+    src = generate_instance(12, ExperimentConfig(seed=0))
+    for c in (1e6, 1e9, 1e12):
+        f = scaled_source(src, c)
+        assert check_submodular(f) == (True, None)
+        assert check_monotone(f) == (True, None)
+
+    tiny = scaled_source(src, 1e-12)
+    values = {m: tiny.value(m) for m in range(1, tiny.ground_mask + 1)}
+    bump = 1e-6 * tiny.scale
+    full = tiny.ground_mask
+    # the pair {0, 1} gains more than its two users alone
+    pair = dict(values)
+    pair[0b11] = values[0b01] + values[0b10] + bump
+    assert check_submodular(TableSource(tiny.ground, pair))[0] is False
+    # the whole ground is worth less than the ground without user 0
+    drop = dict(values)
+    drop[full] = values[full & ~1] - bump
+    assert check_submodular(TableSource(tiny.ground, drop)) == (True, None)
+    ok, (X, i) = check_monotone(TableSource(tiny.ground, drop))
+    assert not ok and {*X, i} == set(tiny.ground.users)
+
+
 def loop_witnesses(f):
     """check_submodular's and check_monotone's witnesses by a plain loop
     over (X, a, b) and (X, a), with the same float expressions."""
     elems = bit_indices(f.ground_mask)
     c = len(elems)
     vals = f.all_values(elems)
+    tol = TIE_EPSILON * f.scale
     sub = mono = None
     for lm in range(1 << c):
         for a in range(c):
             if lm >> a & 1:
                 continue
-            if mono is None and vals[lm | 1 << a] < vals[lm] - 1e-12:
+            if mono is None and vals[lm | 1 << a] < vals[lm] - tol:
                 mono = (f.ground.users_of(global_mask(lm, elems)),
                         f.ground.users[elems[a]])
             m_a = vals[lm | 1 << a] - vals[lm]
             for b in range(c):
                 if sub is not None or b == a or lm >> b & 1:
                     continue
-                if vals[lm | 1 << a | 1 << b] - vals[lm | 1 << b] > m_a + 1e-12:
+                if vals[lm | 1 << a | 1 << b] - vals[lm | 1 << b] > m_a + tol:
                     X = global_mask(lm, elems)
                     sub = (f.ground.users_of(X),
                            f.ground.users_of(X | 1 << elems[b]),
@@ -606,22 +635,30 @@ def test_dense_table_matches_the_generic_loops(model):
     coeffs = rng.uniform(-1.0, 1.0, g.n)
     w = WeightVector(g, rng.uniform(0.5, 4.0, g.n))
     pivot = random_mask(rng, sub)
-    for view in (lambda f: restrict(f, sub),
-                 lambda f: add_modular(restrict(f, sub), coeffs)):
-        assert_same_oracle(view(table), view(plain), rng)
+    views = [lambda f: restrict(f, sub),
+             lambda f: add_modular(restrict(f, sub), coeffs)]
     if pivot not in (0, sub):
         def contract(f):
             g = add_modular(f, coeffs)
             return minor(g, pivot, sub & ~pivot, g.value(pivot),
                          w.of_mask(pivot), w)
-        assert_same_oracle(contract(table), contract(plain), rng)
-        assert_same_oracle(reduce(table, pivot, w), reduce(plain, pivot, w),
-                           rng)
+        views += [contract, lambda f: reduce(f, pivot, w)]
+    views.append(CountingFunction)
+    for view in views:
+        assert_same_oracle(view(table), view(plain), rng)
+        # every view and wrapper keeps the scale of its source
+        assert view(table).scale == table.scale
+        assert view(plain).scale == plain.scale
 
     counted, counted_plain = CountingFunction(table), CountingFunction(plain)
     assert_same_oracle(counted, counted_plain, rng)
     assert counted.evals == counted_plain.evals > 0
-    assert counted.max_abs == counted_plain.max_abs
+    # a table's scale is its largest |value|; the plain oracle's is the
+    # generic one, the largest |f| over the ground and the singletons
+    values = plain.values
+    assert table.scale == max(abs(v) for v in values.values())
+    assert plain.scale == max(abs(values[m]) for m in
+                              [g.full_mask, *(1 << i for i in range(g.n))])
 
 
 def test_table_source_errors_keep_their_messages():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -400,16 +402,35 @@ def test_wolfe_stall_is_not_convergence(monkeypatch):
 
 
 def test_wolfe_overflow_is_not_convergence(deadline):
-    """Entropies near 1e154 overflow |x|^2, so Wolfe's gap is NaN and no
-    cycle can pass its test: the run ends at once and says why."""
+    """Wolfe's coordinates are in units of the source's scale, so entropies
+    near 1e154 no longer overflow |x|^2: the pool converges to 1e154 times
+    the unit-scale point.  Weights at the float range's bottom still can,
+    on a non-monotone table: the gap is then not finite and no cycle can
+    pass its test, so the run ends at once and says why, and the exact
+    confirm step still gives the egalitarian rates."""
     rng = np.random.default_rng(5)
     src = random_bit_pool(rng, 8)
     huge = BitPoolSource(src.ground, {b: 1e154 * h for b, h in
                                       zip(src.bit_ids, src.bit_entropy)},
                          source_to_dict(src)["observes"])
+    elems = np.asarray(bit_indices(src.ground_mask), dtype=np.intp)
     with deadline(2.0):
-        with pytest.raises(ConvergenceError, match="overflowed"):
-            min_norm(huge)
+        x, stop = _wolfe(huge, elems, sfm_module.MNP_GAP)
+        x_ref, stop_ref = _wolfe(src, elems, sfm_module.MNP_GAP)
+        assert stop == stop_ref == CONVERGED
+        assert np.allclose(x, 1e154 * x_ref, rtol=1e-12, atol=0.0)
+        assert np.allclose(min_norm_point(huge), 1e154 * min_norm_point(src),
+                           rtol=1e-12, atol=0.0)
+
+    g = GroundSet(["a", "b"])
+    table = TableSource(g, {"a": 1.0, "b": 1.0, "a,b": -1.9})
+    tiny = float(np.finfo(float).tiny)
+    with deadline(2.0):
+        _, stop = _wolfe(table, [0, 1], PROPOSAL_GAP,
+                         scale=np.sqrt([tiny, tiny]))
+        assert stop == sfm_module.OVERFLOWED
+        rates = egalitarian(table, WeightVector(g, [tiny, tiny])).rates
+    assert np.allclose(rates, [-0.95, -0.95], rtol=1e-12, atol=0.0)
 
 
 def test_wolfe_active_vertex_is_a_stall_whatever_the_rounding(monkeypatch):
@@ -457,8 +478,11 @@ def test_wolfe_minor_cycle_with_no_coefficient_moving(monkeypatch):
     x, stop = _wolfe(f, elems, 1e-10, scale=s)
     active = seen[0]
     assert active.m == 2 and stop == STALLED
-    # lam = (1, 0): the first vertex, unscaled
-    assert np.array_equal(x, active.S[0] * s)
+    # lam = (1, 0): the first vertex, unscaled, with Wolfe's unit the power
+    # of two at or below the source's scale
+    unit = 2.0 ** math.floor(math.log2(f.scale))
+    assert unit <= f.scale < 2.0 * unit
+    assert np.array_equal(x, active.S[0] * s * unit)
 
 
 def test_wolfe_converged_means_gap_test_passed(monkeypatch):

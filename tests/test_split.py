@@ -38,7 +38,8 @@ from swfair.split import (
     split,
     subset_label,
 )
-from conftest import OpaquePool, random_bit_pool, twin_bit_pool
+from conftest import (OpaquePool, coverage_table, random_bit_pool,
+                      scaled_source, twin_bit_pool)
 
 # the package re-exports the function split under the module's name
 split_module = importlib.import_module("swfair.split")
@@ -615,6 +616,52 @@ def test_scaled_weights_give_the_same_chain_and_rates(n):
             for rates in (dec.reconstruct().rates,
                           egalitarian(src, scaled).rates):
                 assert np.allclose(rates, ref_rates, rtol=1e-12, atol=0.0)
+
+
+def scale_cases():
+    """(id, source, weights): seed-0 instances at 8, 30 and 64 users, at
+    unit and random weights, and 12-user coverage tables."""
+    for n in (8, 30, 64):
+        src = generate_instance(n, ExperimentConfig(seed=0))
+        yield "pool-%d-unit" % n, src, np.ones(n)
+        yield ("pool-%d-weighted" % n, src,
+               np.random.default_rng(n).uniform(0.5, 4.0, n))
+    for seed in (0, 1):
+        src = coverage_table(generate_instance(12, ExperimentConfig(seed=seed)))
+        yield ("table-12-seed-%d" % seed, src,
+               np.random.default_rng(seed).uniform(0.5, 4.0, 12))
+
+
+@pytest.mark.parametrize("name, src, w", list(scale_cases()),
+                         ids=[case[0] for case in scale_cases()])
+def test_scaled_sources_give_scaled_rates_and_the_same_chain(
+        capsys, tmp_path, name, src, w):
+    """Entropies or table values times c, from 1e-150 to 1e150, give c times
+    the rates and the same chain from decompose, egalitarian and split:
+    every tie is judged against the source's scale.  Up to 20 users,
+    ``swfair verify`` accepts the scaled rates at its default tolerance."""
+    w = WeightVector(src.ground, w)
+    ref = decompose(src, w)
+    ref_rates = ref.reconstruct().rates
+    _, ref_tree = split(src, w)
+    assert len(ref.chain_masks) > 1
+    for c in (1e-150, 1e-12, 1e-8, 1.0, 1e12, 1e150):
+        f = scaled_source(src, c)
+        dec = decompose(f, w)
+        assert dec.chain_masks == ref.chain_masks
+        rates, tree = split(f, w)
+        assert [m for m, _ in tree.leaves] == [m for m, _ in ref_tree.leaves]
+        for got in (dec.reconstruct().rates, egalitarian(f, w).rates,
+                    rates.rates):
+            assert np.allclose(got, c * ref_rates, rtol=1e-12, atol=0.0)
+        if src.ground.n <= 20:
+            model = tmp_path / "model.json"
+            model.write_text(json.dumps(source_to_dict(f)))
+            rates_file = tmp_path / "rates.json"
+            rates_file.write_text(json.dumps(rates.as_dict()))
+            code, out = main(["verify", str(model), str(rates_file),
+                              "--json"]), capsys.readouterr().out
+            assert code == 0 and json.loads(out)["in_region"] is True
 
 
 def test_egalitarian_refuses_non_submodular_table():
