@@ -203,7 +203,7 @@ class SetFunction:
     def scale(self) -> float:
         """The unit of every tolerance: here the largest |f| over the ground
         and its singletons, from n + 1 calls on first use.  Bit pools and
-        tables set their own, and views and counters keep their source's."""
+        tables set their own, and views keep their source's."""
         singletons = (1 << i for i in bit_indices(self.ground_mask))
         return max(abs(float(self.value(m)))
                    for m in (self.ground_mask, *singletons))
@@ -235,35 +235,6 @@ class SetFunction:
             low = lm & -lm
             gmask[lm] = gmask[lm ^ low] | bit_of[low.bit_length() - 1]
             vals[lm] = self.value(gmask[lm])
-        return vals
-
-
-class CountingFunction(SetFunction):
-    """Per-solve wrapper that tallies oracle evaluations.
-
-    Counters live on the wrapper, never on the wrapped oracle, so each solve
-    counts only its own evaluations of a shared source.
-    """
-
-    def __init__(self, inner: SetFunction):
-        self.inner = inner
-        self.ground = inner.ground
-        self.ground_mask = inner.ground_mask
-        self.scale = inner.scale
-        self.evals = 0
-
-    def value(self, mask: int) -> float:
-        self.evals += 1
-        return self.inner.value(mask)
-
-    def prefix_values(self, order, base: int = 0) -> np.ndarray:
-        vals = self.inner.prefix_values(order, base)
-        self.evals += len(vals)
-        return vals
-
-    def all_values(self, elements, base: int = 0) -> np.ndarray:
-        vals = self.inner.all_values(elements, base)
-        self.evals += len(vals)
         return vals
 
 

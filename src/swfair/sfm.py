@@ -47,7 +47,6 @@ import numpy as np
 from .flow import max_flow
 from .setfn import (
     TIE_EPSILON,
-    CountingFunction,
     GroundSet,
     SetFunction,
     bit_indices,
@@ -101,8 +100,9 @@ MIN_CUT_ABOVE = 12
 EXHAUSTIVE_UP_TO = 16
 
 # Wolfe's relative gap: it has converged once |x|^2 - <x, q> is at most
-# MNP_GAP * |x|^2, q the greedy vertex along x: a relative test, which the
-# source's scale does not move.
+# MNP_GAP * |x|^2, q the greedy vertex along x, or once |x| is at most
+# TIE_EPSILON |q|: both tests are relative, so the source's scale does not
+# move them.
 MNP_GAP = 1e-10
 
 # Wolfe's cap on major cycles; read at each call.
@@ -179,8 +179,17 @@ def _solve_exhaustive(f, elems) -> SfmResult:
         by_card = sorted((int(t) for t in tied),
                          key=lambda m: (m.bit_count(), m))
         inter, union = by_card[0], by_card[-1]
-    return SfmResult(f.ground, vmin, global_mask(inter, elems),
-                     global_mask(union, elems), "exhaustive", len(vals), c)
+    minimal_mask = global_mask(inter, elems)
+    maximal_mask = global_mask(union, elems)
+    return SfmResult(
+        ground=f.ground,
+        min_value=vmin,
+        solver_used="exhaustive",
+        oracle_evals=len(vals),
+        ground_size=c,
+        minimal_mask=minimal_mask,
+        maximal_mask=maximal_mask,
+    )
 
 
 def _solve_min_cut(f, elems, cut) -> SfmResult:
@@ -262,22 +271,27 @@ def _solve_min_cut(f, elems, cut) -> SfmResult:
         e for e, s in zip(elems, from_source[2:c + 2]) if s)
     maximal_mask = mask_from_indices(
         e for e, t in zip(elems, to_sink[2:c + 2]) if not t)
-    min_value = (offset + flow + float(both.sum())
-                 - float(coef[coef > 0.0].sum()))
-    return SfmResult(f.ground, min_value, minimal_mask, maximal_mask,
-                     "min_cut", 0, c)
+    return SfmResult(
+        ground=f.ground,
+        min_value=(offset + flow + float(both.sum())
+                   - float(coef[coef > 0.0].sum())),
+        solver_used="min_cut",
+        oracle_evals=0,
+        ground_size=c,
+        minimal_mask=minimal_mask,
+        maximal_mask=maximal_mask,
+    )
 
 
 def _solve_min_norm(f, elems) -> SfmResult:
-    counting = CountingFunction(f)
-    x, stop = _wolfe(counting, elems, MNP_GAP)
+    x, stop = _wolfe(f, elems, MNP_GAP)
     tol = TIE_EPSILON * f.scale
 
     # Round the fractional point to sets.  Sorting x ascending makes both
     # lattice-extreme minimizers prefix sets of the order; evaluating every
     # prefix is cheap and guards against threshold misclassification.
     ordered = np.asarray(elems, dtype=np.intp)[np.argsort(x, kind="stable")]
-    pv = counting.prefix_values(ordered)
+    pv = f.prefix_values(ordered)
     pmin = float(pv.min())
     tied_ks = np.nonzero(pv <= pmin + tol)[0]
     k_small, k_large = int(tied_ks[0]), int(tied_ks[-1])
@@ -288,9 +302,18 @@ def _solve_min_norm(f, elems) -> SfmResult:
     if pv[k_zero] <= pmin + tol:
         k_large = k_zero
     ordered = ordered.tolist()
-    result = SfmResult(f.ground, pmin, mask_from_indices(ordered[:k_small]),
-                       mask_from_indices(ordered[:k_large]), "min_norm_point",
-                       counting.evals, len(elems))
+    minimal_mask = mask_from_indices(ordered[:k_small])
+    maximal_mask = mask_from_indices(ordered[:k_large])
+    result = SfmResult(
+        ground=f.ground,
+        min_value=pmin,
+        solver_used="min_norm_point",
+        # one prefix walk per greedy vertex, and one to round
+        oracle_evals=(stop.vertices + 1) * len(pv),
+        ground_size=len(elems),
+        minimal_mask=minimal_mask,
+        maximal_mask=maximal_mask,
+    )
     if stop != CONVERGED:
         raise ConvergenceError(
             "min-norm-point solver %s on a ground of size %d"
@@ -315,11 +338,12 @@ REFINE_SLACK = 1e-6
 
 class _Stop(str):
     """How a Wolfe run ended, equal to CONVERGED, STALLED, CAPPED or
-    OVERFLOWED; ``gap`` is the relative gap its last major cycle reached."""
+    OVERFLOWED; ``gap`` is the relative gap its last major cycle reached,
+    and ``vertices`` the number of greedy vertices it evaluated."""
 
-    def __new__(cls, reason, gap):
+    def __new__(cls, reason, gap, vertices):
         stop = super().__new__(cls, reason)
-        stop.gap = gap
+        stop.gap, stop.vertices = gap, vertices
         return stop
 
 
@@ -362,12 +386,14 @@ def _wolfe(f, elems, gap, scale=None):
     scale of the source alone over- or underflows |y|^2.
     Returns x in f's own coordinates and how the run ended, a
     :class:`_Stop` that also carries the relative gap
-    (|y|^2 - <y, q>) / |y|^2 of its last major cycle, q the greedy
-    vertex along y: CONVERGED once that gap is at most ``gap``, STALLED
-    when the best vertex is already active before it is, OVERFLOWED when
-    weights near the float range overflow |y|^2 or <y, q> (no later cycle
-    could pass the test, and the active set would grow without end), CAPPED at
-    ``MAX_ITERATIONS`` major cycles.
+    (|y|^2 - <y, q>) / |y|^2 of its last major cycle, q the greedy vertex
+    along y: CONVERGED once that gap is at most ``gap``, or once |y| is at
+    most TIE_EPSILON |q| (the minimum-norm point is 0 to the tie rule, as on
+    a ground with one level, and rounding keeps the gap from falling),
+    STALLED when the best vertex is already active before it is,
+    OVERFLOWED when weights near the float range overflow |y|^2, <y, q>
+    or |q|^2 (no later cycle could pass the test, and the active set would
+    grow without end), CAPPED at ``MAX_ITERATIONS`` major cycles.
     """
     elems_arr = np.asarray(elems, dtype=np.intp)
     c = len(elems)
@@ -383,18 +409,20 @@ def _wolfe(f, elems, gap, scale=None):
     lam = np.ones(1)
     reached = np.inf
 
-    for _ in range(MAX_ITERATIONS):
+    for cycle in range(MAX_ITERATIONS):
         q = vertex(x)
-        xx = x @ x
+        xx, qq = x @ x, float(q @ q)
         slack = xx - x @ q
         reached = slack / xx
-        if not np.isfinite(slack):
-            return x * s * unit, _Stop(OVERFLOWED, reached)
-        if slack <= gap * xx:
-            return x * s * unit, _Stop(CONVERGED, reached)
-        Sq, qq = active.S @ q, float(q @ q)
+        if not (np.isfinite(slack) and np.isfinite(qq)):
+            return x * s * unit, _Stop(OVERFLOWED, reached, cycle + 2)
+        # a point at 0 (a ground with one level) rounds to |x| ~ 1e-16 |q|,
+        # where the relative test cannot pass: it is 0 to the tie rule
+        if slack <= gap * xx or xx <= TIE_EPSILON ** 2 * qq:
+            return x * s * unit, _Stop(CONVERGED, reached, cycle + 2)
+        Sq = active.S @ q
         if active.holds(q, Sq, qq):
-            return x * s * unit, _Stop(STALLED, reached)
+            return x * s * unit, _Stop(STALLED, reached, cycle + 2)
         lam = np.append(lam, 0.0)
         coeff, y = _affine_minimizer(active, added=(q, Sq, qq))
 
@@ -420,7 +448,7 @@ def _wolfe(f, elems, gap, scale=None):
             lam = lam[keep]
             lam = lam / lam.sum()
             coeff, y = _affine_minimizer(active, keep=keep)
-    return x * s * unit, _Stop(CAPPED, reached)
+    return x * s * unit, _Stop(CAPPED, reached, MAX_ITERATIONS + 1)
 
 
 def _affine_minimizer(active, added=None, keep=None):

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from swfair.setfn import (
     BitPoolSource,
-    CountingFunction,
     GroundSet,
     IncompleteTableError,
     InvalidReductionError,
@@ -643,16 +642,12 @@ def test_dense_table_matches_the_generic_loops(model):
             return minor(g, pivot, sub & ~pivot, g.value(pivot),
                          w.of_mask(pivot), w)
         views += [contract, lambda f: reduce(f, pivot, w)]
-    views.append(CountingFunction)
     for view in views:
         assert_same_oracle(view(table), view(plain), rng)
-        # every view and wrapper keeps the scale of its source
+        # every view keeps the scale of its source
         assert view(table).scale == table.scale
         assert view(plain).scale == plain.scale
 
-    counted, counted_plain = CountingFunction(table), CountingFunction(plain)
-    assert_same_oracle(counted, counted_plain, rng)
-    assert counted.evals == counted_plain.evals > 0
     # a table's scale is its largest |value|; the plain oracle's is the
     # generic one, the largest |f| over the ground and the singletons
     values = plain.values

@@ -664,6 +664,35 @@ def test_scaled_sources_give_scaled_rates_and_the_same_chain(
             assert code == 0 and json.loads(out)["in_region"] is True
 
 
+
+def one_level_pool(n):
+    """n users, each on a bit of its own and one bit they all share: every
+    user's egalitarian rate is (n + 1) / n, on a chain of one level."""
+    g = GroundSet(["u%d" % i for i in range(n)])
+    bits = {"b%d" % i: 1.0 for i in range(n)}
+    bits["shared"] = 1.0
+    return BitPoolSource(g, bits, {"u%d" % i: ["b%d" % i, "shared"]
+                                   for i in range(n)})
+
+
+@pytest.mark.parametrize("oracle, n", [(OpaquePool, 17), (OpaquePool, 20),
+                                       (coverage_table, 17)],
+                         ids=["opaque-17", "opaque-20", "table-17"])
+def test_one_level_grounds_above_the_sweep_solve_at_every_scale(oracle, n):
+    """Above 16 users a ground no min cut reads goes to Wolfe, and on one
+    level its block f - lam w has the minimum-norm point 0, which rounding
+    keeps a little off 0: the solve still converges, at every scale."""
+    pool = one_level_pool(n)
+    w = WeightVector.ones(pool.ground)
+    for c in (1e-150, 1e-12, 1e-8, 1.0, 1e12, 1e150):
+        f = oracle(scaled_source(pool, c))
+        assert decompose(f, w).chain_masks == (pool.ground_mask,)
+        rates, tree = split(f, w)
+        assert tree.leaves == [(pool.ground_mask, tree.root.lam)]
+        for got in (rates.rates, egalitarian(f, w).rates):
+            assert np.allclose(got, c * (n + 1) / n, rtol=1e-12, atol=0.0)
+
+
 def test_egalitarian_refuses_non_submodular_table():
     g = GroundSet(["1", "2", "3"])
     table = {"1": 1.0, "2": 1.0, "3": 1.0, "1,2": 3.0, "1,3": 1.0,
