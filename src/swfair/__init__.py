@@ -71,7 +71,6 @@ from .fairness import (
     exchange_capacity,
     shapley_exact,
     shapley_permutation_average,
-    shapley_sampled,
     verify_membership,
 )
 from .experiment import (
@@ -125,7 +124,6 @@ __all__ = [
     "run_experiment",
     "shapley_exact",
     "shapley_permutation_average",
-    "shapley_sampled",
     "solve_sfm",
     "source_from_dict",
     "source_to_dict",

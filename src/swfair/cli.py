@@ -18,14 +18,8 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import experiment as exp
-from .fairness import (
-    shapley_exact,
-    shapley_sampled,
-    verify_membership,
-)
+from .fairness import shapley_exact, verify_membership
 from .setfn import (
     GroundSetTooLargeError,
     ModelLoadError,
@@ -87,12 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_output_args(p)
     p.set_defaults(func=cmd_egalitarian)
 
-    p = sub.add_parser("shapley", help="Shapley-value rates (exact "
-                       "subset sweep unless --samples)")
+    p = sub.add_parser("shapley", help="exact Shapley-value rates (closed "
+                       "form for bit pools, subset sweep otherwise)")
     p.add_argument("source")
-    p.add_argument("--samples", type=int, metavar="N",
-                   help="Monte-Carlo estimate from N sampled orders")
-    p.add_argument("--seed", type=int, default=0)
     add_output_args(p)
     p.set_defaults(func=cmd_shapley)
 
@@ -204,18 +195,9 @@ def cmd_egalitarian(args) -> int:
 
 
 def cmd_shapley(args) -> int:
-    source = load_source(args.source)
-    if args.samples is not None:
-        rates, se = shapley_sampled(source, args.samples, args.seed)
-        doc = {"rates": rates.as_dict(), "sum_rate": rates.total(),
-               "method": "sampled", "samples": args.samples, "seed": args.seed,
-               # one sampled order leaves the standard error undefined
-               "standard_error": {u: None if np.isnan(e) else float(e)
-                                  for u, e in zip(source.ground.users, se)}}
-    else:
-        rates = shapley_exact(source)
-        doc = {"rates": rates.as_dict(), "sum_rate": rates.total(),
-               "method": "exact"}
+    rates = shapley_exact(load_source(args.source))
+    doc = {"rates": rates.as_dict(), "sum_rate": rates.total(),
+           "method": "exact"}
     emit(args, doc, rates_text(rates))
     return EXIT_OK
 
@@ -229,10 +211,7 @@ def cmd_verify(args) -> int:
     if not isinstance(doc, dict):
         raise ValueError("rates file must be a JSON object of {user: rate}")
     check_json_numbers(doc, "rates")
-    rates = np.array([float(v) for v in
-                      by_user(source.ground, doc, "rates").values()])
-    if not np.isfinite(rates).all():
-        raise ValueError("rates must be finite")
+    rates = list(by_user(source.ground, doc, "rates").values())
     report = verify_membership(source, rates, args.tolerance)
     out = report.to_dict()
     text = ("member" if report.in_region else "NOT a member") + \

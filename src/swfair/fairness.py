@@ -1,13 +1,16 @@
 """Fair allocations over the rate region and tools to compare them.
 
-Implements the Shapley value (an exact subset sweep, a permutation-sampling
-estimator, and the full permutation average used for cross-checks),
-region-membership verification against both constraint forms, and an
-independent quadratic solver for the weighted egalitarian point based on
-fully corrective conditional gradients (Holloway 1974; Lacoste-Julien &
-Jaggi 2015 for the analysis).  The conditional-gradient route
-shares no code with the recursive splitting solver on purpose: it is the
-correctness oracle the splitter is tested against.
+Implements the Shapley value and region-membership verification, each by
+one exact route picked by the oracle: for a view of a bit pool, a closed
+form over its incidence and one exact SFM of f - r, at any ground size;
+for any other oracle, a sweep over every subset up to
+``BRUTE_FORCE_LIMIT`` users.  The full permutation average stays as a
+cross-check of the Shapley value.  Also here: an independent quadratic
+solver for the weighted egalitarian point based on fully corrective
+conditional gradients (Holloway 1974; Lacoste-Julien & Jaggi 2015 for the
+analysis).  The conditional-gradient route shares no code with the
+recursive splitting solver on purpose: it is the correctness oracle the
+splitter is tested against.
 """
 
 from __future__ import annotations
@@ -23,13 +26,15 @@ from .setfn import (
     RateVector,
     SetFunction,
     WeightVector,
+    add_modular,
     bit_indices,
+    coverage_cut,
     exhaustive_ground,
     global_mask,
     greedy_vertex_local,
     modular_sums,
 )
-from .sfm import ConvergenceError
+from .sfm import ConvergenceError, solve_sfm
 
 # egalitarian_oracle_fw stops once its duality gap is at most this, and
 # gives up after this many steps; the production solver's tolerances in
@@ -41,14 +46,24 @@ ORACLE_MAX_ITERATIONS = 200000
 def shapley_exact(f: SetFunction) -> RateVector:
     """Expected marginal value of each user over random arrival orders.
 
-    r_i = sum over subsets C not containing i of
-          |C|! (n-|C|-1)! / n! * (f(C + i) - f(C)),
-    computed by one sweep over all 2^n subsets.  Refused above
-    ``BRUTE_FORCE_LIMIT`` elements; use :func:`shapley_sampled` there
-    instead.
+    A bit-pool view (one :func:`swfair.setfn.coverage_cut` reads) is a sum
+    over bits of h_b [X meets O_b], O_b the observers of bit b, less a
+    modular c(X).  By symmetry and linearity r_i is the sum of h_b / |O_b|
+    over the bits i observes, less c_i: two bincounts, at any ground size
+    and with no oracle call.  Any other oracle is swept over all 2^n
+    subsets, r_i = sum over C not containing i of |C|! (n-|C|-1)! / n! *
+    (f(C + i) - f(C)), and refused above ``BRUTE_FORCE_LIMIT`` elements.
     """
-    elems = exhaustive_ground(f, BRUTE_FORCE_LIMIT,
-                              "exact Shapley (shapley_sampled is not)")
+    elems = bit_indices(f.ground_mask)
+    cut = coverage_cut(f, elems)
+    rates = np.zeros(f.ground.n)
+    if cut is not None:
+        user, bit, h, coeffs, _ = cut
+        share = h / np.bincount(bit, minlength=len(h))
+        rates[elems] = np.bincount(user, weights=share[bit],
+                                   minlength=len(elems)) - coeffs
+        return RateVector(f.ground, rates, f.ground_mask)
+    elems = exhaustive_ground(f, BRUTE_FORCE_LIMIT, "exact Shapley")
     c = len(elems)
     vals = f.all_values(elems)
     submasks = np.arange(1 << c, dtype=np.uint32)
@@ -56,7 +71,6 @@ def shapley_exact(f: SetFunction) -> RateVector:
     n_fact = math.factorial(c)
     w_by_size = np.array([math.factorial(s) * math.factorial(c - s - 1) / n_fact
                           for s in range(c)])
-    rates = np.zeros(f.ground.n)
     for k, e in enumerate(elems):
         bit = np.uint32(1 << k)
         without = submasks[(submasks & bit) == 0]
@@ -81,36 +95,6 @@ def shapley_permutation_average(f: SetFunction) -> RateVector:
     return RateVector(f.ground, acc / count, f.ground_mask)
 
 
-def shapley_sampled(f: SetFunction, samples: int, seed=None):
-    """Monte-Carlo Shapley estimate from uniformly sampled arrival orders.
-
-    Returns (rates, standard_error) where standard_error has one entry per
-    ground position.  The estimator is the sample mean of greedy vertices,
-    unbiased for the exact value and reproducible under a fixed seed.  The
-    mean and the sample variance are kept as running sums (Welford 1962),
-    so memory does not grow with ``samples``.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    elems = np.asarray(bit_indices(f.ground_mask), dtype=np.intp)
-    rng = np.random.default_rng(seed)
-    mean = np.zeros(len(elems))
-    m2 = np.zeros(len(elems))
-    for k in range(1, samples + 1):
-        draw = greedy_vertex_local(f, elems, rng.permutation(len(elems)))
-        delta = draw - mean
-        mean += delta / k
-        m2 += delta * (draw - mean)
-    rates = np.zeros(f.ground.n)
-    rates[elems] = mean
-    if samples == 1:
-        se = np.full(f.ground.n, np.nan)
-    else:
-        se = np.zeros(f.ground.n)
-        se[elems] = np.sqrt(m2 / (samples - 1)) / math.sqrt(samples)
-    return RateVector(f.ground, rates, f.ground_mask), se
-
-
 @dataclass
 class MembershipReport:
     in_region: bool
@@ -129,22 +113,45 @@ class MembershipReport:
 
 def verify_membership(f: SetFunction, r,
                       tolerance: float | None = None) -> MembershipReport:
-    """Exhaustively check that r is an achievable allocation for f.
+    """Check that r is an achievable allocation for f over its ground C.
 
-    Tests every lower constraint r(X) >= f(C) - f(C without X), the sum
-    constraint |r(C) - f(C)| <= tolerance, and cross-checks the equivalent
-    upper form r(X) <= f(X).  Reports the tightest (or most violated)
-    constraint subset and its slack.  The tolerance defaults to 1e-8
-    times f's scale; one not finite and nonnegative raises ValueError.
+    r is a member when |r(C) - f(C)| <= tolerance and every lower
+    constraint r(X) >= f(C) - f(C - X), X nonempty, holds; the report
+    names the most violated (or tightest) X and its slack.  As in
+    :func:`swfair.sfm.solve_sfm`, the oracle picks the route:
+
+    * a bit-pool view, at any size: one exact ``solve_sfm`` of f - r, with
+      minimum m and minimal minimizer Y.  X = C - Y has slack sum_gap + m,
+      sum_gap = r(C) - f(C), and r is a member iff m >= -tolerance and
+      |sum_gap| <= tolerance.  That slack is the least one wherever that
+      is at most 0, and else 0 at X empty, where only the sum can fail;
+    * any other oracle: a sweep over every subset that also checks the
+      upper form r(X) <= f(X), refused above ``BRUTE_FORCE_LIMIT`` users.
+
+    The tolerance defaults to 1e-8 times f's scale.  Rates that are not
+    one finite number per ground position, or a tolerance not finite and
+    nonnegative, raise ValueError.
     """
     if tolerance is None:
         tolerance = 1e-8 * f.scale
     elif not (math.isfinite(tolerance) and tolerance >= 0.0):
         raise ValueError("tolerance must be finite and >= 0, got %r"
                          % tolerance)
+    rates = r.rates if isinstance(r, RateVector) else np.asarray(r, dtype=float)
+    if rates.shape != (f.ground.n,) or not np.isfinite(rates).all():
+        raise ValueError("rates must be %d finite numbers, one per user of "
+                         "the ground set" % f.ground.n)
+    elems = bit_indices(f.ground_mask)
+    if coverage_cut(f, elems) is not None:
+        res = solve_sfm(add_modular(f, rates))
+        sum_gap = float(rates[elems].sum()) - f.value(f.ground_mask)
+        worst = f.ground_mask & ~res.minimal_mask
+        return MembershipReport(
+            res.min_value >= -tolerance and abs(sum_gap) <= tolerance,
+            frozenset(f.ground.users_of(worst)), res.min_value + sum_gap,
+            sum_gap)
     elems = exhaustive_ground(f, BRUTE_FORCE_LIMIT, "membership verification")
     c = len(elems)
-    rates = r.rates if isinstance(r, RateVector) else np.asarray(r, dtype=float)
     vals = f.all_values(elems)
     full = (1 << c) - 1
     r_sub = modular_sums(rates[elems])

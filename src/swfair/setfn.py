@@ -57,8 +57,9 @@ class GroundSetTooLargeError(ValueError):
     """An exhaustive (2^n) operation was requested above the size limit."""
 
 
-# Exhaustive sweeps (membership checks, submodularity checks, exact Shapley)
-# are refused above this many elements.
+# Exhaustive sweeps (submodularity checks, and the Shapley values and
+# membership checks of oracles other than bit pools) are refused above this
+# many elements.
 BRUTE_FORCE_LIMIT = 20
 
 # Values within TIE_EPSILON times their source's ``scale`` are equal: every

@@ -192,36 +192,29 @@ def test_shapley_exact(capsys, model_file):
                             "3": pytest.approx(0.3)}
 
 
-def test_shapley_sampled_seeded(capsys, model_file):
-    code, out_a, _ = run(capsys, "shapley", model_file, "--samples", "40",
-                         "--seed", "9", "--json")
-    assert code == 0
-    code, out_b, _ = run(capsys, "shapley", model_file, "--samples", "40",
-                         "--seed", "9", "--json")
-    assert out_a == out_b
-    assert "standard_error" in json.loads(out_a)
+@pytest.mark.parametrize("n", [22, 64, 256])
+def test_shapley_and_verify_answer_large_bit_pools(capsys, tmp_path, n):
+    """Above the sweep's 20 users a bit pool gets exact Shapley rates and a
+    membership verdict: the Shapley and egalitarian rates are members."""
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(source_to_dict(
+        generate_instance(n, ExperimentConfig(), 0))))
+    for command in ("shapley", "egalitarian"):
+        rates = tmp_path / (command + ".json")
+        code, out, _ = run(capsys, command, str(model), "--json",
+                           "--out", str(rates))
+        assert code == 0
+        assert len(json.loads(out)["rates"]) == n
+        code, out, _ = run(capsys, "verify", str(model), str(rates), "--json")
+        assert (code, json.loads(out)["in_region"]) == (0, True)
 
 
-def test_shapley_one_sample_has_no_standard_error(capsys, model_file):
-    def refuse(constant):
-        raise ValueError("%s is not JSON" % constant)
-
-    code, out, _ = run(capsys, "shapley", model_file, "--samples", "1",
-                       "--json")
-    assert code == 0
-    doc = json.loads(out, parse_constant=refuse)
-    assert doc["standard_error"] == {"1": None, "2": None, "3": None}
-
-
-def test_shapley_exact_refused_large(capsys, tmp_path):
-    users = [str(i) for i in range(22)]
-    p = tmp_path / "big.json"
-    p.write_text(json.dumps({
-        "type": "bit_pool", "users": users, "bits": {"a": 1.0},
-        "observes": {u: ["a"] for u in users}}))
-    code, _, err = run(capsys, "shapley", str(p))
-    assert code == 2
-    assert "shapley_sampled" in err
+def test_verify_refuses_an_infinite_rate(capsys, model_file, tmp_path):
+    rates = tmp_path / "rates.json"
+    rates.write_text('{"1": 1.5, "2": Infinity, "3": 0.3}')
+    code, out, err = run(capsys, "verify", model_file, str(rates))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "finite" in err
 
 
 def test_verify_roundtrip_egalitarian(capsys, model_file, tmp_path):

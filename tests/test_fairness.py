@@ -1,18 +1,20 @@
-import tracemalloc
-
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import swfair.fairness as fairness_module
 from swfair.experiment import ExperimentConfig, generate_instance
 from swfair.setfn import (
     GroundSet,
     GroundSetTooLargeError,
+    TIE_EPSILON,
     BitPoolSource,
     TableSource,
     WeightVector,
+    add_modular,
     bit_indices,
     greedy_vertex_local,
+    reduce,
     restrict,
 )
 from swfair.fairness import (
@@ -21,12 +23,12 @@ from swfair.fairness import (
     exchange_capacity,
     shapley_exact,
     shapley_permutation_average,
-    shapley_sampled,
     verify_membership,
 )
 from swfair.sfm import ConvergenceError
 from swfair.split import egalitarian, split
-from conftest import random_bit_pool, scaled_source
+from conftest import (OpaquePool, coverage_table, random_bit_pool,
+                      scaled_source)
 
 
 def test_shapley_exact_known_value(three_users):
@@ -60,9 +62,6 @@ def test_shapley_modular():
     src = TableSource(g, table)
     r = shapley_exact(src)
     assert np.allclose(r.rates, [0.9, 0.2, 0.5], atol=1e-12)
-    sampled, se = shapley_sampled(src, samples=5, seed=1)
-    assert np.allclose(sampled.rates, [0.9, 0.2, 0.5], atol=1e-12)
-    assert np.allclose(se[np.isfinite(se)], 0.0, atol=1e-12)
 
 
 def test_shapley_symmetric_users():
@@ -74,68 +73,142 @@ def test_shapley_symmetric_users():
 
 
 def test_shapley_size_refusal():
+    """An oracle that is no bit-pool view is swept, so it is refused above
+    BRUTE_FORCE_LIMIT users; the refusal names no other route."""
     g = GroundSet([str(i) for i in range(22)])
-    src = BitPoolSource(g, {"a": 1.0}, {u: ["a"] for u in g})
-    with pytest.raises(GroundSetTooLargeError, match="shapley_sampled"):
+    src = OpaquePool(BitPoolSource(g, {"a": 1.0}, {u: ["a"] for u in g}))
+    with pytest.raises(GroundSetTooLargeError,
+                       match="exact Shapley is exhaustive; 22 elements"):
         shapley_exact(src)
 
 
-def test_shapley_sampled_reproducible(three_users):
-    a, se_a = shapley_sampled(three_users, samples=50, seed=123)
-    b, se_b = shapley_sampled(three_users, samples=50, seed=123)
-    assert np.array_equal(a.rates, b.rates)
-    assert np.array_equal(se_a, se_b)
-    with pytest.raises(ValueError):
-        shapley_sampled(three_users, samples=0)
+@st.composite
+def bit_pool_views(draw):
+    """A random bit pool of 2 to 20 users, or one of its views: a
+    restriction, a modular shift or a contraction."""
+    n = draw(st.integers(2, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    src = random_bit_pool(rng, n)
+    w = WeightVector(src.ground, rng.uniform(0.5, 4.0, n))
+    return draw(st.sampled_from([
+        src,
+        restrict(src, src.ground_mask & ~1),
+        add_modular(src, rng.uniform(-0.5, 0.5, n)),
+        reduce(src, 1, w),
+    ]))
 
 
-def test_shapley_sampled_running_moments_match_two_pass():
-    # the running mean and variance against both moments of the same
-    # seeded draws, kept in full; positions outside the view stay 0
-    rng = np.random.default_rng(17)
-    src = random_bit_pool(rng, 12)
-    f = restrict(src, src.ground_mask & ~0b100101)
-    elems = np.asarray(bit_indices(f.ground_mask), dtype=np.intp)
-    samples = 300
-    draws = np.zeros((samples, f.ground.n))
-    orders = np.random.default_rng(5)
-    for s in range(samples):
-        draws[s, elems] = greedy_vertex_local(
-            f, elems, orders.permutation(len(elems)))
-    rates, se = shapley_sampled(f, samples, seed=5)
-    np.testing.assert_allclose(rates.rates, draws.mean(axis=0),
-                               rtol=0.0, atol=1e-12)
-    np.testing.assert_allclose(
-        se, draws.std(axis=0, ddof=1) / np.sqrt(samples), rtol=0.0, atol=1e-12)
+@settings(max_examples=12, deadline=None)
+@given(bit_pool_views())
+def test_shapley_closed_form_equals_the_sweep(f):
+    """The closed form for bit-pool views equals the subset sweep of the
+    same values behind an oracle it cannot read."""
+    got = shapley_exact(f)
+    swept = shapley_exact(OpaquePool(f))
+    assert got.subset_mask == swept.subset_mask == f.ground_mask
+    np.testing.assert_allclose(got.rates, swept.rates, rtol=0.0,
+                               atol=1e-12 * f.scale)
 
 
-def test_shapley_sampled_memory_does_not_grow_with_samples():
+def test_shapley_of_a_bit_pool_makes_no_oracle_call(monkeypatch):
     src = generate_instance(256, ExperimentConfig(), 0)
-    tracemalloc.start()
-    try:
-        shapley_sampled(src, 2000, seed=0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1_000_000
+    for name in ("value", "prefix_values", "all_values"):
+        monkeypatch.setattr(src, name, None)
+    rates = shapley_exact(src)
+    assert rates.total() == pytest.approx(src.scale, rel=1e-12)
 
 
-def test_shapley_sampled_error_shrinks(three_users):
-    # the standard-error estimate scales as samples^(-1/2): monotone
-    # decreasing over sample doublings, roughly halving per quadrupling
-    sizes = [50, 100, 200, 400, 800]
-    ses = []
-    for m in sizes:
-        _, se = shapley_sampled(three_users, samples=m, seed=7)
-        ses.append(float(se.max()))
-    assert all(a > b for a, b in zip(ses, ses[1:]))
-    assert ses[-1] < 0.55 * ses[0]
+def lower_slack(f, rates, users):
+    """r(X) - (f(C) - f(C - X)) for X the named users and C f's ground, or
+    0 for the empty X, where only the sum constraint can fail."""
+    x = f.ground.mask_of(users)
+    if not x:
+        return 0.0
+    full = f.ground_mask
+    return (float(rates[bit_indices(x)].sum())
+            - (f.value(full) - f.value(full & ~x)))
 
-    # the estimate itself also closes in on the exact value
-    exact = shapley_exact(three_users).rates
-    errs = [np.abs(shapley_sampled(three_users, samples=m, seed=7)[0].rates
-                   - exact).max() for m in (40, 2560)]
-    assert errs[1] < errs[0]
+
+def assert_attains_its_slack(f, rates, report):
+    """The reported constraint attains the reported slack up to the tie
+    tolerance by which solve_sfm picks its minimal minimizer."""
+    assert lower_slack(f, rates, report.worst_constraint) == pytest.approx(
+        report.slack, rel=0.0, abs=2 * TIE_EPSILON * f.scale)
+
+
+@settings(max_examples=12, deadline=None)
+@given(bit_pool_views(), st.sampled_from(["none", "raise", "move", "lower"]),
+       st.sampled_from([0.0, 1e-12, 1e-4, 0.01, 0.1, 0.5]),
+       st.integers(0, 2**32 - 1))
+def test_membership_of_bit_pool_views_agrees_with_the_sweep(f, change,
+                                                            size, seed):
+    """One exact SFM of f - r gives the sweep's verdict, the sweep's slack
+    wherever that is at most 0 (and 0 otherwise), and a constraint that
+    attains the slack it reports.  Each change is a share of the source's
+    scale outside the verdict's own tolerance band around 1e-8, where the
+    two routes may round a sum either way."""
+    rng = np.random.default_rng(seed)
+    rates = shapley_exact(f).rates
+    elems = bit_indices(f.ground_mask)
+    i, j = rng.choice(elems, 2, replace=len(elems) < 2)
+    if change == "raise":
+        rates[i] += size * f.scale
+    elif change == "move":
+        rates[i] -= size * f.scale
+        rates[j] += size * f.scale
+    elif change == "lower":
+        rates[i] -= size * f.scale
+    got = verify_membership(f, rates)
+    swept = verify_membership(OpaquePool(f), rates)
+    assert got.in_region == swept.in_region
+    assert got.sum_gap == pytest.approx(swept.sum_gap, abs=1e-12 * f.scale)
+    assert got.slack == pytest.approx(min(swept.slack, 0.0),
+                                      abs=2 * TIE_EPSILON * f.scale)
+    assert_attains_its_slack(f, rates, got)
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_membership_refuses_raised_and_moved_rates_at_scale(n):
+    """Beyond the sweep's 20 users, the egalitarian rates are members, and
+    raising one rate, or moving rate onto the user closest to its own
+    entropy, is refused with a constraint that attains its slack."""
+    src = generate_instance(n, ExperimentConfig(seed=3), 0)
+    w = WeightVector(src.ground, np.random.default_rng(n).uniform(0.5, 4.0, n))
+    rates = egalitarian(src, w).rates
+    tol = 1e-8 * src.scale
+    member = verify_membership(src, rates)
+    assert member.in_region and member.slack >= -tol
+
+    raised = rates.copy()
+    raised[0] += 0.01
+    report = verify_membership(src, raised)
+    assert not report.in_region
+    assert report.sum_gap == pytest.approx(0.01, rel=1e-6)
+    assert_attains_its_slack(src, raised, report)
+
+    # r_j > H({j}) breaks the lower constraint of C - {j} by the excess
+    room = np.array([src.value(1 << j) for j in range(n)]) - rates
+    j = int(np.argmin(room))
+    i = int(np.argmax(np.where(np.arange(n) == j, -np.inf, rates)))
+    moved = rates.copy()
+    moved[i] -= room[j] + 0.01
+    moved[j] += room[j] + 0.01
+    report = verify_membership(src, moved)
+    assert not report.in_region
+    assert abs(report.sum_gap) <= tol
+    assert report.slack <= -0.01 + tol
+    assert_attains_its_slack(src, moved, report)
+
+
+@pytest.mark.parametrize("rates", [
+    [1.0, float("nan"), 1.1], [1.0, float("inf"), 0.1], [1.5, 0.6],
+    [1.0, 0.55, 0.55, 0.0]], ids=["nan", "inf", "short", "long"])
+@pytest.mark.parametrize("oracle", ["bit_pool", "table"])
+def test_verify_membership_refuses_rates_it_cannot_judge(three_users, oracle,
+                                                         rates):
+    f = three_users if oracle == "bit_pool" else coverage_table(three_users)
+    with pytest.raises(ValueError, match="3 finite numbers"):
+        verify_membership(f, rates)
 
 
 def test_verify_membership_shapley(three_users):
@@ -277,3 +350,23 @@ def test_build_report(three_users, unit_weights):
     assert "egalitarian" in text and "shapley" in text
     doc = report.to_dict()
     assert doc["shapley"]["sum_rate"] == pytest.approx(2.1)
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_egalitarian_beats_shapley_at_paper_scale(n):
+    """The paper's comparison on weighted sensor networks of 64 and 256
+    users: both allocations lie in the region, and the egalitarian one has
+    the smaller peak ratio r_i / w_i.  The Shapley value of a submodular
+    cost game is a mean of greedy vertices, so it lies in the base
+    polyhedron, where the egalitarian point minimizes that peak."""
+    for seed in range(3):
+        src = generate_instance(n, ExperimentConfig(seed=seed), 0)
+        w = WeightVector(src.ground,
+                         np.random.default_rng([seed, n]).uniform(0.5, 4.0, n))
+        report = build_report(src, w, {"egalitarian": egalitarian(src, w),
+                                       "shapley": shapley_exact(src)})
+        assert report.in_region == {"egalitarian": True, "shapley": True}
+        assert report.sum_rate["shapley"] == pytest.approx(src.scale,
+                                                           rel=1e-12)
+        assert (report.max_ratio["egalitarian"]
+                <= report.max_ratio["shapley"] * (1.0 + 1e-9))

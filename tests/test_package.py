@@ -7,7 +7,7 @@ import numpy as np
 
 import swfair
 from swfair.experiment import ExperimentConfig, run_experiment
-from swfair.fairness import shapley_exact, shapley_sampled, verify_membership
+from swfair.fairness import shapley_exact, verify_membership
 from swfair.setfn import restrict
 from swfair.split import _confirm, decompose, split
 from conftest import twin_bit_pool
@@ -33,7 +33,6 @@ def test_library_calls_print_nothing(capfd, caplog, three_users,
     rates, _ = split(three_users, skew_weights)
     decompose(three_users, skew_weights)
     shapley_exact(three_users)
-    shapley_sampled(three_users, 5, seed=0)
     verify_membership(three_users, rates.rates)
     run_experiment(ExperimentConfig(n_min=3, n_max=6, repetitions=3,
                                     measure_time=False))

@@ -9,19 +9,18 @@ from hypothesis import assume, given, settings, strategies as st
 
 from swfair.cli import main
 from swfair.experiment import ExperimentConfig, generate_instance
-from swfair.fairness import egalitarian_oracle_fw
+from swfair.fairness import egalitarian_oracle_fw, verify_membership
 from swfair.setfn import (
     BitPoolSource,
     GroundSet,
     TableSource,
     WeightVector,
-    add_modular,
     bit_indices,
     mask_from_indices,
     restrict,
     source_to_dict,
 )
-from swfair.sfm import MIN_CUT_ABOVE, ConvergenceError, solve_sfm
+from swfair.sfm import MIN_CUT_ABOVE, ConvergenceError
 from swfair.split import (
     PROPOSAL_GAP,
     CertificationError,
@@ -750,14 +749,6 @@ def test_corrupted_chains_are_refused(monkeypatch, capsys, tmp_path):
     assert checked >= 4
 
 
-def min_cut_slack(src, rates):
-    """min over X of H(X) - r(X), by one min cut at any ground size."""
-    objective = add_modular(src, rates.rates)
-    res = solve_sfm(objective)
-    assert res.solver_used == "min_cut"
-    return res.min_value
-
-
 @st.composite
 def large_weighted_bit_pools(draw):
     n = draw(st.integers(13, 256))
@@ -771,16 +762,16 @@ def large_weighted_bit_pools(draw):
 @given(large_weighted_bit_pools())
 def test_engine_is_certified_by_min_cut_beyond_the_oracle(model):
     """Where the conditional-gradient oracle is too slow, the engine's rates
-    are checked by Fujishige's certificate: r(V) = H(V), min H - r = 0 by
-    one min cut, and every lower level set of r/w tight.  Merging two
-    adjacent levels of the same chain breaks membership."""
+    are checked by Fujishige's certificate: membership (r(V) = H(V), and
+    min H - r = 0 by one min cut in verify_membership), and every lower
+    level set of r/w tight.  Merging two adjacent levels of the same chain
+    breaks membership."""
     src, w = model
     dec = decompose(src, w)
     rates = dec.reconstruct()
     h = src.value(src.ground_mask)
     tol = 1e-9 * max(1.0, h)
-    assert abs(rates.total() - h) <= tol
-    assert min_cut_slack(src, rates) >= -tol
+    assert verify_membership(src, rates, tol).in_region
 
     ratio = rates.rates / w.values
     order = np.argsort(ratio, kind="stable")
@@ -800,7 +791,8 @@ def test_engine_is_certified_by_min_cut_beyond_the_oracle(model):
         j = int(np.argmax(over))
         merged = levels[:j] + [levels[j] | levels[j + 1]] + levels[j + 2:]
         bad = _chain(restrict(src, src.ground_mask), w, merged).reconstruct()
-        assert min_cut_slack(src, bad) < -tol
+        report = verify_membership(src, bad, tol)
+        assert not report.in_region and report.slack < -tol
 
 
 def test_egalitarian_iteration_cap_is_a_convergence_error(wolfe_capped):
