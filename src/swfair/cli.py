@@ -167,7 +167,9 @@ def by_user(ground, doc: dict, what: str) -> dict:
 
 
 def emit(args, doc: dict, text: str) -> None:
-    payload = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    # One compact line: without ``indent`` the C encoder runs.
+    payload = json.dumps(doc, sort_keys=True, allow_nan=False,
+                         separators=(",", ":"))
     print(payload if args.json else text)
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:

@@ -28,6 +28,7 @@ from .setfn import (
     WeightVector,
     add_modular,
     bit_indices,
+    contract,
     coverage_cut,
     exhaustive_ground,
     global_mask,
@@ -121,10 +122,11 @@ def verify_membership(f: SetFunction, r,
     :func:`swfair.sfm.solve_sfm`, the oracle picks the route:
 
     * a bit-pool view, at any size: one exact ``solve_sfm`` of f - r, with
-      minimum m and minimal minimizer Y.  X = C - Y has slack sum_gap + m,
-      sum_gap = r(C) - f(C), and r is a member iff m >= -tolerance and
-      |sum_gap| <= tolerance.  That slack is the least one wherever that
-      is at most 0, and else 0 at X empty, where only the sum can fail;
+      minimal minimizer Y.  The report names X = C - Y, whose slack is
+      sum_gap + (f - r)(Y), sum_gap = r(C) - f(C), from one evaluation at
+      Y; r is a member iff that slack is >= -tolerance and |sum_gap| <=
+      tolerance.  That slack is the least one wherever that is at most 0,
+      and else that of X empty, where only the sum can fail;
     * any other oracle: a sweep over every subset that also checks the
       upper form r(X) <= f(X), refused above ``BRUTE_FORCE_LIMIT`` users.
 
@@ -143,12 +145,13 @@ def verify_membership(f: SetFunction, r,
                          "the ground set" % f.ground.n)
     elems = bit_indices(f.ground_mask)
     if coverage_cut(f, elems) is not None:
-        res = solve_sfm(add_modular(f, rates))
+        objective = add_modular(f, rates)
+        minimal = solve_sfm(objective).minimal_mask
         sum_gap = float(rates[elems].sum()) - f.value(f.ground_mask)
-        worst = f.ground_mask & ~res.minimal_mask
+        slack = sum_gap + objective.value(minimal)
         return MembershipReport(
-            res.min_value >= -tolerance and abs(sum_gap) <= tolerance,
-            frozenset(f.ground.users_of(worst)), res.min_value + sum_gap,
+            slack >= -tolerance and abs(sum_gap) <= tolerance,
+            frozenset(f.ground.users_of(f.ground_mask & ~minimal)), slack,
             sum_gap)
     elems = exhaustive_ground(f, BRUTE_FORCE_LIMIT, "membership verification")
     c = len(elems)
@@ -175,14 +178,28 @@ def exchange_capacity(f: SetFunction, r, donor: str, receiver: str) -> float:
 
     min of f(X) - r(X) over subsets X containing the receiver but not the
     donor; zero means the receiver's rate cannot be raised at the donor's
-    expense.
+    expense.  For a bit-pool view, at any size, that is f({receiver}) -
+    r_receiver plus the minimum of one ``solve_sfm``: f contracted at the
+    receiver, less r, over the ground without receiver and donor.  Any
+    other oracle is swept over every subset, refused above
+    ``BRUTE_FORCE_LIMIT`` users.
     """
+    rates = r.rates if isinstance(r, RateVector) else np.asarray(r, dtype=float)
+    i, j = f.ground.index[receiver], f.ground.index[donor]
+    if i == j or not f.ground_mask >> i & f.ground_mask >> j & 1:
+        raise ValueError("donor and receiver must be two users of the "
+                         "oracle's ground")
+    elems = bit_indices(f.ground_mask)
+    if coverage_cut(f, elems) is not None:
+        f_i = f.value(1 << i)
+        rest = contract(f, 1 << i, f.ground_mask & ~(1 << i | 1 << j), f_i)
+        return f_i - float(rates[i]) + solve_sfm(
+            add_modular(rest, rates)).min_value
     elems = exhaustive_ground(f, BRUTE_FORCE_LIMIT, "exchange capacity")
     c = len(elems)
-    rates = r.rates if isinstance(r, RateVector) else np.asarray(r, dtype=float)
     pos = {e: k for k, e in enumerate(elems)}
-    bit_r = np.uint32(1 << pos[f.ground.index[receiver]])
-    bit_d = np.uint32(1 << pos[f.ground.index[donor]])
+    bit_r = np.uint32(1 << pos[i])
+    bit_d = np.uint32(1 << pos[j])
     vals = f.all_values(elems)
     submasks = np.arange(1 << c, dtype=np.uint32)
     r_sub = modular_sums(rates[elems])

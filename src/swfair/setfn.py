@@ -18,11 +18,11 @@ Two concrete source models are provided:
   float array indexed by mask, 8 * 2^n bytes, so ``value`` is O(1) and
   ``all_values`` over c elements one O(2^c) gather.
 
-Derived oracles (:func:`restrict`, :func:`minor`, modular shifts) are one
-affine wrapper, so chains of them stay O(1) per evaluation and keep the
-fast vectorized paths of the underlying source.  :func:`minor` is the one
-contraction; :func:`reduce` is a checked call of it that evaluates the
-pivot first.
+Derived oracles (:func:`restrict`, :func:`contract`, modular shifts) are
+one affine wrapper, so chains of them stay O(1) per evaluation and keep the
+fast vectorized paths of the underlying source.  :func:`minor` is a
+contraction shifted by the pivot's ratio; :func:`reduce` is a checked call
+of it that evaluates the pivot first.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -417,30 +418,74 @@ def _bulk_table(ground: GroundSet, values: Mapping) -> np.ndarray | None:
 
     Every key must be a nonempty string of distinct known users, and the
     table must have exactly one entry per nonempty subset, each finite.
-    Any other table gets None, and :func:`_checked_table` then accepts it
-    or raises its first error in key order.
+    Keys in :func:`source_to_dict`'s layout need no parse; any other keys
+    are split into tokens.  Any other table gets None, and
+    :func:`_checked_table` then accepts it or raises its first error in key
+    order.
     """
     keys = list(values)
-    if len(keys) != ground.full_mask or "" in values or not all(
-            type(k) is str for k in keys):
+    if len(keys) != ground.full_mask or "" in values:
+        return None
+    if _in_mask_order(ground.users, keys):
+        masks = slice(1, None)
+    else:
+        masks = _token_masks(ground, keys)
+        if masks is None:
+            return None
+    # numpy converts each value as float() does, without a Python call per
+    # value; it reads None as NaN, which the finiteness test below refuses.
+    # The checked path raises a value float() refuses again, after any
+    # error of an earlier key.
+    try:
+        vals = np.fromiter(values.values(), dtype=float, count=len(keys))
+    except (TypeError, ValueError, OverflowError):
+        return None
+    table = np.zeros(len(keys) + 1)
+    table[masks] = vals
+    if not np.isfinite(table).all():
+        return None
+    return table
+
+
+def _in_mask_order(users: Sequence[str], keys: list) -> bool:
+    """Whether keys[m - 1] names the users of mask m in ground order, for
+    every nonempty mask m: the layout :func:`source_to_dict` writes.
+
+    Key 2^k - 1 is users[k], and key 2^k - 1 + j is key j - 1, a comma and
+    users[k].  Each expected key is built from an earlier key and compared
+    at once, so no list of new strings is made, and the first mismatch
+    stops the check.
+    """
+    for k, user in enumerate(users):
+        start = (1 << k) - 1
+        if keys[start] != user:
+            return False
+        expected = map(operator.add, itertools.islice(keys, start),
+                       itertools.repeat("," + user))
+        if not all(map(operator.eq,
+                       itertools.islice(keys, start + 1, 2 * start + 1),
+                       expected)):
+            return False
+    return True
+
+
+def _token_masks(ground: GroundSet, keys: list) -> np.ndarray | None:
+    """The mask of each key, split into user tokens, or None unless the
+    keys are strings that name every nonempty subset once, each with
+    distinct known users."""
+    if not all(type(k) is str for k in keys):
         return None
     # The tokens of the joined keys are those of each key's split in turn.
     tokens = ",".join(keys).split(",")
     counts = np.fromiter(map(str.count, keys, itertools.repeat(",")),
                          dtype=np.intp, count=len(keys)) + 1
     bit = {u: 1 << i for i, u in enumerate(ground.users)}
-    # The checked path raises an unknown user or a value float() refuses
-    # again, after any error of an earlier key.
+    # The checked path raises an unknown user again, after any error of an
+    # earlier key.
     try:
         bits = np.fromiter(map(bit.__getitem__, tokens), dtype=np.intp,
                            count=len(tokens))
     except KeyError:
-        return None
-    # numpy converts each value as float() does, without a Python call per
-    # value; it reads None as NaN, which the finiteness test below refuses.
-    try:
-        vals = np.fromiter(values.values(), dtype=float, count=len(keys))
-    except (TypeError, ValueError, OverflowError):
         return None
     masks = np.add.reduceat(bits, np.cumsum(counts) - counts)
     # A sum of distinct bits has one bit per term; a repeated user carries.
@@ -450,11 +495,7 @@ def _bulk_table(ground: GroundSet, values: Mapping) -> np.ndarray | None:
     seen[masks] = True
     if not seen[1:].all():
         return None
-    table = np.zeros(len(keys) + 1)
-    table[masks] = vals
-    if not np.isfinite(table).all():
-        return None
-    return table
+    return masks
 
 
 def _checked_table(ground: GroundSet, values: Mapping) -> np.ndarray:
@@ -561,7 +602,8 @@ def coverage_cut(f: SetFunction, elements):
     H(P) - k.  The form holds at the empty set too, as f(empty) = 0,
     because every view has k = H(P) and so offset 0: exactly for views that
     restrict and add_modular build on the source, up to rounding for the
-    contractions that :func:`minor` and :func:`reduce` build.
+    contractions that :func:`contract`, :func:`minor` and :func:`reduce`
+    build.
     Returns (user, bit, entropy, coeffs, offset), the first three as
     :meth:`BitPoolSource.incidence` gives them for ``elements`` and P and
     coeffs the c of ``elements`` in order, or None if f views another
@@ -680,22 +722,33 @@ def reduce(f: SetFunction, pivot, w: WeightVector) -> SetFunction:
 
 def minor(f: SetFunction, pivot: int, block: int, f_pivot: float,
           w_pivot: float, w: WeightVector) -> SetFunction:
-    """The contraction of f by ``pivot``, viewed over ``block``.
+    """The contraction of f by ``pivot`` over ``block``, less the pivot's
+    ratio times w.
 
     g(X) = f(X | pivot) - f_pivot * (w(X)/w_pivot + 1) for X inside block,
-    which must be disjoint from the pivot, given f_pivot = f(pivot) and
-    w_pivot = w(pivot).  Makes no oracle call: the new constant, f's
-    constant plus f's coefficients over the pivot plus f_pivot, is the
-    source's value at the joint pivot up to rounding, and g(empty) is 0
-    because every view returns 0 at the empty set.
+    given f_pivot = f(pivot) and w_pivot = w(pivot): :func:`contract`,
+    shifted by one modular function.  Makes no oracle call.
+    """
+    return add_modular(contract(f, pivot, block, f_pivot),
+                       (f_pivot / w_pivot) * w.values)
+
+
+def contract(f: SetFunction, pivot: int, block: int,
+             f_pivot: float) -> SetFunction:
+    """The contraction of f by ``pivot``, viewed over ``block``.
+
+    g(X) = f(X | pivot) - f_pivot for X inside block, which must be
+    disjoint from the pivot, given f_pivot = f(pivot).  Makes no oracle
+    call: the new constant, f's constant plus f's coefficients over the
+    pivot plus f_pivot, is the source's value at the joint pivot up to
+    rounding, and g(empty) is 0 because every view returns 0 at the empty
+    set.
     """
     inner, old_pivot, const, coeffs = _parts(f)
-    extra = (f_pivot / w_pivot) * w.values
     if coeffs is not None:
         const += float(coeffs[mask_array(pivot, f.ground.n)].sum())
-        extra = coeffs + extra
     return ShiftedFunction(inner, block, old_pivot | pivot, const + f_pivot,
-                           extra)
+                           coeffs)
 
 
 def greedy_vertex_local(f: SetFunction, elems: np.ndarray,

@@ -19,11 +19,11 @@ of its chain.  The egalitarian point is also the minimum-norm base in
 coordinates scaled by sqrt(w) (Fujishige 1980), so one Wolfe solve proposes
 an ordered partition of the users: sort its point by r/w and cut wherever a
 prefix is tight.  That solve stops at the loose gap ``PROPOSAL_GAP``, so
-the point is only approximate.  One prefix walk over the proposed blocks
-gives every block's ratio, and a one-user block is a leaf at it with no
-solve.  A larger block is confirmed by split's own test on its minor (the
-block after the blocks before it are contracted): a uniform block is one
-leaf, and any other block is split further.  If the leaf ratios do not
+the point is only approximate.  The prefix walk that cut the blocks gives
+every block's ratio, and a one-user block is a leaf at it with no solve.
+A larger block is confirmed by split's own test on its minor (the block
+after the blocks before it are contracted): a uniform block is one leaf,
+and any other block is split further.  If the leaf ratios do not
 increase along the blocks, the engine logs it on ``swfair.split`` and runs
 :func:`split` instead, merging its leaves by the same rule, so every answer
 meets the leaf criterion that split meets.
@@ -232,14 +232,16 @@ def egalitarian(f: SetFunction, w: WeightVector) -> RateVector:
     return decompose(f, w).reconstruct()
 
 
-def _propose(f, w) -> list[int]:
+def _propose(f, w) -> tuple[list[int], np.ndarray]:
     """Ordered partition of f's ground from one weighted min-norm solve.
 
     The Wolfe point in coordinates scaled by sqrt(w), run to the relative
     gap ``PROPOSAL_GAP``, is sorted by x/w and cut after every prefix that
-    is tight to within TIE_EPSILON times f's scale.  A point that stalled
-    or overflowed before its gap test is still a proposal, which the exact
-    confirm step checks; the iteration cap raises :class:`ConvergenceError`.
+    is tight to within TIE_EPSILON times f's scale.  Returns the blocks
+    D_1, ..., D_k and f(S_0), ..., f(S_k), S_j = D_1 | ... | D_j, from the
+    prefix walk that found the cuts.  A point that stalled or overflowed
+    before its gap test is still a proposal, which the exact confirm step
+    checks; the iteration cap raises :class:`ConvergenceError`.
     """
     elems = np.asarray(bit_indices(f.ground_mask), dtype=np.intp)
     w_loc = w.values[elems]
@@ -258,36 +260,37 @@ def _propose(f, w) -> list[int]:
     tol = TIE_EPSILON * f.scale
     cuts = [0, *(np.flatnonzero(slack[:-1] <= tol) + 1).tolist(), len(order)]
     order = order.tolist()
-    return [mask_from_indices(order[a:b]) for a, b in zip(cuts, cuts[1:])]
+    return ([mask_from_indices(order[a:b]) for a, b in zip(cuts, cuts[1:])],
+            pv[cuts])
 
 
-def _confirm(f, w, blocks) -> Decomposition:
+def _confirm(f, w, blocks, walk) -> Decomposition:
     """Chain of f's egalitarian levels, given a proposed ordered partition.
 
-    One prefix walk over the blocks gives f(S_j), S_j = D_1 | ... | D_j,
-    and so each block's ratio (f(S_j) - f(S_{j-1})) / w(D_j).  A one-user
-    block is a leaf at that ratio, with no solve.  A larger block runs
-    split's leaf test on its minor: D_j after S_{j-1} is contracted at carry
-    f(S_{j-1})/w(S_{j-1}), built from the walk (:func:`swfair.setfn.minor`).
-    Adjacent leaves whose ratios agree to within the tie tolerance are one
-    level.  If the leaf ratios then do not increase, the proposal was not
-    the egalitarian chain, and :func:`split` on all of f decides instead,
-    its leaves merged into levels by the same rule.
+    ``walk`` holds f(S_0), ..., f(S_k), S_j = D_1 | ... | D_j, as
+    :func:`_propose` returns them, so each block's ratio (f(S_j) -
+    f(S_{j-1})) / w(D_j) takes no oracle call.  A one-user block is a leaf
+    at that ratio, with no solve.  A larger block runs split's leaf test on
+    its minor: D_j after S_{j-1} is contracted at carry f(S_{j-1})/w(S_{j-1}),
+    built from the walk (:func:`swfair.setfn.minor`).  Adjacent leaves whose
+    ratios agree to within the tie tolerance are one level.  If the leaf
+    ratios then do not increase, the proposal was not the egalitarian chain,
+    and :func:`split` on all of f decides instead, its leaves merged into
+    levels by the same rule.
     """
-    order = np.asarray([i for b in blocks for i in bit_indices(b)],
-                       dtype=np.intp)
-    pv = f.prefix_values(order).tolist()
+    order = [i for b in blocks for i in bit_indices(b)]
+    pv = walk.tolist()
     w_order = w.values[order].tolist()
     w_prefix = [0.0, *np.cumsum(w_order).tolist()]
     leaves = []
     done = start = 0
-    for block in blocks:
+    for j, block in enumerate(blocks):
         end = start + block.bit_count()
         if end == start + 1:
-            leaves.append((block, (pv[end] - pv[start]) / w_order[start]))
+            leaves.append((block, (pv[j + 1] - pv[j]) / w_order[start]))
         elif done:
-            sub = minor(f, done, block, pv[start], w_prefix[start], w)
-            carry = pv[start] / w_prefix[start]
+            sub = minor(f, done, block, pv[j], w_prefix[start], w)
+            carry = pv[j] / w_prefix[start]
             leaves += _split_block(sub, w, block, carry, ())[2]
         else:
             leaves += _split_block(restrict(f, block), w, block, 0.0, ())[2]
@@ -468,7 +471,7 @@ def decompose(f: SetFunction, w: WeightVector) -> Decomposition:
     :class:`CertificationError` (see :func:`certify`).
     """
     _nonempty_ground(f)
-    dec = _confirm(f, w, _propose(f, w))
+    dec = _confirm(f, w, *_propose(f, w))
     crit = dec.critical_values
     tol = TIE_EPSILON * max(abs(lam) for lam in crit)
     for a, b in zip(crit, crit[1:]):

@@ -6,7 +6,8 @@ import pytest
 
 from swfair import sfm
 from swfair.setfn import (BitPoolSource, GroundSet, SetFunction, TableSource,
-                          WeightVector, source_from_dict, source_to_dict)
+                          WeightVector, bit_indices, source_from_dict,
+                          source_to_dict)
 
 
 @pytest.fixture
@@ -101,6 +102,14 @@ def scaled_source(src, c):
     key = "bits" if doc["type"] == "bit_pool" else "values"
     doc[key] = {k: c * v for k, v in doc[key].items()}
     return source_from_dict(doc)
+
+
+def walk_of(f, blocks):
+    """f(S_0), ..., f(S_k) for S_j the union of the first j blocks, from one
+    prefix walk over them: what the proposal hands the confirm step."""
+    order = np.asarray([i for b in blocks for i in bit_indices(b)],
+                       dtype=np.intp)
+    return f.prefix_values(order)[np.cumsum([0, *map(int.bit_count, blocks)])]
 
 
 def coverage_table(pool):

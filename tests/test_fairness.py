@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import swfair.fairness as fairness_module
 from swfair.experiment import ExperimentConfig, generate_instance
@@ -167,6 +167,25 @@ def test_membership_of_bit_pool_views_agrees_with_the_sweep(f, change,
     assert_attains_its_slack(f, rates, got)
 
 
+def test_membership_slack_is_the_named_constraints_own():
+    """Shapley rates of a 20-user pool with one rate raised by 1e-9 of the
+    scale are members; on some pools every set ties with the empty set
+    within the tie tolerance, so the report names the whole ground, and its
+    slack is that constraint's own, the sum gap, not the minimum plus it."""
+    whole = 0
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        f = random_bit_pool(rng, 20)
+        rates = shapley_exact(f).rates
+        rates[int(rng.integers(20))] += 1e-9 * f.scale
+        report = verify_membership(f, rates)
+        assert report.in_region
+        assert lower_slack(f, rates, report.worst_constraint) == pytest.approx(
+            report.slack, rel=0.0, abs=1e-12 * f.scale)
+        whole += len(report.worst_constraint) == 20
+    assert whole > 0
+
+
 @pytest.mark.parametrize("n", [64, 256])
 def test_membership_refuses_raised_and_moved_rates_at_scale(n):
     """Beyond the sweep's 20 users, the egalitarian rates are members, and
@@ -326,6 +345,50 @@ def test_exchange_capacity_local_optimality():
                 if ratios[i] > ratios[j] + 1e-7:
                     cap = exchange_capacity(src, rates, donor=ui, receiver=uj)
                     assert cap == pytest.approx(0.0, abs=1e-7)
+
+
+@settings(max_examples=15, deadline=None)
+@given(bit_pool_views(), st.integers(0, 2**32 - 1))
+def test_exchange_capacity_of_bit_pool_views_equals_the_sweep(f, seed):
+    """One SFM of the view contracted at the receiver gives the sweep's
+    minimum over the sets with the receiver and without the donor."""
+    rng = np.random.default_rng(seed)
+    elems = bit_indices(f.ground_mask)
+    assume(len(elems) > 1)
+    rates = shapley_exact(f).rates + rng.normal(0.0, 0.1 * f.scale, f.ground.n)
+    i, j = (f.ground.users[k] for k in rng.choice(elems, 2, replace=False))
+    got = exchange_capacity(f, rates, donor=i, receiver=j)
+    swept = exchange_capacity(OpaquePool(f), rates, donor=i, receiver=j)
+    assert got == pytest.approx(swept, rel=0.0, abs=1e-12 * f.scale)
+
+
+def test_exchange_capacity_answers_at_64_users():
+    """Beyond the sweep's 20 users: no rate moves from a higher-ratio user
+    to a lower-ratio one at the egalitarian point, and a capacity is never
+    above f(X) - r(X) for a set X it ranges over."""
+    n = 64
+    src = generate_instance(n, ExperimentConfig(seed=2), 0)
+    rng = np.random.default_rng(n)
+    w = WeightVector(src.ground, rng.uniform(0.5, 4.0, n))
+    rates = egalitarian(src, w)
+    ratios = rates.ratios(w)
+    donor, receiver = int(np.argmax(ratios)), int(np.argmin(ratios))
+    users = src.ground.users
+    assert ratios[donor] > ratios[receiver] + 1e-6
+    assert exchange_capacity(src, rates, users[donor], users[receiver]
+                             ) == pytest.approx(0.0, abs=1e-9 * src.scale)
+    cap = exchange_capacity(src, rates, users[receiver], users[donor])
+    for _ in range(20):
+        picked = rng.random(n) < 0.5
+        picked[donor], picked[receiver] = True, False
+        x = src.ground.mask_of(np.asarray(users)[picked])
+        assert cap <= (src.value(x) - rates.rates[bit_indices(x)].sum()
+                       + 1e-12 * src.scale)
+    with pytest.raises(GroundSetTooLargeError,
+                       match="exchange capacity is exhaustive; 64 elements"):
+        exchange_capacity(OpaquePool(src), rates, users[0], users[1])
+    with pytest.raises(ValueError, match="two users"):
+        exchange_capacity(src, rates, users[0], users[0])
 
 
 def test_efficiency_sums(three_users, skew_weights):

@@ -34,7 +34,10 @@ from swfair.setfn import (
     source_from_dict,
     source_to_dict,
     _bulk_table,
+    _checked_table,
+    _token_masks,
 )
+import swfair.setfn as setfn_module
 from swfair.experiment import ExperimentConfig, generate_instance
 from conftest import random_bit_pool, scaled_source
 
@@ -705,6 +708,77 @@ def test_table_key_naming_a_user_twice_names_it_once():
     assert _bulk_table(g, values) is None
     table = TableSource(g, values)
     assert [table.value(m) for m in range(4)] == [0.0, 1.0, 2.0, 2.5]
+
+
+def mask_order_table(n, seed):
+    """The values of a random n-user table in source_to_dict's layout, and
+    its ground."""
+    rng = np.random.default_rng(seed)
+    g = GroundSet(["u%d" % i for i in range(n)])
+    doc = source_to_dict(TableSource(g, dict(enumerate(
+        rng.standard_normal(1 << n)[1:], start=1))))
+    return g, doc["values"]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_tables_in_mask_order_load_without_a_token_parse(monkeypatch, n):
+    """A table in source_to_dict's layout never splits a key, and its array
+    is byte for byte the one the token parse and the key-by-key path give."""
+    g, values = mask_order_table(n, n)
+    keys = list(values)
+    by_tokens = np.zeros(len(keys) + 1)
+    by_tokens[_token_masks(g, keys)] = list(values.values())
+    by_key = _checked_table(g, values)
+    monkeypatch.setattr(setfn_module, "_token_masks", None)
+    table = TableSource(g, values)._table
+    assert table.tobytes() == by_tokens.tobytes() == by_key.tobytes()
+
+
+def load_outcome(build):
+    try:
+        return build().tobytes()
+    except Exception as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_tables_out_of_mask_order_load_as_the_checked_path_does(n):
+    """Two keys swapped, one key's users reordered, one subset named twice
+    or one value not finite: each table loads to the array, or fails with
+    the error and message, of the key-by-key path."""
+    g, values = mask_order_table(n, 100 + n)
+    rng = np.random.default_rng(n)
+    items = list(values.items())
+    a, b = sorted(rng.choice(len(items), 2, replace=False).tolist())
+    multi = [k for k, (key, _) in enumerate(items) if "," in key]
+    changed = {}
+    swapped = items.copy()
+    swapped[a], swapped[b] = swapped[b], swapped[a]
+    changed["swapped"] = dict(swapped)
+    relabelled = items.copy()
+    relabelled[a], relabelled[b] = ((items[b][0], items[a][1]),
+                                    (items[a][0], items[b][1]))
+    changed["relabelled"] = dict(relabelled)
+    if multi:
+        k = multi[-1]
+        key, v = items[k]
+        reordered = items.copy()
+        reordered[k] = (",".join(key.split(",")[::-1]), v)
+        changed["reordered"] = dict(reordered)
+        repeated = items.copy()
+        repeated[a] = (",".join(items[k][0].split(",")[::-1]), items[a][1])
+        changed["repeated"] = dict(repeated)
+    for bad in (np.nan, np.inf):
+        changed["not finite %s" % bad] = {**values, items[b][0]: bad}
+    for name, doc in changed.items():
+        assert list(doc.items()) != list(values.items()), name
+        got = load_outcome(lambda: TableSource(g, doc)._table)
+        assert got == load_outcome(lambda: _checked_table(g, doc)), name
+    if multi:
+        assert load_outcome(lambda: TableSource(g, changed["repeated"])
+                            )[0] is ValueError
+        assert (TableSource(g, changed["reordered"])._table.tobytes()
+                == TableSource(g, values)._table.tobytes())
 
 
 @pytest.mark.parametrize("n", [40, 64])

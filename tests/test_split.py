@@ -38,7 +38,7 @@ from swfair.split import (
     subset_label,
 )
 from conftest import (OpaquePool, coverage_table, random_bit_pool,
-                      scaled_source, twin_bit_pool)
+                      scaled_source, twin_bit_pool, walk_of)
 
 # the package re-exports the function split under the module's name
 split_module = importlib.import_module("swfair.split")
@@ -425,7 +425,7 @@ def test_confirm_adversarial_proposals(monkeypatch, caplog):
             before = len(fallbacks)
             caplog.clear()
             monkeypatch.setattr(split_module, "split", spy)
-            dec = _confirm(f_c, w, blocks)
+            dec = _confirm(f_c, w, blocks, walk_of(f_c, blocks))
             monkeypatch.setattr(split_module, "split", real_split)
             assert dec.chain_masks == chain
             assert np.array_equal(dec.reconstruct().rates, rates.rates)
@@ -451,8 +451,9 @@ def test_confirm_refuses_decreasing_fallback_leaves(monkeypatch):
     backwards = SimpleNamespace(leaves=tree.leaves[::-1])
     monkeypatch.setattr(split_module, "split",
                         lambda *args, **kwargs: (rates, backwards))
+    f_c = restrict(src, src.ground_mask)
     with pytest.raises(InternalConsistencyError, match="decrease"):
-        _confirm(restrict(src, src.ground_mask), w, levels[::-1])
+        _confirm(f_c, w, levels[::-1], walk_of(f_c, levels[::-1]))
 
 
 def test_confirm_cost_guard(monkeypatch):
@@ -493,13 +494,13 @@ def test_confirm_cost_guard(monkeypatch):
         nodes.append(out[0])
         return out
 
-    def run(blocks):
+    def run(blocks, walk):
         values.clear(), weights.clear(), nodes.clear()
         monkeypatch.setattr(BitPoolSource, "value", value)
         monkeypatch.setattr(WeightVector, "of_mask", of_mask)
         monkeypatch.setattr(split_module, "_split_block", split_block)
         monkeypatch.setattr(split_module, "_chain", uncounted_chain)
-        dec = _confirm(f_c, w, blocks)
+        dec = _confirm(f_c, w, blocks, walk)
         monkeypatch.undo()
         before = [0]                    # S_{j-1} of each block D_j
         for block in blocks[:-1]:
@@ -522,13 +523,41 @@ def test_confirm_cost_guard(monkeypatch):
     rates, tree = split(src, w)
     chain = split_chain(tree)
     levels = levels_of(chain)
-    dec, multi, internal = run(levels)
+    dec, multi, internal = run(levels, walk_of(f_c, levels))
     assert (len(values), len(weights), internal) == (multi, multi, 0)
-    proposal = split_module._propose(f_c, w)
-    dec, multi, internal = run(proposal)
+    proposal, walk = split_module._propose(f_c, w)
+    dec, multi, internal = run(proposal, walk)
     assert internal > 0 and 0 < multi < len(proposal)
     assert dec.chain_masks == chain
     assert np.array_equal(dec.reconstruct().rates, rates.rates)
+
+
+def test_confirm_reuses_the_proposals_walk(monkeypatch):
+    """The proposal returns f(S_j) at its cuts from the walk that found
+    them, and the confirm step walks no prefix of its own: its one walk is
+    _chain's over the final levels, and it settles the same chain and
+    bit-identical rates as with a walk over its blocks."""
+    rng = np.random.default_rng(5)
+    n = 96
+    src = random_bit_pool(rng, n, observe_prob=1.5 / n)
+    w = WeightVector(src.ground, rng.uniform(0.5, 4.0, n))
+    f_c = restrict(src, src.ground_mask)
+    proposal, walk = split_module._propose(f_c, w)
+    prefix = [0]
+    for block in proposal:
+        prefix.append(prefix[-1] | block)
+    assert walk.tolist() == pytest.approx([src.value(m) for m in prefix],
+                                          rel=0.0, abs=1e-12 * src.scale)
+    walked = _confirm(f_c, w, proposal, walk_of(f_c, proposal))
+    walks = []
+    real_prefix_values = BitPoolSource.prefix_values
+    monkeypatch.setattr(BitPoolSource, "prefix_values",
+                        lambda self, order, base=0: walks.append(len(order))
+                        or real_prefix_values(self, order, base))
+    dec = _confirm(f_c, w, proposal, walk)
+    assert walks == [n]
+    assert dec.chain_masks == walked.chain_masks
+    assert np.array_equal(dec.reconstruct().rates, walked.reconstruct().rates)
 
 
 @st.composite
@@ -587,7 +616,7 @@ def test_confirm_returns_splits_chain_for_any_proposal(case):
         fallbacks.clear()
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(split_module, "split", spy)
-            dec = _confirm(f_c, w, blocks)
+            dec = _confirm(f_c, w, blocks, walk_of(f_c, blocks))
         assert dec.chain_masks == chain, name
         assert np.array_equal(dec.reconstruct().rates, rates.rates), name
         if name == "levels":
@@ -734,7 +763,7 @@ def test_corrupted_chains_are_refused(monkeypatch, capsys, tmp_path):
         weights.write_text(json.dumps({u: w[u] for u in src.ground.users}))
         for bad, error, code in corrupted:
             monkeypatch.setattr(split_module, "_confirm",
-                                lambda f, w, blocks, bad=bad:
+                                lambda f, w, blocks, walk, bad=bad:
                                 _chain(f, w, bad))
             with pytest.raises(error):
                 decompose(src, w)
@@ -819,9 +848,9 @@ def test_proposal_stops_at_its_own_gap(monkeypatch):
         gaps.append(gap)
         return real_wolfe(f, elems, gap, scale=scale)
 
-    def confirm(f, w, proposal):
+    def confirm(f, w, proposal, walk):
         blocks.extend(proposal)
-        return real_confirm(f, w, proposal)
+        return real_confirm(f, w, proposal, walk)
 
     monkeypatch.setattr(split_module, "_wolfe", wolfe)
     monkeypatch.setattr(split_module, "_confirm", confirm)
