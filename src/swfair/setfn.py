@@ -11,8 +11,9 @@ Two concrete source models are provided:
   bits; the joint entropy of a user subset is the total entropy of the bits
   covered by it (a weighted coverage function, hence submodular and monotone).
   It evaluates over its (user, bit) incidence, so with nnz observations
-  ``value`` and ``prefix_values`` cost O(nnz + n) and ``all_values`` over c
-  elements costs O(nnz + c * 2^c).
+  ``value`` and ``prefix_values`` cost O(nnz + n), ``all_values`` over c
+  elements costs O(nnz + c * 2^c), and ``block_values`` costs one such pass
+  for all the blocks it tables.
 * :class:`TableSource` - an explicit, complete table of values for every
   nonempty subset, used for arbitrary test fixtures.  It is one read-only
   float array indexed by mask, 8 * 2^n bytes, so ``value`` is O(1) and
@@ -120,15 +121,17 @@ def subset_sums(table: np.ndarray, c: int) -> np.ndarray:
 
 
 def modular_sums(coeffs: np.ndarray) -> np.ndarray:
-    """Sum of coeffs[k] over the k in X, for every local submask X.
+    """Sum of coeffs[..., k] over the k in X, for every local submask X.
 
     The coefficients sit at the singleton entries of a 2**c table, and one
-    :func:`subset_sums` pass fills in the rest.
+    :func:`subset_sums` pass fills in the rest; a stack of coefficient rows
+    gives one table per row, from one pass over all of them.
     """
-    c = len(coeffs)
-    table = np.zeros(1 << c)
-    table[1 << np.arange(c)] = coeffs
-    return subset_sums(table, c)
+    c = coeffs.shape[-1]
+    table = np.zeros((*coeffs.shape[:-1], 1 << c))
+    table[..., 1 << np.arange(c)] = coeffs
+    subset_sums(table.reshape(-1), c)
+    return table
 
 
 class GroundSet:
@@ -189,10 +192,11 @@ class GroundSet:
 class SetFunction:
     """Oracle for a real-valued set function with f(empty) = 0.
 
-    Subclasses implement :meth:`value`.  The two optional bulk entry points,
-    :meth:`prefix_values` and :meth:`all_values`, have generic fallbacks here
-    and vectorized overrides where the structure allows; solvers call them so
-    that a fast source accelerates every solver for free.
+    Subclasses implement :meth:`value`.  The optional bulk entry points,
+    :meth:`prefix_values`, :meth:`all_values` and :meth:`block_values`, have
+    generic fallbacks here and vectorized overrides where the structure
+    allows; solvers call them so that a fast source accelerates every solver
+    for free.
     """
 
     ground: GroundSet
@@ -238,6 +242,26 @@ class SetFunction:
             gmask[lm] = gmask[lm ^ low] | bit_of[low.bit_length() - 1]
             vals[lm] = self.value(gmask[lm])
         return vals
+
+    def block_values(self, blocks: Sequence[int], wanted: Sequence[int],
+                     base: int = 0) -> list[np.ndarray]:
+        """Gains over the blocks of an ordered partition, for each wanted block.
+
+        ``blocks`` are disjoint masks in order, and S_j is ``base`` joined
+        with blocks[0], ..., blocks[j - 1].  For each index j in ``wanted``
+        the result holds f(S_j | X) - f(S_j) for every X inside blocks[j],
+        indexed by local submask over its positions in ascending order.  A
+        block outside ``wanted`` only enters the S_j, so it may be of any
+        size.  Here one :meth:`all_values` per wanted block.
+        """
+        before = [base]
+        for block in blocks:
+            before.append(before[-1] | block)
+        out = []
+        for j in wanted:
+            vals = self.all_values(bit_indices(blocks[j]), before[j])
+            out.append(vals - vals[0])
+        return out
 
 
 class BitPoolSource(SetFunction):
@@ -340,6 +364,60 @@ class BitPoolSource(SetFunction):
         missed[0] = 0.0
         subset_sums(missed, c)
         return const + (missed[-1] - missed[::-1])
+
+    def block_values(self, blocks, wanted, base: int = 0) -> list[np.ndarray]:
+        # A bit not covered by base is gained in the first block that covers
+        # it, through its observers there: rank users 0 in base, j + 1 in
+        # block j and len(blocks) + 1 elsewhere, and a bit lands at the least
+        # rank among its observers, with the pattern of the observers of that
+        # rank.  One bincount groups the bits of every wanted block by
+        # pattern, and one subset-sum transform per block size turns the
+        # groups into gains, as all_values does for one block.
+        n, k = self.ground.n, len(blocks)
+        sizes = [block.bit_count() for block in blocks]
+        order = np.fromiter((i for block in blocks for i in bit_indices(block)),
+                            dtype=np.intp, count=sum(sizes))
+        block_of = np.repeat(np.arange(1, k + 1), sizes)
+        rank = np.full(n, k + 1, dtype=np.intp)
+        rank[order] = block_of
+        if base:
+            rank[mask_array(base, n)] = 0
+        # Each wanted block's table is 2^c long, the tables laid out by size.
+        by_size = sorted(range(len(wanted)), key=lambda t: sizes[wanted[t]])
+        offset = np.full(k + 2, -1, dtype=np.intp)
+        end = 0
+        for t in by_size:
+            offset[wanted[t] + 1] = end
+            end += 1 << sizes[wanted[t]]
+        # Local bits only in the wanted blocks, so no shift passes 63.
+        tabled = offset[block_of] >= 0
+        position = np.arange(len(order)) - np.repeat(np.cumsum(sizes) - sizes,
+                                                     sizes)
+        local = np.zeros(n, dtype=np.int64)
+        local[order[tabled]] = 1 << position[tabled]
+        obs_rank = rank[self._inc_user]
+        first = np.minimum.reduceat(obs_rank, self._run_start)
+        run_length = np.diff(self._run_start, append=len(obs_rank))
+        in_first = obs_rank == np.repeat(first, run_length)
+        pattern = np.bitwise_or.reduceat(
+            np.where(in_first, local[self._inc_user], 0), self._run_start)
+        at = offset[first]
+        keep = at >= 0
+        # (float even with no observation, where bincount returns ints)
+        missed = np.bincount(at[keep] + pattern[keep],
+                             weights=self._run_entropy[keep],
+                             minlength=end).astype(float, copy=False)
+        out = [None] * len(wanted)
+        start = 0
+        for c, group in itertools.groupby(by_size, lambda t: sizes[wanted[t]]):
+            group = list(group)
+            stop = start + (len(group) << c)
+            inside = subset_sums(missed[start:stop], c).reshape(-1, 1 << c)
+            gains = inside[:, -1:] - inside[:, ::-1]
+            for t, row in zip(group, gains):
+                out[t] = row
+            start = stop
+        return out
 
     def incidence(self, elements, base: int = 0):
         """Observations by ``elements`` of the bits ``base`` does not cover.
@@ -585,6 +663,14 @@ class ShiftedFunction(SetFunction):
             vals[0] = 0.0
         return vals
 
+    def block_values(self, blocks, wanted, base: int = 0) -> list[np.ndarray]:
+        # The constant cancels in every gain, and the pivot is covered first.
+        tables = self.inner.block_values(blocks, wanted, base | self.pivot)
+        if self.coeffs is None:
+            return tables
+        return [vals - modular_sums(self.coeffs[bit_indices(blocks[j])])
+                for vals, j in zip(tables, wanted)]
+
 
 def _parts(f: SetFunction):
     """Decompose into (source, pivot, constant, coeffs) for flattening."""
@@ -660,6 +746,12 @@ class WeightVector:
     def of_mask(self, mask: int) -> float:
         return float(self.values[mask_array(mask, self.ground.n)].sum())
 
+    def times(self, lam: float, where: np.ndarray) -> np.ndarray:
+        """lam * w at the True entries of ``where`` and 0 elsewhere; no other
+        product is formed, so weights far from lam's users cannot overflow."""
+        return np.multiply(lam, self.values, out=np.zeros(self.ground.n),
+                           where=where)
+
     def __getitem__(self, user: str) -> float:
         return float(self.values[self.ground.index[user]])
 
@@ -727,10 +819,12 @@ def minor(f: SetFunction, pivot: int, block: int, f_pivot: float,
 
     g(X) = f(X | pivot) - f_pivot * (w(X)/w_pivot + 1) for X inside block,
     given f_pivot = f(pivot) and w_pivot = w(pivot): :func:`contract`,
-    shifted by one modular function.  Makes no oracle call.
+    shifted by one modular function, which is formed over the block's users
+    only.  Makes no oracle call.
     """
     return add_modular(contract(f, pivot, block, f_pivot),
-                       (f_pivot / w_pivot) * w.values)
+                       w.times(f_pivot / w_pivot,
+                               mask_array(block, f.ground.n)))
 
 
 def contract(f: SetFunction, pivot: int, block: int,

@@ -19,14 +19,21 @@ of its chain.  The egalitarian point is also the minimum-norm base in
 coordinates scaled by sqrt(w) (Fujishige 1980), so one Wolfe solve proposes
 an ordered partition of the users: sort its point by r/w and cut wherever a
 prefix is tight.  That solve stops at the loose gap ``PROPOSAL_GAP``, so
-the point is only approximate.  The prefix walk that cut the blocks gives
-every block's ratio, and a one-user block is a leaf at it with no solve.
-A larger block is confirmed by split's own test on its minor (the block
-after the blocks before it are contracted): a uniform block is one leaf,
-and any other block is split further.  If the leaf ratios do not
-increase along the blocks, the engine logs it on ``swfair.split`` and runs
-:func:`split` instead, merging its leaves by the same rule, so every answer
-meets the leaf criterion that split meets.
+the point is only approximate, and each block D_j is confirmed exactly.
+The prefix walk that cut the blocks gives every block's ratio rho_j =
+(f(S_j) - f(S_{j-1})) / w(D_j), S_j the union of the first j blocks, and a
+one-user block is a leaf at it with no solve.  The blocks of 2 to
+``MIN_CUT_ABOVE`` (12) users are tested together: one
+``f.block_values`` call gives each of them the gains f(S_{j-1} | X) -
+f(S_{j-1}) of all its subsets X (for a bit pool, one pass over the
+incidence for every block), and D_j is one leaf at rho_j if it minimizes
+gains - rho_j * w within ``TIE_EPSILON`` times f's scale.  That is split's
+leaf test on the block's minor, whose contraction carry cancels in the
+difference.  A larger block, or one that fails the test, goes through
+split's recursion on its minor.  If the leaf ratios do not increase along
+the blocks, the engine logs it on ``swfair.split`` and runs :func:`split`
+instead, merging its leaves by the same rule, so every answer meets the
+leaf criterion that split meets.
 
 One certificate guards every answer: every chain set is tight by
 construction, the critical values must increase strictly
@@ -35,9 +42,11 @@ construction, the critical values must increase strictly
 region check (:class:`CertificationError` otherwise, a non-submodular
 source).  Together these make each chain set the maximal minimizer at its
 critical value, so no chain set is solved again.  The split tree, the
-adaptation path and the size sweep still run :func:`split`.  Ratios tie
-within ``TIE_EPSILON`` times the largest of them, so weights scaled by one
-factor give the same chain and the same rates.
+adaptation path and the size sweep still run :func:`split`.  Two adjacent
+ratios tie within ``TIE_EPSILON`` times the larger of the two, and every
+modular shift lam * w is formed over its block's users only, so weights
+scaled by one factor give the same chain and the same rates, and weights
+from 1e-200 to 1e200 neither merge distinct levels nor overflow.
 
 Both routes turn their ordered levels into rates the same way: lam_j =
 (f(S_j) - f(S_{j-1})) / w(D_j) from one prefix walk over the chain, and
@@ -46,6 +55,7 @@ r_i = lam_j * w_i on level D_j.
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass
 
@@ -61,12 +71,16 @@ from .setfn import (
     WeightVector,
     add_modular,
     bit_indices,
+    contract,
+    mask_array,
     mask_from_indices,
     minor,
+    modular_sums,
     restrict,
 )
 from .sfm import (
     CAPPED,
+    MIN_CUT_ABOVE,
     ConvergenceError,
     SfmResult,
     _stop_reason,
@@ -167,7 +181,8 @@ def split(f: SetFunction, w: WeightVector) -> tuple[RateVector, SplitTree]:
     The users are f's ground; view a sub-ground with :func:`restrict`.
     """
     cmask = _nonempty_ground(f)
-    node, events, leaves = _split_block(f, w, cmask, 0.0, ())
+    node, events, leaves = _split_block(f, w, cmask, 0.0, (),
+                                        mask_array(cmask, f.ground.n))
     rv = _chain(f, w, [mask for mask, _ in leaves]).reconstruct()
     return rv, SplitTree(f.ground, node, cmask, w, events, leaves, rv)
 
@@ -178,21 +193,23 @@ def _nonempty_ground(f: SetFunction) -> int:
     return f.ground_mask
 
 
-def _split_block(f, w, cmask, carry, path):
+def _split_block(f, w, cmask, carry, path, in_block):
     """Recursive worker; f's ground is exactly cmask.
 
     ``carry`` is the accumulated ratio offset of the contractions above this
-    block, so a leaf's absolute ratio is carry + f(C)/w(C).  Returns the node
-    plus the ordered base-assignment events and leaf assignments beneath it.
+    block, so a leaf's absolute ratio is carry + f(C)/w(C), and ``in_block``
+    is cmask as a boolean array over the ground, which sums w(C) and bounds
+    every modular shift to the block's users.  Returns the node plus the
+    ordered base-assignment events and leaf assignments beneath it.
     A one-user block is a leaf without a solve: at lam both of its subsets
     are worth 0, so its result is the one an exhaustive sweep would return.
     """
-    lam = f.value(cmask) / w.of_mask(cmask)
+    lam = f.value(cmask) / float(w.values[in_block].sum())
     if cmask.bit_count() == 1:
         res = SfmResult(f.ground, 0.0, 0, cmask, "exhaustive",
                         oracle_evals=0, ground_size=1)
         return SplitNode(cmask, lam, res, None, None), [], [(cmask, carry + lam)]
-    objective = add_modular(f, lam * w.values)
+    objective = add_modular(f, w.times(lam, in_block))
     try:
         res = solve_sfm(objective)
     except ConvergenceError as e:
@@ -208,14 +225,18 @@ def _split_block(f, w, cmask, carry, path):
             % (subset_label(f.ground, cmask),))
 
     rest = cmask & ~block
-    h_block, w_block = f.value(block), w.of_mask(block)
-    base_coeff = h_block / w_block
+    in_part = mask_array(block, f.ground.n)
+    in_rest = in_block & ~in_part
+    h_block = f.value(block)
+    base_coeff = h_block / float(w.values[in_part].sum())
     here = path + (subset_label(f.ground, cmask),)
     block_node, block_events, block_leaves = _split_block(
-        restrict(f, block), w, block, carry, here)
+        restrict(f, block), w, block, carry, here, in_part)
+    # the minor of block over rest (swfair.setfn.minor), on masks in hand
+    rest_view = add_modular(contract(f, block, rest, h_block),
+                            w.times(base_coeff, in_rest))
     rest_node, rest_events, rest_leaves = _split_block(
-        minor(f, block, rest, h_block, w_block, w), w, rest,
-        carry + base_coeff, here)
+        rest_view, w, rest, carry + base_coeff, here, in_rest)
     node = SplitNode(cmask, lam, res, base_coeff, (block_node, rest_node))
     events = block_events + [(rest, base_coeff)] + rest_events
     leaves = block_leaves + rest_leaves
@@ -268,34 +289,49 @@ def _confirm(f, w, blocks, walk) -> Decomposition:
     """Chain of f's egalitarian levels, given a proposed ordered partition.
 
     ``walk`` holds f(S_0), ..., f(S_k), S_j = D_1 | ... | D_j, as
-    :func:`_propose` returns them, so each block's ratio (f(S_j) -
+    :func:`_propose` returns them, so each block's ratio rho_j = (f(S_j) -
     f(S_{j-1})) / w(D_j) takes no oracle call.  A one-user block is a leaf
-    at that ratio, with no solve.  A larger block runs split's leaf test on
-    its minor: D_j after S_{j-1} is contracted at carry f(S_{j-1})/w(S_{j-1}),
-    built from the walk (:func:`swfair.setfn.minor`).  Adjacent leaves whose
-    ratios agree to within the tie tolerance are one level.  If the leaf
-    ratios then do not increase, the proposal was not the egalitarian chain,
-    and :func:`split` on all of f decides instead, its leaves merged into
+    at that ratio, with no solve.  Every block of 2 to ``MIN_CUT_ABOVE``
+    users takes its leaf test from one batched ``f.block_values`` call,
+    which gives the gains f(S_{j-1} | X) - f(S_{j-1}) over the block's
+    subsets X: the block is a leaf at rho_j if it is the maximal minimizer
+    of gains - rho_j * w within the tie tolerance (:func:`_uniform`), as
+    split's exhaustive sweep would find on its minor.  A larger block, or
+    one that fails the test, runs split's recursion on its minor: D_j after
+    S_{j-1} is contracted at carry f(S_{j-1})/w(S_{j-1}), built from the
+    walk (:func:`swfair.setfn.minor`).  Adjacent leaves whose ratios agree
+    to within the tie tolerance are one level.  If the leaf ratios then do
+    not increase, the proposal was not the egalitarian chain, and
+    :func:`split` on all of f decides instead, its leaves merged into
     levels by the same rule.
     """
     order = [i for b in blocks for i in bit_indices(b)]
     pv = walk.tolist()
     w_order = w.values[order].tolist()
     w_prefix = [0.0, *np.cumsum(w_order).tolist()]
+    sizes = [b.bit_count() for b in blocks]
+    starts = [0, *itertools.accumulate(sizes)]
+    w_blocks = [w_order[a:b] for a, b in zip(starts, starts[1:])]
+    ratios = [(b - a) / sum(w_block)
+              for a, b, w_block in zip(pv, pv[1:], w_blocks)]
+    small = [j for j, c in enumerate(sizes) if 1 < c <= MIN_CUT_ABOVE]
+    uniform = _uniform(small, f.block_values(blocks, small), ratios,
+                       w_blocks, TIE_EPSILON * f.scale)
     leaves = []
-    done = start = 0
+    done = 0
     for j, block in enumerate(blocks):
-        end = start + block.bit_count()
-        if end == start + 1:
-            leaves.append((block, (pv[j + 1] - pv[j]) / w_order[start]))
-        elif done:
-            sub = minor(f, done, block, pv[j], w_prefix[start], w)
-            carry = pv[j] / w_prefix[start]
-            leaves += _split_block(sub, w, block, carry, ())[2]
+        if sizes[j] == 1 or j in uniform:
+            leaves.append((block, ratios[j]))
         else:
-            leaves += _split_block(restrict(f, block), w, block, 0.0, ())[2]
+            if done:
+                w_done = w_prefix[starts[j]]
+                sub = minor(f, done, block, pv[j], w_done, w)
+                carry = pv[j] / w_done
+            else:
+                sub, carry = restrict(f, block), 0.0
+            leaves += _split_block(sub, w, block, carry, (),
+                                   mask_array(block, f.ground.n))[2]
         done |= block
-        start = end
     levels = _levels(leaves)
     if levels is None:
         logger.info("proposed leaf ratios decrease on %s; running split",
@@ -309,12 +345,39 @@ def _confirm(f, w, blocks, walk) -> Decomposition:
     return _chain(f, w, levels)
 
 
+def _uniform(small, tables, ratios, w_blocks, tol) -> set[int]:
+    """The blocks among ``small`` that are one level at their ratio.
+
+    tables[t] holds the gains f(S | X) - f(S) of every subset X of block
+    small[t] over the blocks S before it.  A block is one level when the
+    whole block minimizes gains - ratio * w within ``tol``: the
+    contraction's carry cancels in that difference, and the whole block is
+    then the maximal minimizer that split's exhaustive sweep returns on its
+    minor.  The blocks of one size are tested together.
+    """
+    by_size = {}
+    for j, gains in zip(small, tables):
+        by_size.setdefault(len(gains), []).append((j, gains))
+    uniform = set()
+    for group in by_size.values():
+        js = [j for j, _ in group]
+        excess = (np.stack([gains for _, gains in group])
+                  - np.array([ratios[j] for j in js])[:, None]
+                  * modular_sums(np.array([w_blocks[j] for j in js])))
+        leaf = excess[:, -1] - excess.min(axis=1) <= tol
+        uniform.update(itertools.compress(js, leaf))
+    return uniform
+
+
 def _levels(leaves) -> list[int] | None:
-    """Leaf masks merged into levels, or None if their ratios decrease."""
-    tol = TIE_EPSILON * max(abs(lam) for _, lam in leaves)
+    """Leaf masks merged into levels, or None if their ratios decrease.
+
+    Adjacent ratios tie within TIE_EPSILON times the larger of the two.
+    """
     levels = [leaves[0][0]]
     last = leaves[0][1]
     for mask, lam in leaves[1:]:
+        tol = TIE_EPSILON * max(abs(last), abs(lam))
         if lam < last - tol:
             return None
         if lam <= last + tol:
@@ -473,9 +536,8 @@ def decompose(f: SetFunction, w: WeightVector) -> Decomposition:
     _nonempty_ground(f)
     dec = _confirm(f, w, *_propose(f, w))
     crit = dec.critical_values
-    tol = TIE_EPSILON * max(abs(lam) for lam in crit)
     for a, b in zip(crit, crit[1:]):
-        if b - a <= tol:
+        if b - a <= TIE_EPSILON * max(abs(a), abs(b)):
             raise InternalConsistencyError(
                 "critical values not strictly increasing: %r vs %r" % (a, b))
     certify(f, dec.reconstruct())

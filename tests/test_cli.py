@@ -6,7 +6,8 @@ import pytest
 
 from swfair.cli import main
 from swfair.experiment import CSV_HEADER, ExperimentConfig, generate_instance
-from swfair.setfn import source_to_dict
+from swfair.setfn import WeightVector, source_to_dict
+from swfair.split import split
 
 MODEL = {
     "type": "bit_pool",
@@ -176,6 +177,31 @@ def test_huge_equal_weights_give_the_unit_weight_rates(capsys, model_file):
     assert [code for code, _, _ in runs] == [0, 0]
     unit, huge = (json.loads(out)["rates"] for _, out, _ in runs)
     assert huge == pytest.approx(unit, rel=1e-12)
+
+
+def test_weights_spanning_1e200_get_splits_rates(capsys, tmp_path):
+    """Weights 1e-200 and 1e200 on an 8-user model put the ratios near
+    1e-200 and 1e200.  Ties are judged at each pair's own scale and every
+    modular shift is formed over its block's users only, so the engine
+    answers split's rates, verify finds them in the region, and no numpy
+    warning is raised."""
+    src = generate_instance(8, ExperimentConfig(seed=0))
+    w = WeightVector(src.ground, [1e-200, 1e200] * 4)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(source_to_dict(src)))
+    weights = tmp_path / "w.json"
+    weights.write_text(json.dumps(dict(zip(src.ground.users,
+                                           w.values.tolist()))))
+    rates = tmp_path / "rates.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, "egalitarian", str(model), "--weights",
+                           str(weights), "--out", str(rates))
+        assert (code, err) == (0, "")
+        want, _ = split(src, w)
+        assert json.loads(rates.read_text())["rates"] == want.as_dict()
+        code, out, _ = run(capsys, "verify", str(model), str(rates), "--json")
+    assert code == 0 and json.loads(out)["in_region"] is True
 
 
 def test_solver_failure_exits_3(capsys, model_file, wolfe_capped):

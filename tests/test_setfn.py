@@ -27,6 +27,7 @@ from swfair.setfn import (
     greedy_vertex_local,
     load_source,
     mask_array,
+    mask_from_indices,
     minor,
     modular_sums,
     reduce,
@@ -88,7 +89,8 @@ def test_bit_pool_validation():
 def test_bit_pool_without_observations():
     src = BitPoolSource(GroundSet(["1", "2"]), {"a": 1.0}, {"1": []})
     assert src.value(0b11) == 0.0
-    for vals in (src.prefix_values([1, 0]), src.all_values([0, 1], 0)):
+    for vals in (src.prefix_values([1, 0]), src.all_values([0, 1], 0),
+                 *src.block_values([0b01, 0b10], [0, 1])):
         assert vals.dtype == float and not vals.any()
 
 
@@ -162,6 +164,20 @@ def test_reduce_known_values(three_users, skew_weights):
         reduce(three_users, [], skew_weights)
     with pytest.raises(InvalidReductionError):
         reduce(three_users, ["1", "2", "3"], skew_weights)
+
+
+def test_minor_forms_its_shift_over_its_block_only():
+    """The pivot's ratio times w is formed over the block's users only, so a
+    pivot of tiny weights next to huge weights elsewhere overflows nothing
+    (the test run turns numpy's overflow warning into an error)."""
+    src = generate_instance(8, ExperimentConfig(seed=0))
+    w = WeightVector(src.ground, [1e-200, 1e200] * 4)
+    pivot, block = 0b1, 0b100           # u0 and u2, both of weight 1e-200
+    h_p, w_p = src.value(pivot), w.of_mask(pivot)
+    g = minor(src, pivot, block, h_p, w_p, w)
+    assert np.isfinite(g.coeffs).all() and not g.coeffs[[1, 3, 5, 7]].any()
+    want = src.value(pivot | block) - h_p * (w.of_mask(block) / w_p + 1.0)
+    assert g.value(block) == pytest.approx(want, rel=1e-12)
 
 
 def test_reduce_empty_is_exact_zero():
@@ -550,6 +566,77 @@ def test_bit_pool_views_match_dense_reference(model):
                  rng, tol)
 
 
+@st.composite
+def partitioned_pools(draw):
+    """(src, blocks, rest, rng): a bit pool of up to 40 users, an ordered
+    partition of a random part of its users into blocks of 1 to 12 users,
+    the blocks of 1 and of 12 drawn most often, and the users left out."""
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    src = random_bit_pool(rng, n, observe_prob=min(
+        1.0, draw(st.floats(0.5, 3.0)) / n))
+    users = rng.permutation(n)[:draw(st.integers(1, n))].tolist()
+    blocks = []
+    while users:
+        c = draw(st.sampled_from([1, 12]) | st.integers(1, 12))
+        blocks.append(mask_from_indices(users[:c]))
+        users = users[c:]
+    rest = src.ground_mask & ~mask_from_indices(
+        i for b in blocks for i in bit_indices(b))
+    return src, blocks, rest, rng
+
+
+def check_block_values(f, blocks, rng, base=0):
+    """Each wanted block's gains equal all_values over it, less the value
+    at the blocks before it, within TIE_EPSILON times f's scale."""
+    wanted = sorted(rng.permutation(len(blocks))[
+        :rng.integers(0, len(blocks) + 1)].tolist())
+    tables = f.block_values(blocks, wanted, base)
+    assert len(tables) == len(wanted)
+    before = [base]
+    for block in blocks:
+        before.append(before[-1] | block)
+    for j, gains in zip(wanted, tables):
+        want = (f.all_values(bit_indices(blocks[j]), before[j])
+                - f.value(before[j]))
+        assert gains.shape == want.shape
+        assert gains == pytest.approx(want, rel=0.0,
+                                      abs=TIE_EPSILON * f.scale)
+
+
+@settings(max_examples=40, deadline=None)
+@given(partitioned_pools())
+def test_block_values_match_all_values(model):
+    """On a bit pool and its restrict, add_modular and minor views, and on
+    a table, with and without a base of users outside the blocks."""
+    src, blocks, rest, rng = model
+    n = src.ground.n
+    base = random_mask(rng, rest)
+    check_block_values(src, blocks, rng)
+    check_block_values(src, blocks, rng, base)
+    inside = src.ground_mask & ~rest
+    sub = restrict(src, inside | base)
+    check_block_values(sub, blocks, rng, base)
+    coeffs = rng.uniform(-1.0, 1.0, n)
+    check_block_values(add_modular(sub, coeffs), blocks, rng, base)
+    w = WeightVector(src.ground, rng.uniform(0.5, 4.0, n))
+    pivot = rest & ~base
+    if pivot:
+        shifted = add_modular(src, coeffs)
+        for f in (src, shifted):
+            g = minor(f, pivot, inside | base, f.value(pivot),
+                      w.of_mask(pivot), w)
+            check_block_values(g, blocks, rng)
+            check_block_values(g, blocks, rng, base)
+    if n <= 12:
+        table = TableSource(src.ground, {m: src.value(m)
+                                         for m in range(1, 1 << n)})
+        check_block_values(table, blocks, rng, base)
+        for view in (restrict(table, inside | base),
+                     add_modular(table, rng.uniform(-1.0, 1.0, n))):
+            check_block_values(view, blocks, rng, base)
+
+
 def test_modular_sums_matches_mask_loop():
     rng = np.random.default_rng(59)
     for c in range(11):
@@ -560,6 +647,12 @@ def test_modular_sums_matches_mask_loop():
             want[(submasks >> k & 1) == 1] += coeffs[k]
         assert np.allclose(modular_sums(coeffs), want, rtol=0.0,
                            atol=1e-15 * max(1, c))
+        # a stack of rows gives each row's table, bit for bit
+        rows = rng.uniform(-1.0, 1.0, (3, c))
+        stacked = modular_sums(rows)
+        assert stacked.shape == (3, 1 << c)
+        for row, table in zip(rows, stacked):
+            assert table.tobytes() == modular_sums(row).tobytes()
 
 
 # -- Dense tables against the generic per-subset loops ---------------------

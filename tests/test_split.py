@@ -378,6 +378,21 @@ def test_egalitarian_matches_split_on_tables(model):
     check_engine(*model)
 
 
+@settings(max_examples=20, deadline=None)
+@given(st.integers(2, 64), st.integers(0, 2**32 - 1))
+def test_engine_chain_is_splits_on_weighted_pools_to_64_users(n, seed):
+    """On pools drawn like the benchmark's, whose proposals hold many
+    blocks of 2 to MIN_CUT_ABOVE users, the engine's batched leaf tests
+    settle split's chain and bit-identical rates."""
+    rng = np.random.default_rng(seed)
+    src = random_bit_pool(rng, n, observe_prob=min(1.0, 1.5 / n))
+    w = WeightVector(src.ground, rng.uniform(0.5, 4.0, n))
+    rates, tree = split(src, w)
+    dec = decompose(src, w)
+    assert dec.chain_masks == split_chain(tree)
+    assert np.array_equal(dec.reconstruct().rates, rates.rates)
+
+
 def test_egalitarian_worked_examples(three_users, unit_weights, skew_weights):
     for w, want in ((unit_weights, [1.0, 0.55, 0.55]),
                     (skew_weights, [1.125, 0.375, 0.6])):
@@ -458,17 +473,20 @@ def test_confirm_refuses_decreasing_fallback_leaves(monkeypatch):
 
 def test_confirm_cost_guard(monkeypatch):
     """The confirm step makes no oracle or weight call for a one-user
-    level: its ratio comes from the one prefix walk.  Each multi-user level
-    costs the value and weight of its own leaf test, and a level that is
-    split further costs what split's recursion costs on it.  _chain, which
-    builds the rates of the final levels, is not counted."""
+    level: its ratio comes from the one prefix walk.  Every level of 2 to
+    MIN_CUT_ABOVE users takes its leaf test from one block_values call for
+    all of them, and makes no other call.  A larger level, or one that
+    fails the test, costs what split's recursion costs on it, which sums
+    its weights over the masks it builds and makes no weight call.  _chain,
+    which builds the rates of the final levels, is not counted."""
     rng = np.random.default_rng(3)
     n = 96
     src = random_bit_pool(rng, n, observe_prob=1.5 / n)
     w = WeightVector(src.ground, rng.uniform(0.5, 4.0, n))
     f_c = restrict(src, src.ground_mask)
-    values, weights, nodes = [], [], []
+    values, weights, nodes, tables = [], [], [], []
     real_value, real_of_mask = BitPoolSource.value, WeightVector.of_mask
+    real_block_values = BitPoolSource.block_values
     real_split_block, real_chain = split_module._split_block, _chain
     live = [True]
 
@@ -481,6 +499,10 @@ def test_confirm_cost_guard(monkeypatch):
         if live[0]:
             weights.append(mask)
         return real_of_mask(self, mask)
+
+    def block_values(self, blocks, wanted, base=0):
+        tables.append((list(blocks), list(wanted), base))
+        return real_block_values(self, blocks, wanted, base)
 
     def uncounted_chain(*args):
         live[0] = False
@@ -495,8 +517,9 @@ def test_confirm_cost_guard(monkeypatch):
         return out
 
     def run(blocks, walk):
-        values.clear(), weights.clear(), nodes.clear()
+        values.clear(), weights.clear(), nodes.clear(), tables.clear()
         monkeypatch.setattr(BitPoolSource, "value", value)
+        monkeypatch.setattr(BitPoolSource, "block_values", block_values)
         monkeypatch.setattr(WeightVector, "of_mask", of_mask)
         monkeypatch.setattr(split_module, "_split_block", split_block)
         monkeypatch.setattr(split_module, "_chain", uncounted_chain)
@@ -505,29 +528,37 @@ def test_confirm_cost_guard(monkeypatch):
         before = [0]                    # S_{j-1} of each block D_j
         for block in blocks[:-1]:
             before.append(before[-1] | block)
-        multi = [j for j, b in enumerate(blocks) if b.bit_count() > 1]
+        tested = [j for j, b in enumerate(blocks)
+                  if 1 < b.bit_count() <= MIN_CUT_ABOVE]
+        large = [j for j, b in enumerate(blocks)
+                 if b.bit_count() > MIN_CUT_ABOVE]
+        assert tables == [(blocks, tested, 0)]
+        # a recursion node is a strict part of its block, so the nodes
+        # equal to a whole block are the blocks split's recursion took
+        roots = {node.subset_mask for node in nodes}
+        solved = [j for j, b in enumerate(blocks) if b in roots]
+        assert set(large) <= set(solved) <= set(large) | set(tested)
         for mask in values:             # S_{j-1} plus users of D_j
             j = max(k for k, b in enumerate(blocks) if mask & b)
-            assert j in multi and mask & before[j] == before[j]
+            assert j in solved and mask & before[j] == before[j]
             assert mask & ~(before[j] | blocks[j]) == 0
-        for mask in weights:            # users of D_j only
-            assert any(mask & ~blocks[j] == 0 for j in multi)
         internal = sum(not node.is_leaf for node in nodes)
-        # per node one value and one weight; per split one more of each,
-        # f(block) and w(block), which also build the contraction
-        assert len(nodes) == len(multi) + 2 * internal
+        # per node one value; per split one more, f(block), which also
+        # builds the contraction
+        assert len(nodes) == len(solved) + 2 * internal
         assert len(values) == len(nodes) + internal
-        assert len(weights) == len(nodes) + internal
-        return dec, len(multi), internal
+        assert weights == []
+        return dec, tested, large, solved, internal
 
     rates, tree = split(src, w)
     chain = split_chain(tree)
     levels = levels_of(chain)
-    dec, multi, internal = run(levels, walk_of(f_c, levels))
-    assert (len(values), len(weights), internal) == (multi, multi, 0)
+    dec, tested, large, solved, internal = run(levels, walk_of(f_c, levels))
+    assert tested and solved == large and internal == 0
+    assert dec.chain_masks == chain
     proposal, walk = split_module._propose(f_c, w)
-    dec, multi, internal = run(proposal, walk)
-    assert internal > 0 and 0 < multi < len(proposal)
+    dec, tested, large, solved, internal = run(proposal, walk)
+    assert internal > 0 and set(solved) & set(tested)
     assert dec.chain_masks == chain
     assert np.array_equal(dec.reconstruct().rates, rates.rates)
 
