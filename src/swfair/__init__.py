@@ -5,7 +5,7 @@ polyhedron of the joint-entropy function.  This package computes fair points
 of that region and the machinery around them:
 
 * :mod:`swfair.setfn` - ground sets, entropy oracles (bit-pool coverage
-  models and explicit tables), weight and rate vectors, reductions, greedy
+  models and explicit tables), weight and rate vectors, contractions, greedy
   vertices, validity checks;
 * :mod:`swfair.sfm` - submodular function minimization (exhaustive sweep,
   min cut for bit-pool oracles, Fujishige-Wolfe minimum-norm-point) with
@@ -29,7 +29,6 @@ from .setfn import (
     GroundSet,
     GroundSetTooLargeError,
     IncompleteTableError,
-    InvalidReductionError,
     InvalidSubsetError,
     ModelLoadError,
     RateVector,
@@ -41,7 +40,6 @@ from .setfn import (
     check_submodular,
     conditional_entropy,
     load_source,
-    reduce,
     restrict,
     source_from_dict,
     source_to_dict,
@@ -95,7 +93,6 @@ __all__ = [
     "GroundSetTooLargeError",
     "IncompleteTableError",
     "InternalConsistencyError",
-    "InvalidReductionError",
     "InvalidSubsetError",
     "MembershipReport",
     "ModelLoadError",
@@ -119,7 +116,6 @@ __all__ = [
     "generate_instance",
     "load_source",
     "recursion_metrics",
-    "reduce",
     "restrict",
     "run_experiment",
     "shapley_exact",

@@ -22,8 +22,7 @@ Two concrete source models are provided:
 Derived oracles (:func:`restrict`, :func:`contract`, modular shifts) are
 one affine wrapper, so chains of them stay O(1) per evaluation and keep the
 fast vectorized paths of the underlying source.  :func:`minor` is a
-contraction shifted by the pivot's ratio; :func:`reduce` is a checked call
-of it that evaluates the pivot first.
+contraction shifted by the pivot's ratio.
 """
 
 from __future__ import annotations
@@ -45,10 +44,6 @@ class InvalidSubsetError(ValueError):
 
 class IncompleteTableError(ValueError):
     """An explicit table source is missing entries."""
-
-
-class InvalidReductionError(ValueError):
-    """reduce() called with an empty or full pivot subset."""
 
 
 class ModelLoadError(ValueError):
@@ -243,23 +238,24 @@ class SetFunction:
             vals[lm] = self.value(gmask[lm])
         return vals
 
-    def block_values(self, blocks: Sequence[int], wanted: Sequence[int],
-                     base: int = 0) -> list[np.ndarray]:
+    def block_values(self, order: np.ndarray, sizes: Sequence[int],
+                     wanted: Sequence[int], base: int = 0) -> list[np.ndarray]:
         """Gains over the blocks of an ordered partition, for each wanted block.
 
-        ``blocks`` are disjoint masks in order, and S_j is ``base`` joined
-        with blocks[0], ..., blocks[j - 1].  For each index j in ``wanted``
-        the result holds f(S_j | X) - f(S_j) for every X inside blocks[j],
-        indexed by local submask over its positions in ascending order.  A
+        Block j is the run of ``sizes[j]`` global positions of ``order`` after
+        the runs of the blocks before it, and S_j is ``base`` joined with
+        blocks 0, ..., j - 1.  For each index j in ``wanted`` the result
+        holds f(S_j | X) - f(S_j) for every X inside block j, indexed by
+        local submask over the block's positions in their order here.  A
         block outside ``wanted`` only enters the S_j, so it may be of any
         size.  Here one :meth:`all_values` per wanted block.
         """
-        before = [base]
-        for block in blocks:
-            before.append(before[-1] | block)
+        positions = np.asarray(order, dtype=np.intp).tolist()
+        starts = [0, *itertools.accumulate(sizes)]
         out = []
         for j in wanted:
-            vals = self.all_values(bit_indices(blocks[j]), before[j])
+            before = base | mask_from_indices(positions[:starts[j]])
+            vals = self.all_values(positions[starts[j]:starts[j + 1]], before)
             out.append(vals - vals[0])
         return out
 
@@ -365,18 +361,17 @@ class BitPoolSource(SetFunction):
         subset_sums(missed, c)
         return const + (missed[-1] - missed[::-1])
 
-    def block_values(self, blocks, wanted, base: int = 0) -> list[np.ndarray]:
+    def block_values(self, order, sizes, wanted,
+                     base: int = 0) -> list[np.ndarray]:
         # A bit not covered by base is gained in the first block that covers
         # it, through its observers there: rank users 0 in base, j + 1 in
-        # block j and len(blocks) + 1 elsewhere, and a bit lands at the least
+        # block j and len(sizes) + 1 elsewhere, and a bit lands at the least
         # rank among its observers, with the pattern of the observers of that
         # rank.  One bincount groups the bits of every wanted block by
         # pattern, and one subset-sum transform per block size turns the
         # groups into gains, as all_values does for one block.
-        n, k = self.ground.n, len(blocks)
-        sizes = [block.bit_count() for block in blocks]
-        order = np.fromiter((i for block in blocks for i in bit_indices(block)),
-                            dtype=np.intp, count=sum(sizes))
+        n, k = self.ground.n, len(sizes)
+        order = np.asarray(order, dtype=np.intp)
         block_of = np.repeat(np.arange(1, k + 1), sizes)
         rank = np.full(n, k + 1, dtype=np.intp)
         rank[order] = block_of
@@ -663,12 +658,16 @@ class ShiftedFunction(SetFunction):
             vals[0] = 0.0
         return vals
 
-    def block_values(self, blocks, wanted, base: int = 0) -> list[np.ndarray]:
+    def block_values(self, order, sizes, wanted,
+                     base: int = 0) -> list[np.ndarray]:
         # The constant cancels in every gain, and the pivot is covered first.
-        tables = self.inner.block_values(blocks, wanted, base | self.pivot)
+        tables = self.inner.block_values(order, sizes, wanted,
+                                         base | self.pivot)
         if self.coeffs is None:
             return tables
-        return [vals - modular_sums(self.coeffs[bit_indices(blocks[j])])
+        coeffs = self.coeffs[np.asarray(order, dtype=np.intp)]
+        starts = [0, *itertools.accumulate(sizes)]
+        return [vals - modular_sums(coeffs[starts[j]:starts[j + 1]])
                 for vals, j in zip(tables, wanted)]
 
 
@@ -688,8 +687,7 @@ def coverage_cut(f: SetFunction, elements):
     H(P) - k.  The form holds at the empty set too, as f(empty) = 0,
     because every view has k = H(P) and so offset 0: exactly for views that
     restrict and add_modular build on the source, up to rounding for the
-    contractions that :func:`contract`, :func:`minor` and :func:`reduce`
-    build.
+    contractions that :func:`contract` and :func:`minor` build.
     Returns (user, bit, entropy, coeffs, offset), the first three as
     :meth:`BitPoolSource.incidence` gives them for ``elements`` and P and
     coeffs the c of ``elements`` in order, or None if f views another
@@ -743,9 +741,6 @@ class WeightVector:
         self.values = arr
         self.values.setflags(write=False)
 
-    def of_mask(self, mask: int) -> float:
-        return float(self.values[mask_array(mask, self.ground.n)].sum())
-
     def times(self, lam: float, where: np.ndarray) -> np.ndarray:
         """lam * w at the True entries of ``where`` and 0 elsewhere; no other
         product is formed, so weights far from lam's users cannot overflow."""
@@ -793,23 +788,6 @@ def conditional_entropy(source: SetFunction, subset) -> float:
     mask = source.ground.as_mask(subset)
     full = source.ground_mask
     return source.value(full) - source.value(full & ~mask)
-
-
-def reduce(f: SetFunction, pivot, w: WeightVector) -> SetFunction:
-    """Contract the pivot block out of f, rescaled for the complement solve.
-
-    g(X) = f(X | pivot) - f(pivot) * (w(X)/w(pivot) + 1) over the complement
-    of the pivot inside f's ground: :func:`minor` on that complement, after
-    checking the pivot and evaluating f(pivot) and w(pivot).  g inherits
-    submodularity from f (it differs from a restriction of f by a modular
-    function).
-    """
-    pmask = f.ground.as_mask(pivot)
-    if pmask == 0 or pmask == f.ground_mask or pmask & ~f.ground_mask:
-        raise InvalidReductionError(
-            "pivot must be a nonempty strict subset of the oracle's ground")
-    return minor(f, pmask, f.ground_mask & ~pmask, f.value(pmask),
-                 w.of_mask(pmask), w)
 
 
 def minor(f: SetFunction, pivot: int, block: int, f_pivot: float,

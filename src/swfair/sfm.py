@@ -165,31 +165,50 @@ def solve_sfm(f: SetFunction) -> SfmResult:
 
 
 def _solve_exhaustive(f, elems) -> SfmResult:
-    c = len(elems)
-    vals = f.all_values(elems)
-    tol = TIE_EPSILON * f.scale
-    vmin = float(vals.min())
-    tied = np.nonzero(vals <= vmin + tol)[0]
-    union = int(np.bitwise_or.reduce(tied.astype(np.int64)))
-    inter = int(np.bitwise_and.reduce(tied.astype(np.int64)))
-    # Lattice self-check: the union/intersection of tied minimizers must
-    # themselves attain the minimum; fall back to extremal tied subsets if
-    # the input was not submodular (or ties were an epsilon artifact).
-    if vals[union] > vmin + tol or vals[inter] > vmin + tol:
-        by_card = sorted((int(t) for t in tied),
-                         key=lambda m: (m.bit_count(), m))
-        inter, union = by_card[0], by_card[-1]
-    minimal_mask = global_mask(inter, elems)
-    maximal_mask = global_mask(union, elems)
-    return SfmResult(
-        ground=f.ground,
-        min_value=vmin,
-        solver_used="exhaustive",
-        oracle_evals=len(vals),
-        ground_size=c,
-        minimal_mask=minimal_mask,
-        maximal_mask=maximal_mask,
-    )
+    return sweep_results(f.ground, f.all_values(elems)[None],
+                         np.asarray([elems]), [f.ground_mask],
+                         TIE_EPSILON * f.scale)[0]
+
+
+def sweep_results(ground, tables, elems, masks, tol) -> list[SfmResult]:
+    """Exact SFM results from a stack of same-size subset tables.
+
+    Row t of ``tables`` holds a function's value at every subset of the
+    positions elems[t], indexed by local submask, and masks[t] is their
+    mask.  Its result has the row's minimum and, as minimal and maximal
+    minimizer, the intersection and the union of the subsets within
+    ``tol`` of it.  A row whose union or intersection misses the minimum
+    by more than ``tol`` (the function is not submodular, or the ties were
+    an epsilon artifact) takes its smallest and largest tied subsets by
+    cardinality instead.
+    """
+    m, size = tables.shape
+    full = size - 1
+    vmin = tables.min(axis=1)
+    tied = tables <= (vmin + tol)[:, None]
+    local = np.arange(size)
+    union = np.bitwise_or.reduce(np.where(tied, local, 0), axis=1)
+    inter = np.bitwise_and.reduce(np.where(tied, local, full), axis=1)
+    rows = np.arange(m)
+    # Lattice self-check: the union and intersection of tied minimizers
+    # must attain the minimum themselves.
+    lattice = ((tables[rows, union] <= vmin + tol)
+               & (tables[rows, inter] <= vmin + tol))
+
+    def global_of(local_mask, t):
+        return (masks[t] if local_mask == full
+                else global_mask(local_mask, elems[t]))
+
+    out = []
+    for t, (lo, hi) in enumerate(zip(inter.tolist(), union.tolist())):
+        if not lattice[t]:
+            by_card = sorted(np.flatnonzero(tied[t]).tolist(),
+                             key=lambda s: (s.bit_count(), s))
+            lo, hi = by_card[0], by_card[-1]
+        out.append(SfmResult(ground, float(vmin[t]), global_of(lo, t),
+                             global_of(hi, t), "exhaustive",
+                             oracle_evals=size, ground_size=full.bit_length()))
+    return out
 
 
 def _solve_min_cut(f, elems, cut) -> SfmResult:

@@ -1,39 +1,32 @@
 """Weighted egalitarian rates over a submodular rate region.
 
 The weighted egalitarian allocation is the minimizer of sum(r_i^2 / w_i)
-over the base polyhedron of the entropy oracle.  Two routes compute it.
+over the base polyhedron of the entropy oracle.  Two routes compute it,
+and both refine an ordered partition of the users with one loop.
 
-:func:`split` is the paper's divide-and-conquer scheme: score the whole
-block at the uniform ratio lam = f(C)/w(C), find the maximal minimizer of
-f - lam*w, and either stop (the block is uniform, r = lam*w) or split into
-that minimizer and its complement, the complement continuing on the
-contracted oracle after an early base assignment of f(block)/w(block) * w.
-Every recursion is recorded in a :class:`SplitTree`: per-node subsets,
-ratios, SFM results, and the ordered base-assignment events that trace the
-rate vector's walk through the polyhedron.  The two subcalls of a split are
-independent, so with both run at once the critical path is the larger of
-each pair; :func:`recursion_metrics` reports that workload as ``max_size``.
+:func:`split` is the paper's divide-and-conquer scheme: score a block at
+its uniform ratio lam = f(C)/w(C), find the maximal minimizer of f -
+lam*w, and either stop (the block is uniform, r = lam*w) or split into
+that minimizer and the rest, the rest continuing on the contracted oracle
+after an early base assignment of the minimizer's ratio times w.  The two
+subcalls of a split are independent (:func:`recursion_metrics` reports
+the critical path as ``max_size``), so :func:`_refine` runs each depth as
+one pass over its blocks: one prefix walk gives every block its ratio,
+one ``f.block_values`` call tables every block of 2 to ``MIN_CUT_ABOVE``
+(12) users (for a bit pool, one pass over the incidence), and each larger
+block gets one SFM.  A :class:`SplitTree` records per-node subsets,
+ratios, SFM results, and the ordered base-assignment events that trace
+the rate vector's walk through the polyhedron.
 
 :func:`decompose` is the engine, and :func:`egalitarian` returns the rates
 of its chain.  The egalitarian point is also the minimum-norm base in
 coordinates scaled by sqrt(w) (Fujishige 1980), so one Wolfe solve proposes
 an ordered partition of the users: sort its point by r/w and cut wherever a
-prefix is tight.  That solve stops at the loose gap ``PROPOSAL_GAP``, so
-the point is only approximate, and each block D_j is confirmed exactly.
-The prefix walk that cut the blocks gives every block's ratio rho_j =
-(f(S_j) - f(S_{j-1})) / w(D_j), S_j the union of the first j blocks, and a
-one-user block is a leaf at it with no solve.  The blocks of 2 to
-``MIN_CUT_ABOVE`` (12) users are tested together: one
-``f.block_values`` call gives each of them the gains f(S_{j-1} | X) -
-f(S_{j-1}) of all its subsets X (for a bit pool, one pass over the
-incidence for every block), and D_j is one leaf at rho_j if it minimizes
-gains - rho_j * w within ``TIE_EPSILON`` times f's scale.  That is split's
-leaf test on the block's minor, whose contraction carry cancels in the
-difference.  A larger block, or one that fails the test, goes through
-split's recursion on its minor.  If the leaf ratios do not increase along
-the blocks, the engine logs it on ``swfair.split`` and runs :func:`split`
-instead, merging its leaves by the same rule, so every answer meets the
-leaf criterion that split meets.
+prefix is tight.  That solve stops at the loose gap ``PROPOSAL_GAP``, and
+the same loop confirms its blocks exactly, starting from the prefix walk
+that cut them.  If the leaf ratios do not increase along the blocks, the
+engine logs it on ``swfair.split`` and runs :func:`split` instead, merging
+its leaves by the same rule, so every answer meets split's leaf criterion.
 
 One certificate guards every answer: every chain set is tight by
 construction, the critical values must increase strictly
@@ -41,12 +34,11 @@ construction, the critical values must increase strictly
 ``BRUTE_FORCE_LIMIT`` (20) users :func:`certify` runs ``swfair verify``'s
 region check (:class:`CertificationError` otherwise, a non-submodular
 source).  Together these make each chain set the maximal minimizer at its
-critical value, so no chain set is solved again.  The split tree, the
-adaptation path and the size sweep still run :func:`split`.  Two adjacent
-ratios tie within ``TIE_EPSILON`` times the larger of the two, and every
-modular shift lam * w is formed over its block's users only, so weights
-scaled by one factor give the same chain and the same rates, and weights
-from 1e-200 to 1e200 neither merge distinct levels nor overflow.
+critical value, so no chain set is solved again.  Two adjacent ratios tie
+within ``TIE_EPSILON`` times the larger of the two, and every modular
+shift lam * w is formed over its block's users only, so weights scaled by
+one factor give the same chain and the same rates, and weights from
+1e-200 to 1e200 neither merge distinct levels nor overflow.
 
 Both routes turn their ordered levels into rates the same way: lam_j =
 (f(S_j) - f(S_{j-1})) / w(D_j) from one prefix walk over the chain, and
@@ -74,7 +66,6 @@ from .setfn import (
     contract,
     mask_array,
     mask_from_indices,
-    minor,
     modular_sums,
     restrict,
 )
@@ -86,6 +77,7 @@ from .sfm import (
     _stop_reason,
     _wolfe,
     solve_sfm,
+    sweep_results,
 )
 
 logger = logging.getLogger(__name__)
@@ -181,10 +173,11 @@ def split(f: SetFunction, w: WeightVector) -> tuple[RateVector, SplitTree]:
     The users are f's ground; view a sub-ground with :func:`restrict`.
     """
     cmask = _nonempty_ground(f)
-    node, events, leaves = _split_block(f, w, cmask, 0.0, (),
-                                        mask_array(cmask, f.ground.n))
-    rv = _chain(f, w, [mask for mask, _ in leaves]).reconstruct()
-    return rv, SplitTree(f.ground, node, cmask, w, events, leaves, rv)
+    order, sizes, _, tested = _refine(f, w, bit_indices(cmask),
+                                      [cmask.bit_count()], None)
+    root, events, leaves = _tree(f.ground, tested)
+    rv = _chain(f, w, order, sizes).reconstruct()
+    return rv, SplitTree(f.ground, root, cmask, w, events, leaves, rv)
 
 
 def _nonempty_ground(f: SetFunction) -> int:
@@ -193,54 +186,127 @@ def _nonempty_ground(f: SetFunction) -> int:
     return f.ground_mask
 
 
-def _split_block(f, w, cmask, carry, path, in_block):
-    """Recursive worker; f's ground is exactly cmask.
+def _refine(f, w, order, sizes, walk):
+    """Refine an ordered partition of f's ground into split's leaves, one
+    depth of its recursion per pass.
 
-    ``carry`` is the accumulated ratio offset of the contractions above this
-    block, so a leaf's absolute ratio is carry + f(C)/w(C), and ``in_block``
-    is cmask as a boolean array over the ground, which sums w(C) and bounds
-    every modular shift to the block's users.  Returns the node plus the
-    ordered base-assignment events and leaf assignments beneath it.
-    A one-user block is a leaf without a solve: at lam both of its subsets
-    are worth 0, so its result is the one an exhaustive sweep would return.
+    Block j is the run of ``sizes[j]`` positions of ``order``, ascending
+    within the block, after the runs before it, and ``walk`` holds f(S_0),
+    ..., f(S_k), S_j the union of the first j blocks, or None.  Each pass
+    gives every open block D_j its ratio rho_j = (f(S_j) - f(S_{j-1})) /
+    w(D_j) from one prefix walk (``walk`` on the first pass) and tests it
+    on f's minor after S_{j-1} at rho_j: a one-user block is a leaf with no
+    oracle call, blocks of 2 to ``MIN_CUT_ABOVE`` users are swept together
+    (:func:`_sweeps`), and a larger block gets ``solve_sfm``.  A block that
+    is not its own maximal minimizer is replaced in place by that minimizer
+    and the rest.  Returns the leaves as (order, sizes, ratios) and, per
+    depth, each tested block's (mask, rho_j, result or None if one user).
+    A :class:`ConvergenceError` names the blocks enclosing the failed one.
     """
-    lam = f.value(cmask) / float(w.values[in_block].sum())
-    if cmask.bit_count() == 1:
-        res = SfmResult(f.ground, 0.0, 0, cmask, "exhaustive",
-                        oracle_evals=0, ground_size=1)
-        return SplitNode(cmask, lam, res, None, None), [], [(cmask, carry + lam)]
-    objective = add_modular(f, w.times(lam, in_block))
-    try:
-        res = solve_sfm(objective)
-    except ConvergenceError as e:
-        e.recursion_path = path + (subset_label(f.ground, cmask),)
-        raise
-    block = res.maximal_mask
-    if block == cmask:
-        node = SplitNode(cmask, lam, res, None, None)
-        return node, [], [(cmask, carry + lam)]
-    if block == 0:
-        raise InternalConsistencyError(
-            "SFM returned an empty maximal minimizer at %s"
-            % (subset_label(f.ground, cmask),))
+    n = f.ground.n
+    order = np.array(order, dtype=np.intp)
+    starts = [0, *itertools.accumulate(sizes)]
+    positions = order.tolist()
+    parts = [(mask_from_indices(positions[a:b]), b - a, None, ())
+             for a, b in zip(starts, starts[1:])]
+    tested = []
+    while True:
+        masks, sizes, ratios, _ = zip(*parts)
+        if walk is None:
+            walk = f.prefix_values(order)[starts]
+        pv = walk.tolist()
+        rho = (np.diff(walk)
+               / np.add.reduceat(w.values[order], starts[:-1])).tolist()
+        swept = _sweeps(f, w, order, sizes, starts, masks, [
+            j for j, c in enumerate(sizes)
+            if ratios[j] is None and 1 < c <= MIN_CUT_ABOVE], rho)
+        depth, last, parts, pivot = [], parts, [], 0
+        for j, (mask, c, ratio, path) in enumerate(last):
+            res = swept.get(j)
+            if ratio is None and c > MIN_CUT_ABOVE:
+                objective = add_modular(contract(f, pivot, mask, pv[j]),
+                                        w.times(rho[j], mask_array(mask, n)))
+                try:
+                    res = solve_sfm(objective)
+                except ConvergenceError as e:
+                    e.recursion_path = tuple(subset_label(f.ground, m)
+                                             for m in (*path, mask))
+                    raise
+            pivot |= mask
+            if ratio is None:
+                depth.append((mask, rho[j], res))
+                ratio = rho[j]
+            if res is None or res.maximal_mask == mask:
+                parts.append((mask, c, ratio, path))
+                continue
+            block = res.maximal_mask
+            if block == 0:
+                raise InternalConsistencyError(
+                    "SFM returned an empty maximal minimizer at %s"
+                    % (subset_label(f.ground, mask),))
+            seg = order[starts[j]:starts[j + 1]]
+            inside = mask_array(block, n)[seg]
+            seg[:] = np.concatenate((seg[inside], seg[~inside]))
+            k, path = int(inside.sum()), (*path, mask)
+            parts += [(block, k, None, path),
+                      (mask & ~block, c - k, None, path)]
+        tested.append(depth)
+        if len(parts) == len(last):
+            _, sizes, ratios, _ = zip(*parts)
+            return order, sizes, ratios, tested
+        starts = [0, *itertools.accumulate(part[1] for part in parts)]
+        walk = None
 
-    rest = cmask & ~block
-    in_part = mask_array(block, f.ground.n)
-    in_rest = in_block & ~in_part
-    h_block = f.value(block)
-    base_coeff = h_block / float(w.values[in_part].sum())
-    here = path + (subset_label(f.ground, cmask),)
-    block_node, block_events, block_leaves = _split_block(
-        restrict(f, block), w, block, carry, here, in_part)
-    # the minor of block over rest (swfair.setfn.minor), on masks in hand
-    rest_view = add_modular(contract(f, block, rest, h_block),
-                            w.times(base_coeff, in_rest))
-    rest_node, rest_events, rest_leaves = _split_block(
-        rest_view, w, rest, carry + base_coeff, here, in_rest)
-    node = SplitNode(cmask, lam, res, base_coeff, (block_node, rest_node))
-    events = block_events + [(rest, base_coeff)] + rest_events
-    leaves = block_leaves + rest_leaves
-    return node, events, leaves
+
+def _sweeps(f, w, order, sizes, starts, masks, small, rho) -> dict:
+    """SFM results of the blocks ``small`` on their minors at their ratios.
+
+    One ``f.block_values`` call gives each block j the gains f(S_{j-1} |
+    X) - f(S_{j-1}) of its subsets X; gains - rho_j * w is the minor's
+    objective up to its contraction's carry, which cancels in every tie.
+    """
+    by_size = {}
+    for j, gains in zip(small, f.block_values(order, sizes, small)):
+        by_size.setdefault(sizes[j], []).append((j, gains))
+    out = {}
+    for c, group in by_size.items():
+        js = [j for j, _ in group]
+        elems = order[np.add.outer([starts[j] for j in js], np.arange(c))]
+        excess = (np.stack([gains for _, gains in group])
+                  - np.array([rho[j] for j in js])[:, None]
+                  * modular_sums(w.values[elems]))
+        out.update(zip(js, sweep_results(f.ground, excess, elems,
+                                         [masks[j] for j in js],
+                                         TIE_EPSILON * f.scale)))
+    return out
+
+
+def _tree(ground, tested):
+    """split's root, base-assignment events and leaves from the blocks
+    :func:`_refine` tested, in one depth-first pass, which meets each
+    depth's blocks in their order.  A node's lam is its ratio less the
+    carry of the contractions above it, which its rest child raises by its
+    base_coeff.  A one-user block gets an exhaustive sweep's result: at
+    lam both of its subsets are worth 0.
+    """
+    blocks = [iter(depth) for depth in tested]
+    events, leaves = [], []
+
+    def node(d, carry):
+        mask, ratio, res = next(blocks[d])
+        lam = ratio - carry
+        if res is None:
+            res = SfmResult(ground, 0.0, 0, mask, "exhaustive",
+                            oracle_evals=0, ground_size=1)
+        if res.maximal_mask == mask:
+            leaves.append((mask, ratio))
+            return SplitNode(mask, lam, res, None, None)
+        block = node(d + 1, carry)
+        events.append((mask & ~res.maximal_mask, block.lam))
+        rest = node(d + 1, carry + block.lam)
+        return SplitNode(mask, lam, res, block.lam, (block, rest))
+
+    return node(0, 0.0), events, leaves
 
 
 def egalitarian(f: SetFunction, w: WeightVector) -> RateVector:
@@ -253,16 +319,17 @@ def egalitarian(f: SetFunction, w: WeightVector) -> RateVector:
     return decompose(f, w).reconstruct()
 
 
-def _propose(f, w) -> tuple[list[int], np.ndarray]:
+def _propose(f, w) -> tuple[np.ndarray, list[int], np.ndarray]:
     """Ordered partition of f's ground from one weighted min-norm solve.
 
     The Wolfe point in coordinates scaled by sqrt(w), run to the relative
     gap ``PROPOSAL_GAP``, is sorted by x/w and cut after every prefix that
     is tight to within TIE_EPSILON times f's scale.  Returns the blocks
-    D_1, ..., D_k and f(S_0), ..., f(S_k), S_j = D_1 | ... | D_j, from the
-    prefix walk that found the cuts.  A point that stalled or overflowed
-    before its gap test is still a proposal, which the exact confirm step
-    checks; the iteration cap raises :class:`ConvergenceError`.
+    D_1, ..., D_k as positions, ascending within each block, and their
+    sizes, and f(S_0), ..., f(S_k), S_j = D_1 | ... | D_j, from the prefix
+    walk that found the cuts.  A point that stalled or overflowed before
+    its gap test is still a proposal, which the exact confirm step checks;
+    the iteration cap raises :class:`ConvergenceError`.
     """
     elems = np.asarray(bit_indices(f.ground_mask), dtype=np.intp)
     w_loc = w.values[elems]
@@ -280,134 +347,75 @@ def _propose(f, w) -> tuple[list[int], np.ndarray]:
     slack = pv[1:] - np.cumsum(x[rank])
     tol = TIE_EPSILON * f.scale
     cuts = [0, *(np.flatnonzero(slack[:-1] <= tol) + 1).tolist(), len(order)]
-    order = order.tolist()
-    return ([mask_from_indices(order[a:b]) for a, b in zip(cuts, cuts[1:])],
-            pv[cuts])
+    sizes = np.diff(cuts)
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    return order[np.lexsort((order, block))], sizes.tolist(), pv[cuts]
 
 
-def _confirm(f, w, blocks, walk) -> Decomposition:
-    """Chain of f's egalitarian levels, given a proposed ordered partition.
+def _confirm(f, w, order, sizes, walk) -> Decomposition:
+    """Chain of f's egalitarian levels from :func:`_propose`'s blocks.
 
-    ``walk`` holds f(S_0), ..., f(S_k), S_j = D_1 | ... | D_j, as
-    :func:`_propose` returns them, so each block's ratio rho_j = (f(S_j) -
-    f(S_{j-1})) / w(D_j) takes no oracle call.  A one-user block is a leaf
-    at that ratio, with no solve.  Every block of 2 to ``MIN_CUT_ABOVE``
-    users takes its leaf test from one batched ``f.block_values`` call,
-    which gives the gains f(S_{j-1} | X) - f(S_{j-1}) over the block's
-    subsets X: the block is a leaf at rho_j if it is the maximal minimizer
-    of gains - rho_j * w within the tie tolerance (:func:`_uniform`), as
-    split's exhaustive sweep would find on its minor.  A larger block, or
-    one that fails the test, runs split's recursion on its minor: D_j after
-    S_{j-1} is contracted at carry f(S_{j-1})/w(S_{j-1}), built from the
-    walk (:func:`swfair.setfn.minor`).  Adjacent leaves whose ratios agree
-    to within the tie tolerance are one level.  If the leaf ratios then do
-    not increase, the proposal was not the egalitarian chain, and
-    :func:`split` on all of f decides instead, its leaves merged into
-    levels by the same rule.
+    :func:`_refine` starts from the blocks and ``walk``, so its first pass
+    walks no prefix.  Adjacent leaves whose ratios agree to within the tie
+    tolerance are one level.  If the leaf ratios then do not increase, the
+    proposal was not the egalitarian chain, and :func:`split` decides.
     """
-    order = [i for b in blocks for i in bit_indices(b)]
-    pv = walk.tolist()
-    w_order = w.values[order].tolist()
-    w_prefix = [0.0, *np.cumsum(w_order).tolist()]
-    sizes = [b.bit_count() for b in blocks]
-    starts = [0, *itertools.accumulate(sizes)]
-    w_blocks = [w_order[a:b] for a, b in zip(starts, starts[1:])]
-    ratios = [(b - a) / sum(w_block)
-              for a, b, w_block in zip(pv, pv[1:], w_blocks)]
-    small = [j for j, c in enumerate(sizes) if 1 < c <= MIN_CUT_ABOVE]
-    uniform = _uniform(small, f.block_values(blocks, small), ratios,
-                       w_blocks, TIE_EPSILON * f.scale)
-    leaves = []
-    done = 0
-    for j, block in enumerate(blocks):
-        if sizes[j] == 1 or j in uniform:
-            leaves.append((block, ratios[j]))
-        else:
-            if done:
-                w_done = w_prefix[starts[j]]
-                sub = minor(f, done, block, pv[j], w_done, w)
-                carry = pv[j] / w_done
-            else:
-                sub, carry = restrict(f, block), 0.0
-            leaves += _split_block(sub, w, block, carry, (),
-                                   mask_array(block, f.ground.n))[2]
-        done |= block
-    levels = _levels(leaves)
+    levels = _levels(*_refine(f, w, order, sizes, walk)[:3])
     if levels is None:
         logger.info("proposed leaf ratios decrease on %s; running split",
                     subset_label(f.ground, f.ground_mask))
-        _, tree = split(f, w)
-        levels = _levels(tree.leaves)
+        masks, ratios = zip(*split(f, w)[1].leaves)
+        order = [i for mask in masks for i in bit_indices(mask)]
+        levels = _levels(np.asarray(order, dtype=np.intp),
+                         [mask.bit_count() for mask in masks], ratios)
         if levels is None:
             raise InternalConsistencyError(
                 "split's leaf ratios decrease on %s"
                 % subset_label(f.ground, f.ground_mask))
-    return _chain(f, w, levels)
+    return _chain(f, w, *levels)
 
 
-def _uniform(small, tables, ratios, w_blocks, tol) -> set[int]:
-    """The blocks among ``small`` that are one level at their ratio.
-
-    tables[t] holds the gains f(S | X) - f(S) of every subset X of block
-    small[t] over the blocks S before it.  A block is one level when the
-    whole block minimizes gains - ratio * w within ``tol``: the
-    contraction's carry cancels in that difference, and the whole block is
-    then the maximal minimizer that split's exhaustive sweep returns on its
-    minor.  The blocks of one size are tested together.
-    """
-    by_size = {}
-    for j, gains in zip(small, tables):
-        by_size.setdefault(len(gains), []).append((j, gains))
-    uniform = set()
-    for group in by_size.values():
-        js = [j for j, _ in group]
-        excess = (np.stack([gains for _, gains in group])
-                  - np.array([ratios[j] for j in js])[:, None]
-                  * modular_sums(np.array([w_blocks[j] for j in js])))
-        leaf = excess[:, -1] - excess.min(axis=1) <= tol
-        uniform.update(itertools.compress(js, leaf))
-    return uniform
-
-
-def _levels(leaves) -> list[int] | None:
-    """Leaf masks merged into levels, or None if their ratios decrease.
-
-    Adjacent ratios tie within TIE_EPSILON times the larger of the two.
-    """
-    levels = [leaves[0][0]]
-    last = leaves[0][1]
-    for mask, lam in leaves[1:]:
+def _levels(order, sizes, ratios):
+    """Leaves merged into levels, as (order, sizes) with each level's
+    positions ascending, or None if their ratios decrease.  Adjacent ratios
+    tie within TIE_EPSILON times the larger of the two."""
+    levels = [sizes[0]]
+    last = ratios[0]
+    for size, lam in zip(sizes[1:], ratios[1:]):
         tol = TIE_EPSILON * max(abs(last), abs(lam))
         if lam < last - tol:
             return None
         if lam <= last + tol:
-            levels[-1] |= mask
+            levels[-1] += size
         else:
-            levels.append(mask)
+            levels.append(size)
         last = lam
-    return levels
+    if len(levels) < len(sizes):
+        level = np.repeat(np.arange(len(levels)), levels)
+        order = order[np.lexsort((order, level))]
+    return order, levels
 
 
-def _chain(f, w, levels) -> Decomposition:
+def _chain(f, w, order, sizes) -> Decomposition:
     """Critical ratios of ordered levels D_1, ..., D_k of f's ground.
 
-    lam_j = (f(S_j) - f(S_{j-1})) / w(D_j) with S_j = D_1 | ... | D_j, all
-    values from one prefix walk that visits the levels in turn, each in
-    ascending position, and w(D_j) summed over the same positions of that
-    walk.  Every egalitarian result is built here, so equal chains give
-    bit-identical rates.
+    Level j is the run of ``sizes[j]`` positions of ``order``, ascending
+    within the level, after the runs before it.  lam_j = (f(S_j) -
+    f(S_{j-1})) / w(D_j) with S_j = D_1 | ... | D_j, all values from one
+    prefix walk along ``order``, and w(D_j) summed over the same positions
+    of that walk.  Every egalitarian result is built here, so equal chains
+    give bit-identical rates.
     """
-    order = np.asarray([i for level in levels for i in bit_indices(level)],
-                       dtype=np.intp)
     pv = f.prefix_values(order)
     w_order = w.values[order]
+    positions = order.tolist()
     crit, masks = [], []
     start, acc = 0, 0
-    for level in levels:
-        end = start + level.bit_count()
+    for size in sizes:
+        end = start + size
         crit.append(float(pv[end] - pv[start])
                     / float(w_order[start:end].sum()))
-        acc |= level
+        acc |= mask_from_indices(positions[start:end])
         masks.append(acc)
         start = end
     return Decomposition(f.ground, tuple(crit), tuple(masks), w)
@@ -470,24 +478,16 @@ def recursion_metrics(tree: SplitTree) -> dict:
     serial SFM workload); max_size adds max(|block|, |complement|) (the
     critical-path workload if the two branches of each split ran at once).
     """
-    sum_size = 0
-    max_size = 0
-    node_count = 0
-    depth = 0
+    splits, node_count, depth = [], 0, 0
     stack = [(tree.root, 1)]
     while stack:
         node, d = stack.pop()
-        node_count += 1
-        depth = max(depth, d)
+        node_count, depth = node_count + 1, max(depth, d)
         if not node.is_leaf:
-            block, rest = node.children
-            a = block.subset_mask.bit_count()
-            b = rest.subset_mask.bit_count()
-            sum_size += a + b
-            max_size += max(a, b)
-            stack.append((block, d + 1))
-            stack.append((rest, d + 1))
-    return {"sum_size": sum_size, "max_size": max_size,
+            splits.append([c.subset_mask.bit_count() for c in node.children])
+            stack += [(c, d + 1) for c in node.children]
+    return {"sum_size": sum(map(sum, splits)),
+            "max_size": sum(map(max, splits)),
             "node_count": node_count, "depth": depth}
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from swfair import sfm
 from swfair.setfn import (BitPoolSource, GroundSet, SetFunction, TableSource,
-                          WeightVector, bit_indices, source_from_dict,
+                          WeightVector, bit_indices, minor, source_from_dict,
                           source_to_dict)
 
 
@@ -104,12 +104,31 @@ def scaled_source(src, c):
     return source_from_dict(doc)
 
 
-def walk_of(f, blocks):
-    """f(S_0), ..., f(S_k) for S_j the union of the first j blocks, from one
-    prefix walk over them: what the proposal hands the confirm step."""
+def weight_of(w, mask):
+    """w summed over the users of ``mask``."""
+    return float(w.values[bit_indices(mask)].sum())
+
+
+def minor_after(f, pivot, w):
+    """The minor of f after ``pivot``, over the rest of f's ground."""
+    return minor(f, pivot, f.ground_mask & ~pivot, f.value(pivot),
+                 weight_of(w, pivot), w)
+
+
+def partition_of(blocks):
+    """Ordered block masks as the engine passes them: their positions,
+    ascending within each block, and the block sizes."""
     order = np.asarray([i for b in blocks for i in bit_indices(b)],
                        dtype=np.intp)
-    return f.prefix_values(order)[np.cumsum([0, *map(int.bit_count, blocks)])]
+    return order, [b.bit_count() for b in blocks]
+
+
+def proposal_of(f, blocks):
+    """(order, sizes, walk) of ordered block masks, walk holding f(S_0),
+    ..., f(S_k) for S_j the union of the first j blocks from one prefix
+    walk over them: what the proposal hands the confirm step."""
+    order, sizes = partition_of(blocks)
+    return order, sizes, f.prefix_values(order)[np.cumsum([0, *sizes])]
 
 
 def coverage_table(pool):

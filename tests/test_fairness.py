@@ -14,7 +14,6 @@ from swfair.setfn import (
     add_modular,
     bit_indices,
     greedy_vertex_local,
-    reduce,
     restrict,
 )
 from swfair.fairness import (
@@ -27,8 +26,8 @@ from swfair.fairness import (
 )
 from swfair.sfm import ConvergenceError
 from swfair.split import egalitarian, split
-from conftest import (OpaquePool, coverage_table, random_bit_pool,
-                      scaled_source)
+from conftest import (OpaquePool, coverage_table, minor_after,
+                      random_bit_pool, scaled_source)
 
 
 def test_shapley_exact_known_value(three_users):
@@ -94,7 +93,7 @@ def bit_pool_views(draw):
         src,
         restrict(src, src.ground_mask & ~1),
         add_modular(src, rng.uniform(-0.5, 0.5, n)),
-        reduce(src, 1, w),
+        minor_after(src, 1, w),
     ]))
 
 

@@ -10,7 +10,7 @@ from swfair.experiment import ExperimentConfig, run_experiment
 from swfair.fairness import shapley_exact, verify_membership
 from swfair.setfn import restrict
 from swfair.split import _confirm, decompose, split
-from conftest import twin_bit_pool, walk_of
+from conftest import proposal_of, twin_bit_pool
 
 
 def test_all_lists_exactly_the_imported_names():
@@ -43,7 +43,7 @@ def test_library_calls_print_nothing(capfd, caplog, three_users,
     levels = [b & ~a for a, b in zip((0,) + chain[:-1], chain)]
     assert len(levels) > 1
     f_c = restrict(src, src.ground_mask)
-    dec = _confirm(f_c, w, levels[::-1], walk_of(f_c, levels[::-1]))
+    dec = _confirm(f_c, w, *proposal_of(f_c, levels[::-1]))
     assert dec.chain_masks == chain
     assert [(r.name, r.levelno) for r in caplog.records] == [
         ("swfair.split", logging.INFO)]

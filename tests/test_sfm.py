@@ -16,7 +16,6 @@ from swfair.setfn import (
     bit_indices,
     greedy_vertex_local,
     mask_from_indices,
-    reduce,
     restrict,
     source_to_dict,
 )
@@ -31,7 +30,8 @@ from swfair.sfm import (
     solve_sfm,
 )
 from swfair.split import PROPOSAL_GAP, egalitarian
-from conftest import OpaquePool, random_bit_pool, twin_bit_pool
+from conftest import (OpaquePool, minor_after, random_bit_pool,
+                      twin_bit_pool, weight_of)
 
 
 def shifted(src, coeffs):
@@ -192,10 +192,10 @@ def test_min_cut_matches_exhaustive(n, seed, twin):
     src, w = weighted_pool(rng, n + int(rng.integers(1, 4)), twin)
     spare = rng.permutation(src.ground.n)[:src.ground.n - n].tolist()
     pivot = mask_from_indices(spare[:int(rng.integers(1, len(spare) + 1))])
-    g = restrict(reduce(src, pivot, w),
+    g = restrict(minor_after(src, pivot, w),
                  src.ground_mask & ~mask_from_indices(spare))
     sub = g.ground_mask
-    lam = g.value(sub) / w.of_mask(sub)
+    lam = g.value(sub) / weight_of(w, sub)
     assert_min_cut_matches(add_modular(g, lam * w.values), exhaustive, tol)
 
 
@@ -303,10 +303,10 @@ def test_min_cut_with_a_pivot_covering_shared_bits(seed):
     src = pool_source(bits, observes)
     w = WeightVector(src.ground, rng.uniform(0.5, 4.0, 16))
     rest = src.ground_mask & ~(1 << 15)
-    g = restrict(reduce(src, 1 << 15, w), rest)
+    g = restrict(minor_after(src, 1 << 15, w), rest)
     tol = 1e-9 * max(1.0, src.value(src.ground_mask))
     for scale in (1.0, rng.uniform(0.5, 1.5)):
-        lam = scale * g.value(rest) / w.of_mask(rest)
+        lam = scale * g.value(rest) / weight_of(w, rest)
         assert_min_cut_matches(add_modular(g, lam * w.values), exhaustive,
                                tol)
 
@@ -334,7 +334,8 @@ def test_dispatch_rule_at_its_edges():
                          (MIN_CUT_ABOVE + 1, "min_cut")):
         direct = restrict(src, (1 << keep) - 1)
         # the pivot's incidence is read by the min cut as well
-        view = restrict(reduce(src, 1 << (n - 1), w), (1 << keep) - 1)
+        view = restrict(minor_after(src, 1 << (n - 1), w),
+                        (1 << keep) - 1)
         for f in (direct, view):
             res = solve_sfm(shifted(f, 0.5 * np.ones(n)))
             assert res.solver_used == solver

@@ -11,16 +11,19 @@ from swfair.cli import main
 from swfair.experiment import ExperimentConfig, generate_instance
 from swfair.fairness import egalitarian_oracle_fw, verify_membership
 from swfair.setfn import (
+    TIE_EPSILON,
     BitPoolSource,
     GroundSet,
     TableSource,
     WeightVector,
+    add_modular,
     bit_indices,
     mask_from_indices,
+    minor,
     restrict,
     source_to_dict,
 )
-from swfair.sfm import MIN_CUT_ABOVE, ConvergenceError
+from swfair.sfm import MIN_CUT_ABOVE, ConvergenceError, solve_sfm
 from swfair.split import (
     PROPOSAL_GAP,
     CertificationError,
@@ -37,8 +40,9 @@ from swfair.split import (
     split,
     subset_label,
 )
-from conftest import (OpaquePool, coverage_table, random_bit_pool,
-                      scaled_source, twin_bit_pool, walk_of)
+from conftest import (OpaquePool, coverage_table, partition_of, proposal_of,
+                      random_bit_pool, scaled_source, twin_bit_pool,
+                      weight_of)
 
 # the package re-exports the function split under the module's name
 split_module = importlib.import_module("swfair.split")
@@ -140,22 +144,98 @@ def test_split_runs_min_cut_not_wolfe_on_bit_pools(monkeypatch):
         <= {"min_cut", "exhaustive"}
 
 
+def spy_on_oracles(monkeypatch):
+    """Record every bit-pool oracle call and every solve_sfm split makes,
+    in order, as (name, arguments); arrays are copied when called, as the
+    refinement loop reorders its positions in place."""
+    calls = []
+
+    def spy(name, real):
+        def call(*args, **kwargs):
+            calls.append((name, [np.array(a) if isinstance(a, np.ndarray)
+                                 else a for a in args]))
+            return real(*args, **kwargs)
+        return call
+
+    for name in ("value", "all_values", "prefix_values", "block_values"):
+        monkeypatch.setattr(BitPoolSource, name,
+                            spy(name, getattr(BitPoolSource, name)))
+    monkeypatch.setattr(split_module, "solve_sfm",
+                        spy("solve_sfm", split_module.solve_sfm))
+    return calls
+
+
+def passes_of(calls):
+    """The calls of each pass of the refinement loop, split at its prefix
+    walks; each pass's list starts with its walk, except the first of a
+    confirm step, which takes the proposal's walk."""
+    passes = [[]]
+    for call in calls:
+        if call[0] == "prefix_values":
+            passes.append([])
+        passes[-1].append(call)
+    return passes
+
+
+def check_pass(calls, n):
+    """One pass: at most one walk, over all n positions, then at most one
+    block_values call, for blocks of 2 to MIN_CUT_ABOVE users, then
+    solve_sfm on blocks above MIN_CUT_ABOVE users; nothing else.  Returns
+    the masks the pass tabled and solved."""
+    names = [name for name, _ in calls]
+    if names[:1] == ["prefix_values"]:
+        assert len(calls[0][1][1]) == n
+        names, calls = names[1:], calls[1:]
+    tabled = []
+    if names[:1] == ["block_values"]:
+        order, sizes, wanted = calls[0][1][1:4]
+        starts = np.cumsum([0, *sizes])
+        tabled = [mask_from_indices(order[starts[j]:starts[j + 1]].tolist())
+                  for j in wanted]
+        names, calls = names[1:], calls[1:]
+    assert set(names) <= {"solve_sfm"}
+    solved = [args[0].ground_mask for _, args in calls]
+    assert all(1 < m.bit_count() <= MIN_CUT_ABOVE for m in tabled)
+    assert all(m.bit_count() > MIN_CUT_ABOVE for m in solved)
+    return tabled, solved
+
+
+def nodes_by_depth(tree):
+    depths, level = [], [tree.root]
+    while level:
+        depths.append(level)
+        level = [c for node in level for c in node.children or ()]
+    return depths
+
+
 def test_one_user_blocks_are_leaves_without_a_solve(monkeypatch):
+    """split runs one depth of its recursion per pass: one prefix walk,
+    one block_values call for the depth's blocks of 2 to MIN_CUT_ABOVE
+    users, and solve_sfm on each larger block; its last walk is _chain's,
+    over the leaves.  No oracle call serves a one-user block, which is a
+    leaf with the result an exhaustive sweep gives, and on a bit pool
+    split makes no value and no all_values call."""
     rng = np.random.default_rng(9)
-    src = random_bit_pool(rng, 10)
-    w = WeightVector(src.ground, rng.uniform(0.5, 4.0, 10))
-    sizes = []
-    real = split_module.solve_sfm
-
-    def spy(f):
-        sizes.append(f.ground_mask.bit_count())
-        return real(f)
-
-    monkeypatch.setattr(split_module, "solve_sfm", spy)
+    n = 64
+    src = random_bit_pool(rng, n, observe_prob=1.5 / n)
+    w = WeightVector(src.ground, rng.uniform(0.5, 4.0, n))
+    calls = spy_on_oracles(monkeypatch)
     _, tree = split(src, w)
+    monkeypatch.undo()
+    assert not {name for name, _ in calls} & {"value", "all_values"}
+    passes = passes_of(calls)
+    assert passes[0] == [] and passes[-1] == [calls[-1]]
+    depths = nodes_by_depth(tree)
+    assert len(passes) == len(depths) + 2
+    for nodes, made in zip(depths, passes[1:]):
+        tabled, solved = check_pass(made, n)
+        masks = [node.subset_mask for node in nodes]
+        assert tabled == [m for m in masks if 1 < m.bit_count() <= 12]
+        assert solved == [m for m in masks if m.bit_count() > 12]
     singles = [node for node in tree_nodes(tree)
                if node.subset_mask.bit_count() == 1]
-    assert singles and min(sizes) > 1
+    assert singles and len(depths) > 2
+    assert {"block_values", "solve_sfm"} <= {name for name, _ in calls}
     for node in singles:
         assert node.is_leaf
         assert (node.sfm.min_value, node.sfm.minimal_mask,
@@ -393,6 +473,62 @@ def test_engine_chain_is_splits_on_weighted_pools_to_64_users(n, seed):
     assert np.array_equal(dec.reconstruct().rates, rates.rates)
 
 
+@st.composite
+def split_inputs(draw):
+    """A bit pool of 3 to 40 users, whose blocks above MIN_CUT_ABOVE users
+    take the min cut, or a table of 2 to 8 users; weights on [0.5, 4]."""
+    if draw(st.booleans()):
+        return draw(weighted_tables(min_n=2, max_n=8))
+    n = draw(st.integers(3, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = min(1.0, draw(st.floats(0.5, 3.0)) / n)
+    src = random_bit_pool(rng, n, observe_prob=p)
+    return src, WeightVector(src.ground, rng.uniform(0.5, 4.0, n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(split_inputs())
+def test_split_nodes_are_the_solves_of_their_own_functions(model):
+    """Every node of split's tree holds solve_sfm's minimizers of the
+    node's function, built here from the source alone: for its block C
+    after the union S of the blocks before it at its depth, f(S | X) -
+    f(S) - rho w(X) with rho = (f(S | C) - f(S)) / w(C), as restrict or
+    minor and add_modular give it; its minimum agrees within twice the tie
+    tolerance.  Its lam is rho less the base_coeffs of the splits whose
+    rest it lies in, and a leaf's ratio is rho."""
+    src, w = model
+    _, tree = split(src, w)
+    tol = 2 * TIE_EPSILON * src.scale
+    leaves = dict(tree.leaves)
+    stack = [(tree.root, 0, 0.0)]
+    while stack:
+        node, pivot, carry = stack.pop()
+        c = node.subset_mask
+        f_s, in_c = src.value(pivot), bit_indices(c)
+        rho = (src.value(pivot | c) - f_s) / weight_of(w, c)
+        if pivot:
+            view = minor(src, pivot, c, f_s, weight_of(w, pivot), w)
+            shift = rho - f_s / weight_of(w, pivot)
+        else:
+            view, shift = restrict(src, c), rho
+        coeffs = np.zeros(src.ground.n)
+        coeffs[in_c] = shift * w.values[in_c]
+        want = solve_sfm(add_modular(view, coeffs))
+        got = node.sfm
+        assert (got.minimal_mask, got.maximal_mask, got.solver_used) == \
+            (want.minimal_mask, want.maximal_mask, want.solver_used)
+        assert abs(got.min_value - want.min_value) <= tol
+        assert abs(node.lam + carry - rho) <= tol / weight_of(w, c)
+        if node.is_leaf:
+            assert abs(leaves[c] - rho) <= tol / weight_of(w, c)
+        else:
+            block, rest = node.children
+            assert node.base_coeff == block.lam
+            stack += [(block, pivot, carry),
+                      (rest, pivot | block.subset_mask,
+                       carry + node.base_coeff)]
+
+
 def test_egalitarian_worked_examples(three_users, unit_weights, skew_weights):
     for w, want in ((unit_weights, [1.0, 0.55, 0.55]),
                     (skew_weights, [1.125, 0.375, 0.6])):
@@ -440,7 +576,7 @@ def test_confirm_adversarial_proposals(monkeypatch, caplog):
             before = len(fallbacks)
             caplog.clear()
             monkeypatch.setattr(split_module, "split", spy)
-            dec = _confirm(f_c, w, blocks, walk_of(f_c, blocks))
+            dec = _confirm(f_c, w, *proposal_of(f_c, blocks))
             monkeypatch.setattr(split_module, "split", real_split)
             assert dec.chain_masks == chain
             assert np.array_equal(dec.reconstruct().rates, rates.rates)
@@ -468,124 +604,73 @@ def test_confirm_refuses_decreasing_fallback_leaves(monkeypatch):
                         lambda *args, **kwargs: (rates, backwards))
     f_c = restrict(src, src.ground_mask)
     with pytest.raises(InternalConsistencyError, match="decrease"):
-        _confirm(f_c, w, levels[::-1], walk_of(f_c, levels[::-1]))
+        _confirm(f_c, w, *proposal_of(f_c, levels[::-1]))
 
 
 def test_confirm_cost_guard(monkeypatch):
-    """The confirm step makes no oracle or weight call for a one-user
-    level: its ratio comes from the one prefix walk.  Every level of 2 to
-    MIN_CUT_ABOVE users takes its leaf test from one block_values call for
-    all of them, and makes no other call.  A larger level, or one that
-    fails the test, costs what split's recursion costs on it, which sums
-    its weights over the masks it builds and makes no weight call.  _chain,
-    which builds the rates of the final levels, is not counted."""
+    """The confirm step is split's loop started from the proposal: its
+    first pass takes the proposal's walk and walks nothing, every pass
+    after it costs what a pass of split costs, and its last walk is
+    _chain's, over the final levels.  With split's own levels proposed,
+    one block_values call tests every level of 2 to MIN_CUT_ABOVE users,
+    solve_sfm every larger one, and no level splits; a proposal from the
+    Wolfe point takes more passes, and both give split's chain."""
     rng = np.random.default_rng(3)
     n = 96
     src = random_bit_pool(rng, n, observe_prob=1.5 / n)
     w = WeightVector(src.ground, rng.uniform(0.5, 4.0, n))
     f_c = restrict(src, src.ground_mask)
-    values, weights, nodes, tables = [], [], [], []
-    real_value, real_of_mask = BitPoolSource.value, WeightVector.of_mask
-    real_block_values = BitPoolSource.block_values
-    real_split_block, real_chain = split_module._split_block, _chain
-    live = [True]
 
-    def value(self, mask):
-        if live[0]:
-            values.append(mask)
-        return real_value(self, mask)
-
-    def of_mask(self, mask):
-        if live[0]:
-            weights.append(mask)
-        return real_of_mask(self, mask)
-
-    def block_values(self, blocks, wanted, base=0):
-        tables.append((list(blocks), list(wanted), base))
-        return real_block_values(self, blocks, wanted, base)
-
-    def uncounted_chain(*args):
-        live[0] = False
-        try:
-            return real_chain(*args)
-        finally:
-            live[0] = True
-
-    def split_block(*args):
-        out = real_split_block(*args)
-        nodes.append(out[0])
-        return out
-
-    def run(blocks, walk):
-        values.clear(), weights.clear(), nodes.clear(), tables.clear()
-        monkeypatch.setattr(BitPoolSource, "value", value)
-        monkeypatch.setattr(BitPoolSource, "block_values", block_values)
-        monkeypatch.setattr(WeightVector, "of_mask", of_mask)
-        monkeypatch.setattr(split_module, "_split_block", split_block)
-        monkeypatch.setattr(split_module, "_chain", uncounted_chain)
-        dec = _confirm(f_c, w, blocks, walk)
+    def run(order, sizes, walk):
+        calls = spy_on_oracles(monkeypatch)
+        dec = _confirm(f_c, w, order, sizes, walk)
         monkeypatch.undo()
-        before = [0]                    # S_{j-1} of each block D_j
-        for block in blocks[:-1]:
-            before.append(before[-1] | block)
-        tested = [j for j, b in enumerate(blocks)
-                  if 1 < b.bit_count() <= MIN_CUT_ABOVE]
-        large = [j for j, b in enumerate(blocks)
-                 if b.bit_count() > MIN_CUT_ABOVE]
-        assert tables == [(blocks, tested, 0)]
-        # a recursion node is a strict part of its block, so the nodes
-        # equal to a whole block are the blocks split's recursion took
-        roots = {node.subset_mask for node in nodes}
-        solved = [j for j, b in enumerate(blocks) if b in roots]
-        assert set(large) <= set(solved) <= set(large) | set(tested)
-        for mask in values:             # S_{j-1} plus users of D_j
-            j = max(k for k, b in enumerate(blocks) if mask & b)
-            assert j in solved and mask & before[j] == before[j]
-            assert mask & ~(before[j] | blocks[j]) == 0
-        internal = sum(not node.is_leaf for node in nodes)
-        # per node one value; per split one more, f(block), which also
-        # builds the contraction
-        assert len(nodes) == len(solved) + 2 * internal
-        assert len(values) == len(nodes) + internal
-        assert weights == []
-        return dec, tested, large, solved, internal
+        assert not {name for name, _ in calls} & {"value", "all_values"}
+        passes = passes_of(calls)
+        assert passes[-1] == [calls[-1]] and len(calls[-1][1][1]) == n
+        assert "prefix_values" not in {name for name, _ in passes[0]}
+        starts = np.cumsum([0, *sizes])
+        blocks = [mask_from_indices(order[a:b].tolist())
+                  for a, b in zip(starts, starts[1:])]
+        tabled, solved = check_pass(passes[0], n)
+        assert tabled == [b for b in blocks if 1 < b.bit_count() <= 12]
+        assert solved == [b for b in blocks if b.bit_count() > 12]
+        for made in passes[1:-1]:
+            check_pass(made, n)
+        return dec, len(passes) - 1
 
     rates, tree = split(src, w)
     chain = split_chain(tree)
-    levels = levels_of(chain)
-    dec, tested, large, solved, internal = run(levels, walk_of(f_c, levels))
-    assert tested and solved == large and internal == 0
-    assert dec.chain_masks == chain
-    proposal, walk = split_module._propose(f_c, w)
-    dec, tested, large, solved, internal = run(proposal, walk)
-    assert internal > 0 and set(solved) & set(tested)
-    assert dec.chain_masks == chain
+    dec, depths = run(*proposal_of(f_c, levels_of(chain)))
+    assert depths == 1 and dec.chain_masks == chain
+    dec, depths = run(*split_module._propose(f_c, w))
+    assert depths > 1 and dec.chain_masks == chain
     assert np.array_equal(dec.reconstruct().rates, rates.rates)
 
 
 def test_confirm_reuses_the_proposals_walk(monkeypatch):
     """The proposal returns f(S_j) at its cuts from the walk that found
-    them, and the confirm step walks no prefix of its own: its one walk is
-    _chain's over the final levels, and it settles the same chain and
-    bit-identical rates as with a walk over its blocks."""
+    them, and the confirm step's first pass walks no prefix of its own: on
+    this pool no proposed block splits, so its one walk is _chain's over
+    the final levels, and it settles the same chain and bit-identical
+    rates as with a walk over its blocks."""
     rng = np.random.default_rng(5)
     n = 96
     src = random_bit_pool(rng, n, observe_prob=1.5 / n)
     w = WeightVector(src.ground, rng.uniform(0.5, 4.0, n))
     f_c = restrict(src, src.ground_mask)
-    proposal, walk = split_module._propose(f_c, w)
-    prefix = [0]
-    for block in proposal:
-        prefix.append(prefix[-1] | block)
+    order, sizes, walk = split_module._propose(f_c, w)
+    ends = np.cumsum([0, *sizes])
+    prefix = [mask_from_indices(order[:end].tolist()) for end in ends]
     assert walk.tolist() == pytest.approx([src.value(m) for m in prefix],
                                           rel=0.0, abs=1e-12 * src.scale)
-    walked = _confirm(f_c, w, proposal, walk_of(f_c, proposal))
+    walked = _confirm(f_c, w, order, sizes, f_c.prefix_values(order)[ends])
     walks = []
     real_prefix_values = BitPoolSource.prefix_values
     monkeypatch.setattr(BitPoolSource, "prefix_values",
                         lambda self, order, base=0: walks.append(len(order))
                         or real_prefix_values(self, order, base))
-    dec = _confirm(f_c, w, proposal, walk)
+    dec = _confirm(f_c, w, order, sizes, walk)
     assert walks == [n]
     assert dec.chain_masks == walked.chain_masks
     assert np.array_equal(dec.reconstruct().rates, walked.reconstruct().rates)
@@ -647,7 +732,7 @@ def test_confirm_returns_splits_chain_for_any_proposal(case):
         fallbacks.clear()
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(split_module, "split", spy)
-            dec = _confirm(f_c, w, blocks, walk_of(f_c, blocks))
+            dec = _confirm(f_c, w, *proposal_of(f_c, blocks))
         assert dec.chain_masks == chain, name
         assert np.array_equal(dec.reconstruct().rates, rates.rates), name
         if name == "levels":
@@ -794,8 +879,8 @@ def test_corrupted_chains_are_refused(monkeypatch, capsys, tmp_path):
         weights.write_text(json.dumps({u: w[u] for u in src.ground.users}))
         for bad, error, code in corrupted:
             monkeypatch.setattr(split_module, "_confirm",
-                                lambda f, w, blocks, walk, bad=bad:
-                                _chain(f, w, bad))
+                                lambda f, w, *proposal, bad=bad:
+                                _chain(f, w, *partition_of(bad)))
             with pytest.raises(error):
                 decompose(src, w)
             with pytest.raises(error):
@@ -845,12 +930,13 @@ def test_engine_is_certified_by_min_cut_beyond_the_oracle(model):
     if len(levels) > 1:
         # merge the pair whose merged rates overshoot H(S_j) the most:
         # by w(D_j) w(D_j+1) (lam_j+1 - lam_j) / w(D_j | D_j+1)
-        wd = np.array([w.of_mask(d) for d in levels])
+        wd = np.array([weight_of(w, d) for d in levels])
         over = (wd[:-1] * wd[1:] * np.diff(dec.critical_values)
                 / (wd[:-1] + wd[1:]))
         j = int(np.argmax(over))
         merged = levels[:j] + [levels[j] | levels[j + 1]] + levels[j + 2:]
-        bad = _chain(restrict(src, src.ground_mask), w, merged).reconstruct()
+        bad = _chain(restrict(src, src.ground_mask), w,
+                     *partition_of(merged)).reconstruct()
         report = verify_membership(src, bad, tol)
         assert not report.in_region and report.slack < -tol
 
@@ -872,22 +958,21 @@ def test_proposal_stops_at_its_own_gap(monkeypatch):
     n = 96
     src = random_bit_pool(rng, n, observe_prob=1.5 / n)
     w = WeightVector(src.ground, rng.uniform(0.5, 4.0, n))
-    gaps, blocks = [], []
+    gaps, sizes = [], []
     real_wolfe, real_confirm = split_module._wolfe, split_module._confirm
 
     def wolfe(f, elems, gap, scale=None):
         gaps.append(gap)
         return real_wolfe(f, elems, gap, scale=scale)
 
-    def confirm(f, w, proposal, walk):
-        blocks.extend(proposal)
-        return real_confirm(f, w, proposal, walk)
+    def confirm(f, w, order, proposed, walk):
+        sizes.extend(proposed)
+        return real_confirm(f, w, order, proposed, walk)
 
     monkeypatch.setattr(split_module, "_wolfe", wolfe)
     monkeypatch.setattr(split_module, "_confirm", confirm)
     got = egalitarian(src, w)
     assert gaps == [PROPOSAL_GAP]
-    assert (max(b.bit_count() for b in blocks)
-            > MIN_CUT_ABOVE)
+    assert max(sizes) > MIN_CUT_ABOVE
     rates, _ = split(src, w)
     assert np.array_equal(got.rates, rates.rates)
