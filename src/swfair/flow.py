@@ -1,8 +1,9 @@
 """Maximum flow with float capacities (shortest augmenting paths).
 
 :func:`max_flow` takes a network as parallel edge arrays and returns the
-flow value together with both sides of the residual graph: the nodes the
-source still reaches, and the nodes that still reach the sink.  By the
+flow value together with both sides of the residual graph, the nodes the
+source still reaches and the nodes that still reach the sink, and the
+number of breadth-first rounds it searched.  By the
 max-flow/min-cut theorem the first set is the source side of the minimal
 minimum cut and the complement of the second the source side of the
 maximal one, which is what :func:`swfair.sfm.solve_sfm` reads its two
@@ -44,12 +45,14 @@ from typing import Sequence
 def max_flow(n_nodes: int, tails: Sequence[int], heads: Sequence[int],
              caps: Sequence[float], source: int, sink: int,
              tol: float = 0.0, start: Sequence[float] | None = None,
-             ) -> tuple[float, list[bool], list[bool]]:
+             ) -> tuple[float, list[bool], list[bool], int]:
     """Maximum source-sink flow; edge k runs tails[k] -> heads[k].
 
-    Returns (flow, from_source, to_sink): the flow value and, per node,
+    Returns (flow, from_source, to_sink, rounds): the flow value; per node,
     whether the source reaches it and whether it reaches the sink through
-    edges of residual capacity above ``tol`` once the flow is maximum.
+    edges of residual capacity above ``tol`` once the flow is maximum; and
+    the breadth-first rounds searched, the last one, which finds no path,
+    included.
     Every source-sink path must hold a finite capacity.  ``start`` is a
     feasible flow per edge to begin from (zero if None): within each
     edge's capacity and conserved at every node but the source and sink.
@@ -69,7 +72,9 @@ def max_flow(n_nodes: int, tails: Sequence[int], heads: Sequence[int],
     for e in range(len(to)):
         adj[to[e ^ 1]].append(e)
 
+    rounds = 0
     while True:
+        rounds += 1
         level, via = _tree(adj, to, cap, source, sink, n_nodes, tol)
         if level[sink] < 0:
             break
@@ -90,8 +95,8 @@ def max_flow(n_nodes: int, tails: Sequence[int], heads: Sequence[int],
                     cap[e ^ 1] += push
     # the source's out-flow less its in-flow
     flow = sum(-cap[e] if e & 1 else cap[e ^ 1] for e in adj[source])
-    return flow, [d >= 0 for d in level], _reaches(adj, to, cap, sink,
-                                                   n_nodes, tol)
+    return (flow, [d >= 0 for d in level],
+            _reaches(adj, to, cap, sink, n_nodes, tol), rounds)
 
 
 def _tree(adj, to, cap, source, sink, n_nodes, tol):

@@ -239,24 +239,31 @@ class SetFunction:
         return vals
 
     def block_values(self, order: np.ndarray, sizes: Sequence[int],
-                     wanted: Sequence[int], base: int = 0) -> list[np.ndarray]:
+                     wanted: Sequence[int], base: int = 0,
+                     coeffs: np.ndarray | None = None) -> list[np.ndarray]:
         """Gains over the blocks of an ordered partition, for each wanted block.
 
         Block j is the run of ``sizes[j]`` global positions of ``order`` after
         the runs of the blocks before it, and S_j is ``base`` joined with
         blocks 0, ..., j - 1.  For each index j in ``wanted`` the result
-        holds f(S_j | X) - f(S_j) for every X inside block j, indexed by
-        local submask over the block's positions in their order here.  A
-        block outside ``wanted`` only enters the S_j, so it may be of any
-        size.  Here one :meth:`all_values` per wanted block.
+        holds f(S_j | X) - f(S_j) - c(X) for every X inside block j, indexed
+        by local submask over the block's positions in their order here;
+        c is the modular function with the per-user ``coeffs`` that
+        :func:`add_modular` takes, or 0 if None.  A block outside ``wanted``
+        only enters the S_j, so it may be of any size.  Here one
+        :meth:`all_values` per wanted block, less c's :func:`modular_sums`.
         """
-        positions = np.asarray(order, dtype=np.intp).tolist()
+        order = np.asarray(order, dtype=np.intp)
+        positions = order.tolist()
         starts = [0, *itertools.accumulate(sizes)]
         out = []
         for j in wanted:
             before = base | mask_from_indices(positions[:starts[j]])
             vals = self.all_values(positions[starts[j]:starts[j + 1]], before)
-            out.append(vals - vals[0])
+            vals = vals - vals[0]
+            if coeffs is not None:
+                vals -= modular_sums(coeffs[order[starts[j]:starts[j + 1]]])
+            out.append(vals)
         return out
 
 
@@ -361,15 +368,18 @@ class BitPoolSource(SetFunction):
         subset_sums(missed, c)
         return const + (missed[-1] - missed[::-1])
 
-    def block_values(self, order, sizes, wanted,
-                     base: int = 0) -> list[np.ndarray]:
+    def block_values(self, order, sizes, wanted, base: int = 0,
+                     coeffs=None) -> list[np.ndarray]:
         # A bit not covered by base is gained in the first block that covers
         # it, through its observers there: rank users 0 in base, j + 1 in
         # block j and len(sizes) + 1 elsewhere, and a bit lands at the least
         # rank among its observers, with the pattern of the observers of that
         # rank.  One bincount groups the bits of every wanted block by
         # pattern, and one subset-sum transform per block size turns the
-        # groups into gains, as all_values does for one block.
+        # groups into gains, as all_values does for one block.  A table
+        # whose transform is T gives gain(X) = T(block) - T(block - X), so
+        # -c_k at the singleton {k} before the transform takes c(X) off
+        # every gain in the same pass.
         n, k = self.ground.n, len(sizes)
         order = np.asarray(order, dtype=np.intp)
         block_of = np.repeat(np.arange(1, k + 1), sizes)
@@ -385,11 +395,13 @@ class BitPoolSource(SetFunction):
             offset[wanted[t] + 1] = end
             end += 1 << sizes[wanted[t]]
         # Local bits only in the wanted blocks, so no shift passes 63.
-        tabled = offset[block_of] >= 0
+        table_of = offset[block_of]
+        tabled = table_of >= 0
         position = np.arange(len(order)) - np.repeat(np.cumsum(sizes) - sizes,
                                                      sizes)
+        local_bit = 1 << position[tabled]
         local = np.zeros(n, dtype=np.int64)
-        local[order[tabled]] = 1 << position[tabled]
+        local[order[tabled]] = local_bit
         obs_rank = rank[self._inc_user]
         first = np.minimum.reduceat(obs_rank, self._run_start)
         run_length = np.diff(self._run_start, append=len(obs_rank))
@@ -402,6 +414,8 @@ class BitPoolSource(SetFunction):
         missed = np.bincount(at[keep] + pattern[keep],
                              weights=self._run_entropy[keep],
                              minlength=end).astype(float, copy=False)
+        if coeffs is not None:
+            missed[table_of[tabled] + local_bit] -= coeffs[order[tabled]]
         out = [None] * len(wanted)
         start = 0
         for c, group in itertools.groupby(by_size, lambda t: sizes[wanted[t]]):
@@ -658,17 +672,14 @@ class ShiftedFunction(SetFunction):
             vals[0] = 0.0
         return vals
 
-    def block_values(self, order, sizes, wanted,
-                     base: int = 0) -> list[np.ndarray]:
-        # The constant cancels in every gain, and the pivot is covered first.
-        tables = self.inner.block_values(order, sizes, wanted,
-                                         base | self.pivot)
-        if self.coeffs is None:
-            return tables
-        coeffs = self.coeffs[np.asarray(order, dtype=np.intp)]
-        starts = [0, *itertools.accumulate(sizes)]
-        return [vals - modular_sums(coeffs[starts[j]:starts[j + 1]])
-                for vals, j in zip(tables, wanted)]
+    def block_values(self, order, sizes, wanted, base: int = 0,
+                     coeffs=None) -> list[np.ndarray]:
+        # The constant cancels in every gain, the pivot is covered first,
+        # and the source takes off both modular functions at once.
+        if self.coeffs is not None:
+            coeffs = self.coeffs if coeffs is None else self.coeffs + coeffs
+        return self.inner.block_values(order, sizes, wanted,
+                                       base | self.pivot, coeffs)
 
 
 def _parts(f: SetFunction):
@@ -741,9 +752,10 @@ class WeightVector:
         self.values = arr
         self.values.setflags(write=False)
 
-    def times(self, lam: float, where: np.ndarray) -> np.ndarray:
-        """lam * w at the True entries of ``where`` and 0 elsewhere; no other
-        product is formed, so weights far from lam's users cannot overflow."""
+    def times(self, lam, where: np.ndarray) -> np.ndarray:
+        """lam * w at the True entries of ``where`` and 0 elsewhere, lam one
+        ratio or one per user; no other product is formed, so weights far
+        from lam's users cannot overflow."""
         return np.multiply(lam, self.values, out=np.zeros(self.ground.n),
                            where=where)
 

@@ -114,7 +114,8 @@ class SfmResult:
     """Minimum value plus both lattice-extreme minimizers of one SFM solve.
 
     The minimizers are masks over ``ground``; ``minimal_minimizer`` and
-    ``maximal_minimizer`` name their users.
+    ``maximal_minimizer`` name their users.  ``flow_rounds`` counts a min
+    cut's breadth-first rounds, and is 0 for the other solvers.
     """
 
     ground: GroundSet = field(repr=False)
@@ -124,6 +125,7 @@ class SfmResult:
     solver_used: str
     oracle_evals: int
     ground_size: int
+    flow_rounds: int = 0
 
     @property
     def minimal_minimizer(self) -> frozenset:
@@ -140,6 +142,7 @@ class SfmResult:
             "maximal_minimizer": sorted(self.maximal_minimizer),
             "solver_used": self.solver_used,
             "oracle_evals": self.oracle_evals,
+            "flow_rounds": self.flow_rounds,
             "ground_size": self.ground_size,
         }
 
@@ -232,6 +235,10 @@ def _solve_min_cut(f, elems, cut) -> SfmResult:
     so only the bits two or more users observe remain nodes.  The flow
     starts from one greedy pass over their observations, each pushing as
     much of its user's remaining source capacity as its bit has room for.
+    The pass, and the edge lists, take the observations by their user's
+    number of shared bits, then by their bit's number of observers, fewest
+    first and otherwise in incidence order: that start is nearer a maximum
+    flow, so fewer rounds remain, and ``flow_rounds`` reports them.
     The maximum flow F of the contracted network is c+(V) + min f - offset
     - sum m_i, so ``min_value`` is offset + F + sum m_i - c+(V).  Users the
     source reaches in the residual graph form the minimal minimizer, and
@@ -254,6 +261,11 @@ def _solve_min_cut(f, elems, cut) -> SfmResult:
     shared_user = user[~private]
     shared_bit = (np.cumsum(shared) - 1)[bit[~private]]
     bit_cap = h[shared]
+    # fewest choices first: a user with few shared bits, then a bit with
+    # few observers, has the fewest other ways to route its flow
+    first = np.lexsort((observers[shared][shared_bit],
+                        np.bincount(shared_user, minlength=c)[shared_user]))
+    shared_user, shared_bit = shared_user[first], shared_bit[first]
     # nodes: 0 the source, 1 the sink, 2..c+1 the users, then shared bits
     gain = np.flatnonzero(source_cap > 0.0)
     loss = np.flatnonzero(sink_cap > 0.0)
@@ -283,7 +295,7 @@ def _solve_min_cut(f, elems, cut) -> SfmResult:
             x = 0.0
         pushed.append(x)
     start = [sent[i] for i in gain.tolist()] + [0.0] * len(loss) + pushed + got
-    flow, from_source, to_sink = max_flow(
+    flow, from_source, to_sink, rounds = max_flow(
         c + 2 + len(bit_cap), tails.tolist(), heads.tolist(), caps.tolist(),
         0, 1, TIE_EPSILON * f.scale, start)
     minimal_mask = mask_from_indices(
@@ -299,6 +311,7 @@ def _solve_min_cut(f, elems, cut) -> SfmResult:
         ground_size=c,
         minimal_mask=minimal_mask,
         maximal_mask=maximal_mask,
+        flow_rounds=rounds,
     )
 
 

@@ -13,10 +13,11 @@ subcalls of a split are independent (:func:`recursion_metrics` reports
 the critical path as ``max_size``), so :func:`_refine` runs each depth as
 one pass over its blocks: one prefix walk gives every block its ratio,
 one ``f.block_values`` call tables every block of 2 to ``MIN_CUT_ABOVE``
-(12) users (for a bit pool, one pass over the incidence), and each larger
-block gets one SFM.  A :class:`SplitTree` records per-node subsets,
-ratios, SFM results, and the ordered base-assignment events that trace
-the rate vector's walk through the polyhedron.
+(12) users less its ratio times w (for a bit pool, one pass over the
+incidence, the shift included), and each larger block gets one SFM.  A
+:class:`SplitTree` records per-node subsets, ratios, SFM results, and the
+ordered base-assignment events that trace the rate vector's walk through
+the polyhedron.
 
 :func:`decompose` is the engine, and :func:`egalitarian` returns the rates
 of its chain.  The egalitarian point is also the minimum-norm base in
@@ -66,7 +67,6 @@ from .setfn import (
     contract,
     mask_array,
     mask_from_indices,
-    modular_sums,
     restrict,
 )
 from .sfm import (
@@ -262,21 +262,27 @@ def _sweeps(f, w, order, sizes, starts, masks, small, rho) -> dict:
     """SFM results of the blocks ``small`` on their minors at their ratios.
 
     One ``f.block_values`` call gives each block j the gains f(S_{j-1} |
-    X) - f(S_{j-1}) of its subsets X; gains - rho_j * w is the minor's
-    objective up to its contraction's carry, which cancels in every tie.
+    X) - f(S_{j-1}) - rho_j * w(X) of its subsets X: the minor's objective
+    up to its contraction's carry, which cancels in every tie.  The shift
+    is formed per user, and |rho_j * w_i| <= |f(S_j) - f(S_{j-1})| for i
+    in block j, so no weight overflows it.
     """
+    if not small:
+        return {}
+    lam = np.zeros(f.ground.n)
+    lam[order] = np.repeat(rho, sizes)
+    shift = w.times(lam, mask_array(f.ground_mask, f.ground.n))
     by_size = {}
-    for j, gains in zip(small, f.block_values(order, sizes, small)):
-        by_size.setdefault(sizes[j], []).append((j, gains))
+    for j, excess in zip(small, f.block_values(order, sizes, small,
+                                               coeffs=shift)):
+        by_size.setdefault(sizes[j], []).append((j, excess))
     out = {}
     for c, group in by_size.items():
         js = [j for j, _ in group]
         elems = order[np.add.outer([starts[j] for j in js], np.arange(c))]
-        excess = (np.stack([gains for _, gains in group])
-                  - np.array([rho[j] for j in js])[:, None]
-                  * modular_sums(w.values[elems]))
-        out.update(zip(js, sweep_results(f.ground, excess, elems,
-                                         [masks[j] for j in js],
+        out.update(zip(js, sweep_results(f.ground,
+                                         np.stack([e for _, e in group]),
+                                         elems, [masks[j] for j in js],
                                          TIE_EPSILON * f.scale)))
     return out
 
@@ -429,8 +435,10 @@ def certify(f: SetFunction, rates: RateVector) -> None:
     rates: a min cut for a bit pool above ``MIN_CUT_ABOVE`` users, a subset
     sweep otherwise.  It runs only up to ``BRUTE_FORCE_LIMIT`` users, and
     above that it does nothing, although a bit pool could be checked at any
-    size: one more flow per answer cost 35-40% of the engine's time on
-    256-user bit pools.  A failure raises :class:`CertificationError`.
+    size.  On 256-user bit pools, one more flow per answer over the whole
+    network cost 35-40% of the engine's time, and one over the multi-user
+    levels, contracted and greedy-started as the min cut's, about 8%.  A
+    failure raises :class:`CertificationError`.
     """
     cmask = rates.subset_mask
     if cmask.bit_count() > BRUTE_FORCE_LIMIT:

@@ -84,8 +84,8 @@ def test_max_flow_matches_brute_force_cuts(n_inner):
     for _ in range(15):
         n, tails, heads, caps = random_network(rng, n_inner)
         tol = 1e-9 * max(1.0, sum(c for c in caps if c < math.inf))
-        flow, from_source, to_sink = max_flow(n, tails, heads, caps,
-                                              SOURCE, SINK, tol)
+        flow, from_source, to_sink, _ = max_flow(n, tails, heads, caps,
+                                                 SOURCE, SINK, tol)
         best, minimal, maximal = brute_force_cuts(n, tails, heads, caps, tol)
         assert flow == pytest.approx(best, abs=tol)
         assert node_mask(from_source) == minimal
@@ -109,7 +109,7 @@ def test_warm_starts_reach_the_cold_answer(n_inner):
         for start in starts:
             warm = max_flow(n, tails, heads, caps, SOURCE, SINK, tol, start)
             assert warm[0] == pytest.approx(cold[0], abs=tol)
-            assert warm[1:] == cold[1:]
+            assert warm[1:3] == cold[1:3]
 
 
 def project_selection(rng, n_users, n_bits):
@@ -152,8 +152,8 @@ def test_project_selection_beyond_brute_force(seed):
     value = sum(x for t, x in zip(tails, reference) if t == SOURCE)
     greedy = path_flow(tails, heads, caps, reverse=False)
     for start in (None, greedy, [0.5 * x for x in reference]):
-        flow, from_source, to_sink = max_flow(n, tails, heads, caps,
-                                              SOURCE, SINK, tol, start)
+        flow, from_source, to_sink, _ = max_flow(n, tails, heads, caps,
+                                                 SOURCE, SINK, tol, start)
         assert flow == pytest.approx(value, abs=tol)
         for side in (from_source, [not t for t in to_sink]):
             assert cut_capacity(tails, heads, caps, side) == pytest.approx(
@@ -168,9 +168,12 @@ def test_a_path_whose_bottleneck_an_earlier_path_took_is_skipped():
     tails = [0, 0, 2, 2, 3, 4, 5]
     heads = [2, 5, 3, 4, 1, 1, 1]
     caps = [1.0, 2.0, 5.0, 5.0, 5.0, 5.0, 2.0]
-    flow, from_source, to_sink = max_flow(6, tails, heads, caps, 0, 1, 1e-12)
+    flow, from_source, to_sink, rounds = max_flow(6, tails, heads, caps,
+                                                  0, 1, 1e-12)
     best, minimal, maximal = brute_force_cuts(6, tails, heads, caps, 1e-12)
     assert flow == best == 3.0
+    # two rounds that augment, and the one that finds no path
+    assert rounds == 3
     assert node_mask(from_source) == minimal == 0b000001
     assert node_mask(to_sink, keep=False) == maximal == 0b100001
 
@@ -182,8 +185,8 @@ def test_a_residue_at_tol_does_not_connect_the_sides():
     path holds less than tol and carries nothing."""
     tails, heads = [0, 2, 0, 3], [2, 1, 3, 1]
     caps = [0.1 + 0.2, 0.3, 1e-13, 1.0]
-    flow, from_source, to_sink = max_flow(4, tails, heads, caps, 0, 1,
-                                          1e-12)
+    flow, from_source, to_sink, _ = max_flow(4, tails, heads, caps, 0, 1,
+                                             1e-12)
     assert flow == 0.3
     assert from_source == [True, False, False, False]
     assert to_sink == [False, True, False, True]
@@ -192,11 +195,14 @@ def test_a_residue_at_tol_does_not_connect_the_sides():
 
 def test_a_start_through_the_source_counts_its_net_outflow():
     """A start may circulate through the source; the value counts only
-    what leaves it net."""
+    what leaves it net.  A maximum start leaves one round, which finds no
+    path."""
     tails, heads, caps = [0, 2, 2], [2, 0, 1], [1.0, 1.0, 0.5]
-    for start in ([0.0, 0.0, 0.0], [0.7, 0.7, 0.0], [1.0, 0.5, 0.5]):
-        flow, from_source, to_sink = max_flow(3, tails, heads, caps, 0, 1,
-                                              1e-12, start)
+    for start, want in (([0.0, 0.0, 0.0], 2), ([0.7, 0.7, 0.0], 3),
+                        ([1.0, 0.5, 0.5], 1)):
+        flow, from_source, to_sink, rounds = max_flow(3, tails, heads, caps,
+                                                      0, 1, 1e-12, start)
+        assert rounds == want
         assert flow == pytest.approx(0.5, abs=1e-12)
         assert from_source == [True, False, True]
         assert to_sink == [False, True, False]

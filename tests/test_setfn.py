@@ -584,27 +584,36 @@ def partitioned_pools(draw):
 
 def check_block_values(f, blocks, rng, base=0):
     """Each wanted block's gains equal all_values over it, less the value
-    at the blocks before it, within TIE_EPSILON times f's scale."""
+    at the blocks before it, within TIE_EPSILON times f's scale.  Asked to
+    take off a modular function at f's scale, block_values gives the same
+    gains less its modular_sums, within 1e-12 times f's scale."""
+    order, sizes = partition_of(blocks)
     wanted = sorted(rng.permutation(len(blocks))[
         :rng.integers(0, len(blocks) + 1)].tolist())
-    tables = f.block_values(*partition_of(blocks), wanted, base)
+    tables = f.block_values(order, sizes, wanted, base)
     assert len(tables) == len(wanted)
+    coeffs = rng.uniform(-1.0, 1.0, f.ground.n) * f.scale / f.ground.n
+    less = f.block_values(order, sizes, wanted, base, coeffs)
     before = [base]
     for block in blocks:
         before.append(before[-1] | block)
-    for j, gains in zip(wanted, tables):
+    for j, gains, shifted in zip(wanted, tables, less):
         want = (f.all_values(bit_indices(blocks[j]), before[j])
                 - f.value(before[j]))
         assert gains.shape == want.shape
         assert gains == pytest.approx(want, rel=0.0,
                                       abs=TIE_EPSILON * f.scale)
+        assert shifted == pytest.approx(
+            gains - modular_sums(coeffs[bit_indices(blocks[j])]), rel=0.0,
+            abs=1e-12 * f.scale)
 
 
 @settings(max_examples=40, deadline=None)
 @given(partitioned_pools())
 def test_block_values_match_all_values(model):
-    """On a bit pool and its restrict, add_modular and minor views, and on
-    a table, with and without a base of users outside the blocks."""
+    """On a bit pool and its restrict, add_modular and minor views (with a
+    pivot and coefficients of their own), and on a table, which takes the
+    generic path, with and without a base of users outside the blocks."""
     src, blocks, rest, rng = model
     n = src.ground.n
     base = random_mask(rng, rest)
