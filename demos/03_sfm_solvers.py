@@ -2,7 +2,7 @@
 
 Minimizing f(X) - lam*w(X) over subsets is the workhorse subproblem.
 solve_sfm picks the solver by a fixed rule on the oracle: a bit-pool block
-above 12 users is one project-selection min cut, read off a max-flow's
+of any size is one project-selection min cut, read off a max-flow's
 residual graph; any other block of at most 16 users is swept
 exhaustively, and larger ones go through the Fujishige-Wolfe
 minimum-norm-point algorithm, whose fractional output rounds to the same

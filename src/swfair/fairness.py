@@ -23,9 +23,11 @@ import numpy as np
 
 from .setfn import (
     BRUTE_FORCE_LIMIT,
+    BitPoolSource,
     RateVector,
     SetFunction,
     WeightVector,
+    _parts,
     add_modular,
     bit_indices,
     contract,
@@ -47,19 +49,20 @@ ORACLE_MAX_ITERATIONS = 200000
 def shapley_exact(f: SetFunction) -> RateVector:
     """Expected marginal value of each user over random arrival orders.
 
-    A bit-pool view (one :func:`swfair.setfn.coverage_cut` reads) is a sum
-    over bits of h_b [X meets O_b], O_b the observers of bit b, less a
-    modular c(X).  By symmetry and linearity r_i is the sum of h_b / |O_b|
-    over the bits i observes, less c_i: two bincounts, at any ground size
-    and with no oracle call.  Any other oracle is swept over all 2^n
-    subsets, r_i = sum over C not containing i of |C|! (n-|C|-1)! / n! *
-    (f(C + i) - f(C)), and refused above ``BRUTE_FORCE_LIMIT`` elements.
+    A bit-pool view (one :func:`swfair.setfn.coverage_cut` reads as one
+    block) is a sum over bits of h_b [X meets O_b], O_b the observers of
+    bit b, less a modular c(X).  By symmetry and linearity r_i is the sum
+    of h_b / |O_b| over the bits i observes, less c_i: two bincounts, at
+    any ground size and with no oracle call.  Any other oracle is swept
+    over all 2^n subsets, r_i = sum over C not containing i of |C|!
+    (n-|C|-1)! / n! * (f(C + i) - f(C)), and refused above
+    ``BRUTE_FORCE_LIMIT`` elements.
     """
     elems = bit_indices(f.ground_mask)
-    cut = coverage_cut(f, elems)
+    cut = coverage_cut(f, elems, [len(elems)], [0])
     rates = np.zeros(f.ground.n)
     if cut is not None:
-        user, bit, h, coeffs, _ = cut
+        _, _, user, bit, h, coeffs = cut
         share = h / np.bincount(bit, minlength=len(h))
         rates[elems] = np.bincount(user, weights=share[bit],
                                    minlength=len(elems)) - coeffs
@@ -143,11 +146,11 @@ def verify_membership(f: SetFunction, r,
     if rates.shape != (f.ground.n,) or not np.isfinite(rates).all():
         raise ValueError("rates must be %d finite numbers, one per user of "
                          "the ground set" % f.ground.n)
-    elems = bit_indices(f.ground_mask)
-    if coverage_cut(f, elems) is not None:
+    if isinstance(_parts(f)[0], BitPoolSource):
         objective = add_modular(f, rates)
         minimal = solve_sfm(objective).minimal_mask
-        sum_gap = float(rates[elems].sum()) - f.value(f.ground_mask)
+        sum_gap = (float(rates[bit_indices(f.ground_mask)].sum())
+                   - f.value(f.ground_mask))
         slack = sum_gap + objective.value(minimal)
         return MembershipReport(
             slack >= -tolerance and abs(sum_gap) <= tolerance,
@@ -189,8 +192,7 @@ def exchange_capacity(f: SetFunction, r, donor: str, receiver: str) -> float:
     if i == j or not f.ground_mask >> i & f.ground_mask >> j & 1:
         raise ValueError("donor and receiver must be two users of the "
                          "oracle's ground")
-    elems = bit_indices(f.ground_mask)
-    if coverage_cut(f, elems) is not None:
+    if isinstance(_parts(f)[0], BitPoolSource):
         f_i = f.value(1 << i)
         rest = contract(f, 1 << i, f.ground_mask & ~(1 << i | 1 << j), f_i)
         return f_i - float(rates[i]) + solve_sfm(

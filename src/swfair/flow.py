@@ -2,12 +2,14 @@
 
 :func:`max_flow` takes a network as parallel edge arrays and returns the
 flow value together with both sides of the residual graph, the nodes the
-source still reaches and the nodes that still reach the sink, and the
-number of breadth-first rounds it searched.  By the
+source still reaches and the nodes that still reach the sink, the number
+of breadth-first rounds it searched and the flow on each edge.  By the
 max-flow/min-cut theorem the first set is the source side of the minimal
 minimum cut and the complement of the second the source side of the
-maximal one, which is what :func:`swfair.sfm.solve_sfm` reads its two
-lattice-extreme minimizers from.
+maximal one, which is what :func:`swfair.sfm.cut_results` reads its two
+lattice-extreme minimizers from.  A network that is a disjoint union of
+networks sharing their source and sink has each part's maximum flow on
+that part's edges, so one call solves them all.
 
 The search is Edmonds and Karp's, with the augmenting paths of one round
 taken from one breadth-first tree.  Each round labels every node's distance
@@ -45,14 +47,14 @@ from typing import Sequence
 def max_flow(n_nodes: int, tails: Sequence[int], heads: Sequence[int],
              caps: Sequence[float], source: int, sink: int,
              tol: float = 0.0, start: Sequence[float] | None = None,
-             ) -> tuple[float, list[bool], list[bool], int]:
+             ) -> tuple[float, list[bool], list[bool], int, list[float]]:
     """Maximum source-sink flow; edge k runs tails[k] -> heads[k].
 
-    Returns (flow, from_source, to_sink, rounds): the flow value; per node,
-    whether the source reaches it and whether it reaches the sink through
-    edges of residual capacity above ``tol`` once the flow is maximum; and
-    the breadth-first rounds searched, the last one, which finds no path,
-    included.
+    Returns (flow, from_source, to_sink, rounds, flows): the flow value;
+    per node, whether the source reaches it and whether it reaches the sink
+    through edges of residual capacity above ``tol`` once the flow is
+    maximum; the breadth-first rounds searched, the last one, which finds
+    no path, included; and per edge, its flow.
     Every source-sink path must hold a finite capacity.  ``start`` is a
     feasible flow per edge to begin from (zero if None): within each
     edge's capacity and conserved at every node but the source and sink.
@@ -96,7 +98,7 @@ def max_flow(n_nodes: int, tails: Sequence[int], heads: Sequence[int],
     # the source's out-flow less its in-flow
     flow = sum(-cap[e] if e & 1 else cap[e ^ 1] for e in adj[source])
     return (flow, [d >= 0 for d in level],
-            _reaches(adj, to, cap, sink, n_nodes, tol), rounds)
+            _reaches(adj, to, cap, sink, n_nodes, tol), rounds, cap[1::2])
 
 
 def _tree(adj, to, cap, source, sink, n_nodes, tol):

@@ -12,8 +12,9 @@ Two concrete source models are provided:
   covered by it (a weighted coverage function, hence submodular and monotone).
   It evaluates over its (user, bit) incidence, so with nnz observations
   ``value`` and ``prefix_values`` cost O(nnz + n), ``all_values`` over c
-  elements costs O(nnz + c * 2^c), and ``block_values`` costs one such pass
-  for all the blocks it tables.
+  elements costs O(nnz + c * 2^c), and :func:`coverage_cut` builds the
+  min-cut networks of any blocks of an ordered partition in one O(nnz + n)
+  pass.
 * :class:`TableSource` - an explicit, complete table of values for every
   nonempty subset, used for arbitrary test fixtures.  It is one read-only
   float array indexed by mask, 8 * 2^n bytes, so ``value`` is O(1) and
@@ -276,12 +277,13 @@ class BitPoolSource(SetFunction):
 
     The oracle keeps only the (user, bit) incidence sorted by bit:
     ``_inc_user`` lists the observers of each observed bit in one run,
-    ``_inc_bit`` the bit of each observation, ``_run_start`` holds the
-    offset of each run and ``_run_entropy`` its bit's entropy.  Bits no user
-    observes are dropped, as they never count.  Every evaluation reduces
-    over these runs, so its cost follows the number of observations rather
-    than users x bits.  A bit listed twice for one user is one observation.
-    Its ``scale`` is H(V), the summed entropy of the observed bits.
+    ``_inc_bit`` the bit of each observation and ``_inc_run`` its run,
+    ``_run_start`` holds the offset of each run and ``_run_entropy`` its
+    bit's entropy.  Bits no user observes are dropped, as they never
+    count.  Every evaluation reduces over these runs, so its cost follows
+    the number of observations rather than users x bits.  A bit listed
+    twice for one user is one observation.  Its ``scale`` is H(V), the
+    summed entropy of the observed bits.
     """
 
     def __init__(self, ground: GroundSet, bits: Mapping[str, float],
@@ -316,10 +318,11 @@ class BitPoolSource(SetFunction):
         new_run[1:] = inc_bit[1:] != inc_bit[:-1]
         self._inc_user = inc_user
         self._inc_bit = inc_bit
+        self._inc_run = np.cumsum(new_run) - 1
         self._run_start = np.flatnonzero(new_run)
         self._run_entropy = h[inc_bit[self._run_start]]
-        for arr in (self._inc_user, self._inc_bit, self._run_start,
-                    self._run_entropy):
+        for arr in (self._inc_user, self._inc_bit, self._inc_run,
+                    self._run_start, self._run_entropy):
             arr.setflags(write=False)
         self.scale = float(self._run_entropy.sum())
 
@@ -367,92 +370,6 @@ class BitPoolSource(SetFunction):
         missed[0] = 0.0
         subset_sums(missed, c)
         return const + (missed[-1] - missed[::-1])
-
-    def block_values(self, order, sizes, wanted, base: int = 0,
-                     coeffs=None) -> list[np.ndarray]:
-        # A bit not covered by base is gained in the first block that covers
-        # it, through its observers there: rank users 0 in base, j + 1 in
-        # block j and len(sizes) + 1 elsewhere, and a bit lands at the least
-        # rank among its observers, with the pattern of the observers of that
-        # rank.  One bincount groups the bits of every wanted block by
-        # pattern, and one subset-sum transform per block size turns the
-        # groups into gains, as all_values does for one block.  A table
-        # whose transform is T gives gain(X) = T(block) - T(block - X), so
-        # -c_k at the singleton {k} before the transform takes c(X) off
-        # every gain in the same pass.
-        n, k = self.ground.n, len(sizes)
-        order = np.asarray(order, dtype=np.intp)
-        block_of = np.repeat(np.arange(1, k + 1), sizes)
-        rank = np.full(n, k + 1, dtype=np.intp)
-        rank[order] = block_of
-        if base:
-            rank[mask_array(base, n)] = 0
-        # Each wanted block's table is 2^c long, the tables laid out by size.
-        by_size = sorted(range(len(wanted)), key=lambda t: sizes[wanted[t]])
-        offset = np.full(k + 2, -1, dtype=np.intp)
-        end = 0
-        for t in by_size:
-            offset[wanted[t] + 1] = end
-            end += 1 << sizes[wanted[t]]
-        # Local bits only in the wanted blocks, so no shift passes 63.
-        table_of = offset[block_of]
-        tabled = table_of >= 0
-        position = np.arange(len(order)) - np.repeat(np.cumsum(sizes) - sizes,
-                                                     sizes)
-        local_bit = 1 << position[tabled]
-        local = np.zeros(n, dtype=np.int64)
-        local[order[tabled]] = local_bit
-        obs_rank = rank[self._inc_user]
-        first = np.minimum.reduceat(obs_rank, self._run_start)
-        run_length = np.diff(self._run_start, append=len(obs_rank))
-        in_first = obs_rank == np.repeat(first, run_length)
-        pattern = np.bitwise_or.reduceat(
-            np.where(in_first, local[self._inc_user], 0), self._run_start)
-        at = offset[first]
-        keep = at >= 0
-        # (float even with no observation, where bincount returns ints)
-        missed = np.bincount(at[keep] + pattern[keep],
-                             weights=self._run_entropy[keep],
-                             minlength=end).astype(float, copy=False)
-        if coeffs is not None:
-            missed[table_of[tabled] + local_bit] -= coeffs[order[tabled]]
-        out = [None] * len(wanted)
-        start = 0
-        for c, group in itertools.groupby(by_size, lambda t: sizes[wanted[t]]):
-            group = list(group)
-            stop = start + (len(group) << c)
-            inside = subset_sums(missed[start:stop], c).reshape(-1, 1 << c)
-            gains = inside[:, -1:] - inside[:, ::-1]
-            for t, row in zip(group, gains):
-                out[t] = row
-            start = stop
-        return out
-
-    def incidence(self, elements, base: int = 0):
-        """Observations by ``elements`` of the bits ``base`` does not cover.
-
-        Returns (user, bit, entropy, base_value): for each such
-        observation, the index of its user in ``elements`` and the index of
-        its bit in ``entropy``, which lists the entropy of every bit that
-        some element observes and no user of ``base`` does, in bit order;
-        base_value is H(base), summed as :meth:`value` sums it.  O(nnz + n).
-        """
-        local = np.full(self.ground.n, -1, dtype=np.intp)
-        local[np.asarray(elements, dtype=np.intp)] = np.arange(len(elements))
-        user = local[self._inc_user]
-        keep = user >= 0
-        base_value = 0.0
-        if base:
-            covered = self._covered(base)
-            base_value = float(self._run_entropy @ covered)
-            run_length = np.diff(self._run_start, append=len(user))
-            keep &= ~np.repeat(covered, run_length)
-        user, bit = user[keep], self._inc_bit[keep]
-        # bit is sorted, so each kept bit is one stretch of equal entries
-        first = np.ones(len(bit), dtype=bool)
-        first[1:] = bit[1:] != bit[:-1]
-        return (user, np.cumsum(first) - 1, self.bit_entropy[bit[first]],
-                base_value)
 
 
 class TableSource(SetFunction):
@@ -672,15 +589,6 @@ class ShiftedFunction(SetFunction):
             vals[0] = 0.0
         return vals
 
-    def block_values(self, order, sizes, wanted, base: int = 0,
-                     coeffs=None) -> list[np.ndarray]:
-        # The constant cancels in every gain, the pivot is covered first,
-        # and the source takes off both modular functions at once.
-        if self.coeffs is not None:
-            coeffs = self.coeffs if coeffs is None else self.coeffs + coeffs
-        return self.inner.block_values(order, sizes, wanted,
-                                       base | self.pivot, coeffs)
-
 
 def _parts(f: SetFunction):
     """Decompose into (source, pivot, constant, coeffs) for flattening."""
@@ -689,27 +597,60 @@ def _parts(f: SetFunction):
     return f, 0, 0.0, None
 
 
-def coverage_cut(f: SetFunction, elements):
-    """The min-cut data of f over ``elements`` if f is a bit-pool view.
+def coverage_cut(f: SetFunction, order, sizes: Sequence[int],
+                 wanted: Sequence[int], coeffs: np.ndarray | None = None):
+    """The min-cut data of f's gains over blocks of an ordered partition,
+    if f is a bit-pool view.
 
-    A view of a :class:`BitPoolSource` H with pivot P, constant k and
-    coefficients c is f(X) = offset + h(N(X) - N(P)) - c(X), where N(X) is
-    the set of bits X observes, h(B) the entropy of the bits B and offset
-    H(P) - k.  The form holds at the empty set too, as f(empty) = 0,
-    because every view has k = H(P) and so offset 0: exactly for views that
-    restrict and add_modular build on the source, up to rounding for the
-    contractions that :func:`contract` and :func:`minor` build.
-    Returns (user, bit, entropy, coeffs, offset), the first three as
-    :meth:`BitPoolSource.incidence` gives them for ``elements`` and P and
-    coeffs the c of ``elements`` in order, or None if f views another
-    oracle.  Makes no oracle call.
+    Block j is the run of ``sizes[j]`` global positions of ``order`` after
+    the runs of the blocks before it, and S_j is their union.  A view of a
+    :class:`BitPoolSource` H with pivot P and coefficients c, less the
+    modular function with the per-user ``coeffs`` that :func:`add_modular`
+    takes (0 if None), has over S_j the gains
+
+        f(S_j | X) - f(S_j) - coeffs(X) = h(N(X) - N(P | S_j)) - c'(X)
+
+    for X inside block j, where N(X) is the set of bits X observes, h(B)
+    the entropy of the bits B and c' = c + coeffs.  The bits of N(X) - N(P
+    | S_j) are those whose first observer, ranking the pivot before block
+    0, lies in block j, so the blocks' bits are disjoint and one pass over
+    the incidence finds those of every block in ``wanted``.  Returns
+    (users, starts, user, bit, entropy, coeffs): the wanted blocks'
+    positions, block after block, block t's at users[starts[t]:starts[t +
+    1]]; per observation of a block's bit by a user of that block, in
+    incidence order, the user's index into users and the bit's index into
+    entropy, which lists those bits' entropies in bit order; and c' per
+    user of users.  None if f views another oracle.  Makes no oracle call.
     """
-    source, pivot, constant, coeffs = _parts(f)
+    source, pivot, _, own = _parts(f)
     if not isinstance(source, BitPoolSource):
         return None
-    user, bit, entropy, pivot_value = source.incidence(elements, pivot)
-    c = np.zeros(len(elements)) if coeffs is None else coeffs[elements]
-    return user, bit, entropy, c, pivot_value - constant
+    if own is not None:
+        coeffs = own if coeffs is None else own + coeffs
+    n, k = source.ground.n, len(sizes)
+    order = np.asarray(order, dtype=np.intp)
+    # rank users 0 in the pivot, j + 1 in block j and k + 1 elsewhere: a
+    # bit is gained in the block of its observers of least rank
+    block_of = np.repeat(np.arange(1, k + 1), sizes)
+    rank = np.full(n, k + 1, dtype=np.intp)
+    rank[order] = block_of
+    if pivot:
+        rank[mask_array(pivot, n)] = 0
+    obs_rank = rank[source._inc_user]
+    first = np.minimum.reduceat(obs_rank, source._run_start)
+    is_wanted = np.zeros(k + 2, dtype=bool)
+    is_wanted[np.asarray(wanted, dtype=np.intp) + 1] = True
+    keep = (obs_rank == first[source._inc_run]) & is_wanted[obs_rank]
+    users = order[is_wanted[block_of]]
+    local = np.zeros(n, dtype=np.intp)
+    local[users] = np.arange(len(users))
+    run = source._inc_run[keep]
+    new_bit = np.ones(len(run), dtype=bool)
+    new_bit[1:] = run[1:] != run[:-1]
+    return (users, [0, *itertools.accumulate(sizes[j] for j in wanted)],
+            local[source._inc_user[keep]], np.cumsum(new_bit) - 1,
+            source._run_entropy[run[new_bit]],
+            np.zeros(len(users)) if coeffs is None else coeffs[users])
 
 
 def restrict(f: SetFunction, subset) -> SetFunction:

@@ -1,21 +1,23 @@
 """Submodular function minimization with lattice-extreme minimizers.
 
-Three solver paths share one result type; :func:`solve_sfm` picks one by
-a fixed rule on the oracle and its ground size, with no override:
+Three solvers share one result type, and a fixed rule on the oracle picks
+one, with no override:
 
-* an exact minimum cut for a view of a bit-pool source above
-  ``MIN_CUT_ABOVE`` (12) users: the objective is a weighted coverage
-  function minus a modular one, so its minimization is a project-selection
-  problem (Rhys, "A selection problem of shared fixed costs and network
-  flows", Mgmt. Sci. 1970; Picard, "Maximal closure of a graph and
-  applications to combinatorial problems", Mgmt. Sci. 1976), solved by one
-  max-flow in :mod:`swfair.flow`, in strongly polynomial time;
-* otherwise, exhaustive enumeration up to ``EXHAUSTIVE_UP_TO`` (16) users,
-  which recovers the exact minimum and the minimal/maximal minimizers as
-  the intersection/union of all tied minimizing subsets (the minimizer
-  family of a submodular function is a lattice, so those are its bottom
-  and top);
-* the Fujishige-Wolfe minimum-norm-point algorithm for larger grounds over
+* an exact minimum cut for a view of a bit-pool source, of any size: the
+  objective is a weighted coverage function minus a modular one, so its
+  minimization is a project-selection problem (Rhys, "A selection problem
+  of shared fixed costs and network flows", Mgmt. Sci. 1970; Picard,
+  "Maximal closure of a graph and applications to combinatorial problems",
+  Mgmt. Sci. 1976), solved by one max-flow in :mod:`swfair.flow`, in
+  strongly polynomial time.  :func:`cut_results` solves any number of such
+  networks with disjoint users and bits in that one flow, which is how
+  :func:`swfair.split.split` settles every block of a depth at once;
+* for any other oracle, exhaustive enumeration up to ``EXHAUSTIVE_UP_TO``
+  (16) users, which recovers the exact minimum and the minimal/maximal
+  minimizers as the intersection/union of all tied minimizing subsets (the
+  minimizer family of a submodular function is a lattice, so those are its
+  bottom and top);
+* the Fujishige-Wolfe minimum-norm-point algorithm for larger grounds of
   any other oracle, driven by the greedy linear-minimization oracle over
   the base polyhedron.  Like Wolfe's own method it keeps a factor of its
   active set across cycles: the inverse of the bordered Gram matrix
@@ -76,19 +78,6 @@ class ConvergenceError(RuntimeError):
         return text
 
 
-# Bit-pool views above this many users take the min cut.  On seed-0
-# ``sweep`` sub-blocks (20 per size, best of 5 runs each) the median solve
-# took 0.22 / 0.25 / 0.35 / 0.54 / 0.91 / 1.6 / 3.1 ms by the sweep against
-# 0.22 / 0.21 / 0.22 / 0.24 / 0.25 / 0.30 / 0.25 ms by the min cut
-# (contracted, warm-started) at 10 to 16 users (perf_counter, 2 vCPUs).
-# The cut wins from 11 users on, but the ``sweep`` benchmark did not move
-# with the constant at 10: op_s.p50 0.0120-0.0121 s against 0.0120-0.0122
-# s at 12 (seed 7, three runs each, with the earlier blocking-flow kernel).
-# With the uncontracted cold-start flow the median ``split`` of the 128
-# ``sweep`` models took 0.0141 s with the cut above 16 users, 0.0122 s
-# above 12 and 0.0149 s at every size.
-MIN_CUT_ABOVE = 12
-
 # Any other ground up to this many users is swept, which is exact where
 # Wolfe stops at a gap: on bit-pool values behind an opaque oracle the
 # median sweep took 0.78 / 3.7 / 16 ms at 14 / 16 / 18 users and Wolfe
@@ -115,7 +104,9 @@ class SfmResult:
 
     The minimizers are masks over ``ground``; ``minimal_minimizer`` and
     ``maximal_minimizer`` name their users.  ``flow_rounds`` counts a min
-    cut's breadth-first rounds, and is 0 for the other solvers.
+    cut's breadth-first rounds, and is 0 for the other solvers; a block
+    settled in a flow shared with other blocks, as each depth of
+    :func:`swfair.split.split` shares one, reports that flow's rounds.
     """
 
     ground: GroundSet = field(repr=False)
@@ -150,18 +141,18 @@ class SfmResult:
 def solve_sfm(f: SetFunction) -> SfmResult:
     """Minimize f over all subsets of its ground (empty set included).
 
-    A view of a :class:`BitPoolSource` above ``MIN_CUT_ABOVE`` users goes
-    to the min cut, any other ground of at most ``EXHAUSTIVE_UP_TO`` users
-    to the exhaustive sweep, and anything larger to min-norm point.  The
-    rule has no override.  The min-norm path assumes f is submodular; the
-    other two do not need to.
+    A view of a :class:`BitPoolSource` goes to the min cut, any other
+    ground of at most ``EXHAUSTIVE_UP_TO`` users to the exhaustive sweep,
+    and anything larger to min-norm point.  The rule has no override.  The
+    min-norm path assumes f is submodular; the other two do not need to.
     """
     elems = bit_indices(f.ground_mask)
     if not elems:
         return SfmResult(f.ground, 0.0, 0, 0, "exhaustive", 0, 0)
-    cut = coverage_cut(f, elems) if len(elems) > MIN_CUT_ABOVE else None
+    cut = coverage_cut(f, elems, [len(elems)], [0])
     if cut is not None:
-        return _solve_min_cut(f, elems, cut)
+        return cut_results(f.ground, cut, [f.ground_mask],
+                           TIE_EPSILON * f.scale)[0]
     if len(elems) <= EXHAUSTIVE_UP_TO:
         return _solve_exhaustive(f, elems)
     return _solve_min_norm(f, elems)
@@ -214,17 +205,19 @@ def sweep_results(ground, tables, elems, masks, tol) -> list[SfmResult]:
     return out
 
 
-def _solve_min_cut(f, elems, cut) -> SfmResult:
-    """Exact SFM of a bit-pool view by one maximum flow.
+def cut_results(ground, cut, masks, tol) -> list[SfmResult]:
+    """Exact SFM results of bit-pool gains from one maximum flow.
 
-    ``cut`` is :func:`swfair.setfn.coverage_cut`'s data for f, which reads
-    f(X) = offset + h(N(X) - N(P)) - c(X) with P the pivot, c the
-    coefficients, N(X) the bits X observes and h(B) the entropy of the bits
-    B.  A cut with users X on the source side of the project-selection
-    network (source -> user i with capacity c_i where c_i > 0, user i ->
-    sink with capacity -c_i where c_i < 0, user -> each bit it observes
-    outside N(P) uncapped, bit b -> sink with capacity h_b) costs c+(V) -
-    c(X) + h(N(X) - N(P)).  The flow runs on that network contracted:
+    ``cut`` is :func:`swfair.setfn.coverage_cut`'s data for some blocks, and
+    masks[t] is block t's mask.  Block t's function is g(X) = h(N(X)) -
+    c(X) over its users, N(X) its bits that X observes, h(B) the entropy of
+    the bits B and c its coefficients.  A cut with users X on the source
+    side of the project-selection network (source -> user i with capacity
+    c_i where c_i > 0, user i -> sink with capacity -c_i where c_i < 0,
+    user -> each bit it observes uncapped, bit b -> sink with capacity
+    h_b) costs c+(V) - c(X) + h(N(X)).  The blocks share no user and no
+    bit, so their networks are disjoint and one flow runs on their union,
+    contracted:
 
     * a bit only user i observes joins i's sink capacity s_i, since the
       uncapped edge to it puts it on i's side of every finite cut;
@@ -238,17 +231,16 @@ def _solve_min_cut(f, elems, cut) -> SfmResult:
     The pass, and the edge lists, take the observations by their user's
     number of shared bits, then by their bit's number of observers, fewest
     first and otherwise in incidence order: that start is nearer a maximum
-    flow, so fewer rounds remain, and ``flow_rounds`` reports them.
-    The maximum flow F of the contracted network is c+(V) + min f - offset
-    - sum m_i, so ``min_value`` is offset + F + sum m_i - c+(V).  Users the
-    source reaches in the residual graph form the minimal minimizer, and
-    users that do not reach the sink the maximal one; residual capacities
-    at or below TIE_EPSILON times the source's scale count as zero.  The
-    source's incidence is read directly and no oracle is called, so
-    ``oracle_evals`` is 0.
+    flow, so fewer rounds remain, and every block's ``flow_rounds`` reports
+    them.  Block t's part of the flow is c+(V_t) + min g - sum m_i over its
+    users, so ``min_value`` is less than 0 by what its source edges have
+    left unused.  Users the source reaches in the residual graph form the
+    minimal minimizer, and users that do not reach the sink the maximal
+    one; residual capacities at or below ``tol`` count as zero.  No oracle
+    is called, so ``oracle_evals`` is 0.
     """
-    user, bit, h, coef, offset = cut
-    c = len(elems)
+    users, starts, user, bit, h, coef = cut
+    c = len(users)
     observers = np.bincount(bit, minlength=len(h))
     private = observers[bit] == 1
     source_cap = np.maximum(coef, 0.0)
@@ -295,24 +287,31 @@ def _solve_min_cut(f, elems, cut) -> SfmResult:
             x = 0.0
         pushed.append(x)
     start = [sent[i] for i in gain.tolist()] + [0.0] * len(loss) + pushed + got
-    flow, from_source, to_sink, rounds = max_flow(
+    _, from_source, to_sink, rounds, flows = max_flow(
         c + 2 + len(bit_cap), tails.tolist(), heads.tolist(), caps.tolist(),
-        0, 1, TIE_EPSILON * f.scale, start)
-    minimal_mask = mask_from_indices(
-        e for e, s in zip(elems, from_source[2:c + 2]) if s)
-    maximal_mask = mask_from_indices(
-        e for e, t in zip(elems, to_sink[2:c + 2]) if not t)
-    return SfmResult(
-        ground=f.ground,
-        min_value=(offset + flow + float(both.sum())
-                   - float(coef[coef > 0.0].sum())),
-        solver_used="min_cut",
-        oracle_evals=0,
-        ground_size=c,
-        minimal_mask=minimal_mask,
-        maximal_mask=maximal_mask,
-        flow_rounds=rounds,
-    )
+        0, 1, tol, start)
+    # each block's source edges: what they left unused is its minimum
+    block = np.repeat(np.arange(len(masks)), np.diff(starts))
+    unused = np.bincount(block[gain], weights=caps[:len(gain)]
+                         - flows[:len(gain)], minlength=len(masks))
+    positions = users.tolist()
+    out = []
+    for t, (a, b) in enumerate(zip(starts, starts[1:])):
+        here = positions[a:b]
+        maximal = [i for i, s in zip(here, to_sink[a + 2:b + 2]) if not s]
+        out.append(SfmResult(
+            ground=ground,
+            min_value=-float(unused[t]),
+            minimal_mask=mask_from_indices(
+                i for i, s in zip(here, from_source[a + 2:b + 2]) if s),
+            maximal_mask=(masks[t] if len(maximal) == b - a
+                          else mask_from_indices(maximal)),
+            solver_used="min_cut",
+            oracle_evals=0,
+            ground_size=b - a,
+            flow_rounds=rounds,
+        ))
+    return out
 
 
 def _solve_min_norm(f, elems) -> SfmResult:

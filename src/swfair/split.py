@@ -12,12 +12,15 @@ after an early base assignment of the minimizer's ratio times w.  The two
 subcalls of a split are independent (:func:`recursion_metrics` reports
 the critical path as ``max_size``), so :func:`_refine` runs each depth as
 one pass over its blocks: one prefix walk gives every block its ratio,
-one ``f.block_values`` call tables every block of 2 to ``MIN_CUT_ABOVE``
-(12) users less its ratio times w (for a bit pool, one pass over the
-incidence, the shift included), and each larger block gets one SFM.  A
-:class:`SplitTree` records per-node subsets, ratios, SFM results, and the
-ordered base-assignment events that trace the rate vector's walk through
-the polyhedron.
+and the blocks of 2 or more users are tested by the rule of
+:func:`swfair.sfm.solve_sfm`.  On a bit pool their project-selection
+networks share no user and no bit, so one pass over the incidence builds
+them all and one maximum flow settles them all.  On any other oracle one
+``f.block_values`` call tables every block of 2 to ``EXHAUSTIVE_UP_TO``
+(16) users less its ratio times w, and each larger block gets one Wolfe
+solve.  A :class:`SplitTree` records per-node subsets, ratios, SFM
+results, and the ordered base-assignment events that trace the rate
+vector's walk through the polyhedron.
 
 :func:`decompose` is the engine, and :func:`egalitarian` returns the rates
 of its chain.  The egalitarian point is also the minimum-norm base in
@@ -65,17 +68,19 @@ from .setfn import (
     add_modular,
     bit_indices,
     contract,
+    coverage_cut,
     mask_array,
     mask_from_indices,
     restrict,
 )
 from .sfm import (
     CAPPED,
-    MIN_CUT_ABOVE,
+    EXHAUSTIVE_UP_TO,
     ConvergenceError,
     SfmResult,
     _stop_reason,
     _wolfe,
+    cut_results,
     solve_sfm,
     sweep_results,
 )
@@ -196,11 +201,13 @@ def _refine(f, w, order, sizes, walk):
     gives every open block D_j its ratio rho_j = (f(S_j) - f(S_{j-1})) /
     w(D_j) from one prefix walk (``walk`` on the first pass) and tests it
     on f's minor after S_{j-1} at rho_j: a one-user block is a leaf with no
-    oracle call, blocks of 2 to ``MIN_CUT_ABOVE`` users are swept together
-    (:func:`_sweeps`), and a larger block gets ``solve_sfm``.  A block that
-    is not its own maximal minimizer is replaced in place by that minimizer
-    and the rest.  Returns the leaves as (order, sizes, ratios) and, per
-    depth, each tested block's (mask, rho_j, result or None if one user).
+    oracle call, and the blocks of 2 or more users are tested together
+    (:func:`_sweeps`) but for those above ``EXHAUSTIVE_UP_TO`` users of an
+    oracle other than a bit pool, which get ``solve_sfm`` one by one.  A
+    block that is not its own maximal minimizer is replaced in place by
+    that minimizer and the rest.  Returns the leaves as (order, sizes,
+    ratios) and, per depth, each tested block's (mask, rho_j, result or
+    None if one user).
     A :class:`ConvergenceError` names the blocks enclosing the failed one.
     """
     n = f.ground.n
@@ -218,12 +225,12 @@ def _refine(f, w, order, sizes, walk):
         rho = (np.diff(walk)
                / np.add.reduceat(w.values[order], starts[:-1])).tolist()
         swept = _sweeps(f, w, order, sizes, starts, masks, [
-            j for j, c in enumerate(sizes)
-            if ratios[j] is None and 1 < c <= MIN_CUT_ABOVE], rho)
+            j for j, c in enumerate(sizes) if ratios[j] is None and c > 1],
+            rho)
         depth, last, parts, pivot = [], parts, [], 0
         for j, (mask, c, ratio, path) in enumerate(last):
             res = swept.get(j)
-            if ratio is None and c > MIN_CUT_ABOVE:
+            if res is None and ratio is None and c > 1:
                 objective = add_modular(contract(f, pivot, mask, pv[j]),
                                         w.times(rho[j], mask_array(mask, n)))
                 try:
@@ -258,20 +265,31 @@ def _refine(f, w, order, sizes, walk):
         walk = None
 
 
-def _sweeps(f, w, order, sizes, starts, masks, small, rho) -> dict:
-    """SFM results of the blocks ``small`` on their minors at their ratios.
+def _sweeps(f, w, order, sizes, starts, masks, tests, rho) -> dict:
+    """SFM results of blocks ``tests`` on their minors at their ratios, all
+    of them on a bit pool and those of at most ``EXHAUSTIVE_UP_TO`` users
+    otherwise.
 
-    One ``f.block_values`` call gives each block j the gains f(S_{j-1} |
-    X) - f(S_{j-1}) - rho_j * w(X) of its subsets X: the minor's objective
-    up to its contraction's carry, which cancels in every tie.  The shift
-    is formed per user, and |rho_j * w_i| <= |f(S_j) - f(S_{j-1})| for i
-    in block j, so no weight overflows it.
+    Block j's function is its gains f(S_{j-1} | X) - f(S_{j-1}) - rho_j *
+    w(X) over its subsets X: the minor's objective up to its contraction's
+    carry, which cancels in every tie.  On a bit pool one
+    :func:`coverage_cut` builds the blocks' networks and one flow solves
+    them (:func:`cut_results`); otherwise one ``f.block_values`` call
+    tables the gains and :func:`sweep_results` reads them.  The shift is
+    formed per user, and |rho_j * w_i| <= |f(S_j) - f(S_{j-1})| for i in
+    block j, so no weight overflows it.
     """
-    if not small:
+    if not tests:
         return {}
     lam = np.zeros(f.ground.n)
     lam[order] = np.repeat(rho, sizes)
     shift = w.times(lam, mask_array(f.ground_mask, f.ground.n))
+    tol = TIE_EPSILON * f.scale
+    cut = coverage_cut(f, order, sizes, tests, shift)
+    if cut is not None:
+        return dict(zip(tests, cut_results(f.ground, cut,
+                                           [masks[j] for j in tests], tol)))
+    small = [j for j in tests if sizes[j] <= EXHAUSTIVE_UP_TO]
     by_size = {}
     for j, excess in zip(small, f.block_values(order, sizes, small,
                                                coeffs=shift)):
@@ -282,8 +300,7 @@ def _sweeps(f, w, order, sizes, starts, masks, small, rho) -> dict:
         elems = order[np.add.outer([starts[j] for j in js], np.arange(c))]
         out.update(zip(js, sweep_results(f.ground,
                                          np.stack([e for _, e in group]),
-                                         elems, [masks[j] for j in js],
-                                         TIE_EPSILON * f.scale)))
+                                         elems, [masks[j] for j in js], tol)))
     return out
 
 
@@ -432,13 +449,13 @@ def certify(f: SetFunction, rates: RateVector) -> None:
 
     The check is ``swfair verify``'s (:func:`verify_membership`) at its
     default tolerance, 1e-8 times f's scale, whichever solver produced the
-    rates: a min cut for a bit pool above ``MIN_CUT_ABOVE`` users, a subset
-    sweep otherwise.  It runs only up to ``BRUTE_FORCE_LIMIT`` users, and
-    above that it does nothing, although a bit pool could be checked at any
-    size.  On 256-user bit pools, one more flow per answer over the whole
-    network cost 35-40% of the engine's time, and one over the multi-user
-    levels, contracted and greedy-started as the min cut's, about 8%.  A
-    failure raises :class:`CertificationError`.
+    rates: a min cut for a bit pool, a subset sweep otherwise.  It runs
+    only up to ``BRUTE_FORCE_LIMIT`` users, and above that it does nothing,
+    although a bit pool could be checked at any size.  On 256-user bit
+    pools, one more flow per answer over the whole network cost 35-40% of
+    the engine's time, and one over the multi-user levels, contracted and
+    greedy-started as the min cut's, about 8%.  A failure raises
+    :class:`CertificationError`.
     """
     cmask = rates.subset_mask
     if cmask.bit_count() > BRUTE_FORCE_LIMIT:

@@ -84,8 +84,8 @@ def test_max_flow_matches_brute_force_cuts(n_inner):
     for _ in range(15):
         n, tails, heads, caps = random_network(rng, n_inner)
         tol = 1e-9 * max(1.0, sum(c for c in caps if c < math.inf))
-        flow, from_source, to_sink, _ = max_flow(n, tails, heads, caps,
-                                                 SOURCE, SINK, tol)
+        flow, from_source, to_sink, _, _ = max_flow(n, tails, heads, caps,
+                                                    SOURCE, SINK, tol)
         best, minimal, maximal = brute_force_cuts(n, tails, heads, caps, tol)
         assert flow == pytest.approx(best, abs=tol)
         assert node_mask(from_source) == minimal
@@ -152,12 +152,86 @@ def test_project_selection_beyond_brute_force(seed):
     value = sum(x for t, x in zip(tails, reference) if t == SOURCE)
     greedy = path_flow(tails, heads, caps, reverse=False)
     for start in (None, greedy, [0.5 * x for x in reference]):
-        flow, from_source, to_sink, _ = max_flow(n, tails, heads, caps,
-                                                 SOURCE, SINK, tol, start)
+        flow, from_source, to_sink, _, _ = max_flow(n, tails, heads, caps,
+                                                    SOURCE, SINK, tol, start)
         assert flow == pytest.approx(value, abs=tol)
         for side in (from_source, [not t for t in to_sink]):
             assert cut_capacity(tails, heads, caps, side) == pytest.approx(
                 flow, abs=tol)
+
+
+def check_edge_flows(n, tails, heads, caps, value, flows, tol):
+    """Each edge's flow lies within its capacity, every inner node passes
+    on what it takes in, and the source's net out-flow is the value."""
+    assert len(flows) == len(caps)
+    for x, c in zip(flows, caps):
+        assert -tol <= x <= c + tol
+    net = [0.0] * n
+    for t, h, x in zip(tails, heads, flows):
+        net[t] += x
+        net[h] -= x
+    assert net[2:] == pytest.approx([0.0] * (n - 2), abs=tol)
+    assert net[SOURCE] == pytest.approx(value, abs=tol)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_edge_flows_are_a_maximum_flow(seed):
+    """On random networks and project-selection ones, cold and warm."""
+    rng = np.random.default_rng(300 + seed)
+    for network in (random_network(rng, int(rng.integers(1, 10))),
+                    project_selection(rng, int(rng.integers(2, 30)),
+                                      int(rng.integers(4, 60)))):
+        n, tails, heads, caps = network
+        tol = 1e-9 * max(1.0, sum(c for c in caps if c < math.inf))
+        greedy = path_flow(tails, heads, caps, reverse=False)
+        for start in (None, greedy):
+            value, _, _, _, flows = max_flow(n, tails, heads, caps, SOURCE,
+                                             SINK, tol, start)
+            check_edge_flows(n, tails, heads, caps, value, flows, tol)
+
+
+def disjoint_union(networks):
+    """The networks side by side, sharing the source and the sink: node v
+    > SINK of network t is renumbered past the inner nodes of the ones
+    before it.  Returns the union and, per network, its edges' indices in
+    the union and the union's numbers of its nodes."""
+    tails, heads, caps, edges, nodes = [], [], [], [], []
+    shift = 0
+    for n, t, h, c in networks:
+        def at(v, shift=shift):
+            return v if v <= SINK else v + shift
+        edges.append(range(len(caps), len(caps) + len(c)))
+        nodes.append([at(v) for v in range(n)])
+        tails += [at(v) for v in t]
+        heads += [at(v) for v in h]
+        caps += c
+        shift += n - 2
+    return (shift + 2, tails, heads, caps), edges, nodes
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_disjoint_union_carries_each_parts_own_maximum_flow(seed):
+    """One flow over networks that share only the source and the sink
+    gives each part, on its own edges, the value of its solo maximum flow,
+    and both of its solo reach sets."""
+    rng = np.random.default_rng(400 + seed)
+    parts = [project_selection(rng, int(rng.integers(1, 12)),
+                               int(rng.integers(4, 20)))
+             for _ in range(int(rng.integers(2, 6)))]
+    union, edges, nodes = disjoint_union(parts)
+    tol = 1e-9 * max(1.0, sum(c for c in union[3] if c < math.inf))
+    value, from_source, to_sink, _, flows = max_flow(*union, SOURCE, SINK,
+                                                     tol)
+    check_edge_flows(*union, value, flows, tol)
+    total = 0.0
+    for (n, tails, heads, caps), own, at in zip(parts, edges, nodes):
+        solo = max_flow(n, tails, heads, caps, SOURCE, SINK, tol)
+        part = sum(flows[k] for k in own if union[1][k] == SOURCE)
+        assert part == pytest.approx(solo[0], abs=tol)
+        assert [from_source[v] for v in at[2:]] == solo[1][2:]
+        assert [to_sink[v] for v in at[2:]] == solo[2][2:]
+        total += part
+    assert total == pytest.approx(value, abs=tol)
 
 
 def test_a_path_whose_bottleneck_an_earlier_path_took_is_skipped():
@@ -168,8 +242,8 @@ def test_a_path_whose_bottleneck_an_earlier_path_took_is_skipped():
     tails = [0, 0, 2, 2, 3, 4, 5]
     heads = [2, 5, 3, 4, 1, 1, 1]
     caps = [1.0, 2.0, 5.0, 5.0, 5.0, 5.0, 2.0]
-    flow, from_source, to_sink, rounds = max_flow(6, tails, heads, caps,
-                                                  0, 1, 1e-12)
+    flow, from_source, to_sink, rounds, _ = max_flow(6, tails, heads, caps,
+                                                     0, 1, 1e-12)
     best, minimal, maximal = brute_force_cuts(6, tails, heads, caps, 1e-12)
     assert flow == best == 3.0
     # two rounds that augment, and the one that finds no path
@@ -185,8 +259,8 @@ def test_a_residue_at_tol_does_not_connect_the_sides():
     path holds less than tol and carries nothing."""
     tails, heads = [0, 2, 0, 3], [2, 1, 3, 1]
     caps = [0.1 + 0.2, 0.3, 1e-13, 1.0]
-    flow, from_source, to_sink, _ = max_flow(4, tails, heads, caps, 0, 1,
-                                             1e-12)
+    flow, from_source, to_sink, _, _ = max_flow(4, tails, heads, caps, 0, 1,
+                                                1e-12)
     assert flow == 0.3
     assert from_source == [True, False, False, False]
     assert to_sink == [False, True, False, True]
@@ -200,8 +274,8 @@ def test_a_start_through_the_source_counts_its_net_outflow():
     tails, heads, caps = [0, 2, 2], [2, 0, 1], [1.0, 1.0, 0.5]
     for start, want in (([0.0, 0.0, 0.0], 2), ([0.7, 0.7, 0.0], 3),
                         ([1.0, 0.5, 0.5], 1)):
-        flow, from_source, to_sink, rounds = max_flow(3, tails, heads, caps,
-                                                      0, 1, 1e-12, start)
+        flow, from_source, to_sink, rounds, _ = max_flow(
+            3, tails, heads, caps, 0, 1, 1e-12, start)
         assert rounds == want
         assert flow == pytest.approx(0.5, abs=1e-12)
         assert from_source == [True, False, True]

@@ -22,6 +22,7 @@ from swfair.setfn import (
     check_monotone,
     check_submodular,
     conditional_entropy,
+    coverage_cut,
     global_mask,
     greedy_vertex_local,
     load_source,
@@ -38,8 +39,8 @@ from swfair.setfn import (
 )
 import swfair.setfn as setfn_module
 from swfair.experiment import ExperimentConfig, generate_instance
-from conftest import (minor_after, partition_of, random_bit_pool,
-                      scaled_source, weight_of)
+from conftest import (coverage_table, minor_after, partition_of,
+                      random_bit_pool, scaled_source, weight_of)
 
 
 def test_ground_set_basics():
@@ -611,9 +612,10 @@ def check_block_values(f, blocks, rng, base=0):
 @settings(max_examples=40, deadline=None)
 @given(partitioned_pools())
 def test_block_values_match_all_values(model):
-    """On a bit pool and its restrict, add_modular and minor views (with a
-    pivot and coefficients of their own), and on a table, which takes the
-    generic path, with and without a base of users outside the blocks."""
+    """The generic path, which every oracle takes: on a bit pool and its
+    restrict, add_modular and minor views (with a pivot and coefficients
+    of their own), and on a table, with and without a base of users
+    outside the blocks."""
     src, blocks, rest, rng = model
     n = src.ground.n
     base = random_mask(rng, rest)
@@ -640,6 +642,67 @@ def test_block_values_match_all_values(model):
         for view in (restrict(table, inside | base),
                      add_modular(table, rng.uniform(-1.0, 1.0, n))):
             check_block_values(view, blocks, rng, base)
+
+
+def check_coverage_cut(f, blocks, rng):
+    """Each wanted block's network holds its gains: for X inside block j,
+    the entropy of the block's bits that X observes, less the cut's
+    coefficients over X, is f(S_j | X) - f(S_j) less the caller's
+    coefficients over X, within TIE_EPSILON times f's scale.  No bit has
+    observers in two blocks."""
+    order, sizes = partition_of(blocks)
+    wanted = sorted(rng.permutation(len(blocks))[
+        :rng.integers(1, len(blocks) + 1)].tolist())
+    coeffs = rng.uniform(-1.0, 1.0, f.ground.n) * f.scale / f.ground.n
+    users, starts, user, bit, h, c = coverage_cut(f, order, sizes, wanted,
+                                                  coeffs)
+    assert starts == np.cumsum([0, *(sizes[j] for j in wanted)]).tolist()
+    owner = np.searchsorted(starts, user, side="right") - 1
+    for b in range(len(h)):
+        assert len(set(owner[bit == b].tolist())) == 1
+    before = [0]
+    for block in blocks:
+        before.append(before[-1] | block)
+    for t, j in enumerate(wanted):
+        elems = bit_indices(blocks[j])
+        assert users[starts[t]:starts[t + 1]].tolist() == elems
+        size = len(elems)
+        pattern = np.zeros(len(h), dtype=np.int64)
+        here = owner == t
+        np.bitwise_or.at(pattern, bit[here], 1 << (user[here] - starts[t]))
+        subsets = np.arange(1 << size)
+        got = np.zeros(1 << size)
+        for b in np.flatnonzero(pattern):
+            got[(subsets & pattern[b]) != 0] += h[b]
+        got -= modular_sums(c[starts[t]:starts[t + 1]])
+        want = (f.all_values(elems, before[j]) - f.value(before[j])
+                - modular_sums(coeffs[elems]))
+        assert got == pytest.approx(want, rel=0.0,
+                                    abs=TIE_EPSILON * f.scale)
+
+
+@settings(max_examples=40, deadline=None)
+@given(partitioned_pools())
+def test_coverage_cut_holds_each_blocks_gains(model):
+    """On a bit pool and its restrict, add_modular and minor views, with a
+    pivot and coefficients of their own; a table has no cut."""
+    src, blocks, rest, rng = model
+    n = src.ground.n
+    inside = src.ground_mask & ~rest
+    check_coverage_cut(src, blocks, rng)
+    sub = restrict(src, inside)
+    check_coverage_cut(sub, blocks, rng)
+    coeffs = rng.uniform(-1.0, 1.0, n)
+    check_coverage_cut(add_modular(sub, coeffs), blocks, rng)
+    w = WeightVector(src.ground, rng.uniform(0.5, 4.0, n))
+    if rest:
+        for f in (src, add_modular(src, coeffs)):
+            check_coverage_cut(minor(f, rest, inside, f.value(rest),
+                                     weight_of(w, rest), w), blocks, rng)
+    if n <= 12:
+        order, sizes = partition_of(blocks)
+        assert coverage_cut(coverage_table(src), order, sizes,
+                            [0]) is None
 
 
 def test_modular_sums_matches_mask_loop():

@@ -23,7 +23,6 @@ from swfair.setfn import (
 from swfair.sfm import (
     CONVERGED,
     EXHAUSTIVE_UP_TO,
-    MIN_CUT_ABOVE,
     STALLED,
     ConvergenceError,
     SfmResult,
@@ -31,8 +30,8 @@ from swfair.sfm import (
     solve_sfm,
 )
 from swfair.split import PROPOSAL_GAP, egalitarian
-from conftest import (OpaquePool, minor_after, random_bit_pool,
-                      twin_bit_pool, weight_of)
+from conftest import (OpaquePool, coverage_table, minor_after,
+                      random_bit_pool, twin_bit_pool, weight_of)
 
 
 def shifted(src, coeffs):
@@ -59,7 +58,7 @@ def min_norm_point(f):
 def test_example_sfm_scaled_weights(three_users, skew_weights):
     f = shifted(three_users, 0.3 * skew_weights.values)
     res = solve_sfm(f)
-    assert res.solver_used == "exhaustive"
+    assert res.solver_used == "min_cut"
     assert res.min_value == pytest.approx(-0.3, abs=1e-12)
     assert res.maximal_minimizer == {"3"}
     assert res.minimal_minimizer == {"3"}
@@ -176,9 +175,9 @@ def weighted_pool(rng, n, twin):
     return src, WeightVector(src.ground, rng.uniform(0.5, 4.0, n))
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(MIN_CUT_ABOVE + 1, EXHAUSTIVE_UP_TO),
-       st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, EXHAUSTIVE_UP_TO), st.integers(0, 2**32 - 1),
+       st.booleans())
 def test_min_cut_matches_exhaustive(n, seed, twin):
     rng = np.random.default_rng(seed)
     src, w = weighted_pool(rng, n, twin)
@@ -189,15 +188,19 @@ def test_min_cut_matches_exhaustive(n, seed, twin):
         assert_min_cut_matches(add_modular(src, scale * lam * w.values),
                                exhaustive, tol)
     # the views split builds: a contracted pivot, a restriction, a shift,
-    # on a larger pool whose spare users are the pivot or restricted away
+    # on a larger pool whose spare users are the pivot or restricted away,
+    # of the source and of a view with coefficients of its own
     src, w = weighted_pool(rng, n + int(rng.integers(1, 4)), twin)
     spare = rng.permutation(src.ground.n)[:src.ground.n - n].tolist()
     pivot = mask_from_indices(spare[:int(rng.integers(1, len(spare) + 1))])
-    g = restrict(minor_after(src, pivot, w),
-                 src.ground_mask & ~mask_from_indices(spare))
-    sub = g.ground_mask
-    lam = g.value(sub) / weight_of(w, sub)
-    assert_min_cut_matches(add_modular(g, lam * w.values), exhaustive, tol)
+    own = rng.uniform(-0.2, 0.2, src.ground.n) * lam * w.values
+    for f in (src, add_modular(src, own)):
+        g = restrict(minor_after(f, pivot, w),
+                     src.ground_mask & ~mask_from_indices(spare))
+        sub = g.ground_mask
+        lam = g.value(sub) / weight_of(w, sub)
+        assert_min_cut_matches(add_modular(g, lam * w.values), exhaustive,
+                               tol)
 
 
 def contraction_pool(rng, n, shared_bits):
@@ -343,29 +346,27 @@ def test_min_cut_matches_min_norm_up_to_100_users():
 
 
 def test_dispatch_rule_at_its_edges():
-    """Bit-pool views above MIN_CUT_ABOVE users take the min cut, which
-    calls no oracle; other grounds up to 16 users are swept, and larger
-    ones go to Wolfe.  The CLI offers no solver flags."""
+    """Bit-pool views of any size take the min cut, which calls no oracle;
+    other grounds up to 16 users are swept, and larger ones go to Wolfe.
+    The CLI offers no solver flags."""
     rng = np.random.default_rng(41)
-    n = MIN_CUT_ABOVE + 2
+    n = 14
     src = random_bit_pool(rng, n)
     w = WeightVector.ones(src.ground)
-    for keep, solver in ((MIN_CUT_ABOVE, "exhaustive"),
-                         (MIN_CUT_ABOVE + 1, "min_cut")):
+    for keep in (1, 2, 12, 13):
         direct = restrict(src, (1 << keep) - 1)
         # the pivot's incidence is read by the min cut as well
         view = restrict(minor_after(src, 1 << (n - 1), w),
                         (1 << keep) - 1)
         for f in (direct, view):
             res = solve_sfm(shifted(f, 0.5 * np.ones(n)))
-            assert res.solver_used == solver
-            assert solver == "exhaustive" or res.oracle_evals == 0
-            assert (res.flow_rounds >= 1) == (solver == "min_cut")
+            assert res.solver_used == "min_cut"
+            assert res.oracle_evals == 0 and res.flow_rounds >= 1
     pool = random_bit_pool(rng, n - 1)
     table = TableSource(pool.ground,
                         {m: pool.value(m) for m in range(1, 1 << (n - 1))})
-    assert solve_sfm(shifted(table, 0.5 * np.ones(n - 1))).solver_used \
-        == "exhaustive"
+    res = solve_sfm(shifted(table, 0.5 * np.ones(n - 1)))
+    assert (res.solver_used, res.flow_rounds) == ("exhaustive", 0)
     big = random_bit_pool(rng, 17, observe_prob=0.1)
     for keep, solver in ((16, "exhaustive"), (17, "min_norm_point")):
         opaque = restrict(OpaquePool(big), (1 << keep) - 1)
@@ -388,16 +389,25 @@ def test_min_norm_extraction_on_example(three_users):
 
 
 def test_result_invariants_and_serialization(three_users, skew_weights):
-    f = shifted(three_users, 0.3 * skew_weights.values)
-    res = solve_sfm(f)
-    assert res.minimal_minimizer <= res.maximal_minimizer
-    assert f.value(res.minimal_mask) == pytest.approx(res.min_value, abs=1e-9)
-    assert f.value(res.maximal_mask) == pytest.approx(res.min_value, abs=1e-9)
-    doc = res.to_dict()
-    assert doc["solver_used"] == "exhaustive"
-    assert doc["maximal_minimizer"] == ["3"]
-    assert doc["oracle_evals"] == 8 and doc["ground_size"] == 3
-    assert doc["flow_rounds"] == 0
+    """The bit pool takes the min cut, and a table of its values the
+    sweep, which evaluates all 8 subsets."""
+    for source, solver in ((three_users, "min_cut"),
+                           (coverage_table(three_users), "exhaustive")):
+        f = shifted(source, 0.3 * skew_weights.values)
+        res = solve_sfm(f)
+        assert res.minimal_minimizer <= res.maximal_minimizer
+        assert f.value(res.minimal_mask) == pytest.approx(res.min_value,
+                                                          abs=1e-9)
+        assert f.value(res.maximal_mask) == pytest.approx(res.min_value,
+                                                          abs=1e-9)
+        doc = res.to_dict()
+        assert doc["solver_used"] == solver
+        assert doc["maximal_minimizer"] == ["3"]
+        assert doc["ground_size"] == 3
+        if solver == "min_cut":
+            assert doc["oracle_evals"] == 0 and doc["flow_rounds"] >= 1
+        else:
+            assert doc["oracle_evals"] == 8 and doc["flow_rounds"] == 0
 
 
 def test_convergence_error_carries_best(wolfe_capped):

@@ -14,16 +14,19 @@ from swfair.setfn import (
     TIE_EPSILON,
     BitPoolSource,
     GroundSet,
+    SetFunction,
     TableSource,
     WeightVector,
     add_modular,
     bit_indices,
+    contract,
+    mask_array,
     mask_from_indices,
     minor,
     restrict,
     source_to_dict,
 )
-from swfair.sfm import MIN_CUT_ABOVE, ConvergenceError, solve_sfm
+from swfair.sfm import EXHAUSTIVE_UP_TO, ConvergenceError, solve_sfm
 from swfair.split import (
     PROPOSAL_GAP,
     CertificationError,
@@ -40,9 +43,9 @@ from swfair.split import (
     split,
     subset_label,
 )
-from conftest import (OpaquePool, coverage_table, partition_of, proposal_of,
-                      random_bit_pool, scaled_source, twin_bit_pool,
-                      weight_of)
+from conftest import (OpaquePool, coverage_table, minor_after, partition_of,
+                      proposal_of, random_bit_pool, scaled_source,
+                      twin_bit_pool, weight_of)
 
 # the package re-exports the function split under the module's name
 split_module = importlib.import_module("swfair.split")
@@ -139,15 +142,17 @@ def test_split_runs_min_cut_not_wolfe_on_bit_pools(monkeypatch):
 
     monkeypatch.setattr(sfm_module, "_wolfe", no_wolfe)
     _, tree = split(src, w)
-    assert tree.root.sfm.solver_used == "min_cut"
-    assert {node.sfm.solver_used for node in tree_nodes(tree)} \
-        <= {"min_cut", "exhaustive"}
+    # a one-user block is a leaf with no solve, reported as a sweep's
+    for node in tree_nodes(tree):
+        assert node.sfm.solver_used == (
+            "min_cut" if node.subset_mask.bit_count() > 1 else "exhaustive")
 
 
 def spy_on_oracles(monkeypatch):
-    """Record every bit-pool oracle call and every solve_sfm split makes,
-    in order, as (name, arguments); arrays are copied when called, as the
-    refinement loop reorders its positions in place."""
+    """Record every bit-pool oracle call, every block_values call, and
+    every coverage_cut, solve_sfm and max_flow call split makes, in order,
+    as (name, arguments); arrays are copied when called, as the refinement
+    loop reorders its positions in place."""
     calls = []
 
     def spy(name, real):
@@ -157,11 +162,15 @@ def spy_on_oracles(monkeypatch):
             return real(*args, **kwargs)
         return call
 
-    for name in ("value", "all_values", "prefix_values", "block_values"):
+    for name in ("value", "all_values", "prefix_values"):
         monkeypatch.setattr(BitPoolSource, name,
                             spy(name, getattr(BitPoolSource, name)))
-    monkeypatch.setattr(split_module, "solve_sfm",
-                        spy("solve_sfm", split_module.solve_sfm))
+    monkeypatch.setattr(SetFunction, "block_values",
+                        spy("block_values", SetFunction.block_values))
+    for module, name in ((split_module, "coverage_cut"),
+                         (split_module, "solve_sfm"),
+                         (sfm_module, "max_flow")):
+        monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
     return calls
 
 
@@ -178,26 +187,23 @@ def passes_of(calls):
 
 
 def check_pass(calls, n):
-    """One pass: at most one walk, over all n positions, then at most one
-    block_values call, for blocks of 2 to MIN_CUT_ABOVE users, then
-    solve_sfm on blocks above MIN_CUT_ABOVE users; nothing else.  Returns
-    the masks the pass tabled and solved."""
+    """One pass on a bit pool: at most one walk, over all n positions,
+    then at most one coverage_cut of blocks of 2 or more users and the
+    one max_flow that settles them all; nothing else.  Returns the masks
+    of the blocks the cut takes."""
     names = [name for name, _ in calls]
     if names[:1] == ["prefix_values"]:
         assert len(calls[0][1][1]) == n
         names, calls = names[1:], calls[1:]
-    tabled = []
-    if names[:1] == ["block_values"]:
-        order, sizes, wanted = calls[0][1][1:4]
-        starts = np.cumsum([0, *sizes])
-        tabled = [mask_from_indices(order[starts[j]:starts[j + 1]].tolist())
-                  for j in wanted]
-        names, calls = names[1:], calls[1:]
-    assert set(names) <= {"solve_sfm"}
-    solved = [args[0].ground_mask for _, args in calls]
-    assert all(1 < m.bit_count() <= MIN_CUT_ABOVE for m in tabled)
-    assert all(m.bit_count() > MIN_CUT_ABOVE for m in solved)
-    return tabled, solved
+    if not names:
+        return []
+    assert names == ["coverage_cut", "max_flow"]
+    order, sizes, wanted = calls[0][1][1:4]
+    starts = np.cumsum([0, *sizes])
+    cut = [mask_from_indices(order[starts[j]:starts[j + 1]].tolist())
+           for j in wanted]
+    assert all(m.bit_count() > 1 for m in cut)
+    return cut
 
 
 def nodes_by_depth(tree):
@@ -210,11 +216,11 @@ def nodes_by_depth(tree):
 
 def test_one_user_blocks_are_leaves_without_a_solve(monkeypatch):
     """split runs one depth of its recursion per pass: one prefix walk,
-    one block_values call for the depth's blocks of 2 to MIN_CUT_ABOVE
-    users, and solve_sfm on each larger block; its last walk is _chain's,
-    over the leaves.  No oracle call serves a one-user block, which is a
-    leaf with the result an exhaustive sweep gives, and on a bit pool
-    split makes no value and no all_values call."""
+    then one coverage_cut and one max_flow for all of the depth's blocks
+    of 2 or more users; its last walk is _chain's, over the leaves.  No
+    oracle call serves a one-user block, which is a leaf with the result
+    an exhaustive sweep gives, and on a bit pool split makes no value,
+    all_values, block_values or solve_sfm call."""
     rng = np.random.default_rng(9)
     n = 64
     src = random_bit_pool(rng, n, observe_prob=1.5 / n)
@@ -222,20 +228,19 @@ def test_one_user_blocks_are_leaves_without_a_solve(monkeypatch):
     calls = spy_on_oracles(monkeypatch)
     _, tree = split(src, w)
     monkeypatch.undo()
-    assert not {name for name, _ in calls} & {"value", "all_values"}
+    names = {name for name, _ in calls}
+    assert not names & {"value", "all_values", "block_values", "solve_sfm"}
     passes = passes_of(calls)
     assert passes[0] == [] and passes[-1] == [calls[-1]]
     depths = nodes_by_depth(tree)
     assert len(passes) == len(depths) + 2
     for nodes, made in zip(depths, passes[1:]):
-        tabled, solved = check_pass(made, n)
-        masks = [node.subset_mask for node in nodes]
-        assert tabled == [m for m in masks if 1 < m.bit_count() <= 12]
-        assert solved == [m for m in masks if m.bit_count() > 12]
+        assert check_pass(made, n) == [node.subset_mask for node in nodes
+                                       if node.subset_mask.bit_count() > 1]
     singles = [node for node in tree_nodes(tree)
                if node.subset_mask.bit_count() == 1]
     assert singles and len(depths) > 2
-    assert {"block_values", "solve_sfm"} <= {name for name, _ in calls}
+    assert "max_flow" in names
     for node in singles:
         assert node.is_leaf
         assert (node.sfm.min_value, node.sfm.minimal_mask,
@@ -462,8 +467,8 @@ def test_egalitarian_matches_split_on_tables(model):
 @given(st.integers(2, 64), st.integers(0, 2**32 - 1))
 def test_engine_chain_is_splits_on_weighted_pools_to_64_users(n, seed):
     """On pools drawn like the benchmark's, whose proposals hold many
-    blocks of 2 to MIN_CUT_ABOVE users, the engine's batched leaf tests
-    settle split's chain and bit-identical rates."""
+    blocks of 2 to 12 users, the engine's shared min cuts settle split's
+    chain and bit-identical rates."""
     rng = np.random.default_rng(seed)
     src = random_bit_pool(rng, n, observe_prob=min(1.0, 1.5 / n))
     w = WeightVector(src.ground, rng.uniform(0.5, 4.0, n))
@@ -475,8 +480,8 @@ def test_engine_chain_is_splits_on_weighted_pools_to_64_users(n, seed):
 
 @st.composite
 def split_inputs(draw):
-    """A bit pool of 3 to 40 users, whose blocks above MIN_CUT_ABOVE users
-    take the min cut, or a table of 2 to 8 users; weights on [0.5, 4]."""
+    """A bit pool of 3 to 40 users, whose blocks take the min cut, or a
+    table of 2 to 8 users; weights on [0.5, 4]."""
     if draw(st.booleans()):
         return draw(weighted_tables(min_n=2, max_n=8))
     n = draw(st.integers(3, 40))
@@ -493,8 +498,9 @@ def test_split_nodes_are_the_solves_of_their_own_functions(model):
     node's function, built here from the source alone: for its block C
     after the union S of the blocks before it at its depth, f(S | X) -
     f(S) - rho w(X) with rho = (f(S | C) - f(S)) / w(C), as restrict or
-    minor and add_modular give it; its minimum agrees within twice the tie
-    tolerance.  Its lam is rho less the base_coeffs of the splits whose
+    minor and add_modular give it, or for a one-user block, which no solve
+    serves, the exhaustive sweep's; its minimum agrees within twice the
+    tie tolerance.  Its lam is rho less the base_coeffs of the splits whose
     rest it lies in, and a leaf's ratio is rho."""
     src, w = model
     _, tree = split(src, w)
@@ -513,7 +519,9 @@ def test_split_nodes_are_the_solves_of_their_own_functions(model):
             view, shift = restrict(src, c), rho
         coeffs = np.zeros(src.ground.n)
         coeffs[in_c] = shift * w.values[in_c]
-        want = solve_sfm(add_modular(view, coeffs))
+        objective = add_modular(view, coeffs)
+        want = (solve_sfm(objective) if len(in_c) > 1 else
+                sfm_module._solve_exhaustive(objective, in_c))
         got = node.sfm
         assert (got.minimal_mask, got.maximal_mask, got.solver_used) == \
             (want.minimal_mask, want.maximal_mask, want.solver_used)
@@ -527,6 +535,63 @@ def test_split_nodes_are_the_solves_of_their_own_functions(model):
             stack += [(block, pivot, carry),
                       (rest, pivot | block.subset_mask,
                        carry + node.base_coeff)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 40), st.integers(0, 2**32 - 1),
+       st.sampled_from(["source", "modular", "minor", "modular minor"]))
+def test_one_flow_settles_each_block_of_a_depth(n, seed, view):
+    """The shared flow of a depth gives each tested block the masks that
+    solve_sfm gives on the block's own objective, f contracted by the
+    blocks before it less rho_j w, and its minimum within twice the tie
+    tolerance; up to 10 users, the exhaustive sweep's masks too.  f is a
+    restriction of a bit pool or a minor after a pivot, of the pool or of
+    a view with coefficients of its own; each ratio is its block's split
+    ratio, at which its empty and full sets tie, or another."""
+    rng = np.random.default_rng(seed)
+    src = random_bit_pool(rng, n + 3,
+                          observe_prob=min(1.0, rng.uniform(0.5, 3.0) / n))
+    w = WeightVector(src.ground, rng.uniform(0.5, 4.0, n + 3))
+    f = src
+    if "modular" in view:
+        f = add_modular(f, rng.uniform(-0.3, 0.3, n + 3) * src.scale / n)
+    spare = mask_from_indices(rng.permutation(n + 3)[:3].tolist())
+    f = (minor_after(f, spare, w) if "minor" in view
+         else restrict(f, src.ground_mask & ~spare))
+    users = rng.permutation(bit_indices(f.ground_mask)).tolist()
+    blocks = []
+    while users:
+        c = int(rng.integers(1, 15))
+        blocks.append(mask_from_indices(users[:c]))
+        users = users[c:]
+    order, sizes = partition_of(blocks)
+    starts = np.cumsum([0, *sizes]).tolist()
+    walk = f.prefix_values(order)[starts]
+    rho = [float(walk[j + 1] - walk[j]) / weight_of(w, b)
+           * (1.0 if rng.random() < 0.5 else rng.uniform(0.5, 1.5))
+           for j, b in enumerate(blocks)]
+    tests = [j for j, b in enumerate(blocks)
+             if b.bit_count() > 1 and rng.random() < 0.8]
+    got = split_module._sweeps(f, w, order, sizes, starts, blocks, tests,
+                               rho)
+    assert sorted(got) == tests
+    tol = 2 * TIE_EPSILON * src.scale
+    for j in tests:
+        before = mask_from_indices(order[:starts[j]].tolist())
+        objective = add_modular(
+            contract(f, before, blocks[j], f.value(before)),
+            w.times(rho[j], mask_array(blocks[j], src.ground.n)))
+        want = solve_sfm(objective)
+        res = got[j]
+        assert (res.minimal_mask, res.maximal_mask, res.solver_used) == \
+            (want.minimal_mask, want.maximal_mask, "min_cut")
+        assert abs(res.min_value - want.min_value) <= tol
+        assert res.ground_size == sizes[j] and res.flow_rounds >= 1
+        if sizes[j] <= 10:
+            swept = sfm_module._solve_exhaustive(objective,
+                                                 bit_indices(blocks[j]))
+            assert (res.minimal_mask, res.maximal_mask) == \
+                (swept.minimal_mask, swept.maximal_mask)
 
 
 def test_egalitarian_worked_examples(three_users, unit_weights, skew_weights):
@@ -612,9 +677,9 @@ def test_confirm_cost_guard(monkeypatch):
     first pass takes the proposal's walk and walks nothing, every pass
     after it costs what a pass of split costs, and its last walk is
     _chain's, over the final levels.  With split's own levels proposed,
-    one block_values call tests every level of 2 to MIN_CUT_ABOVE users,
-    solve_sfm every larger one, and no level splits; a proposal from the
-    Wolfe point takes more passes, and both give split's chain."""
+    one coverage_cut and one max_flow test every level of 2 or more users,
+    and no level splits; a proposal from the Wolfe point takes more
+    passes, and both give split's chain."""
     rng = np.random.default_rng(3)
     n = 96
     src = random_bit_pool(rng, n, observe_prob=1.5 / n)
@@ -625,16 +690,16 @@ def test_confirm_cost_guard(monkeypatch):
         calls = spy_on_oracles(monkeypatch)
         dec = _confirm(f_c, w, order, sizes, walk)
         monkeypatch.undo()
-        assert not {name for name, _ in calls} & {"value", "all_values"}
+        assert not {name for name, _ in calls} & {
+            "value", "all_values", "block_values", "solve_sfm"}
         passes = passes_of(calls)
         assert passes[-1] == [calls[-1]] and len(calls[-1][1][1]) == n
         assert "prefix_values" not in {name for name, _ in passes[0]}
         starts = np.cumsum([0, *sizes])
         blocks = [mask_from_indices(order[a:b].tolist())
                   for a, b in zip(starts, starts[1:])]
-        tabled, solved = check_pass(passes[0], n)
-        assert tabled == [b for b in blocks if 1 < b.bit_count() <= 12]
-        assert solved == [b for b in blocks if b.bit_count() > 12]
+        assert check_pass(passes[0], n) == [b for b in blocks
+                                            if b.bit_count() > 1]
         for made in passes[1:-1]:
             check_pass(made, n)
         return dec, len(passes) - 1
@@ -952,7 +1017,7 @@ def test_egalitarian_iteration_cap_is_a_convergence_error(wolfe_capped):
 
 def test_proposal_stops_at_its_own_gap(monkeypatch):
     """The proposal's Wolfe run stops at PROPOSAL_GAP; a block it leaves
-    above MIN_CUT_ABOVE users is settled by the confirm step's min-cut SFM,
+    above EXHAUSTIVE_UP_TO users is settled by the confirm step's min cut,
     and the rates are split's."""
     rng = np.random.default_rng(1)
     n = 96
@@ -973,6 +1038,6 @@ def test_proposal_stops_at_its_own_gap(monkeypatch):
     monkeypatch.setattr(split_module, "_confirm", confirm)
     got = egalitarian(src, w)
     assert gaps == [PROPOSAL_GAP]
-    assert max(sizes) > MIN_CUT_ABOVE
+    assert max(sizes) > EXHAUSTIVE_UP_TO
     rates, _ = split(src, w)
     assert np.array_equal(got.rates, rates.rates)
