@@ -13,10 +13,9 @@ of that region and the machinery around them:
 * :mod:`swfair.flow` - the float-capacity max-flow behind the min cut
   (shortest augmenting paths, Edmonds-Karp), with both residual
   reachability sets;
-* :mod:`swfair.split` - the egalitarian engine (one weighted min-norm
-  solve confirmed by the splitter's leaf test, returned as a certified
-  principal chain) and the paper's recursive splitter with its recursion
-  tree and adaptation path;
+* :mod:`swfair.split` - the paper's recursive splitter, run one depth at a
+  time, as the egalitarian engine (its leaves merged into a certified
+  principal chain) and with its recursion tree and adaptation path;
 * :mod:`swfair.fairness` - Shapley values, region membership verification,
   an independent conditional-gradient oracle, and comparison reports;
 * :mod:`swfair.experiment` - randomized sweeps of the split-size metrics;

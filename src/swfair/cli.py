@@ -70,14 +70,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(required=True, metavar="command")
 
     p = sub.add_parser("egalitarian",
-                       help="weighted egalitarian rates (one weighted "
-                            "min-norm solve confirmed by the splitter's leaf "
-                            "test)")
+                       help="weighted egalitarian rates (the splitter's "
+                            "depth-at-a-time loop, returned as a certified "
+                            "chain)")
     p.add_argument("source", help="source model JSON file")
     add_weight_args(p)
     p.add_argument("--trace", metavar="PATH",
-                   help="also run the recursive splitter and write its tree "
-                        "and, up to 64 users, the adaptation path as JSON")
+                   help="also write the recursion tree of the same loop, "
+                        "run again to keep it, and, up to 64 users, the "
+                        "adaptation path as JSON")
     add_output_args(p)
     p.set_defaults(func=cmd_egalitarian)
 

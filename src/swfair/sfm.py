@@ -62,8 +62,9 @@ from .setfn import (
 class ConvergenceError(RuntimeError):
     """Iteration cap hit; carries the best result found so far.
 
-    ``recursion_path`` holds the labels of the blocks ``split`` was solving
-    when the solve failed, outermost first; ``str`` names them.
+    ``recursion_path`` holds the labels of the blocks the refinement loop
+    of ``split`` and ``decompose`` was solving when the solve failed,
+    outermost first; ``str`` names them.
     """
 
     def __init__(self, message, best=None):
@@ -390,10 +391,10 @@ def _stop_reason(stop: _Stop) -> str:
     return "%s at relative gap %.3g" % (words, stop.gap)
 
 
-# |x|^2 may overflow when weights span the float range; the gap is then not
+# |x|^2 may overflow when values span the float range; the gap is then not
 # finite and ends the run as OVERFLOWED, so numpy need not warn.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _wolfe(f, elems, gap, scale=None):
+def _wolfe(f, elems, gap):
     """Wolfe's minimum-norm-point algorithm over the base polyhedron.
 
     Maintains x as a convex combination of greedy vertices (rows of S with
@@ -409,12 +410,10 @@ def _wolfe(f, elems, gap, scale=None):
     (``SCHUR_FLOOR``), or a step of iterative refinement moves the
     coefficients by more than ``REFINE_SLACK``.
 
-    With ``scale`` s (positive, one entry per element) the iteration runs
-    in the coordinates y = x / (s u), so it minimizes sum(x_i^2 / s_i^2):
-    with s = sqrt(w) that is the weighted egalitarian objective (Fujishige
-    1980).  u is the power of two at or below f's scale: the iteration is
-    the same, bit for bit, for a source times any power of two, and no
-    scale of the source alone over- or underflows |y|^2.
+    The iteration runs in the coordinates y = x / u, u the power of two at
+    or below f's scale: it is the same, bit for bit, for a source times any
+    power of two, and no scale of the source alone over- or underflows
+    |y|^2.
     Returns x in f's own coordinates and how the run ended, a
     :class:`_Stop` that also carries the relative gap
     (|y|^2 - <y, q>) / |y|^2 of its last major cycle, q the greedy vertex
@@ -422,18 +421,17 @@ def _wolfe(f, elems, gap, scale=None):
     most TIE_EPSILON |q| (the minimum-norm point is 0 to the tie rule, as on
     a ground with one level, and rounding keeps the gap from falling),
     STALLED when the best vertex is already active before it is,
-    OVERFLOWED when weights near the float range overflow |y|^2, <y, q>
+    OVERFLOWED when values near the float range overflow |y|^2, <y, q>
     or |q|^2 (no later cycle could pass the test, and the active set would
     grow without end), CAPPED at ``MAX_ITERATIONS`` major cycles.
     """
     elems_arr = np.asarray(elems, dtype=np.intp)
     c = len(elems)
-    s = np.ones(c) if scale is None else scale
     unit = math.ldexp(1.0, math.frexp(f.scale)[1] - 1)
 
     def vertex(direction):
-        order = np.argsort(direction / s, kind="stable")
-        return greedy_vertex_local(f, elems_arr, order) / unit / s
+        order = np.argsort(direction, kind="stable")
+        return greedy_vertex_local(f, elems_arr, order) / unit
 
     active = _ActiveSet(vertex(np.zeros(c)))
     x = active.S[0].copy()
@@ -446,14 +444,14 @@ def _wolfe(f, elems, gap, scale=None):
         slack = xx - x @ q
         reached = slack / xx
         if not (np.isfinite(slack) and np.isfinite(qq)):
-            return x * s * unit, _Stop(OVERFLOWED, reached, cycle + 2)
+            return x * unit, _Stop(OVERFLOWED, reached, cycle + 2)
         # a point at 0 (a ground with one level) rounds to |x| ~ 1e-16 |q|,
         # where the relative test cannot pass: it is 0 to the tie rule
         if slack <= gap * xx or xx <= TIE_EPSILON ** 2 * qq:
-            return x * s * unit, _Stop(CONVERGED, reached, cycle + 2)
+            return x * unit, _Stop(CONVERGED, reached, cycle + 2)
         Sq = active.S @ q
         if active.holds(q, Sq, qq):
-            return x * s * unit, _Stop(STALLED, reached, cycle + 2)
+            return x * unit, _Stop(STALLED, reached, cycle + 2)
         lam = np.append(lam, 0.0)
         coeff, y = _affine_minimizer(active, added=(q, Sq, qq))
 
@@ -479,7 +477,7 @@ def _wolfe(f, elems, gap, scale=None):
             lam = lam[keep]
             lam = lam / lam.sum()
             coeff, y = _affine_minimizer(active, keep=keep)
-    return x * s * unit, _Stop(CAPPED, reached, MAX_ITERATIONS + 1)
+    return x * unit, _Stop(CAPPED, reached, MAX_ITERATIONS + 1)
 
 
 def _affine_minimizer(active, added=None, keep=None):

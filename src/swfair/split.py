@@ -1,8 +1,8 @@
 """Weighted egalitarian rates over a submodular rate region.
 
 The weighted egalitarian allocation is the minimizer of sum(r_i^2 / w_i)
-over the base polyhedron of the entropy oracle.  Two routes compute it,
-and both refine an ordered partition of the users with one loop.
+over the base polyhedron of the entropy oracle.  One loop computes it,
+refining an ordered partition of the users.
 
 :func:`split` is the paper's divide-and-conquer scheme: score a block at
 its uniform ratio lam = f(C)/w(C), find the maximal minimizer of f -
@@ -23,14 +23,8 @@ results, and the ordered base-assignment events that trace the rate
 vector's walk through the polyhedron.
 
 :func:`decompose` is the engine, and :func:`egalitarian` returns the rates
-of its chain.  The egalitarian point is also the minimum-norm base in
-coordinates scaled by sqrt(w) (Fujishige 1980), so one Wolfe solve proposes
-an ordered partition of the users: sort its point by r/w and cut wherever a
-prefix is tight.  That solve stops at the loose gap ``PROPOSAL_GAP``, and
-the same loop confirms its blocks exactly, starting from the prefix walk
-that cut them.  If the leaf ratios do not increase along the blocks, the
-engine logs it on ``swfair.split`` and runs :func:`split` instead, merging
-its leaves by the same rule, so every answer meets split's leaf criterion.
+of its chain.  It runs the same loop from the ground, builds no tree, and
+merges adjacent leaves whose ratios tie into one level.
 
 One certificate guards every answer: every chain set is tight by
 construction, the critical values must increase strictly
@@ -44,15 +38,14 @@ shift lam * w is formed over its block's users only, so weights scaled by
 one factor give the same chain and the same rates, and weights from
 1e-200 to 1e200 neither merge distinct levels nor overflow.
 
-Both routes turn their ordered levels into rates the same way: lam_j =
-(f(S_j) - f(S_{j-1})) / w(D_j) from one prefix walk over the chain, and
-r_i = lam_j * w_i on level D_j.
+:func:`split` and :func:`decompose` turn their ordered leaves or levels
+into rates the same way: lam_j = (f(S_j) - f(S_{j-1})) / w(D_j) from one
+prefix walk over them, and r_i = lam_j * w_i on D_j.
 """
 
 from __future__ import annotations
 
 import itertools
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,32 +67,17 @@ from .setfn import (
     restrict,
 )
 from .sfm import (
-    CAPPED,
     EXHAUSTIVE_UP_TO,
     ConvergenceError,
     SfmResult,
-    _stop_reason,
-    _wolfe,
     cut_results,
     solve_sfm,
     sweep_results,
 )
 
-logger = logging.getLogger(__name__)
-
 # adaptation_path materializes one rate vector per base assignment, so it
 # refuses larger grounds, and the JSON tree leaves it out.
 PATH_USER_LIMIT = 64
-
-# Relative Wolfe gap at which the engine's proposal stops.  The proposal
-# only places the level cuts, and every block is confirmed exactly
-# afterwards, so it need not be accurate.
-# Wolfe's last digits are its dearest and vary the most between sources:
-# on 256-user bit pools the proposal took 160 to 2000 major cycles to reach
-# a gap of 1e-10 but 90 to 180 to reach 1e-5, and the few blocks a 1e-5
-# point leaves unresolved cost far less to confirm than the cycles saved.
-PROPOSAL_GAP = 1e-5
-
 
 class InternalConsistencyError(RuntimeError):
     """A structural self-check failed (usually a solver-tolerance issue)."""
@@ -177,29 +155,21 @@ def split(f: SetFunction, w: WeightVector) -> tuple[RateVector, SplitTree]:
     including the base-assignment events behind :func:`adaptation_path`.
     The users are f's ground; view a sub-ground with :func:`restrict`.
     """
-    cmask = _nonempty_ground(f)
-    order, sizes, _, tested = _refine(f, w, bit_indices(cmask),
-                                      [cmask.bit_count()], None)
+    order, sizes, _, tested = _refine(f, w)
     root, events, leaves = _tree(f.ground, tested)
     rv = _chain(f, w, order, sizes).reconstruct()
-    return rv, SplitTree(f.ground, root, cmask, w, events, leaves, rv)
+    return rv, SplitTree(f.ground, root, f.ground_mask, w, events, leaves, rv)
 
 
-def _nonempty_ground(f: SetFunction) -> int:
-    if f.ground_mask == 0:
-        raise ValueError("cannot split an empty ground")
-    return f.ground_mask
+def _refine(f, w):
+    """Refine f's ground into split's leaves, one depth of its recursion
+    per pass.
 
-
-def _refine(f, w, order, sizes, walk):
-    """Refine an ordered partition of f's ground into split's leaves, one
-    depth of its recursion per pass.
-
-    Block j is the run of ``sizes[j]`` positions of ``order``, ascending
-    within the block, after the runs before it, and ``walk`` holds f(S_0),
-    ..., f(S_k), S_j the union of the first j blocks, or None.  Each pass
-    gives every open block D_j its ratio rho_j = (f(S_j) - f(S_{j-1})) /
-    w(D_j) from one prefix walk (``walk`` on the first pass) and tests it
+    The partition is ordered: block j is the run of its size's positions
+    of one order array, ascending within the block, after the runs before
+    it, and the first pass has one block, the ground.  Each pass gives
+    every open block D_j its ratio rho_j = (f(S_j) - f(S_{j-1})) / w(D_j),
+    S_j the union of the first j blocks, from one prefix walk, and tests it
     on f's minor after S_{j-1} at rho_j: a one-user block is a leaf with no
     oracle call, and the blocks of 2 or more users are tested together
     (:func:`_sweeps`) but for those above ``EXHAUSTIVE_UP_TO`` users of an
@@ -210,17 +180,16 @@ def _refine(f, w, order, sizes, walk):
     None if one user).
     A :class:`ConvergenceError` names the blocks enclosing the failed one.
     """
+    if f.ground_mask == 0:
+        raise ValueError("cannot split an empty ground")
     n = f.ground.n
-    order = np.array(order, dtype=np.intp)
-    starts = [0, *itertools.accumulate(sizes)]
-    positions = order.tolist()
-    parts = [(mask_from_indices(positions[a:b]), b - a, None, ())
-             for a, b in zip(starts, starts[1:])]
+    order = np.asarray(bit_indices(f.ground_mask), dtype=np.intp)
+    starts = [0, len(order)]
+    parts = [(f.ground_mask, len(order), None, ())]
     tested = []
     while True:
         masks, sizes, ratios, _ = zip(*parts)
-        if walk is None:
-            walk = f.prefix_values(order)[starts]
+        walk = f.prefix_values(order)[starts]
         pv = walk.tolist()
         rho = (np.diff(walk)
                / np.add.reduceat(w.values[order], starts[:-1])).tolist()
@@ -262,7 +231,6 @@ def _refine(f, w, order, sizes, walk):
             _, sizes, ratios, _ = zip(*parts)
             return order, sizes, ratios, tested
         starts = [0, *itertools.accumulate(part[1] for part in parts)]
-        walk = None
 
 
 def _sweeps(f, w, order, sizes, starts, masks, tests, rho) -> dict:
@@ -333,69 +301,12 @@ def _tree(ground, tested):
 
 
 def egalitarian(f: SetFunction, w: WeightVector) -> RateVector:
-    """Weighted egalitarian allocation from one weighted min-norm solve.
+    """Weighted egalitarian allocation: the rates of the certified chain
+    that :func:`decompose` returns, which raises the same errors.
 
-    Returns the same rates as :func:`split`, without its recursion tree:
-    the rates of the certified chain that :func:`decompose` returns, which
-    raises the same errors.
+    They are :func:`split`'s rates, without its recursion tree.
     """
     return decompose(f, w).reconstruct()
-
-
-def _propose(f, w) -> tuple[np.ndarray, list[int], np.ndarray]:
-    """Ordered partition of f's ground from one weighted min-norm solve.
-
-    The Wolfe point in coordinates scaled by sqrt(w), run to the relative
-    gap ``PROPOSAL_GAP``, is sorted by x/w and cut after every prefix that
-    is tight to within TIE_EPSILON times f's scale.  Returns the blocks
-    D_1, ..., D_k as positions, ascending within each block, and their
-    sizes, and f(S_0), ..., f(S_k), S_j = D_1 | ... | D_j, from the prefix
-    walk that found the cuts.  A point that stalled or overflowed before
-    its gap test is still a proposal, which the exact confirm step checks;
-    the iteration cap raises :class:`ConvergenceError`.
-    """
-    elems = np.asarray(bit_indices(f.ground_mask), dtype=np.intp)
-    w_loc = w.values[elems]
-    x, stop = _wolfe(f, elems, PROPOSAL_GAP, scale=np.sqrt(w_loc))
-    if stop == CAPPED:
-        best = np.zeros(f.ground.n)
-        best[elems] = x
-        raise ConvergenceError(
-            "egalitarian proposal %s on %d users"
-            % (_stop_reason(stop), len(elems)),
-            best=RateVector(f.ground, best, f.ground_mask))
-    rank = np.argsort(x / w_loc, kind="stable")
-    order = elems[rank]
-    pv = f.prefix_values(order)
-    slack = pv[1:] - np.cumsum(x[rank])
-    tol = TIE_EPSILON * f.scale
-    cuts = [0, *(np.flatnonzero(slack[:-1] <= tol) + 1).tolist(), len(order)]
-    sizes = np.diff(cuts)
-    block = np.repeat(np.arange(len(sizes)), sizes)
-    return order[np.lexsort((order, block))], sizes.tolist(), pv[cuts]
-
-
-def _confirm(f, w, order, sizes, walk) -> Decomposition:
-    """Chain of f's egalitarian levels from :func:`_propose`'s blocks.
-
-    :func:`_refine` starts from the blocks and ``walk``, so its first pass
-    walks no prefix.  Adjacent leaves whose ratios agree to within the tie
-    tolerance are one level.  If the leaf ratios then do not increase, the
-    proposal was not the egalitarian chain, and :func:`split` decides.
-    """
-    levels = _levels(*_refine(f, w, order, sizes, walk)[:3])
-    if levels is None:
-        logger.info("proposed leaf ratios decrease on %s; running split",
-                    subset_label(f.ground, f.ground_mask))
-        masks, ratios = zip(*split(f, w)[1].leaves)
-        order = [i for mask in masks for i in bit_indices(mask)]
-        levels = _levels(np.asarray(order, dtype=np.intp),
-                         [mask.bit_count() for mask in masks], ratios)
-        if levels is None:
-            raise InternalConsistencyError(
-                "split's leaf ratios decrease on %s"
-                % subset_label(f.ground, f.ground_mask))
-    return _chain(f, w, *levels)
 
 
 def _levels(order, sizes, ratios):
@@ -553,13 +464,18 @@ class Decomposition:
 def decompose(f: SetFunction, w: WeightVector) -> Decomposition:
     """Principal chain of critical ratios behind the egalitarian solution.
 
-    The egalitarian engine's levels (see the module docstring), certified
-    once: critical values that do not increase strictly raise
-    :class:`InternalConsistencyError`, and rates outside the region raise
-    :class:`CertificationError` (see :func:`certify`).
+    :func:`split`'s leaves, from the same loop, with adjacent leaves whose
+    ratios tie merged into one level (:func:`_levels`), certified once:
+    leaf ratios that decrease or critical values that do not increase
+    strictly raise :class:`InternalConsistencyError`, and rates outside the
+    region raise :class:`CertificationError` (see :func:`certify`).
     """
-    _nonempty_ground(f)
-    dec = _confirm(f, w, *_propose(f, w))
+    levels = _levels(*_refine(f, w)[:3])
+    if levels is None:
+        raise InternalConsistencyError(
+            "split's leaf ratios decrease on %s"
+            % subset_label(f.ground, f.ground_mask))
+    dec = _chain(f, w, *levels)
     crit = dec.critical_values
     for a, b in zip(crit, crit[1:]):
         if b - a <= TIE_EPSILON * max(abs(a), abs(b)):

@@ -123,14 +123,6 @@ def partition_of(blocks):
     return order, [b.bit_count() for b in blocks]
 
 
-def proposal_of(f, blocks):
-    """(order, sizes, walk) of ordered block masks, walk holding f(S_0),
-    ..., f(S_k) for S_j the union of the first j blocks from one prefix
-    walk over them: what the proposal hands the confirm step."""
-    order, sizes = partition_of(blocks)
-    return order, sizes, f.prefix_values(order)[np.cumsum([0, *sizes])]
-
-
 def coverage_table(pool):
     """The table of every value of a bit pool."""
     return TableSource(pool.ground, {m: pool.value(m)

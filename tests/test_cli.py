@@ -204,8 +204,13 @@ def test_weights_spanning_1e200_get_splits_rates(capsys, tmp_path):
     assert code == 0 and json.loads(out)["in_region"] is True
 
 
-def test_solver_failure_exits_3(capsys, model_file, wolfe_capped):
-    code, _, err = run(capsys, "egalitarian", model_file)
+def test_solver_failure_exits_3(capsys, tmp_path, wolfe_capped):
+    """A 17-user table is above the sweep and no min cut reads it, so its
+    ground's block goes to Wolfe, which stops at its cap."""
+    model = tmp_path / "t17.json"
+    model.write_text(json.dumps(table_of(
+        generate_instance(17, ExperimentConfig(), 0))))
+    code, _, err = run(capsys, "egalitarian", str(model))
     assert code == 3
     assert "solver" in err and "iteration cap" in err
 
@@ -431,8 +436,9 @@ HUGE_POOL = {"type": "bit_pool", "users": ["a", "b"],
 ], ids=["bit-pool-1e154", "table-1e200", "table-1e308"])
 def test_values_near_the_float_range_solve_at_once(capsys, tmp_path,
                                                    deadline, model, rate):
-    """|x|^2 overflows in the Wolfe proposal, which must end the run and
-    leave the answer to the exact confirm step, not loop."""
+    """Values near the float range solve at once: a min cut or a sweep
+    settles the two users, and each ratio times w is formed per user, so
+    nothing overflows and nothing loops."""
     p = tmp_path / "huge.json"
     p.write_text(json.dumps(model))
     with deadline(2.0):

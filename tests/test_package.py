@@ -3,14 +3,10 @@
 import logging
 import types
 
-import numpy as np
-
 import swfair
 from swfair.experiment import ExperimentConfig, run_experiment
 from swfair.fairness import shapley_exact, verify_membership
-from swfair.setfn import restrict
-from swfair.split import _confirm, decompose, split
-from conftest import proposal_of, twin_bit_pool
+from swfair.split import decompose, split
 
 
 def test_all_lists_exactly_the_imported_names():
@@ -26,9 +22,8 @@ def test_all_lists_exactly_the_imported_names():
 
 def test_library_calls_print_nothing(capfd, caplog, three_users,
                                      skew_weights):
-    """Library calls write nothing to stdout or stderr; what they report
-    goes to the "swfair" loggers, like the confirm step's fallback to
-    split."""
+    """Library calls write nothing to stdout or stderr, and log nothing on
+    the "swfair" loggers."""
     caplog.set_level(logging.DEBUG, logger="swfair")
     rates, _ = split(three_users, skew_weights)
     decompose(three_users, skew_weights)
@@ -37,14 +32,4 @@ def test_library_calls_print_nothing(capfd, caplog, three_users,
     run_experiment(ExperimentConfig(n_min=3, n_max=6, repetitions=3,
                                     measure_time=False))
     assert caplog.records == []
-
-    src, w = twin_bit_pool(np.random.default_rng(53), 5)
-    chain = decompose(src, w).chain_masks
-    levels = [b & ~a for a, b in zip((0,) + chain[:-1], chain)]
-    assert len(levels) > 1
-    f_c = restrict(src, src.ground_mask)
-    dec = _confirm(f_c, w, *proposal_of(f_c, levels[::-1]))
-    assert dec.chain_masks == chain
-    assert [(r.name, r.levelno) for r in caplog.records] == [
-        ("swfair.split", logging.INFO)]
     assert capfd.readouterr() == ("", "")

@@ -29,7 +29,7 @@ from swfair.sfm import (
     _wolfe,
     solve_sfm,
 )
-from swfair.split import PROPOSAL_GAP, egalitarian
+from swfair.split import egalitarian, subset_label
 from conftest import (OpaquePool, coverage_table, minor_after,
                       random_bit_pool, twin_bit_pool, weight_of)
 
@@ -437,10 +437,10 @@ def test_wolfe_stall_is_not_convergence(monkeypatch):
 def test_wolfe_overflow_is_not_convergence(deadline):
     """Wolfe's coordinates are in units of the source's scale, so entropies
     near 1e154 no longer overflow |x|^2: the pool converges to 1e154 times
-    the unit-scale point.  Weights at the float range's bottom still can,
-    on a non-monotone table: the gap is then not finite and no cycle can
-    pass its test, so the run ends at once and says why, and the exact
-    confirm step still gives the egalitarian rates."""
+    the unit-scale point.  A table whose values span the float range still
+    can: f(ab) = 1e308 over f(abc) = -1e308 puts a greedy vertex's last
+    marginal beyond it.  The gap is then not finite and no cycle can pass
+    its test, so the run ends at once and says why."""
     rng = np.random.default_rng(5)
     src = random_bit_pool(rng, 8)
     huge = BitPoolSource(src.ground, {b: 1e154 * h for b, h in
@@ -455,15 +455,14 @@ def test_wolfe_overflow_is_not_convergence(deadline):
         assert np.allclose(min_norm_point(huge), 1e154 * min_norm_point(src),
                            rtol=1e-12, atol=0.0)
 
-    g = GroundSet(["a", "b"])
-    table = TableSource(g, {"a": 1.0, "b": 1.0, "a,b": -1.9})
-    tiny = float(np.finfo(float).tiny)
+    g = GroundSet(["a", "b", "c"])
+    table = TableSource(g, {"a": 1.0, "b": 1.0, "c": 1.0, "a,b": 1e308,
+                            "a,c": 1.0, "b,c": 1.0, "a,b,c": -1e308})
     with deadline(2.0):
-        _, stop = _wolfe(table, [0, 1], PROPOSAL_GAP,
-                         scale=np.sqrt([tiny, tiny]))
+        _, stop = _wolfe(table, [0, 1, 2], sfm_module.MNP_GAP)
         assert stop == sfm_module.OVERFLOWED
-        rates = egalitarian(table, WeightVector(g, [tiny, tiny])).rates
-    assert np.allclose(rates, [-0.95, -0.95], rtol=1e-12, atol=0.0)
+        with pytest.raises(ConvergenceError, match="overflowed"):
+            min_norm(table)
 
 
 def test_wolfe_active_vertex_is_a_stall_whatever_the_rounding(monkeypatch):
@@ -507,15 +506,14 @@ def test_wolfe_minor_cycle_with_no_coefficient_moving(monkeypatch):
     rng = np.random.default_rng(31)
     f = shifted(random_bit_pool(rng, 10), rng.uniform(0.2, 0.6, 10))
     elems = np.asarray(bit_indices(f.ground_mask), dtype=np.intp)
-    s = np.sqrt(rng.uniform(0.5, 4.0, 10))
-    x, stop = _wolfe(f, elems, 1e-10, scale=s)
+    x, stop = _wolfe(f, elems, sfm_module.MNP_GAP)
     active = seen[0]
     assert active.m == 2 and stop == STALLED
-    # lam = (1, 0): the first vertex, unscaled, with Wolfe's unit the power
-    # of two at or below the source's scale
+    # lam = (1, 0): the first vertex, with Wolfe's unit the power of two at
+    # or below the source's scale
     unit = 2.0 ** math.floor(math.log2(f.scale))
     assert unit <= f.scale < 2.0 * unit
-    assert np.array_equal(x, active.S[0] * s * unit)
+    assert np.array_equal(x, active.S[0] * unit)
 
 
 def test_wolfe_converged_means_gap_test_passed(monkeypatch):
@@ -526,28 +524,33 @@ def test_wolfe_converged_means_gap_test_passed(monkeypatch):
         src = random_bit_pool(rng, n)
         f = shifted(src, rng.uniform(0.2, 0.6, n))
         elems = np.asarray(bit_indices(f.ground_mask), dtype=np.intp)
-        s = np.sqrt(rng.uniform(0.5, 4.0, n))
-        # unscaled, the gap is recomputed bit for bit; scaled, x / s
-        # rounds, so only a tolerance far above rounding is checked
-        for scale, tol in ((None, 1e-10), (None, 1e-300), (s, 1e-10)):
-            x, stop = _wolfe(f, elems, tol, scale)
+        # the gap is recomputed bit for bit: Wolfe's unit is a power of two
+        for tol in (sfm_module.MNP_GAP, 1e-300):
+            x, stop = _wolfe(f, elems, tol)
             if stop != CONVERGED:
                 continue
-            div = np.ones(n) if scale is None else scale
-            y = x / div
-            order = np.argsort(y / div, kind="stable")
-            q = greedy_vertex_local(f, elems, order) / div
-            assert float(y @ y - y @ q) <= tol * max(1.0, float(y @ y))
+            q = greedy_vertex_local(f, elems, np.argsort(x, kind="stable"))
+            assert float(x @ x - x @ q) <= tol * max(1.0, float(x @ x))
 
 
 def test_convergence_errors_quote_the_gap_reached(wolfe_capped):
+    """min-norm point's own error and the engine's, which runs it only on
+    a block above 16 users that no min cut reads, quote the gap reached;
+    the engine's names the ground's block."""
     rng = np.random.default_rng(31)
     f = shifted(random_bit_pool(rng, 10), rng.uniform(0.2, 0.6, 10))
-    for solve in (lambda: min_norm(f),
-                  lambda: egalitarian(f, WeightVector.ones(f.ground))):
+    pool = OpaquePool(random_bit_pool(np.random.default_rng(67), 20,
+                                      observe_prob=1.5 / 20))
+    for solve, path in (
+            (lambda: min_norm(f), None),
+            (lambda: egalitarian(pool, WeightVector.ones(pool.ground)),
+             (subset_label(pool.ground, pool.ground_mask),))):
         with pytest.raises(ConvergenceError,
-                           match=r"iteration cap \(1\) at relative gap \d"):
+                           match=r"iteration cap \(1\) at relative gap \d"
+                           ) as err:
             solve()
+        assert isinstance(err.value.best, SfmResult)
+        assert err.value.recursion_path == path
 
 
 class NearlyModular(SetFunction):
@@ -702,20 +705,19 @@ def test_active_set_rebuilds_next_to_the_affine_hull(monkeypatch):
 
 
 def test_wolfe_work_matches_a_from_scratch_solve(monkeypatch):
-    """The maintained inverse changes constants, not the algorithm: on
-    weighted bit pools of 64-256 users, at the proposal's and the SFM's
-    gap, Wolfe ends the same way at the same point after as many major and
-    minor cycles as when every minor cycle solves afresh.
+    """The maintained inverse changes constants, not the algorithm: on bit
+    pools of 64-256 users, at the SFM's gap, Wolfe ends the same way at the
+    same point after as many major and minor cycles as when every minor
+    cycle solves afresh.
 
     Small grounds, bit pools of 2-16 users and their tables up to 12, end
     the same way at the same point too.  Their points have many equal
-    scaled coordinates, so a last-bit difference in the coefficients can
-    break such a tie in the greedy order the other way: on seeds 0-999 of
-    this loop 3354 of 3426 runs did the same work and the others one or
-    two major cycles more or fewer."""
+    coordinates, so a last-bit difference in the coefficients can break
+    such a tie in the greedy order the other way, and a run may take one
+    or two major cycles more or fewer."""
     real = sfm_module._affine_minimizer
 
-    def run(f, elems, gap, s, minimizer):
+    def run(f, minimizer):
         cycles = []
 
         def counted(active, added=None, keep=None):
@@ -723,43 +725,40 @@ def test_wolfe_work_matches_a_from_scratch_solve(monkeypatch):
             return minimizer(active, added, keep)
 
         monkeypatch.setattr(sfm_module, "_affine_minimizer", counted)
-        x, stop = _wolfe(f, elems, gap, scale=s)
+        elems = np.asarray(bit_indices(f.ground_mask), dtype=np.intp)
+        x, stop = _wolfe(f, elems, sfm_module.MNP_GAP)
         return x, str(stop), sum(cycles), len(cycles)
 
     def from_scratch(active, added, keep):
         real(active, added, keep)
         return bordered_solve(active.S)
 
-    def compare(f, s):
-        """(work, from-scratch work) of both gaps, once the points match."""
-        elems = np.asarray(bit_indices(f.ground_mask), dtype=np.intp)
-        for gap in (PROPOSAL_GAP, sfm_module.MNP_GAP):
-            x, *work = run(f, elems, gap, s, real)
-            x0, *work0 = run(f, elems, gap, s, from_scratch)
-            assert np.max(np.abs(x - x0)) <= 1e-9 * max(1.0, np.linalg.norm(x0))
-            yield work, work0
+    def compare(f):
+        """(work, from-scratch work), once the points match."""
+        x, *work = run(f, real)
+        x0, *work0 = run(f, from_scratch)
+        assert np.max(np.abs(x - x0)) <= 1e-9 * max(1.0, np.linalg.norm(x0))
+        return work, work0
 
     for seed in range(20):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(64, 257))
-        src = random_bit_pool(rng, n, observe_prob=1.5 / n)
-        for work, work0 in compare(src, np.sqrt(rng.uniform(0.5, 4.0, n))):
-            assert work == work0
+        work, work0 = compare(random_bit_pool(rng, n, observe_prob=1.5 / n))
+        assert work == work0
 
     same = runs = 0
     for seed in range(60):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 17))
         src = random_bit_pool(rng, n)
-        s = np.sqrt(rng.uniform(0.5, 4.0, n))
         sources = [src]
         if n <= 12:
             sources.append(TableSource(
                 src.ground, {m: src.value(m) for m in range(1, 1 << n)}))
         for f in sources:
-            for (stop, major, minor), (stop0, major0, minor0) in compare(f, s):
-                assert stop == stop0
-                assert abs(major - major0) <= 2 and abs(minor - minor0) <= 4
-                same += (major, minor) == (major0, minor0)
-                runs += 1
+            (stop, major, minor), (stop0, major0, minor0) = compare(f)
+            assert stop == stop0
+            assert abs(major - major0) <= 2 and abs(minor - minor0) <= 4
+            same += (major, minor) == (major0, minor0)
+            runs += 1
     assert same >= 0.9 * runs

@@ -1,11 +1,10 @@
 import importlib
 import json
-import logging
-from types import SimpleNamespace
+import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from swfair.cli import main
 from swfair.experiment import ExperimentConfig, generate_instance
@@ -26,15 +25,12 @@ from swfair.setfn import (
     restrict,
     source_to_dict,
 )
-from swfair.sfm import EXHAUSTIVE_UP_TO, ConvergenceError, solve_sfm
+from swfair.sfm import ConvergenceError, SfmResult, solve_sfm
 from swfair.split import (
-    PROPOSAL_GAP,
     CertificationError,
     Decomposition,
     InternalConsistencyError,
-    RateVector,
     _chain,
-    _confirm,
     adaptation_path,
     certify,
     decompose,
@@ -44,8 +40,8 @@ from swfair.split import (
     subset_label,
 )
 from conftest import (OpaquePool, coverage_table, minor_after, partition_of,
-                      proposal_of, random_bit_pool, scaled_source,
-                      twin_bit_pool, weight_of)
+                      random_bit_pool, scaled_source, twin_bit_pool,
+                      weight_of)
 
 # the package re-exports the function split under the module's name
 split_module = importlib.import_module("swfair.split")
@@ -131,21 +127,40 @@ def tree_nodes(tree):
     return nodes
 
 
-def test_split_runs_min_cut_not_wolfe_on_bit_pools(monkeypatch):
+def test_split_runs_min_cut_not_wolfe_on_bit_pools(monkeypatch, capsys,
+                                                   tmp_path):
+    """split, decompose and egalitarian, in the library and through
+    ``swfair egalitarian`` and ``swfair decompose``, solve a 64-user
+    weighted pool and a 12-user table without one Wolfe cycle: every cycle
+    asks greedy_vertex_local for a vertex, and here it raises."""
     rng = np.random.default_rng(5)
     n = 64
     src = random_bit_pool(rng, n, observe_prob=1.5 / n)
     w = WeightVector(src.ground, rng.uniform(0.5, 4.0, n))
+    table = coverage_table(random_bit_pool(rng, 12))
+    w_table = WeightVector(table.ground, rng.uniform(0.5, 4.0, 12))
 
     def no_wolfe(*args, **kwargs):
-        raise AssertionError("split ran Wolfe on a bit pool")
+        raise AssertionError("Wolfe ran on a bit pool or a small table")
 
-    monkeypatch.setattr(sfm_module, "_wolfe", no_wolfe)
+    monkeypatch.setattr(sfm_module, "greedy_vertex_local", no_wolfe)
     _, tree = split(src, w)
     # a one-user block is a leaf with no solve, reported as a sweep's
     for node in tree_nodes(tree):
         assert node.sfm.solver_used == (
             "min_cut" if node.subset_mask.bit_count() > 1 else "exhaustive")
+    for f, weights in ((src, w), (table, w_table)):
+        chain = decompose(f, weights).chain_masks
+        assert egalitarian(f, weights).subset_mask == chain[-1]
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(source_to_dict(f)))
+        weights_file = tmp_path / "weights.json"
+        weights_file.write_text(json.dumps(
+            dict(zip(f.ground.users, weights.values.tolist()))))
+        for command in ("egalitarian", "decompose"):
+            assert main([command, str(model), "--weights",
+                         str(weights_file), "--json"]) == 0
+    capsys.readouterr()
 
 
 def spy_on_oracles(monkeypatch):
@@ -176,8 +191,7 @@ def spy_on_oracles(monkeypatch):
 
 def passes_of(calls):
     """The calls of each pass of the refinement loop, split at its prefix
-    walks; each pass's list starts with its walk, except the first of a
-    confirm step, which takes the proposal's walk."""
+    walks; each pass's list starts with its walk."""
     passes = [[]]
     for call in calls:
         if call[0] == "prefix_values":
@@ -466,9 +480,9 @@ def test_egalitarian_matches_split_on_tables(model):
 @settings(max_examples=20, deadline=None)
 @given(st.integers(2, 64), st.integers(0, 2**32 - 1))
 def test_engine_chain_is_splits_on_weighted_pools_to_64_users(n, seed):
-    """On pools drawn like the benchmark's, whose proposals hold many
-    blocks of 2 to 12 users, the engine's shared min cuts settle split's
-    chain and bit-identical rates."""
+    """On pools drawn like the benchmark's, whose depths hold many blocks
+    of 2 to 12 users, the engine's shared min cuts settle split's chain and
+    bit-identical rates."""
     rng = np.random.default_rng(seed)
     src = random_bit_pool(rng, n, observe_prob=min(1.0, 1.5 / n))
     w = WeightVector(src.ground, rng.uniform(0.5, 4.0, n))
@@ -605,207 +619,21 @@ def test_egalitarian_worked_examples(three_users, unit_weights, skew_weights):
         egalitarian(restrict(three_users, []), unit_weights)
 
 
-def test_confirm_adversarial_proposals(monkeypatch, caplog):
-    """Proposals that are right, too coarse, too fine or out of order
-    all come back as split's chain and rates.  Each fallback to split
-    logs one record naming the subset."""
-    caplog.set_level(logging.INFO, logger="swfair.split")
-    fallbacks = []
-    real_split = split_module.split
-
-    def spy(*args, **kwargs):
-        fallbacks.append(args)
-        return real_split(*args, **kwargs)
-
-    rng = np.random.default_rng(53)
-    reversed_with_levels = 0
-    for k in range(16):
-        n = 3 + k % 5
-        src, w = twin_bit_pool(rng, n)
-        rates, tree = split(src, w)
-        chain = split_chain(tree)
-        levels = levels_of(chain)
-        half = src.ground.full_mask >> n        # the first copy's users
-        f_c = restrict(src, src.ground_mask)
-
-        proposals = [levels, levels[::-1]]
-        if len(levels) > 1:
-            proposals.append([levels[0] | levels[1]] + levels[2:])
-        cut = [j for j, d in enumerate(levels) if d & half and d & ~half]
-        assert cut, "every level of a twin holds both copies"
-        j = cut[0]
-        proposals.append(levels[:j] + [levels[j] & half, levels[j] & ~half]
-                         + levels[j + 1:])
-
-        for blocks in proposals:
-            before = len(fallbacks)
-            caplog.clear()
-            monkeypatch.setattr(split_module, "split", spy)
-            dec = _confirm(f_c, w, *proposal_of(f_c, blocks))
-            monkeypatch.setattr(split_module, "split", real_split)
-            assert dec.chain_masks == chain
-            assert np.array_equal(dec.reconstruct().rates, rates.rates)
-            if blocks is not proposals[1]:
-                assert len(fallbacks) == before
-            label = subset_label(src.ground, src.ground_mask)
-            assert [(r.name, r.getMessage()) for r in caplog.records] == \
-                [("swfair.split", "proposed leaf ratios decrease on %s; "
-                  "running split" % label)] * (len(fallbacks) - before)
-        reversed_with_levels += len(levels) > 1
-    assert reversed_with_levels > 0
-    assert len(fallbacks) > 0
-
-
 def test_confirm_refuses_decreasing_fallback_leaves(monkeypatch):
-    """split's leaves go through the same level rule as the proposal's, so
-    a fallback whose leaf ratios decrease is inconsistent."""
+    """decompose merges the loop's leaves into levels in their order, so
+    leaves out of _refine whose ratios decrease are inconsistent, and the
+    error names the ground."""
     rng = np.random.default_rng(53)
     src, w = twin_bit_pool(rng, 5)
-    rates, tree = split(src, w)
-    levels = levels_of(split_chain(tree))
-    assert len(levels) > 1
-    backwards = SimpleNamespace(leaves=tree.leaves[::-1])
-    monkeypatch.setattr(split_module, "split",
-                        lambda *args, **kwargs: (rates, backwards))
-    f_c = restrict(src, src.ground_mask)
-    with pytest.raises(InternalConsistencyError, match="decrease"):
-        _confirm(f_c, w, *proposal_of(f_c, levels[::-1]))
-
-
-def test_confirm_cost_guard(monkeypatch):
-    """The confirm step is split's loop started from the proposal: its
-    first pass takes the proposal's walk and walks nothing, every pass
-    after it costs what a pass of split costs, and its last walk is
-    _chain's, over the final levels.  With split's own levels proposed,
-    one coverage_cut and one max_flow test every level of 2 or more users,
-    and no level splits; a proposal from the Wolfe point takes more
-    passes, and both give split's chain."""
-    rng = np.random.default_rng(3)
-    n = 96
-    src = random_bit_pool(rng, n, observe_prob=1.5 / n)
-    w = WeightVector(src.ground, rng.uniform(0.5, 4.0, n))
-    f_c = restrict(src, src.ground_mask)
-
-    def run(order, sizes, walk):
-        calls = spy_on_oracles(monkeypatch)
-        dec = _confirm(f_c, w, order, sizes, walk)
-        monkeypatch.undo()
-        assert not {name for name, _ in calls} & {
-            "value", "all_values", "block_values", "solve_sfm"}
-        passes = passes_of(calls)
-        assert passes[-1] == [calls[-1]] and len(calls[-1][1][1]) == n
-        assert "prefix_values" not in {name for name, _ in passes[0]}
-        starts = np.cumsum([0, *sizes])
-        blocks = [mask_from_indices(order[a:b].tolist())
-                  for a, b in zip(starts, starts[1:])]
-        assert check_pass(passes[0], n) == [b for b in blocks
-                                            if b.bit_count() > 1]
-        for made in passes[1:-1]:
-            check_pass(made, n)
-        return dec, len(passes) - 1
-
-    rates, tree = split(src, w)
-    chain = split_chain(tree)
-    dec, depths = run(*proposal_of(f_c, levels_of(chain)))
-    assert depths == 1 and dec.chain_masks == chain
-    dec, depths = run(*split_module._propose(f_c, w))
-    assert depths > 1 and dec.chain_masks == chain
-    assert np.array_equal(dec.reconstruct().rates, rates.rates)
-
-
-def test_confirm_reuses_the_proposals_walk(monkeypatch):
-    """The proposal returns f(S_j) at its cuts from the walk that found
-    them, and the confirm step's first pass walks no prefix of its own: on
-    this pool no proposed block splits, so its one walk is _chain's over
-    the final levels, and it settles the same chain and bit-identical
-    rates as with a walk over its blocks."""
-    rng = np.random.default_rng(5)
-    n = 96
-    src = random_bit_pool(rng, n, observe_prob=1.5 / n)
-    w = WeightVector(src.ground, rng.uniform(0.5, 4.0, n))
-    f_c = restrict(src, src.ground_mask)
-    order, sizes, walk = split_module._propose(f_c, w)
-    ends = np.cumsum([0, *sizes])
-    prefix = [mask_from_indices(order[:end].tolist()) for end in ends]
-    assert walk.tolist() == pytest.approx([src.value(m) for m in prefix],
-                                          rel=0.0, abs=1e-12 * src.scale)
-    walked = _confirm(f_c, w, order, sizes, f_c.prefix_values(order)[ends])
-    walks = []
-    real_prefix_values = BitPoolSource.prefix_values
-    monkeypatch.setattr(BitPoolSource, "prefix_values",
-                        lambda self, order, base=0: walks.append(len(order))
-                        or real_prefix_values(self, order, base))
-    dec = _confirm(f_c, w, order, sizes, walk)
-    assert walks == [n]
-    assert dec.chain_masks == walked.chain_masks
-    assert np.array_equal(dec.reconstruct().rates, walked.reconstruct().rates)
-
-
-@st.composite
-def confirm_cases(draw):
-    """A bit pool of 3 to 14 users or a table of 2 to 7, split's levels of
-    it, and proposals drawn from them: the levels shuffled, a merged pair,
-    a level cut in halves, a multi-user and a one-user first block, and the
-    levels reversed, which must take the fallback to split."""
-    if draw(st.booleans()):
-        n = draw(st.integers(3, 14))
-        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        p = min(1.0, draw(st.floats(0.5, 3.0)) / n)
-        src = random_bit_pool(rng, n, observe_prob=p)
-        w = WeightVector(src.ground, rng.uniform(0.5, 4.0, n))
-    else:
-        src, w = draw(weighted_tables(min_n=2, max_n=7))
-    rates, tree = split(src, w)
-    chain = split_chain(tree)
-    levels = levels_of(chain)
-    assume(len(levels) > 1)
-    j = draw(st.integers(0, len(levels) - 2))
-    k = draw(st.integers(0, len(levels) - 1))
-    users = bit_indices(levels[k])
-    halves = (mask_from_indices(users[:len(users) // 2]),
-              mask_from_indices(users[len(users) // 2:]))
-    lead = levels[0] & -levels[0]       # lowest user of the first level
-    proposals = {
-        "levels": levels,
-        "shuffled": draw(st.permutations(levels)),
-        "merged": levels[:j] + [levels[j] | levels[j + 1]] + levels[j + 2:],
-        "halves": levels[:k] + [h for h in halves if h] + levels[k + 1:],
-        "multi-user first": [levels[0] | levels[1]] + levels[2:],
-        "one-user first": [d for d in (lead, levels[0] ^ lead) if d]
-                          + levels[1:],
-        "reversed": levels[::-1],
-    }
-    return src, w, rates, chain, proposals
-
-
-@settings(max_examples=40, deadline=None)
-@given(confirm_cases())
-def test_confirm_returns_splits_chain_for_any_proposal(case):
-    """Whatever ordered partition is proposed, the confirm step returns
-    split's chain and bit-identical rates; a proposal out of order takes
-    the fallback to split."""
-    src, w, rates, chain, proposals = case
-    fallbacks = []
-    real_split = split_module.split
-
-    def spy(*args, **kwargs):
-        fallbacks.append(args)
-        return real_split(*args, **kwargs)
-
-    f_c = restrict(src, src.ground_mask)
-    for name, blocks in proposals.items():
-        fallbacks.clear()
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(split_module, "split", spy)
-            dec = _confirm(f_c, w, *proposal_of(f_c, blocks))
-        assert dec.chain_masks == chain, name
-        assert np.array_equal(dec.reconstruct().rates, rates.rates), name
-        if name == "levels":
-            assert not fallbacks
-        if name == "reversed":
-            assert fallbacks
-    assert proposals["multi-user first"][0].bit_count() > 1
-    assert proposals["one-user first"][0].bit_count() == 1
+    _, tree = split(src, w)
+    assert len(levels_of(split_chain(tree))) > 1
+    masks, ratios = zip(*tree.leaves[::-1])
+    backwards = (*partition_of(masks), ratios, [])
+    monkeypatch.setattr(split_module, "_refine", lambda f, w: backwards)
+    label = subset_label(src.ground, src.ground_mask)
+    with pytest.raises(InternalConsistencyError,
+                       match="decrease on " + re.escape(label)):
+        decompose(src, w)
 
 
 @pytest.mark.parametrize("n", [8, 30, 64])
@@ -918,7 +746,7 @@ def test_egalitarian_refuses_non_submodular_table():
 
 
 def test_corrupted_chains_are_refused(monkeypatch, capsys, tmp_path):
-    """A chain the confirm step gets wrong is refused, whichever of
+    """A chain the level merge gets wrong is refused, whichever of
     decompose and egalitarian (library or CLI) returns it: two adjacent
     levels merged lie outside the region (CertificationError, exit 4); a
     level cut into two equal-ratio halves, or levels in reverse order, do
@@ -943,9 +771,9 @@ def test_corrupted_chains_are_refused(monkeypatch, capsys, tmp_path):
         weights = tmp_path / "weights.json"
         weights.write_text(json.dumps({u: w[u] for u in src.ground.users}))
         for bad, error, code in corrupted:
-            monkeypatch.setattr(split_module, "_confirm",
-                                lambda f, w, *proposal, bad=bad:
-                                _chain(f, w, *partition_of(bad)))
+            monkeypatch.setattr(split_module, "_levels",
+                                lambda order, sizes, ratios, bad=bad:
+                                partition_of(bad))
             with pytest.raises(error):
                 decompose(src, w)
             with pytest.raises(error):
@@ -1007,37 +835,14 @@ def test_engine_is_certified_by_min_cut_beyond_the_oracle(model):
 
 
 def test_egalitarian_iteration_cap_is_a_convergence_error(wolfe_capped):
+    """The engine runs Wolfe only on a block above 16 users that no min cut
+    reads; its iteration cap on the ground's block is a ConvergenceError
+    that carries the solve's best result and names that block."""
     rng = np.random.default_rng(67)
-    src = random_bit_pool(rng, 8)
+    src = OpaquePool(random_bit_pool(rng, 20, observe_prob=1.5 / 20))
     with pytest.raises(ConvergenceError,
                        match=r"iteration cap \(1\) at relative gap") as err:
         egalitarian(src, WeightVector.ones(src.ground))
-    assert isinstance(err.value.best, RateVector)
-
-
-def test_proposal_stops_at_its_own_gap(monkeypatch):
-    """The proposal's Wolfe run stops at PROPOSAL_GAP; a block it leaves
-    above EXHAUSTIVE_UP_TO users is settled by the confirm step's min cut,
-    and the rates are split's."""
-    rng = np.random.default_rng(1)
-    n = 96
-    src = random_bit_pool(rng, n, observe_prob=1.5 / n)
-    w = WeightVector(src.ground, rng.uniform(0.5, 4.0, n))
-    gaps, sizes = [], []
-    real_wolfe, real_confirm = split_module._wolfe, split_module._confirm
-
-    def wolfe(f, elems, gap, scale=None):
-        gaps.append(gap)
-        return real_wolfe(f, elems, gap, scale=scale)
-
-    def confirm(f, w, order, proposed, walk):
-        sizes.extend(proposed)
-        return real_confirm(f, w, order, proposed, walk)
-
-    monkeypatch.setattr(split_module, "_wolfe", wolfe)
-    monkeypatch.setattr(split_module, "_confirm", confirm)
-    got = egalitarian(src, w)
-    assert gaps == [PROPOSAL_GAP]
-    assert max(sizes) > EXHAUSTIVE_UP_TO
-    rates, _ = split(src, w)
-    assert np.array_equal(got.rates, rates.rates)
+    assert isinstance(err.value.best, SfmResult)
+    assert err.value.recursion_path == (
+        subset_label(src.ground, src.ground_mask),)
