@@ -37,7 +37,7 @@ from .split import (
     RateVector,
     decompose,
     egalitarian,
-    split,
+    traced_egalitarian,
 )
 
 EXIT_OK = 0
@@ -76,9 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("source", help="source model JSON file")
     add_weight_args(p)
     p.add_argument("--trace", metavar="PATH",
-                   help="also write the recursion tree of the same loop, "
-                        "run again to keep it, and, up to 64 users, the "
-                        "adaptation path as JSON")
+                   help="also write the recursion tree of the same run "
+                        "of the loop and, up to 64 users, the adaptation "
+                        "path as JSON")
     add_output_args(p)
     p.set_defaults(func=cmd_egalitarian)
 
@@ -186,11 +186,12 @@ def rates_text(rates: RateVector) -> str:
 def cmd_egalitarian(args) -> int:
     source = load_source(args.source)
     w = parse_weights(source, args.weights)
-    rates = egalitarian(source, w)
     if args.trace:
-        _, tree = split(source, w)
+        rates, tree = traced_egalitarian(source, w)
         with open(args.trace, "w") as fh:
             fh.write(json.dumps(tree.to_dict(), indent=2))
+    else:
+        rates = egalitarian(source, w)
     doc = {"rates": rates.as_dict(), "sum_rate": rates.total(),
            "weights": {u: w[u] for u in source.ground.users}}
     emit(args, doc, rates_text(rates))

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flow import max_flow
+from .flow import bipartite_flow
 from .setfn import (
     TIE_EPSILON,
     GroundSet,
@@ -217,28 +217,24 @@ def cut_results(ground, cut, masks, tol) -> list[SfmResult]:
     c_i where c_i > 0, user i -> sink with capacity -c_i where c_i < 0,
     user -> each bit it observes uncapped, bit b -> sink with capacity
     h_b) costs c+(V) - c(X) + h(N(X)).  The blocks share no user and no
-    bit, so their networks are disjoint and one flow runs on their union,
+    bit, so one :func:`swfair.flow.bipartite_flow` runs on their union,
     contracted:
 
     * a bit only user i observes joins i's sink capacity s_i, since the
       uncapped edge to it puts it on i's side of every finite cut;
     * a user with source capacity a_i and sink capacity s_i keeps a_i - m_i
       and s_i - m_i, m_i = min(a_i, s_i), since every cut pays m_i for i
-      on either side;
+      on either side, so a user keeps a supply or a sink capacity.
 
-    so only the bits two or more users observe remain nodes.  The flow
-    starts from one greedy pass over their observations, each pushing as
-    much of its user's remaining source capacity as its bit has room for.
-    The pass, and the edge lists, take the observations by their user's
-    number of shared bits, then by their bit's number of observers, fewest
-    first and otherwise in incidence order: that start is nearer a maximum
-    flow, so fewer rounds remain, and every block's ``flow_rounds`` reports
-    them.  Block t's part of the flow is c+(V_t) + min g - sum m_i over its
-    users, so ``min_value`` is less than 0 by what its source edges have
-    left unused.  Users the source reaches in the residual graph form the
-    minimal minimizer, and users that do not reach the sink the maximal
-    one; residual capacities at or below ``tol`` count as zero.  No oracle
-    is called, so ``oracle_evals`` is 0.
+    The flow's greedy start takes the observations of shared bits by their
+    user's number of shared bits, then by their bit's number of observers,
+    fewest first and otherwise in incidence order: that start is nearer a
+    maximum flow, so fewer rounds remain, and every block's
+    ``flow_rounds`` reports them.  ``min_value`` is less than 0 by the
+    supply block t's users leave unused.  Users the source reaches in the
+    residual graph form the minimal minimizer, and users that do not reach
+    the sink the maximal one; residual capacities at or below ``tol``
+    count as zero.  No oracle is called, so ``oracle_evals`` is 0.
     """
     users, starts, user, bit, h, coef = cut
     c = len(users)
@@ -253,58 +249,25 @@ def cut_results(ground, cut, masks, tol) -> list[SfmResult]:
     shared = observers > 1
     shared_user = user[~private]
     shared_bit = (np.cumsum(shared) - 1)[bit[~private]]
-    bit_cap = h[shared]
     # fewest choices first: a user with few shared bits, then a bit with
     # few observers, has the fewest other ways to route its flow
     first = np.lexsort((observers[shared][shared_bit],
                         np.bincount(shared_user, minlength=c)[shared_user]))
-    shared_user, shared_bit = shared_user[first], shared_bit[first]
-    # nodes: 0 the source, 1 the sink, 2..c+1 the users, then shared bits
-    gain = np.flatnonzero(source_cap > 0.0)
-    loss = np.flatnonzero(sink_cap > 0.0)
-    bit_node = np.arange(c + 2, c + 2 + len(bit_cap))
-    tails = np.concatenate([np.zeros(len(gain), dtype=np.intp), loss + 2,
-                            shared_user + 2, bit_node])
-    heads = np.concatenate([gain + 2, np.ones(len(loss), dtype=np.intp),
-                            shared_bit + c + 2,
-                            np.ones(len(bit_cap), dtype=np.intp)])
-    caps = np.concatenate([source_cap[gain], sink_cap[loss],
-                           np.full(len(shared_user), np.inf), bit_cap])
-    # the greedy start, edge by edge in the order above; sent[i] and got[b]
-    # add up what user i sent and bit b took
-    supply, sent = source_cap.tolist(), [0.0] * c
-    room, got = bit_cap.tolist(), [0.0] * len(bit_cap)
-    pushed = []
-    for i, b in zip(shared_user.tolist(), shared_bit.tolist()):
-        # plain comparisons: min and max calls triple this loop's cost
-        x = supply[i] - sent[i]
-        free = room[b] - got[b]
-        if free < x:
-            x = free
-        if x > 0.0:
-            sent[i] += x
-            got[b] += x
-        else:
-            x = 0.0
-        pushed.append(x)
-    start = [sent[i] for i in gain.tolist()] + [0.0] * len(loss) + pushed + got
-    _, from_source, to_sink, rounds, flows = max_flow(
-        c + 2 + len(bit_cap), tails.tolist(), heads.tolist(), caps.tolist(),
-        0, 1, tol, start)
-    # each block's source edges: what they left unused is its minimum
-    block = np.repeat(np.arange(len(masks)), np.diff(starts))
-    unused = np.bincount(block[gain], weights=caps[:len(gain)]
-                         - flows[:len(gain)], minlength=len(masks))
+    unused, from_source, to_sink, rounds, _ = bipartite_flow(
+        source_cap.tolist(), sink_cap.tolist(), h[shared].tolist(),
+        shared_user[first].tolist(), shared_bit[first].tolist(), tol)
+    # what each block's users left unused is its minimum
+    unused = np.add.reduceat(unused, starts[:-1])
     positions = users.tolist()
     out = []
     for t, (a, b) in enumerate(zip(starts, starts[1:])):
         here = positions[a:b]
-        maximal = [i for i, s in zip(here, to_sink[a + 2:b + 2]) if not s]
+        maximal = [i for i, s in zip(here, to_sink[a:b]) if not s]
         out.append(SfmResult(
             ground=ground,
             min_value=-float(unused[t]),
             minimal_mask=mask_from_indices(
-                i for i, s in zip(here, from_source[a + 2:b + 2]) if s),
+                i for i, s in zip(here, from_source[a:b]) if s),
             maximal_mask=(masks[t] if len(maximal) == b - a
                           else mask_from_indices(maximal)),
             solver_used="min_cut",

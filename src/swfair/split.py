@@ -155,7 +155,11 @@ def split(f: SetFunction, w: WeightVector) -> tuple[RateVector, SplitTree]:
     including the base-assignment events behind :func:`adaptation_path`.
     The users are f's ground; view a sub-ground with :func:`restrict`.
     """
-    order, sizes, _, tested = _refine(f, w)
+    return _split(f, w, _refine(f, w))
+
+
+def _split(f, w, refined):
+    order, sizes, _, tested = refined
     root, events, leaves = _tree(f.ground, tested)
     rv = _chain(f, w, order, sizes).reconstruct()
     return rv, SplitTree(f.ground, root, f.ground_mask, w, events, leaves, rv)
@@ -306,7 +310,20 @@ def egalitarian(f: SetFunction, w: WeightVector) -> RateVector:
 
     They are :func:`split`'s rates, without its recursion tree.
     """
-    return decompose(f, w).reconstruct()
+    return _rates(f, w, _refine(f, w))
+
+
+def traced_egalitarian(f: SetFunction, w: WeightVector) -> tuple:
+    """:func:`egalitarian`'s rates and :func:`split`'s tree, from one run
+    of their refinement loop."""
+    refined = _refine(f, w)
+    return _rates(f, w, refined), _split(f, w, refined)[1]
+
+
+def _rates(f, w, refined):
+    rates = _decompose(f, w, refined).reconstruct()
+    certify(f, rates)
+    return rates
 
 
 def _levels(order, sizes, ratios):
@@ -362,11 +379,9 @@ def certify(f: SetFunction, rates: RateVector) -> None:
     default tolerance, 1e-8 times f's scale, whichever solver produced the
     rates: a min cut for a bit pool, a subset sweep otherwise.  It runs
     only up to ``BRUTE_FORCE_LIMIT`` users, and above that it does nothing,
-    although a bit pool could be checked at any size.  On 256-user bit
-    pools, one more flow per answer over the whole network cost 35-40% of
-    the engine's time, and one over the multi-user levels, contracted and
-    greedy-started as the min cut's, about 8%.  A failure raises
-    :class:`CertificationError`.
+    although a bit pool could be checked at any size: on 256-user bit
+    pools one more flow per answer cost 8-40% of the engine's time.  A
+    failure raises :class:`CertificationError`.
     """
     cmask = rates.subset_mask
     if cmask.bit_count() > BRUTE_FORCE_LIMIT:
@@ -470,7 +485,15 @@ def decompose(f: SetFunction, w: WeightVector) -> Decomposition:
     strictly raise :class:`InternalConsistencyError`, and rates outside the
     region raise :class:`CertificationError` (see :func:`certify`).
     """
-    levels = _levels(*_refine(f, w)[:3])
+    dec = _decompose(f, w, _refine(f, w))
+    if dec.chain_masks[-1].bit_count() <= BRUTE_FORCE_LIMIT:
+        certify(f, dec.reconstruct())
+    return dec
+
+
+def _decompose(f, w, refined) -> Decomposition:
+    """The chain of :func:`_refine`'s leaves, checked but not certified."""
+    levels = _levels(*refined[:3])
     if levels is None:
         raise InternalConsistencyError(
             "split's leaf ratios decrease on %s"
@@ -481,5 +504,4 @@ def decompose(f: SetFunction, w: WeightVector) -> Decomposition:
         if b - a <= TIE_EPSILON * max(abs(a), abs(b)):
             raise InternalConsistencyError(
                 "critical values not strictly increasing: %r vs %r" % (a, b))
-    certify(f, dec.reconstruct())
     return dec

@@ -1,3 +1,4 @@
+import importlib
 import json
 import time
 import warnings
@@ -498,7 +499,7 @@ def test_internal_consistency_error_exits_3(capsys, model_file, monkeypatch,
     def broken(*args, **kwargs):
         raise InternalConsistencyError("chain does not cover the user subset")
 
-    monkeypatch.setattr(cli, "split", broken)
+    monkeypatch.setattr(cli, "traced_egalitarian", broken)
     monkeypatch.setattr(cli, "egalitarian", broken)
     code, _, err = run(capsys, "egalitarian", model_file)
     assert code == 3
@@ -519,37 +520,32 @@ def table_of(source):
 def test_only_trace_runs_the_splitter(capsys, model_file, monkeypatch,
                                       tmp_path):
     """With --trace the answer still comes from the engine: stdout is the
-    plain command's, byte for byte, and the splitter only writes its
-    tree."""
-    from swfair import cli
-    from swfair.experiment import ExperimentConfig, generate_instance
+    plain command's, byte for byte, and the tree comes from the same run
+    of the refinement loop, which runs once."""
+    split_module = importlib.import_module("swfair.split")
 
     table = tmp_path / "t12.json"
     table.write_text(json.dumps(table_of(
         generate_instance(12, ExperimentConfig(), 0))))
     calls = []
+    real = split_module._refine
 
-    def spy(name):
-        real = getattr(cli, name)
+    def spy(*args, **kwargs):
+        calls.append("_refine")
+        return real(*args, **kwargs)
 
-        def call(*args, **kwargs):
-            calls.append(name)
-            return real(*args, **kwargs)
-        return call
-
-    monkeypatch.setattr(cli, "egalitarian", spy("egalitarian"))
-    monkeypatch.setattr(cli, "split", spy("split"))
+    monkeypatch.setattr(split_module, "_refine", spy)
     trace = tmp_path / "trace.json"
     for model, weights in ((model_file, "3,1,3"),
                            (str(table), "3," * 11 + "1")):
         for flags in ((), ("--json",), ("--weights", weights)):
             calls.clear()
             code, plain, _ = run(capsys, "egalitarian", model, *flags)
-            assert (code, calls) == (0, ["egalitarian"])
+            assert (code, calls) == (0, ["_refine"])
             calls.clear()
             code, traced, _ = run(capsys, "egalitarian", model, *flags,
                                   "--trace", str(trace))
-            assert (code, calls) == (0, ["egalitarian", "split"])
+            assert (code, calls) == (0, ["_refine"])
             assert traced == plain
             assert json.loads(trace.read_text())["subset"]
             trace.unlink()

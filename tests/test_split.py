@@ -165,9 +165,9 @@ def test_split_runs_min_cut_not_wolfe_on_bit_pools(monkeypatch, capsys,
 
 def spy_on_oracles(monkeypatch):
     """Record every bit-pool oracle call, every block_values call, and
-    every coverage_cut, solve_sfm and max_flow call split makes, in order,
-    as (name, arguments); arrays are copied when called, as the refinement
-    loop reorders its positions in place."""
+    every coverage_cut, solve_sfm and bipartite_flow call split makes, in
+    order, as (name, arguments); arrays are copied when called, as the
+    refinement loop reorders its positions in place."""
     calls = []
 
     def spy(name, real):
@@ -184,7 +184,7 @@ def spy_on_oracles(monkeypatch):
                         spy("block_values", SetFunction.block_values))
     for module, name in ((split_module, "coverage_cut"),
                          (split_module, "solve_sfm"),
-                         (sfm_module, "max_flow")):
+                         (sfm_module, "bipartite_flow")):
         monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
     return calls
 
@@ -203,15 +203,15 @@ def passes_of(calls):
 def check_pass(calls, n):
     """One pass on a bit pool: at most one walk, over all n positions,
     then at most one coverage_cut of blocks of 2 or more users and the
-    one max_flow that settles them all; nothing else.  Returns the masks
-    of the blocks the cut takes."""
+    one bipartite_flow that settles them all; nothing else.  Returns the
+    masks of the blocks the cut takes."""
     names = [name for name, _ in calls]
     if names[:1] == ["prefix_values"]:
         assert len(calls[0][1][1]) == n
         names, calls = names[1:], calls[1:]
     if not names:
         return []
-    assert names == ["coverage_cut", "max_flow"]
+    assert names == ["coverage_cut", "bipartite_flow"]
     order, sizes, wanted = calls[0][1][1:4]
     starts = np.cumsum([0, *sizes])
     cut = [mask_from_indices(order[starts[j]:starts[j + 1]].tolist())
@@ -230,11 +230,11 @@ def nodes_by_depth(tree):
 
 def test_one_user_blocks_are_leaves_without_a_solve(monkeypatch):
     """split runs one depth of its recursion per pass: one prefix walk,
-    then one coverage_cut and one max_flow for all of the depth's blocks
-    of 2 or more users; its last walk is _chain's, over the leaves.  No
-    oracle call serves a one-user block, which is a leaf with the result
-    an exhaustive sweep gives, and on a bit pool split makes no value,
-    all_values, block_values or solve_sfm call."""
+    then one coverage_cut and one bipartite_flow for all of the depth's
+    blocks of 2 or more users; its last walk is _chain's, over the
+    leaves.  No oracle call serves a one-user block, which is a leaf with
+    the result an exhaustive sweep gives, and on a bit pool split makes no
+    value, all_values, block_values or solve_sfm call."""
     rng = np.random.default_rng(9)
     n = 64
     src = random_bit_pool(rng, n, observe_prob=1.5 / n)
@@ -254,7 +254,7 @@ def test_one_user_blocks_are_leaves_without_a_solve(monkeypatch):
     singles = [node for node in tree_nodes(tree)
                if node.subset_mask.bit_count() == 1]
     assert singles and len(depths) > 2
-    assert "max_flow" in names
+    assert "bipartite_flow" in names
     for node in singles:
         assert node.is_leaf
         assert (node.sfm.min_value, node.sfm.minimal_mask,
