@@ -193,7 +193,7 @@ def cmd_egalitarian(args) -> int:
     else:
         rates = egalitarian(source, w)
     doc = {"rates": rates.as_dict(), "sum_rate": rates.total(),
-           "weights": {u: w[u] for u in source.ground.users}}
+           "weights": dict(zip(source.ground.users, w.values.tolist()))}
     emit(args, doc, rates_text(rates))
     return EXIT_OK
 

@@ -7,6 +7,8 @@ i -> sink with capacity s_i.  In the residual graph of a maximum flow, the
 users the source reaches are the minimal minimum cut's source side and
 those that do not reach the sink the maximal one's (Picard and Queyranne);
 a disjoint union of such networks carries each part's own maximum flow.
+Both sides are per-user lists, which ``cut_results`` hands on: split's
+refinement loop reads ``to_sink`` alone, and only a tree builds masks.
 
 The flow is kept per observation, with each user's unused supply and each
 bit's free room, and per user and per bit the list of its observations.

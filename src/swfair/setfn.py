@@ -22,8 +22,7 @@ Two concrete source models are provided:
 
 Derived oracles (:func:`restrict`, :func:`contract`, modular shifts) are
 one affine wrapper, so chains of them stay O(1) per evaluation and keep the
-fast vectorized paths of the underlying source.  :func:`minor` is a
-contraction shifted by the pivot's ratio.
+fast vectorized paths of the underlying source.
 """
 
 from __future__ import annotations
@@ -741,21 +740,6 @@ def conditional_entropy(source: SetFunction, subset) -> float:
     mask = source.ground.as_mask(subset)
     full = source.ground_mask
     return source.value(full) - source.value(full & ~mask)
-
-
-def minor(f: SetFunction, pivot: int, block: int, f_pivot: float,
-          w_pivot: float, w: WeightVector) -> SetFunction:
-    """The contraction of f by ``pivot`` over ``block``, less the pivot's
-    ratio times w.
-
-    g(X) = f(X | pivot) - f_pivot * (w(X)/w_pivot + 1) for X inside block,
-    given f_pivot = f(pivot) and w_pivot = w(pivot): :func:`contract`,
-    shifted by one modular function, which is formed over the block's users
-    only.  Makes no oracle call.
-    """
-    return add_modular(contract(f, pivot, block, f_pivot),
-                       w.times(f_pivot / w_pivot,
-                               mask_array(block, f.ground.n)))
 
 
 def contract(f: SetFunction, pivot: int, block: int,

@@ -152,8 +152,8 @@ def solve_sfm(f: SetFunction) -> SfmResult:
         return SfmResult(f.ground, 0.0, 0, 0, "exhaustive", 0, 0)
     cut = coverage_cut(f, elems, [len(elems)], [0])
     if cut is not None:
-        return cut_results(f.ground, cut, [f.ground_mask],
-                           TIE_EPSILON * f.scale)[0]
+        return cut_result(f.ground, cut,
+                          cut_results(cut, TIE_EPSILON * f.scale), 0)
     if len(elems) <= EXHAUSTIVE_UP_TO:
         return _solve_exhaustive(f, elems)
     return _solve_min_norm(f, elems)
@@ -161,21 +161,19 @@ def solve_sfm(f: SetFunction) -> SfmResult:
 
 def _solve_exhaustive(f, elems) -> SfmResult:
     return sweep_results(f.ground, f.all_values(elems)[None],
-                         np.asarray([elems]), [f.ground_mask],
-                         TIE_EPSILON * f.scale)[0]
+                         np.asarray([elems]), TIE_EPSILON * f.scale)[0]
 
 
-def sweep_results(ground, tables, elems, masks, tol) -> list[SfmResult]:
+def sweep_results(ground, tables, elems, tol) -> list[SfmResult]:
     """Exact SFM results from a stack of same-size subset tables.
 
     Row t of ``tables`` holds a function's value at every subset of the
-    positions elems[t], indexed by local submask, and masks[t] is their
-    mask.  Its result has the row's minimum and, as minimal and maximal
-    minimizer, the intersection and the union of the subsets within
-    ``tol`` of it.  A row whose union or intersection misses the minimum
-    by more than ``tol`` (the function is not submodular, or the ties were
-    an epsilon artifact) takes its smallest and largest tied subsets by
-    cardinality instead.
+    positions elems[t], indexed by local submask.  Its result has the
+    row's minimum and, as minimal and maximal minimizer, the intersection
+    and the union of the subsets within ``tol`` of it.  A row whose union
+    or intersection misses the minimum by more than ``tol`` (the function
+    is not submodular, or the ties were an epsilon artifact) takes its
+    smallest and largest tied subsets by cardinality instead.
     """
     m, size = tables.shape
     full = size - 1
@@ -190,35 +188,31 @@ def sweep_results(ground, tables, elems, masks, tol) -> list[SfmResult]:
     lattice = ((tables[rows, union] <= vmin + tol)
                & (tables[rows, inter] <= vmin + tol))
 
-    def global_of(local_mask, t):
-        return (masks[t] if local_mask == full
-                else global_mask(local_mask, elems[t]))
-
     out = []
     for t, (lo, hi) in enumerate(zip(inter.tolist(), union.tolist())):
         if not lattice[t]:
             by_card = sorted(np.flatnonzero(tied[t]).tolist(),
                              key=lambda s: (s.bit_count(), s))
             lo, hi = by_card[0], by_card[-1]
-        out.append(SfmResult(ground, float(vmin[t]), global_of(lo, t),
-                             global_of(hi, t), "exhaustive",
+        out.append(SfmResult(ground, float(vmin[t]),
+                             global_mask(lo, elems[t]),
+                             global_mask(hi, elems[t]), "exhaustive",
                              oracle_evals=size, ground_size=full.bit_length()))
     return out
 
 
-def cut_results(ground, cut, masks, tol) -> list[SfmResult]:
-    """Exact SFM results of bit-pool gains from one maximum flow.
+def cut_results(cut, tol) -> tuple:
+    """The maximum flow of bit-pool gains and its two sides, as lists.
 
-    ``cut`` is :func:`swfair.setfn.coverage_cut`'s data for some blocks, and
-    masks[t] is block t's mask.  Block t's function is g(X) = h(N(X)) -
-    c(X) over its users, N(X) its bits that X observes, h(B) the entropy of
-    the bits B and c its coefficients.  A cut with users X on the source
-    side of the project-selection network (source -> user i with capacity
-    c_i where c_i > 0, user i -> sink with capacity -c_i where c_i < 0,
-    user -> each bit it observes uncapped, bit b -> sink with capacity
-    h_b) costs c+(V) - c(X) + h(N(X)).  The blocks share no user and no
-    bit, so one :func:`swfair.flow.bipartite_flow` runs on their union,
-    contracted:
+    ``cut`` is :func:`swfair.setfn.coverage_cut`'s data for some blocks.
+    Block t's function is g(X) = h(N(X)) - c(X) over its users, N(X) its
+    bits that X observes, h(B) the entropy of the bits B and c its
+    coefficients.  A cut with users X on the source side of the
+    project-selection network (source -> user i with capacity c_i where
+    c_i > 0, user i -> sink with capacity -c_i where c_i < 0, user -> each
+    bit it observes uncapped, bit b -> sink with capacity h_b) costs c+(V)
+    - c(X) + h(N(X)).  The blocks share no user and no bit, so one
+    :func:`swfair.flow.bipartite_flow` runs on their union, contracted:
 
     * a bit only user i observes joins i's sink capacity s_i, since the
       uncapped edge to it puts it on i's side of every finite cut;
@@ -229,12 +223,13 @@ def cut_results(ground, cut, masks, tol) -> list[SfmResult]:
     The flow's greedy start takes the observations of shared bits by their
     user's number of shared bits, then by their bit's number of observers,
     fewest first and otherwise in incidence order: that start is nearer a
-    maximum flow, so fewer rounds remain, and every block's
-    ``flow_rounds`` reports them.  ``min_value`` is less than 0 by the
-    supply block t's users leave unused.  Users the source reaches in the
-    residual graph form the minimal minimizer, and users that do not reach
-    the sink the maximal one; residual capacities at or below ``tol``
-    count as zero.  No oracle is called, so ``oracle_evals`` is 0.
+    maximum flow, so fewer rounds remain.  Returns (from_source, to_sink,
+    unused, rounds) as lists: per user of the cut, whether the source
+    reaches it (those it reaches form the minimal minimizer) and whether it
+    reaches the sink (those that do not, the maximal one), residual
+    capacities at or below ``tol`` counting as zero; per block, the supply
+    its users leave unused, which is minus its minimum; and the flow's
+    breadth-first rounds, which :func:`cut_result` reports.
     """
     users, starts, user, bit, h, coef = cut
     c = len(users)
@@ -256,26 +251,21 @@ def cut_results(ground, cut, masks, tol) -> list[SfmResult]:
     unused, from_source, to_sink, rounds, _ = bipartite_flow(
         source_cap.tolist(), sink_cap.tolist(), h[shared].tolist(),
         shared_user[first].tolist(), shared_bit[first].tolist(), tol)
-    # what each block's users left unused is its minimum
-    unused = np.add.reduceat(unused, starts[:-1])
-    positions = users.tolist()
-    out = []
-    for t, (a, b) in enumerate(zip(starts, starts[1:])):
-        here = positions[a:b]
-        maximal = [i for i, s in zip(here, to_sink[a:b]) if not s]
-        out.append(SfmResult(
-            ground=ground,
-            min_value=-float(unused[t]),
-            minimal_mask=mask_from_indices(
-                i for i, s in zip(here, from_source[a:b]) if s),
-            maximal_mask=(masks[t] if len(maximal) == b - a
-                          else mask_from_indices(maximal)),
-            solver_used="min_cut",
-            oracle_evals=0,
-            ground_size=b - a,
-            flow_rounds=rounds,
-        ))
-    return out
+    return (from_source, to_sink,
+            np.add.reduceat(unused, starts[:-1]).tolist(), rounds)
+
+
+def cut_result(ground, cut, sides, t) -> SfmResult:
+    """Block t's SFM result from ``cut`` and the ``sides`` that
+    :func:`cut_results` found on it; ``oracle_evals`` is 0."""
+    from_source, to_sink, unused, rounds = sides
+    a, b = cut[1][t], cut[1][t + 1]
+    here = cut[0][a:b].tolist()
+    return SfmResult(
+        ground, -unused[t],
+        mask_from_indices(i for i, s in zip(here, from_source[a:b]) if s),
+        mask_from_indices(i for i, s in zip(here, to_sink[a:b]) if not s),
+        "min_cut", oracle_evals=0, ground_size=b - a, flow_rounds=rounds)
 
 
 def _solve_min_norm(f, elems) -> SfmResult:

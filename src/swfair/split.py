@@ -18,9 +18,11 @@ networks share no user and no bit, so one pass over the incidence builds
 them all and one maximum flow settles them all.  On any other oracle one
 ``f.block_values`` call tables every block of 2 to ``EXHAUSTIVE_UP_TO``
 (16) users less its ratio times w, and each larger block gets one Wolfe
-solve.  A :class:`SplitTree` records per-node subsets, ratios, SFM
-results, and the ordered base-assignment events that trace the rate
-vector's walk through the polyhedron.
+solve.  The loop takes and returns positions: a block is a run of one
+order array, and a split a stable partition of its run.  A
+:class:`SplitTree` records per-node subsets, ratios, SFM results, and the
+ordered base-assignment events that trace the rate vector's walk through
+the polyhedron; only a tree builds masks and :class:`SfmResult` records.
 
 :func:`decompose` is the engine, and :func:`egalitarian` returns the rates
 of its chain.  It runs the same loop from the ground, builds no tree, and
@@ -45,7 +47,9 @@ prefix walk over them, and r_i = lam_j * w_i on D_j.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +74,7 @@ from .sfm import (
     EXHAUSTIVE_UP_TO,
     ConvergenceError,
     SfmResult,
+    cut_result,
     cut_results,
     solve_sfm,
     sweep_results,
@@ -159,15 +164,15 @@ def split(f: SetFunction, w: WeightVector) -> tuple[RateVector, SplitTree]:
 
 
 def _split(f, w, refined):
-    order, sizes, _, tested = refined
-    root, events, leaves = _tree(f.ground, tested)
-    rv = _chain(f, w, order, sizes).reconstruct()
+    order, sizes, _, depths = refined
+    root, events, leaves = _tree(f.ground, depths)
+    rv = _chain(f, w, order, sizes)[1]
     return rv, SplitTree(f.ground, root, f.ground_mask, w, events, leaves, rv)
 
 
 def _refine(f, w):
     """Refine f's ground into split's leaves, one depth of its recursion
-    per pass.
+    per pass, on positions alone.
 
     The partition is ordered: block j is the run of its size's positions
     of one order array, ascending within the block, after the runs before
@@ -176,123 +181,138 @@ def _refine(f, w):
     S_j the union of the first j blocks, from one prefix walk, and tests it
     on f's minor after S_{j-1} at rho_j: a one-user block is a leaf with no
     oracle call, and the blocks of 2 or more users are tested together
-    (:func:`_sweeps`) but for those above ``EXHAUSTIVE_UP_TO`` users of an
-    oracle other than a bit pool, which get ``solve_sfm`` one by one.  A
-    block that is not its own maximal minimizer is replaced in place by
-    that minimizer and the rest.  Returns the leaves as (order, sizes,
-    ratios) and, per depth, each tested block's (mask, rho_j, result or
-    None if one user).
-    A :class:`ConvergenceError` names the blocks enclosing the failed one.
+    (:func:`_sweeps`).  A block that is not its own maximal minimizer is
+    split into that minimizer and the rest by one stable sort of the
+    positions into a new order array.  Returns the leaves as (order, sizes,
+    ratios) and, per depth, (order, opened, result): each block opened at
+    that depth as (start, size, rho_j), and result(t), the SfmResult of its
+    t-th block of 2 or more users, for :func:`_tree` alone.
     """
     if f.ground_mask == 0:
         raise ValueError("cannot split an empty ground")
-    n = f.ground.n
     order = np.asarray(bit_indices(f.ground_mask), dtype=np.intp)
-    starts = [0, len(order)]
-    parts = [(f.ground_mask, len(order), None, ())]
-    tested = []
+    # (size, ratio once opened, (start, size) of each block enclosing it)
+    parts = [(len(order), None, ())]
+    depths = []
     while True:
-        masks, sizes, ratios, _ = zip(*parts)
+        sizes, ratios, paths = zip(*parts)
+        starts = [0, *itertools.accumulate(sizes)]
         walk = f.prefix_values(order)[starts]
-        pv = walk.tolist()
         rho = (np.diff(walk)
                / np.add.reduceat(w.values[order], starts[:-1])).tolist()
-        swept = _sweeps(f, w, order, sizes, starts, masks, [
-            j for j, c in enumerate(sizes) if ratios[j] is None and c > 1],
-            rho)
-        depth, last, parts, pivot = [], parts, [], 0
-        for j, (mask, c, ratio, path) in enumerate(last):
-            res = swept.get(j)
-            if res is None and ratio is None and c > 1:
-                objective = add_modular(contract(f, pivot, mask, pv[j]),
-                                        w.times(rho[j], mask_array(mask, n)))
-                try:
-                    res = solve_sfm(objective)
-                except ConvergenceError as e:
-                    e.recursion_path = tuple(subset_label(f.ground, m)
-                                             for m in (*path, mask))
-                    raise
-            pivot |= mask
+        tests = [j for j, c in enumerate(sizes) if ratios[j] is None and c > 1]
+        outside, result = _sweeps(f, w, order, sizes, starts, tests,
+                                  walk.tolist(), rho, paths)
+        moved = np.add.reduceat(outside, starts[:-1]).tolist()
+        opened, last, parts = [], parts, []
+        for j, (c, ratio, path) in enumerate(last):
             if ratio is None:
-                depth.append((mask, rho[j], res))
+                opened.append((starts[j], c, rho[j]))
                 ratio = rho[j]
-            if res is None or res.maximal_mask == mask:
-                parts.append((mask, c, ratio, path))
-                continue
-            block = res.maximal_mask
-            if block == 0:
+            k = c - moved[j]
+            if k == c:
+                parts.append((c, ratio, path))
+            elif k == 0:
                 raise InternalConsistencyError(
                     "SFM returned an empty maximal minimizer at %s"
-                    % (subset_label(f.ground, mask),))
-            seg = order[starts[j]:starts[j + 1]]
-            inside = mask_array(block, n)[seg]
-            seg[:] = np.concatenate((seg[inside], seg[~inside]))
-            k, path = int(inside.sum()), (*path, mask)
-            parts += [(block, k, None, path),
-                      (mask & ~block, c - k, None, path)]
-        tested.append(depth)
+                    % subset_label(f.ground, mask_from_indices(
+                        order[starts[j]:starts[j + 1]].tolist())))
+            else:
+                path = (*path, (starts[j], c))
+                parts += [(k, None, path), (c - k, None, path)]
+        depths.append((order, opened, result))
         if len(parts) == len(last):
-            _, sizes, ratios, _ = zip(*parts)
-            return order, sizes, ratios, tested
-        starts = [0, *itertools.accumulate(part[1] for part in parts)]
+            return order, sizes, tuple(r for _, r, _ in parts), depths
+        # each block's users keep their order, its minimizer's first
+        order = order[np.argsort(np.repeat(2 * np.arange(len(sizes)), sizes)
+                                 + outside, kind="stable")]
 
 
-def _sweeps(f, w, order, sizes, starts, masks, tests, rho) -> dict:
-    """SFM results of blocks ``tests`` on their minors at their ratios, all
-    of them on a bit pool and those of at most ``EXHAUSTIVE_UP_TO`` users
-    otherwise.
+def _sweeps(f, w, order, sizes, starts, tests, walk, rho, paths) -> tuple:
+    """Blocks ``tests`` on their minors at their ratios: (outside,
+    result), per position 1 if it lies outside its tested block's maximal
+    minimizer, else 0, and result(t), the SfmResult of tests[t].
 
-    Block j's function is its gains f(S_{j-1} | X) - f(S_{j-1}) - rho_j *
-    w(X) over its subsets X: the minor's objective up to its contraction's
-    carry, which cancels in every tie.  On a bit pool one
-    :func:`coverage_cut` builds the blocks' networks and one flow solves
-    them (:func:`cut_results`); otherwise one ``f.block_values`` call
-    tables the gains and :func:`sweep_results` reads them.  The shift is
-    formed per user, and |rho_j * w_i| <= |f(S_j) - f(S_{j-1})| for i in
-    block j, so no weight overflows it.
+    Block j's function is its gains f(S_{j-1} | X) - walk[j] - rho_j * w(X)
+    over its subsets X, walk[j] = f(S_{j-1}): the minor's objective up to
+    its contraction's carry, which cancels in every tie.  On a bit pool one
+    :func:`coverage_cut` builds the blocks' networks, one flow solves them
+    (:func:`cut_results`), and result reads its sides (:func:`cut_result`).
+    Otherwise one ``f.block_values`` call tables the gains of the blocks of
+    at most ``EXHAUSTIVE_UP_TO`` users for :func:`sweep_results`, and each
+    larger block gets ``solve_sfm``, whose :class:`ConvergenceError` names
+    the blocks enclosing it, paths[j] holding their (start, size).  The
+    shift is formed per user, and |rho_j * w_i| <= |f(S_j) - f(S_{j-1})|
+    for i in block j, so no weight overflows it.
     """
+    outside = np.zeros(len(order), dtype=np.intp)
     if not tests:
-        return {}
+        return outside, None
     lam = np.zeros(f.ground.n)
     lam[order] = np.repeat(rho, sizes)
     shift = w.times(lam, mask_array(f.ground_mask, f.ground.n))
     tol = TIE_EPSILON * f.scale
     cut = coverage_cut(f, order, sizes, tests, shift)
     if cut is not None:
-        return dict(zip(tests, cut_results(f.ground, cut,
-                                           [masks[j] for j in tests], tol)))
+        sides = cut_results(cut, tol)
+        tested = np.zeros(len(sizes), dtype=bool)
+        tested[tests] = True
+        outside[np.repeat(tested, sizes)] = sides[1]
+        return outside, functools.partial(cut_result, f.ground, cut, sides)
+    positions = order.tolist()
     small = [j for j in tests if sizes[j] <= EXHAUSTIVE_UP_TO]
-    by_size = {}
+    found, by_size = {}, {}
     for j, excess in zip(small, f.block_values(order, sizes, small,
                                                coeffs=shift)):
         by_size.setdefault(sizes[j], []).append((j, excess))
-    out = {}
     for c, group in by_size.items():
         js = [j for j, _ in group]
         elems = order[np.add.outer([starts[j] for j in js], np.arange(c))]
-        out.update(zip(js, sweep_results(f.ground,
-                                         np.stack([e for _, e in group]),
-                                         elems, [masks[j] for j in js], tol)))
-    return out
+        found.update(zip(js, sweep_results(
+            f.ground, np.stack([e for _, e in group]), elems, tol)))
+    for j in tests:
+        if j not in found:
+            mask = mask_from_indices(positions[starts[j]:starts[j + 1]])
+            objective = add_modular(
+                contract(f, mask_from_indices(positions[:starts[j]]), mask,
+                         walk[j]),
+                w.times(rho[j], mask_array(mask, f.ground.n)))
+            try:
+                found[j] = solve_sfm(objective)
+            except ConvergenceError as e:
+                e.recursion_path = tuple(
+                    subset_label(f.ground, mask_from_indices(positions[a:a + c]))
+                    for a, c in (*paths[j], (starts[j], sizes[j])))
+                raise
+        outside[starts[j]:starts[j + 1]] = [
+            not found[j].maximal_mask >> i & 1
+            for i in positions[starts[j]:starts[j + 1]]]
+    return outside, [found[j] for j in tests].__getitem__
 
 
-def _tree(ground, tested):
-    """split's root, base-assignment events and leaves from the blocks
-    :func:`_refine` tested, in one depth-first pass, which meets each
-    depth's blocks in their order.  A node's lam is its ratio less the
-    carry of the contractions above it, which its rest child raises by its
-    base_coeff.  A one-user block gets an exhaustive sweep's result: at
-    lam both of its subsets are worth 0.
+def _tree(ground, depths):
+    """split's root, base-assignment events and leaves from the depths
+    :func:`_refine` recorded, in one depth-first pass, which meets each
+    depth's blocks in their order; the only place their masks and
+    SfmResults are built.  A node's lam is its ratio less the carry of the
+    contractions above it, which its rest child raises by its base_coeff.
+    A one-user block gets an exhaustive sweep's result: at lam both of its
+    subsets are worth 0.
     """
-    blocks = [iter(depth) for depth in tested]
+    def blocks(order, opened, result):
+        positions, tested = order.tolist(), itertools.count()
+        for a, c, ratio in opened:
+            mask = mask_from_indices(positions[a:a + c])
+            yield mask, ratio, (result(next(tested)) if c > 1 else SfmResult(
+                ground, 0.0, 0, mask, "exhaustive", oracle_evals=0,
+                ground_size=1))
+
+    depths = [blocks(*depth) for depth in depths]
     events, leaves = [], []
 
     def node(d, carry):
-        mask, ratio, res = next(blocks[d])
+        mask, ratio, res = next(depths[d])
         lam = ratio - carry
-        if res is None:
-            res = SfmResult(ground, 0.0, 0, mask, "exhaustive",
-                            oracle_evals=0, ground_size=1)
         if res.maximal_mask == mask:
             leaves.append((mask, ratio))
             return SplitNode(mask, lam, res, None, None)
@@ -321,7 +341,7 @@ def traced_egalitarian(f: SetFunction, w: WeightVector) -> tuple:
 
 
 def _rates(f, w, refined):
-    rates = _decompose(f, w, refined).reconstruct()
+    rates = _decompose(f, w, refined)[2]
     certify(f, rates)
     return rates
 
@@ -347,29 +367,29 @@ def _levels(order, sizes, ratios):
     return order, levels
 
 
-def _chain(f, w, order, sizes) -> Decomposition:
-    """Critical ratios of ordered levels D_1, ..., D_k of f's ground.
+def _chain(f, w, order, sizes) -> tuple:
+    """Critical ratios of ordered levels D_1, ..., D_k of f's ground, and
+    their rates.
 
     Level j is the run of ``sizes[j]`` positions of ``order``, ascending
     within the level, after the runs before it.  lam_j = (f(S_j) -
     f(S_{j-1})) / w(D_j) with S_j = D_1 | ... | D_j, all values from one
     prefix walk along ``order``, and w(D_j) summed over the same positions
-    of that walk.  Every egalitarian result is built here, so equal chains
-    give bit-identical rates.
+    of that walk.  Returns (critical values, rates), the rates lam_j * w_i
+    on D_j from one product over the positions.  Every egalitarian result
+    is built here, so equal chains give bit-identical rates.
     """
     pv = f.prefix_values(order)
     w_order = w.values[order]
-    positions = order.tolist()
-    crit, masks = [], []
-    start, acc = 0, 0
+    crit, start = [], 0
     for size in sizes:
         end = start + size
         crit.append(float(pv[end] - pv[start])
                     / float(w_order[start:end].sum()))
-        acc |= mask_from_indices(positions[start:end])
-        masks.append(acc)
         start = end
-    return Decomposition(f.ground, tuple(crit), tuple(masks), w)
+    rates = np.zeros(f.ground.n)
+    rates[order] = np.repeat(crit, sizes) * w_order
+    return crit, RateVector(f.ground, rates, f.ground_mask)
 
 
 def certify(f: SetFunction, rates: RateVector) -> None:
@@ -485,23 +505,27 @@ def decompose(f: SetFunction, w: WeightVector) -> Decomposition:
     strictly raise :class:`InternalConsistencyError`, and rates outside the
     region raise :class:`CertificationError` (see :func:`certify`).
     """
-    dec = _decompose(f, w, _refine(f, w))
-    if dec.chain_masks[-1].bit_count() <= BRUTE_FORCE_LIMIT:
-        certify(f, dec.reconstruct())
-    return dec
+    (order, sizes), crit, rates = _decompose(f, w, _refine(f, w))
+    if len(order) <= BRUTE_FORCE_LIMIT:
+        certify(f, rates)
+    positions = order.tolist()
+    levels = [mask_from_indices(positions[end - size:end]) for size, end
+              in zip(sizes, itertools.accumulate(sizes))]
+    return Decomposition(f.ground, tuple(crit), tuple(
+        itertools.accumulate(levels, operator.or_)), w)
 
 
-def _decompose(f, w, refined) -> Decomposition:
-    """The chain of :func:`_refine`'s leaves, checked but not certified."""
+def _decompose(f, w, refined) -> tuple:
+    """The levels of :func:`_refine`'s leaves as (order, sizes), their
+    critical values and their rates, checked but not certified."""
     levels = _levels(*refined[:3])
     if levels is None:
         raise InternalConsistencyError(
             "split's leaf ratios decrease on %s"
             % subset_label(f.ground, f.ground_mask))
-    dec = _chain(f, w, *levels)
-    crit = dec.critical_values
+    crit, rates = _chain(f, w, *levels)
     for a, b in zip(crit, crit[1:]):
         if b - a <= TIE_EPSILON * max(abs(a), abs(b)):
             raise InternalConsistencyError(
                 "critical values not strictly increasing: %r vs %r" % (a, b))
-    return dec
+    return levels, crit, rates

@@ -6,8 +6,8 @@ import pytest
 
 from swfair import sfm
 from swfair.setfn import (BitPoolSource, GroundSet, SetFunction, TableSource,
-                          WeightVector, bit_indices, minor, source_from_dict,
-                          source_to_dict)
+                          WeightVector, add_modular, bit_indices, contract,
+                          mask_array, source_from_dict, source_to_dict)
 
 
 @pytest.fixture
@@ -107,6 +107,20 @@ def scaled_source(src, c):
 def weight_of(w, mask):
     """w summed over the users of ``mask``."""
     return float(w.values[bit_indices(mask)].sum())
+
+
+def minor(f, pivot, block, f_pivot, w_pivot, w):
+    """The contraction of f by ``pivot`` over ``block``, less the pivot's
+    ratio times w.
+
+    g(X) = f(X | pivot) - f_pivot * (w(X)/w_pivot + 1) for X inside block,
+    given f_pivot = f(pivot) and w_pivot = w(pivot): ``contract``, shifted
+    by one modular function, which is formed over the block's users only.
+    Makes no oracle call.
+    """
+    return add_modular(contract(f, pivot, block, f_pivot),
+                       w.times(f_pivot / w_pivot,
+                               mask_array(block, f.ground.n)))
 
 
 def minor_after(f, pivot, w):

@@ -28,7 +28,6 @@ from swfair.setfn import (
     load_source,
     mask_array,
     mask_from_indices,
-    minor,
     modular_sums,
     restrict,
     source_from_dict,
@@ -39,7 +38,7 @@ from swfair.setfn import (
 )
 import swfair.setfn as setfn_module
 from swfair.experiment import ExperimentConfig, generate_instance
-from conftest import (coverage_table, minor_after, partition_of,
+from conftest import (coverage_table, minor, minor_after, partition_of,
                       random_bit_pool, scaled_source, weight_of)
 
 

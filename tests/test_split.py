@@ -21,7 +21,6 @@ from swfair.setfn import (
     contract,
     mask_array,
     mask_from_indices,
-    minor,
     restrict,
     source_to_dict,
 )
@@ -38,10 +37,11 @@ from swfair.split import (
     recursion_metrics,
     split,
     subset_label,
+    traced_egalitarian,
 )
-from conftest import (OpaquePool, coverage_table, minor_after, partition_of,
-                      random_bit_pool, scaled_source, twin_bit_pool,
-                      weight_of)
+from conftest import (OpaquePool, coverage_table, minor, minor_after,
+                      partition_of, random_bit_pool, scaled_source,
+                      twin_bit_pool, weight_of)
 
 # the package re-exports the function split under the module's name
 split_module = importlib.import_module("swfair.split")
@@ -259,6 +259,44 @@ def test_one_user_blocks_are_leaves_without_a_solve(monkeypatch):
         assert node.is_leaf
         assert (node.sfm.min_value, node.sfm.minimal_mask,
                 node.sfm.maximal_mask) == (0.0, 0, node.subset_mask)
+
+
+def test_only_trees_build_sfm_results(monkeypatch):
+    """On a 64-user weighted bit pool the plain engine, egalitarian and
+    decompose alike, runs split's passes, one coverage_cut and one
+    bipartite_flow per depth of split's tree over the same blocks, and
+    builds no SfmResult; split builds exactly one per tree node, the
+    node's own."""
+    rng = np.random.default_rng(9)
+    n = 64
+    src = random_bit_pool(rng, n, observe_prob=1.5 / n)
+    w = WeightVector(src.ground, rng.uniform(0.5, 4.0, n))
+    built = []
+    real = SfmResult.__init__
+
+    def init(self, *args, **kwargs):
+        built.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(SfmResult, "__init__", init)
+    _, tree = split(src, w)
+    nodes = tree_nodes(tree)
+    assert sorted(map(id, built)) == sorted(id(node.sfm) for node in nodes)
+    depths = nodes_by_depth(tree)
+    assert len(depths) > 2
+    calls = spy_on_oracles(monkeypatch)
+    for engine in (egalitarian, decompose):
+        built.clear()
+        calls.clear()
+        engine(src, w)
+        assert built == []
+        passes = passes_of(calls)
+        assert passes[0] == [] and len(passes) == len(depths) + 2
+        for level, made in zip(depths, passes[1:]):
+            assert check_pass(made, n) == [
+                node.subset_mask for node in level
+                if node.subset_mask.bit_count() > 1]
+        assert passes[-1] == [calls[-1]]
 
 
 def ring_tree(n):
@@ -493,12 +531,12 @@ def test_engine_chain_is_splits_on_weighted_pools_to_64_users(n, seed):
 
 
 @st.composite
-def split_inputs(draw):
-    """A bit pool of 3 to 40 users, whose blocks take the min cut, or a
-    table of 2 to 8 users; weights on [0.5, 4]."""
+def split_inputs(draw, max_pool=40):
+    """A bit pool of 3 to ``max_pool`` users, whose blocks take the min cut,
+    or a table of 2 to 8 users; weights on [0.5, 4]."""
     if draw(st.booleans()):
         return draw(weighted_tables(min_n=2, max_n=8))
-    n = draw(st.integers(3, 40))
+    n = draw(st.integers(3, max_pool))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     p = min(1.0, draw(st.floats(0.5, 3.0)) / n)
     src = random_bit_pool(rng, n, observe_prob=p)
@@ -552,16 +590,39 @@ def test_split_nodes_are_the_solves_of_their_own_functions(model):
 
 
 @settings(max_examples=40, deadline=None)
+@given(split_inputs(max_pool=64))
+def test_trees_built_after_the_loop_agree_with_it(model):
+    """The tree is built from what the refinement loop recorded, after it
+    has run: traced_egalitarian's tree is split's, split's and
+    traced_egalitarian's rates are egalitarian's bit for bit, and every
+    node's result fits the tree: its maximal minimizer is its first
+    child's subset, or its own at a leaf, and its ground is its subset."""
+    f, w = model
+    rates, tree = split(f, w)
+    traced_rates, traced_tree = traced_egalitarian(f, w)
+    assert traced_tree.to_dict() == tree.to_dict()
+    plain = egalitarian(f, w).rates
+    assert np.array_equal(rates.rates, plain)
+    assert np.array_equal(traced_rates.rates, plain)
+    for node in tree_nodes(tree):
+        first = node if node.is_leaf else node.children[0]
+        assert node.sfm.maximal_mask == first.subset_mask
+        assert node.sfm.ground_size == node.subset_mask.bit_count()
+
+
+@settings(max_examples=40, deadline=None)
 @given(st.integers(2, 40), st.integers(0, 2**32 - 1),
        st.sampled_from(["source", "modular", "minor", "modular minor"]))
 def test_one_flow_settles_each_block_of_a_depth(n, seed, view):
     """The shared flow of a depth gives each tested block the masks that
     solve_sfm gives on the block's own objective, f contracted by the
     blocks before it less rho_j w, and its minimum within twice the tie
-    tolerance; up to 10 users, the exhaustive sweep's masks too.  f is a
-    restriction of a bit pool or a minor after a pivot, of the pool or of
-    a view with coefficients of its own; each ratio is its block's split
-    ratio, at which its empty and full sets tie, or another."""
+    tolerance; up to 10 users, the exhaustive sweep's masks too.  The
+    flags _sweeps returns per position mark the users of tested blocks
+    outside their block's maximal minimizer.  f is a restriction
+    of a bit pool or a minor after a pivot, of the pool or of a view with
+    coefficients of its own; each ratio is its block's split ratio, at
+    which its empty and full sets tie, or another."""
     rng = np.random.default_rng(seed)
     src = random_bit_pool(rng, n + 3,
                           observe_prob=min(1.0, rng.uniform(0.5, 3.0) / n))
@@ -586,17 +647,17 @@ def test_one_flow_settles_each_block_of_a_depth(n, seed, view):
            for j, b in enumerate(blocks)]
     tests = [j for j, b in enumerate(blocks)
              if b.bit_count() > 1 and rng.random() < 0.8]
-    got = split_module._sweeps(f, w, order, sizes, starts, blocks, tests,
-                               rho)
-    assert sorted(got) == tests
+    outside, result = split_module._sweeps(f, w, order, sizes, starts, tests,
+                                           walk.tolist(), rho,
+                                           [()] * len(blocks))
     tol = 2 * TIE_EPSILON * src.scale
-    for j in tests:
+    for t, j in enumerate(tests):
         before = mask_from_indices(order[:starts[j]].tolist())
         objective = add_modular(
             contract(f, before, blocks[j], f.value(before)),
             w.times(rho[j], mask_array(blocks[j], src.ground.n)))
         want = solve_sfm(objective)
-        res = got[j]
+        res = result(t)
         assert (res.minimal_mask, res.maximal_mask, res.solver_used) == \
             (want.minimal_mask, want.maximal_mask, "min_cut")
         assert abs(res.min_value - want.min_value) <= tol
@@ -606,6 +667,12 @@ def test_one_flow_settles_each_block_of_a_depth(n, seed, view):
                                                  bit_indices(blocks[j]))
             assert (res.minimal_mask, res.maximal_mask) == \
                 (swept.minimal_mask, swept.maximal_mask)
+    flags = np.zeros(len(order), dtype=int)
+    for t, j in enumerate(tests):
+        flags[starts[j]:starts[j + 1]] = [
+            not result(t).maximal_mask >> i & 1
+            for i in order[starts[j]:starts[j + 1]].tolist()]
+    assert outside.tolist() == flags.tolist()
 
 
 def test_egalitarian_worked_examples(three_users, unit_weights, skew_weights):
@@ -634,6 +701,27 @@ def test_confirm_refuses_decreasing_fallback_leaves(monkeypatch):
     with pytest.raises(InternalConsistencyError,
                        match="decrease on " + re.escape(label)):
         decompose(src, w)
+
+
+def test_an_empty_maximal_minimizer_is_inconsistent(monkeypatch):
+    """A flow whose sides put every user of a tested block outside its
+    maximal minimizer would split the block into nothing and itself: the
+    loop refuses it and names the block."""
+    rng = np.random.default_rng(9)
+    src = random_bit_pool(rng, 12)
+    real = split_module.cut_results
+
+    def no_minimizer(cut, tol):
+        from_source, to_sink, unused, rounds = real(cut, tol)
+        return from_source, [True] * len(to_sink), unused, rounds
+
+    monkeypatch.setattr(split_module, "cut_results", no_minimizer)
+    label = subset_label(src.ground, src.ground_mask)
+    for engine in (split, egalitarian):
+        with pytest.raises(InternalConsistencyError,
+                           match="empty maximal minimizer at "
+                           + re.escape(label)):
+            engine(src, WeightVector.ones(src.ground))
 
 
 @pytest.mark.parametrize("n", [8, 30, 64])
@@ -829,7 +917,7 @@ def test_engine_is_certified_by_min_cut_beyond_the_oracle(model):
         j = int(np.argmax(over))
         merged = levels[:j] + [levels[j] | levels[j + 1]] + levels[j + 2:]
         bad = _chain(restrict(src, src.ground_mask), w,
-                     *partition_of(merged)).reconstruct()
+                     *partition_of(merged))[1]
         report = verify_membership(src, bad, tol)
         assert not report.in_region and report.slack < -tol
 
