@@ -167,11 +167,12 @@ def by_user(ground, doc: dict, what: str) -> dict:
     return {u: doc[u] for u in ground.users}
 
 
-def emit(args, doc: dict, text: str) -> None:
+def emit(args, doc: dict, text) -> None:
+    """Print ``doc`` as JSON with --json, else ``text()``, built only then."""
     # One compact line: without ``indent`` the C encoder runs.
     payload = json.dumps(doc, sort_keys=True, allow_nan=False,
                          separators=(",", ":"))
-    print(payload if args.json else text)
+    print(payload if args.json else text())
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.write(payload + "\n")
@@ -194,7 +195,7 @@ def cmd_egalitarian(args) -> int:
         rates = egalitarian(source, w)
     doc = {"rates": rates.as_dict(), "sum_rate": rates.total(),
            "weights": dict(zip(source.ground.users, w.values.tolist()))}
-    emit(args, doc, rates_text(rates))
+    emit(args, doc, lambda: rates_text(rates))
     return EXIT_OK
 
 
@@ -202,7 +203,7 @@ def cmd_shapley(args) -> int:
     rates = shapley_exact(load_source(args.source))
     doc = {"rates": rates.as_dict(), "sum_rate": rates.total(),
            "method": "exact"}
-    emit(args, doc, rates_text(rates))
+    emit(args, doc, lambda: rates_text(rates))
     return EXIT_OK
 
 
@@ -217,12 +218,10 @@ def cmd_verify(args) -> int:
     check_json_numbers(doc, "rates")
     rates = list(by_user(source.ground, doc, "rates").values())
     report = verify_membership(source, rates, args.tolerance)
-    out = report.to_dict()
-    text = ("member" if report.in_region else "NOT a member") + \
-        " (min slack %.3g at {%s}, sum gap %.3g)" % (
-            report.slack, ",".join(sorted(report.worst_constraint)),
-            report.sum_gap)
-    emit(args, out, text)
+    emit(args, report.to_dict(), lambda: (
+        "%s (min slack %.3g at {%s}, sum gap %.3g)" % (
+            "member" if report.in_region else "NOT a member", report.slack,
+            ",".join(sorted(report.worst_constraint)), report.sum_gap)))
     return EXIT_OK if report.in_region else EXIT_VERIFY
 
 
@@ -231,11 +230,11 @@ def cmd_decompose(args) -> int:
     w = parse_weights(source, args.weights)
     dec = decompose(source, w)
     doc = dec.to_dict()
-    lines = ["lambda_%d = %-12.10g  S_%d = {%s}" % (
-        j + 1, lam, j + 1, ",".join(sorted(chain)))
+    emit(args, doc, lambda: "\n".join(
+        "lambda_%d = %-12.10g  S_%d = {%s}" % (
+            j + 1, lam, j + 1, ",".join(sorted(chain)))
         for j, (lam, chain) in enumerate(zip(doc["critical_values"],
-                                             doc["chain"]))]
-    emit(args, doc, "\n".join(lines))
+                                             doc["chain"]))))
     return EXIT_OK
 
 
@@ -267,7 +266,7 @@ def cmd_check(args) -> int:
         doc["monotone_witness"] = {"X": sorted(X), "i": i}
         lines.append("  adding %s to {%s} decreases the value"
                      % (i, ",".join(sorted(X))))
-    emit(args, doc, "\n".join(lines))
+    emit(args, doc, lambda: "\n".join(lines))
     return EXIT_OK
 
 

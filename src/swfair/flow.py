@@ -26,16 +26,24 @@ A greedy pass over the observations, in the caller's order, starts the
 flow: each pushes as much of its user's unused supply as its bit has room
 for.  Neither the value nor the two reach sets depend on the start, since
 the extreme minimum cuts are unique, so the order moves only the rounds.
-Each round is one breadth-first search, level by level: the users with
-unused supply, their bits, the users with flow into those bits, their bits,
-and so on, up to the first level that holds bits with free room; each of
-those bits then augments along its tree path.  Every tree path runs from
-one level to the next and augmenting adds only arcs one level down, so no
-distance from the source shrinks within a round and every augmentation is
-along a shortest path: Edmonds and Karp's bound holds, O(VE) augmentations
-and O(VE^2) time, strongly polynomial.  The last round's labels are the
-users the source reaches, and one reverse pass from the bits with room
-finds those that reach the sink.
+Each round is one breadth-first search from the users with unused supply,
+level by level through their bits, the users with flow into the full ones,
+and so on until no new user is labeled; a bit with free room ends its
+branch and is collected.  Each collected bit, in the order found, augments
+along its tree path, skipped if an earlier path left it at most ``tol``.
+The levels are distances in the residual graph without the arcs out of
+bits with room.  Tree paths climb one level per arc and augmenting adds
+only arcs one level down, so no distance falls and each path stays
+admissible until it augments, except when a bit's room runs out: its arcs
+to the users that fill it may shorten distances.  Room only falls, so that
+happens once per bit at most, and between the rounds where it does,
+Edmonds and Karp's argument holds: each observation drains O(V) times, so
+O(VE) augmentations.  With at most V such rounds of at most V paths each,
+O(V^2 E) augmentations and O(V^2 E^2) time, strongly polynomial.  Stopping
+each round at the first level with room kept Edmonds and Karp's O(VE) but
+took about twice the rounds.  The last round collects no bit, so its
+labels are all the users the source reaches, and one reverse pass from the
+bits with room finds those that reach the sink.
 
 A residual capacity at or below ``tol`` counts as zero: a saturated arc may
 keep a residue of a few ulps that must not carry flow or join the sides.
@@ -58,11 +66,13 @@ def bipartite_flow(supply: Sequence[float], sink_cap: Sequence[float],
 
     Observation k is user[k] observing bit[k]; the greedy start takes the
     observations in this order.  A user may have supply or a sink capacity,
-    not both.  Returns (unused, from_source, to_sink, rounds, flows): per
-    user, its supply the maximum flow leaves unused, and whether the source
-    reaches it and whether it reaches the sink through residual arcs of
-    capacity above ``tol``; the breadth-first rounds searched, the last
-    one, which finds no path, included; and per observation, its flow.
+    not both.  Each round searches every level and augments each bit with
+    room that it reaches.  Returns (unused, from_source, to_sink, rounds,
+    flows): per user, its supply the maximum flow leaves unused, and
+    whether the source reaches it and whether it reaches the sink through
+    residual arcs of capacity above ``tol``; the breadth-first rounds
+    searched, the last one, which finds no path, included; and per
+    observation, its flow.
     """
     left = list(supply)
     free = list(room)
@@ -103,10 +113,11 @@ def bipartite_flow(supply: Sequence[float], sink_cap: Sequence[float],
                     b = bit[k]
                     if via_bit[b] < 0:
                         via_bit[b] = k
-                        bits.append(b)
-            hits = [b for b in bits if free[b] > tol]
-            if hits:
-                break
+                        # the search goes on past full bits only
+                        if free[b] > tol:
+                            hits.append(b)
+                        else:
+                            bits.append(b)
             level = []
             for b in bits:
                 for k in by_bit[b]:

@@ -509,6 +509,55 @@ def test_internal_consistency_error_exits_3(capsys, model_file, monkeypatch,
     assert code == 3
 
 
+# Each command's text-mode stdout on MODEL, as plain (not --json) runs
+# print it.
+TEXT_OUTPUT = {
+    ("egalitarian", "--weights", "3,1,3"):
+        "1        1.125\n2        0.375\n3        0.6\nsum      2.1\n",
+    ("shapley",): "1        1.5\n2        0.3\n3        0.3\nsum      2.1\n",
+    ("verify", "RATES"): "member (min slack 0 at {1,2,3}, sum gap 0)\n",
+    ("decompose", "--weights", "3,1,3"):
+        "lambda_1 = 0.2           S_1 = {3}\n"
+        "lambda_2 = 0.375         S_2 = {1,2,3}\n",
+}
+
+
+def test_json_commands_build_no_text(capsys, model_file, monkeypatch,
+                                     tmp_path):
+    """With --json no command builds its human-readable text: rates_text
+    raises and every text that emit is handed counts its builds, yet the
+    four commands exit 0 and build none.  Without --json each builds its
+    text once, and prints it unchanged."""
+    from swfair import cli
+
+    rates = tmp_path / "rates.json"
+    rates.write_text(json.dumps({"1": 1.125, "2": 0.375, "3": 0.6}))
+    built = []
+    real_emit = cli.emit
+
+    def spy(args, doc, text):
+        def counted():
+            built.append(args)
+            return text()
+        real_emit(args, doc, counted)
+
+    def refuse(rates):
+        raise AssertionError("rates text built")
+
+    monkeypatch.setattr(cli, "emit", spy)
+    for command, want in TEXT_OUTPUT.items():
+        argv = [command[0], model_file] + [
+            str(rates) if a == "RATES" else a for a in command[1:]]
+        with monkeypatch.context() as m:
+            m.setattr(cli, "rates_text", refuse)
+            code, out, _ = run(capsys, *argv, "--json")
+        assert (code, built) == (0, [])
+        assert json.loads(out)
+        code, out, _ = run(capsys, *argv)
+        assert (code, out, len(built)) == (0, want, 1)
+        built.clear()
+
+
 def table_of(source):
     """The table model of every nonempty subset's value under ``source``."""
     ground = source.ground

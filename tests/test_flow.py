@@ -381,3 +381,27 @@ def test_the_greedy_start_counts_and_a_maximum_one_leaves_one_round():
         assert flows[3] == 0.0
         assert from_source == [False, False, False]
         assert to_sink == [False, False, True]
+
+
+def test_one_round_reaches_rooms_at_every_level():
+    """After the greedy start, senders 0 and 1 keep supply and every bit
+    they observe is full.  The nearest bit with room is p, one user level
+    from sender 0 (0 -> z -> 2 -> p), and q, two levels from sender 1 (1
+    -> x -> 3 -> y -> 4 -> q).  One round reaches both and augments both
+    paths; the second finds none.  Sender 0 keeps a unit it cannot send
+    and q keeps a unit of room, so the two extreme cuts differ."""
+    # users 0-4; bits z, p, x, y, q = 0, 1, 2, 3, 4
+    supply, sink_cap = [2.0, 1.0, 1.0, 1.0, 1.0], [0.0] * 5
+    room = [1.0, 1.0, 1.0, 1.0, 2.0]
+    user = [2, 3, 4, 2, 0, 1, 3, 4]
+    bit = [0, 2, 3, 1, 0, 2, 3, 4]
+    network = supply, sink_cap, room, user, bit
+    unused, from_source, to_sink, rounds, flows = bipartite_flow(*network,
+                                                                 TOL)
+    best, minimal, maximal = brute_force_cuts(*arcs(network), TOL)
+    assert value_of(network, unused) == best == 5.0
+    assert rounds == 2
+    assert flows == [0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0]
+    assert unused == [1.0, 0.0, 0.0, 0.0, 0.0]
+    assert user_mask(from_source) == minimal & 0b11111 == 0b00001
+    assert user_mask(to_sink, keep=False) == maximal & 0b11111 == 0b01111

@@ -29,7 +29,7 @@ from swfair.sfm import (
     _wolfe,
     solve_sfm,
 )
-from swfair.split import egalitarian, subset_label
+from swfair.split import decompose, egalitarian, subset_label
 from conftest import (OpaquePool, coverage_table, minor_after,
                       random_bit_pool, twin_bit_pool, weight_of)
 
@@ -316,9 +316,10 @@ def test_min_cut_with_a_pivot_covering_shared_bits(seed):
 
 
 # Mean breadth-first rounds of the root min cut on 64-user instances, seeds
-# 0-19, unit weights: 6.9 with the observations visited fewest-choice
-# first, 9.8 in incidence order.
-ROOT_ROUNDS_BOUND = 8.0
+# 0-19, unit weights, the observations visited fewest-choice first: 4.55
+# with each round searching every level, 6.85 when a round stopped at the
+# first level with room.
+ROOT_ROUNDS_BOUND = 5.5
 
 
 def test_min_cut_rounds_stay_few_at_the_root_ratio():
@@ -332,6 +333,31 @@ def test_min_cut_rounds_stay_few_at_the_root_ratio():
         assert res.solver_used == "min_cut" and res.flow_rounds >= 1
         rounds.append(res.flow_rounds)
     assert np.mean(rounds) < ROOT_ROUNDS_BOUND
+
+
+# Mean rounds per depth flow of decompose on 1,024-user instances, seeds
+# 0-2, weights U(0.5, 4): 4.86 with each round searching every level, 10.0
+# when a round stopped at the first level with room.
+DEPTH_ROUNDS_BOUND = 6.0
+
+
+def test_depth_flow_rounds_stay_few_at_scale(monkeypatch):
+    """A cost guard on the round rule: the depth flows of the engine at n
+    = 1,024 need few rounds on average."""
+    rounds = []
+    real = sfm_module.bipartite_flow
+
+    def spy(*args):
+        out = real(*args)
+        rounds.append(out[3])
+        return out
+
+    monkeypatch.setattr(sfm_module, "bipartite_flow", spy)
+    for seed in range(3):
+        src = generate_instance(1024, ExperimentConfig(), seed)
+        w = np.random.default_rng(seed).uniform(0.5, 4.0, 1024)
+        decompose(src, WeightVector(src.ground, w))
+    assert rounds and np.mean(rounds) < DEPTH_ROUNDS_BOUND
 
 
 def test_min_cut_matches_min_norm_up_to_100_users():
