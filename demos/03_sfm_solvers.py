@@ -1,18 +1,19 @@
-"""The SFM engine behind every split: exhaustive sweep, min cut, min-norm point.
+"""The SFM engine behind every split: min cut and exhaustive sweep.
 
 Minimizing f(X) - lam*w(X) over subsets is the workhorse subproblem.
 solve_sfm picks the solver by a fixed rule on the oracle: a bit-pool block
 of any size is one project-selection min cut, read off a max-flow's
-residual graph; any other block of at most 16 users is swept
-exhaustively, and larger ones go through the Fujishige-Wolfe
-minimum-norm-point algorithm, whose fractional output rounds to the same
-lattice-extreme minimizers.  Each solver is shown here on a block the rule
-gives it, against another solver on the same values.
+residual graph; any other block of at most 20 users (BRUTE_FORCE_LIMIT) is
+swept exhaustively, and a larger one is refused before any subset is
+tabled.  Each solver is shown here on a block the rule gives it, against
+the other solver on the same values.
 """
 
 import numpy as np
 
 from swfair import (
+    BRUTE_FORCE_LIMIT,
+    GroundSetTooLargeError,
     SetFunction,
     TableSource,
     WeightVector,
@@ -36,6 +37,9 @@ class Opaque(SetFunction):
 
     def prefix_values(self, order, base=0):
         return self.source.prefix_values(order, base)
+
+    def all_values(self, elements, base=0):
+        return self.source.all_values(elements, base)
 
 
 def split_objective(f):
@@ -61,8 +65,8 @@ objective = split_objective(source)
 print("instance: %d users, %d bits, H(V) = %.3f"
       % (n, len(source.bit_ids), source.value(source.ground_mask)))
 
-# A bit pool of 14 users goes to the min cut; the same values as a table,
-# at most 16 users, are swept.
+# A bit pool of 14 users goes to the min cut; the same values as a table
+# are swept.
 min_cut = solve_sfm(objective)
 table = TableSource(source.ground,
                     {m: source.value(m) for m in range(1, 1 << n)})
@@ -72,12 +76,19 @@ assert (min_cut.solver_used, exhaustive.solver_used) == ("min_cut",
 for res in (exhaustive, min_cut):
     show(res, exhaustive)
 
-# Above 16 users an oracle the min cut cannot read goes to Wolfe.
-big = generate_instance(20, cfg, rep_index=1)
-min_norm = solve_sfm(split_objective(Opaque(big)))
-assert min_norm.solver_used == "min_norm_point"
-print("20 users:")
-show(min_norm, solve_sfm(split_objective(big)))
+# Up to 20 users an oracle the min cut cannot read is still swept; one
+# more user is refused, and the min cut takes the bit pool at any size.
+big = generate_instance(BRUTE_FORCE_LIMIT, cfg, rep_index=1)
+swept = solve_sfm(split_objective(Opaque(big)))
+assert swept.solver_used == "exhaustive"
+print("%d users:" % BRUTE_FORCE_LIMIT)
+show(swept, solve_sfm(split_objective(big)))
+bigger = generate_instance(BRUTE_FORCE_LIMIT + 1, cfg, rep_index=1)
+try:
+    solve_sfm(split_objective(Opaque(bigger)))
+    raise AssertionError("an opaque oracle above the limit was solved")
+except GroundSetTooLargeError as e:
+    print("%d users: refused (%s)" % (BRUTE_FORCE_LIMIT + 1, e))
 
 # The fractional min-norm point itself is the egalitarian point at unit
 # weights: its negative coordinates mark the minimal minimizer, and its
@@ -90,7 +101,7 @@ users = np.array(source.ground.users)
 assert set(users[x < -1e-9]) == min_cut.minimal_minimizer
 assert set(users[x <= 1e-9]) == min_cut.maximal_minimizer
 
-# Greedy vertices are the extreme points the solvers move along.
+# Greedy vertices are the extreme points of the base polyhedron.
 print("\ntwo greedy vertices of the base polyhedron of H:")
 for order in (np.arange(n), np.arange(n)[::-1]):
     v = greedy_vertex_local(source, np.arange(n), order)

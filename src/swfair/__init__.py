@@ -7,12 +7,12 @@ of that region and the machinery around them:
 * :mod:`swfair.setfn` - ground sets, entropy oracles (bit-pool coverage
   models and explicit tables), weight and rate vectors, contractions, greedy
   vertices, validity checks;
-* :mod:`swfair.sfm` - submodular function minimization (exhaustive sweep,
-  min cut for bit-pool oracles, Fujishige-Wolfe minimum-norm-point) with
-  lattice-extreme minimizers;
-* :mod:`swfair.flow` - the float-capacity max-flow behind the min cut
-  (shortest augmenting paths, Edmonds-Karp), with both residual
-  reachability sets;
+* :mod:`swfair.sfm` - submodular function minimization (min cut for
+  bit-pool oracles at any size, exhaustive sweep for any other oracle up to
+  ``BRUTE_FORCE_LIMIT`` users) with lattice-extreme minimizers;
+* :mod:`swfair.flow` - the user-bit max-flow behind the min cut
+  (breadth-first augmenting rounds from a greedy start), with both
+  residual reachability sets;
 * :mod:`swfair.split` - the paper's recursive splitter, run one depth at a
   time, as the egalitarian engine (its leaves merged into a certified
   principal chain) and with its recursion tree and adaptation path;
@@ -44,7 +44,6 @@ from .setfn import (
     source_to_dict,
 )
 from .sfm import (
-    ConvergenceError,
     SfmResult,
     solve_sfm,
 )
@@ -61,6 +60,7 @@ from .split import (
     split,
 )
 from .fairness import (
+    ConvergenceError,
     FairnessReport,
     MembershipReport,
     build_report,

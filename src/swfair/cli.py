@@ -19,7 +19,7 @@ import json
 import sys
 
 from . import experiment as exp
-from .fairness import shapley_exact, verify_membership
+from .fairness import ConvergenceError, shapley_exact, verify_membership
 from .setfn import (
     GroundSetTooLargeError,
     ModelLoadError,
@@ -30,7 +30,6 @@ from .setfn import (
     check_submodular,
     load_source,
 )
-from .sfm import ConvergenceError
 from .split import (
     CertificationError,
     InternalConsistencyError,

@@ -37,13 +37,13 @@ from .setfn import (
     greedy_vertex_local,
     modular_sums,
 )
-from .sfm import ConvergenceError, solve_sfm
+from .sfm import solve_sfm
 
 # egalitarian_oracle_fw stops once its duality gap is at most this, and
-# gives up after this many steps; the production solver's tolerances in
-# swfair.sfm are separate, so the oracle does not move with them.
+# gives up after this many steps; the production solver shares neither, so
+# the oracle does not move with it.
 ORACLE_GAP = 1e-9
-ORACLE_MAX_ITERATIONS = 200000
+ORACLE_MAX_STEPS = 200000
 
 
 def shapley_exact(f: SetFunction) -> RateVector:
@@ -209,6 +209,15 @@ def exchange_capacity(f: SetFunction, r, donor: str, receiver: str) -> float:
     return float((vals[sel] - r_sub[sel]).min())
 
 
+class ConvergenceError(RuntimeError):
+    """:func:`egalitarian_oracle_fw` stopped short of its gap; ``best``
+    carries its last iterate."""
+
+    def __init__(self, message, best=None):
+        super().__init__(message)
+        self.best = best
+
+
 def egalitarian_oracle_fw(f: SetFunction, w: WeightVector) -> RateVector:
     """Weighted egalitarian point by fully corrective conditional gradients.
 
@@ -222,7 +231,7 @@ def egalitarian_oracle_fw(f: SetFunction, w: WeightVector) -> RateVector:
     polyhedron, which on nearly modular sources stalls them for more than
     200000 steps; the corrective step does not depend on it.  Terminates when
     the duality gap drops below ``ORACLE_GAP``; hitting the cap of
-    ``ORACLE_MAX_ITERATIONS`` steps, or a gap above it with no new vertex
+    ``ORACLE_MAX_STEPS`` steps, or a gap above it with no new vertex
     to add, raises :class:`ConvergenceError` carrying the best iterate.
     """
     elems = np.asarray(bit_indices(f.ground_mask), dtype=np.intp)
@@ -233,7 +242,7 @@ def egalitarian_oracle_fw(f: SetFunction, w: WeightVector) -> RateVector:
     lam = np.ones(1)
     gap = math.inf
 
-    for _ in range(ORACLE_MAX_ITERATIONS):
+    for _ in range(ORACLE_MAX_STEPS):
         grad = 2.0 * x / w_loc
         s = greedy_vertex_local(f, elems, np.argsort(grad, kind="stable"))
         gap = float(grad @ (x - s))

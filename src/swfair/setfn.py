@@ -54,7 +54,7 @@ class GroundSetTooLargeError(ValueError):
     """An exhaustive (2^n) operation was requested above the size limit."""
 
 
-# Exhaustive sweeps (submodularity checks, and the Shapley values and
+# Exhaustive sweeps (submodularity checks, and the SFM, Shapley values and
 # membership checks of oracles other than bit pools) are refused above this
 # many elements.
 BRUTE_FORCE_LIMIT = 20
@@ -768,8 +768,8 @@ def greedy_vertex_local(f: SetFunction, elems: np.ndarray,
     permutation of its indices; entry k of the result is the marginal value
     of elems[k] at its place in the order.  The vertex minimizing <d, x>
     over the base polyhedron is the one along ``np.argsort(d,
-    kind="stable")``.  Nothing is validated, as Wolfe's loop calls this once
-    per major cycle.
+    kind="stable")``.  Nothing is validated, as the conditional-gradient
+    oracle calls this once per step.
     """
     out = np.empty(len(order))
     out[order] = np.diff(f.prefix_values(elems[order]))

@@ -16,10 +16,11 @@ and the blocks of 2 or more users are tested by the rule of
 :func:`swfair.sfm.solve_sfm`.  On a bit pool their project-selection
 networks share no user and no bit, so one pass over the incidence builds
 them all and one maximum flow settles them all.  On any other oracle one
-``f.block_values`` call tables every block of 2 to ``EXHAUSTIVE_UP_TO``
-(16) users less its ratio times w, and each larger block gets one Wolfe
-solve.  The loop takes and returns positions: a block is a run of one
-order array, and a split a stable partition of its run.  A
+``f.block_values`` call tables every such block less its ratio times w,
+and a ground above ``BRUTE_FORCE_LIMIT`` (20) users is refused with
+:class:`GroundSetTooLargeError` before any table is built.  The loop
+takes and returns positions: a block is a run of one order array, and a
+split a stable partition of its run.  A
 :class:`SplitTree` records per-node subsets, ratios, SFM results, and the
 ordered base-assignment events that trace the rate vector's walk through
 the polyhedron; only a tree builds masks and :class:`SfmResult` records.
@@ -62,21 +63,18 @@ from .setfn import (
     RateVector,
     SetFunction,
     WeightVector,
-    add_modular,
     bit_indices,
-    contract,
     coverage_cut,
+    exhaustive_ground,
     mask_array,
     mask_from_indices,
     restrict,
 )
 from .sfm import (
-    EXHAUSTIVE_UP_TO,
-    ConvergenceError,
+    SWEEP_NAME,
     SfmResult,
     cut_result,
     cut_results,
-    solve_sfm,
     sweep_results,
 )
 
@@ -191,59 +189,56 @@ def _refine(f, w):
     if f.ground_mask == 0:
         raise ValueError("cannot split an empty ground")
     order = np.asarray(bit_indices(f.ground_mask), dtype=np.intp)
-    # (size, ratio once opened, (start, size) of each block enclosing it)
-    parts = [(len(order), None, ())]
+    # (size, ratio once opened)
+    parts = [(len(order), None)]
     depths = []
     while True:
-        sizes, ratios, paths = zip(*parts)
+        sizes, ratios = zip(*parts)
         starts = [0, *itertools.accumulate(sizes)]
         walk = f.prefix_values(order)[starts]
         rho = (np.diff(walk)
                / np.add.reduceat(w.values[order], starts[:-1])).tolist()
         tests = [j for j, c in enumerate(sizes) if ratios[j] is None and c > 1]
-        outside, result = _sweeps(f, w, order, sizes, starts, tests,
-                                  walk.tolist(), rho, paths)
+        outside, result = _sweeps(f, w, order, sizes, starts, tests, rho)
         moved = np.add.reduceat(outside, starts[:-1]).tolist()
         opened, last, parts = [], parts, []
-        for j, (c, ratio, path) in enumerate(last):
+        for j, (c, ratio) in enumerate(last):
             if ratio is None:
                 opened.append((starts[j], c, rho[j]))
                 ratio = rho[j]
             k = c - moved[j]
             if k == c:
-                parts.append((c, ratio, path))
+                parts.append((c, ratio))
             elif k == 0:
                 raise InternalConsistencyError(
                     "SFM returned an empty maximal minimizer at %s"
                     % subset_label(f.ground, mask_from_indices(
                         order[starts[j]:starts[j + 1]].tolist())))
             else:
-                path = (*path, (starts[j], c))
-                parts += [(k, None, path), (c - k, None, path)]
+                parts += [(k, None), (c - k, None)]
         depths.append((order, opened, result))
         if len(parts) == len(last):
-            return order, sizes, tuple(r for _, r, _ in parts), depths
+            return order, sizes, tuple(r for _, r in parts), depths
         # each block's users keep their order, its minimizer's first
         order = order[np.argsort(np.repeat(2 * np.arange(len(sizes)), sizes)
                                  + outside, kind="stable")]
 
 
-def _sweeps(f, w, order, sizes, starts, tests, walk, rho, paths) -> tuple:
+def _sweeps(f, w, order, sizes, starts, tests, rho) -> tuple:
     """Blocks ``tests`` on their minors at their ratios: (outside,
     result), per position 1 if it lies outside its tested block's maximal
     minimizer, else 0, and result(t), the SfmResult of tests[t].
 
-    Block j's function is its gains f(S_{j-1} | X) - walk[j] - rho_j * w(X)
-    over its subsets X, walk[j] = f(S_{j-1}): the minor's objective up to
-    its contraction's carry, which cancels in every tie.  On a bit pool one
+    Block j's function is its gains f(S_{j-1} | X) - f(S_{j-1}) - rho_j *
+    w(X) over its subsets X: the minor's objective up to its contraction's
+    carry, which cancels in every tie.  On a bit pool one
     :func:`coverage_cut` builds the blocks' networks, one flow solves them
     (:func:`cut_results`), and result reads its sides (:func:`cut_result`).
-    Otherwise one ``f.block_values`` call tables the gains of the blocks of
-    at most ``EXHAUSTIVE_UP_TO`` users for :func:`sweep_results`, and each
-    larger block gets ``solve_sfm``, whose :class:`ConvergenceError` names
-    the blocks enclosing it, paths[j] holding their (start, size).  The
-    shift is formed per user, and |rho_j * w_i| <= |f(S_j) - f(S_{j-1})|
-    for i in block j, so no weight overflows it.
+    Otherwise one ``f.block_values`` call tables the gains of every tested
+    block for :func:`sweep_results`, and a ground above
+    ``BRUTE_FORCE_LIMIT`` users raises :class:`GroundSetTooLargeError`
+    first.  The shift is formed per user, and |rho_j * w_i| <= |f(S_j) -
+    f(S_{j-1})| for i in block j, so no weight overflows it.
     """
     outside = np.zeros(len(order), dtype=np.intp)
     if not tests:
@@ -259,10 +254,9 @@ def _sweeps(f, w, order, sizes, starts, tests, walk, rho, paths) -> tuple:
         tested[tests] = True
         outside[np.repeat(tested, sizes)] = sides[1]
         return outside, functools.partial(cut_result, f.ground, cut, sides)
-    positions = order.tolist()
-    small = [j for j in tests if sizes[j] <= EXHAUSTIVE_UP_TO]
+    exhaustive_ground(f, BRUTE_FORCE_LIMIT, SWEEP_NAME)
     found, by_size = {}, {}
-    for j, excess in zip(small, f.block_values(order, sizes, small,
+    for j, excess in zip(tests, f.block_values(order, sizes, tests,
                                                coeffs=shift)):
         by_size.setdefault(sizes[j], []).append((j, excess))
     for c, group in by_size.items():
@@ -270,20 +264,8 @@ def _sweeps(f, w, order, sizes, starts, tests, walk, rho, paths) -> tuple:
         elems = order[np.add.outer([starts[j] for j in js], np.arange(c))]
         found.update(zip(js, sweep_results(
             f.ground, np.stack([e for _, e in group]), elems, tol)))
+    positions = order.tolist()
     for j in tests:
-        if j not in found:
-            mask = mask_from_indices(positions[starts[j]:starts[j + 1]])
-            objective = add_modular(
-                contract(f, mask_from_indices(positions[:starts[j]]), mask,
-                         walk[j]),
-                w.times(rho[j], mask_array(mask, f.ground.n)))
-            try:
-                found[j] = solve_sfm(objective)
-            except ConvergenceError as e:
-                e.recursion_path = tuple(
-                    subset_label(f.ground, mask_from_indices(positions[a:a + c]))
-                    for a, c in (*paths[j], (starts[j], sizes[j])))
-                raise
         outside[starts[j]:starts[j + 1]] = [
             not found[j].maximal_mask >> i & 1
             for i in positions[starts[j]:starts[j + 1]]]
@@ -506,8 +488,7 @@ def decompose(f: SetFunction, w: WeightVector) -> Decomposition:
     region raise :class:`CertificationError` (see :func:`certify`).
     """
     (order, sizes), crit, rates = _decompose(f, w, _refine(f, w))
-    if len(order) <= BRUTE_FORCE_LIMIT:
-        certify(f, rates)
+    certify(f, rates)
     positions = order.tolist()
     levels = [mask_from_indices(positions[end - size:end]) for size, end
               in zip(sizes, itertools.accumulate(sizes))]

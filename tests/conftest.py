@@ -4,7 +4,6 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from swfair import sfm
 from swfair.setfn import (BitPoolSource, GroundSet, SetFunction, TableSource,
                           WeightVector, add_modular, bit_indices, contract,
                           mask_array, source_from_dict, source_to_dict)
@@ -44,12 +43,6 @@ def deadline():
             signal.signal(signal.SIGALRM, previous)
 
     return guard
-
-
-@pytest.fixture
-def wolfe_capped(monkeypatch):
-    """Wolfe stops after one major cycle: its iteration cap is set to 1."""
-    monkeypatch.setattr(sfm, "MAX_ITERATIONS", 1)
 
 
 @pytest.fixture
@@ -145,7 +138,8 @@ def coverage_table(pool):
 
 class OpaquePool(SetFunction):
     """A bit pool's values behind an oracle that coverage_cut does not
-    recognise, so solve_sfm sends its grounds above 16 users to Wolfe."""
+    recognise, so solve_sfm sweeps its grounds up to 20 users and refuses
+    larger ones."""
 
     def __init__(self, pool):
         self.pool = pool

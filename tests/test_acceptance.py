@@ -22,7 +22,7 @@ from swfair.fairness import (
     verify_membership,
 )
 from swfair.setfn import WeightVector, add_modular, bit_indices
-from swfair.sfm import _solve_exhaustive, _solve_min_norm
+from swfair.sfm import _solve_exhaustive, solve_sfm
 from swfair.split import adaptation_path, decompose, recursion_metrics, split
 from conftest import random_bit_pool
 
@@ -113,7 +113,7 @@ def test_criterion_4(suite4):
     assert time.perf_counter() - t0 < 120.0
 
 
-@criterion(5, "exhaustive and min-norm SFM agree on 200 random instances")
+@criterion(5, "min cut and exhaustive SFM agree on 200 random instances")
 def test_criterion_5():
     rng = np.random.default_rng(20241)
     for k in range(200):
@@ -124,10 +124,11 @@ def test_criterion_5():
         f = add_modular(src, lam * w)
         elems = bit_indices(f.ground_mask)
         ex = _solve_exhaustive(f, elems)
-        mn = _solve_min_norm(f, elems)
-        assert abs(mn.min_value - ex.min_value) <= 1e-7
-        assert mn.minimal_minimizer == ex.minimal_minimizer
-        assert mn.maximal_minimizer == ex.maximal_minimizer
+        cut = solve_sfm(f)
+        assert cut.solver_used == "min_cut"
+        assert abs(cut.min_value - ex.min_value) <= 1e-7
+        assert cut.minimal_minimizer == ex.minimal_minimizer
+        assert cut.maximal_minimizer == ex.maximal_minimizer
 
 
 @criterion(6, "experiment sweep has the expected growth shape, deterministic")

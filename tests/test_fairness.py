@@ -17,6 +17,7 @@ from swfair.setfn import (
     restrict,
 )
 from swfair.fairness import (
+    ConvergenceError,
     build_report,
     egalitarian_oracle_fw,
     exchange_capacity,
@@ -24,7 +25,6 @@ from swfair.fairness import (
     shapley_permutation_average,
     verify_membership,
 )
-from swfair.sfm import ConvergenceError
 from swfair.split import egalitarian, split
 from conftest import (OpaquePool, coverage_table, minor_after,
                       random_bit_pool, scaled_source)

@@ -10,9 +10,11 @@ from swfair.cli import main
 from swfair.experiment import ExperimentConfig, generate_instance
 from swfair.fairness import egalitarian_oracle_fw, verify_membership
 from swfair.setfn import (
+    BRUTE_FORCE_LIMIT,
     TIE_EPSILON,
     BitPoolSource,
     GroundSet,
+    GroundSetTooLargeError,
     SetFunction,
     TableSource,
     WeightVector,
@@ -24,7 +26,7 @@ from swfair.setfn import (
     restrict,
     source_to_dict,
 )
-from swfair.sfm import ConvergenceError, SfmResult, solve_sfm
+from swfair.sfm import SfmResult, solve_sfm
 from swfair.split import (
     CertificationError,
     Decomposition,
@@ -84,35 +86,21 @@ def test_split_refuses_nan_weight():
         split(src, WeightVector(src.ground, w))
 
 
-def test_split_annotates_convergence_failures(request):
-    # Bit pools take the exact min cut, which has no iteration cap, so
-    # Wolfe is starved on an opaque oracle of the same values.
-    rng = np.random.default_rng(67)
-    src = random_bit_pool(rng, 20, observe_prob=1.5 / 20)
-    w = WeightVector.ones(src.ground)
-    expected = split(src, w)[0].rates
-    request.getfixturevalue("wolfe_capped")
-    with pytest.raises(ConvergenceError) as err:
-        split(OpaquePool(src), w)
-    assert err.value.recursion_path is not None
-    assert err.value.recursion_path[0].startswith("{u0,")
-    assert str(err.value).endswith(
-        " at " + " > ".join(err.value.recursion_path))
-    rates, _ = split(src, w)
-    assert np.array_equal(rates.rates, expected)
-
-
-def test_split_min_norm_steps_match_exhaustive():
-    """On an oracle the min cut does not recognise, split's steps above 16
-    users run Wolfe; they must give the tree of the bit pool itself, whose
-    steps take the min cut and the exhaustive sweep."""
+def test_split_sweeps_opaque_grounds_up_to_the_limit():
+    """On an oracle the min cut does not recognise, split sweeps every
+    step up to 20 users and gives the tree of the bit pool itself, whose
+    steps take the min cut; 24 users are refused."""
     rng = np.random.default_rng(71)
     for n in (17, 20, 24, 17, 20, 24):
         src = random_bit_pool(rng, n, observe_prob=1.5 / n)
         w = WeightVector(src.ground, rng.uniform(0.5, 4.0, n))
+        if n > BRUTE_FORCE_LIMIT:
+            with pytest.raises(GroundSetTooLargeError, match="limit 20$"):
+                split(OpaquePool(src), w)
+            continue
         rates, tree = split(OpaquePool(src), w)
-        assert "min_norm_point" in {node.sfm.solver_used
-                                    for node in tree_nodes(tree)}
+        assert {node.sfm.solver_used
+                for node in tree_nodes(tree)} == {"exhaustive"}
         ref_rates, ref_tree = split(src, w)
         assert tree.leaves == ref_tree.leaves
         assert np.array_equal(rates.rates, ref_rates.rates)
@@ -127,12 +115,12 @@ def tree_nodes(tree):
     return nodes
 
 
-def test_split_runs_min_cut_not_wolfe_on_bit_pools(monkeypatch, capsys,
-                                                   tmp_path):
+def test_split_runs_only_min_cut_on_bit_pools(monkeypatch, capsys,
+                                             tmp_path):
     """split, decompose and egalitarian, in the library and through
     ``swfair egalitarian`` and ``swfair decompose``, solve a 64-user
-    weighted pool and a 12-user table without one Wolfe cycle: every cycle
-    asks greedy_vertex_local for a vertex, and here it raises."""
+    weighted pool with min cuts alone and a 12-user table with sweeps
+    alone: the other solver raises."""
     rng = np.random.default_rng(5)
     n = 64
     src = random_bit_pool(rng, n, observe_prob=1.5 / n)
@@ -140,32 +128,68 @@ def test_split_runs_min_cut_not_wolfe_on_bit_pools(monkeypatch, capsys,
     table = coverage_table(random_bit_pool(rng, 12))
     w_table = WeightVector(table.ground, rng.uniform(0.5, 4.0, 12))
 
-    def no_wolfe(*args, **kwargs):
-        raise AssertionError("Wolfe ran on a bit pool or a small table")
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the rule's other solver ran")
 
-    monkeypatch.setattr(sfm_module, "greedy_vertex_local", no_wolfe)
-    _, tree = split(src, w)
-    # a one-user block is a leaf with no solve, reported as a sweep's
-    for node in tree_nodes(tree):
-        assert node.sfm.solver_used == (
-            "min_cut" if node.subset_mask.bit_count() > 1 else "exhaustive")
-    for f, weights in ((src, w), (table, w_table)):
-        chain = decompose(f, weights).chain_masks
-        assert egalitarian(f, weights).subset_mask == chain[-1]
-        model = tmp_path / "model.json"
-        model.write_text(json.dumps(source_to_dict(f)))
-        weights_file = tmp_path / "weights.json"
-        weights_file.write_text(json.dumps(
-            dict(zip(f.ground.users, weights.values.tolist()))))
-        for command in ("egalitarian", "decompose"):
-            assert main([command, str(model), "--weights",
-                         str(weights_file), "--json"]) == 0
+    for f, weights, other in ((src, w, "sweep_results"),
+                              (table, w_table, "cut_results")):
+        with monkeypatch.context() as m:
+            m.setattr(split_module, other, forbidden)
+            m.setattr(sfm_module, other, forbidden)
+            _, tree = split(f, weights)
+            # a one-user block is a leaf with no solve, reported as a
+            # sweep's
+            for node in tree_nodes(tree):
+                assert node.sfm.solver_used == (
+                    "min_cut" if f is src and node.subset_mask.bit_count() > 1
+                    else "exhaustive")
+            chain = decompose(f, weights).chain_masks
+            assert egalitarian(f, weights).subset_mask == chain[-1]
+            model = tmp_path / "model.json"
+            model.write_text(json.dumps(source_to_dict(f)))
+            weights_file = tmp_path / "weights.json"
+            weights_file.write_text(json.dumps(
+                dict(zip(f.ground.users, weights.values.tolist()))))
+            for command in ("egalitarian", "decompose"):
+                assert main([command, str(model), "--weights",
+                             str(weights_file), "--json"]) == 0
     capsys.readouterr()
+
+
+def test_opaque_oracles_above_the_limit_are_refused_before_any_table(
+        monkeypatch, capsys):
+    """At 21 users an oracle no min cut reads is refused by solve_sfm,
+    split, egalitarian and decompose, and by ``swfair egalitarian`` with
+    exit 2, each naming the limit of 20, before any subset is tabled."""
+    src = OpaquePool(random_bit_pool(np.random.default_rng(73), 21,
+                                     observe_prob=1.5 / 21))
+    w = WeightVector.ones(src.ground)
+    tabled = []
+
+    def spy(name):
+        real = getattr(OpaquePool, name)
+
+        def call(*args, **kwargs):
+            tabled.append(name)
+            return real(*args, **kwargs)
+        return call
+
+    for name in ("all_values", "block_values"):
+        monkeypatch.setattr(OpaquePool, name, spy(name))
+    for solve in (lambda: solve_sfm(src), lambda: split(src, w),
+                  lambda: egalitarian(src, w), lambda: decompose(src, w)):
+        with pytest.raises(GroundSetTooLargeError,
+                           match="21 elements exceeds limit 20$"):
+            solve()
+    monkeypatch.setattr("swfair.cli.load_source", lambda path: src)
+    assert main(["egalitarian", "model.json"]) == 2
+    assert "exceeds limit 20" in capsys.readouterr().err
+    assert tabled == []
 
 
 def spy_on_oracles(monkeypatch):
     """Record every bit-pool oracle call, every block_values call, and
-    every coverage_cut, solve_sfm and bipartite_flow call split makes, in
+    every coverage_cut, sweep_results and bipartite_flow call split makes, in
     order, as (name, arguments); arrays are copied when called, as the
     refinement loop reorders its positions in place."""
     calls = []
@@ -183,7 +207,7 @@ def spy_on_oracles(monkeypatch):
     monkeypatch.setattr(SetFunction, "block_values",
                         spy("block_values", SetFunction.block_values))
     for module, name in ((split_module, "coverage_cut"),
-                         (split_module, "solve_sfm"),
+                         (split_module, "sweep_results"),
                          (sfm_module, "bipartite_flow")):
         monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
     return calls
@@ -234,7 +258,7 @@ def test_one_user_blocks_are_leaves_without_a_solve(monkeypatch):
     blocks of 2 or more users; its last walk is _chain's, over the
     leaves.  No oracle call serves a one-user block, which is a leaf with
     the result an exhaustive sweep gives, and on a bit pool split makes no
-    value, all_values, block_values or solve_sfm call."""
+    value, all_values, block_values or sweep_results call."""
     rng = np.random.default_rng(9)
     n = 64
     src = random_bit_pool(rng, n, observe_prob=1.5 / n)
@@ -243,7 +267,8 @@ def test_one_user_blocks_are_leaves_without_a_solve(monkeypatch):
     _, tree = split(src, w)
     monkeypatch.undo()
     names = {name for name, _ in calls}
-    assert not names & {"value", "all_values", "block_values", "solve_sfm"}
+    assert not names & {"value", "all_values", "block_values",
+                        "sweep_results"}
     passes = passes_of(calls)
     assert passes[0] == [] and passes[-1] == [calls[-1]]
     depths = nodes_by_depth(tree)
@@ -648,8 +673,7 @@ def test_one_flow_settles_each_block_of_a_depth(n, seed, view):
     tests = [j for j, b in enumerate(blocks)
              if b.bit_count() > 1 and rng.random() < 0.8]
     outside, result = split_module._sweeps(f, w, order, sizes, starts, tests,
-                                           walk.tolist(), rho,
-                                           [()] * len(blocks))
+                                           rho)
     tol = 2 * TIE_EPSILON * src.scale
     for t, j in enumerate(tests):
         before = mask_from_indices(order[:starts[j]].tolist())
@@ -804,9 +828,9 @@ def one_level_pool(n):
                                        (coverage_table, 17)],
                          ids=["opaque-17", "opaque-20", "table-17"])
 def test_one_level_grounds_above_the_sweep_solve_at_every_scale(oracle, n):
-    """Above 16 users a ground no min cut reads goes to Wolfe, and on one
-    level its block f - lam w has the minimum-norm point 0, which rounding
-    keeps a little off 0: the solve still converges, at every scale."""
+    """A one-level ground of 17 or 20 users that no min cut reads is swept
+    whole: its block f - lam w ties the empty and the full set up to
+    rounding, and the sweep keeps it one level at every scale."""
     pool = one_level_pool(n)
     w = WeightVector.ones(pool.ground)
     for c in (1e-150, 1e-12, 1e-8, 1.0, 1e12, 1e150):
@@ -920,17 +944,3 @@ def test_engine_is_certified_by_min_cut_beyond_the_oracle(model):
                      *partition_of(merged))[1]
         report = verify_membership(src, bad, tol)
         assert not report.in_region and report.slack < -tol
-
-
-def test_egalitarian_iteration_cap_is_a_convergence_error(wolfe_capped):
-    """The engine runs Wolfe only on a block above 16 users that no min cut
-    reads; its iteration cap on the ground's block is a ConvergenceError
-    that carries the solve's best result and names that block."""
-    rng = np.random.default_rng(67)
-    src = OpaquePool(random_bit_pool(rng, 20, observe_prob=1.5 / 20))
-    with pytest.raises(ConvergenceError,
-                       match=r"iteration cap \(1\) at relative gap") as err:
-        egalitarian(src, WeightVector.ones(src.ground))
-    assert isinstance(err.value.best, SfmResult)
-    assert err.value.recursion_path == (
-        subset_label(src.ground, src.ground_mask),)
