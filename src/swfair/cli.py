@@ -19,7 +19,7 @@ import json
 import sys
 
 from . import experiment as exp
-from .fairness import ConvergenceError, shapley_exact, verify_membership
+from .fairness import shapley_exact, verify_membership
 from .setfn import (
     GroundSetTooLargeError,
     ModelLoadError,
@@ -53,7 +53,7 @@ def main(argv=None) -> int:
     except (ModelLoadError, GroundSetTooLargeError, OSError, ValueError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_INPUT
-    except (ConvergenceError, InternalConsistencyError) as e:
+    except InternalConsistencyError as e:
         print("solver error: %s" % e, file=sys.stderr)
         return EXIT_SOLVER
     except CertificationError as e:

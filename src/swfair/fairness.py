@@ -28,16 +28,14 @@ from .setfn import (
     SetFunction,
     WeightVector,
     _parts,
-    add_modular,
     bit_indices,
-    contract,
     coverage_cut,
     exhaustive_ground,
     global_mask,
     greedy_vertex_local,
     modular_sums,
 )
-from .sfm import solve_sfm
+from .sfm import solve_blocks
 
 # egalitarian_oracle_fw stops once its duality gap is at most this, and
 # gives up after this many steps; the production solver shares neither, so
@@ -124,12 +122,13 @@ def verify_membership(f: SetFunction, r,
     names the most violated (or tightest) X and its slack.  As in
     :func:`swfair.sfm.solve_sfm`, the oracle picks the route:
 
-    * a bit-pool view, at any size: one exact ``solve_sfm`` of f - r, with
-      minimal minimizer Y.  The report names X = C - Y, whose slack is
-      sum_gap + (f - r)(Y), sum_gap = r(C) - f(C), from one evaluation at
-      Y; r is a member iff that slack is >= -tolerance and |sum_gap| <=
-      tolerance.  That slack is the least one wherever that is at most 0,
-      and else that of X empty, where only the sum can fail;
+    * a bit-pool view, at any size: one exact SFM of f - r, the ground as
+      one :func:`swfair.sfm.solve_blocks` block, with minimal minimizer Y.
+      The report names X = C - Y, whose slack is sum_gap + f(Y) - r(Y),
+      sum_gap = r(C) - f(C), from one evaluation at Y; r is a member iff
+      that slack is >= -tolerance and |sum_gap| <= tolerance.  That slack
+      is the least one wherever that is at most 0, and else that of X
+      empty, where only the sum can fail;
     * any other oracle: a sweep over every subset that also checks the
       upper form r(X) <= f(X), refused above ``BRUTE_FORCE_LIMIT`` users.
 
@@ -147,11 +146,14 @@ def verify_membership(f: SetFunction, r,
         raise ValueError("rates must be %d finite numbers, one per user of "
                          "the ground set" % f.ground.n)
     if isinstance(_parts(f)[0], BitPoolSource):
-        objective = add_modular(f, rates)
-        minimal = solve_sfm(objective).minimal_mask
-        sum_gap = (float(rates[bit_indices(f.ground_mask)].sum())
-                   - f.value(f.ground_mask))
-        slack = sum_gap + objective.value(minimal)
+        elems = bit_indices(f.ground_mask)
+        minimal = 0
+        if elems:
+            minimal = solve_blocks(f, elems, [len(elems)], [0],
+                                   rates)[1](0).minimal_mask
+        sum_gap = float(rates[elems].sum()) - f.value(f.ground_mask)
+        slack = sum_gap + (f.value(minimal)
+                           - float(rates[bit_indices(minimal)].sum()))
         return MembershipReport(
             slack >= -tolerance and abs(sum_gap) <= tolerance,
             frozenset(f.ground.users_of(f.ground_mask & ~minimal)), slack,
@@ -181,32 +183,21 @@ def exchange_capacity(f: SetFunction, r, donor: str, receiver: str) -> float:
 
     min of f(X) - r(X) over subsets X containing the receiver but not the
     donor; zero means the receiver's rate cannot be raised at the donor's
-    expense.  For a bit-pool view, at any size, that is f({receiver}) -
-    r_receiver plus the minimum of one ``solve_sfm``: f contracted at the
-    receiver, less r, over the ground without receiver and donor.  Any
-    other oracle is swept over every subset, refused above
-    ``BRUTE_FORCE_LIMIT`` users.
+    expense.  That is f({receiver}) - r_receiver plus the minimum of one
+    :func:`swfair.sfm.solve_blocks` of f less r over the rest of the
+    ground, after the receiver as an untested first block, by its rule:
+    a min cut for a bit-pool view at any size, a sweep for any other
+    oracle up to ``BRUTE_FORCE_LIMIT`` users, refused above.
     """
     rates = r.rates if isinstance(r, RateVector) else np.asarray(r, dtype=float)
     i, j = f.ground.index[receiver], f.ground.index[donor]
     if i == j or not f.ground_mask >> i & f.ground_mask >> j & 1:
         raise ValueError("donor and receiver must be two users of the "
                          "oracle's ground")
-    if isinstance(_parts(f)[0], BitPoolSource):
-        f_i = f.value(1 << i)
-        rest = contract(f, 1 << i, f.ground_mask & ~(1 << i | 1 << j), f_i)
-        return f_i - float(rates[i]) + solve_sfm(
-            add_modular(rest, rates)).min_value
-    elems = exhaustive_ground(f, BRUTE_FORCE_LIMIT, "exchange capacity")
-    c = len(elems)
-    pos = {e: k for k, e in enumerate(elems)}
-    bit_r = np.uint32(1 << pos[i])
-    bit_d = np.uint32(1 << pos[j])
-    vals = f.all_values(elems)
-    submasks = np.arange(1 << c, dtype=np.uint32)
-    r_sub = modular_sums(rates[elems])
-    sel = ((submasks & bit_r) != 0) & ((submasks & bit_d) == 0)
-    return float((vals[sel] - r_sub[sel]).min())
+    rest = bit_indices(f.ground_mask & ~(1 << i | 1 << j))
+    tail = solve_blocks(f, [i, *rest], [1, len(rest)], [1],
+                        rates)[1](0).min_value if rest else 0.0
+    return f.value(1 << i) - float(rates[i]) + tail
 
 
 class ConvergenceError(RuntimeError):

@@ -188,10 +188,9 @@ class SetFunction:
     """Oracle for a real-valued set function with f(empty) = 0.
 
     Subclasses implement :meth:`value`.  The optional bulk entry points,
-    :meth:`prefix_values`, :meth:`all_values` and :meth:`block_values`, have
-    generic fallbacks here and vectorized overrides where the structure
-    allows; solvers call them so that a fast source accelerates every solver
-    for free.
+    :meth:`prefix_values` and :meth:`all_values`, have generic fallbacks
+    here and vectorized overrides where the structure allows; solvers call
+    them so that a fast source accelerates every solver for free.
     """
 
     ground: GroundSet
@@ -237,34 +236,6 @@ class SetFunction:
             gmask[lm] = gmask[lm ^ low] | bit_of[low.bit_length() - 1]
             vals[lm] = self.value(gmask[lm])
         return vals
-
-    def block_values(self, order: np.ndarray, sizes: Sequence[int],
-                     wanted: Sequence[int], base: int = 0,
-                     coeffs: np.ndarray | None = None) -> list[np.ndarray]:
-        """Gains over the blocks of an ordered partition, for each wanted block.
-
-        Block j is the run of ``sizes[j]`` global positions of ``order`` after
-        the runs of the blocks before it, and S_j is ``base`` joined with
-        blocks 0, ..., j - 1.  For each index j in ``wanted`` the result
-        holds f(S_j | X) - f(S_j) - c(X) for every X inside block j, indexed
-        by local submask over the block's positions in their order here;
-        c is the modular function with the per-user ``coeffs`` that
-        :func:`add_modular` takes, or 0 if None.  A block outside ``wanted``
-        only enters the S_j, so it may be of any size.  Here one
-        :meth:`all_values` per wanted block, less c's :func:`modular_sums`.
-        """
-        order = np.asarray(order, dtype=np.intp)
-        positions = order.tolist()
-        starts = [0, *itertools.accumulate(sizes)]
-        out = []
-        for j in wanted:
-            before = base | mask_from_indices(positions[:starts[j]])
-            vals = self.all_values(positions[starts[j]:starts[j + 1]], before)
-            vals = vals - vals[0]
-            if coeffs is not None:
-                vals -= modular_sums(coeffs[order[starts[j]:starts[j + 1]]])
-            out.append(vals)
-        return out
 
 
 class BitPoolSource(SetFunction):

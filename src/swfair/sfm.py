@@ -1,7 +1,13 @@
 """Submodular function minimization with lattice-extreme minimizers.
 
-Two exact solvers share one result type, and a fixed rule on the oracle
-picks one, with no override and no fallback:
+:func:`solve_blocks` is the one routine that minimizes: it takes the
+blocks of an ordered partition, each minimized on its minor after the
+blocks before it, and every SFM of the library goes through it
+(:func:`solve_sfm`, each depth of :func:`swfair.split.split`, and the
+bit-pool routes of :func:`swfair.fairness.verify_membership` and
+:func:`swfair.fairness.exchange_capacity`).  Two exact solvers share one
+result type, and a fixed rule on the oracle picks one, with no override
+and no fallback:
 
 * an exact minimum cut for a view of a bit-pool source, of any size: the
   objective is a weighted coverage function minus a modular one, so its
@@ -9,9 +15,8 @@ picks one, with no override and no fallback:
   of shared fixed costs and network flows", Mgmt. Sci. 1970; Picard,
   "Maximal closure of a graph and applications to combinatorial problems",
   Mgmt. Sci. 1976), solved by one max-flow in :mod:`swfair.flow`, in
-  strongly polynomial time.  :func:`cut_results` solves any number of such
-  networks with disjoint users and bits in that one flow, which is how
-  :func:`swfair.split.split` settles every block of a depth at once;
+  strongly polynomial time.  The blocks' networks share no user and no
+  bit, so :func:`cut_results` solves them all in that one flow;
 * for any other oracle, exhaustive enumeration up to ``BRUTE_FORCE_LIMIT``
   (20) users, which recovers the exact minimum and the minimal/maximal
   minimizers as the intersection/union of all tied minimizing subsets (the
@@ -26,6 +31,8 @@ The minimum-norm point of the base polyhedron itself is not exposed here:
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +48,7 @@ from .setfn import (
     exhaustive_ground,
     global_mask,
     mask_from_indices,
+    modular_sums,
 )
 
 # The operation a refused sweep names in its GroundSetTooLargeError.
@@ -88,7 +96,8 @@ class SfmResult:
 
 
 def solve_sfm(f: SetFunction) -> SfmResult:
-    """Minimize f over all subsets of its ground (empty set included).
+    """Minimize f over all subsets of its ground (empty set included): one
+    :func:`solve_blocks` of the ground as one block.
 
     A view of a :class:`BitPoolSource` goes to the min cut, any other
     ground of at most ``BRUTE_FORCE_LIMIT`` users to the exhaustive sweep,
@@ -98,54 +107,92 @@ def solve_sfm(f: SetFunction) -> SfmResult:
     elems = bit_indices(f.ground_mask)
     if not elems:
         return SfmResult(f.ground, 0.0, 0, 0, "exhaustive", 0, 0)
-    cut = coverage_cut(f, elems, [len(elems)], [0])
+    return solve_blocks(f, elems, [len(elems)], [0])[1](0)
+
+
+def solve_blocks(f: SetFunction, order, sizes, tests,
+                 coeffs: np.ndarray | None = None) -> tuple:
+    """Minimize f's gains over the blocks ``tests`` of an ordered partition.
+
+    Block j is the run of ``sizes[j]`` global positions of ``order`` after
+    the runs of the blocks before it, and S_j is their union.  Block j's
+    function is its gains f(S_j | X) - f(S_j) - c(X) over its subsets X:
+    f's minor after S_j up to its contraction's carry, which cancels in
+    every tie, less the modular function c with the per-user ``coeffs``
+    (0 if None).  A block outside ``tests`` only enters the S_j, so it may
+    be of any size; a tested block has at least one user.  Returns
+    (outside, result): per position of ``order``, 1 if it lies outside its
+    tested block's maximal minimizer, else 0, and result(t), the
+    :class:`SfmResult` of block tests[t] (None if ``tests`` is empty).
+
+    The rule is :func:`solve_sfm`'s.  On a bit-pool view one
+    :func:`swfair.setfn.coverage_cut` builds the blocks' networks, one
+    flow solves them (:func:`cut_results`), and result reads its sides
+    (:func:`cut_result`).  Otherwise a ground above ``BRUTE_FORCE_LIMIT``
+    users raises :class:`GroundSetTooLargeError`, and each tested block's
+    gains are tabled by one ``f.all_values`` over it at S_j, less the table's
+    entry at 0 and c's :func:`swfair.setfn.modular_sums`, and swept
+    (:func:`sweep_result`).
+    """
+    order = np.asarray(order, dtype=np.intp)
+    outside = np.zeros(len(order), dtype=np.intp)
+    if not tests:
+        return outside, None
+    tol = TIE_EPSILON * f.scale
+    cut = coverage_cut(f, order, sizes, tests, coeffs)
     if cut is not None:
-        return cut_result(f.ground, cut,
-                          cut_results(cut, TIE_EPSILON * f.scale), 0)
+        sides = cut_results(cut, tol)
+        tested = np.zeros(len(sizes), dtype=bool)
+        tested[tests] = True
+        outside[np.repeat(tested, sizes)] = sides[1]
+        return outside, functools.partial(cut_result, f.ground, cut, sides)
     exhaustive_ground(f, BRUTE_FORCE_LIMIT, SWEEP_NAME)
-    return _solve_exhaustive(f, elems)
+    starts = [0, *itertools.accumulate(sizes)]
+    positions = order.tolist()
+    found = []
+    for j in tests:
+        a, b = starts[j], starts[j + 1]
+        gains = f.all_values(positions[a:b], mask_from_indices(positions[:a]))
+        gains = gains - gains[0]
+        if coeffs is not None:
+            gains -= modular_sums(coeffs[order[a:b]])
+        found.append(sweep_result(f.ground, gains, positions[a:b], tol))
+        outside[a:b] = [not found[-1].maximal_mask >> i & 1
+                        for i in positions[a:b]]
+    return outside, found.__getitem__
 
 
 def _solve_exhaustive(f, elems) -> SfmResult:
-    return sweep_results(f.ground, f.all_values(elems)[None],
-                         np.asarray([elems]), TIE_EPSILON * f.scale)[0]
+    """The sweep of f over the positions ``elems``, with no size check: the
+    reference the min cut is tested against."""
+    return sweep_result(f.ground, f.all_values(elems), elems,
+                        TIE_EPSILON * f.scale)
 
 
-def sweep_results(ground, tables, elems, tol) -> list[SfmResult]:
-    """Exact SFM results from a stack of same-size subset tables.
+def sweep_result(ground, table, elems, tol) -> SfmResult:
+    """Exact SFM result from a subset table.
 
-    Row t of ``tables`` holds a function's value at every subset of the
-    positions elems[t], indexed by local submask.  Its result has the
-    row's minimum and, as minimal and maximal minimizer, the intersection
-    and the union of the subsets within ``tol`` of it.  A row whose union
-    or intersection misses the minimum by more than ``tol`` (the function
-    is not submodular, or the ties were an epsilon artifact) takes its
-    smallest and largest tied subsets by cardinality instead.
+    ``table`` holds a function's value at every subset of the positions
+    ``elems``, indexed by local submask.  The result has its minimum and,
+    as minimal and maximal minimizer, the intersection and the union of
+    the subsets within ``tol`` of it.  If the union or intersection misses
+    the minimum by more than ``tol`` (the function is not submodular, or
+    the ties were an epsilon artifact), the smallest and largest tied
+    subsets by cardinality are taken instead.
     """
-    m, size = tables.shape
-    full = size - 1
-    vmin = tables.min(axis=1)
-    tied = tables <= (vmin + tol)[:, None]
-    local = np.arange(size)
-    union = np.bitwise_or.reduce(np.where(tied, local, 0), axis=1)
-    inter = np.bitwise_and.reduce(np.where(tied, local, full), axis=1)
-    rows = np.arange(m)
+    full = len(table) - 1
+    vmin = float(table.min())
+    tied = np.flatnonzero(table <= vmin + tol)
+    lo = int(np.bitwise_and.reduce(tied, initial=full))
+    hi = int(np.bitwise_or.reduce(tied))
     # Lattice self-check: the union and intersection of tied minimizers
     # must attain the minimum themselves.
-    lattice = ((tables[rows, union] <= vmin + tol)
-               & (tables[rows, inter] <= vmin + tol))
-
-    out = []
-    for t, (lo, hi) in enumerate(zip(inter.tolist(), union.tolist())):
-        if not lattice[t]:
-            by_card = sorted(np.flatnonzero(tied[t]).tolist(),
-                             key=lambda s: (s.bit_count(), s))
-            lo, hi = by_card[0], by_card[-1]
-        out.append(SfmResult(ground, float(vmin[t]),
-                             global_mask(lo, elems[t]),
-                             global_mask(hi, elems[t]), "exhaustive",
-                             oracle_evals=size, ground_size=full.bit_length()))
-    return out
+    if not (table[lo] <= vmin + tol and table[hi] <= vmin + tol):
+        by_card = sorted(tied.tolist(), key=lambda s: (s.bit_count(), s))
+        lo, hi = by_card[0], by_card[-1]
+    return SfmResult(ground, vmin, global_mask(lo, elems),
+                     global_mask(hi, elems), "exhaustive",
+                     oracle_evals=len(table), ground_size=full.bit_length())
 
 
 def cut_results(cut, tol) -> tuple:

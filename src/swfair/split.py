@@ -12,13 +12,11 @@ after an early base assignment of the minimizer's ratio times w.  The two
 subcalls of a split are independent (:func:`recursion_metrics` reports
 the critical path as ``max_size``), so :func:`_refine` runs each depth as
 one pass over its blocks: one prefix walk gives every block its ratio,
-and the blocks of 2 or more users are tested by the rule of
-:func:`swfair.sfm.solve_sfm`.  On a bit pool their project-selection
-networks share no user and no bit, so one pass over the incidence builds
-them all and one maximum flow settles them all.  On any other oracle one
-``f.block_values`` call tables every such block less its ratio times w,
-and a ground above ``BRUTE_FORCE_LIMIT`` (20) users is refused with
-:class:`GroundSetTooLargeError` before any table is built.  The loop
+and one :func:`swfair.sfm.solve_blocks` call tests the blocks of 2 or
+more users, each on its minor less its ratio times w.  On a bit pool one
+maximum flow settles them all; any other oracle has each block tabled and
+swept, and a ground above ``BRUTE_FORCE_LIMIT`` (20) users is refused
+with :class:`GroundSetTooLargeError` before any table is built.  The loop
 takes and returns positions: a block is a run of one order array, and a
 split a stable partition of its run.  A
 :class:`SplitTree` records per-node subsets, ratios, SFM results, and the
@@ -48,7 +46,6 @@ prefix walk over them, and r_i = lam_j * w_i on D_j.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -64,19 +61,10 @@ from .setfn import (
     SetFunction,
     WeightVector,
     bit_indices,
-    coverage_cut,
-    exhaustive_ground,
     mask_array,
     mask_from_indices,
-    restrict,
 )
-from .sfm import (
-    SWEEP_NAME,
-    SfmResult,
-    cut_result,
-    cut_results,
-    sweep_results,
-)
+from .sfm import SfmResult, solve_blocks
 
 # adaptation_path materializes one rate vector per base assignment, so it
 # refuses larger grounds, and the JSON tree leaves it out.
@@ -178,17 +166,21 @@ def _refine(f, w):
     every open block D_j its ratio rho_j = (f(S_j) - f(S_{j-1})) / w(D_j),
     S_j the union of the first j blocks, from one prefix walk, and tests it
     on f's minor after S_{j-1} at rho_j: a one-user block is a leaf with no
-    oracle call, and the blocks of 2 or more users are tested together
-    (:func:`_sweeps`).  A block that is not its own maximal minimizer is
-    split into that minimizer and the rest by one stable sort of the
-    positions into a new order array.  Returns the leaves as (order, sizes,
-    ratios) and, per depth, (order, opened, result): each block opened at
-    that depth as (start, size, rho_j), and result(t), the SfmResult of its
-    t-th block of 2 or more users, for :func:`_tree` alone.
+    oracle call, and the blocks of 2 or more users are tested together by
+    one :func:`solve_blocks` of f less rho_j * w_i at each user i of block
+    j.  That shift is formed per user, and |rho_j * w_i| <= |f(S_j) -
+    f(S_{j-1})|, so no weight overflows it.  A block that is not its own
+    maximal minimizer is split into that minimizer and the rest by one
+    stable sort of the positions into a new order array.  Returns the
+    leaves as (order, sizes, ratios) and, per depth, (order, opened,
+    result): each block opened at that depth as (start, size, rho_j), and
+    result(t), the SfmResult of its t-th block of 2 or more users, for
+    :func:`_tree` alone.
     """
     if f.ground_mask == 0:
         raise ValueError("cannot split an empty ground")
     order = np.asarray(bit_indices(f.ground_mask), dtype=np.intp)
+    in_ground = mask_array(f.ground_mask, f.ground.n)
     # (size, ratio once opened)
     parts = [(len(order), None)]
     depths = []
@@ -199,7 +191,10 @@ def _refine(f, w):
         rho = (np.diff(walk)
                / np.add.reduceat(w.values[order], starts[:-1])).tolist()
         tests = [j for j, c in enumerate(sizes) if ratios[j] is None and c > 1]
-        outside, result = _sweeps(f, w, order, sizes, starts, tests, rho)
+        lam = np.zeros(f.ground.n)
+        lam[order] = np.repeat(rho, sizes)
+        outside, result = solve_blocks(f, order, sizes, tests,
+                                       w.times(lam, in_ground))
         moved = np.add.reduceat(outside, starts[:-1]).tolist()
         opened, last, parts = [], parts, []
         for j, (c, ratio) in enumerate(last):
@@ -222,54 +217,6 @@ def _refine(f, w):
         # each block's users keep their order, its minimizer's first
         order = order[np.argsort(np.repeat(2 * np.arange(len(sizes)), sizes)
                                  + outside, kind="stable")]
-
-
-def _sweeps(f, w, order, sizes, starts, tests, rho) -> tuple:
-    """Blocks ``tests`` on their minors at their ratios: (outside,
-    result), per position 1 if it lies outside its tested block's maximal
-    minimizer, else 0, and result(t), the SfmResult of tests[t].
-
-    Block j's function is its gains f(S_{j-1} | X) - f(S_{j-1}) - rho_j *
-    w(X) over its subsets X: the minor's objective up to its contraction's
-    carry, which cancels in every tie.  On a bit pool one
-    :func:`coverage_cut` builds the blocks' networks, one flow solves them
-    (:func:`cut_results`), and result reads its sides (:func:`cut_result`).
-    Otherwise one ``f.block_values`` call tables the gains of every tested
-    block for :func:`sweep_results`, and a ground above
-    ``BRUTE_FORCE_LIMIT`` users raises :class:`GroundSetTooLargeError`
-    first.  The shift is formed per user, and |rho_j * w_i| <= |f(S_j) -
-    f(S_{j-1})| for i in block j, so no weight overflows it.
-    """
-    outside = np.zeros(len(order), dtype=np.intp)
-    if not tests:
-        return outside, None
-    lam = np.zeros(f.ground.n)
-    lam[order] = np.repeat(rho, sizes)
-    shift = w.times(lam, mask_array(f.ground_mask, f.ground.n))
-    tol = TIE_EPSILON * f.scale
-    cut = coverage_cut(f, order, sizes, tests, shift)
-    if cut is not None:
-        sides = cut_results(cut, tol)
-        tested = np.zeros(len(sizes), dtype=bool)
-        tested[tests] = True
-        outside[np.repeat(tested, sizes)] = sides[1]
-        return outside, functools.partial(cut_result, f.ground, cut, sides)
-    exhaustive_ground(f, BRUTE_FORCE_LIMIT, SWEEP_NAME)
-    found, by_size = {}, {}
-    for j, excess in zip(tests, f.block_values(order, sizes, tests,
-                                               coeffs=shift)):
-        by_size.setdefault(sizes[j], []).append((j, excess))
-    for c, group in by_size.items():
-        js = [j for j, _ in group]
-        elems = order[np.add.outer([starts[j] for j in js], np.arange(c))]
-        found.update(zip(js, sweep_results(
-            f.ground, np.stack([e for _, e in group]), elems, tol)))
-    positions = order.tolist()
-    for j in tests:
-        outside[starts[j]:starts[j + 1]] = [
-            not found[j].maximal_mask >> i & 1
-            for i in positions[starts[j]:starts[j + 1]]]
-    return outside, [found[j] for j in tests].__getitem__
 
 
 def _tree(ground, depths):
@@ -388,7 +335,7 @@ def certify(f: SetFunction, rates: RateVector) -> None:
     cmask = rates.subset_mask
     if cmask.bit_count() > BRUTE_FORCE_LIMIT:
         return
-    report = verify_membership(restrict(f, cmask), rates)
+    report = verify_membership(f, rates)
     if not report.in_region:
         raise CertificationError(
             "rates for %s are outside the rate region (min slack %.3g at "

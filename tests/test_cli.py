@@ -607,10 +607,10 @@ def test_non_submodular_table_is_refused(capsys, tmp_path):
 
 def test_sweep_solver_error_exits_3(capsys, tmp_path, monkeypatch):
     from swfair import experiment
-    from swfair import ConvergenceError
+    from swfair.split import InternalConsistencyError
 
     def stalled(*args, **kwargs):
-        raise ConvergenceError("solver stalled")
+        raise InternalConsistencyError("solver stalled")
 
     monkeypatch.setattr(experiment, "split", stalled)
     out_csv = tmp_path / "sweep.csv"

@@ -13,6 +13,7 @@ from swfair.setfn import (
     WeightVector,
     add_modular,
     bit_indices,
+    global_mask,
     greedy_vertex_local,
     restrict,
 )
@@ -361,6 +362,41 @@ def test_exchange_capacity_of_bit_pool_views_equals_the_sweep(f, seed):
     assert got == pytest.approx(swept, rel=0.0, abs=1e-12 * f.scale)
 
 
+def brute_exchange_capacity(f, rates, donor, receiver):
+    """min of f(X) - r(X) over the X of f's ground with the receiver and
+    without the donor, one value call per X."""
+    i, j = f.ground.index[receiver], f.ground.index[donor]
+    others = bit_indices(f.ground_mask & ~(1 << i | 1 << j))
+    sets = (1 << i | global_mask(s, others) for s in range(1 << len(others)))
+    return min(f.value(x) - float(rates[bit_indices(x)].sum()) for x in sets)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 12])
+def test_exchange_capacity_is_its_definition(n):
+    """On tables and on bit-pool views (the pool, restrict, add_modular and
+    minor_after), 2 users included, exchange_capacity equals its definition
+    enumerated set by set, within 1e-12 times f's scale."""
+    rng = np.random.default_rng(n)
+    for _ in range(4):
+        src = random_bit_pool(rng, n + 1)
+        w = WeightVector(src.ground, rng.uniform(0.5, 4.0, n + 1))
+        pool = random_bit_pool(rng, n)
+        for f in (coverage_table(pool), pool,
+                  restrict(src, src.ground_mask & ~1),
+                  add_modular(pool, rng.uniform(-0.5, 0.5, n)),
+                  minor_after(src, 1, w),
+                  minor_after(add_modular(src, rng.uniform(-0.5, 0.5, n + 1)),
+                              1, w)):
+            elems = bit_indices(f.ground_mask)
+            rates = (shapley_exact(f).rates
+                     + rng.normal(0.0, 0.1 * f.scale, f.ground.n))
+            i, j = (f.ground.users[k]
+                    for k in rng.choice(elems, 2, replace=False))
+            assert exchange_capacity(f, rates, donor=i, receiver=j) == \
+                pytest.approx(brute_exchange_capacity(f, rates, i, j),
+                              rel=0.0, abs=1e-12 * f.scale)
+
+
 def test_exchange_capacity_answers_at_64_users():
     """Beyond the sweep's 20 users: no rate moves from a higher-ratio user
     to a lower-ratio one at the egalitarian point, and a capacity is never
@@ -384,7 +420,8 @@ def test_exchange_capacity_answers_at_64_users():
         assert cap <= (src.value(x) - rates.rates[bit_indices(x)].sum()
                        + 1e-12 * src.scale)
     with pytest.raises(GroundSetTooLargeError,
-                       match="exchange capacity is exhaustive; 64 elements"):
+                       match="SFM of an oracle other than a bit pool is "
+                       "exhaustive; 64 elements exceeds limit 20$"):
         exchange_capacity(OpaquePool(src), rates, users[0], users[1])
     with pytest.raises(ValueError, match="two users"):
         exchange_capacity(src, rates, users[0], users[0])

@@ -1,3 +1,4 @@
+import itertools
 import json
 import time
 from collections import Counter
@@ -22,6 +23,7 @@ from swfair.setfn import (
     check_monotone,
     check_submodular,
     conditional_entropy,
+    contract,
     coverage_cut,
     global_mask,
     greedy_vertex_local,
@@ -37,9 +39,11 @@ from swfair.setfn import (
     _token_masks,
 )
 import swfair.setfn as setfn_module
+import swfair.sfm as sfm_module
 from swfair.experiment import ExperimentConfig, generate_instance
-from conftest import (coverage_table, minor, minor_after, partition_of,
-                      random_bit_pool, scaled_source, weight_of)
+from swfair.sfm import solve_blocks
+from conftest import (OpaquePool, coverage_table, minor, minor_after,
+                      partition_of, random_bit_pool, scaled_source, weight_of)
 
 
 def test_ground_set_basics():
@@ -88,8 +92,7 @@ def test_bit_pool_validation():
 def test_bit_pool_without_observations():
     src = BitPoolSource(GroundSet(["1", "2"]), {"a": 1.0}, {"1": []})
     assert src.value(0b11) == 0.0
-    for vals in (src.prefix_values([1, 0]), src.all_values([0, 1], 0),
-                 *src.block_values(np.array([0, 1]), [1, 1], [0, 1])):
+    for vals in (src.prefix_values([1, 0]), src.all_values([0, 1], 0)):
         assert vals.dtype == float and not vals.any()
 
 
@@ -582,65 +585,79 @@ def partitioned_pools(draw):
     return src, blocks, rest, rng
 
 
-def check_block_values(f, blocks, rng, base=0):
-    """Each wanted block's gains equal all_values over it, less the value
-    at the blocks before it, within TIE_EPSILON times f's scale.  Asked to
-    take off a modular function at f's scale, block_values gives the same
-    gains less its modular_sums, within 1e-12 times f's scale."""
-    order, sizes = partition_of(blocks)
-    wanted = sorted(rng.permutation(len(blocks))[
-        :rng.integers(0, len(blocks) + 1)].tolist())
-    tables = f.block_values(order, sizes, wanted, base)
-    assert len(tables) == len(wanted)
-    coeffs = rng.uniform(-1.0, 1.0, f.ground.n) * f.scale / f.ground.n
-    less = f.block_values(order, sizes, wanted, base, coeffs)
-    before = [base]
+def check_block_sweeps(f, blocks, rng, base=0):
+    """solve_blocks on f, an oracle coverage_cut does not read, after
+    ``base`` as a leading untested block: each tested block's result is
+    the exhaustive sweep of f contracted by the blocks before it, less the
+    modular function solve_blocks takes (none, or one at f's scale), with
+    its minimum within TIE_EPSILON times f's scale, and the flags mark the
+    positions outside its maximal minimizer."""
+    order, sizes = partition_of([base, *blocks])
+    starts = np.cumsum([0, *sizes])
+    before = [0, base]
     for block in blocks:
         before.append(before[-1] | block)
-    for j, gains, shifted in zip(wanted, tables, less):
-        want = (f.all_values(bit_indices(blocks[j]), before[j])
-                - f.value(before[j]))
-        assert gains.shape == want.shape
-        assert gains == pytest.approx(want, rel=0.0,
-                                      abs=TIE_EPSILON * f.scale)
-        assert shifted == pytest.approx(
-            gains - modular_sums(coeffs[bit_indices(blocks[j])]), rel=0.0,
-            abs=1e-12 * f.scale)
+    tests = sorted(rng.permutation(len(blocks))[
+        :rng.integers(0, len(blocks) + 1)] + 1)
+    for coeffs in (None, rng.uniform(-1.0, 1.0, f.ground.n) * f.scale
+                   / f.ground.n):
+        outside, result = solve_blocks(f, order, sizes, tests, coeffs)
+        flags = np.zeros(len(order), dtype=int)
+        for t, j in enumerate(tests):
+            elems = bit_indices(blocks[j - 1])
+            objective = contract(f, before[j], blocks[j - 1],
+                                 f.value(before[j]))
+            if coeffs is not None:
+                objective = add_modular(objective, coeffs)
+            want = sfm_module._solve_exhaustive(objective, elems)
+            got = result(t)
+            assert (got.minimal_mask, got.maximal_mask, got.solver_used,
+                    got.oracle_evals, got.ground_size) == \
+                (want.minimal_mask, want.maximal_mask, "exhaustive",
+                 1 << len(elems), len(elems))
+            assert got.min_value == pytest.approx(
+                want.min_value, rel=0.0, abs=TIE_EPSILON * f.scale)
+            flags[starts[j]:starts[j + 1]] = [
+                not got.maximal_mask >> i & 1 for i in elems]
+        assert outside.tolist() == flags.tolist()
 
 
 @settings(max_examples=40, deadline=None)
 @given(partitioned_pools())
-def test_block_values_match_all_values(model):
-    """The generic path, which every oracle takes: on a bit pool and its
-    restrict, add_modular and minor views (with a pivot and coefficients
-    of their own), and on a table, with and without a base of users
-    outside the blocks."""
+def test_solve_blocks_sweeps_each_block_on_its_minor(model):
+    """The sweep, which every oracle other than a bit pool takes: on a bit
+    pool behind OpaquePool and its restrict, add_modular and minor views
+    (with a pivot and coefficients of their own), and on a table and its
+    views, with and without a leading block of users outside the blocks.
+    The blocks are cut to 16 users and the leading block to 4, as the
+    sweep refuses grounds above 20."""
     src, blocks, rest, rng = model
     n = src.ground.n
-    base = random_mask(rng, rest)
-    check_block_values(src, blocks, rng)
-    check_block_values(src, blocks, rng, base)
-    inside = src.ground_mask & ~rest
-    sub = restrict(src, inside | base)
-    check_block_values(sub, blocks, rng, base)
+    kept = list(itertools.accumulate(b.bit_count() for b in blocks))
+    blocks = blocks[:sum(c <= 16 for c in kept)]
+    base = mask_from_indices(rng.permutation(bit_indices(rest))[
+        :rng.integers(0, 5)].tolist())
+    inside = mask_from_indices(i for b in blocks for i in bit_indices(b))
+    opaque = OpaquePool(src)
+    sub = restrict(opaque, inside | base)
+    check_block_sweeps(sub, blocks, rng)
+    check_block_sweeps(sub, blocks, rng, base)
     coeffs = rng.uniform(-1.0, 1.0, n)
-    check_block_values(add_modular(sub, coeffs), blocks, rng, base)
+    check_block_sweeps(add_modular(sub, coeffs), blocks, rng, base)
     w = WeightVector(src.ground, rng.uniform(0.5, 4.0, n))
     pivot = rest & ~base
     if pivot:
-        shifted = add_modular(src, coeffs)
-        for f in (src, shifted):
+        for f in (opaque, add_modular(opaque, coeffs)):
             g = minor(f, pivot, inside | base, f.value(pivot),
                       weight_of(w, pivot), w)
-            check_block_values(g, blocks, rng)
-            check_block_values(g, blocks, rng, base)
+            check_block_sweeps(g, blocks, rng)
+            check_block_sweeps(g, blocks, rng, base)
     if n <= 12:
-        table = TableSource(src.ground, {m: src.value(m)
-                                         for m in range(1, 1 << n)})
-        check_block_values(table, blocks, rng, base)
+        table = coverage_table(src)
+        check_block_sweeps(table, blocks, rng, base)
         for view in (restrict(table, inside | base),
                      add_modular(table, rng.uniform(-1.0, 1.0, n))):
-            check_block_values(view, blocks, rng, base)
+            check_block_sweeps(view, blocks, rng, base)
 
 
 def check_coverage_cut(f, blocks, rng):

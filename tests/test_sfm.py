@@ -1,11 +1,15 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import swfair.fairness as fairness_module
 import swfair.sfm as sfm_module
 from swfair.cli import build_parser
 from swfair.experiment import ExperimentConfig, generate_instance
-from swfair.fairness import egalitarian_oracle_fw
+from swfair.fairness import (egalitarian_oracle_fw, exchange_capacity,
+                             shapley_exact, verify_membership)
 from swfair.setfn import (
     BRUTE_FORCE_LIMIT,
     BitPoolSource,
@@ -19,9 +23,12 @@ from swfair.setfn import (
     restrict,
 )
 from swfair.sfm import SfmResult, solve_sfm
-from swfair.split import decompose, egalitarian
+from swfair.split import decompose, egalitarian, split
 from conftest import (OpaquePool, coverage_table, minor_after,
                       random_bit_pool, twin_bit_pool, weight_of)
+
+# the package re-exports the function split under the module's name
+split_module = importlib.import_module("swfair.split")
 
 
 def shifted(src, coeffs):
@@ -447,3 +454,68 @@ def test_result_invariants_and_serialization(three_users, skew_weights):
             assert doc["oracle_evals"] == 0 and doc["flow_rounds"] >= 1
         else:
             assert doc["oracle_evals"] == 8 and doc["flow_rounds"] == 0
+
+
+def spy_on_sfm(monkeypatch):
+    """Record every solve_blocks call, where sfm, split and fairness each
+    look it up, as ("solve_blocks", tests), and every call of the SFM
+    layer's other names as (name, number of solve_blocks calls open)."""
+    calls, open_solves = [], [0]
+    real = sfm_module.solve_blocks
+
+    def solve(f, order, sizes, tests, coeffs=None):
+        calls.append(("solve_blocks", list(tests)))
+        open_solves[0] += 1
+        try:
+            return real(f, order, sizes, tests, coeffs)
+        finally:
+            open_solves[0] -= 1
+
+    for module in (sfm_module, split_module, fairness_module):
+        monkeypatch.setattr(module, "solve_blocks", solve)
+    for name in ("coverage_cut", "cut_results", "sweep_result",
+                 "exhaustive_ground", "bipartite_flow", "_solve_exhaustive"):
+        def layer(*args, _name=name, _real=getattr(sfm_module, name)):
+            calls.append((_name, open_solves[0]))
+            return _real(*args)
+        monkeypatch.setattr(sfm_module, name, layer)
+    return calls
+
+
+def test_every_sfm_is_one_solve_blocks_call(monkeypatch):
+    """split calls solve_blocks once per depth with a block of 2 or more
+    users, testing exactly those blocks, and solve_sfm, verify_membership
+    on a bit pool and exchange_capacity each call it once; on a bit pool
+    (min cut) and on a table (sweep) alike, the SFM layer's other routines
+    run only inside it."""
+    rng = np.random.default_rng(43)
+    pool = random_bit_pool(rng, 64, observe_prob=1.5 / 64)
+    table = coverage_table(random_bit_pool(rng, 12))
+    calls = spy_on_sfm(monkeypatch)
+    for f in (pool, table):
+        w = WeightVector(f.ground, rng.uniform(0.5, 4.0, f.ground.n))
+        calls.clear()
+        _, tree = split(f, w)
+        level, tested = [tree.root], []
+        while level:
+            tested.append(sum(node.subset_mask.bit_count() > 1
+                              for node in level))
+            level = [c for node in level for c in node.children or ()]
+        solves = [len(t) for name, t in calls
+                  if name == "solve_blocks" and t]
+        assert solves == [c for c in tested if c]
+        assert all(t == 1 for name, t in calls if name != "solve_blocks")
+        rates = shapley_exact(f).rates
+        users = f.ground.users
+        single = [(lambda: solve_sfm(add_modular(f, rates)), [0]),
+                  (lambda: exchange_capacity(f, rates, users[0], users[1]),
+                   [1])]
+        if f is pool:
+            single.append((lambda: verify_membership(f, rates), [0]))
+        for run, tests in single:
+            calls.clear()
+            run()
+            assert [t for name, t in calls if name == "solve_blocks"] \
+                == [tests]
+            assert all(t == 1 for name, t in calls if name != "solve_blocks")
+            assert len(calls) > 1

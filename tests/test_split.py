@@ -15,7 +15,6 @@ from swfair.setfn import (
     BitPoolSource,
     GroundSet,
     GroundSetTooLargeError,
-    SetFunction,
     TableSource,
     WeightVector,
     add_modular,
@@ -131,10 +130,9 @@ def test_split_runs_only_min_cut_on_bit_pools(monkeypatch, capsys,
     def forbidden(*args, **kwargs):
         raise AssertionError("the rule's other solver ran")
 
-    for f, weights, other in ((src, w, "sweep_results"),
+    for f, weights, other in ((src, w, "sweep_result"),
                               (table, w_table, "cut_results")):
         with monkeypatch.context() as m:
-            m.setattr(split_module, other, forbidden)
             m.setattr(sfm_module, other, forbidden)
             _, tree = split(f, weights)
             # a one-user block is a leaf with no solve, reported as a
@@ -165,17 +163,13 @@ def test_opaque_oracles_above_the_limit_are_refused_before_any_table(
                                      observe_prob=1.5 / 21))
     w = WeightVector.ones(src.ground)
     tabled = []
+    real = OpaquePool.all_values
 
-    def spy(name):
-        real = getattr(OpaquePool, name)
+    def spy(*args, **kwargs):
+        tabled.append(args)
+        return real(*args, **kwargs)
 
-        def call(*args, **kwargs):
-            tabled.append(name)
-            return real(*args, **kwargs)
-        return call
-
-    for name in ("all_values", "block_values"):
-        monkeypatch.setattr(OpaquePool, name, spy(name))
+    monkeypatch.setattr(OpaquePool, "all_values", spy)
     for solve in (lambda: solve_sfm(src), lambda: split(src, w),
                   lambda: egalitarian(src, w), lambda: decompose(src, w)):
         with pytest.raises(GroundSetTooLargeError,
@@ -188,10 +182,10 @@ def test_opaque_oracles_above_the_limit_are_refused_before_any_table(
 
 
 def spy_on_oracles(monkeypatch):
-    """Record every bit-pool oracle call, every block_values call, and
-    every coverage_cut, sweep_results and bipartite_flow call split makes, in
-    order, as (name, arguments); arrays are copied when called, as the
-    refinement loop reorders its positions in place."""
+    """Record every bit-pool oracle call, and every coverage_cut,
+    sweep_result and bipartite_flow call the SFM layer makes, in order, as
+    (name, arguments); arrays are copied when called, as the refinement
+    loop reorders its positions in place."""
     calls = []
 
     def spy(name, real):
@@ -204,12 +198,9 @@ def spy_on_oracles(monkeypatch):
     for name in ("value", "all_values", "prefix_values"):
         monkeypatch.setattr(BitPoolSource, name,
                             spy(name, getattr(BitPoolSource, name)))
-    monkeypatch.setattr(SetFunction, "block_values",
-                        spy("block_values", SetFunction.block_values))
-    for module, name in ((split_module, "coverage_cut"),
-                         (split_module, "sweep_results"),
-                         (sfm_module, "bipartite_flow")):
-        monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+    for name in ("coverage_cut", "sweep_result", "bipartite_flow"):
+        monkeypatch.setattr(sfm_module, name,
+                            spy(name, getattr(sfm_module, name)))
     return calls
 
 
@@ -258,7 +249,7 @@ def test_one_user_blocks_are_leaves_without_a_solve(monkeypatch):
     blocks of 2 or more users; its last walk is _chain's, over the
     leaves.  No oracle call serves a one-user block, which is a leaf with
     the result an exhaustive sweep gives, and on a bit pool split makes no
-    value, all_values, block_values or sweep_results call."""
+    value, all_values or sweep_result call."""
     rng = np.random.default_rng(9)
     n = 64
     src = random_bit_pool(rng, n, observe_prob=1.5 / n)
@@ -267,8 +258,7 @@ def test_one_user_blocks_are_leaves_without_a_solve(monkeypatch):
     _, tree = split(src, w)
     monkeypatch.undo()
     names = {name for name, _ in calls}
-    assert not names & {"value", "all_values", "block_values",
-                        "sweep_results"}
+    assert not names & {"value", "all_values", "sweep_result"}
     passes = passes_of(calls)
     assert passes[0] == [] and passes[-1] == [calls[-1]]
     depths = nodes_by_depth(tree)
@@ -643,7 +633,7 @@ def test_one_flow_settles_each_block_of_a_depth(n, seed, view):
     solve_sfm gives on the block's own objective, f contracted by the
     blocks before it less rho_j w, and its minimum within twice the tie
     tolerance; up to 10 users, the exhaustive sweep's masks too.  The
-    flags _sweeps returns per position mark the users of tested blocks
+    flags solve_blocks returns per position mark the users of tested blocks
     outside their block's maximal minimizer.  f is a restriction
     of a bit pool or a minor after a pivot, of the pool or of a view with
     coefficients of its own; each ratio is its block's split ratio, at
@@ -672,8 +662,11 @@ def test_one_flow_settles_each_block_of_a_depth(n, seed, view):
            for j, b in enumerate(blocks)]
     tests = [j for j, b in enumerate(blocks)
              if b.bit_count() > 1 and rng.random() < 0.8]
-    outside, result = split_module._sweeps(f, w, order, sizes, starts, tests,
-                                           rho)
+    lam = np.zeros(src.ground.n)
+    lam[order] = np.repeat(rho, sizes)
+    outside, result = sfm_module.solve_blocks(
+        f, order, sizes, tests,
+        w.times(lam, mask_array(f.ground_mask, src.ground.n)))
     tol = 2 * TIE_EPSILON * src.scale
     for t, j in enumerate(tests):
         before = mask_from_indices(order[:starts[j]].tolist())
@@ -733,13 +726,13 @@ def test_an_empty_maximal_minimizer_is_inconsistent(monkeypatch):
     loop refuses it and names the block."""
     rng = np.random.default_rng(9)
     src = random_bit_pool(rng, 12)
-    real = split_module.cut_results
+    real = sfm_module.cut_results
 
     def no_minimizer(cut, tol):
         from_source, to_sink, unused, rounds = real(cut, tol)
         return from_source, [True] * len(to_sink), unused, rounds
 
-    monkeypatch.setattr(split_module, "cut_results", no_minimizer)
+    monkeypatch.setattr(sfm_module, "cut_results", no_minimizer)
     label = subset_label(src.ground, src.ground_mask)
     for engine in (split, egalitarian):
         with pytest.raises(InternalConsistencyError,
