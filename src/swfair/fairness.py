@@ -150,7 +150,7 @@ def verify_membership(f: SetFunction, r,
         minimal = 0
         if elems:
             minimal = solve_blocks(f, elems, [len(elems)], [0],
-                                   rates)[1](0).minimal_mask
+                                   rates)[2](0).minimal_mask
         sum_gap = float(rates[elems].sum()) - f.value(f.ground_mask)
         slack = sum_gap + (f.value(minimal)
                            - float(rates[bit_indices(minimal)].sum()))
@@ -196,7 +196,7 @@ def exchange_capacity(f: SetFunction, r, donor: str, receiver: str) -> float:
                          "oracle's ground")
     rest = bit_indices(f.ground_mask & ~(1 << i | 1 << j))
     tail = solve_blocks(f, [i, *rest], [1, len(rest)], [1],
-                        rates)[1](0).min_value if rest else 0.0
+                        rates)[2](0).min_value if rest else 0.0
     return f.value(1 << i) - float(rates[i]) + tail
 
 

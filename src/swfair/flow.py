@@ -30,20 +30,23 @@ Each round is one breadth-first search from the users with unused supply,
 level by level through their bits, the users with flow into the full ones,
 and so on until no new user is labeled; a bit with free room ends its
 branch and is collected.  Each collected bit, in the order found, augments
-along its tree path, skipped if an earlier path left it at most ``tol``.
-The levels are distances in the residual graph without the arcs out of
-bits with room.  Tree paths climb one level per arc and augmenting adds
-only arcs one level down, so no distance falls and each path stays
-admissible until it augments, except when a bit's room runs out: its arcs
-to the users that fill it may shorten distances.  Room only falls, so that
-happens once per bit at most, and between the rounds where it does,
-Edmonds and Karp's argument holds: each observation drains O(V) times, so
-O(VE) augmentations.  With at most V such rounds of at most V paths each,
-O(V^2 E) augmentations and O(V^2 E^2) time, strongly polynomial.  Stopping
-each round at the first level with room kept Edmonds and Karp's O(VE) but
-took about twice the rounds.  The last round collects no bit, so its
-labels are all the users the source reaches, and one reverse pass from the
-bits with room finds those that reach the sink.
+along its tree path, skipped if an earlier path left it at most ``tol``:
+one walk from the bit back to the user at the path's root takes the path's
+bottleneck, the least of the bit's room, that user's unused supply and the
+flows on the path's bit -> user arcs, and a second walk pushes it, so no
+path is stored.  The levels are distances in the residual graph without
+the arcs out of bits with room.  Tree paths climb one level per arc and
+augmenting adds only arcs one level down, so no distance falls and each
+path stays admissible until it augments, except when a bit's room runs out:
+its arcs to the users that fill it may shorten distances.  Room only
+falls, so that happens once per bit at most, and between the rounds where
+it does, Edmonds and Karp's argument holds: each observation drains O(V)
+times, so O(VE) augmentations.  With at most V such rounds of at most V
+paths each, O(V^2 E) augmentations and O(V^2 E^2) time, strongly
+polynomial.  Stopping each round at the first level with room kept Edmonds
+and Karp's O(VE) but took about twice the rounds.  The last round collects
+no bit, so its labels are all the users the source reaches, and one reverse
+pass from the bits with room finds those that reach the sink.
 
 A residual capacity at or below ``tol`` counts as zero: a saturated arc may
 keep a residue of a few ulps that must not carry flow or join the sides.
@@ -80,9 +83,11 @@ def bipartite_flow(supply: Sequence[float], sink_cap: Sequence[float],
     by_user = [[] for _ in left]
     # only the observations of users with supply can carry flow
     by_bit = [[] for _ in free]
-    for k, (i, b) in enumerate(zip(user, bit)):
+    has = [a > 0.0 for a in supply]
+    for k, i in enumerate(user):
         by_user[i].append(k)
-        if supply[i] > 0.0:
+        if has[i]:
+            b = bit[k]
             by_bit[b].append(k)
             # plain comparisons: min and max calls triple this loop's cost
             x = left[i]
@@ -92,7 +97,7 @@ def bipartite_flow(supply: Sequence[float], sink_cap: Sequence[float],
                 left[i] -= x
                 free[b] -= x
                 flows[k] = x
-    senders = [i for i, a in enumerate(supply) if a > 0.0]
+    senders = [i for i, h in enumerate(has) if h]
 
     rounds = 0
     while True:
@@ -102,7 +107,9 @@ def bipartite_flow(supply: Sequence[float], sink_cap: Sequence[float],
         # that labeled bit b, or -1
         via_user = [-2] * len(left)
         via_bit = [-1] * len(free)
-        level = [i for i in senders if left[i] > tol]
+        # unused supply only falls, so a sender that ran out stays out
+        senders = [i for i in senders if left[i] > tol]
+        level = senders
         for i in level:
             via_user[i] = -1
         hits = []
@@ -129,23 +136,30 @@ def bipartite_flow(supply: Sequence[float], sink_cap: Sequence[float],
         if not hits:
             break
         for b in hits:
-            # the tree path into b: ahead its user -> bit arcs, back the
-            # bit -> user ones, and i the user at its root
-            ahead, back = [via_bit[b]], []
-            i = user[ahead[0]]
+            # the tree path into b, walked from b to the user at its root
+            # twice: once for its least residual capacity, once to push
+            k = via_bit[b]
+            push = free[b]
+            i = user[k]
             while via_user[i] >= 0:
-                back.append(via_user[i])
-                ahead.append(via_bit[bit[back[-1]]])
-                i = user[ahead[-1]]
-            push = min(free[b], left[i], *[flows[k] for k in back])
+                j = via_user[i]
+                if flows[j] < push:
+                    push = flows[j]
+                i = user[via_bit[bit[j]]]
+            if left[i] < push:
+                push = left[i]
             # an earlier path of this round may have saturated this one
             if push > tol:
                 left[i] -= push
                 free[b] -= push
-                for k in ahead:
+                flows[k] += push
+                i = user[k]
+                while via_user[i] >= 0:
+                    j = via_user[i]
+                    flows[j] -= push
+                    k = via_bit[bit[j]]
                     flows[k] += push
-                for k in back:
-                    flows[k] -= push
+                    i = user[k]
 
     from_source = [v != -2 for v in via_user]
     to_bit = [r > tol for r in free]

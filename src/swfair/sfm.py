@@ -43,6 +43,7 @@ from .setfn import (
     TIE_EPSILON,
     GroundSet,
     SetFunction,
+    _parts,
     bit_indices,
     coverage_cut,
     exhaustive_ground,
@@ -107,7 +108,7 @@ def solve_sfm(f: SetFunction) -> SfmResult:
     elems = bit_indices(f.ground_mask)
     if not elems:
         return SfmResult(f.ground, 0.0, 0, 0, "exhaustive", 0, 0)
-    return solve_blocks(f, elems, [len(elems)], [0])[1](0)
+    return solve_blocks(f, elems, [len(elems)], [0])[2](0)
 
 
 def solve_blocks(f: SetFunction, order, sizes, tests,
@@ -121,23 +122,30 @@ def solve_blocks(f: SetFunction, order, sizes, tests,
     every tie, less the modular function c with the per-user ``coeffs``
     (0 if None).  A block outside ``tests`` only enters the S_j, so it may
     be of any size; a tested block has at least one user.  Returns
-    (outside, result): per position of ``order``, 1 if it lies outside its
-    tested block's maximal minimizer, else 0, and result(t), the
-    :class:`SfmResult` of block tests[t] (None if ``tests`` is empty).
+    (outside, gains, result): per position of ``order``, 1 if it lies
+    outside its tested block's maximal minimizer, else 0; per tested block
+    D_j, in the order of ``tests``, f's gains over that minimizer M and
+    over the rest R, (f(S_j | M) - f(S_j), f(S_j | D_j) - f(S_j | M));
+    and result(t), the :class:`SfmResult` of block tests[t] (None if
+    ``tests`` is empty), which only :func:`swfair.split.split`'s tree and
+    single solves build.  The gains leave c out: its minimum f(S_j | M) -
+    f(S_j) - c(M) holds the same in exact arithmetic, but a min cut finds
+    it only within the tie tolerance, and c(M) can dwarf the gain.
 
     The rule is :func:`solve_sfm`'s.  On a bit-pool view one
     :func:`swfair.setfn.coverage_cut` builds the blocks' networks, one
-    flow solves them (:func:`cut_results`), and result reads its sides
-    (:func:`cut_result`).  Otherwise a ground above ``BRUTE_FORCE_LIMIT``
-    users raises :class:`GroundSetTooLargeError`, and each tested block's
-    gains are tabled by one ``f.all_values`` over it at S_j, less the table's
-    entry at 0 and c's :func:`swfair.setfn.modular_sums`, and swept
-    (:func:`sweep_result`).
+    flow solves them (:func:`cut_results`), :func:`cut_gains` sums each
+    block's bits by whether M observes them, and result reads the flow's
+    sides (:func:`cut_result`).  Otherwise a ground above
+    ``BRUTE_FORCE_LIMIT`` users raises :class:`GroundSetTooLargeError`,
+    and each tested block's gains are tabled by one ``f.all_values`` over
+    it at S_j, less the table's entry at 0, read at M and at the block, and
+    swept less c's :func:`swfair.setfn.modular_sums` (:func:`sweep_result`).
     """
     order = np.asarray(order, dtype=np.intp)
     outside = np.zeros(len(order), dtype=np.intp)
     if not tests:
-        return outside, None
+        return outside, [], None
     tol = TIE_EPSILON * f.scale
     cut = coverage_cut(f, order, sizes, tests, coeffs)
     if cut is not None:
@@ -145,21 +153,24 @@ def solve_blocks(f: SetFunction, order, sizes, tests,
         tested = np.zeros(len(sizes), dtype=bool)
         tested[tests] = True
         outside[np.repeat(tested, sizes)] = sides[1]
-        return outside, functools.partial(cut_result, f.ground, cut, sides)
+        return (outside, cut_gains(cut, sides[1], _parts(f)[3]),
+                functools.partial(cut_result, f.ground, cut, sides))
     exhaustive_ground(f, BRUTE_FORCE_LIMIT, SWEEP_NAME)
     starts = [0, *itertools.accumulate(sizes)]
     positions = order.tolist()
-    found = []
+    found, gains = [], []
     for j in tests:
         a, b = starts[j], starts[j + 1]
-        gains = f.all_values(positions[a:b], mask_from_indices(positions[:a]))
-        gains = gains - gains[0]
-        if coeffs is not None:
-            gains -= modular_sums(coeffs[order[a:b]])
-        found.append(sweep_result(f.ground, gains, positions[a:b], tol))
-        outside[a:b] = [not found[-1].maximal_mask >> i & 1
-                        for i in positions[a:b]]
-    return outside, found.__getitem__
+        table = f.all_values(positions[a:b], mask_from_indices(positions[:a]))
+        table = table - table[0]
+        found.append(sweep_result(f.ground, table if coeffs is None else (
+            table - modular_sums(coeffs[order[a:b]])), positions[a:b], tol))
+        inside = [found[-1].maximal_mask >> i & 1 for i in positions[a:b]]
+        outside[a:b] = [not x for x in inside]
+        gain = float(table[mask_from_indices(
+            itertools.compress(range(b - a), inside))])
+        gains.append((gain, float(table[-1]) - gain))
+    return outside, gains, found.__getitem__
 
 
 def _solve_exhaustive(f, elems) -> SfmResult:
@@ -228,7 +239,8 @@ def cut_results(cut, tol) -> tuple:
     users, starts, user, bit, h, coef = cut
     c = len(users)
     observers = np.bincount(bit, minlength=len(h))
-    private = observers[bit] == 1
+    seen_by = observers[bit]
+    private = seen_by == 1
     source_cap = np.maximum(coef, 0.0)
     sink_cap = np.bincount(user[private], weights=h[bit[private]],
                            minlength=c) - np.minimum(coef, 0.0)
@@ -236,11 +248,12 @@ def cut_results(cut, tol) -> tuple:
     source_cap -= both
     sink_cap -= both
     shared = observers > 1
-    shared_user = user[~private]
-    shared_bit = (np.cumsum(shared) - 1)[bit[~private]]
+    on_shared = ~private
+    shared_user = user[on_shared]
+    shared_bit = (np.cumsum(shared) - 1)[bit[on_shared]]
     # fewest choices first: a user with few shared bits, then a bit with
     # few observers, has the fewest other ways to route its flow
-    first = np.lexsort((observers[shared][shared_bit],
+    first = np.lexsort((seen_by[on_shared],
                         np.bincount(shared_user, minlength=c)[shared_user]))
     unused, from_source, to_sink, rounds, _ = bipartite_flow(
         source_cap.tolist(), sink_cap.tolist(), h[shared].tolist(),
@@ -249,14 +262,43 @@ def cut_results(cut, tol) -> tuple:
             np.add.reduceat(unused, starts[:-1]).tolist(), rounds)
 
 
+def cut_gains(cut, to_sink, own) -> list:
+    """Per block of ``cut``, its view's gains over the block's maximal
+    minimizer M and over the rest R, as pairs.
+
+    ``cut`` is :func:`swfair.setfn.coverage_cut`'s data, ``to_sink`` the
+    flow's per-user side from :func:`cut_results` (M is the users that do
+    not reach the sink), and ``own`` the view's own coefficients over its
+    ground, or None.  Every bit of a block is new to it, so f(S | M) - f(S)
+    is the entropy of the block's bits that M observes less own(M), and
+    f(S | D) - f(S | M) that of its other bits less own(R).
+    """
+    users, starts, user, bit, h, _ = cut
+    k = len(starts) - 1
+    rest = np.array(to_sink)
+    block = np.repeat(np.arange(k), np.diff(starts))
+    # bin t for the bits of block t that M observes, bin k + t for the rest
+    bins = np.empty(len(h), dtype=np.intp)
+    bins[bit] = block[user] + k
+    bins[bit[~rest[user]]] -= k
+    gains = np.zeros(2 * k)
+    gains += np.bincount(bins, weights=h, minlength=2 * k)
+    if own is not None:
+        gains -= np.bincount(block + k * rest, weights=own[users],
+                             minlength=2 * k)
+    return list(zip(gains[:k].tolist(), gains[k:].tolist()))
+
+
 def cut_result(ground, cut, sides, t) -> SfmResult:
     """Block t's SFM result from ``cut`` and the ``sides`` that
-    :func:`cut_results` found on it; ``oracle_evals`` is 0."""
+    :func:`cut_results` found on it; ``oracle_evals`` is 0.  The maximal
+    minimizer is the block less the users that reach the sink."""
     from_source, to_sink, unused, rounds = sides
     a, b = cut[1][t], cut[1][t + 1]
     here = cut[0][a:b].tolist()
     return SfmResult(
         ground, -unused[t],
-        mask_from_indices(i for i, s in zip(here, from_source[a:b]) if s),
-        mask_from_indices(i for i, s in zip(here, to_sink[a:b]) if not s),
+        mask_from_indices(itertools.compress(here, from_source[a:b])),
+        mask_from_indices(here)
+        ^ mask_from_indices(itertools.compress(here, to_sink[a:b])),
         "min_cut", oracle_evals=0, ground_size=b - a, flow_rounds=rounds)

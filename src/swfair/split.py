@@ -5,23 +5,26 @@ over the base polyhedron of the entropy oracle.  One loop computes it,
 refining an ordered partition of the users.
 
 :func:`split` is the paper's divide-and-conquer scheme: score a block at
-its uniform ratio lam = f(C)/w(C), find the maximal minimizer of f -
-lam*w, and either stop (the block is uniform, r = lam*w) or split into
-that minimizer and the rest, the rest continuing on the contracted oracle
-after an early base assignment of the minimizer's ratio times w.  The two
-subcalls of a split are independent (:func:`recursion_metrics` reports
-the critical path as ``max_size``), so :func:`_refine` runs each depth as
-one pass over its blocks: one prefix walk gives every block its ratio,
-and one :func:`swfair.sfm.solve_blocks` call tests the blocks of 2 or
-more users, each on its minor less its ratio times w.  On a bit pool one
-maximum flow settles them all; any other oracle has each block tabled and
-swept, and a ground above ``BRUTE_FORCE_LIMIT`` (20) users is refused
-with :class:`GroundSetTooLargeError` before any table is built.  The loop
-takes and returns positions: a block is a run of one order array, and a
-split a stable partition of its run.  A
-:class:`SplitTree` records per-node subsets, ratios, SFM results, and the
-ordered base-assignment events that trace the rate vector's walk through
-the polyhedron; only a tree builds masks and :class:`SfmResult` records.
+its uniform ratio lam = f(C)/w(C), find the maximal minimizer of f - lam*w,
+and either stop (the block is uniform, r = lam*w) or split into that
+minimizer and the rest, the rest continuing on the contracted oracle after
+an early base assignment of the minimizer's ratio times w.  The two
+subcalls of a split are independent (:func:`recursion_metrics` reports the
+critical path as ``max_size``), so :func:`_refine` runs each depth as one
+pass over its blocks: one :func:`swfair.sfm.solve_blocks` call tests the
+blocks of 2 or more users that the pass before opened, each on its minor
+less its ratio times w.  On a bit pool one maximum flow settles them all;
+any other oracle has each block tabled and swept, and a ground above
+``BRUTE_FORCE_LIMIT`` (20) users is refused with
+:class:`GroundSetTooLargeError` before any table is built.  As the paper
+updates the rates while it splits, each test also gives f's gains over the
+two children of a split, and so their ratios: the loop walks f once, at the
+root, for the ground's ratio.  The loop takes and returns positions: a
+block is a run of one order array, and a split a stable partition of its
+run.  A :class:`SplitTree` records per-node subsets, ratios, SFM results,
+and the ordered base-assignment events that trace the rate vector's walk
+through the polyhedron; only a tree builds masks and :class:`SfmResult`
+records.
 
 :func:`decompose` is the engine, and :func:`egalitarian` returns the rates
 of its chain.  It runs the same loop from the ground, builds no tree, and
@@ -40,8 +43,10 @@ one factor give the same chain and the same rates, and weights from
 1e-200 to 1e200 neither merge distinct levels nor overflow.
 
 :func:`split` and :func:`decompose` turn their ordered leaves or levels
-into rates the same way: lam_j = (f(S_j) - f(S_{j-1})) / w(D_j) from one
-prefix walk over them, and r_i = lam_j * w_i on D_j.
+into rates the same way (:func:`_chain`): lam_j = (f(S_j) - f(S_{j-1})) /
+w(D_j) from one prefix walk over them, and r_i = lam_j * w_i on D_j.  So a
+solve walks f twice, at the root and in the chain; split's leaves take the
+chain's ratios.
 """
 
 from __future__ import annotations
@@ -151,9 +156,10 @@ def split(f: SetFunction, w: WeightVector) -> tuple[RateVector, SplitTree]:
 
 def _split(f, w, refined):
     order, sizes, _, depths = refined
-    root, events, leaves = _tree(f.ground, depths)
-    rv = _chain(f, w, order, sizes)[1]
-    return rv, SplitTree(f.ground, root, f.ground_mask, w, events, leaves, rv)
+    root, events, leaves = _tree(f.ground, f.ground_mask, depths)
+    crit, rv = _chain(f, w, order, sizes)
+    return rv, SplitTree(f.ground, root, f.ground_mask, w, events,
+                         list(zip(leaves, crit)), rv)
 
 
 def _refine(f, w):
@@ -162,95 +168,120 @@ def _refine(f, w):
 
     The partition is ordered: block j is the run of its size's positions
     of one order array, ascending within the block, after the runs before
-    it, and the first pass has one block, the ground.  Each pass gives
-    every open block D_j its ratio rho_j = (f(S_j) - f(S_{j-1})) / w(D_j),
-    S_j the union of the first j blocks, from one prefix walk, and tests it
-    on f's minor after S_{j-1} at rho_j: a one-user block is a leaf with no
-    oracle call, and the blocks of 2 or more users are tested together by
-    one :func:`solve_blocks` of f less rho_j * w_i at each user i of block
-    j.  That shift is formed per user, and |rho_j * w_i| <= |f(S_j) -
-    f(S_{j-1})|, so no weight overflows it.  A block that is not its own
-    maximal minimizer is split into that minimizer and the rest by one
-    stable sort of the positions into a new order array.  Returns the
-    leaves as (order, sizes, ratios) and, per depth, (order, opened,
-    result): each block opened at that depth as (start, size, rho_j), and
-    result(t), the SfmResult of its t-th block of 2 or more users, for
-    :func:`_tree` alone.
+    it, and S_j is the union of the blocks before block j.  Every block D_j
+    has the ratio rho_j = (f(S_j | D_j) - f(S_j)) / w(D_j).  The first pass
+    has one block, the ground, whose ratio comes from the loop's one prefix
+    walk.  Each pass tests the blocks that the pass before it opened on f's
+    minor after S_j at rho_j: a one-user block is a leaf with no oracle
+    call, and the blocks of 2 or more users are tested together by one
+    :func:`solve_blocks` of f less rho_j * w_i at each user i of block j.
+    That shift is formed per user, and |rho_j * w_i| <= |f(S_j | D_j) -
+    f(S_j)|, so no weight overflows it.  A block that is its own maximal
+    minimizer is a leaf.  Any other splits, by one stable sort of the
+    positions into a new order array, into its maximal minimizer M and the
+    rest R, which open with the ratios
+
+        rho_M = (f(S_j | M) - f(S_j)) / w(M),
+        rho_R = (f(S_j | D_j) - f(S_j | M)) / w(R),
+
+    both gains from the test itself, and w(M) and w(R) each summed over
+    their own users, since w(D_j) - w(M) can lose all of w(R) at weights
+    far apart.  The test's minimum m = f(S_j | M) - f(S_j) - rho_j w(M)
+    gives the same ratios as rho_j + m / w(M) and rho_j - m / w(R) in exact
+    arithmetic, but a min cut finds m only within the tie tolerance, which
+    at weights far apart put leaf ratios 4e-7 apart from a walk's.  The
+    loop ends when no opened block has 2 or more users.  Returns the
+    leaves as (order, sizes, ratios) and, per depth, (opened, result): each
+    block opened at that depth as (size, rho_j), and result(t), the
+    SfmResult of its t-th block of 2 or more users (None at the last
+    depth), for :func:`_tree` alone.
     """
     if f.ground_mask == 0:
         raise ValueError("cannot split an empty ground")
     order = np.asarray(bit_indices(f.ground_mask), dtype=np.intp)
     in_ground = mask_array(f.ground_mask, f.ground.n)
-    # (size, ratio once opened)
-    parts = [(len(order), None)]
-    depths = []
+    sizes = [len(order)]
+    ratios = _chain(f, w, order, sizes)[0]
+    opened, depths = [0], []
     while True:
-        sizes, ratios = zip(*parts)
         starts = [0, *itertools.accumulate(sizes)]
-        walk = f.prefix_values(order)[starts]
-        rho = (np.diff(walk)
-               / np.add.reduceat(w.values[order], starts[:-1])).tolist()
-        tests = [j for j, c in enumerate(sizes) if ratios[j] is None and c > 1]
+        record = [(sizes[j], ratios[j]) for j in opened]
+        tests = [j for j in opened if sizes[j] > 1]
+        if not tests:
+            depths.append((record, None))
+            return order, sizes, ratios, depths
         lam = np.zeros(f.ground.n)
-        lam[order] = np.repeat(rho, sizes)
-        outside, result = solve_blocks(f, order, sizes, tests,
-                                       w.times(lam, in_ground))
+        lam[order] = np.repeat(ratios, sizes)
+        outside, gains, result = solve_blocks(f, order, sizes, tests,
+                                              w.times(lam, in_ground))
+        depths.append((record, result))
         moved = np.add.reduceat(outside, starts[:-1]).tolist()
-        opened, last, parts = [], parts, []
-        for j, (c, ratio) in enumerate(last):
-            if ratio is None:
-                opened.append((starts[j], c, rho[j]))
-                ratio = rho[j]
-            k = c - moved[j]
-            if k == c:
-                parts.append((c, ratio))
-            elif k == 0:
+        # the new partition's sizes and ratios, and per split block, its
+        # first child's index there and the gains of its two children
+        parts, rhos, children, last = [], [], [], 0
+        for j, pair in zip(tests, gains):
+            k = sizes[j] - moved[j]
+            if k == 0:
                 raise InternalConsistencyError(
                     "SFM returned an empty maximal minimizer at %s"
                     % subset_label(f.ground, mask_from_indices(
                         order[starts[j]:starts[j + 1]].tolist())))
-            else:
-                parts += [(k, None), (c - k, None)]
-        depths.append((order, opened, result))
-        if len(parts) == len(last):
-            return order, sizes, tuple(r for _, r in parts), depths
+            if k < sizes[j]:
+                parts += sizes[last:j]
+                rhos += ratios[last:j]
+                children.append((len(parts), *pair))
+                parts += [k, sizes[j] - k]
+                rhos += [None, None]
+                last = j + 1
+        if not children:
+            return order, sizes, ratios, depths
         # each block's users keep their order, its minimizer's first
         order = order[np.argsort(np.repeat(2 * np.arange(len(sizes)), sizes)
                                  + outside, kind="stable")]
+        sizes, ratios = parts + sizes[last:], rhos + ratios[last:]
+        starts = [0, *itertools.accumulate(sizes)]
+        weight = np.add.reduceat(w.values[order], starts[:-1]).tolist()
+        opened = []
+        for a, gain_m, gain_r in children:
+            ratios[a] = gain_m / weight[a]
+            ratios[a + 1] = gain_r / weight[a + 1]
+            opened += [a, a + 1]
 
 
-def _tree(ground, depths):
-    """split's root, base-assignment events and leaves from the depths
+def _tree(ground, mask, depths):
+    """split's root, base-assignment events and leaf masks from the depths
     :func:`_refine` recorded, in one depth-first pass, which meets each
     depth's blocks in their order; the only place their masks and
-    SfmResults are built.  A node's lam is its ratio less the carry of the
-    contractions above it, which its rest child raises by its base_coeff.
-    A one-user block gets an exhaustive sweep's result: at lam both of its
-    subsets are worth 0.
+    SfmResults are built.  The root's mask is ``mask``, and a split node's
+    children take its maximal minimizer's mask and the rest.  A node's lam
+    is its ratio less the carry of the contractions above it, which its
+    rest child raises by its base_coeff.  A one-user block gets an
+    exhaustive sweep's result: at lam both of its subsets are worth 0.
     """
-    def blocks(order, opened, result):
-        positions, tested = order.tolist(), itertools.count()
-        for a, c, ratio in opened:
-            mask = mask_from_indices(positions[a:a + c])
-            yield mask, ratio, (result(next(tested)) if c > 1 else SfmResult(
-                ground, 0.0, 0, mask, "exhaustive", oracle_evals=0,
-                ground_size=1))
+    def blocks(opened, result):
+        tested = itertools.count()
+        for c, ratio in opened:
+            yield ratio, (result(next(tested)) if c > 1 else None)
 
     depths = [blocks(*depth) for depth in depths]
     events, leaves = [], []
 
-    def node(d, carry):
-        mask, ratio, res = next(depths[d])
+    def node(d, mask, carry):
+        ratio, res = next(depths[d])
         lam = ratio - carry
+        if res is None:
+            res = SfmResult(ground, 0.0, 0, mask, "exhaustive",
+                            oracle_evals=0, ground_size=1)
         if res.maximal_mask == mask:
-            leaves.append((mask, ratio))
+            leaves.append(mask)
             return SplitNode(mask, lam, res, None, None)
-        block = node(d + 1, carry)
-        events.append((mask & ~res.maximal_mask, block.lam))
-        rest = node(d + 1, carry + block.lam)
+        rest_mask = mask & ~res.maximal_mask
+        block = node(d + 1, res.maximal_mask, carry)
+        events.append((rest_mask, block.lam))
+        rest = node(d + 1, rest_mask, carry + block.lam)
         return SplitNode(mask, lam, res, block.lam, (block, rest))
 
-    return node(0, 0.0), events, leaves
+    return node(0, mask, 0.0), events, leaves
 
 
 def egalitarian(f: SetFunction, w: WeightVector) -> RateVector:
@@ -304,18 +335,15 @@ def _chain(f, w, order, sizes) -> tuple:
     within the level, after the runs before it.  lam_j = (f(S_j) -
     f(S_{j-1})) / w(D_j) with S_j = D_1 | ... | D_j, all values from one
     prefix walk along ``order``, and w(D_j) summed over the same positions
-    of that walk.  Returns (critical values, rates), the rates lam_j * w_i
-    on D_j from one product over the positions.  Every egalitarian result
-    is built here, so equal chains give bit-identical rates.
+    of that walk, in one step for all levels.  Returns (critical values,
+    rates), the rates lam_j * w_i on D_j from one product over the
+    positions.  Every egalitarian result and split's leaf ratios are built
+    here, so equal chains give bit-identical rates.
     """
-    pv = f.prefix_values(order)
+    starts = [0, *itertools.accumulate(sizes)]
     w_order = w.values[order]
-    crit, start = [], 0
-    for size in sizes:
-        end = start + size
-        crit.append(float(pv[end] - pv[start])
-                    / float(w_order[start:end].sum()))
-        start = end
+    crit = (np.diff(f.prefix_values(order)[starts])
+            / np.add.reduceat(w_order, starts[:-1])).tolist()
     rates = np.zeros(f.ground.n)
     rates[order] = np.repeat(crit, sizes) * w_order
     return crit, RateVector(f.ground, rates, f.ground_mask)

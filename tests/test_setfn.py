@@ -591,7 +591,9 @@ def check_block_sweeps(f, blocks, rng, base=0):
     the exhaustive sweep of f contracted by the blocks before it, less the
     modular function solve_blocks takes (none, or one at f's scale), with
     its minimum within TIE_EPSILON times f's scale, and the flags mark the
-    positions outside its maximal minimizer."""
+    positions outside its maximal minimizer M.  Its gains are f's over M
+    and over the rest of the block, after the blocks before it, without
+    the modular function, within 1e-12 times f's scale."""
     order, sizes = partition_of([base, *blocks])
     starts = np.cumsum([0, *sizes])
     before = [0, base]
@@ -601,7 +603,7 @@ def check_block_sweeps(f, blocks, rng, base=0):
         :rng.integers(0, len(blocks) + 1)] + 1)
     for coeffs in (None, rng.uniform(-1.0, 1.0, f.ground.n) * f.scale
                    / f.ground.n):
-        outside, result = solve_blocks(f, order, sizes, tests, coeffs)
+        outside, gains, result = solve_blocks(f, order, sizes, tests, coeffs)
         flags = np.zeros(len(order), dtype=int)
         for t, j in enumerate(tests):
             elems = bit_indices(blocks[j - 1])
@@ -617,6 +619,10 @@ def check_block_sweeps(f, blocks, rng, base=0):
                  1 << len(elems), len(elems))
             assert got.min_value == pytest.approx(
                 want.min_value, rel=0.0, abs=TIE_EPSILON * f.scale)
+            at = f.value(before[j] | got.maximal_mask)
+            assert gains[t] == pytest.approx(
+                (at - f.value(before[j]), f.value(before[j + 1]) - at),
+                rel=0.0, abs=1e-12 * f.scale)
             flags[starts[j]:starts[j + 1]] = [
                 not got.maximal_mask >> i & 1 for i in elems]
         assert outside.tolist() == flags.tolist()

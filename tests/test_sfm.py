@@ -484,10 +484,10 @@ def spy_on_sfm(monkeypatch):
 
 def test_every_sfm_is_one_solve_blocks_call(monkeypatch):
     """split calls solve_blocks once per depth with a block of 2 or more
-    users, testing exactly those blocks, and solve_sfm, verify_membership
-    on a bit pool and exchange_capacity each call it once; on a bit pool
-    (min cut) and on a table (sweep) alike, the SFM layer's other routines
-    run only inside it."""
+    users, testing exactly those blocks, and never with no block to test;
+    solve_sfm, verify_membership on a bit pool and exchange_capacity each
+    call it once; on a bit pool (min cut) and on a table (sweep) alike, the
+    SFM layer's other routines run only inside it."""
     rng = np.random.default_rng(43)
     pool = random_bit_pool(rng, 64, observe_prob=1.5 / 64)
     table = coverage_table(random_bit_pool(rng, 12))
@@ -501,8 +501,7 @@ def test_every_sfm_is_one_solve_blocks_call(monkeypatch):
             tested.append(sum(node.subset_mask.bit_count() > 1
                               for node in level))
             level = [c for node in level for c in node.children or ()]
-        solves = [len(t) for name, t in calls
-                  if name == "solve_blocks" and t]
+        solves = [len(t) for name, t in calls if name == "solve_blocks"]
         assert solves == [c for c in tested if c]
         assert all(t == 1 for name, t in calls if name != "solve_blocks")
         rates = shapley_exact(f).rates
@@ -519,3 +518,9 @@ def test_every_sfm_is_one_solve_blocks_call(monkeypatch):
                 == [tests]
             assert all(t == 1 for name, t in calls if name != "solve_blocks")
             assert len(calls) > 1
+    # the root splits into two one-user blocks, which no call tests
+    two = BitPoolSource(GroundSet(["a", "b"]), {"x": 1.0, "y": 2.0},
+                        {"a": ["x"], "b": ["y"]})
+    calls.clear()
+    split(two, WeightVector.ones(two.ground))
+    assert [t for name, t in calls if name == "solve_blocks"] == [[0]]
